@@ -8,9 +8,17 @@ payload tag) and transaction items are published onto it under an
 application-chosen key.
 
 Persistence is one line per item in append order.  The file is the
-source of truth; in-memory indexes are rebuilt on open.  Records are
-written in a canonical form so that verification can reject any byte
-that deviates from what the chain digests committed to.
+source of truth.  Records are written in a canonical form so that
+verification can reject any byte that deviates from what the chain
+digests committed to.
+
+Opening checks every record against one compiled line pattern (the same
+field rules chain verification parses with), the calendar validity of
+its timestamp and the continuity of its seq, and indexes streams from
+the matched fields.  It keeps each record as its raw line and builds the
+StreamItem only when something reads that item, caching it in place;
+because open already checked every field, that later build cannot fail.
+Open does not re-derive digests; chain verification does.
 """
 
 from __future__ import annotations
@@ -68,12 +76,34 @@ ZERO_DIGEST = b"\x00" * 32
 ADMIN_PAYLOAD = b"!stream-create"
 MAX_KEY_LENGTH = 256
 
-_STREAM_NAME_RE = re.compile(r"stream-[1-9][0-9]*-[1-9][0-9]*-[1-9][0-9]*")
-_FIELD_RE = re.compile(r"[\x21-\x7e]+")  # printable ASCII, no whitespace
-_TS_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z")
-_HEX_RE = re.compile(r"(?:[0-9a-f][0-9a-f])*")
-_DIGEST_HEX_RE = re.compile(r"[0-9a-f]{64}")
-_SEQ_RE = re.compile(r"0|[1-9][0-9]*")
+_STREAM_NAME = r"stream-[1-9][0-9]*-[1-9][0-9]*-[1-9][0-9]*"
+_STREAM_NAME_RE = re.compile(_STREAM_NAME)
+# The time of day is range-checked here; the date by _parse_ts.
+_TS = r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\.[0-9]{3}Z"
+_TS_RE = re.compile(_TS)
+_DIGEST_HEX = r"[0-9a-f]{64}"
+# Printable ASCII without whitespace or quotes, up to MAX_KEY_LENGTH.
+_KEY = rf"[!#-&(-~]{{0,{MAX_KEY_LENGTH}}}"
+_KEY_RE = re.compile(_KEY)
+
+# One persisted record: nine tab-separated fields, each with its rule.
+# ASCII classes only; Python's \d would also match non-ASCII digits.  The
+# payload's even length is checked apart: a repeated pair group would
+# double the cost of matching a line.
+_LINE_FIELDS = (
+    ("seq", r"0|[1-9][0-9]*"),
+    ("stream name", rf"{ROOT_STREAM}|{_STREAM_NAME}"),
+    ("key", _KEY),
+    ("publisher", r"[!-~]+"),  # printable ASCII, no whitespace
+    ("timestamp", _TS),
+    ("payload", r"[0-9a-f]*"),  # lowercase hex
+    ("previous digest", _DIGEST_HEX),
+    ("item digest", _DIGEST_HEX),
+    ("confirmation flag", r"true|false"),
+)
+_LINE_RE = re.compile("\t".join(f"({rule})" for _, rule in _LINE_FIELDS))
+_FIELD_RES = tuple((name, re.compile(rule)) for name, rule in _LINE_FIELDS)
+_ADMIN_PAYLOAD_HEX = ADMIN_PAYLOAD.hex()
 
 
 def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> str:
@@ -85,9 +115,7 @@ def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> st
 
 
 def _valid_key(key: str) -> bool:
-    if not isinstance(key, str) or len(key) > MAX_KEY_LENGTH:
-        return False
-    return all(0x21 <= ord(ch) <= 0x7E and ch not in "'\"" for ch in key)
+    return isinstance(key, str) and _KEY_RE.fullmatch(key) is not None
 
 
 def _format_ts(moment: dt.datetime) -> str:
@@ -99,11 +127,19 @@ def _format_ts(moment: dt.datetime) -> str:
 
 
 def _parse_ts(text: str) -> dt.datetime:
+    # Fixed width: YYYY-MM-DDTHH:MM:SS.mmmZ.  The constructor rejects
+    # calendar-invalid dates such as February 30.
     if not _TS_RE.fullmatch(text):
         raise ValueError(f"invalid timestamp: {text!r}")
-    base = dt.datetime.strptime(text[:19], "%Y-%m-%dT%H:%M:%S")
-    return base.replace(
-        microsecond=int(text[20:23], 10) * 1000, tzinfo=dt.timezone.utc
+    return dt.datetime(
+        int(text[0:4]),
+        int(text[5:7]),
+        int(text[8:10]),
+        int(text[11:13]),
+        int(text[14:16]),
+        int(text[17:19]),
+        int(text[20:23]) * 1000,
+        tzinfo=dt.timezone.utc,
     )
 
 
@@ -196,38 +232,52 @@ def _render_line(item: StreamItem) -> str:
     )
 
 
-def _parse_line(line: str) -> StreamItem:
+def _match_line(line: str) -> re.Match:
+    """Match a record against every field rule but the calendar's.
+
+    Raises ValueError naming the first field that fails.
+    """
+    match = _LINE_RE.fullmatch(line)
+    if match is not None:
+        if (match.end(6) - match.start(6)) % 2 == 0:
+            return match
+        raise ValueError("invalid payload: odd hex length")
     fields = line.split("\t")
-    if len(fields) != 9:
-        raise ValueError(f"expected 9 fields, got {len(fields)}")
-    seq_text, stream, key, publisher, ts_text, payload_hex, prev_hex, digest_hex, confirmed_text = fields
-    if not _SEQ_RE.fullmatch(seq_text):
-        raise ValueError(f"invalid seq: {seq_text!r}")
-    if stream != ROOT_STREAM and not _STREAM_NAME_RE.fullmatch(stream):
-        raise ValueError(f"invalid stream name: {stream!r}")
-    if key != "" and not _valid_key(key):
-        raise ValueError(f"invalid key: {key!r}")
-    if not _FIELD_RE.fullmatch(publisher):
-        raise ValueError(f"invalid publisher: {publisher!r}")
-    timestamp = _parse_ts(ts_text)
-    if not _HEX_RE.fullmatch(payload_hex):
-        raise ValueError("payload is not lowercase hex")
-    if not _DIGEST_HEX_RE.fullmatch(prev_hex):
-        raise ValueError("previous digest is not a 64-char lowercase hex digest")
-    if not _DIGEST_HEX_RE.fullmatch(digest_hex):
-        raise ValueError("item digest is not a 64-char lowercase hex digest")
-    if confirmed_text not in ("true", "false"):
-        raise ValueError(f"invalid confirmation flag: {confirmed_text!r}")
+    if len(fields) != len(_FIELD_RES):
+        raise ValueError(f"expected {len(_FIELD_RES)} fields, got {len(fields)}")
+    for (name, rule), value in zip(_FIELD_RES, fields):
+        if not rule.fullmatch(value):
+            raise ValueError(f"invalid {name}: {value!r}")
+    raise ValueError("malformed record")
+
+
+def _check_line(line: str, valid_dates: set[str]) -> re.Match:
+    """Apply every field rule to a record without building its item.
+
+    Raises ValueError naming the first failure.  A date already in
+    valid_dates skips the calendar check; a date that passes joins it.
+    """
+    match = _match_line(line)
+    date = match[5][:10]
+    if date not in valid_dates:
+        _parse_ts(match[5])
+        valid_dates.add(date)
+    return match
+
+
+def _parse_line(line: str) -> StreamItem:
+    match = _match_line(line)
+    seq, stream, key, publisher, ts_text, payload, prev, digest, confirmed = match.groups()
     return StreamItem(
-        seq=int(seq_text, 10),
+        seq=int(seq),
         stream=stream,
         key=key,
         publisher=publisher,
-        timestamp=timestamp,
-        payload=bytes.fromhex(payload_hex),
-        prev_digest=bytes.fromhex(prev_hex),
-        item_digest=bytes.fromhex(digest_hex),
-        confirmed=confirmed_text == "true",
+        timestamp=_parse_ts(ts_text),
+        payload=bytes.fromhex(payload),
+        prev_digest=bytes.fromhex(prev),
+        item_digest=bytes.fromhex(digest),
+        confirmed=confirmed == "true",
     )
 
 
@@ -324,10 +374,10 @@ class Ledger:
     def __init__(self, path, clock=None, publisher: str | None = None, create: bool = False):
         self._path = Path(path)
         self._clock = clock or system_clock
-        self._items: list[StreamItem] = []
+        # The entry at each seq is the raw record line until the item is read.
+        self._items: list[StreamItem | str] = []
         self._streams: dict[str, Stream] = {}
         self._stream_tx: dict[str, list[int]] = {}
-        self._key_index: dict[tuple[str, str], list[int]] = {}
         self._handle = None
         if create:
             if self._path.exists() and self._path.stat().st_size > 0:
@@ -339,7 +389,7 @@ class Ledger:
             if not self._path.exists() or self._path.stat().st_size == 0:
                 raise LedgerError(f"no ledger at {self._path}")
             self._load()
-            self._publisher = publisher or self._items[0].publisher
+            self._publisher = publisher or self.item(0).publisher
             self._handle = open(self._path, "a", encoding="ascii", newline="")
 
     # -- lifecycle ----------------------------------------------------------
@@ -351,54 +401,58 @@ class Ledger:
 
     def _load(self):
         with open(self._path, "r", encoding="utf-8", newline="") as fh:
-            for index, raw in enumerate(fh.read().split("\n")):
-                if raw == "":
-                    continue
-                try:
-                    item = _parse_line(raw)
-                except ValueError as exc:
-                    raise LedgerError(
-                        f"corrupt ledger record at position {index}: {exc}; "
-                        "run chain verification"
-                    ) from None
-                if item.seq != len(self._items):
-                    raise LedgerError(
-                        f"ledger sequence discontinuity at position {index}; "
-                        "run chain verification"
-                    )
-                self._index_item(item)
+            lines = fh.read().split("\n")
+        items = self._items
+        valid_dates: set[str] = set()
+        for index, raw in enumerate(lines):
+            if raw == "":
+                continue
+            try:
+                match = _check_line(raw, valid_dates)
+            except ValueError as exc:
+                raise LedgerError(
+                    f"corrupt ledger record at position {index}: {exc}; "
+                    "run chain verification"
+                ) from None
+            seq, stream, key, publisher = match.group(1, 2, 3, 4)
+            seq = int(seq)
+            if seq != len(items):
+                raise LedgerError(
+                    f"ledger sequence discontinuity at position {index}; "
+                    "run chain verification"
+                )
+            items.append(raw)
+            is_admin = key == "" and match[6] == _ADMIN_PAYLOAD_HEX
+            self._index(seq, stream, publisher, is_admin)
         if not self._items:
             raise LedgerError(f"no ledger records in {self._path}")
         if ROOT_STREAM not in self._streams:
             raise LedgerError("ledger has no root stream")
 
-    def _index_item(self, item: StreamItem):
-        self._items.append(item)
-        if item.is_admin:
-            self._streams[item.stream] = Stream(
-                name=item.stream, created_by=item.publisher
-            )
-            self._stream_tx.setdefault(item.stream, [])
+    def _index(self, seq: int, stream: str, publisher: str, is_admin: bool):
+        if is_admin:
+            self._streams[stream] = Stream(name=stream, created_by=publisher)
+            self._stream_tx.setdefault(stream, [])
         else:
-            self._stream_tx.setdefault(item.stream, []).append(item.seq)
-            stream = self._streams.get(item.stream)
-            if stream is not None:
-                stream.item_count += 1
-            self._key_index.setdefault((item.stream, item.key), []).append(item.seq)
+            self._stream_tx.setdefault(stream, []).append(seq)
+            target = self._streams.get(stream)
+            if target is not None:
+                target.item_count += 1
 
     # -- writing ------------------------------------------------------------
 
     def _append(self, stream: str, key: str, payload: bytes) -> StreamItem:
         seq = len(self._items)
-        prev = self._items[-1].item_digest if self._items else ZERO_DIGEST
+        last = self.item(-1) if self._items else None
+        prev = ZERO_DIGEST if last is None else last.item_digest
         moment = self._clock()
         if moment.tzinfo is None:
             raise LedgerError("clock must produce timezone-aware instants")
         # Truncate to the millisecond grid and keep the chain non-decreasing
         # in time even if the wall clock steps backwards.
         moment = moment.replace(microsecond=(moment.microsecond // 1000) * 1000)
-        if self._items and moment < self._items[-1].timestamp:
-            moment = self._items[-1].timestamp
+        if last is not None and moment < last.timestamp:
+            moment = last.timestamp
         ts_text = _format_ts(moment)
         digest = _item_digest(seq, stream, key, self._publisher, ts_text, payload, prev)
         item = StreamItem(
@@ -414,7 +468,8 @@ class Ledger:
         )
         self._handle.write(_render_line(item) + "\n")
         self._handle.flush()
-        self._index_item(item)
+        self._items.append(item)
+        self._index(seq, stream, self._publisher, item.is_admin)
         return item
 
     def _register_stream(self, name: str) -> Stream:
@@ -500,27 +555,30 @@ class Ledger:
             raise LedgerError("count must be a positive integer")
         if start < 0:
             start = max(0, len(seqs) + start)
-        return [self._items[s] for s in seqs[start : start + count]]
+        return [self.item(s) for s in seqs[start : start + count]]
 
     def latest_item(self, name: str) -> StreamItem:
         self.stream(name)
         seqs = self._stream_tx.get(name, [])
         if not seqs:
             raise EmptyStream(f"stream has no items: {name}")
-        return self._items[seqs[-1]]
+        return self.item(seqs[-1])
 
     def get_by_key(self, name: str, key: str) -> list[StreamItem]:
-        self._require_subscribed(name)
-        return [self._items[s] for s in self._key_index.get((name, key), [])]
+        return [item for item in self.list_items(name) if item.key == key]
 
     def item(self, seq: int) -> StreamItem:
         try:
-            return self._items[seq]
+            entry = self._items[seq]
         except IndexError:
             raise LedgerError(f"no item at seq {seq}") from None
+        if isinstance(entry, str):
+            entry = self._items[seq] = _parse_line(entry)
+        return entry
 
     # -- verification -------------------------------------------------------
 
     def verify_chain(self) -> ChainReport:
         """Verify the persisted file against itself and the in-memory chain."""
-        return verify_file(self._path, expected=self._items)
+        expected = [self.item(seq) for seq in range(len(self._items))]
+        return verify_file(self._path, expected=expected)

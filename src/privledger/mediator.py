@@ -6,7 +6,8 @@ against the hash published on the lineage's ledger stream; a single
 mismatch aborts the whole request with zero disclosed cells.  Verified
 lineages then pass through policy evaluation, the query is rewritten to
 the allowed attribute set, executed once, and each disclosed cell is
-transformed to its granted granularity.
+transformed to its granted granularity.  A stored policy record that
+fails to decode on first touch is a mismatch too, never a pass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 
 from .ledger import EmptyStream, Ledger, UnknownStream, stream_name_for
 from .policy import AccessorProfile, apply_granularity, evaluate_access
-from .store import Store, TupleInstance, UnknownProvider
+from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
 from .tuples import MalformedRecord, canonical_encode, verify_hash
 
 
@@ -152,17 +153,20 @@ class Mediator:
     def _verify_lineage(
         self, lineage: Lineage, ops: OpCounters
     ) -> tuple[VerificationEntry, TupleInstance | None]:
-        instance = self._store.latest_tuple_instance(lineage.key)
+        try:
+            instance = self._store.latest_tuple_instance(lineage.key)
+            readable = True
+        except CorruptRecord:
+            instance, readable = None, False
         try:
             item = self._ledger.latest_item(lineage.stream)
         except (UnknownStream, EmptyStream):
-            return (
-                VerificationEntry(lineage, None, False, VERIFIED_NO_POLICY),
-                None,
-            )
+            note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
+            return (VerificationEntry(lineage, None, False, note), None)
         ops.ledger_reads += 1
         if instance is None:
-            # A published hash with no stored plaintext cannot be verified.
+            # A published hash with no readable stored plaintext cannot be
+            # verified.
             return (
                 VerificationEntry(lineage, item.seq, False, VERIFIED_MISMATCH),
                 None,

@@ -3,21 +3,33 @@
 Three line-delimited families live under the data directory as
 credentials.db, policy.db and content.db.  Plaintext tuple instances
 stay here while only their hashes go to the ledger.  Writes append or
-atomically replace a family file (write temp, then rename); an
-in-memory index is rebuilt on open and the files are the source of
-truth.
+atomically replace a family file (write temp, then rename); the files
+are the source of truth.
+
+Opening decodes every content and credential record.  Of policy.db it
+reads each line's lineage, ledger seq and tuple version with one
+anchored pattern and keeps only the latest raw line per lineage; a line
+the pattern rejects fails the open.  The latest tuple instance of a
+lineage is decoded on first touch and checked against those indexed
+fields; a record that fails either raises CorruptRecord.  Older versions
+stay on disk and are read only by tuple_versions.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .policy import AccessorProfile
 from .tuples import (
+    DIGEST_BYTES,
+    HASH_ALGORITHM,
+    SALT_BYTES,
     AttributeCategory,
     AttributeMeta,
     HashRecord,
@@ -50,6 +62,10 @@ class StaleVersion(StoreError):
 
 class DuplicateLogin(StoreError):
     pass
+
+
+class CorruptRecord(StoreError):
+    """A stored policy record fails to decode or disagrees with its index."""
 
 
 class AuthenticationFailed(StoreError):
@@ -226,6 +242,41 @@ POLICY_FILE = "policy.db"
 CONTENT_FILE = "content.db"
 FAMILY_FILES = (CREDENTIALS_FILE, POLICY_FILE, CONTENT_FILE)
 
+# A policy.db line is json.dumps(TupleInstance.to_dict(), sort_keys=True), so
+# it reads {"hash": ..., "seq": N, "stream": "stream-P-A-X", "tuple": {...}}
+# and the tuple's last key is its version.
+_POLICY_LINE_RE = re.compile(
+    r'\{"hash": "[^"\\]*(?:\\.[^"\\]*)*", "seq": (0|[1-9][0-9]*), '
+    r'"stream": "stream-([1-9][0-9]*)-([1-9][0-9]*)-([1-9][0-9]*)", '
+    r'"tuple": \{.*"version": (0|[1-9][0-9]*)\}\}'
+)
+
+
+class _RawRecord(NamedTuple):
+    """A latest policy line not yet decoded, with the fields open read."""
+
+    version: int
+    seq: int
+    line: str
+    lineno: int
+
+
+def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
+    """Lineage, tuple version and ledger seq of one policy.db line."""
+    match = _POLICY_LINE_RE.fullmatch(line)
+    if match is None:
+        raise ValueError("not a policy record")
+    seq, provider_id, attribute_id, accessor_id, version = map(int, match.groups())
+    return (provider_id, attribute_id, accessor_id), version, seq
+
+
+def _decode_provider(line: str) -> ProviderRecord:
+    return ProviderRecord.from_dict(json.loads(line))
+
+
+def _decode_credential(line: str) -> Credential:
+    return Credential.from_dict(json.loads(line))
+
 
 class Store:
     """Single-writer store over the three family files."""
@@ -235,7 +286,8 @@ class Store:
         self._catalog = catalog or default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        self._tuples: dict[tuple[int, int, int], list[TupleInstance]] = {}
+        # Latest policy version per lineage, raw until first touch.
+        self._latest: dict[tuple[int, int, int], TupleInstance | _RawRecord] = {}
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         if create:
@@ -249,8 +301,12 @@ class Store:
                 if not (self._dir / name).exists():
                     raise StoreError(f"missing store file: {self._dir / name}")
             self._load()
-        # Burned at init so unknown logins cost a real verification below.
-        self._decoy = hash_tuple(b"\x00decoy", min(self._hash_cost, 1024))
+        # Unknown logins verify against this record at the configured cost,
+        # so they take as long as a wrong password.  No password can match:
+        # that would take a SHA-256 preimage of the all-zero digest.
+        self._decoy = HashRecord(
+            HASH_ALGORITHM, hash_cost, bytes(SALT_BYTES), bytes(DIGEST_BYTES)
+        )
 
     @property
     def catalog(self) -> Catalog:
@@ -259,23 +315,32 @@ class Store:
     # -- persistence --------------------------------------------------------
 
     def _load(self):
-        for line in self._read_lines(CONTENT_FILE):
-            record = ProviderRecord.from_dict(json.loads(line))
+        for _, _, record in self._read_records(CONTENT_FILE, _decode_provider):
             self._providers[record.provider_id] = record
-        for line in self._read_lines(POLICY_FILE):
-            instance = TupleInstance.from_dict(json.loads(line))
-            self._tuples.setdefault(instance.lineage, []).append(instance)
-        for line in self._read_lines(CREDENTIALS_FILE):
-            cred = Credential.from_dict(json.loads(line))
+        for lineno, line, (lineage, version, seq) in self._read_records(
+            POLICY_FILE, _index_policy_line
+        ):
+            self._latest[lineage] = _RawRecord(version, seq, line, lineno)
+        for _, _, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
             self._credentials[cred.login] = cred
             self._accessors[cred.profile.accessor_id] = cred
 
-    def _read_lines(self, name: str):
-        with open(self._dir / name, "r", encoding="utf-8") as fh:
-            for line in fh:
+    def _read_records(self, name: str, decode):
+        """(line number, line, decoded) per non-blank line; a line that
+        fails to decode raises StoreError naming the file and line."""
+        path = self._dir / name
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    yield line
+                if not line:
+                    continue
+                try:
+                    record = decode(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise StoreError(
+                        f"{path} line {lineno}: unreadable record ({exc})"
+                    ) from None
+                yield lineno, line, record
 
     def _append_record(self, name: str, record: dict):
         with open(self._dir / name, "a", encoding="utf-8") as fh:
@@ -333,26 +398,47 @@ class Store:
         lineage = instance.lineage
         if lineage[0] not in self._providers:
             raise UnknownProvider(f"no provider with id {lineage[0]}")
-        held = self._tuples.get(lineage, [])
-        if held and instance.version <= held[-1].version:
+        held = self._latest.get(lineage)
+        if held is not None and instance.version <= held.version:
             raise StaleVersion(
-                f"lineage {lineage} already at version {held[-1].version}, "
+                f"lineage {lineage} already at version {held.version}, "
                 f"got {instance.version}"
             )
-        self._tuples.setdefault(lineage, []).append(instance)
+        self._latest[lineage] = instance
         self._append_record(POLICY_FILE, instance.to_dict())
         return lineage
 
     def latest_tuple_instance(self, lineage: tuple[int, int, int]) -> TupleInstance | None:
-        held = self._tuples.get(tuple(lineage))
-        return held[-1] if held else None
+        """The latest version, decoded on first touch; raises CorruptRecord
+        when its record fails to decode or disagrees with its index."""
+        lineage = tuple(lineage)
+        held = self._latest.get(lineage)
+        if isinstance(held, _RawRecord):
+            held = self._latest[lineage] = self._decode(lineage, held)
+        return held
+
+    def _decode(self, lineage: tuple[int, int, int], raw: _RawRecord) -> TupleInstance:
+        where = f"{self._dir / POLICY_FILE} line {raw.lineno}"
+        try:
+            instance = TupleInstance.from_dict(json.loads(raw.line))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
+        if (instance.lineage, instance.version, instance.seq) != (lineage, raw.version, raw.seq):
+            raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
+        return instance
 
     def lineage_version(self, lineage: tuple[int, int, int]) -> int:
-        held = self._tuples.get(tuple(lineage))
-        return held[-1].version if held else 0
+        held = self._latest.get(tuple(lineage))
+        return held.version if held is not None else 0
 
     def tuple_versions(self, lineage: tuple[int, int, int]) -> list[TupleInstance]:
-        return list(self._tuples.get(tuple(lineage), []))
+        """Every stored version of a lineage, read from policy.db."""
+        lineage = tuple(lineage)
+        return [
+            TupleInstance.from_dict(json.loads(line))
+            for _, line, (held, _, _) in self._read_records(POLICY_FILE, _index_policy_line)
+            if held == lineage
+        ]
 
     # -- selection ----------------------------------------------------------
 

@@ -1,0 +1,77 @@
+"""Field-by-field ledger record checks, kept as the reference for the
+single-pattern parser in privledger.ledger.
+
+This is the record parser as it was before the ledger checked each line
+with one compiled pattern, with one deliberate tightening: the timestamp
+rule reads [0-9] where it read \\d.  In Python's re, \\d also matches
+non-ASCII digits, and strptime and int() accept them, so a record with,
+say, Arabic-Indic digits in its timestamp used to open (chain
+verification then reported it as non-canonical).  Both parsers now
+refuse it as unparseable.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+import re
+
+from privledger.ledger import ROOT_STREAM, StreamItem
+
+MAX_KEY_LENGTH = 256
+
+_STREAM_NAME_RE = re.compile(r"stream-[1-9][0-9]*-[1-9][0-9]*-[1-9][0-9]*")
+_FIELD_RE = re.compile(r"[\x21-\x7e]+")  # printable ASCII, no whitespace
+_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
+_HEX_RE = re.compile(r"(?:[0-9a-f][0-9a-f])*")
+_DIGEST_HEX_RE = re.compile(r"[0-9a-f]{64}")
+_SEQ_RE = re.compile(r"0|[1-9][0-9]*")
+
+
+def _valid_key(key: str) -> bool:
+    if not isinstance(key, str) or len(key) > MAX_KEY_LENGTH:
+        return False
+    return all(0x21 <= ord(ch) <= 0x7E and ch not in "'\"" for ch in key)
+
+
+def reference_parse_ts(text: str) -> dt.datetime:
+    if not _TS_RE.fullmatch(text):
+        raise ValueError(f"invalid timestamp: {text!r}")
+    base = dt.datetime.strptime(text[:19], "%Y-%m-%dT%H:%M:%S")
+    return base.replace(
+        microsecond=int(text[20:23], 10) * 1000, tzinfo=dt.timezone.utc
+    )
+
+
+def reference_parse_line(line: str) -> StreamItem:
+    fields = line.split("\t")
+    if len(fields) != 9:
+        raise ValueError(f"expected 9 fields, got {len(fields)}")
+    seq_text, stream, key, publisher, ts_text, payload_hex, prev_hex, digest_hex, confirmed_text = fields
+    if not _SEQ_RE.fullmatch(seq_text):
+        raise ValueError(f"invalid seq: {seq_text!r}")
+    if stream != ROOT_STREAM and not _STREAM_NAME_RE.fullmatch(stream):
+        raise ValueError(f"invalid stream name: {stream!r}")
+    if key != "" and not _valid_key(key):
+        raise ValueError(f"invalid key: {key!r}")
+    if not _FIELD_RE.fullmatch(publisher):
+        raise ValueError(f"invalid publisher: {publisher!r}")
+    timestamp = reference_parse_ts(ts_text)
+    if not _HEX_RE.fullmatch(payload_hex):
+        raise ValueError("payload is not lowercase hex")
+    if not _DIGEST_HEX_RE.fullmatch(prev_hex):
+        raise ValueError("previous digest is not a 64-char lowercase hex digest")
+    if not _DIGEST_HEX_RE.fullmatch(digest_hex):
+        raise ValueError("item digest is not a 64-char lowercase hex digest")
+    if confirmed_text not in ("true", "false"):
+        raise ValueError(f"invalid confirmation flag: {confirmed_text!r}")
+    return StreamItem(
+        seq=int(seq_text, 10),
+        stream=stream,
+        key=key,
+        publisher=publisher,
+        timestamp=timestamp,
+        payload=bytes.fromhex(payload_hex),
+        prev_digest=bytes.fromhex(prev_hex),
+        item_digest=bytes.fromhex(digest_hex),
+        confirmed=confirmed_text == "true",
+    )

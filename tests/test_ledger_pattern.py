@@ -1,0 +1,169 @@
+"""The single-pattern ledger record parser against the field-by-field
+reference, and what open and verification do with a record it refuses."""
+
+from __future__ import annotations
+
+import datetime as dt
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ledger_reference import reference_parse_line
+from privledger.cli import main
+from privledger.ledger import (
+    Ledger,
+    LedgerError,
+    TickingClock,
+    _check_line,
+    _parse_line,
+    verify_file,
+)
+
+
+def _canonical_lines() -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.db"
+        clock = TickingClock(dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone.utc))
+        led = Ledger(path, clock=clock, publisher="node-0123abcd", create=True)
+        for stream in ("stream-4-5-3", "stream-120-18-7"):
+            led.create_stream(stream)
+            led.publish(stream, "key17", b"$sha256i$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
+            led.publish(stream, "key18", b"\x00\xff")
+        led.publish("stream-4-5-3", "", b"")
+        led.publish("stream-4-5-3", "k" * 256, b"x")
+        led.close()
+        return path.read_text().splitlines()
+
+
+CANONICAL = _canonical_lines()
+
+# Characters a mutation may write: field syntax, hex case, whitespace,
+# quotes, and digits outside ASCII (Arabic-Indic, fullwidth, Devanagari).
+ALPHABET = list("0159afgAFZTt-:.$'\" \t\x7f\x00é") + ["٣", "５", "३"]
+NON_ASCII_DIGITS = ["٠", "٣", "０", "５", "३"]
+
+
+def _replace(text: str, index: int, char: str) -> str:
+    return text[:index] + char + text[index + 1 :]
+
+
+@st.composite
+def mutated_lines(draw) -> str:
+    line = draw(st.sampled_from(CANONICAL))
+    fields = line.split("\t")
+    kind = draw(
+        st.sampled_from(
+            ["none", "flip", "quote_in_key", "odd_payload", "upper_hex",
+             "non_ascii_digit", "date", "drop_tab", "extra_tab"]
+        )
+    )
+    if kind == "flip":
+        index = draw(st.integers(0, len(line) - 1))
+        char = draw(st.sampled_from(ALPHABET) | st.characters())
+        return _replace(line, index, char)
+    if kind == "quote_in_key":
+        key = fields[2]
+        index = draw(st.integers(0, len(key)))
+        fields[2] = key[:index] + draw(st.sampled_from(["'", '"'])) + key[index:]
+    elif kind == "odd_payload":
+        payload = fields[5]
+        fields[5] = payload[:-1] if payload else draw(st.sampled_from(list("0af")))
+    elif kind == "upper_hex":
+        column = draw(st.sampled_from([5, 6, 7]))
+        letters = [i for i, ch in enumerate(fields[column]) if ch in "abcdef"]
+        if letters:
+            index = draw(st.sampled_from(letters))
+            fields[column] = _replace(fields[column], index, fields[column][index].upper())
+    elif kind == "non_ascii_digit":
+        column = draw(st.sampled_from([0, 4]))
+        digits = [i for i, ch in enumerate(fields[column]) if ch.isdigit()]
+        index = draw(st.sampled_from(digits))
+        fields[column] = _replace(fields[column], index, draw(st.sampled_from(NON_ASCII_DIGITS)))
+    elif kind == "date":
+        year = draw(st.sampled_from(["0000", "0001", "1999", "2023", "2024", "2100", "9999"]))
+        month, day = draw(st.integers(0, 13)), draw(st.integers(0, 32))
+        hour, minute, second = draw(st.integers(0, 25)), draw(st.integers(0, 61)), draw(st.integers(0, 61))
+        fields[4] = f"{year}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}" + fields[4][19:]
+    elif kind == "drop_tab":
+        index = draw(st.integers(0, len(fields) - 2))
+        fields[index : index + 2] = [fields[index] + fields[index + 1]]
+    elif kind == "extra_tab":
+        column = draw(st.integers(0, len(fields) - 1))
+        index = draw(st.integers(0, len(fields[column])))
+        fields[column] = fields[column][:index] + "\t" + fields[column][index:]
+    return "\t".join(fields)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except ValueError:
+        return "refused"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(mutated_lines())
+@example("\t".join(["0", "root", "", "node-1", "2021-02-30T00:00:00.000Z", "", "0" * 64, "0" * 64, "true"]))
+@example("\t".join(["0", "root", "", "node-1", "2024-02-29T23:59:59.999Z", "ab", "0" * 64, "0" * 64, "false"]))
+def test_pattern_parser_agrees_with_reference(line):
+    expected = _outcome(reference_parse_line, line)
+    assert _outcome(_parse_line, line) == expected
+    # The check open runs, which builds nothing, draws the same line.
+    checked = _outcome(lambda text: _check_line(text, set()), line)
+    assert (checked == "refused") == (expected == "refused")
+
+
+def test_canonical_lines_parse_identically():
+    for line in CANONICAL:
+        assert _parse_line(line) == reference_parse_line(line)
+
+
+@pytest.mark.parametrize("digit", NON_ASCII_DIGITS)
+def test_non_ascii_timestamp_digits_are_refused(digit):
+    line = CANONICAL[0]
+    fields = line.split("\t")
+    fields[4] = digit + fields[4][1:]
+    with pytest.raises(ValueError, match="timestamp"):
+        _parse_line("\t".join(fields))
+
+
+def test_refusal_names_the_failing_field():
+    fields = CANONICAL[1].split("\t")
+    fields[5] = fields[5][:-1]
+    with pytest.raises(ValueError, match="invalid payload: odd"):
+        _parse_line("\t".join(fields))
+    with pytest.raises(ValueError, match="expected 9 fields, got 10"):
+        _parse_line(CANONICAL[1] + "\textra")
+
+
+def _write_calendar_invalid(tmp_path):
+    path = tmp_path / "ledger.db"
+    led = Ledger(path, clock=TickingClock(), create=True)
+    led.create_stream("stream-4-5-3")
+    led.publish("stream-4-5-3", "key17", b"v1")
+    led.close()
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[4] = "2021-02-30" + fields[4][10:]
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_calendar_invalid_timestamp_refused_at_open(tmp_path):
+    path = _write_calendar_invalid(tmp_path)
+    with pytest.raises(LedgerError, match="position 2: .*run chain verification"):
+        Ledger(path)
+
+
+def test_calendar_invalid_timestamp_reported_by_verify(tmp_path, capsys):
+    path = _write_calendar_invalid(tmp_path)
+    report = verify_file(path)
+    assert not report.intact
+    assert report.first_bad_seq == 2
+    assert "unparseable" in report.detail
+    assert main(["--data-dir", str(tmp_path), "ledger", "verify"]) == 5
+    assert "seq 2: unparseable record" in capsys.readouterr().out
