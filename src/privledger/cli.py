@@ -182,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=[a.token for a in bench_mod.Archetype] + ["all"],
     )
-    bench.add_argument("--trials", type=int, help="trials per archetype")
+    bench.add_argument(
+        "--trials", type=int, default=bench_mod.DEFAULT_TRIALS, help="trials per archetype"
+    )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--providers", type=int, default=100, help="fixture size")
     bench.add_argument("--out", help="write per-archetype rows as JSON lines")
@@ -408,11 +410,9 @@ def cmd_ledger_list_streams(config: EngineConfig, out: Output) -> int:
                         "name": stream.name,
                         "items": stream.item_count,
                         "created_by": stream.created_by,
-                        "subscribed": stream.subscribed,
                     },
                     f"{stream.name}  items={stream.item_count}  "
-                    f"created_by={stream.created_by}  "
-                    f"subscribed={'yes' if stream.subscribed else 'no'}",
+                    f"created_by={stream.created_by}",
                 )
         finally:
             engine.close()
@@ -474,7 +474,6 @@ def cmd_ledger_verify(config: EngineConfig, out: Output) -> int:
 def cmd_bench(config: EngineConfig, args, out: Output) -> int:
     if not config.bench_mode:
         raise CliError("bench requires bench_mode = true in the configuration")
-    trials = args.trials or config.default_trials
     if args.archetype == "all":
         archetypes = list(bench_mod.Archetype)
     else:
@@ -493,7 +492,7 @@ def cmd_bench(config: EngineConfig, args, out: Output) -> int:
             results = []
             for archetype in archetypes:
                 spec = bench_mod.BenchSpec(
-                    archetype=archetype, trials=trials, seed=args.seed
+                    archetype=archetype, trials=args.trials, seed=args.seed
                 )
                 results.append(
                     bench_mod.run_bench(

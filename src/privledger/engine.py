@@ -55,7 +55,6 @@ _CONFIG_KEYS = {
     "ledger_path",
     "hash_cost",
     "clock_mode",
-    "default_trials",
     "bench_mode",
 }
 
@@ -66,7 +65,6 @@ class EngineConfig:
     ledger_path: Path | None = None
     hash_cost: int = DEFAULT_COST
     clock_mode: str = CLOCK_SYSTEM
-    default_trials: int = 100
     bench_mode: bool = False
 
     def __post_init__(self):
@@ -77,8 +75,6 @@ class EngineConfig:
             raise ConfigError(f"hash_cost out of range: {self.hash_cost}")
         if self.clock_mode not in (CLOCK_SYSTEM, CLOCK_FIXED):
             raise ConfigError(f"unknown clock_mode: {self.clock_mode!r}")
-        if self.default_trials < 1:
-            raise ConfigError("default_trials must be positive")
 
     @property
     def resolved_ledger_path(self) -> Path:
@@ -111,8 +107,6 @@ class EngineConfig:
             kwargs["hash_cost"] = _parse_config_int(values, "hash_cost")
         if "clock_mode" in values:
             kwargs["clock_mode"] = values["clock_mode"]
-        if "default_trials" in values:
-            kwargs["default_trials"] = _parse_config_int(values, "default_trials")
         if "bench_mode" in values:
             kwargs["bench_mode"] = _parse_config_bool(values, "bench_mode")
         return cls(**kwargs)
@@ -214,8 +208,6 @@ class Engine:
             hash_cost=config.hash_cost,
         )
         ledger = Ledger(ledger_path, clock=config.make_clock())
-        for stream in ledger.streams():
-            stream.subscribed = True
         return cls(config, store, ledger)
 
     def close(self):
@@ -258,7 +250,6 @@ class Engine:
         stream = stream_name_for(*lineage)
         if not self.ledger.has_stream(stream):
             self.ledger.create_stream(stream)
-            self.ledger.subscribe(stream)
         key = publish_key(bound.version)
         item = self.ledger.publish(stream, key, record.to_string().encode("ascii"))
         self.store.put_tuple_instance(

@@ -15,10 +15,14 @@ digests committed to.
 Opening checks every record against one compiled line pattern (the same
 field rules chain verification parses with), the calendar validity of
 its timestamp and the continuity of its seq, and indexes streams from
-the matched fields.  It keeps each record as its raw line and builds the
-StreamItem only when something reads that item, caching it in place;
-because open already checked every field, that later build cannot fail.
-Open does not re-derive digests; chain verification does.
+the matched fields.  The index is one Stream per creation record,
+holding the seqs of the stream's transaction items in order; a
+transaction record that precedes its stream's creation record is not
+indexed, so a stream's item count, listing and latest item always agree.
+Open keeps each record as its raw line and builds the StreamItem only
+when something reads that item, caching it in place; because open
+already checked every field, that later build cannot fail.  Open does
+not re-derive digests; chain verification does.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import datetime as dt
 import hashlib
 import re
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -44,10 +48,6 @@ class DuplicateStream(LedgerError):
 
 
 class UnknownStream(LedgerError):
-    pass
-
-
-class NotSubscribed(LedgerError):
     pass
 
 
@@ -187,8 +187,11 @@ class StreamItem:
 class Stream:
     name: str
     created_by: str
-    subscribed: bool = False
-    item_count: int = 0  # transaction items only
+    seqs: list[int] = field(default_factory=list)  # transaction items, ascending
+
+    @property
+    def item_count(self) -> int:
+        return len(self.seqs)
 
 
 def _item_digest(
@@ -377,7 +380,6 @@ class Ledger:
         # The entry at each seq is the raw record line until the item is read.
         self._items: list[StreamItem | str] = []
         self._streams: dict[str, Stream] = {}
-        self._stream_tx: dict[str, list[int]] = {}
         self._handle = None
         if create:
             if self._path.exists() and self._path.stat().st_size > 0:
@@ -400,13 +402,15 @@ class Ledger:
             self._handle = None
 
     def _load(self):
-        with open(self._path, "r", encoding="utf-8", newline="") as fh:
+        # A byte that is not UTF-8 decodes to U+FFFD, which no field rule
+        # admits, so it fails like any other corrupt record.
+        with open(self._path, "r", encoding="utf-8", errors="replace", newline="") as fh:
             lines = fh.read().split("\n")
+        if lines[-1] == "":  # after the final newline; any other is corrupt
+            lines.pop()
         items = self._items
         valid_dates: set[str] = set()
         for index, raw in enumerate(lines):
-            if raw == "":
-                continue
             try:
                 match = _check_line(raw, valid_dates)
             except ValueError as exc:
@@ -424,20 +428,16 @@ class Ledger:
             items.append(raw)
             is_admin = key == "" and match[6] == _ADMIN_PAYLOAD_HEX
             self._index(seq, stream, publisher, is_admin)
-        if not self._items:
-            raise LedgerError(f"no ledger records in {self._path}")
         if ROOT_STREAM not in self._streams:
             raise LedgerError("ledger has no root stream")
 
     def _index(self, seq: int, stream: str, publisher: str, is_admin: bool):
         if is_admin:
             self._streams[stream] = Stream(name=stream, created_by=publisher)
-            self._stream_tx.setdefault(stream, [])
         else:
-            self._stream_tx.setdefault(stream, []).append(seq)
             target = self._streams.get(stream)
             if target is not None:
-                target.item_count += 1
+                target.seqs.append(seq)
 
     # -- writing ------------------------------------------------------------
 
@@ -530,25 +530,13 @@ class Ledger:
         except KeyError:
             raise UnknownStream(f"unknown stream: {name}") from None
 
-    def subscribe(self, name: str) -> Stream:
-        stream = self.stream(name)
-        stream.subscribed = True
-        return stream
-
-    def _require_subscribed(self, name: str) -> Stream:
-        stream = self.stream(name)
-        if not stream.subscribed:
-            raise NotSubscribed(f"not subscribed to stream: {name}")
-        return stream
-
     def list_items(self, name: str, start: int = 0, count: int | None = None) -> list[StreamItem]:
         """Transaction items of a stream in ascending seq order.
 
         A negative start counts back from the end, so start=-1 with
         count=1 yields the latest item.
         """
-        self._require_subscribed(name)
-        seqs = self._stream_tx.get(name, [])
+        seqs = self.stream(name).seqs
         if count is None:
             count = len(seqs)
         elif not isinstance(count, int) or count < 1:
@@ -558,14 +546,10 @@ class Ledger:
         return [self.item(s) for s in seqs[start : start + count]]
 
     def latest_item(self, name: str) -> StreamItem:
-        self.stream(name)
-        seqs = self._stream_tx.get(name, [])
+        seqs = self.stream(name).seqs
         if not seqs:
             raise EmptyStream(f"stream has no items: {name}")
         return self.item(seqs[-1])
-
-    def get_by_key(self, name: str, key: str) -> list[StreamItem]:
-        return [item for item in self.list_items(name) if item.key == key]
 
     def item(self, seq: int) -> StreamItem:
         try:

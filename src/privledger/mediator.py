@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ledger import EmptyStream, Ledger, UnknownStream, stream_name_for
-from .policy import AccessorProfile, apply_granularity, evaluate_access
+from .policy import apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
 from .tuples import MalformedRecord, canonical_encode, verify_hash
 
@@ -179,11 +179,6 @@ class Mediator:
         ops.hash_verifications += 1
         note = VERIFIED_OK if ok else VERIFIED_MISMATCH
         return (VerificationEntry(lineage, item.seq, ok, note), instance)
-
-    def verify_lineage(self, lineage: Lineage) -> VerificationEntry:
-        """Standalone integrity check of one lineage."""
-        entry, _ = self._verify_lineage(lineage, OpCounters())
-        return entry
 
     # -- mediation ----------------------------------------------------------
 

@@ -12,7 +12,8 @@ anchored pattern and keeps only the latest raw line per lineage; a line
 the pattern rejects fails the open.  The latest tuple instance of a
 lineage is decoded on first touch and checked against those indexed
 fields; a record that fails either raises CorruptRecord.  Older versions
-stay on disk and are read only by tuple_versions.
+stay on disk as history: policy.db is append-only, and no query reads
+them.
 """
 
 from __future__ import annotations
@@ -431,15 +432,6 @@ class Store:
         held = self._latest.get(tuple(lineage))
         return held.version if held is not None else 0
 
-    def tuple_versions(self, lineage: tuple[int, int, int]) -> list[TupleInstance]:
-        """Every stored version of a lineage, read from policy.db."""
-        lineage = tuple(lineage)
-        return [
-            TupleInstance.from_dict(json.loads(line))
-            for _, line, (held, _, _) in self._read_records(POLICY_FILE, _index_policy_line)
-            if held == lineage
-        ]
-
     # -- selection ----------------------------------------------------------
 
     def _match(self, record: ProviderRecord, predicate: dict) -> bool:
@@ -468,11 +460,6 @@ class Store:
                     (provider_id, [record.attributes.get(a) for a in attributes])
                 )
         return rows
-
-    def select(self, attributes, predicate: dict | None = None) -> list[list]:
-        """Unmediated projection.  No policy applies here; callers are the
-        benchmark harness and the mediator's post-rewrite execution."""
-        return [values for _, values in self.select_rows(attributes, predicate)]
 
     # -- accessors ----------------------------------------------------------
 
@@ -512,6 +499,3 @@ class Store:
             return self._accessors[accessor_id].profile
         except KeyError:
             raise UnknownAccessor(f"no accessor with id {accessor_id}") from None
-
-    def accessor_ids(self) -> list[int]:
-        return sorted(self._accessors)

@@ -121,7 +121,6 @@ def test_list_streams_counts(demo_dir, capsys):
     assert rows["root"]["items"] == 0
     assert rows["stream-4-5-3"]["items"] == 3
     assert rows["stream-4-1-3"]["items"] == 4
-    assert all(r["subscribed"] for r in rows.values())
 
 
 def test_stream_items_key_labels(demo_dir, capsys):
@@ -451,6 +450,19 @@ def test_bench_runs_and_reuses_fixture(tmp_path, capsys):
     code, out, err = run(capsys, *args)
     assert code == 0
     assert (fixture_dir / "ledger.db").read_bytes() == ledger_before
+
+
+def test_bench_rejects_zero_trials(tmp_path, capsys):
+    config = tmp_path / "bench.conf"
+    config.write_text(
+        f"data_dir = {tmp_path / 'bench-data'}\nbench_mode = true\nhash_cost = 8\n"
+    )
+    code, out, err = run(
+        capsys, "--config", str(config), "bench",
+        "--archetype", "Healthcare", "--trials", "0", "--providers", "3",
+    )
+    assert code == 1
+    assert "trials must be a positive integer" in err
 
 
 def test_bench_json_rows(tmp_path, capsys):

@@ -107,10 +107,16 @@ def test_history_is_read_from_disk(population_config):
     for _ in range(2):
         engine.set_policy(1, BENCH_ACCESSOR_ID, make_prefs(attribute_id=6))
     engine.close()
+    policy_lines = (population_config.data_dir / "policy.db").read_text().splitlines()
+    history = [
+        record
+        for record in map(json.loads, policy_lines)
+        if record["stream"] == f"stream-1-6-{BENCH_ACCESSOR_ID}"
+    ]
+    assert [record["tuple"]["version"] for record in history] == [1, 2, 3]
     engine = Engine.open(population_config)
-    versions = engine.store.tuple_versions(lineage)
-    assert [i.version for i in versions] == [1, 2, 3]
-    assert versions[-1] == engine.store.latest_tuple_instance(lineage)
+    latest = engine.store.latest_tuple_instance(lineage)
+    assert latest == TupleInstance.from_dict(history[-1])
     engine.close()
 
 

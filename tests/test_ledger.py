@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import re
 
 import pytest
 
@@ -16,7 +17,6 @@ from privledger.ledger import (
     InvalidStreamName,
     Ledger,
     LedgerError,
-    NotSubscribed,
     ReservedPayload,
     RootPublishForbidden,
     TickingClock,
@@ -36,7 +36,6 @@ def ledger(tmp_path):
 
 def fill(led, stream="stream-4-5-3", items=3):
     led.create_stream(stream)
-    led.subscribe(stream)
     out = []
     for i in range(items):
         out.append(led.publish(stream, f"key{i}", f"payload-{i}".encode()))
@@ -210,15 +209,6 @@ def test_naive_clock_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_list_items_requires_subscription(ledger):
-    ledger.create_stream("stream-4-5-3")
-    ledger.publish("stream-4-5-3", "k", b"x")
-    with pytest.raises(NotSubscribed):
-        ledger.list_items("stream-4-5-3")
-    ledger.subscribe("stream-4-5-3")
-    assert len(ledger.list_items("stream-4-5-3")) == 1
-
-
 def test_list_items_windows(ledger):
     items = fill(ledger, items=5)
     listed = ledger.list_items("stream-4-5-3")
@@ -233,7 +223,6 @@ def test_list_items_windows(ledger):
 
 def test_list_items_of_empty_stream(ledger):
     ledger.create_stream("stream-4-5-3")
-    ledger.subscribe("stream-4-5-3")
     assert ledger.list_items("stream-4-5-3") == []
 
 
@@ -245,19 +234,6 @@ def test_latest_item(ledger):
     ledger.create_stream("stream-8-8-8")
     with pytest.raises(EmptyStream):
         ledger.latest_item("stream-8-8-8")
-
-
-def test_get_by_key(ledger):
-    ledger.create_stream("stream-4-5-3")
-    ledger.subscribe("stream-4-5-3")
-    ledger.publish("stream-4-5-3", "key17", b"v1")
-    ledger.publish("stream-4-5-3", "key18", b"v2")
-    ledger.publish("stream-4-5-3", "key18", b"v3")
-    assert [i.payload for i in ledger.get_by_key("stream-4-5-3", "key18")] == [
-        b"v2",
-        b"v3",
-    ]
-    assert ledger.get_by_key("stream-4-5-3", "missing") == []
 
 
 def test_streams_listing_in_creation_order(ledger):
@@ -287,8 +263,6 @@ def test_reopen_restores_state(tmp_path):
     assert again.publisher == publisher
     assert again.stream("stream-4-5-3").item_count == 3
     assert again.stream("stream-7-7-7").item_count == 0
-    assert not again.stream("stream-4-5-3").subscribed  # subscriptions are per-session
-    again.subscribe("stream-4-5-3")
     assert [i.key for i in again.list_items("stream-4-5-3")] == [
         "key0",
         "key1",
@@ -340,6 +314,57 @@ def test_corrupt_file_refuses_to_load(tmp_path):
     path.write_bytes(data)
     with pytest.raises(LedgerError, match="verification"):
         Ledger(path)
+
+
+@pytest.mark.parametrize("position", [2, 4])
+def test_blank_line_refuses_to_load(tmp_path, position):
+    # Only the empty string after the final newline is not a record; open
+    # and chain verification must both fail on any other empty line.
+    path = tmp_path / "ledger.db"
+    led = Ledger(path, clock=TickingClock(), create=True)
+    fill(led, items=2)
+    led.close()
+    lines = path.read_text().splitlines()
+    lines.insert(position, "")
+    path.write_text("\n".join(lines) + "\n")
+    expected = f"position {position}: expected 9 fields, got 1; run chain verification"
+    with pytest.raises(LedgerError, match=re.escape(expected)):
+        Ledger(path)
+    assert verify_file(path).first_bad_seq == position
+
+
+def test_non_utf8_byte_refuses_to_load(tmp_path):
+    path = tmp_path / "ledger.db"
+    led = Ledger(path, clock=TickingClock(), create=True)
+    fill(led, items=1)
+    led.close()
+    path.write_bytes(path.read_bytes().replace(b"root", b"\xffoot", 1))
+    detail = "invalid stream name: '\ufffdoot'"
+    with pytest.raises(LedgerError, match=re.escape(f"position 0: {detail}; run chain")):
+        Ledger(path)
+    assert verify_file(path).detail == f"seq 0: unparseable record ({detail})"
+
+
+def test_transaction_before_stream_creation_is_not_indexed(tmp_path):
+    # Open re-checks field rules and seq order, not digests, so swapping
+    # the creation and the first transaction record (seqs renumbered)
+    # opens; the stream must then hold no item by every reading.
+    path = tmp_path / "ledger.db"
+    led = Ledger(path, clock=TickingClock(), create=True)
+    fill(led, items=1)
+    led.close()
+    lines = path.read_text().splitlines()
+    create, transaction = lines[1].split("\t"), lines[2].split("\t")
+    create[0], transaction[0] = "2", "1"
+    lines[1:3] = ["\t".join(transaction), "\t".join(create)]
+    path.write_text("\n".join(lines) + "\n")
+    led = Ledger(path)
+    assert led.stream("stream-4-5-3").item_count == 0
+    assert led.list_items("stream-4-5-3") == []
+    with pytest.raises(EmptyStream):
+        led.latest_item("stream-4-5-3")
+    assert not led.verify_chain().intact
+    led.close()
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,7 @@ def test_unpublished_policy_is_denied_not_aborted(population):
     assert result.rows == ()
     assert result.denials == (("carrier_name", NO_PUBLISHED_POLICY),)
     assert [e.note for e in result.verification] == ["no-policy"] * 3
+    assert not any(e.verified for e in result.verification)
     assert result.ops.selects == 0
 
 
@@ -331,13 +332,6 @@ def test_garbage_ledger_payload_is_a_mismatch(demo):
     demo.ledger.publish(stream, "key18", b"not a hash record")
     result = demo.mediate(demo_request("street_name"), now=NOW)
     assert result.status is MediationStatus.ABORTED
-
-
-def test_standalone_lineage_verification(demo):
-    ok = demo.mediator.verify_lineage(Lineage(4, 5, DEMO_ACCESSOR_ID))
-    assert ok.verified and ok.note == "ok"
-    missing = demo.mediator.verify_lineage(Lineage(4, 9, DEMO_ACCESSOR_ID))
-    assert not missing.verified and missing.note == "no-policy"
 
 
 # ---------------------------------------------------------------------------

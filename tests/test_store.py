@@ -150,7 +150,6 @@ def test_select_rows_projection_and_predicate(store):
     store.put_provider_record(ProviderRecord(3, {"city": "Edmonton", "gender": "F"}))
     rows = store.select_rows(["gender"], {"city": "Calgary"})
     assert rows == [(1, ["M"]), (2, ["F"])]  # provider order, not insert order
-    assert store.select(["gender"], {"city": "Calgary"}) == [["M"], ["F"]]
     assert store.select_rows(["city"], {"provider_id": 3}) == [(3, ["Edmonton"])]
     assert store.select_rows(["city"], {"city": "Nowhere"}) == []
 
@@ -173,7 +172,7 @@ def test_select_unknown_attribute_rejected(store):
 # ---------------------------------------------------------------------------
 
 
-def test_tuple_versions_accumulate(store):
+def test_tuple_versions_accumulate(store, tmp_path):
     store.put_provider_record(ProviderRecord(4, {"street_name": "5202 50 Ave"}))
     for version in (1, 2, 3):
         store.put_tuple_instance(
@@ -181,7 +180,13 @@ def test_tuple_versions_accumulate(store):
         )
     lineage = (4, 5, 3)
     assert store.lineage_version(lineage) == 3
-    assert [i.version for i in store.tuple_versions(lineage)] == [1, 2, 3]
+    history = [
+        json.loads(line)
+        for line in (tmp_path / "policy.db").read_text().splitlines()
+    ]
+    assert [(r["stream"], r["tuple"]["version"]) for r in history] == [
+        ("stream-4-5-3", version) for version in (1, 2, 3)
+    ]
     assert store.latest_tuple_instance(lineage).version == 3
 
 
@@ -201,7 +206,6 @@ def test_tuple_requires_known_provider(store):
 def test_missing_lineage_reads(store):
     assert store.latest_tuple_instance((9, 9, 9)) is None
     assert store.lineage_version((9, 9, 9)) == 0
-    assert store.tuple_versions((9, 9, 9)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,6 @@ def test_get_accessor(store):
     profile = make_accessor(accessor_id=3)
     store.add_accessor("physician3", "pw", profile)
     assert store.get_accessor(3) == profile
-    assert store.accessor_ids() == [3]
     with pytest.raises(UnknownAccessor):
         store.get_accessor(99)
 
