@@ -8,17 +8,18 @@ payload tag) and transaction items are published onto it under an
 application-chosen key.
 
 Persistence is one line per item in append order.  The file is the
-source of truth.  Records are written in a canonical form so that
-verification can reject any byte that deviates from what the chain
-digests committed to.
+source of truth.  The field rules admit one encoding of each item, the
+canonical one it is written in (every record they accept re-renders byte
+for byte), so verification rejects any byte that deviates from what the
+chain digests committed to without re-rendering anything.
 
-Opening checks every record against one compiled line pattern (the same
-field rules chain verification parses with), the calendar validity of
-its timestamp and the continuity of its seq, and indexes streams from
-the matched fields.  The index is one Stream per creation record,
-holding the seqs of the stream's transaction items in order; a
-transaction record that precedes its stream's creation record is not
-indexed, so a stream's item count, listing and latest item always agree.
+Opening and chain verification share one field check: one compiled line
+pattern plus the calendar validity of each timestamp.  Opening also
+checks the continuity of each seq and indexes streams from the matched
+fields.  The index is one Stream per creation record, holding the seqs
+of the stream's transaction items in order; a transaction record that
+precedes its stream's creation record is not indexed, so a stream's
+item count, listing and latest item always agree.
 Open keeps each record as its raw line and builds the StreamItem only
 when something reads that item, caching it in place; because open
 already checked every field, that later build cannot fail.  Open does
@@ -78,8 +79,9 @@ MAX_KEY_LENGTH = 256
 
 _STREAM_NAME = r"stream-[1-9][0-9]*-[1-9][0-9]*-[1-9][0-9]*"
 _STREAM_NAME_RE = re.compile(_STREAM_NAME)
-# The time of day is range-checked here; the date by _parse_ts.
-_TS = r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\.[0-9]{3}Z"
+# The time of day is range-checked here; the date by _parse_ts.  A year
+# below 1000 would render with fewer than four digits, so it is refused.
+_TS = r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\.[0-9]{3}Z"
 _TS_RE = re.compile(_TS)
 _DIGEST_HEX = r"[0-9a-f]{64}"
 # Printable ASCII without whitespace or quotes, up to MAX_KEY_LENGTH.
@@ -302,12 +304,13 @@ def verify_records(
 ) -> ChainReport:
     """Walk a persisted chain from genesis and report the first divergence.
 
-    Re-derives every item digest, checks the previous-digest links, the
-    sequence numbering, the confirmation flags and the canonical record
-    encoding.  When the caller supplies its in-memory chain, the file is
-    also required to match it record for record, which catches deletion
-    of a self-consistent tail.  Corruption is a report outcome, never an
-    exception.
+    Applies open's field check, which admits only the canonical encoding,
+    then checks the sequence numbering, the confirmation flags and the
+    previous-digest links and re-derives every item digest, all from the
+    matched fields, building no item.  When the caller supplies its
+    in-memory chain, the file is also required to match it record for
+    record, which catches deletion of a self-consistent tail.  Corruption
+    is a report outcome, never an exception.
     """
     text = content.decode("utf-8", errors="replace")
     lines = text.split("\n")
@@ -322,35 +325,29 @@ def verify_records(
             detail=f"seq {seq}: {detail}",
         )
 
+    valid_dates: set[str] = set()
     prev = ZERO_DIGEST
     for index, line in enumerate(lines):
         try:
-            item = _parse_line(line)
+            match = _check_line(line, valid_dates)
         except ValueError as exc:
             return bad(index, f"unparseable record ({exc})")
-        if _render_line(item) != line:
-            return bad(index, "non-canonical record encoding")
-        if item.seq != index:
-            return bad(index, f"sequence discontinuity (record claims {item.seq})")
-        if not item.confirmed:
+        seq, stream, key, publisher, ts_text, payload, prev_hex, digest_hex, confirmed = match.groups()
+        if seq != str(index):
+            return bad(index, f"sequence discontinuity (record claims {seq})")
+        if confirmed != "true":
             return bad(index, "unconfirmed item in a confirmed chain")
-        if item.prev_digest != prev:
+        if prev_hex != prev.hex():
             return bad(index, "previous-digest link mismatch")
-        recomputed = _item_digest(
-            item.seq,
-            item.stream,
-            item.key,
-            item.publisher,
-            _format_ts(item.timestamp),
-            item.payload,
-            item.prev_digest,
+        digest = _item_digest(
+            index, stream, key, publisher, ts_text, bytes.fromhex(payload), prev
         )
-        if recomputed != item.item_digest:
+        if digest.hex() != digest_hex:
             return bad(index, "item digest mismatch")
         if expected is not None and index < len(expected):
-            if expected[index].item_digest != item.item_digest:
+            if expected[index].item_digest != digest:
                 return bad(index, "diverges from the in-memory chain")
-        prev = item.item_digest
+        prev = digest
 
     if expected is not None:
         if len(lines) < len(expected):

@@ -1,13 +1,23 @@
-"""Field-by-field ledger record checks, kept as the reference for the
-single-pattern parser in privledger.ledger.
+"""Field-by-field ledger record checks and the item-building chain
+verifier, kept as the references for the single-pattern parser and the
+match-based chain verifier in privledger.ledger.
 
 This is the record parser as it was before the ledger checked each line
-with one compiled pattern, with one deliberate tightening: the timestamp
-rule reads [0-9] where it read \\d.  In Python's re, \\d also matches
-non-ASCII digits, and strptime and int() accept them, so a record with,
-say, Arabic-Indic digits in its timestamp used to open (chain
-verification then reported it as non-canonical).  Both parsers now
-refuse it as unparseable.
+with one compiled pattern, with two deliberate tightenings of its
+timestamp rule, each of which turned a record that used to open (chain
+verification then reported it as non-canonical) into one both parsers
+refuse as unparseable:
+
+- it reads [0-9] where it read \\d.  In Python's re, \\d also matches
+  non-ASCII digits, and strptime and int() accept them, so a record
+  with, say, Arabic-Indic digits in its timestamp used to open.
+- its year reads [1-9][0-9]{3} where it read [0-9]{4}.  A year below
+  1000 renders with fewer than four digits, so a record dated, say,
+  0999 used to open.
+
+reference_verify_records is the chain verifier as it was before it
+worked on the matched fields: it builds every item and re-renders it to
+check the canonical encoding.
 """
 
 from __future__ import annotations
@@ -15,13 +25,21 @@ from __future__ import annotations
 import datetime as dt
 import re
 
-from privledger.ledger import ROOT_STREAM, StreamItem
+from privledger.ledger import (
+    ROOT_STREAM,
+    ZERO_DIGEST,
+    ChainReport,
+    StreamItem,
+    _format_ts,
+    _item_digest,
+    _render_line,
+)
 
 MAX_KEY_LENGTH = 256
 
 _STREAM_NAME_RE = re.compile(r"stream-[1-9][0-9]*-[1-9][0-9]*-[1-9][0-9]*")
 _FIELD_RE = re.compile(r"[\x21-\x7e]+")  # printable ASCII, no whitespace
-_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
+_TS_RE = re.compile(r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
 _HEX_RE = re.compile(r"(?:[0-9a-f][0-9a-f])*")
 _DIGEST_HEX_RE = re.compile(r"[0-9a-f]{64}")
 _SEQ_RE = re.compile(r"0|[1-9][0-9]*")
@@ -74,4 +92,64 @@ def reference_parse_line(line: str) -> StreamItem:
         prev_digest=bytes.fromhex(prev_hex),
         item_digest=bytes.fromhex(digest_hex),
         confirmed=confirmed_text == "true",
+    )
+
+
+def reference_verify_records(
+    content: bytes,
+    expected: list[StreamItem] | None = None,
+    parse=reference_parse_line,
+) -> ChainReport:
+    """Walk a persisted chain from genesis, building and re-rendering
+    every record, and report the first divergence."""
+    text = content.decode("utf-8", errors="replace")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+
+    def bad(seq: int, detail: str) -> ChainReport:
+        return ChainReport(
+            intact=False,
+            first_bad_seq=seq,
+            records=len(lines),
+            detail=f"seq {seq}: {detail}",
+        )
+
+    prev = ZERO_DIGEST
+    for index, line in enumerate(lines):
+        try:
+            item = parse(line)
+        except ValueError as exc:
+            return bad(index, f"unparseable record ({exc})")
+        if _render_line(item) != line:
+            return bad(index, "non-canonical record encoding")
+        if item.seq != index:
+            return bad(index, f"sequence discontinuity (record claims {item.seq})")
+        if not item.confirmed:
+            return bad(index, "unconfirmed item in a confirmed chain")
+        if item.prev_digest != prev:
+            return bad(index, "previous-digest link mismatch")
+        recomputed = _item_digest(
+            item.seq,
+            item.stream,
+            item.key,
+            item.publisher,
+            _format_ts(item.timestamp),
+            item.payload,
+            item.prev_digest,
+        )
+        if recomputed != item.item_digest:
+            return bad(index, "item digest mismatch")
+        if expected is not None and index < len(expected):
+            if expected[index].item_digest != item.item_digest:
+                return bad(index, "diverges from the in-memory chain")
+        prev = item.item_digest
+
+    if expected is not None:
+        if len(lines) < len(expected):
+            return bad(len(lines), "missing link at former chain tail")
+        if len(lines) > len(expected):
+            return bad(len(expected), "records appended out of band")
+    return ChainReport(
+        intact=True, first_bad_seq=None, records=len(lines), detail="chain intact"
     )

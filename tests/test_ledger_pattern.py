@@ -1,5 +1,6 @@
-"""The single-pattern ledger record parser against the field-by-field
-reference, and what open and verification do with a record it refuses."""
+"""The single-pattern ledger record parser and the match-based chain
+verifier against their field-by-field references, and what open and
+verification do with a record the parser refuses."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ledger_reference import reference_parse_line
+from ledger_reference import reference_parse_line, reference_verify_records
 from privledger.cli import main
 from privledger.ledger import (
     Ledger,
@@ -19,11 +20,14 @@ from privledger.ledger import (
     TickingClock,
     _check_line,
     _parse_line,
+    _render_line,
     verify_file,
+    verify_records,
 )
 
 
-def _canonical_lines() -> list[str]:
+def _canonical_chain(last_payload=b"x"):
+    """The persisted bytes and the in-memory items of a 9-record chain."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ledger.db"
         clock = TickingClock(dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone.utc))
@@ -33,12 +37,13 @@ def _canonical_lines() -> list[str]:
             led.publish(stream, "key17", b"$sha256i$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
             led.publish(stream, "key18", b"\x00\xff")
         led.publish("stream-4-5-3", "", b"")
-        led.publish("stream-4-5-3", "k" * 256, b"x")
+        led.publish("stream-4-5-3", "k" * 256, last_payload)
         led.close()
-        return path.read_text().splitlines()
+        return path.read_bytes(), [led.item(seq) for seq in range(led.chain_length())]
 
 
-CANONICAL = _canonical_lines()
+CHAIN, CHAIN_ITEMS = _canonical_chain()
+CANONICAL = CHAIN.decode("ascii").splitlines()
 
 # Characters a mutation may write: field syntax, hex case, whitespace,
 # quotes, and digits outside ASCII (Arabic-Indic, fullwidth, Devanagari).
@@ -116,6 +121,17 @@ def test_pattern_parser_agrees_with_reference(line):
     assert (checked == "refused") == (expected == "refused")
 
 
+@settings(max_examples=1500, deadline=None)
+@given(mutated_lines())
+@example("\t".join(["0", "root", "", "node-1", "0001-01-01T00:00:00.000Z", "", "0" * 64, "0" * 64, "true"]))
+@example("\t".join(["0", "root", "", "node-1", "0999-12-31T23:59:59.999Z", "ab", "0" * 64, "0" * 64, "true"]))
+def test_accepted_lines_render_canonically(line):
+    # Chain verification does not re-render records, so the field rules
+    # alone must admit no encoding but the one _append writes.
+    if _outcome(lambda text: _check_line(text, set()), line) != "refused":
+        assert _render_line(_parse_line(line)) == line
+
+
 def test_canonical_lines_parse_identically():
     for line in CANONICAL:
         assert _parse_line(line) == reference_parse_line(line)
@@ -139,7 +155,7 @@ def test_refusal_names_the_failing_field():
         _parse_line(CANONICAL[1] + "\textra")
 
 
-def _write_calendar_invalid(tmp_path):
+def _write_dated(tmp_path, date):
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
     led.create_stream("stream-4-5-3")
@@ -147,10 +163,14 @@ def _write_calendar_invalid(tmp_path):
     led.close()
     lines = path.read_text().splitlines()
     fields = lines[2].split("\t")
-    fields[4] = "2021-02-30" + fields[4][10:]
+    fields[4] = date + fields[4][10:]
     lines[2] = "\t".join(fields)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _write_calendar_invalid(tmp_path):
+    return _write_dated(tmp_path, "2021-02-30")
 
 
 def test_calendar_invalid_timestamp_refused_at_open(tmp_path):
@@ -167,3 +187,71 @@ def test_calendar_invalid_timestamp_reported_by_verify(tmp_path, capsys):
     assert "unparseable" in report.detail
     assert main(["--data-dir", str(tmp_path), "ledger", "verify"]) == 5
     assert "seq 2: unparseable record" in capsys.readouterr().out
+
+
+def test_year_below_1000_refused_at_open_and_by_verify(tmp_path):
+    # %Y renders year 999 as "999", so a record dated 0999 has no
+    # canonical encoding; open and verify both refuse it as unparseable.
+    path = _write_dated(tmp_path, "0999-06-01")
+    with pytest.raises(LedgerError, match="position 2: invalid timestamp.*run chain verification"):
+        Ledger(path)
+    report = verify_file(path)
+    assert not report.intact
+    assert report.first_bad_seq == 2
+    assert report.detail.startswith("seq 2: unparseable record (invalid timestamp")
+
+
+def _mutations():
+    """Every single-byte XOR 0x01 flip and every hex case flip of CHAIN."""
+    for position in range(len(CHAIN)):
+        mutated = bytearray(CHAIN)
+        mutated[position] ^= 0x01
+        yield bytes(mutated)
+        if CHAIN[position] in b"abcdef":
+            mutated[position] = CHAIN[position] - 0x20
+            yield bytes(mutated)
+
+
+def _without_reason(report):
+    # The reference parser words its refusals in its own way.
+    detail = report.detail
+    if "unparseable record (" in detail:
+        detail = detail[: detail.index("(")]
+    return (report.intact, report.first_bad_seq, report.records, detail)
+
+
+def test_verifier_agrees_with_reference_on_every_flip():
+    for content in _mutations():
+        for expected in (None, CHAIN_ITEMS):
+            report = verify_records(content, expected)
+            assert not report.intact
+            # Built on the ledger's own parser, the reference words each
+            # refusal as verify_records does, so the reports are equal.
+            assert report == reference_verify_records(content, expected, parse=_parse_line)
+            assert _without_reason(report) == _without_reason(
+                reference_verify_records(content, expected)
+            )
+
+
+def _with_record(seq, line):
+    lines = CANONICAL.copy()
+    lines[seq] = line
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (CHAIN[: CHAIN.rindex(b"\n", 0, -1) + 1], CHAIN_ITEMS),
+        (CHAIN + CANONICAL[-1].encode() + b"\n", CHAIN_ITEMS),
+        # A self-consistent file whose last record differs from memory.
+        (CHAIN, _canonical_chain(last_payload=b"y")[1]),
+        # The flag is outside the digest; only its own check catches it.
+        (_with_record(3, CANONICAL[3].replace("\ttrue", "\tfalse")), None),
+    ],
+    ids=["truncated-tail", "out-of-band-append", "diverged", "unconfirmed"],
+)
+def test_verifier_agrees_with_reference_on_whole_records(content, expected):
+    report = verify_records(content, expected)
+    assert not report.intact
+    assert report == reference_verify_records(content, expected)
