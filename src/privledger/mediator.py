@@ -1,8 +1,9 @@
 """Privacy-aware query mediation.
 
 Every query is decomposed into (provider, attribute, accessor) lineages.
-For each lineage the stored tuple instance is re-encoded and checked
-against the hash published on the lineage's ledger stream; a single
+For each lineage the stored tuple instance's canonical encoding (derived
+once per stored version) is re-hashed and checked against the hash
+published on the lineage's ledger stream on every query; a single
 mismatch aborts the whole request with zero disclosed cells.  Verified
 lineages then pass through policy evaluation, the query is rewritten to
 the allowed attribute set, executed once, and each disclosed cell is
@@ -20,7 +21,7 @@ from enum import Enum
 from .ledger import EmptyStream, Ledger, UnknownStream, stream_name_for
 from .policy import apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
-from .tuples import MalformedRecord, canonical_encode, verify_hash
+from .tuples import MalformedRecord, verify_hash
 
 
 class MediationStatus(str, Enum):
@@ -171,9 +172,8 @@ class Mediator:
                 VerificationEntry(lineage, item.seq, False, VERIFIED_MISMATCH),
                 None,
             )
-        encoded = canonical_encode(instance.privacy_tuple)
         try:
-            ok = verify_hash(encoded, item.payload)
+            ok = verify_hash(instance.encoded, item.payload)
         except MalformedRecord:
             ok = False
         ops.hash_verifications += 1

@@ -61,9 +61,10 @@ class _TokenEnum(str, Enum):
 
     @classmethod
     def from_token(cls, text: str):
+        # Enum's own value-to-member dict; an unhashable value is unknown.
         try:
-            return cls(text)
-        except ValueError:
+            return cls._value2member_map_[text]
+        except (KeyError, TypeError):
             raise PolicyError(f"unknown {cls.__name__} token: {text!r}") from None
 
 

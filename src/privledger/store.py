@@ -23,6 +23,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ from .tuples import (
     HashRecord,
     PrivacyTuple,
     Sensitivity,
+    canonical_encode,
     hash_tuple,
     verify_hash,
 )
@@ -185,6 +187,15 @@ class TupleInstance:
     hash_record: HashRecord
     stream: str
     seq: int
+
+    @cached_property
+    def encoded(self) -> bytes:
+        """The canonical encoding of the tuple, derived on first read.
+
+        A stored version never changes, so its bytes are encoded once;
+        verifying them against the ledger still hashes them every time.
+        """
+        return canonical_encode(self.privacy_tuple)
 
     @property
     def lineage(self) -> tuple[int, int, int]:

@@ -59,9 +59,10 @@ class AttributeCategory(str, Enum):
 
     @classmethod
     def from_token(cls, text: str) -> AttributeCategory:
+        # Enum's own value-to-member dict; an unhashable value is unknown.
         try:
-            return cls(text)
-        except ValueError:
+            return cls._value2member_map_[text]
+        except (KeyError, TypeError):
             raise TupleError(f"unknown attribute category: {text!r}") from None
 
 

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from privledger import ledger as ledger_module
 from privledger.ledger import (
     ADMIN_PAYLOAD,
     ROOT_STREAM,
@@ -379,6 +380,33 @@ def test_fresh_chain_verifies(ledger):
     assert report.first_bad_seq is None
     assert report.records == ledger.chain_length()
     assert report.detail == "chain intact"
+
+
+def test_reopened_chain_verifies_against_raw_records(tmp_path, monkeypatch):
+    # After a reopen the in-memory chain is the raw lines open checked;
+    # verifying against it builds no item.
+    path = tmp_path / "ledger.db"
+    led = Ledger(path, clock=TickingClock(), create=True)
+    fill(led, items=3)
+    led.close()
+    built = []
+    original = ledger_module._parse_line
+
+    def counting(line):
+        built.append(line)
+        return original(line)
+
+    monkeypatch.setattr(ledger_module, "_parse_line", counting)
+    led = Ledger(path)
+    built.clear()  # open reads item 0 for its publisher
+    report = led.verify_chain()
+    assert (report.intact, report.records, report.detail) == (True, 5, "chain intact")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    report = led.verify_chain()
+    assert (report.first_bad_seq, report.detail) == (4, "seq 4: missing link at former chain tail")
+    assert built == []
+    led.close()
 
 
 def test_payload_mutation_is_reported_at_its_seq(tmp_path):

@@ -361,6 +361,19 @@ def test_unknown_tokens_rejected():
         GranularityMode.from_token("Fuzzy")
 
 
+@pytest.mark.parametrize(
+    "enum", [PurposeMode, VisibilityScope, GranularityMode, AccessorRole, DenialReason]
+)
+def test_token_lookup_accepts_exact_tokens_only(enum):
+    for member in enum:
+        assert enum.from_token(member.token) is member
+        assert enum.from_token(member) is member
+    for bad in ("", member.name, member.token.lower(), None, 1, ["x"], {"a": 1}):
+        with pytest.raises(PolicyError) as caught:
+            enum.from_token(bad)
+        assert str(caught.value) == f"unknown {enum.__name__} token: {bad!r}"
+
+
 def test_preference_record_round_trip():
     rng = random.Random(85)
     for _ in range(50):

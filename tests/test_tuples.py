@@ -290,3 +290,12 @@ def test_attribute_meta_validation():
         )
     with pytest.raises(TupleError):
         AttributeCategory.from_token("Astrological")
+
+
+def test_category_lookup_accepts_exact_tokens_only():
+    for member in AttributeCategory:
+        assert AttributeCategory.from_token(member.token) is member
+    for bad in ("", "CONSENT", "consent", None, 1, ["Consent"], {"a": 1}):
+        with pytest.raises(TupleError) as caught:
+            AttributeCategory.from_token(bad)
+        assert str(caught.value) == f"unknown attribute category: {bad!r}"
