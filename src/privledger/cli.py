@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: init, provider add, accessor add, policy set, query,
-ledger list-streams / items / verify, bench.  Exit status is 0 for
+ledger list-streams / items / verify, bench.  Every query is mediated:
+no subcommand reads provider values around mediation, and ``bench`` runs
+only on its own seeded fixture directory.  Exit status is 0 for
 success, 1 for general errors, 2 for usage errors, 3 for an aborted
 mediation, 4 for failed authentication and 5 for a failed chain
 verification.  With --json every record prints as one JSON line.
@@ -16,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -28,7 +31,6 @@ from .engine import (
     EngineConfig,
     EngineError,
     NotInitialized,
-    apply_env_overrides,
 )
 from .ledger import ChainReport, LedgerError, verify_file
 from .mediator import MediationStatus, QueryRequest
@@ -37,6 +39,7 @@ from .policy import (
     AccessorRole,
     PolicyError,
     Sensitivity,
+    parse_decimal,
     parse_policy_document,
 )
 from .store import AuthenticationFailed, StoreError
@@ -158,12 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="predicate conjunct, repeatable",
-    )
-    query.add_argument(
-        "--native",
-        action="store_true",
-        help="bypass mediation (benchmark configurations only)",
+        help="predicate conjunct, repeatable; matches only a cell granted Specific",
     )
     query.add_argument("--now", help="policy evaluation date, ISO-8601")
 
@@ -197,10 +195,8 @@ def resolve_config(args) -> EngineConfig:
         config = EngineConfig.from_file(args.config)
     else:
         config = EngineConfig(data_dir=Path(DEFAULT_DATA_DIR))
-    config = apply_env_overrides(config)
-    if args.data_dir:
-        config = config.with_data_dir(args.data_dir)
-    return config
+    data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
+    return replace(config, data_dir=data_dir) if data_dir else config
 
 
 def _parse_assignments(pairs, what: str) -> dict:
@@ -209,10 +205,8 @@ def _parse_assignments(pairs, what: str) -> dict:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise CliError(f"{what} must read NAME=VALUE, got {pair!r}", EXIT_USAGE)
-        try:
-            values[name] = int(value, 10)
-        except ValueError:
-            values[name] = value
+        number = parse_decimal(value)
+        values[name] = value if number is None else number
     return values
 
 
@@ -315,8 +309,6 @@ def cmd_query(config: EngineConfig, args, out: Output) -> int:
             now = dt.date.fromisoformat(args.now)
         except ValueError:
             raise CliError(f"--now must be an ISO-8601 date, got {args.now!r}", EXIT_USAGE)
-    if args.native and not config.bench_mode:
-        raise CliError("--native is only available when bench_mode is enabled")
     with data_dir_lock(config.data_dir):
         engine = Engine.open(config)
         try:
@@ -328,28 +320,6 @@ def cmd_query(config: EngineConfig, args, out: Output) -> int:
                 predicate=predicate,
                 provider_id=args.provider,
             )
-            if args.native:
-                native = engine.native_query(request)
-                out.emit(
-                    {
-                        "record": "native",
-                        "columns": list(native.columns),
-                        "duration_ms": round(native.duration_ms, 2),
-                    },
-                    f"native columns: {', '.join(native.columns)} "
-                    f"({native.duration_ms:.2f} ms)",
-                )
-                for row in native.rows:
-                    out.emit(
-                        {
-                            "record": "row",
-                            "provider_id": row.provider_id,
-                            "cells": list(row.cells),
-                        },
-                        f"provider {row.provider_id}: "
-                        + " | ".join(_render_cell(c) for c in row.cells),
-                    )
-                return EXIT_OK
             result = engine.mediate(request, now=now)
         finally:
             engine.close()
@@ -452,10 +422,9 @@ def cmd_ledger_items(config: EngineConfig, args, out: Output) -> int:
 
 
 def cmd_ledger_verify(config: EngineConfig, out: Output) -> int:
-    ledger_path = config.resolved_ledger_path
-    if not ledger_path.exists():
-        raise CliError(f"no ledger at {ledger_path}")
-    report: ChainReport = verify_file(ledger_path)
+    if not config.ledger_file.exists():
+        raise CliError(f"no ledger at {config.ledger_file}")
+    report: ChainReport = verify_file(config.ledger_file)
     out.emit(
         {
             "record": "verification",
@@ -472,14 +441,12 @@ def cmd_ledger_verify(config: EngineConfig, out: Output) -> int:
 
 
 def cmd_bench(config: EngineConfig, args, out: Output) -> int:
-    if not config.bench_mode:
-        raise CliError("bench requires bench_mode = true in the configuration")
     if args.archetype == "all":
         archetypes = list(bench_mod.Archetype)
     else:
         archetypes = [bench_mod.Archetype.from_token(args.archetype)]
     fixture_dir = config.data_dir / f"bench-n{args.providers}-s{args.seed}"
-    fixture_config = config.with_data_dir(fixture_dir)
+    fixture_config = replace(config, data_dir=fixture_dir)
     with data_dir_lock(fixture_dir):
         if (fixture_dir / "content.db").exists():
             engine = Engine.open(fixture_config)

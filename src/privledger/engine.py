@@ -1,22 +1,23 @@
 """Engine wiring: configuration, initialization and the policy-set flow.
 
-The engine owns one store, one ledger and one mediator over a data
-directory.  Publishing a policy binds the tuple at the next lineage
-version, hashes the canonical encoding, appends the hash to the
-lineage's stream and only then records the plaintext instance in the
-store, so the ledger is never behind the store.
+A configuration names a data directory and the hash cost, nothing else.
+The engine owns one store, one ledger (``ledger.db`` inside the data
+directory, so the directory's lock covers it) and one mediator.
+Publishing a policy binds the tuple at the next lineage version, hashes
+the canonical encoding, appends the hash to the lineage's stream and only
+then records the plaintext instance in the store, so the ledger is never
+behind the store.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .ledger import Ledger, TickingClock, stream_name_for, system_clock
+from .ledger import Ledger, stream_name_for
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
-from .policy import AccessorProfile, PreferenceSet
+from .policy import AccessorProfile, PreferenceSet, parse_decimal
 from .store import Catalog, ProviderRecord, Store, TupleInstance, default_catalog
 from .tuples import (
     DEFAULT_COST,
@@ -47,41 +48,22 @@ class ConfigError(EngineError):
 DATA_DIR_ENV = "PRIVLEDGER_DATA_DIR"
 LEDGER_FILE = "ledger.db"
 
-CLOCK_SYSTEM = "system"
-CLOCK_FIXED = "fixed-for-test"
-
-_CONFIG_KEYS = {
-    "data_dir",
-    "ledger_path",
-    "hash_cost",
-    "clock_mode",
-    "bench_mode",
-}
+_CONFIG_KEYS = {"data_dir", "hash_cost"}
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     data_dir: Path
-    ledger_path: Path | None = None
     hash_cost: int = DEFAULT_COST
-    clock_mode: str = CLOCK_SYSTEM
-    bench_mode: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "data_dir", Path(self.data_dir))
-        if self.ledger_path is not None:
-            object.__setattr__(self, "ledger_path", Path(self.ledger_path))
         if not MIN_COST <= self.hash_cost <= MAX_COST:
             raise ConfigError(f"hash_cost out of range: {self.hash_cost}")
-        if self.clock_mode not in (CLOCK_SYSTEM, CLOCK_FIXED):
-            raise ConfigError(f"unknown clock_mode: {self.clock_mode!r}")
 
     @property
-    def resolved_ledger_path(self) -> Path:
-        return self.ledger_path or self.data_dir / LEDGER_FILE
-
-    def make_clock(self):
-        return TickingClock() if self.clock_mode == CLOCK_FIXED else system_clock
+    def ledger_file(self) -> Path:
+        return self.data_dir / LEDGER_FILE
 
     @classmethod
     def from_file(cls, path) -> EngineConfig:
@@ -100,43 +82,15 @@ class EngineConfig:
             values[key] = value.strip()
         if "data_dir" not in values:
             raise ConfigError("config must set data_dir")
-        kwargs: dict = {"data_dir": Path(values["data_dir"])}
-        if "ledger_path" in values:
-            kwargs["ledger_path"] = Path(values["ledger_path"])
+        config = cls(data_dir=Path(values["data_dir"]))
         if "hash_cost" in values:
-            kwargs["hash_cost"] = _parse_config_int(values, "hash_cost")
-        if "clock_mode" in values:
-            kwargs["clock_mode"] = values["clock_mode"]
-        if "bench_mode" in values:
-            kwargs["bench_mode"] = _parse_config_bool(values, "bench_mode")
-        return cls(**kwargs)
-
-    def with_data_dir(self, data_dir) -> EngineConfig:
-        return replace(self, data_dir=Path(data_dir), ledger_path=None)
-
-
-def _parse_config_int(values: dict, key: str) -> int:
-    try:
-        return int(values[key], 10)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from None
-
-
-def _parse_config_bool(values: dict, key: str) -> bool:
-    text = values[key].lower()
-    if text in ("true", "yes", "1", "on"):
-        return True
-    if text in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {values[key]!r}")
-
-
-def apply_env_overrides(config: EngineConfig, environ=None) -> EngineConfig:
-    environ = environ if environ is not None else os.environ
-    override = environ.get(DATA_DIR_ENV)
-    if override:
-        return config.with_data_dir(override)
-    return config
+            cost = parse_decimal(values["hash_cost"])
+            if cost is None:
+                raise ConfigError(
+                    f"hash_cost must be an integer, got {values['hash_cost']!r}"
+                )
+            config = replace(config, hash_cost=cost)
+        return config
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +136,7 @@ class Engine:
     def initialize(cls, config: EngineConfig, catalog: Catalog | None = None) -> Engine:
         """Create engine state in a fresh data directory."""
         data_dir = config.data_dir
-        ledger_path = config.resolved_ledger_path
-        if (data_dir / "content.db").exists() or ledger_path.exists():
+        if (data_dir / "content.db").exists() or config.ledger_file.exists():
             raise AlreadyInitialized(f"engine already initialized in {data_dir}")
         data_dir.mkdir(parents=True, exist_ok=True)
         store = Store(
@@ -192,22 +145,21 @@ class Engine:
             hash_cost=config.hash_cost,
             create=True,
         )
-        ledger = Ledger(ledger_path, clock=config.make_clock(), create=True)
+        ledger = Ledger(config.ledger_file, create=True)
         return cls(config, store, ledger)
 
     @classmethod
     def open(cls, config: EngineConfig, catalog: Catalog | None = None) -> Engine:
         """Open previously initialized engine state."""
         data_dir = config.data_dir
-        ledger_path = config.resolved_ledger_path
-        if not (data_dir / "content.db").exists() or not ledger_path.exists():
+        if not (data_dir / "content.db").exists() or not config.ledger_file.exists():
             raise NotInitialized(f"no engine state in {data_dir}")
         store = Store(
             data_dir,
             catalog=catalog or default_catalog(),
             hash_cost=config.hash_cost,
         )
-        ledger = Ledger(ledger_path, clock=config.make_clock())
+        ledger = Ledger(config.ledger_file)
         return cls(config, store, ledger)
 
     def close(self):

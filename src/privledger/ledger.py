@@ -149,20 +149,6 @@ def system_clock() -> dt.datetime:
     return dt.datetime.now(dt.timezone.utc)
 
 
-class TickingClock:
-    """Deterministic clock for tests: fixed start, one millisecond per call."""
-
-    def __init__(self, start: dt.datetime | None = None):
-        self._moment = start or dt.datetime(
-            2021, 6, 1, 12, 0, 0, tzinfo=dt.timezone.utc
-        )
-
-    def __call__(self) -> dt.datetime:
-        moment = self._moment
-        self._moment = moment + dt.timedelta(milliseconds=1)
-        return moment
-
-
 # ---------------------------------------------------------------------------
 # Items and streams
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ lineages then pass through policy evaluation, the query is rewritten to
 the allowed attribute set, executed once, and each disclosed cell is
 transformed to its granted granularity.  A stored policy record that
 fails to decode on first touch is a mismatch too, never a pass.
+
+Filtered attributes are lineages like requested ones.  A conjunct sees a
+stored value only where its lineage grants Specific; elsewhere the cell
+is NULL and the row drops out (LeFevre et al., VLDB 2004).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ledger import EmptyStream, Ledger, UnknownStream, stream_name_for
-from .policy import apply_granularity, evaluate_access
+from .policy import GranularityMode, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
 from .tuples import MalformedRecord, verify_hash
 
@@ -39,6 +43,8 @@ INTEGRITY_ABORT = "IntegrityAbort"
 VERIFIED_OK = "ok"
 VERIFIED_MISMATCH = "mismatch"
 VERIFIED_NO_POLICY = "no-policy"
+
+PROVIDER_ID = "provider_id"  # the one conjunct name that is not an attribute
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,25 @@ class NativeResult:
     ops: OpCounters
 
 
+def _projection(columns, predicate: dict) -> list[str]:
+    """The columns, then each attribute the predicate filters on that is not
+    among them."""
+    filtered = (name for name in predicate if name != PROVIDER_ID)
+    return [*columns, *(name for name in filtered if name not in columns)]
+
+
+def _conjuncts_hold(predicate: dict, provider_id: int, values: dict, readable) -> bool:
+    """Whether a row meets every conjunct.  Outside a provider_id conjunct
+    the stored value is compared only where readable(provider_id, name)
+    holds; elsewhere the cell is NULL and the conjunct fails."""
+    return all(
+        provider_id == wanted
+        if name == PROVIDER_ID
+        else readable(provider_id, name) and values[name] == wanted
+        for name, wanted in predicate.items()
+    )
+
+
 class Mediator:
     """Mediates queries between accessors, the store and the ledger."""
 
@@ -131,11 +156,12 @@ class Mediator:
     # -- analysis -----------------------------------------------------------
 
     def analyze(self, request: QueryRequest) -> list[Lineage]:
-        """Lineages touched by a request, provider then attribute ascending."""
-        attribute_ids = [
+        """Lineages touched by a request, provider then attribute ascending:
+        one per requested or filtered attribute, however often it is named."""
+        attribute_ids = {
             self._store.catalog.by_name(name).attribute_id
-            for name in request.attributes
-        ]
+            for name in _projection(request.attributes, request.predicate)
+        }
         if request.provider_id is None:
             providers = self._store.provider_ids()
         else:
@@ -222,9 +248,9 @@ class Mediator:
         # reported in the denial table.
         id_to_name = {
             self._store.catalog.by_name(name).attribute_id: name
-            for name in request.attributes
+            for name in _projection(request.attributes, request.predicate)
         }
-        granted: dict[tuple[int, str], object] = {}
+        granted: dict[tuple[int, str], GranularityMode] = {}
         first_reason: dict[str, str] = {}
         for lineage, entry in zip(lineages, entries):
             name = id_to_name[lineage.attribute_id]
@@ -257,15 +283,19 @@ class Mediator:
         native_ms = 0.0
         rows: list[ResultRow] = []
         if allowed_names:
-            predicate = dict(request.predicate)
-            if request.provider_id is not None:
-                predicate["provider_id"] = request.provider_id
+            names = _projection(allowed_names, request.predicate)
             select_started = time.perf_counter()
-            raw = self._store.select_rows(allowed_names, predicate)
+            raw = self._store.select_rows(names, request.provider_id)
             native_ms = (time.perf_counter() - select_started) * 1000.0
             ops.selects += 1
+
+            def specific(provider_id: int, name: str) -> bool:
+                return granted.get((provider_id, name)) is GranularityMode.SPECIFIC
+
             for provider_id, values in raw:
-                by_name = dict(zip(allowed_names, values))
+                by_name = dict(zip(names, values))
+                if not _conjuncts_hold(request.predicate, provider_id, by_name, specific):
+                    continue
                 cells = []
                 for name in request.attributes:
                     mode = granted.get((provider_id, name))
@@ -289,25 +319,27 @@ class Mediator:
     # -- native baseline ----------------------------------------------------
 
     def native_query(self, request: QueryRequest) -> NativeResult:
-        """Direct select with no ledger reads, verification or policy.
+        """Direct select with no ledger reads, verification or policy;
+        every conjunct reads the stored value.
 
-        Benchmark baseline only; never exposed to accessors.
+        In-process benchmark baseline only; no command exposes it.
         """
         started = time.perf_counter()
         ops = OpCounters()
-        predicate = dict(request.predicate)
-        if request.provider_id is not None:
-            predicate["provider_id"] = request.provider_id
-        raw = self._store.select_rows(list(request.attributes), predicate)
+        names = _projection(request.attributes, request.predicate)
+        raw = self._store.select_rows(names, request.provider_id)
         ops.selects += 1
+        width = len(request.attributes)
+        rows = tuple(
+            ResultRow(provider_id, tuple(values[:width]))
+            for provider_id, values in raw
+            if _conjuncts_hold(
+                request.predicate, provider_id, dict(zip(names, values)), lambda *_: True
+            )
+        )
         duration = (time.perf_counter() - started) * 1000.0
         return NativeResult(
-            columns=request.attributes,
-            rows=tuple(
-                ResultRow(provider_id, tuple(values)) for provider_id, values in raw
-            ),
-            duration_ms=duration,
-            ops=ops,
+            columns=request.attributes, rows=rows, duration_ms=duration, ops=ops
         )
 
 

@@ -10,6 +10,7 @@ policy document format used to load preference records from text.
 from __future__ import annotations
 
 import datetime as dt
+import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -442,6 +443,19 @@ def apply_granularity(value, mode: GranularityMode):
 # One "field = value" pair per line, blank-line-separated records, full-line
 # comments starting with "#".  Enumeration fields use the exact wire tokens.
 
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def parse_decimal(text: str) -> int | None:
+    """The integer text spells in canonical ASCII decimal, else None.
+
+    The one rule for integers in outside text (policy documents, config
+    files, CLI values): '-' is the only sign, and underscores, leading
+    zeros, whitespace and non-ASCII digits are refused.
+    """
+    return int(text) if _DECIMAL.fullmatch(text) else None
+
+
 _REQUIRED_FIELDS = (
     "attribute_id",
     "sensitivity",
@@ -466,10 +480,10 @@ _KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS) | frozenset(_OPTIONAL_FIELDS)
 
 def _parse_int(fields: dict, name: str) -> int:
     raw = fields[name]
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise PolicyError(f"field {name!r} must be an integer, got {raw!r}") from None
+    number = parse_decimal(raw)
+    if number is None:
+        raise PolicyError(f"field {name!r} must be an integer, got {raw!r}")
+    return number
 
 
 def _parse_role_list(raw: str) -> frozenset[AccessorRole]:

@@ -445,32 +445,21 @@ class Store:
 
     # -- selection ----------------------------------------------------------
 
-    def _match(self, record: ProviderRecord, predicate: dict) -> bool:
-        for field_name, wanted in predicate.items():
-            if field_name == "provider_id":
-                if record.provider_id != wanted:
-                    return False
-            else:
-                if not self._catalog.has_name(field_name):
-                    raise UnknownAttribute(f"no attribute named {field_name!r}")
-                if record.attributes.get(field_name) != wanted:
-                    return False
-        return True
-
-    def select_rows(self, attributes, predicate: dict | None = None):
-        """Raw projection: (provider_id, values) per matching record."""
+    def select_rows(self, attributes, provider_id: int | None = None):
+        """Raw projection: (provider_id, values) for every provider in id
+        order, or for the one provider asked for.  It filters nothing:
+        predicates are the mediator's, which may read only granted cells."""
         for name in attributes:
             if not self._catalog.has_name(name):
                 raise UnknownAttribute(f"no attribute named {name!r}")
-        predicate = predicate or {}
-        rows = []
-        for provider_id in sorted(self._providers):
-            record = self._providers[provider_id]
-            if self._match(record, predicate):
-                rows.append(
-                    (provider_id, [record.attributes.get(a) for a in attributes])
-                )
-        return rows
+        if provider_id is None:
+            records = [self._providers[pid] for pid in sorted(self._providers)]
+        else:
+            records = [self.get_provider_record(provider_id)]
+        return [
+            (record.provider_id, [record.attributes.get(a) for a in attributes])
+            for record in records
+        ]
 
     # -- accessors ----------------------------------------------------------
 

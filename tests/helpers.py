@@ -89,14 +89,22 @@ def make_accessor(
     )
 
 
-def make_engine(tmp_path, hash_cost: int = 8, **overrides) -> Engine:
-    config = EngineConfig(
-        data_dir=tmp_path / "data",
-        clock_mode="fixed-for-test",
-        hash_cost=hash_cost,
-        **overrides,
-    )
-    return Engine.initialize(config)
+class TickingClock:
+    """Deterministic ledger clock: fixed start, one millisecond per call."""
+
+    def __init__(self, start: dt.datetime | None = None):
+        self._moment = start or dt.datetime(
+            2021, 6, 1, 12, 0, 0, tzinfo=dt.timezone.utc
+        )
+
+    def __call__(self) -> dt.datetime:
+        moment = self._moment
+        self._moment = moment + dt.timedelta(milliseconds=1)
+        return moment
+
+
+def make_engine(tmp_path, hash_cost: int = 8) -> Engine:
+    return Engine.initialize(EngineConfig(data_dir=tmp_path / "data", hash_cost=hash_cost))
 
 
 def reopen_engine(engine: Engine) -> Engine:

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from helpers import (
+    TickingClock,
     make_accessor,
     make_prefs,
     random_tuple,
@@ -40,7 +41,7 @@ from privledger.fixtures import (
     BENCH_PURPOSE,
     install_archetype_fixture,
 )
-from privledger.ledger import Ledger, TickingClock, verify_file
+from privledger.ledger import Ledger, verify_file
 from privledger.mediator import INTEGRITY_ABORT, MediationStatus, QueryRequest
 from privledger.policy import (
     AccessorRole,
@@ -67,12 +68,7 @@ def _report(name: str, ok: bool, detail: str):
 
 
 def _engine(tmp_path, hash_cost: int) -> Engine:
-    config = EngineConfig(
-        data_dir=tmp_path / "data",
-        clock_mode="fixed-for-test",
-        hash_cost=hash_cost,
-    )
-    return Engine.initialize(config)
+    return Engine.initialize(EngineConfig(data_dir=tmp_path / "data", hash_cost=hash_cost))
 
 
 # ---------------------------------------------------------------------------

@@ -233,17 +233,46 @@ def test_query_now_flag_controls_retention(demo_dir, capsys):
     assert code == 2
 
 
+def _where(demo_dir, capsys, attribute, condition):
+    """JSON records of a filtered all-provider query, timing left out."""
+    code, out, err = run(
+        capsys, "--json", *query_args(demo_dir, attribute, extra=("--where", condition))
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    return [r for r in records if r["record"] != "timing"]
+
+
+def _rows(records):
+    return [r for r in records if r["record"] == "row"]
+
+
 def test_query_where_predicate(demo_dir, capsys):
-    code, out, err = run(
-        capsys, *query_args(demo_dir, "street_name", extra=("--where", "city=Red Deer"))
+    # street_name is granted Specific, so it filters.
+    matched = _where(demo_dir, capsys, "first_name", "street_name=5202 50 Ave")
+    assert [r["cells"] for r in _rows(matched)] == [["A****"]]
+    assert _rows(_where(demo_dir, capsys, "first_name", "street_name=Elsewhere")) == []
+    # first_name is granted Partial and city nothing: neither filters, so
+    # the stored value decides nothing and the row drops out either way.
+    for condition in ("first_name=Avery", "city=Red Deer"):
+        assert _rows(_where(demo_dir, capsys, "street_name", condition)) == []
+    assert _where(demo_dir, capsys, "street_name", "city=Red Deer") == _where(
+        demo_dir, capsys, "street_name", "city=Nowhere"
     )
+
+
+def test_where_on_ungranted_attribute_reveals_nothing(demo_dir, capsys):
+    # last_name has no policy for accessor 3: a direct query is denied, so
+    # a filter on it must not tell Quinn from Smith either.
+    quinn = _where(demo_dir, capsys, "first_name", "last_name=Quinn")
+    smith = _where(demo_dir, capsys, "first_name", "last_name=Smith")
+    assert quinn == smith
+    assert _rows(quinn) == []
+    notes = {r["stream"]: r["note"] for r in quinn if r["record"] == "verification"}
+    assert notes == {"stream-4-1-3": "ok", "stream-4-2-3": "no-policy"}
+    code, out, err = run(capsys, *query_args(demo_dir, "last_name"))
     assert code == 0
-    assert "5202 50 Ave" in out
-    code, out, err = run(
-        capsys, *query_args(demo_dir, "street_name", extra=("--where", "city=Nowhere"))
-    )
-    assert code == 0
-    assert "5202 50 Ave" not in out
+    assert "denied last_name: NoPublishedPolicy" in out
 
 
 def test_wrong_password_and_unknown_login_exit_identically(demo_dir, capsys):
@@ -276,10 +305,11 @@ def test_aborted_query_exit_code(demo_dir, tmp_path, capsys):
     assert "IntegrityAbort" in out
 
 
-def test_native_requires_bench_mode(demo_dir, capsys):
+def test_native_flag_is_a_usage_error(demo_dir, capsys):
     code, out, err = run(capsys, *query_args(demo_dir, "street_name", extra=("--native",)))
-    assert code == 1
-    assert "bench_mode" in err
+    assert code == 2
+    assert "--native" in err
+    assert "5202 50 Ave" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -287,33 +317,54 @@ def test_native_requires_bench_mode(demo_dir, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_config_file_and_native_query(tmp_path, capsys):
+def test_config_file_query_is_mediated(tmp_path, capsys):
     data_dir = tmp_path / "cfg-data"
     config = tmp_path / "privledger.conf"
-    config.write_text(
-        f"data_dir = {data_dir}\n"
-        "bench_mode = true\n"
-        "hash_cost = 8\n"
-        "clock_mode = fixed-for-test\n"
-    )
+    config.write_text(f"data_dir = {data_dir}\nhash_cost = 8\n")
     build = ["--config", str(config)]
     assert main([*build, "init"]) == 0
     assert main([
         *build, "provider", "add", "--id", "4", "--set", "street_name=5202 50 Ave",
+        "--set", "city=Red Deer",
     ]) == 0
     assert main([
         *build, "accessor", "add", "--id", "3", "--login", "physician3",
         "--password", "physician3-secret", "--role", "ClinicalPhysician",
         "--permission", "Level4Restricted",
     ]) == 0
+    assert main([
+        *build, "policy", "set", "--provider", "4", "--attribute", "5",
+        "--accessor", "3", "--file", str(STREET_POLICY),
+    ]) == 0
     capsys.readouterr()
     code, out, err = run(
         capsys, *build, "query",
         "--login", "physician3", "--password", "physician3-secret",
-        "--purpose", "care-delivery", "--attributes", "street_name", "--native",
+        "--purpose", "care-delivery", "--attributes", "street_name,city",
     )
     assert code == 0
-    assert "5202 50 Ave" in out  # unmediated disclosure, bench only
+    assert "provider 4: 5202 50 Ave | WITHHELD" in out
+    assert "denied city: NoPublishedPolicy" in out
+    assert "Red Deer" not in out
+
+
+@pytest.mark.parametrize("key", ["bench_mode", "clock_mode", "ledger_path"])
+def test_config_file_rejects_removed_keys(tmp_path, capsys, key):
+    config = tmp_path / "old.conf"
+    config.write_text(f"data_dir = {tmp_path / 'data'}\n{key} = x\n")
+    code, out, err = run(capsys, "--config", str(config), "init")
+    assert code == 1
+    assert f"unknown key {key!r}" in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("cost", ["0_64", "064", "\u0666\u0664", "+64"])
+def test_config_hash_cost_must_be_canonical_decimal(tmp_path, capsys, cost):
+    config = tmp_path / "cost.conf"
+    config.write_text(f"data_dir = {tmp_path / 'data'}\nhash_cost = {cost}\n")
+    code, out, err = run(capsys, "--config", str(config), "init")
+    assert code == 1
+    assert "hash_cost must be an integer" in err
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -386,6 +437,45 @@ def test_bad_where_syntax(demo_dir, capsys):
     assert "NAME=VALUE" in err
 
 
+def test_set_and_where_values_are_integers_only_in_canonical_decimal(tmp_path, capsys):
+    data_dir = tmp_path / "ints"
+    build = ["--data-dir", str(data_dir)]
+    assert main([*build, "init"]) == 0
+    assert main([
+        *build, "provider", "add", "--id", "4",
+        "--set", "phone_number=0403555", "--set", "chart_number=12_34",
+        "--set", "postal_code=\u0663\u0664", "--set", "city=+5",
+        "--set", "medical_record_number=403555", "--set", "gender=-7",
+        "--set", "street_name=0052",
+    ]) == 0
+    (line,) = (data_dir / "content.db").read_text().splitlines()
+    assert json.loads(line)["attributes"] == {
+        "phone_number": "0403555",
+        "chart_number": "12_34",
+        "postal_code": "\u0663\u0664",
+        "city": "+5",
+        "medical_record_number": 403555,
+        "gender": -7,
+        "street_name": "0052",
+    }
+    assert main([
+        *build, "accessor", "add", "--id", "3", "--login", "physician3",
+        "--password", "physician3-secret", "--role", "ClinicalPhysician",
+        "--permission", "Level4Restricted",
+    ]) == 0
+    assert main([
+        *build, "policy", "set", "--provider", "4", "--attribute", "5",
+        "--accessor", "3", "--file", str(STREET_POLICY),
+    ]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, *query_args(data_dir, "street_name", extra=("--where", "street_name=0052")))
+    assert code == 0
+    assert "provider 4: 0052" in out
+    code, out, err = run(capsys, *query_args(data_dir, "street_name", extra=("--where", "street_name=52")))
+    assert code == 0
+    assert "provider 4:" not in out
+
+
 # ---------------------------------------------------------------------------
 # policy set validation
 # ---------------------------------------------------------------------------
@@ -416,21 +506,11 @@ def test_policy_attribute_flag_must_match_file(demo_dir, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_requires_bench_mode(tmp_path, capsys):
-    data_dir = tmp_path / "plain"
-    assert main(["--data-dir", str(data_dir), "init"]) == 0
-    capsys.readouterr()
-    code, out, err = run(capsys, "--data-dir", str(data_dir), "bench")
-    assert code == 1
-    assert "bench_mode" in err
-
-
 def test_bench_runs_and_reuses_fixture(tmp_path, capsys):
     data_dir = tmp_path / "bench-data"
     config = tmp_path / "bench.conf"
     config.write_text(
-        f"data_dir = {data_dir}\nbench_mode = true\nhash_cost = 8\n"
-        "clock_mode = fixed-for-test\n"
+        f"data_dir = {data_dir}\nhash_cost = 8\n"
     )
     out_path = tmp_path / "rows.jsonl"
     args = [
@@ -455,7 +535,7 @@ def test_bench_runs_and_reuses_fixture(tmp_path, capsys):
 def test_bench_rejects_zero_trials(tmp_path, capsys):
     config = tmp_path / "bench.conf"
     config.write_text(
-        f"data_dir = {tmp_path / 'bench-data'}\nbench_mode = true\nhash_cost = 8\n"
+        f"data_dir = {tmp_path / 'bench-data'}\nhash_cost = 8\n"
     )
     code, out, err = run(
         capsys, "--config", str(config), "bench",
@@ -469,8 +549,7 @@ def test_bench_json_rows(tmp_path, capsys):
     data_dir = tmp_path / "bench-data"
     config = tmp_path / "bench.conf"
     config.write_text(
-        f"data_dir = {data_dir}\nbench_mode = true\nhash_cost = 8\n"
-        "clock_mode = fixed-for-test\n"
+        f"data_dir = {data_dir}\nhash_cost = 8\n"
     )
     code, out, err = run(
         capsys, "--json", "--config", str(config), "bench",

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from helpers import TickingClock
 from privledger import ledger as ledger_module
 from privledger.ledger import (
     ADMIN_PAYLOAD,
@@ -20,7 +21,6 @@ from privledger.ledger import (
     LedgerError,
     ReservedPayload,
     RootPublishForbidden,
-    TickingClock,
     UnknownStream,
     stream_name_for,
     verify_file,

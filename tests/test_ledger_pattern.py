@@ -12,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import TickingClock
 from ledger_reference import reference_parse_line, reference_verify_records
 from privledger.cli import main
 from privledger.ledger import (
     Ledger,
     LedgerError,
-    TickingClock,
     _check_line,
     _parse_line,
     _render_line,

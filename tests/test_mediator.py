@@ -85,6 +85,17 @@ def test_analyze_orders_lineages(demo):
     ]
     assert lineages[0].stream == "stream-4-1-3"
 
+    # Filtered attributes are lineages too, one per attribute however often
+    # it is named; a provider_id conjunct is not an attribute.
+    filtered = QueryRequest(
+        accessor_id=DEMO_ACCESSOR_ID,
+        requested_purpose="care-delivery",
+        attributes=("street_name", "first_name"),
+        predicate={"street_name": "x", "last_name": "y", "provider_id": 4},
+        provider_id=DEMO_PROVIDER_ID,
+    )
+    assert [l.attribute_id for l in demo.mediator.analyze(filtered)] == [1, 2, 5]
+
 
 def test_analyze_expands_all_providers(population):
     lineages = population.mediator.analyze(bench_request("city", "gender"))
@@ -97,6 +108,10 @@ def test_analyze_rejects_unknowns(demo):
         demo.mediator.analyze(demo_request("city", provider=99))
     with pytest.raises(UnknownAttribute):
         demo.mediator.analyze(demo_request("shoe_size"))
+    with pytest.raises(UnknownAttribute):
+        demo.mediator.analyze(
+            QueryRequest(DEMO_ACCESSOR_ID, "p", ("city",), predicate={"shoe_size": 9})
+        )
     with pytest.raises(UnknownAccessor):
         demo.mediator.analyze(
             QueryRequest(accessor_id=99, requested_purpose="p", attributes=("city",))
@@ -152,6 +167,15 @@ def test_predicate_filters_rows(population):
     assert result.status is MediationStatus.COMPLETED
     assert all(row.cells == (want,) for row in result.rows)
     assert 2 in [row.provider_id for row in result.rows]
+
+    # A provider_id conjunct compares the row's id, granted or not.
+    for predicate in ({"provider_id": 2}, {"provider_id": 2, "city": want}):
+        by_id = population.mediate(
+            QueryRequest(BENCH_ACCESSOR_ID, "care-delivery", ("city",), predicate=predicate),
+            now=NOW,
+        )
+        assert [row.provider_id for row in by_id.rows] == [2]
+        assert len(by_id.verification) == 3  # one city lineage per provider
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +281,22 @@ def test_out_of_band_policy_edit_aborts_queries(tmp_path):
     assert mismatches[0].lineage.attribute_id == 5
     assert result.ops.selects == 0
     assert result.timing.native_ms == 0.0
+
+    # A filter on the tampered lineage aborts a query that requests only
+    # the untouched one.
+    filtered = engine.mediate(
+        QueryRequest(
+            DEMO_ACCESSOR_ID,
+            "care-delivery",
+            ("first_name",),
+            predicate={"street_name": "5202 50 Ave"},
+            provider_id=DEMO_PROVIDER_ID,
+        ),
+        now=NOW,
+    )
+    assert filtered.status is MediationStatus.ABORTED
+    assert filtered.rows == ()
+    assert filtered.denials == (("first_name", INTEGRITY_ABORT),)
 
     # The untouched lineage still serves on its own.
     clean = engine.mediate(demo_request("first_name"), now=NOW)

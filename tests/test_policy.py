@@ -28,6 +28,7 @@ from privledger.policy import (
     VisibilityScope,
     apply_granularity,
     evaluate_access,
+    parse_decimal,
     parse_policy_document,
     render_policy_document,
     retention_active,
@@ -480,3 +481,31 @@ def test_bad_enum_token_rejected():
 def test_comments_and_blank_lines_ignored():
     padded = "\n\n# leading comment\n\n" + DOCUMENT + "\n\n# trailing\n"
     assert parse_policy_document(padded) == parse_policy_document(DOCUMENT)
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("duration_days", "3_6_5"),
+        ("duration_days", "0365"),
+        ("duration_days", "٣٦٥"),
+        ("duration_days", "+365"),
+        ("attribute_id", "0_8"),
+    ],
+)
+def test_integer_fields_accept_only_canonical_decimal(field, text):
+    line = "duration_days = 365" if field == "duration_days" else "attribute_id = 8"
+    document = DOCUMENT.replace(line, f"{field} = {text}", 1)
+    with pytest.raises(PolicyError) as caught:
+        parse_policy_document(document)
+    assert str(caught.value) == f"field {field!r} must be an integer, got {text!r}"
+
+
+@pytest.mark.parametrize(
+    "text, number",
+    [("0", 0), ("7", 7), ("-7", -7), ("403555", 403555), ("-0", None), ("0403555", None),
+     ("12_34", None), ("٣٤", None), ("+5", None), (" 5", None), ("5\n", None),
+     ("", None), ("-", None), ("1e3", None)],
+)
+def test_parse_decimal_is_canonical_ascii(text, number):
+    assert parse_decimal(text) == number
