@@ -7,56 +7,4 @@ verified against the ledger, evaluated per attribute, and results are
 disclosed at the granted granularity.
 """
 
-from .bench import (
-    Archetype,
-    ArchetypeRow,
-    BenchReport,
-    BenchSpec,
-    aggregate,
-    overhead_percent,
-    render_report,
-    run_bench,
-)
-from .engine import Engine, EngineConfig, PolicyPublication, publish_key
-from .ledger import ChainReport, Ledger, StreamItem, stream_name_for, verify_file
-from .mediator import (
-    Lineage,
-    MediationResult,
-    MediationStatus,
-    Mediator,
-    QueryRequest,
-)
-from .policy import (
-    AccessDecision,
-    AccessorProfile,
-    AccessorRole,
-    ContextualNorms,
-    DenialReason,
-    GranularityMode,
-    GranularityPolicy,
-    PreferenceSet,
-    PurposeMode,
-    PurposePolicy,
-    RetentionPolicy,
-    Sensitivity,
-    VisibilityPolicy,
-    VisibilityScope,
-    apply_granularity,
-    evaluate_access,
-    parse_policy_document,
-    retention_active,
-)
-from .store import Catalog, ProviderRecord, Store, TupleInstance, default_catalog
-from .tuples import (
-    AttributeCategory,
-    AttributeMeta,
-    HashRecord,
-    PrivacyTuple,
-    bind_tuple,
-    canonical_decode,
-    canonical_encode,
-    hash_tuple,
-    verify_hash,
-)
-
 __version__ = "0.1.0"

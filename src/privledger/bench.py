@@ -1,20 +1,17 @@
-"""Benchmark harness: native versus privacy-aware query timing.
+"""The paper's overhead table: arithmetic and rendering.
 
-Runs seeded trials of one query archetype both ways against the same
-engine and reports mean wall-clock per archetype plus the relative
-overhead.  The aggregate row averages the per-archetype percentages
+Callers time native and privacy-aware queries themselves and pass the
+mean wall-clock per archetype; this module turns those means into rows
+with the relative overhead, adds the aggregate row and renders the
+table.  The aggregate row averages the per-archetype percentages
 directly; it is never recomputed from the aggregate means, which would
 weight archetypes by duration instead of equally.
 """
 
 from __future__ import annotations
 
-import random
 import statistics
 from dataclasses import dataclass
-from enum import Enum
-
-from .mediator import MediationStatus, OpCounters, QueryRequest
 
 
 class BenchError(Exception):
@@ -29,60 +26,7 @@ class EmptyInput(BenchError):
     pass
 
 
-class Archetype(str, Enum):
-    DEMOGRAPHIC = "Demographic"
-    HEALTHCARE = "Healthcare"
-    CONSENT_WITNESS = "ConsentWitness"
-
-    @property
-    def token(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_token(cls, text: str) -> Archetype:
-        try:
-            return cls(text)
-        except ValueError:
-            raise BenchError(f"unknown archetype: {text!r}") from None
-
-
-# Attribute sets queried by each archetype.
-ARCHETYPE_ATTRIBUTES: dict[Archetype, tuple[str, ...]] = {
-    Archetype.DEMOGRAPHIC: (
-        "street_name",
-        "city",
-        "province",
-        "postal_code",
-        "original_province",
-        "phone_number",
-    ),
-    Archetype.HEALTHCARE: (
-        "personal_health_number",
-        "medical_record_number",
-        "chart_number",
-        "personal_care_physician_name",
-        "dentist_physician_name",
-    ),
-    Archetype.CONSENT_WITNESS: (
-        "witness_last_name",
-        "witness_first_name",
-        "witness_phone_number",
-        "witness_street",
-        "witness_city",
-        "witness_province",
-        "witness_postal_code",
-    ),
-}
-
-ARCHETYPE_LABELS = {
-    Archetype.DEMOGRAPHIC: "Demographic",
-    Archetype.HEALTHCARE: "Healthcare",
-    Archetype.CONSENT_WITNESS: "Consent Witness",
-}
-
 AGGREGATE_LABEL = "All Queries"
-
-DEFAULT_TRIALS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -144,94 +88,6 @@ class BenchReport:
 def build_report(rows) -> BenchReport:
     rows = tuple(rows)
     return BenchReport(rows=rows, aggregate_row=aggregate(rows))
-
-
-# ---------------------------------------------------------------------------
-# Running
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    archetype: Archetype
-    trials: int = DEFAULT_TRIALS
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise BenchError("trials must be a positive integer")
-
-
-@dataclass(frozen=True)
-class TrialSample:
-    provider_id: int
-    native_ms: float
-    private_ms: float
-    native_ops: OpCounters
-    private_ops: OpCounters
-    lineages: int
-
-
-@dataclass(frozen=True)
-class ArchetypeResult:
-    row: ArchetypeRow
-    samples: tuple[TrialSample, ...]
-
-
-def predicate_sequence(spec: BenchSpec, provider_ids) -> list[int]:
-    """Deterministic per-trial provider choices for a spec.
-
-    The same spec over the same provider set always yields the same
-    sequence, which is what makes runs reproducible.
-    """
-    provider_ids = list(provider_ids)
-    if not provider_ids:
-        raise EmptyInput("no providers to draw predicates from")
-    rng = random.Random(f"bench:{spec.seed}:{spec.archetype.token}")
-    return [rng.choice(provider_ids) for _ in range(spec.trials)]
-
-
-def run_bench(
-    engine,
-    spec: BenchSpec,
-    accessor_id: int,
-    requested_purpose: str,
-    now=None,
-) -> ArchetypeResult:
-    """Execute trials native and trials mediated runs for one archetype."""
-    attributes = ARCHETYPE_ATTRIBUTES[spec.archetype]
-    providers = predicate_sequence(spec, engine.store.provider_ids())
-    samples = []
-    for provider_id in providers:
-        request = QueryRequest(
-            accessor_id=accessor_id,
-            requested_purpose=requested_purpose,
-            attributes=attributes,
-            provider_id=provider_id,
-        )
-        native = engine.native_query(request)
-        mediated = engine.mediate(request, now=now)
-        if mediated.status is not MediationStatus.COMPLETED:
-            raise BenchError(
-                f"mediation did not complete for provider {provider_id}: "
-                f"{mediated.status.value}"
-            )
-        samples.append(
-            TrialSample(
-                provider_id=provider_id,
-                native_ms=native.duration_ms,
-                private_ms=mediated.timing.total_ms,
-                native_ops=native.ops,
-                private_ops=mediated.ops,
-                lineages=len(mediated.verification),
-            )
-        )
-    row = row_from_means(
-        ARCHETYPE_LABELS[spec.archetype],
-        statistics.fmean(s.native_ms for s in samples),
-        statistics.fmean(s.private_ms for s in samples),
-    )
-    return ArchetypeResult(row=row, samples=tuple(samples))
 
 
 # ---------------------------------------------------------------------------

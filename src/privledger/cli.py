@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: init, provider add, accessor add, policy set, query,
-ledger list-streams / items / verify, bench.  Every query is mediated:
-no subcommand reads provider values around mediation, and ``bench`` runs
-only on its own seeded fixture directory.  Exit status is 0 for
-success, 1 for general errors, 2 for usage errors, 3 for an aborted
+ledger list-streams / items / verify.  Every query is mediated: no
+subcommand reads provider values around mediation.  The paper's
+overhead table is built by the benchmark (perfbench), not here.  Exit
+status is 0 for success, 1 for general errors, 2 for usage errors, 3 for an aborted
 mediation, 4 for failed authentication and 5 for a failed chain
 verification.  With --json every record prints as one JSON line.
 """
@@ -21,8 +21,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench as bench_mod
-from . import fixtures
 from .engine import (
     DATA_DIR_ENV,
     AlreadyInitialized,
@@ -90,6 +88,17 @@ def data_dir_lock(data_dir: Path):
         yield
     finally:
         handle.close()
+
+
+@contextmanager
+def open_engine(config: EngineConfig):
+    """Lock the data directory, then open its engine; close it on exit."""
+    with data_dir_lock(config.data_dir):
+        engine = Engine.open(config)
+        try:
+            yield engine
+        finally:
+            engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     items.add_argument("--count", type=int, help="maximum items")
     ledger_sub.add_parser("verify", help="walk the hash chain from genesis")
 
-    bench = commands.add_parser("bench", help="run the benchmark harness")
-    bench.add_argument(
-        "--archetype",
-        default="all",
-        choices=[a.token for a in bench_mod.Archetype] + ["all"],
-    )
-    bench.add_argument(
-        "--trials", type=int, default=bench_mod.DEFAULT_TRIALS, help="trials per archetype"
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--providers", type=int, default=100, help="fixture size")
-    bench.add_argument("--out", help="write per-archetype rows as JSON lines")
-
     return parser
 
 
@@ -235,16 +231,12 @@ def cmd_init(config: EngineConfig, out: Output) -> int:
 
 def cmd_provider_add(config: EngineConfig, args, out: Output) -> int:
     values = _parse_assignments(args.values, "--set")
-    with data_dir_lock(config.data_dir):
-        engine = Engine.open(config)
-        try:
-            engine.add_provider(args.id, values)
-            out.emit(
-                {"record": "provider", "provider_id": args.id, "attributes": len(values)},
-                f"stored provider {args.id} with {len(values)} attribute values",
-            )
-        finally:
-            engine.close()
+    with open_engine(config) as engine:
+        engine.add_provider(args.id, values)
+        out.emit(
+            {"record": "provider", "provider_id": args.id, "attributes": len(values)},
+            f"stored provider {args.id} with {len(values)} attribute values",
+        )
     return EXIT_OK
 
 
@@ -254,16 +246,12 @@ def cmd_accessor_add(config: EngineConfig, args, out: Output) -> int:
         role=AccessorRole.from_token(args.role),
         permission_level=Sensitivity.from_token(args.permission),
     )
-    with data_dir_lock(config.data_dir):
-        engine = Engine.open(config)
-        try:
-            engine.add_accessor(args.login, args.password, profile)
-            out.emit(
-                {"record": "accessor", "accessor_id": args.id, "login": args.login},
-                f"registered accessor {args.id} ({args.login}, {args.role})",
-            )
-        finally:
-            engine.close()
+    with open_engine(config) as engine:
+        engine.add_accessor(args.login, args.password, profile)
+        out.emit(
+            {"record": "accessor", "accessor_id": args.id, "login": args.login},
+            f"registered accessor {args.id} ({args.login}, {args.role})",
+        )
     return EXIT_OK
 
 
@@ -274,25 +262,21 @@ def cmd_policy_set(config: EngineConfig, args, out: Output) -> int:
         raise CliError(
             f"policy file must hold exactly one record, found {len(records)}"
         )
-    with data_dir_lock(config.data_dir):
-        engine = Engine.open(config)
-        try:
-            publication = engine.set_policy(
-                args.provider, args.accessor, records[0], attribute_id=args.attribute
-            )
-            out.emit(
-                {
-                    "record": "publication",
-                    "stream": publication.stream,
-                    "seq": publication.seq,
-                    "version": publication.version,
-                    "key": publication.key,
-                },
-                f"published {publication.stream} seq {publication.seq} "
-                f"version {publication.version} key {publication.key}",
-            )
-        finally:
-            engine.close()
+    with open_engine(config) as engine:
+        publication = engine.set_policy(
+            args.provider, args.accessor, records[0], attribute_id=args.attribute
+        )
+        out.emit(
+            {
+                "record": "publication",
+                "stream": publication.stream,
+                "seq": publication.seq,
+                "version": publication.version,
+                "key": publication.key,
+            },
+            f"published {publication.stream} seq {publication.seq} "
+            f"version {publication.version} key {publication.key}",
+        )
     return EXIT_OK
 
 
@@ -309,20 +293,16 @@ def cmd_query(config: EngineConfig, args, out: Output) -> int:
             now = dt.date.fromisoformat(args.now)
         except ValueError:
             raise CliError(f"--now must be an ISO-8601 date, got {args.now!r}", EXIT_USAGE)
-    with data_dir_lock(config.data_dir):
-        engine = Engine.open(config)
-        try:
-            profile = engine.store.authenticate(args.login, args.password)
-            request = QueryRequest(
-                accessor_id=profile.accessor_id,
-                requested_purpose=args.purpose,
-                attributes=attributes,
-                predicate=predicate,
-                provider_id=args.provider,
-            )
-            result = engine.mediate(request, now=now)
-        finally:
-            engine.close()
+    with open_engine(config) as engine:
+        profile = engine.store.authenticate(args.login, args.password)
+        request = QueryRequest(
+            accessor_id=profile.accessor_id,
+            requested_purpose=args.purpose,
+            attributes=attributes,
+            predicate=predicate,
+            provider_id=args.provider,
+        )
+        result = engine.mediate(request, now=now)
 
     out.emit(
         {"record": "status", "status": result.status.value},
@@ -370,54 +350,46 @@ def cmd_query(config: EngineConfig, args, out: Output) -> int:
 
 
 def cmd_ledger_list_streams(config: EngineConfig, out: Output) -> int:
-    with data_dir_lock(config.data_dir):
-        engine = Engine.open(config)
-        try:
-            for stream in engine.ledger.streams():
-                out.emit(
-                    {
-                        "record": "stream",
-                        "name": stream.name,
-                        "items": stream.item_count,
-                        "created_by": stream.created_by,
-                    },
-                    f"{stream.name}  items={stream.item_count}  "
-                    f"created_by={stream.created_by}",
-                )
-        finally:
-            engine.close()
+    with open_engine(config) as engine:
+        for stream in engine.ledger.streams():
+            out.emit(
+                {
+                    "record": "stream",
+                    "name": stream.name,
+                    "items": stream.item_count,
+                    "created_by": stream.created_by,
+                },
+                f"{stream.name}  items={stream.item_count}  "
+                f"created_by={stream.created_by}",
+            )
     return EXIT_OK
 
 
 def cmd_ledger_items(config: EngineConfig, args, out: Output) -> int:
-    with data_dir_lock(config.data_dir):
-        engine = Engine.open(config)
-        try:
-            items = engine.ledger.list_items(
-                args.stream, start=args.start, count=args.count
+    with open_engine(config) as engine:
+        items = engine.ledger.list_items(
+            args.stream, start=args.start, count=args.count
+        )
+        for item in items:
+            try:
+                payload_text = item.payload.decode("ascii")
+            except UnicodeDecodeError:
+                payload_text = item.payload.hex()
+            out.emit(
+                {
+                    "record": "item",
+                    "seq": item.seq,
+                    "key": item.key,
+                    "publisher": item.publisher,
+                    "timestamp": item.timestamp.isoformat(),
+                    "payload": payload_text,
+                    "confirmed": item.confirmed,
+                },
+                f"seq={item.seq}  key={item.key}  "
+                f"time={item.timestamp.isoformat()}  "
+                f"confirmed={'yes' if item.confirmed else 'no'}  "
+                f"payload={payload_text}",
             )
-            for item in items:
-                try:
-                    payload_text = item.payload.decode("ascii")
-                except UnicodeDecodeError:
-                    payload_text = item.payload.hex()
-                out.emit(
-                    {
-                        "record": "item",
-                        "seq": item.seq,
-                        "key": item.key,
-                        "publisher": item.publisher,
-                        "timestamp": item.timestamp.isoformat(),
-                        "payload": payload_text,
-                        "confirmed": item.confirmed,
-                    },
-                    f"seq={item.seq}  key={item.key}  "
-                    f"time={item.timestamp.isoformat()}  "
-                    f"confirmed={'yes' if item.confirmed else 'no'}  "
-                    f"payload={payload_text}",
-                )
-        finally:
-            engine.close()
     return EXIT_OK
 
 
@@ -438,74 +410,6 @@ def cmd_ledger_verify(config: EngineConfig, out: Output) -> int:
         else f"chain verification failed: {report.detail}",
     )
     return EXIT_OK if report.intact else EXIT_VERIFY_FAILED
-
-
-def cmd_bench(config: EngineConfig, args, out: Output) -> int:
-    if args.archetype == "all":
-        archetypes = list(bench_mod.Archetype)
-    else:
-        archetypes = [bench_mod.Archetype.from_token(args.archetype)]
-    fixture_dir = config.data_dir / f"bench-n{args.providers}-s{args.seed}"
-    fixture_config = replace(config, data_dir=fixture_dir)
-    with data_dir_lock(fixture_dir):
-        if (fixture_dir / "content.db").exists():
-            engine = Engine.open(fixture_config)
-        else:
-            engine = Engine.initialize(fixture_config)
-            fixtures.install_archetype_fixture(
-                engine, provider_count=args.providers, seed=args.seed
-            )
-        try:
-            results = []
-            for archetype in archetypes:
-                spec = bench_mod.BenchSpec(
-                    archetype=archetype, trials=args.trials, seed=args.seed
-                )
-                results.append(
-                    bench_mod.run_bench(
-                        engine,
-                        spec,
-                        accessor_id=fixtures.BENCH_ACCESSOR_ID,
-                        requested_purpose=fixtures.BENCH_PURPOSE,
-                    )
-                )
-        finally:
-            engine.close()
-
-    report = bench_mod.build_report([r.row for r in results])
-    rows = [*report.rows, report.aggregate_row]
-    if out.as_json:
-        for row in rows:
-            out.emit(
-                {
-                    "record": "bench",
-                    "label": row.label,
-                    "native_ms": round(row.native_ms, 2),
-                    "private_ms": round(row.private_ms, 2),
-                    "overhead_ms": round(row.overhead_ms, 2),
-                    "overhead_pct": row.overhead_pct,
-                },
-                "",
-            )
-    else:
-        print(bench_mod.render_report(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(
-                    json.dumps(
-                        {
-                            "label": row.label,
-                            "native_ms": row.native_ms,
-                            "private_ms": row.private_ms,
-                            "overhead_ms": row.overhead_ms,
-                            "overhead_pct": row.overhead_pct,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +436,6 @@ def run(args) -> int:
         if args.subcommand == "items":
             return cmd_ledger_items(config, args, out)
         return cmd_ledger_verify(config, out)
-    if args.command == "bench":
-        return cmd_bench(config, args, out)
     raise CliError(f"unknown command: {args.command}", EXIT_USAGE)
 
 
@@ -560,7 +462,6 @@ def main(argv=None) -> int:
         StoreError,
         PolicyError,
         TupleError,
-        bench_mod.BenchError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .ledger import Ledger, stream_name_for
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
 from .policy import AccessorProfile, PreferenceSet, parse_decimal
-from .store import Catalog, ProviderRecord, Store, TupleInstance, default_catalog
+from .store import ProviderRecord, Store, TupleInstance
 from .tuples import (
     DEFAULT_COST,
     MAX_COST,
@@ -79,6 +79,8 @@ class EngineConfig:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             values[key] = value.strip()
         if "data_dir" not in values:
             raise ConfigError("config must set data_dir")
@@ -133,32 +135,23 @@ class Engine:
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
-    def initialize(cls, config: EngineConfig, catalog: Catalog | None = None) -> Engine:
+    def initialize(cls, config: EngineConfig) -> Engine:
         """Create engine state in a fresh data directory."""
         data_dir = config.data_dir
         if (data_dir / "content.db").exists() or config.ledger_file.exists():
             raise AlreadyInitialized(f"engine already initialized in {data_dir}")
         data_dir.mkdir(parents=True, exist_ok=True)
-        store = Store(
-            data_dir,
-            catalog=catalog or default_catalog(),
-            hash_cost=config.hash_cost,
-            create=True,
-        )
+        store = Store(data_dir, hash_cost=config.hash_cost, create=True)
         ledger = Ledger(config.ledger_file, create=True)
         return cls(config, store, ledger)
 
     @classmethod
-    def open(cls, config: EngineConfig, catalog: Catalog | None = None) -> Engine:
+    def open(cls, config: EngineConfig) -> Engine:
         """Open previously initialized engine state."""
         data_dir = config.data_dir
         if not (data_dir / "content.db").exists() or not config.ledger_file.exists():
             raise NotInitialized(f"no engine state in {data_dir}")
-        store = Store(
-            data_dir,
-            catalog=catalog or default_catalog(),
-            hash_cost=config.hash_cost,
-        )
+        store = Store(data_dir, hash_cost=config.hash_cost)
         ledger = Ledger(config.ledger_file)
         return cls(config, store, ledger)
 

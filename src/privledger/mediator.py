@@ -342,21 +342,3 @@ class Mediator:
             columns=request.attributes, rows=rows, duration_ms=duration, ops=ops
         )
 
-
-# Re-exported for callers that build lineage streams without a Mediator.
-__all__ = [
-    "INTEGRITY_ABORT",
-    "Lineage",
-    "MediationResult",
-    "MediationStatus",
-    "Mediator",
-    "NO_PUBLISHED_POLICY",
-    "NativeResult",
-    "OpCounters",
-    "QueryRequest",
-    "ResultRow",
-    "Timing",
-    "VerificationEntry",
-    "WITHHELD",
-    "stream_name_for",
-]

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .policy import AccessorProfile
 from .tuples import (
+    DEFAULT_COST,
     DIGEST_BYTES,
     HASH_ALGORITHM,
     SALT_BYTES,
@@ -293,9 +294,9 @@ def _decode_credential(line: str) -> Credential:
 class Store:
     """Single-writer store over the three family files."""
 
-    def __init__(self, data_dir, catalog: Catalog | None = None, hash_cost: int = 1024, create: bool = False):
+    def __init__(self, data_dir, hash_cost: int = DEFAULT_COST, create: bool = False):
         self._dir = Path(data_dir)
-        self._catalog = catalog or default_catalog()
+        self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
         # Latest policy version per lineage, raw until first touch.

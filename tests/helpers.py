@@ -1,4 +1,5 @@
-"""Shared builders and independent reference implementations.
+"""Shared builders, seeded populations and independent reference
+implementations.
 
 The reference functions here deliberately re-derive expected behavior
 with different code shapes than the package so they can serve as
@@ -110,6 +111,245 @@ def make_engine(tmp_path, hash_cost: int = 8) -> Engine:
 def reopen_engine(engine: Engine) -> Engine:
     engine.close()
     return Engine.open(engine.config)
+
+
+# ---------------------------------------------------------------------------
+# Demo population
+# ---------------------------------------------------------------------------
+
+DEMO_PROVIDER_ID = 4
+DEMO_ACCESSOR_ID = 3
+DEMO_ACCESSOR_LOGIN = "physician3"
+DEMO_ACCESSOR_PASSWORD = "physician3-secret"
+DEMO_PURPOSE = "care-delivery"
+
+# Lineages shown by the demo: attribute 5 published three times, attribute 1
+# published four times, both toward accessor 3.
+DEMO_LINEAGE_A = (DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)
+DEMO_LINEAGE_B = (DEMO_PROVIDER_ID, 1, DEMO_ACCESSOR_ID)
+
+DEMO_PROVIDER_ATTRIBUTES = {
+    "first_name": "Avery",
+    "last_name": "Quinn",
+    "street_name": "5202 50 Ave",
+    "city": "Red Deer",
+    "province": "AB",
+    "postal_code": "T2N 1N4",
+    "original_province": "SK",
+    "phone_number": "403-555-0187",
+}
+
+
+def demo_preferences(attribute_id: int, note: str | None = None) -> PreferenceSet:
+    return PreferenceSet(
+        attribute_id=attribute_id,
+        sensitivity=Sensitivity.LEVEL4_RESTRICTED,
+        purpose=PurposePolicy(
+            mode=PurposeMode.REUSE_SAME,
+            declared_purpose=DEMO_PURPOSE,
+            norms=ContextualNorms(why=note),
+        ),
+        visibility=VisibilityPolicy(
+            scope=VisibilityScope.THIRD_PARTY_ALLIED_HEALTH,
+            allowed_roles=frozenset(
+                {AccessorRole.CLINICAL_PHYSICIAN, AccessorRole.THIRD_PARTY_ALLIED}
+            ),
+        ),
+        granularity=GranularityPolicy(GranularityMode.SPECIFIC),
+        retention=RetentionPolicy(
+            effective_date=dt.date(2021, 1, 1), duration_days=0
+        ),
+    )
+
+
+def install_demo_fixture(engine: Engine) -> None:
+    """Provider 4, accessor 3, three versions on one lineage and four on
+    another."""
+    engine.add_provider(DEMO_PROVIDER_ID, DEMO_PROVIDER_ATTRIBUTES)
+    engine.add_accessor(
+        DEMO_ACCESSOR_LOGIN,
+        DEMO_ACCESSOR_PASSWORD,
+        AccessorProfile(
+            accessor_id=DEMO_ACCESSOR_ID,
+            role=AccessorRole.CLINICAL_PHYSICIAN,
+            permission_level=Sensitivity.LEVEL4_RESTRICTED,
+        ),
+    )
+    for lineage, versions in ((DEMO_LINEAGE_A, 3), (DEMO_LINEAGE_B, 4)):
+        for revision in range(versions):
+            engine.set_policy(
+                DEMO_PROVIDER_ID,
+                DEMO_ACCESSOR_ID,
+                demo_preferences(lineage[1], note=f"revision {revision + 1}"),
+            )
+
+
+# ---------------------------------------------------------------------------
+# Archetype population
+# ---------------------------------------------------------------------------
+
+BENCH_ACCESSOR_ID = 1
+BENCH_ACCESSOR_LOGIN = "bench"
+BENCH_ACCESSOR_PASSWORD = "bench-secret"
+BENCH_PURPOSE = "care-delivery"
+
+# Attribute sets queried by each of the paper's three query archetypes.
+ARCHETYPE_ATTRIBUTES = {
+    "Demographic": (
+        "street_name",
+        "city",
+        "province",
+        "postal_code",
+        "original_province",
+        "phone_number",
+    ),
+    "Healthcare": (
+        "personal_health_number",
+        "medical_record_number",
+        "chart_number",
+        "personal_care_physician_name",
+        "dentist_physician_name",
+    ),
+    "ConsentWitness": (
+        "witness_last_name",
+        "witness_first_name",
+        "witness_phone_number",
+        "witness_street",
+        "witness_city",
+        "witness_province",
+        "witness_postal_code",
+    ),
+}
+
+_HOUSE_ROLES = frozenset(
+    {
+        AccessorRole.CLINICAL_NURSE,
+        AccessorRole.LABORATORY_ANALYST,
+        AccessorRole.CLINICAL_PHYSICIAN,
+    }
+)
+_ALLIED_ROLES = frozenset(
+    {AccessorRole.CLINICAL_PHYSICIAN, AccessorRole.THIRD_PARTY_ALLIED}
+)
+
+# (sensitivity, granularity, scope, roles, purpose mode) per archetype.
+_ARCHETYPE_POLICY = {
+    "Demographic": (
+        Sensitivity.LEVEL4_RESTRICTED,
+        GranularityMode.SPECIFIC,
+        VisibilityScope.THIRD_PARTY_ALLIED_HEALTH,
+        _ALLIED_ROLES,
+        PurposeMode.REUSE_SAME,
+    ),
+    "Healthcare": (
+        Sensitivity.LEVEL3_CONFIDENTIAL,
+        GranularityMode.PARTIAL,
+        VisibilityScope.THIRD_PARTY_ALLIED_HEALTH,
+        _ALLIED_ROLES,
+        PurposeMode.REUSE_SELECTED,
+    ),
+    "ConsentWitness": (
+        Sensitivity.LEVEL2_INTERNAL_USE,
+        GranularityMode.EXISTENTIAL,
+        VisibilityScope.HOUSE,
+        _HOUSE_ROLES,
+        PurposeMode.REUSE_SELECTED,
+    ),
+}
+
+
+def archetype_preferences(archetype: str, attribute_id: int) -> PreferenceSet:
+    sensitivity, granularity, scope, roles, mode = _ARCHETYPE_POLICY[archetype]
+    return PreferenceSet(
+        attribute_id=attribute_id,
+        sensitivity=sensitivity,
+        purpose=PurposePolicy(mode=mode, declared_purpose=BENCH_PURPOSE),
+        visibility=VisibilityPolicy(scope=scope, allowed_roles=roles),
+        granularity=GranularityPolicy(granularity),
+        retention=RetentionPolicy(
+            effective_date=dt.date(2021, 1, 1), duration_days=0
+        ),
+    )
+
+
+_FIRST_NAMES = ("Avery", "Blake", "Casey", "Devon", "Emery", "Finley", "Harper", "Jordan")
+_LAST_NAMES = ("Quinn", "Reyes", "Singh", "Tremblay", "Walsh", "Yamada", "Okafor", "Larsen")
+_CITIES = ("Red Deer", "Calgary", "Edmonton", "Lethbridge", "Camrose", "Leduc")
+_PROVINCES = ("AB", "BC", "SK", "MB", "ON")
+_STREET_SUFFIXES = ("Ave", "St", "Blvd", "Cres")
+
+
+def _postal_code(rng: random.Random) -> str:
+    letters = "ABCEGHJKLMNPRSTVXY"
+    return (
+        f"{rng.choice(letters)}{rng.randrange(10)}{rng.choice(letters)} "
+        f"{rng.randrange(10)}{rng.choice(letters)}{rng.randrange(10)}"
+    )
+
+
+def _phone(rng: random.Random) -> str:
+    return f"403-555-{rng.randrange(10000):04d}"
+
+
+def _street(rng: random.Random) -> str:
+    return f"{rng.randrange(100, 9999)} {rng.randrange(1, 99)} {rng.choice(_STREET_SUFFIXES)}"
+
+
+def _provider_attributes(rng: random.Random) -> dict:
+    return {
+        "first_name": rng.choice(_FIRST_NAMES),
+        "last_name": rng.choice(_LAST_NAMES),
+        "date_of_birth": f"19{rng.randrange(40, 100):02d}-{rng.randrange(1, 13):02d}-{rng.randrange(1, 29):02d}",
+        "gender": rng.choice(("F", "M", "X")),
+        "street_name": _street(rng),
+        "city": rng.choice(_CITIES),
+        "province": rng.choice(_PROVINCES),
+        "postal_code": _postal_code(rng),
+        "original_province": rng.choice(_PROVINCES),
+        "phone_number": _phone(rng),
+        "personal_health_number": f"{rng.randrange(10**8, 10**9)}",
+        "medical_record_number": f"MRN-{rng.randrange(10**6):06d}",
+        "chart_number": f"CH-{rng.randrange(10**5):05d}",
+        "personal_care_physician_name": f"Dr. {rng.choice(_LAST_NAMES)}",
+        "dentist_physician_name": f"Dr. {rng.choice(_LAST_NAMES)}",
+        "witness_last_name": rng.choice(_LAST_NAMES),
+        "witness_first_name": rng.choice(_FIRST_NAMES),
+        "witness_phone_number": _phone(rng),
+        "witness_street": _street(rng),
+        "witness_city": rng.choice(_CITIES),
+        "witness_province": rng.choice(_PROVINCES),
+        "witness_postal_code": _postal_code(rng),
+    }
+
+
+def install_archetype_fixture(engine: Engine, provider_count: int, seed: int = 0) -> list[int]:
+    """Populate providers plus one benchmark accessor and publish archetype
+    policies for every (provider, attribute) lineage toward that accessor.
+
+    Returns the provider ids.  Deterministic for a given seed.
+    """
+    rng = random.Random(f"fixture:{seed}")
+    engine.add_accessor(
+        BENCH_ACCESSOR_LOGIN,
+        BENCH_ACCESSOR_PASSWORD,
+        AccessorProfile(
+            accessor_id=BENCH_ACCESSOR_ID,
+            role=AccessorRole.CLINICAL_PHYSICIAN,
+            permission_level=Sensitivity.LEVEL4_RESTRICTED,
+        ),
+    )
+    provider_ids = list(range(1, provider_count + 1))
+    catalog = engine.store.catalog
+    for provider_id in provider_ids:
+        engine.add_provider(provider_id, _provider_attributes(rng))
+        for archetype, names in ARCHETYPE_ATTRIBUTES.items():
+            for name in names:
+                engine.set_policy(
+                    provider_id,
+                    BENCH_ACCESSOR_ID,
+                    archetype_preferences(archetype, catalog.by_name(name).attribute_id),
+                )
+    return provider_ids
 
 
 # ---------------------------------------------------------------------------

@@ -1,43 +1,21 @@
-"""Benchmark harness: overhead arithmetic, seeding, reporting."""
+"""The overhead table: arithmetic, aggregate and rendering."""
 
 from __future__ import annotations
 
 import pytest
 
-from helpers import make_engine
+from helpers import ARCHETYPE_ATTRIBUTES
 from privledger.bench import (
     AGGREGATE_LABEL,
-    ARCHETYPE_ATTRIBUTES,
-    ARCHETYPE_LABELS,
-    Archetype,
-    ArchetypeRow,
-    BenchError,
-    BenchSpec,
     EmptyInput,
     ZeroDuration,
     aggregate,
     build_report,
     overhead_percent,
-    predicate_sequence,
     render_report,
     row_from_means,
-    run_bench,
 )
-from privledger.fixtures import (
-    BENCH_ACCESSOR_ID,
-    BENCH_PURPOSE,
-    install_archetype_fixture,
-)
-from privledger.store import TupleInstance, default_catalog
-from privledger.tuples import bind_tuple
-
-
-@pytest.fixture(scope="module")
-def bench_engine(tmp_path_factory):
-    engine = make_engine(tmp_path_factory.mktemp("bench"), hash_cost=8)
-    install_archetype_fixture(engine, 10, seed=3)
-    yield engine
-    engine.close()
+from privledger.store import default_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -94,119 +72,18 @@ def test_build_report():
 
 
 # ---------------------------------------------------------------------------
-# archetypes and specs
+# archetypes
 # ---------------------------------------------------------------------------
 
 
 def test_archetype_attribute_sets():
-    assert len(ARCHETYPE_ATTRIBUTES[Archetype.DEMOGRAPHIC]) == 6
-    assert len(ARCHETYPE_ATTRIBUTES[Archetype.HEALTHCARE]) == 5
-    assert len(ARCHETYPE_ATTRIBUTES[Archetype.CONSENT_WITNESS]) == 7
+    assert len(ARCHETYPE_ATTRIBUTES["Demographic"]) == 6
+    assert len(ARCHETYPE_ATTRIBUTES["Healthcare"]) == 5
+    assert len(ARCHETYPE_ATTRIBUTES["ConsentWitness"]) == 7
     catalog = default_catalog()
     for names in ARCHETYPE_ATTRIBUTES.values():
         for name in names:
             assert catalog.has_name(name)
-
-
-def test_archetype_tokens():
-    assert Archetype.from_token("Demographic") is Archetype.DEMOGRAPHIC
-    with pytest.raises(BenchError):
-        Archetype.from_token("Romantic")
-    assert ARCHETYPE_LABELS[Archetype.CONSENT_WITNESS] == "Consent Witness"
-
-
-def test_spec_requires_positive_trials():
-    with pytest.raises(BenchError):
-        BenchSpec(archetype=Archetype.DEMOGRAPHIC, trials=0)
-
-
-# ---------------------------------------------------------------------------
-# predicate sequences
-# ---------------------------------------------------------------------------
-
-
-def test_predicate_sequence_is_reproducible():
-    spec = BenchSpec(archetype=Archetype.HEALTHCARE, trials=50, seed=9)
-    ids = list(range(1, 11))
-    first = predicate_sequence(spec, ids)
-    second = predicate_sequence(spec, ids)
-    assert first == second
-    assert len(first) == 50
-    assert set(first) <= set(ids)
-
-
-def test_predicate_sequence_varies_with_seed_and_archetype():
-    ids = list(range(1, 11))
-    base = predicate_sequence(
-        BenchSpec(archetype=Archetype.HEALTHCARE, trials=40, seed=0), ids
-    )
-    other_seed = predicate_sequence(
-        BenchSpec(archetype=Archetype.HEALTHCARE, trials=40, seed=1), ids
-    )
-    other_arch = predicate_sequence(
-        BenchSpec(archetype=Archetype.DEMOGRAPHIC, trials=40, seed=0), ids
-    )
-    assert base != other_seed
-    assert base != other_arch
-
-
-def test_predicate_sequence_requires_providers():
-    with pytest.raises(EmptyInput):
-        predicate_sequence(BenchSpec(archetype=Archetype.DEMOGRAPHIC), [])
-
-
-# ---------------------------------------------------------------------------
-# running
-# ---------------------------------------------------------------------------
-
-
-def test_run_bench_samples_and_ops(bench_engine):
-    spec = BenchSpec(archetype=Archetype.HEALTHCARE, trials=6, seed=2)
-    result = run_bench(bench_engine, spec, BENCH_ACCESSOR_ID, BENCH_PURPOSE)
-    assert result.row.label == "Healthcare"
-    assert len(result.samples) == 6
-    expected_lineages = len(ARCHETYPE_ATTRIBUTES[Archetype.HEALTHCARE])
-    for sample in result.samples:
-        assert sample.lineages == expected_lineages
-        assert sample.private_ms > 0
-        assert sample.native_ms >= 0
-        assert sample.native_ops.selects == 1
-        assert sample.private_ops.selects == 1
-        assert sample.private_ops.ledger_reads == expected_lineages
-        assert sample.private_ops.hash_verifications == expected_lineages
-        assert sample.native_ops.ledger_reads == 0
-        assert sample.native_ops.hash_verifications == 0
-
-
-def test_run_bench_provider_sequence_is_seeded(bench_engine):
-    spec = BenchSpec(archetype=Archetype.DEMOGRAPHIC, trials=5, seed=4)
-    first = run_bench(bench_engine, spec, BENCH_ACCESSOR_ID, BENCH_PURPOSE)
-    second = run_bench(bench_engine, spec, BENCH_ACCESSOR_ID, BENCH_PURPOSE)
-    assert [s.provider_id for s in first.samples] == [
-        s.provider_id for s in second.samples
-    ]
-
-
-def test_run_bench_propagates_aborts(tmp_path):
-    engine = make_engine(tmp_path, hash_cost=8)
-    install_archetype_fixture(engine, 1, seed=0, archetypes=[Archetype.DEMOGRAPHIC])
-    # Push the store one version ahead of the ledger on one lineage.
-    lineage = (1, engine.store.catalog.by_name("city").attribute_id, BENCH_ACCESSOR_ID)
-    latest = engine.store.latest_tuple_instance(lineage)
-    ahead = bind_tuple(
-        1,
-        engine.store.catalog.by_id(lineage[1]),
-        latest.privacy_tuple.prefs,
-        latest.privacy_tuple.accessor,
-        prior_version=latest.version,
-    )
-    engine.store.put_tuple_instance(
-        TupleInstance(ahead, latest.hash_record, latest.stream, latest.seq)
-    )
-    spec = BenchSpec(archetype=Archetype.DEMOGRAPHIC, trials=2, seed=0)
-    with pytest.raises(BenchError, match="Aborted"):
-        run_bench(engine, spec, BENCH_ACCESSOR_ID, BENCH_PURPOSE)
-    engine.close()
 
 
 # ---------------------------------------------------------------------------

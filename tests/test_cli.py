@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import privledger
 from privledger.cli import main
 from privledger.engine import DATA_DIR_ENV
 
@@ -375,6 +379,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_config_file_duplicate_key(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    config = tmp_path / "dup.conf"
+    config.write_text(f"data_dir = {first}\nhash_cost = 8\ndata_dir = {second}\n")
+    code, out, err = run(capsys, "--config", str(config), "init")
+    assert code == 1
+    assert "line 3: duplicate key 'data_dir'" in err
+    assert not first.exists() and not second.exists()
+
+
 def test_env_var_selects_data_dir(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env-data"
     monkeypatch.setenv(DATA_DIR_ENV, str(target))
@@ -502,62 +516,38 @@ def test_policy_attribute_flag_must_match_file(demo_dir, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench command
+# removed commands and the import graph
 # ---------------------------------------------------------------------------
 
 
-def test_bench_runs_and_reuses_fixture(tmp_path, capsys):
-    data_dir = tmp_path / "bench-data"
-    config = tmp_path / "bench.conf"
-    config.write_text(
-        f"data_dir = {data_dir}\nhash_cost = 8\n"
-    )
-    out_path = tmp_path / "rows.jsonl"
-    args = [
-        "--config", str(config), "bench", "--archetype", "Demographic",
-        "--trials", "2", "--providers", "3", "--seed", "1", "--out", str(out_path),
+def test_bench_subcommand_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "--data-dir", str(tmp_path), "bench", "--trials", "2")
+    assert code == 2
+    assert "invalid choice: 'bench'" in err
+    assert not (tmp_path / "ledger.db").exists()
+
+
+def test_cli_imports_only_core_modules():
+    """The query path loads no benchmark or fixture code."""
+    src = Path(privledger.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import privledger.cli, sys; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('privledger'))))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert loaded == [
+        "privledger",
+        *(
+            f"privledger.{name}"
+            for name in ("cli", "engine", "ledger", "mediator", "policy", "store", "tuples")
+        ),
     ]
-    code, out, err = run(capsys, *args)
-    assert code == 0
-    assert "Queries" in out and "Demographic" in out and "All Queries" in out
-    fixture_dir = data_dir / "bench-n3-s1"
-    assert (fixture_dir / "ledger.db").exists()
-    rows = [json.loads(line) for line in out_path.read_text().splitlines()]
-    assert [r["label"] for r in rows] == ["Demographic", "All Queries"]
-
-    # Second run opens the sealed fixture instead of rebuilding it.
-    ledger_before = (fixture_dir / "ledger.db").read_bytes()
-    code, out, err = run(capsys, *args)
-    assert code == 0
-    assert (fixture_dir / "ledger.db").read_bytes() == ledger_before
-
-
-def test_bench_rejects_zero_trials(tmp_path, capsys):
-    config = tmp_path / "bench.conf"
-    config.write_text(
-        f"data_dir = {tmp_path / 'bench-data'}\nhash_cost = 8\n"
-    )
-    code, out, err = run(
-        capsys, "--config", str(config), "bench",
-        "--archetype", "Healthcare", "--trials", "0", "--providers", "3",
-    )
-    assert code == 1
-    assert "trials must be a positive integer" in err
-
-
-def test_bench_json_rows(tmp_path, capsys):
-    data_dir = tmp_path / "bench-data"
-    config = tmp_path / "bench.conf"
-    config.write_text(
-        f"data_dir = {data_dir}\nhash_cost = 8\n"
-    )
-    code, out, err = run(
-        capsys, "--json", "--config", str(config), "bench",
-        "--archetype", "Healthcare", "--trials", "2", "--providers", "3",
-    )
-    assert code == 0
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert rows[0]["record"] == "bench"
-    assert rows[-1]["label"] == "All Queries"
-    for row in rows:
-        assert row["private_ms"] > 0

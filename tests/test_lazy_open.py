@@ -8,16 +8,18 @@ import json
 
 import pytest
 
-from helpers import make_accessor, make_engine, make_prefs
-from privledger import tuples
-from privledger.engine import Engine
-from privledger.fixtures import (
+from helpers import (
     BENCH_ACCESSOR_ID,
     DEMO_ACCESSOR_ID,
     DEMO_PROVIDER_ID,
     install_archetype_fixture,
     install_demo_fixture,
+    make_accessor,
+    make_engine,
+    make_prefs,
 )
+from privledger import tuples
+from privledger.engine import Engine
 from privledger.mediator import INTEGRITY_ABORT, MediationStatus, QueryRequest
 from privledger.store import (
     AuthenticationFailed,

@@ -7,15 +7,15 @@ import json
 
 import pytest
 
-from helpers import make_engine
-from privledger.engine import Engine
-from privledger.fixtures import (
+from helpers import (
     BENCH_ACCESSOR_ID,
     DEMO_ACCESSOR_ID,
     DEMO_PROVIDER_ID,
     install_archetype_fixture,
     install_demo_fixture,
+    make_engine,
 )
+from privledger.engine import Engine
 from privledger.mediator import (
     INTEGRITY_ABORT,
     NO_PUBLISHED_POLICY,

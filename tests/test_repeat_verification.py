@@ -9,10 +9,15 @@ import json
 
 import pytest
 
-from helpers import make_engine, make_prefs
+from helpers import (
+    BENCH_ACCESSOR_ID,
+    BENCH_PURPOSE,
+    install_archetype_fixture,
+    make_engine,
+    make_prefs,
+)
 from privledger import store, tuples
 from privledger.engine import Engine
-from privledger.fixtures import BENCH_ACCESSOR_ID, BENCH_PURPOSE, install_archetype_fixture
 from privledger.mediator import INTEGRITY_ABORT, WITHHELD, MediationStatus, QueryRequest
 from privledger.policy import PurposeMode
 from privledger.tuples import canonical_encode
