@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from .engine import (
@@ -192,7 +191,7 @@ def resolve_config(args) -> EngineConfig:
     else:
         config = EngineConfig(data_dir=Path(DEFAULT_DATA_DIR))
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
-    return replace(config, data_dir=data_dir) if data_dir else config
+    return EngineConfig(data_dir, config.hash_cost) if data_dir else config
 
 
 def _parse_assignments(pairs, what: str) -> dict:

@@ -12,12 +12,12 @@ behind the store.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .ledger import Ledger, stream_name_for
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
-from .policy import AccessorProfile, PreferenceSet, parse_decimal
+from .policy import AccessorProfile, PreferenceSet, Record, parse_decimal
 from .store import ProviderRecord, Store, TupleInstance
 from .tuples import (
     DEFAULT_COST,
@@ -51,15 +51,14 @@ LEDGER_FILE = "ledger.db"
 _CONFIG_KEYS = {"data_dir", "hash_cost"}
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    data_dir: Path
-    hash_cost: int = DEFAULT_COST
+class EngineConfig(Record):
+    _fields = ("data_dir", "hash_cost")
 
-    def __post_init__(self):
-        object.__setattr__(self, "data_dir", Path(self.data_dir))
-        if not MIN_COST <= self.hash_cost <= MAX_COST:
-            raise ConfigError(f"hash_cost out of range: {self.hash_cost}")
+    def __init__(self, data_dir, hash_cost: int = DEFAULT_COST):
+        data_dir = Path(data_dir)
+        if not MIN_COST <= hash_cost <= MAX_COST:
+            raise ConfigError(f"hash_cost out of range: {hash_cost}")
+        self._set(data_dir=data_dir, hash_cost=hash_cost)
 
     @property
     def ledger_file(self) -> Path:
@@ -84,15 +83,14 @@ class EngineConfig:
             values[key] = value.strip()
         if "data_dir" not in values:
             raise ConfigError("config must set data_dir")
-        config = cls(data_dir=Path(values["data_dir"]))
+        cost = DEFAULT_COST
         if "hash_cost" in values:
             cost = parse_decimal(values["hash_cost"])
             if cost is None:
                 raise ConfigError(
                     f"hash_cost must be an integer, got {values['hash_cost']!r}"
                 )
-            config = replace(config, hash_cost=cost)
-        return config
+        return cls(values["data_dir"], cost)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +110,7 @@ def publish_key(version: int) -> str:
     return f"key{16 + min(version, 2)}"
 
 
-@dataclass(frozen=True)
-class PolicyPublication:
+class PolicyPublication(NamedTuple):
     stream: str
     seq: int
     version: int

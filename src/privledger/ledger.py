@@ -14,16 +14,16 @@ for byte), so verification rejects any byte that deviates from what the
 chain digests committed to without re-rendering anything.
 
 Opening and chain verification share one field check: one compiled line
-pattern plus the calendar validity of each timestamp.  Opening also
-checks the continuity of each seq and indexes streams from the matched
-fields.  The index is one Stream per creation record, holding the seqs
-of the stream's transaction items in order; a transaction record that
-precedes its stream's creation record is not indexed, so a stream's
-item count, listing and latest item always agree.
-Open keeps each record as its raw line and builds the StreamItem only
-when something reads that item, caching it in place; because open
-already checked every field, that later build cannot fail.  Open does
-not re-derive digests; chain verification does.
+pattern plus the calendar validity of each timestamp.  Opening runs it as
+one pass over the file's text, checks the continuity of each seq and
+indexes streams from the matched fields.  The index is one Stream per
+creation record, holding the seqs of the stream's transaction items in
+order; a transaction record that precedes its stream's creation record
+is not indexed, so a stream's item count, listing and latest item always
+agree.  Open keeps the text and each record's offset into it, and builds
+the StreamItem only when something reads that item, caching it in
+place; because open already checked every field, that later build cannot
+fail.  Open does not re-derive digests; chain verification does.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import datetime as dt
 import hashlib
 import re
 import secrets
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 
 class LedgerError(Exception):
@@ -104,8 +104,11 @@ _LINE_FIELDS = (
     ("confirmation flag", r"true|false"),
 )
 _LINE_RE = re.compile("\t".join(f"({rule})" for _, rule in _LINE_FIELDS))
+# The same record as one line of the file's bytes: no field rule admits a
+# newline or a byte outside ASCII.
+_RECORD_RE = re.compile(_LINE_RE.pattern.encode("ascii") + rb"(?:\n|\Z)")
 _FIELD_RES = tuple((name, re.compile(rule)) for name, rule in _LINE_FIELDS)
-_ADMIN_PAYLOAD_HEX = ADMIN_PAYLOAD.hex()
+_ADMIN_PAYLOAD_HEX = ADMIN_PAYLOAD.hex().encode("ascii")
 
 
 def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> str:
@@ -154,8 +157,7 @@ def system_clock() -> dt.datetime:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StreamItem:
+class StreamItem(NamedTuple):
     seq: int
     stream: str
     key: str
@@ -171,11 +173,13 @@ class StreamItem:
         return self.key == "" and self.payload == ADMIN_PAYLOAD
 
 
-@dataclass
 class Stream:
-    name: str
-    created_by: str
-    seqs: list[int] = field(default_factory=list)  # transaction items, ascending
+    __slots__ = ("name", "created_by", "seqs")
+
+    def __init__(self, name: str, created_by: str):
+        self.name = name
+        self.created_by = created_by
+        self.seqs: list[int] = []  # transaction items, ascending
 
     @property
     def item_count(self) -> int:
@@ -277,8 +281,7 @@ def _parse_line(line: str) -> StreamItem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     intact: bool
     first_bad_seq: int | None
     records: int
@@ -368,8 +371,10 @@ class Ledger:
     def __init__(self, path, clock=None, publisher: str | None = None, create: bool = False):
         self._path = Path(path)
         self._clock = clock or system_clock
-        # The entry at each seq is the raw record line until the item is read.
-        self._items: list[StreamItem | str] = []
+        # The entry at each seq is the offset of its record in the bytes open
+        # read, until the item is read.
+        self._items: list[StreamItem | int] = []
+        self._data = b""
         self._streams: dict[str, Stream] = {}
         self._handle = None
         if create:
@@ -393,42 +398,50 @@ class Ledger:
             self._handle = None
 
     def _load(self):
-        # A byte that is not UTF-8 decodes to U+FFFD, which no field rule
-        # admits, so it fails like any other corrupt record.
-        with open(self._path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-            lines = fh.read().split("\n")
-        if lines[-1] == "":  # after the final newline; any other is corrupt
-            lines.pop()
+        data = self._path.read_bytes()
         items = self._items
-        valid_dates: set[str] = set()
-        for index, raw in enumerate(lines):
-            try:
-                match = _check_line(raw, valid_dates)
-            except ValueError as exc:
-                raise LedgerError(
-                    f"corrupt ledger record at position {index}: {exc}; "
-                    "run chain verification"
-                ) from None
-            seq, stream, key, publisher = match.group(1, 2, 3, 4)
-            seq = int(seq)
-            if seq != len(items):
-                raise LedgerError(
-                    f"ledger sequence discontinuity at position {index}; "
-                    "run chain verification"
-                )
-            items.append(raw)
-            is_admin = key == "" and match[6] == _ADMIN_PAYLOAD_HEX
-            self._index(seq, stream, publisher, is_admin)
+        streams: dict[bytes, Stream] = {}  # by name, as the pass reads it
+        valid_dates: set[bytes] = set()
+        end = 0
+        try:
+            for match in _RECORD_RE.finditer(data):
+                seq, stream, key, ts_text, payload = match.group(1, 2, 3, 5, 6)
+                if match.start() != end or len(payload) % 2:
+                    break
+                if ts_text[:10] not in valid_dates:
+                    _parse_ts(ts_text.decode("ascii"))
+                    valid_dates.add(ts_text[:10])
+                index = len(items)
+                if int(seq) != index:
+                    raise LedgerError(
+                        f"ledger sequence discontinuity at position {index}; "
+                        "run chain verification"
+                    )
+                items.append(end)
+                if not key and payload == _ADMIN_PAYLOAD_HEX:
+                    name = stream.decode("ascii")
+                    created = Stream(name, match[4].decode("ascii"))
+                    streams[stream] = self._streams[name] = created
+                else:
+                    target = streams.get(stream)
+                    if target is not None:
+                        target.seqs.append(index)
+                end = match.end()
+            if end < len(data):
+                # The pass stopped at a record the field check refuses.  A
+                # byte that is not UTF-8 reads as U+FFFD, which no field
+                # rule admits.
+                line = data[end:].partition(b"\n")[0]
+                _check_line(line.decode("utf-8", errors="replace"), set())
+                raise ValueError("malformed record")
+        except ValueError as exc:
+            raise LedgerError(
+                f"corrupt ledger record at position {len(items)}: {exc}; "
+                "run chain verification"
+            ) from None
+        self._data = data
         if ROOT_STREAM not in self._streams:
             raise LedgerError("ledger has no root stream")
-
-    def _index(self, seq: int, stream: str, publisher: str, is_admin: bool):
-        if is_admin:
-            self._streams[stream] = Stream(name=stream, created_by=publisher)
-        else:
-            target = self._streams.get(stream)
-            if target is not None:
-                target.seqs.append(seq)
 
     # -- writing ------------------------------------------------------------
 
@@ -460,14 +473,14 @@ class Ledger:
         self._handle.write(_render_line(item) + "\n")
         self._handle.flush()
         self._items.append(item)
-        self._index(seq, stream, self._publisher, item.is_admin)
         return item
 
     def _register_stream(self, name: str) -> Stream:
         if name in self._streams:
             raise DuplicateStream(f"stream already exists: {name}")
         self._append(name, "", ADMIN_PAYLOAD)
-        return self._streams[name]
+        created = self._streams[name] = Stream(name, self._publisher)
+        return created
 
     def create_stream(self, name: str) -> Stream:
         """Create a named stream by appending its administrative item."""
@@ -493,7 +506,9 @@ class Ledger:
             raise LedgerError("payload must be bytes")
         if payload == ADMIN_PAYLOAD:
             raise ReservedPayload("payload value is reserved for stream creation")
-        return self._append(stream, key, payload)
+        item = self._append(stream, key, payload)
+        target.seqs.append(item.seq)
+        return item
 
     # -- reading ------------------------------------------------------------
 
@@ -547,20 +562,27 @@ class Ledger:
             entry = self._items[seq]
         except IndexError:
             raise LedgerError(f"no item at seq {seq}") from None
-        if isinstance(entry, str):
-            entry = self._items[seq] = _parse_line(entry)
+        if isinstance(entry, int):
+            entry = self._items[seq] = _parse_line(self._line(entry))
         return entry
+
+    def _line(self, start: int) -> str:
+        """The record line at an offset into the bytes open read."""
+        end = self._data.find(b"\n", start)
+        return self._data[start : None if end < 0 else end].decode("ascii")
 
     # -- verification -------------------------------------------------------
 
     def verify_chain(self) -> ChainReport:
         """Verify the persisted file against itself and the in-memory chain.
 
-        A record not read yet gives its digest field from the raw line
-        open checked, so no item is built.
+        A record not read yet gives its digest field from the line open
+        checked, so no item is built.
         """
         expected = [
-            entry.rsplit("\t", 2)[1] if isinstance(entry, str) else entry.item_digest.hex()
+            self._line(entry).rsplit("\t", 2)[1]
+            if isinstance(entry, int)
+            else entry.item_digest.hex()
             for entry in self._items
         ]
         return _verify_digests(self._path.read_bytes(), expected)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import datetime as dt
 import time
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .ledger import EmptyStream, Ledger, UnknownStream, stream_name_for
-from .policy import GranularityMode, apply_granularity, evaluate_access
+from .policy import GranularityMode, Record, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
 from .tuples import MalformedRecord, verify_hash
 
@@ -47,8 +47,7 @@ VERIFIED_NO_POLICY = "no-policy"
 PROVIDER_ID = "provider_id"  # the one conjunct name that is not an attribute
 
 
-@dataclass(frozen=True)
-class Lineage:
+class Lineage(NamedTuple):
     provider_id: int
     attribute_id: int
     accessor_id: int
@@ -62,54 +61,73 @@ class Lineage:
         return (self.provider_id, self.attribute_id, self.accessor_id)
 
 
-@dataclass(frozen=True)
-class QueryRequest:
-    accessor_id: int
-    requested_purpose: str
-    attributes: tuple[str, ...]
-    predicate: dict = field(default_factory=dict)
-    provider_id: int | None = None  # None means every provider
+class QueryRequest(Record):
+    _fields = ("accessor_id", "requested_purpose", "attributes", "predicate", "provider_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        if not self.attributes:
+    def __init__(
+        self,
+        accessor_id: int,
+        requested_purpose: str,
+        attributes,
+        predicate: dict | None = None,
+        provider_id: int | None = None,  # None means every provider
+    ):
+        attributes = tuple(attributes)
+        if not attributes:
             raise ValueError("a query must request at least one attribute")
-        if len(set(self.attributes)) != len(self.attributes):
+        if len(set(attributes)) != len(attributes):
             raise ValueError("requested attributes must be distinct")
+        self._set(
+            accessor_id=accessor_id,
+            requested_purpose=requested_purpose,
+            attributes=attributes,
+            predicate={} if predicate is None else predicate,
+            provider_id=provider_id,
+        )
 
 
-@dataclass(frozen=True)
-class VerificationEntry:
+class VerificationEntry(NamedTuple):
     lineage: Lineage
     seq: int | None
     verified: bool
     note: str  # ok | mismatch | no-policy
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     provider_id: int
     cells: tuple
 
 
-@dataclass(frozen=True)
-class Timing:
+class Timing(NamedTuple):
     native_ms: float
     total_ms: float
 
 
-@dataclass
 class OpCounters:
     """Instrumented operation counts for one query execution."""
 
-    ledger_reads: int = 0
-    hash_verifications: int = 0
-    policy_evaluations: int = 0
-    selects: int = 0
+    __slots__ = ("ledger_reads", "hash_verifications", "policy_evaluations", "selects")
+
+    def __init__(self):
+        self.ledger_reads = 0
+        self.hash_verifications = 0
+        self.policy_evaluations = 0
+        self.selects = 0
+
+    def _values(self) -> tuple[int, int, int, int]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"OpCounters({counts})"
 
 
-@dataclass(frozen=True)
-class MediationResult:
+class MediationResult(NamedTuple):
     status: MediationStatus
     columns: tuple[str, ...]
     rows: tuple[ResultRow, ...]
@@ -119,8 +137,7 @@ class MediationResult:
     ops: OpCounters
 
 
-@dataclass(frozen=True)
-class NativeResult:
+class NativeResult(NamedTuple):
     columns: tuple[str, ...]
     rows: tuple[ResultRow, ...]
     duration_ms: float
@@ -134,15 +151,25 @@ def _projection(columns, predicate: dict) -> list[str]:
     return [*columns, *(name for name in filtered if name not in columns)]
 
 
-def _conjuncts_hold(predicate: dict, provider_id: int, values: dict, readable) -> bool:
-    """Whether a row meets every conjunct.  Outside a provider_id conjunct
-    the stored value is compared only where readable(provider_id, name)
-    holds; elsewhere the cell is NULL and the conjunct fails."""
+def _conjuncts(predicate: dict, names: list[str]) -> list[tuple[str, int | None, object]]:
+    """Each conjunct as (name, position of its column in names, wanted
+    value); a provider_id conjunct has no column."""
+    return [
+        (name, None if name == PROVIDER_ID else names.index(name), wanted)
+        for name, wanted in predicate.items()
+    ]
+
+
+def _conjuncts_hold(conjuncts, provider_id: int, values: list, readable) -> bool:
+    """Whether a projected row meets every conjunct.  Outside a provider_id
+    conjunct the stored value is compared only where
+    readable(provider_id, name) holds; elsewhere the cell is NULL and the
+    conjunct fails."""
     return all(
         provider_id == wanted
-        if name == PROVIDER_ID
-        else readable(provider_id, name) and values[name] == wanted
-        for name, wanted in predicate.items()
+        if position is None
+        else readable(provider_id, name) and values[position] == wanted
+        for name, position, wanted in conjuncts
     )
 
 
@@ -292,15 +319,20 @@ class Mediator:
             def specific(provider_id: int, name: str) -> bool:
                 return granted.get((provider_id, name)) is GranularityMode.SPECIFIC
 
+            conjuncts = _conjuncts(request.predicate, names)
+            # Each requested column with its position in the projection.
+            positions = [
+                (name, names.index(name) if name in names else None)
+                for name in request.attributes
+            ]
             for provider_id, values in raw:
-                by_name = dict(zip(names, values))
-                if not _conjuncts_hold(request.predicate, provider_id, by_name, specific):
+                if not _conjuncts_hold(conjuncts, provider_id, values, specific):
                     continue
                 cells = []
-                for name in request.attributes:
+                for name, position in positions:
                     mode = granted.get((provider_id, name))
-                    if name in by_name and mode is not None:
-                        cells.append(apply_granularity(by_name[name], mode))
+                    if position is not None and mode is not None:
+                        cells.append(apply_granularity(values[position], mode))
                     else:
                         cells.append(WITHHELD)
                 rows.append(ResultRow(provider_id, tuple(cells)))
@@ -330,12 +362,11 @@ class Mediator:
         raw = self._store.select_rows(names, request.provider_id)
         ops.selects += 1
         width = len(request.attributes)
+        conjuncts = _conjuncts(request.predicate, names)
         rows = tuple(
             ResultRow(provider_id, tuple(values[:width]))
             for provider_id, values in raw
-            if _conjuncts_hold(
-                request.predicate, provider_id, dict(zip(names, values)), lambda *_: True
-            )
+            if _conjuncts_hold(conjuncts, provider_id, values, lambda *_: True)
         )
         duration = (time.perf_counter() - started) * 1000.0
         return NativeResult(

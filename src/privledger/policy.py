@@ -11,12 +11,49 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 
 class PolicyError(ValueError):
     """Malformed policy data or policy document."""
+
+
+class Record:
+    """An immutable record, compared, hashed and shown by its fields.
+
+    A plain base class: @dataclass would generate and compile methods for
+    every record class at import, in every process.  A subclass names its
+    fields in _fields, in constructor order, and sets them once in
+    __init__ through _set, after its checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values):
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +152,24 @@ class DenialReason(_TokenEnum):
 _NORM_KEYS = ("who", "when", "why", "where", "how")
 
 
-@dataclass(frozen=True)
-class ContextualNorms:
+class ContextualNorms(Record):
     """Free-text transmission context.  Every field is optional."""
 
-    who: str | None = None
-    when: str | None = None
-    why: str | None = None
-    where: str | None = None
-    how: str | None = None
+    _fields = _NORM_KEYS
 
-    def __post_init__(self):
-        for key in _NORM_KEYS:
-            value = getattr(self, key)
+    def __init__(
+        self,
+        who: str | None = None,
+        when: str | None = None,
+        why: str | None = None,
+        where: str | None = None,
+        how: str | None = None,
+    ):
+        values = {"who": who, "when": when, "why": why, "where": where, "how": how}
+        for key, value in values.items():
             if value is not None and not isinstance(value, str):
                 raise PolicyError(f"norm {key!r} must be text or absent")
+        self._set(**values)
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _NORM_KEYS}
@@ -141,17 +181,22 @@ class ContextualNorms:
         return cls(**{key: data[key] for key in _NORM_KEYS})
 
 
-@dataclass(frozen=True)
-class PurposePolicy:
-    mode: PurposeMode
-    declared_purpose: str
-    norms: ContextualNorms = field(default_factory=ContextualNorms)
+class PurposePolicy(Record):
+    _fields = ("mode", "declared_purpose", "norms")
 
-    def __post_init__(self):
-        if not isinstance(self.mode, PurposeMode):
+    def __init__(
+        self,
+        mode: PurposeMode,
+        declared_purpose: str,
+        norms: ContextualNorms | None = None,
+    ):
+        if not isinstance(mode, PurposeMode):
             raise PolicyError("purpose mode must be a PurposeMode")
-        if not self.declared_purpose:
+        if not declared_purpose:
             raise PolicyError("declared purpose must be non-empty")
+        if norms is None:
+            norms = ContextualNorms()
+        self._set(mode=mode, declared_purpose=declared_purpose, norms=norms)
 
     def to_dict(self) -> dict:
         return {
@@ -171,19 +216,18 @@ class PurposePolicy:
         )
 
 
-@dataclass(frozen=True)
-class VisibilityPolicy:
-    scope: VisibilityScope
-    allowed_roles: frozenset[AccessorRole]
+class VisibilityPolicy(Record):
+    _fields = ("scope", "allowed_roles")
 
-    def __post_init__(self):
-        if not isinstance(self.scope, VisibilityScope):
+    def __init__(self, scope: VisibilityScope, allowed_roles):
+        if not isinstance(scope, VisibilityScope):
             raise PolicyError("visibility scope must be a VisibilityScope")
-        object.__setattr__(self, "allowed_roles", frozenset(self.allowed_roles))
-        if not self.allowed_roles:
+        allowed_roles = frozenset(allowed_roles)
+        if not allowed_roles:
             raise PolicyError("allowed roles must be non-empty")
-        if self.scope is VisibilityScope.HOUSE and self.allowed_roles & THIRD_PARTY_ROLES:
+        if scope is VisibilityScope.HOUSE and allowed_roles & THIRD_PARTY_ROLES:
             raise PolicyError("House visibility cannot include third-party roles")
+        self._set(scope=scope, allowed_roles=allowed_roles)
 
     def to_dict(self) -> dict:
         return {
@@ -203,29 +247,28 @@ class VisibilityPolicy:
         )
 
 
-@dataclass(frozen=True)
-class GranularityPolicy:
+class GranularityPolicy(Record):
     """Exactly one disclosure granularity per attribute policy."""
 
-    mode: GranularityMode
+    _fields = ("mode",)
 
-    def __post_init__(self):
-        if not isinstance(self.mode, GranularityMode):
+    def __init__(self, mode: GranularityMode):
+        if not isinstance(mode, GranularityMode):
             raise PolicyError("granularity mode must be a GranularityMode")
+        self._set(mode=mode)
 
 
-@dataclass(frozen=True)
-class RetentionPolicy:
-    effective_date: dt.date
-    duration_days: int  # 0 means indefinite
+class RetentionPolicy(Record):
+    _fields = ("effective_date", "duration_days")
 
-    def __post_init__(self):
-        if not isinstance(self.effective_date, dt.date) or isinstance(
-            self.effective_date, dt.datetime
+    def __init__(self, effective_date: dt.date, duration_days: int):  # 0 days: indefinite
+        if not isinstance(effective_date, dt.date) or isinstance(
+            effective_date, dt.datetime
         ):
             raise PolicyError("effective date must be a calendar date")
-        if not isinstance(self.duration_days, int) or self.duration_days < 0:
+        if not isinstance(duration_days, int) or duration_days < 0:
             raise PolicyError("duration days must be a non-negative integer")
+        self._set(effective_date=effective_date, duration_days=duration_days)
 
     def to_dict(self) -> dict:
         return {
@@ -244,27 +287,43 @@ class RetentionPolicy:
         return cls(effective_date=effective, duration_days=data["duration_days"])
 
 
-@dataclass(frozen=True)
-class PreferenceSet:
+class PreferenceSet(Record):
     """Complete per-attribute privacy preferences of one data provider."""
 
-    attribute_id: int
-    sensitivity: Sensitivity
-    purpose: PurposePolicy
-    visibility: VisibilityPolicy
-    granularity: GranularityPolicy
-    retention: RetentionPolicy
-    third_party_accessors: frozenset[AccessorRole] = frozenset()
+    _fields = (
+        "attribute_id",
+        "sensitivity",
+        "purpose",
+        "visibility",
+        "granularity",
+        "retention",
+        "third_party_accessors",
+    )
 
-    def __post_init__(self):
-        if not isinstance(self.attribute_id, int) or self.attribute_id < 1:
+    def __init__(
+        self,
+        attribute_id: int,
+        sensitivity: Sensitivity,
+        purpose: PurposePolicy,
+        visibility: VisibilityPolicy,
+        granularity: GranularityPolicy,
+        retention: RetentionPolicy,
+        third_party_accessors=frozenset(),
+    ):
+        if not isinstance(attribute_id, int) or attribute_id < 1:
             raise PolicyError("attribute id must be a positive integer")
-        if not isinstance(self.sensitivity, Sensitivity):
+        if not isinstance(sensitivity, Sensitivity):
             raise PolicyError("sensitivity must be a Sensitivity level")
-        if not isinstance(self.granularity, GranularityPolicy):
+        if not isinstance(granularity, GranularityPolicy):
             raise PolicyError("granularity must be a GranularityPolicy")
-        object.__setattr__(
-            self, "third_party_accessors", frozenset(self.third_party_accessors)
+        self._set(
+            attribute_id=attribute_id,
+            sensitivity=sensitivity,
+            purpose=purpose,
+            visibility=visibility,
+            granularity=granularity,
+            retention=retention,
+            third_party_accessors=frozenset(third_party_accessors),
         )
 
     def to_dict(self) -> dict:
@@ -308,21 +367,19 @@ class PreferenceSet:
         )
 
 
-@dataclass(frozen=True)
-class AccessorProfile:
+class AccessorProfile(Record):
     """An accessor identity with its maximum readable sensitivity."""
 
-    accessor_id: int
-    role: AccessorRole
-    permission_level: Sensitivity
+    _fields = ("accessor_id", "role", "permission_level")
 
-    def __post_init__(self):
-        if not isinstance(self.accessor_id, int) or self.accessor_id < 1:
+    def __init__(self, accessor_id: int, role: AccessorRole, permission_level: Sensitivity):
+        if not isinstance(accessor_id, int) or accessor_id < 1:
             raise PolicyError("accessor id must be a positive integer")
-        if not isinstance(self.role, AccessorRole):
+        if not isinstance(role, AccessorRole):
             raise PolicyError("role must be an AccessorRole")
-        if not isinstance(self.permission_level, Sensitivity):
+        if not isinstance(permission_level, Sensitivity):
             raise PolicyError("permission level must be a Sensitivity level")
+        self._set(accessor_id=accessor_id, role=role, permission_level=permission_level)
 
     def to_dict(self) -> dict:
         return {
@@ -347,8 +404,7 @@ class AccessorProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AccessDecision:
+class AccessDecision(NamedTuple):
     allowed: bool
     granularity: GranularityMode | None = None
     reason: DenialReason | None = None

@@ -7,13 +7,14 @@ atomically replace a family file (write temp, then rename); the files
 are the source of truth.
 
 Opening decodes every content and credential record.  Of policy.db it
-reads each line's lineage, ledger seq and tuple version with one
-anchored pattern and keeps only the latest raw line per lineage; a line
-the pattern rejects fails the open.  The latest tuple instance of a
-lineage is decoded on first touch and checked against those indexed
-fields; a record that fails either raises CorruptRecord.  Older versions
-stay on disk as history: policy.db is append-only, and no query reads
-them.
+reads each line's lineage, ledger seq and tuple version with one pass of
+one pattern over the file's text, and keeps that text with the place of
+the latest record per lineage; a non-blank line the pattern rejects, or
+a byte that is not UTF-8, fails the open naming its line.  The latest
+tuple instance of a lineage is decoded on first touch and checked
+against those indexed fields; a record that fails either raises
+CorruptRecord.  Older versions stay on disk as history: policy.db is
+append-only, and no query reads them.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .policy import AccessorProfile
+from .policy import AccessorProfile, Record
 from .tuples import (
     DEFAULT_COST,
     DIGEST_BYTES,
@@ -167,10 +167,11 @@ def default_catalog() -> Catalog:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProviderRecord:
-    provider_id: int
-    attributes: dict = field(default_factory=dict)
+class ProviderRecord(Record):
+    _fields = ("provider_id", "attributes")
+
+    def __init__(self, provider_id: int, attributes: dict | None = None):
+        self._set(provider_id=provider_id, attributes={} if attributes is None else attributes)
 
     def to_dict(self) -> dict:
         return {"provider_id": self.provider_id, "attributes": dict(self.attributes)}
@@ -180,14 +181,15 @@ class ProviderRecord:
         return cls(provider_id=data["provider_id"], attributes=data["attributes"])
 
 
-@dataclass(frozen=True)
-class TupleInstance:
+class TupleInstance(Record):
     """One stored tuple version with its published hash location."""
 
-    privacy_tuple: PrivacyTuple
-    hash_record: HashRecord
-    stream: str
-    seq: int
+    _fields = ("privacy_tuple", "hash_record", "stream", "seq")
+
+    def __init__(
+        self, privacy_tuple: PrivacyTuple, hash_record: HashRecord, stream: str, seq: int
+    ):
+        self._set(privacy_tuple=privacy_tuple, hash_record=hash_record, stream=stream, seq=seq)
 
     @cached_property
     def encoded(self) -> bytes:
@@ -224,8 +226,7 @@ class TupleInstance:
         )
 
 
-@dataclass(frozen=True)
-class Credential:
+class Credential(NamedTuple):
     login: str
     password_hash: HashRecord
     profile: AccessorProfile
@@ -257,21 +258,27 @@ FAMILY_FILES = (CREDENTIALS_FILE, POLICY_FILE, CONTENT_FILE)
 
 # A policy.db line is json.dumps(TupleInstance.to_dict(), sort_keys=True), so
 # it reads {"hash": ..., "seq": N, "stream": "stream-P-A-X", "tuple": {...}}
-# and the tuple's last key is its version.
+# and the tuple's last key is its version.  No part matches a newline.
 _POLICY_LINE_RE = re.compile(
-    r'\{"hash": "[^"\\]*(?:\\.[^"\\]*)*", "seq": (0|[1-9][0-9]*), '
+    r'\{"hash": "[^"\\\n]*(?:\\.[^"\\\n]*)*", "seq": (0|[1-9][0-9]*), '
     r'"stream": "stream-([1-9][0-9]*)-([1-9][0-9]*)-([1-9][0-9]*)", '
     r'"tuple": \{.*"version": (0|[1-9][0-9]*)\}\}'
+)
+# The same record as a whole line of the file's text, where reading line by
+# line strips the line's whitespace ([^\S\n]: whitespace but the newline).
+_POLICY_RECORD_RE = re.compile(
+    rf"^[^\S\n]*({_POLICY_LINE_RE.pattern})[^\S\n]*$", re.MULTILINE
 )
 
 
 class _RawRecord(NamedTuple):
-    """A latest policy line not yet decoded, with the fields open read."""
+    """A latest policy record not yet decoded: the fields open read and
+    where the record's text starts and ends in the policy.db text."""
 
     version: int
     seq: int
-    line: str
-    lineno: int
+    start: int
+    end: int
 
 
 def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
@@ -299,8 +306,10 @@ class Store:
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        # Latest policy version per lineage, raw until first touch.
+        # Latest policy version per lineage, raw until first touch, and the
+        # policy.db text the raw records point into.
         self._latest: dict[tuple[int, int, int], TupleInstance | _RawRecord] = {}
+        self._policy_text = ""
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         if create:
@@ -330,30 +339,65 @@ class Store:
     def _load(self):
         for _, _, record in self._read_records(CONTENT_FILE, _decode_provider):
             self._providers[record.provider_id] = record
-        for lineno, line, (lineage, version, seq) in self._read_records(
-            POLICY_FILE, _index_policy_line
-        ):
-            self._latest[lineage] = _RawRecord(version, seq, line, lineno)
+        self._index_policy()
         for _, _, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
             self._credentials[cred.login] = cred
             self._accessors[cred.profile.accessor_id] = cred
 
+    def _index_policy(self):
+        """Index policy.db in one pass over its text.
+
+        The pass accepts exactly the files _read_records with
+        _index_policy_line accepts: the same lines, split at the same line
+        ends, stripped of the same whitespace.  Where the pass stops short,
+        that per-line reading names the first line it refuses.
+        """
+        path = self._dir / POLICY_FILE
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            text = None
+        if text is not None:
+            latest = self._latest
+            end = 0
+            for match in _POLICY_RECORD_RE.finditer(text):
+                start = match.start()
+                # Between two records only the newline or blank lines.
+                if start - end > 1 and not text[end:start].isspace():
+                    break
+                seq, provider_id, attribute_id, accessor_id, version = map(
+                    int, match.group(2, 3, 4, 5, 6)
+                )
+                latest[(provider_id, attribute_id, accessor_id)] = _RawRecord(
+                    version, seq, *match.span(1)
+                )
+                end = match.end()
+            else:
+                if end == len(text) or text[end:].isspace():
+                    self._policy_text = text
+                    return
+        for _ in self._read_records(POLICY_FILE, _index_policy_line):
+            pass
+        raise StoreError(f"{path}: unreadable policy index")
+
     def _read_records(self, name: str, decode):
-        """(line number, line, decoded) per non-blank line; a line that
-        fails to decode raises StoreError naming the file and line."""
+        """(line number, line, decoded) per non-blank line; a line that is
+        not UTF-8 or fails to decode raises StoreError naming the file and
+        line."""
         path = self._dir / name
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        # Lines end as in a text-mode read: at \n, \r\n or \r.
+        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                try:
-                    record = decode(line)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise StoreError(
-                        f"{path} line {lineno}: unreadable record ({exc})"
-                    ) from None
-                yield lineno, line, record
+                record = decode(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StoreError(
+                    f"{path} line {lineno}: unreadable record ({exc})"
+                ) from None
+            yield lineno, line, record
 
     def _append_record(self, name: str, record: dict):
         with open(self._dir / name, "a", encoding="utf-8") as fh:
@@ -431,14 +475,22 @@ class Store:
         return held
 
     def _decode(self, lineage: tuple[int, int, int], raw: _RawRecord) -> TupleInstance:
-        where = f"{self._dir / POLICY_FILE} line {raw.lineno}"
+        text = self._policy_text
         try:
-            instance = TupleInstance.from_dict(json.loads(raw.line))
+            instance = TupleInstance.from_dict(json.loads(text[raw.start : raw.end]))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
+            raise CorruptRecord(
+                f"{self._where(raw)}: undecodable policy record ({exc})"
+            ) from None
         if (instance.lineage, instance.version, instance.seq) != (lineage, raw.version, raw.seq):
-            raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
+            raise CorruptRecord(
+                f"{self._where(raw)}: tuple disagrees with its stream, seq or version"
+            )
         return instance
+
+    def _where(self, raw: _RawRecord) -> str:
+        lineno = self._policy_text.count("\n", 0, raw.start) + 1
+        return f"{self._dir / POLICY_FILE} line {lineno}"
 
     def lineage_version(self, lineage: tuple[int, int, int]) -> int:
         held = self._latest.get(tuple(lineage))

@@ -15,10 +15,10 @@ import hmac
 import json
 import re
 import secrets
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .policy import AccessorProfile, PolicyError, PreferenceSet, Sensitivity
+from .policy import AccessorProfile, PolicyError, PreferenceSet, Record, Sensitivity
 
 
 class TupleError(ValueError):
@@ -66,24 +66,32 @@ class AttributeCategory(str, Enum):
             raise TupleError(f"unknown attribute category: {text!r}") from None
 
 
-@dataclass(frozen=True)
-class AttributeMeta:
+class AttributeMeta(Record):
     """Schema-level description of one provider attribute."""
 
-    attribute_id: int
-    name: str
-    category: AttributeCategory
-    sensitivity_hint: Sensitivity
+    _fields = ("attribute_id", "name", "category", "sensitivity_hint")
 
-    def __post_init__(self):
-        if not isinstance(self.attribute_id, int) or self.attribute_id < 1:
+    def __init__(
+        self,
+        attribute_id: int,
+        name: str,
+        category: AttributeCategory,
+        sensitivity_hint: Sensitivity,
+    ):
+        if not isinstance(attribute_id, int) or attribute_id < 1:
             raise TupleError("attribute id must be a positive integer")
-        if not self.name:
+        if not name:
             raise TupleError("attribute name must be non-empty")
-        if not isinstance(self.category, AttributeCategory):
+        if not isinstance(category, AttributeCategory):
             raise TupleError("category must be an AttributeCategory")
-        if not isinstance(self.sensitivity_hint, Sensitivity):
+        if not isinstance(sensitivity_hint, Sensitivity):
             raise TupleError("sensitivity hint must be a Sensitivity level")
+        self._set(
+            attribute_id=attribute_id,
+            name=name,
+            category=category,
+            sensitivity_hint=sensitivity_hint,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -110,24 +118,33 @@ class AttributeMeta:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrivacyTuple:
-    provider_id: int
-    attribute: AttributeMeta
-    prefs: PreferenceSet
-    accessor: AccessorProfile
-    version: int
+class PrivacyTuple(Record):
+    _fields = ("provider_id", "attribute", "prefs", "accessor", "version")
 
-    def __post_init__(self):
-        if not isinstance(self.provider_id, int) or self.provider_id < 1:
+    def __init__(
+        self,
+        provider_id: int,
+        attribute: AttributeMeta,
+        prefs: PreferenceSet,
+        accessor: AccessorProfile,
+        version: int,
+    ):
+        if not isinstance(provider_id, int) or provider_id < 1:
             raise TupleError("provider id must be a positive integer")
-        if self.prefs.attribute_id != self.attribute.attribute_id:
+        if prefs.attribute_id != attribute.attribute_id:
             raise MismatchedAttribute(
-                f"preferences target attribute {self.prefs.attribute_id}, "
-                f"tuple binds attribute {self.attribute.attribute_id}"
+                f"preferences target attribute {prefs.attribute_id}, "
+                f"tuple binds attribute {attribute.attribute_id}"
             )
-        if not isinstance(self.version, int) or self.version < 1:
+        if not isinstance(version, int) or version < 1:
             raise TupleError("version must be a positive integer")
+        self._set(
+            provider_id=provider_id,
+            attribute=attribute,
+            prefs=prefs,
+            accessor=accessor,
+            version=version,
+        )
 
     @property
     def lineage(self) -> tuple[int, int, int]:
@@ -242,8 +259,7 @@ _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 _COST_RE = re.compile(r"0|[1-9][0-9]*")
 
 
-@dataclass(frozen=True)
-class HashRecord:
+class HashRecord(NamedTuple):
     """Self-describing hash: algorithm, cost and salt travel with the digest."""
 
     algorithm_id: str
