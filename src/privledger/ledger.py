@@ -15,13 +15,13 @@ chain digests committed to without re-rendering anything.
 
 Opening and chain verification share one field check: one compiled line
 pattern plus the calendar validity of each timestamp.  Opening runs it as
-one pass over the file's text, checks the continuity of each seq and
+one pass over the file's bytes, checks the continuity of each seq and
 indexes streams from the matched fields.  The index is one Stream per
 creation record, holding the seqs of the stream's transaction items in
 order; a transaction record that precedes its stream's creation record
 is not indexed, so a stream's item count, listing and latest item always
-agree.  Open keeps the text and each record's offset into it, and builds
-the StreamItem only when something reads that item, caching it in
+agree.  Open keeps the bytes and each record's offset into them, and
+builds the StreamItem only when something reads that item, caching it in
 place; because open already checked every field, that later build cannot
 fail.  Open does not re-derive digests; chain verification does.
 """
@@ -479,8 +479,8 @@ class Ledger:
         if name in self._streams:
             raise DuplicateStream(f"stream already exists: {name}")
         self._append(name, "", ADMIN_PAYLOAD)
-        created = self._streams[name] = Stream(name, self._publisher)
-        return created
+        stream = self._streams[name] = Stream(name, self._publisher)
+        return stream
 
     def create_stream(self, name: str) -> Stream:
         """Create a named stream by appending its administrative item."""

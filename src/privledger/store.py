@@ -374,7 +374,7 @@ class Store:
                 )
                 end = match.end()
             else:
-                if end == len(text) or text[end:].isspace():
+                if not text[end:].strip():
                     self._policy_text = text
                     return
         for _ in self._read_records(POLICY_FILE, _index_policy_line):
