@@ -58,7 +58,7 @@ class EngineConfig(Record):
         data_dir = Path(data_dir)
         if not MIN_COST <= hash_cost <= MAX_COST:
             raise ConfigError(f"hash_cost out of range: {hash_cost}")
-        self._set(data_dir=data_dir, hash_cost=hash_cost)
+        self._set(data_dir, hash_cost)
 
     @property
     def ledger_file(self) -> Path:

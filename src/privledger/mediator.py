@@ -78,11 +78,11 @@ class QueryRequest(Record):
         if len(set(attributes)) != len(attributes):
             raise ValueError("requested attributes must be distinct")
         self._set(
-            accessor_id=accessor_id,
-            requested_purpose=requested_purpose,
-            attributes=attributes,
-            predicate={} if predicate is None else predicate,
-            provider_id=provider_id,
+            accessor_id,
+            requested_purpose,
+            attributes,
+            {} if predicate is None else predicate,
+            provider_id,
         )
 
 
@@ -109,18 +109,13 @@ class OpCounters:
     __slots__ = ("ledger_reads", "hash_verifications", "policy_evaluations", "selects")
 
     def __init__(self):
-        self.ledger_reads = 0
-        self.hash_verifications = 0
-        self.policy_evaluations = 0
-        self.selects = 0
-
-    def _values(self) -> tuple[int, int, int, int]:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)

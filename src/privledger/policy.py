@@ -25,14 +25,14 @@ class Record:
     A plain base class: @dataclass would generate and compile methods for
     every record class at import, in every process.  A subclass names its
     fields in _fields, in constructor order, and sets them once in
-    __init__ through _set, after its checks.
+    __init__ through _set, in that order, after its checks.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, **values):
-        self.__dict__.update(values)
+    def _set(self, *values):
+        self.__dict__.update(zip(self._fields, values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -165,11 +165,11 @@ class ContextualNorms(Record):
         where: str | None = None,
         how: str | None = None,
     ):
-        values = {"who": who, "when": when, "why": why, "where": where, "how": how}
-        for key, value in values.items():
+        values = (who, when, why, where, how)
+        for key, value in zip(_NORM_KEYS, values):
             if value is not None and not isinstance(value, str):
                 raise PolicyError(f"norm {key!r} must be text or absent")
-        self._set(**values)
+        self._set(*values)
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _NORM_KEYS}
@@ -185,18 +185,13 @@ class PurposePolicy(Record):
     _fields = ("mode", "declared_purpose", "norms")
 
     def __init__(
-        self,
-        mode: PurposeMode,
-        declared_purpose: str,
-        norms: ContextualNorms | None = None,
+        self, mode: PurposeMode, declared_purpose: str, norms: ContextualNorms | None = None
     ):
         if not isinstance(mode, PurposeMode):
             raise PolicyError("purpose mode must be a PurposeMode")
         if not declared_purpose:
             raise PolicyError("declared purpose must be non-empty")
-        if norms is None:
-            norms = ContextualNorms()
-        self._set(mode=mode, declared_purpose=declared_purpose, norms=norms)
+        self._set(mode, declared_purpose, ContextualNorms() if norms is None else norms)
 
     def to_dict(self) -> dict:
         return {
@@ -227,7 +222,7 @@ class VisibilityPolicy(Record):
             raise PolicyError("allowed roles must be non-empty")
         if scope is VisibilityScope.HOUSE and allowed_roles & THIRD_PARTY_ROLES:
             raise PolicyError("House visibility cannot include third-party roles")
-        self._set(scope=scope, allowed_roles=allowed_roles)
+        self._set(scope, allowed_roles)
 
     def to_dict(self) -> dict:
         return {
@@ -255,7 +250,7 @@ class GranularityPolicy(Record):
     def __init__(self, mode: GranularityMode):
         if not isinstance(mode, GranularityMode):
             raise PolicyError("granularity mode must be a GranularityMode")
-        self._set(mode=mode)
+        self._set(mode)
 
 
 class RetentionPolicy(Record):
@@ -268,7 +263,7 @@ class RetentionPolicy(Record):
             raise PolicyError("effective date must be a calendar date")
         if not isinstance(duration_days, int) or duration_days < 0:
             raise PolicyError("duration days must be a non-negative integer")
-        self._set(effective_date=effective_date, duration_days=duration_days)
+        self._set(effective_date, duration_days)
 
     def to_dict(self) -> dict:
         return {
@@ -317,13 +312,13 @@ class PreferenceSet(Record):
         if not isinstance(granularity, GranularityPolicy):
             raise PolicyError("granularity must be a GranularityPolicy")
         self._set(
-            attribute_id=attribute_id,
-            sensitivity=sensitivity,
-            purpose=purpose,
-            visibility=visibility,
-            granularity=granularity,
-            retention=retention,
-            third_party_accessors=frozenset(third_party_accessors),
+            attribute_id,
+            sensitivity,
+            purpose,
+            visibility,
+            granularity,
+            retention,
+            frozenset(third_party_accessors),
         )
 
     def to_dict(self) -> dict:
@@ -379,7 +374,7 @@ class AccessorProfile(Record):
             raise PolicyError("role must be an AccessorRole")
         if not isinstance(permission_level, Sensitivity):
             raise PolicyError("permission level must be a Sensitivity level")
-        self._set(accessor_id=accessor_id, role=role, permission_level=permission_level)
+        self._set(accessor_id, role, permission_level)
 
     def to_dict(self) -> dict:
         return {

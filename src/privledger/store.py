@@ -171,7 +171,7 @@ class ProviderRecord(Record):
     _fields = ("provider_id", "attributes")
 
     def __init__(self, provider_id: int, attributes: dict | None = None):
-        self._set(provider_id=provider_id, attributes={} if attributes is None else attributes)
+        self._set(provider_id, {} if attributes is None else attributes)
 
     def to_dict(self) -> dict:
         return {"provider_id": self.provider_id, "attributes": dict(self.attributes)}
@@ -189,7 +189,7 @@ class TupleInstance(Record):
     def __init__(
         self, privacy_tuple: PrivacyTuple, hash_record: HashRecord, stream: str, seq: int
     ):
-        self._set(privacy_tuple=privacy_tuple, hash_record=hash_record, stream=stream, seq=seq)
+        self._set(privacy_tuple, hash_record, stream, seq)
 
     @cached_property
     def encoded(self) -> bytes:

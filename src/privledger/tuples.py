@@ -86,12 +86,7 @@ class AttributeMeta(Record):
             raise TupleError("category must be an AttributeCategory")
         if not isinstance(sensitivity_hint, Sensitivity):
             raise TupleError("sensitivity hint must be a Sensitivity level")
-        self._set(
-            attribute_id=attribute_id,
-            name=name,
-            category=category,
-            sensitivity_hint=sensitivity_hint,
-        )
+        self._set(attribute_id, name, category, sensitivity_hint)
 
     def to_dict(self) -> dict:
         return {
@@ -138,13 +133,7 @@ class PrivacyTuple(Record):
             )
         if not isinstance(version, int) or version < 1:
             raise TupleError("version must be a positive integer")
-        self._set(
-            provider_id=provider_id,
-            attribute=attribute,
-            prefs=prefs,
-            accessor=accessor,
-            version=version,
-        )
+        self._set(provider_id, attribute, prefs, accessor, version)
 
     @property
     def lineage(self) -> tuple[int, int, int]:
