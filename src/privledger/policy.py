@@ -32,7 +32,10 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def _set(self, *values):
-        self.__dict__.update(zip(self._fields, values))
+        # Attribute by attribute, so that the instance keeps its values
+        # inline: reading __dict__ would build a dict per record.
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

@@ -8,13 +8,13 @@ are the source of truth.
 
 Opening decodes every content and credential record.  Of policy.db it
 reads each line's lineage, ledger seq and tuple version with one pass of
-one pattern over the file's text, and keeps that text with the place of
-the latest record per lineage; a non-blank line the pattern rejects, or
-a byte that is not UTF-8, fails the open naming its line.  The latest
-tuple instance of a lineage is decoded on first touch and checked
-against those indexed fields; a record that fails either raises
-CorruptRecord.  Older versions stay on disk as history: policy.db is
-append-only, and no query reads them.
+one pattern over the file's text, and keeps only the latest raw line per
+lineage; a non-blank line the pattern rejects, or a byte that is not
+UTF-8, fails the open naming its line.  The latest tuple instance of a
+lineage is decoded on first touch and checked against those indexed
+fields; a record that fails either raises CorruptRecord.  Older versions
+stay on disk as history: policy.db is append-only, and no query reads
+them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 import os
 import re
 import tempfile
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -191,14 +190,21 @@ class TupleInstance(Record):
     ):
         self._set(privacy_tuple, hash_record, stream, seq)
 
-    @cached_property
+    @property
     def encoded(self) -> bytes:
         """The canonical encoding of the tuple, derived on first read.
 
         A stored version never changes, so its bytes are encoded once;
         verifying them against the ledger still hashes them every time.
         """
-        return canonical_encode(self.privacy_tuple)
+        try:
+            return self._encoded
+        except AttributeError:
+            # Kept as an attribute, not in a per-instance dict as
+            # functools.cached_property would: one dict per lineage.
+            encoded = canonical_encode(self.privacy_tuple)
+            object.__setattr__(self, "_encoded", encoded)
+            return encoded
 
     @property
     def lineage(self) -> tuple[int, int, int]:
@@ -272,13 +278,12 @@ _POLICY_RECORD_RE = re.compile(
 
 
 class _RawRecord(NamedTuple):
-    """A latest policy record not yet decoded: the fields open read and
-    where the record's text starts and ends in the policy.db text."""
+    """A latest policy line not yet decoded, with the fields open read."""
 
     version: int
     seq: int
-    start: int
-    end: int
+    line: str
+    lineno: int
 
 
 def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
@@ -306,10 +311,8 @@ class Store:
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        # Latest policy version per lineage, raw until first touch, and the
-        # policy.db text the raw records point into.
+        # Latest policy version per lineage, raw until first touch.
         self._latest: dict[tuple[int, int, int], TupleInstance | _RawRecord] = {}
-        self._policy_text = ""
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         if create:
@@ -360,22 +363,22 @@ class Store:
             text = None
         if text is not None:
             latest = self._latest
-            end = 0
+            end, lineno = 0, 1
             for match in _POLICY_RECORD_RE.finditer(text):
                 start = match.start()
                 # Between two records only the newline or blank lines.
                 if start - end > 1 and not text[end:start].isspace():
                     break
+                lineno += text.count("\n", end, start)
                 seq, provider_id, attribute_id, accessor_id, version = map(
                     int, match.group(2, 3, 4, 5, 6)
                 )
                 latest[(provider_id, attribute_id, accessor_id)] = _RawRecord(
-                    version, seq, *match.span(1)
+                    version, seq, match[1], lineno
                 )
                 end = match.end()
             else:
                 if not text[end:].strip():
-                    self._policy_text = text
                     return
         for _ in self._read_records(POLICY_FILE, _index_policy_line):
             pass
@@ -475,22 +478,14 @@ class Store:
         return held
 
     def _decode(self, lineage: tuple[int, int, int], raw: _RawRecord) -> TupleInstance:
-        text = self._policy_text
+        where = f"{self._dir / POLICY_FILE} line {raw.lineno}"
         try:
-            instance = TupleInstance.from_dict(json.loads(text[raw.start : raw.end]))
+            instance = TupleInstance.from_dict(json.loads(raw.line))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CorruptRecord(
-                f"{self._where(raw)}: undecodable policy record ({exc})"
-            ) from None
+            raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
         if (instance.lineage, instance.version, instance.seq) != (lineage, raw.version, raw.seq):
-            raise CorruptRecord(
-                f"{self._where(raw)}: tuple disagrees with its stream, seq or version"
-            )
+            raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
         return instance
-
-    def _where(self, raw: _RawRecord) -> str:
-        lineno = self._policy_text.count("\n", 0, raw.start) + 1
-        return f"{self._dir / POLICY_FILE} line {lineno}"
 
     def lineage_version(self, lineage: tuple[int, int, int]) -> int:
         held = self._latest.get(tuple(lineage))

@@ -167,22 +167,15 @@ def _opened_index(directory: Path):
         store = Store(directory)
     except StoreError as exc:
         return "refused", str(exc)
-    return "opened", [
-        (lineage, raw.version, raw.seq, store._policy_text[raw.start : raw.end], store._where(raw))
-        for lineage, raw in store._latest.items()
-    ]
+    return "opened", [tuple(raw) for raw in store._latest.values()], list(store._latest)
 
 
 def _reference_index(directory: Path):
-    path = directory / POLICY_FILE
     try:
-        latest = reference_index_policy(path)
+        latest = reference_index_policy(directory / POLICY_FILE)
     except StoreError as exc:
         return "refused", str(exc)
-    return "opened", [
-        (lineage, version, seq, line, f"{path} line {lineno}")
-        for lineage, (version, seq, line, lineno) in latest.items()
-    ]
+    return "opened", list(latest.values()), list(latest)
 
 
 @settings(max_examples=1500, deadline=None)
