@@ -7,10 +7,9 @@ atomically replace a family file (write temp, then rename); the files
 are the source of truth.
 
 Opening decodes every content and credential record.  Of policy.db it
-reads each line's lineage, ledger seq and tuple version with one pass of
-one pattern over the file's text, and keeps only the latest raw line per
-lineage; a non-blank line the pattern rejects, or a byte that is not
-UTF-8, fails the open naming its line.  The latest tuple instance of a
+reads each line's lineage, ledger seq and tuple version with one
+anchored pattern and keeps only the latest raw line per lineage; a line
+the pattern rejects, or one that is not UTF-8, fails the open.  The latest tuple instance of a
 lineage is decoded on first touch and checked against those indexed
 fields; a record that fails either raises CorruptRecord.  Older versions
 stay on disk as history: policy.db is append-only, and no query reads
@@ -264,16 +263,11 @@ FAMILY_FILES = (CREDENTIALS_FILE, POLICY_FILE, CONTENT_FILE)
 
 # A policy.db line is json.dumps(TupleInstance.to_dict(), sort_keys=True), so
 # it reads {"hash": ..., "seq": N, "stream": "stream-P-A-X", "tuple": {...}}
-# and the tuple's last key is its version.  No part matches a newline.
+# and the tuple's last key is its version.
 _POLICY_LINE_RE = re.compile(
-    r'\{"hash": "[^"\\\n]*(?:\\.[^"\\\n]*)*", "seq": (0|[1-9][0-9]*), '
+    r'\{"hash": "[^"\\]*(?:\\.[^"\\]*)*", "seq": (0|[1-9][0-9]*), '
     r'"stream": "stream-([1-9][0-9]*)-([1-9][0-9]*)-([1-9][0-9]*)", '
     r'"tuple": \{.*"version": (0|[1-9][0-9]*)\}\}'
-)
-# The same record as a whole line of the file's text, where reading line by
-# line strips the line's whitespace ([^\S\n]: whitespace but the newline).
-_POLICY_RECORD_RE = re.compile(
-    rf"^[^\S\n]*({_POLICY_LINE_RE.pattern})[^\S\n]*$", re.MULTILINE
 )
 
 
@@ -293,6 +287,20 @@ def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
         raise ValueError("not a policy record")
     seq, provider_id, attribute_id, accessor_id, version = map(int, match.groups())
     return (provider_id, attribute_id, accessor_id), version, seq
+
+
+def _decode_lines(path: Path, lines, decode):
+    """(line number, line, decoded) per non-blank line of text or UTF-8
+    bytes; an unreadable line raises StoreError naming the file and line."""
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = (raw if isinstance(raw, str) else raw.decode("utf-8")).strip()
+            if not line:
+                continue
+            record = decode(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreError(f"{path} line {lineno}: unreadable record ({exc})") from None
+        yield lineno, line, record
 
 
 def _decode_provider(line: str) -> ProviderRecord:
@@ -342,65 +350,27 @@ class Store:
     def _load(self):
         for _, _, record in self._read_records(CONTENT_FILE, _decode_provider):
             self._providers[record.provider_id] = record
-        self._index_policy()
+        for lineno, line, (lineage, version, seq) in self._read_records(
+            POLICY_FILE, _index_policy_line
+        ):
+            self._latest[lineage] = _RawRecord(version, seq, line, lineno)
         for _, _, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
             self._credentials[cred.login] = cred
             self._accessors[cred.profile.accessor_id] = cred
 
-    def _index_policy(self):
-        """Index policy.db in one pass over its text.
-
-        The pass accepts exactly the files _read_records with
-        _index_policy_line accepts: the same lines, split at the same line
-        ends, stripped of the same whitespace.  Where the pass stops short,
-        that per-line reading names the first line it refuses.
-        """
-        path = self._dir / POLICY_FILE
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError:
-            text = None
-        if text is not None:
-            latest = self._latest
-            end, lineno = 0, 1
-            for match in _POLICY_RECORD_RE.finditer(text):
-                start = match.start()
-                # Between two records only the newline or blank lines.
-                if start - end > 1 and not text[end:start].isspace():
-                    break
-                lineno += text.count("\n", end, start)
-                seq, provider_id, attribute_id, accessor_id, version = map(
-                    int, match.group(2, 3, 4, 5, 6)
-                )
-                latest[(provider_id, attribute_id, accessor_id)] = _RawRecord(
-                    version, seq, match[1], lineno
-                )
-                end = match.end()
-            else:
-                if not text[end:].strip():
-                    return
-        for _ in self._read_records(POLICY_FILE, _index_policy_line):
-            pass
-        raise StoreError(f"{path}: unreadable policy index")
-
-    def _read_records(self, name: str, decode):
+    def _read_records(self, name: str, decode) -> list[tuple[int, str, object]]:
         """(line number, line, decoded) per non-blank line; a line that is
         not UTF-8 or fails to decode raises StoreError naming the file and
         line."""
         path = self._dir / name
-        # Lines end as in a text-mode read: at \n, \r\n or \r.
-        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = decode(line)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StoreError(
-                    f"{path} line {lineno}: unreadable record ({exc})"
-                ) from None
-            yield lineno, line, record
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return list(_decode_lines(path, fh, decode))
+        except UnicodeDecodeError:
+            # A text read decodes a block at a time, so its error names no
+            # line; decoding line by line names the first unreadable one.
+            # Lines end where a text read ends them: at \n, \r\n or \r.
+            return list(_decode_lines(path, path.read_bytes().splitlines(), decode))
 
     def _append_record(self, name: str, record: dict):
         with open(self._dir / name, "a", encoding="utf-8") as fh:

@@ -1,14 +1,16 @@
-"""The per-line open loops, kept as the references for the one-pass open
-in privledger.ledger.Ledger._load and privledger.store.Store._index_policy.
+"""The per-line open loops, kept as the references for the one-pass
+privledger.ledger.Ledger._load and for the policy.db index that
+privledger.store.Store._load builds through _read_records.
 
 reference_load_ledger is Ledger._load as it was before open ran one
 pattern over the whole file: it splits the text at newlines and checks
 each line on its own.  reference_index_policy is the policy.db indexing
-as it was before the same change, with one fix: each line is decoded on
-its own inside the check, so a byte that is not UTF-8 fails as an
-unreadable record naming its file and line, as any other bad line does,
-instead of escaping as a bare UnicodeDecodeError.  Its line splitting is
-a text-mode read's: at \\n, \\r\\n or a lone \\r.
+as it was before the store read text a block at a time with a fallback
+that decodes line by line, with one fix: each line is decoded on its own
+inside the check, so a byte that is not UTF-8 fails as an unreadable
+record naming its file and line, as any other bad line does, instead of
+escaping as a bare UnicodeDecodeError.  Its line splitting is a
+text-mode read's: at \\n, \\r\\n or a lone \\r.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""The one-pass open of ledger.db and policy.db against the per-line
-references in open_reference: on mutated records and on layouts with
-blank lines, surrounding whitespace, CRLF or lone CR line ends, no final
-newline and bytes that are not UTF-8, open must accept exactly the files
-the reference accepts, build the same indexes and refuse with the same
-error text.  Also: a byte that is not UTF-8 in any store file fails open
-naming its file and line."""
+"""Open against the per-line references in open_reference: the one-pass
+ledger.db load, and the policy.db index, which reads text a block at a
+time and falls back to decoding line by line.  On mutated records and on
+layouts with blank lines, surrounding whitespace, CRLF or lone CR line
+ends, no final newline and bytes that are not UTF-8, open must accept
+exactly the files the reference accepts, build the same indexes and
+refuse with the same error text.  Also: a byte that is not UTF-8 in any
+store file fails open naming its file and line."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from test_ledger_pattern import ALPHABET, CANONICAL, mutated_lines
 
 # Whitespace as str.strip sees it (every one but \n), plus characters that
 # look like it and are not.
-SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u1680", "\u2028", "\u3000"]
 NOT_SPACES = ["\u200b", "\ufeff", "\x00"]
 NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80"]
 
