@@ -75,7 +75,6 @@ class Output:
 @contextmanager
 def data_dir_lock(data_dir: Path):
     """One process per data directory; the second fails fast."""
-    data_dir.mkdir(parents=True, exist_ok=True)
     handle = open(data_dir / LOCK_FILE, "a+")
     try:
         try:
@@ -91,7 +90,11 @@ def data_dir_lock(data_dir: Path):
 
 @contextmanager
 def open_engine(config: EngineConfig):
-    """Lock the data directory, then open its engine; close it on exit."""
+    """Lock the data directory, then open its engine; close it on exit.
+
+    A directory without engine state is refused before the lock, so no
+    command but init creates anything."""
+    Engine.require_state(config)
     with data_dir_lock(config.data_dir):
         engine = Engine.open(config)
         try:
@@ -211,6 +214,7 @@ def _parse_assignments(pairs, what: str) -> dict:
 
 
 def cmd_init(config: EngineConfig, out: Output) -> int:
+    config.data_dir.mkdir(parents=True, exist_ok=True)
     with data_dir_lock(config.data_dir):
         engine = Engine.initialize(config)
         try:

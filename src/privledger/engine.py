@@ -145,14 +145,23 @@ class Engine:
     @classmethod
     def open(cls, config: EngineConfig) -> Engine:
         """Open previously initialized engine state."""
-        data_dir = config.data_dir
-        if not (data_dir / "content.db").exists() or not config.ledger_file.exists():
-            raise NotInitialized(f"no engine state in {data_dir}")
-        store = Store(data_dir, hash_cost=config.hash_cost)
-        ledger = Ledger(config.ledger_file)
+        cls.require_state(config)
+        store = Store(config.data_dir, hash_cost=config.hash_cost)
+        try:
+            ledger = Ledger(config.ledger_file)
+        except BaseException:
+            store.close()
+            raise
         return cls(config, store, ledger)
 
+    @staticmethod
+    def require_state(config: EngineConfig):
+        """Raise NotInitialized unless the data directory holds engine state."""
+        if not (config.data_dir / "content.db").exists() or not config.ledger_file.exists():
+            raise NotInitialized(f"no engine state in {config.data_dir}")
+
     def close(self):
+        self.store.close()
         self.ledger.close()
 
     # -- administration -----------------------------------------------------

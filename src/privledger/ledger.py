@@ -20,18 +20,26 @@ indexes streams from the matched fields.  The index is one Stream per
 creation record, holding the seqs of the stream's transaction items in
 order; a transaction record that precedes its stream's creation record
 is not indexed, so a stream's item count, listing and latest item always
-agree.  Open keeps the bytes and each record's offset into them, and
-builds the StreamItem only when something reads that item, caching it in
-place; because open already checked every field, that later build cannot
-fail.  Open does not re-derive digests; chain verification does.
+agree.  The pass reads the file CHUNK_BYTES at a time and keeps no text:
+only each record's offset and its item digest.  A StreamItem is built
+when something first reads it, from the record read back at its offset,
+and cached; the read reruns the field check and re-derives the item
+digest, which must equal the digest open kept, so a record that changed
+or vanished on disk since open, or whose digest field does not cover its
+fields, fails that read instead of yielding an item.  Chain verification
+runs the same pass and re-derives every digest and link.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import io
+import os
 import re
 import secrets
+from array import array
+from binascii import unhexlify
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,6 +117,9 @@ _LINE_RE = re.compile("\t".join(f"({rule})" for _, rule in _LINE_FIELDS))
 _RECORD_RE = re.compile(_LINE_RE.pattern.encode("ascii") + rb"(?:\n|\Z)")
 _FIELD_RES = tuple((name, re.compile(rule)) for name, rule in _LINE_FIELDS)
 _ADMIN_PAYLOAD_HEX = ADMIN_PAYLOAD.hex().encode("ascii")
+DIGEST_BYTES = 32
+# Open and chain verification read the file this many bytes at a time.
+CHUNK_BYTES = 64 * 1024
 
 
 def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> str:
@@ -195,9 +206,7 @@ def _item_digest(
     payload: bytes,
     prev_digest: bytes,
 ) -> bytes:
-    # Length-prefixed field concatenation keeps the input injective.
-    h = hashlib.sha256()
-    for part in (
+    return _digest(
         str(seq).encode("ascii"),
         stream.encode("ascii"),
         key.encode("ascii"),
@@ -205,10 +214,25 @@ def _item_digest(
         ts_text.encode("ascii"),
         payload,
         prev_digest,
-    ):
-        h.update(len(part).to_bytes(8, "big"))
-        h.update(part)
-    return h.digest()
+    )
+
+
+def _digest(seq, stream, key, publisher, ts, payload, prev) -> bytes:
+    """The item digest over the encoded fields."""
+    # Length-prefixed field concatenation keeps the input injective.
+    return hashlib.sha256(
+        b"".join(
+            (
+                len(seq).to_bytes(8, "big"), seq,
+                len(stream).to_bytes(8, "big"), stream,
+                len(key).to_bytes(8, "big"), key,
+                len(publisher).to_bytes(8, "big"), publisher,
+                len(ts).to_bytes(8, "big"), ts,
+                len(payload).to_bytes(8, "big"), payload,
+                len(prev).to_bytes(8, "big"), prev,
+            )
+        )
+    ).digest()
 
 
 def _render_line(item: StreamItem) -> str:
@@ -261,7 +285,12 @@ def _check_line(line: str, valid_dates: set[str]) -> re.Match:
 
 
 def _parse_line(line: str) -> StreamItem:
-    match = _match_line(line)
+    return _build_item(_match_line(line))
+
+
+def _build_item(match: re.Match) -> StreamItem:
+    """The item of a matched record; raises ValueError on a date that is
+    not on the calendar."""
     seq, stream, key, publisher, ts_text, payload, prev, digest, confirmed = match.groups()
     return StreamItem(
         seq=int(seq),
@@ -301,63 +330,118 @@ def verify_records(
     record, which catches deletion of a self-consistent tail.  Corruption
     is a report outcome, never an exception.
     """
-    return _verify_digests(
-        content,
-        None if expected is None else [item.item_digest.hex() for item in expected],
-    )
+    return _verify_digests(io.BytesIO(content), _held_digests(expected))
 
 
-def _verify_digests(content: bytes, expected: list[str] | None) -> ChainReport:
-    """verify_records against the in-memory chain's item digests in hex."""
-    text = content.decode("utf-8", errors="replace")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+def _held_digests(items: list[StreamItem] | None) -> bytes | None:
+    return None if items is None else b"".join(item.item_digest for item in items)
 
-    def bad(seq: int, detail: str) -> ChainReport:
+
+def _records(fh):
+    """(base, matches) per chunk of a ledger file: the records the pattern
+    matched in it, in order, each at file offset base + match.start().
+
+    Reads CHUNK_BYTES at a time and cuts the bytes after their last
+    newline, so the pattern never sees part of a record.  Where the pass
+    stops short (a gap between matches, an odd payload or a date that is
+    not on the calendar), yields the records before it and then raises
+    the ValueError the field check raises for that record.
+    """
+    valid_dates: set[bytes] = set()
+    base = 0  # the file offset of data[0]
+    data = b""
+    while True:
+        chunk = fh.read(CHUNK_BYTES)
+        data += chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        if cut:
+            matches = []
+            end = 0
+            for match in _RECORD_RE.finditer(data, 0, cut):
+                if match.start() != end or (match.end(6) - match.start(6)) % 2:
+                    break
+                ts_text = match[5]
+                if ts_text[:10] not in valid_dates:
+                    try:
+                        _parse_ts(ts_text.decode("ascii"))
+                    except ValueError:
+                        break  # the field check below names the date
+                    valid_dates.add(ts_text[:10])
+                matches.append(match)
+                end = match.end()
+            yield base, matches
+            if end < cut:
+                # A byte that is not UTF-8 reads as U+FFFD, which no field
+                # rule admits.
+                line = data[end:cut].partition(b"\n")[0]
+                _check_line(line.decode("utf-8", errors="replace"), set())
+                raise ValueError("malformed record")
+            base += cut
+            data = data[cut:]
+        if not chunk:
+            return
+
+
+def _count_lines(fh) -> int:
+    """Lines of a file as a split at newlines counts them, less the empty
+    one after a final newline."""
+    fh.seek(0)
+    lines, last = 0, b"\n"
+    while chunk := fh.read(CHUNK_BYTES):
+        lines += chunk.count(b"\n")
+        last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _verify_digests(fh, expected: bytes | bytearray | None) -> ChainReport:
+    """verify_records over a binary file, against the in-memory chain's
+    item digests concatenated."""
+    index = 0
+    prev = ZERO_DIGEST
+    detail = None
+    try:
+        for match in (match for _, matches in _records(fh) for match in matches):
+            seq, stream, key, publisher, ts_text, payload, prev_hex, digest_hex, confirmed = (
+                match.groups()
+            )
+            if int(seq) != index:
+                detail = f"sequence discontinuity (record claims {seq.decode()})"
+            elif confirmed != b"true":
+                detail = "unconfirmed item in a confirmed chain"
+            elif unhexlify(prev_hex) != prev:
+                detail = "previous-digest link mismatch"
+            else:
+                digest = _digest(seq, stream, key, publisher, ts_text, unhexlify(payload), prev)
+                if digest != unhexlify(digest_hex):
+                    detail = "item digest mismatch"
+                elif expected is not None and index * DIGEST_BYTES < len(expected):
+                    if digest != expected[index * DIGEST_BYTES : (index + 1) * DIGEST_BYTES]:
+                        detail = "diverges from the in-memory chain"
+            if detail is not None:
+                break
+            prev = digest
+            index += 1
+    except ValueError as exc:
+        detail = f"unparseable record ({exc})"
+    if detail is None and expected is not None:
+        held = len(expected) // DIGEST_BYTES
+        if index < held:
+            detail = "missing link at former chain tail"
+        elif index > held:
+            index, detail = held, "records appended out of band"
+    if detail is not None:
         return ChainReport(
             intact=False,
-            first_bad_seq=seq,
-            records=len(lines),
-            detail=f"seq {seq}: {detail}",
+            first_bad_seq=index,
+            records=_count_lines(fh),
+            detail=f"seq {index}: {detail}",
         )
-
-    valid_dates: set[str] = set()
-    prev = ZERO_DIGEST
-    for index, line in enumerate(lines):
-        try:
-            match = _check_line(line, valid_dates)
-        except ValueError as exc:
-            return bad(index, f"unparseable record ({exc})")
-        seq, stream, key, publisher, ts_text, payload, prev_hex, digest_hex, confirmed = match.groups()
-        if seq != str(index):
-            return bad(index, f"sequence discontinuity (record claims {seq})")
-        if confirmed != "true":
-            return bad(index, "unconfirmed item in a confirmed chain")
-        if prev_hex != prev.hex():
-            return bad(index, "previous-digest link mismatch")
-        digest = _item_digest(
-            index, stream, key, publisher, ts_text, bytes.fromhex(payload), prev
-        )
-        if digest.hex() != digest_hex:
-            return bad(index, "item digest mismatch")
-        if expected is not None and index < len(expected):
-            if expected[index] != digest_hex:
-                return bad(index, "diverges from the in-memory chain")
-        prev = digest
-
-    if expected is not None:
-        if len(lines) < len(expected):
-            return bad(len(lines), "missing link at former chain tail")
-        if len(lines) > len(expected):
-            return bad(len(expected), "records appended out of band")
-    return ChainReport(
-        intact=True, first_bad_seq=None, records=len(lines), detail="chain intact"
-    )
+    return ChainReport(intact=True, first_bad_seq=None, records=index, detail="chain intact")
 
 
 def verify_file(path, expected: list[StreamItem] | None = None) -> ChainReport:
-    return verify_records(Path(path).read_bytes(), expected)
+    with open(path, "rb") as fh:
+        return _verify_digests(fh, _held_digests(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +455,13 @@ class Ledger:
     def __init__(self, path, clock=None, publisher: str | None = None, create: bool = False):
         self._path = Path(path)
         self._clock = clock or system_clock
-        # The entry at each seq is the offset of its record in the bytes open
-        # read, until the item is read.
-        self._items: list[StreamItem | int] = []
-        self._data = b""
+        # The item at each seq once something has read it.
+        self._items: list[StreamItem | None] = []
+        # Of the records open checked: each one's offset, then the end of
+        # the last; read back through _reader.
+        self._offsets = array("q")
+        self._reader = None
+        self._digests = bytearray()  # every record's item digest, in seq order
         self._streams: dict[str, Stream] = {}
         self._handle = None
         if create:
@@ -386,62 +473,63 @@ class Ledger:
         else:
             if not self._path.exists() or self._path.stat().st_size == 0:
                 raise LedgerError(f"no ledger at {self._path}")
-            self._load()
-            self._publisher = publisher or self.item(0).publisher
+            self._reader = open(self._path, "rb")
+            try:
+                genesis_publisher = self._load()
+            except BaseException:
+                self.close()
+                raise
+            self._publisher = publisher or genesis_publisher
             self._handle = open(self._path, "a", encoding="ascii", newline="")
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self):
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        for handle in (self._handle, self._reader):
+            if handle is not None:
+                handle.close()
+        self._handle = self._reader = None
 
-    def _load(self):
-        data = self._path.read_bytes()
-        items = self._items
+    def _load(self) -> str:
+        """Index the file; returns the publisher of its genesis record."""
+        offsets = self._offsets
+        digests = self._digests
         streams: dict[bytes, Stream] = {}  # by name, as the pass reads it
-        valid_dates: set[bytes] = set()
-        end = 0
+        genesis_publisher = ""
         try:
-            for match in _RECORD_RE.finditer(data):
-                seq, stream, key, ts_text, payload = match.group(1, 2, 3, 5, 6)
-                if match.start() != end or len(payload) % 2:
-                    break
-                if ts_text[:10] not in valid_dates:
-                    _parse_ts(ts_text.decode("ascii"))
-                    valid_dates.add(ts_text[:10])
-                index = len(items)
-                if int(seq) != index:
-                    raise LedgerError(
-                        f"ledger sequence discontinuity at position {index}; "
-                        "run chain verification"
-                    )
-                items.append(end)
-                if not key and payload == _ADMIN_PAYLOAD_HEX:
-                    name = stream.decode("ascii")
-                    created = Stream(name, match[4].decode("ascii"))
-                    streams[stream] = self._streams[name] = created
-                else:
-                    target = streams.get(stream)
-                    if target is not None:
-                        target.seqs.append(index)
-                end = match.end()
-            if end < len(data):
-                # The pass stopped at a record the field check refuses.  A
-                # byte that is not UTF-8 reads as U+FFFD, which no field
-                # rule admits.
-                line = data[end:].partition(b"\n")[0]
-                _check_line(line.decode("utf-8", errors="replace"), set())
-                raise ValueError("malformed record")
+            for base, matches in _records(self._reader):
+                if matches and not offsets:
+                    genesis_publisher = matches[0][4].decode("ascii")
+                digest_hex = []
+                for match in matches:
+                    seq, stream, key, digest = match.group(1, 2, 3, 8)
+                    index = len(offsets)
+                    if int(seq) != index:
+                        raise LedgerError(
+                            f"ledger sequence discontinuity at position {index}; "
+                            "run chain verification"
+                        )
+                    offsets.append(base + match.start())
+                    digest_hex.append(digest)
+                    if not key and match[6] == _ADMIN_PAYLOAD_HEX:
+                        name = stream.decode("ascii")
+                        created = Stream(name, match[4].decode("ascii"))
+                        streams[stream] = self._streams[name] = created
+                    else:
+                        target = streams.get(stream)
+                        if target is not None:
+                            target.seqs.append(index)
+                digests += unhexlify(b"".join(digest_hex))
         except ValueError as exc:
             raise LedgerError(
-                f"corrupt ledger record at position {len(items)}: {exc}; "
+                f"corrupt ledger record at position {len(offsets)}: {exc}; "
                 "run chain verification"
             ) from None
-        self._data = data
+        self._items = [None] * len(offsets)
+        offsets.append(self._reader.tell())
         if ROOT_STREAM not in self._streams:
             raise LedgerError("ledger has no root stream")
+        return genesis_publisher
 
     # -- writing ------------------------------------------------------------
 
@@ -473,6 +561,7 @@ class Ledger:
         self._handle.write(_render_line(item) + "\n")
         self._handle.flush()
         self._items.append(item)
+        self._digests += digest
         return item
 
     def _register_stream(self, name: str) -> Stream:
@@ -562,27 +651,39 @@ class Ledger:
             entry = self._items[seq]
         except IndexError:
             raise LedgerError(f"no item at seq {seq}") from None
-        if isinstance(entry, int):
-            entry = self._items[seq] = _parse_line(self._line(entry))
+        if entry is None:
+            seq %= len(self._items)
+            entry = self._items[seq] = self._read(seq)
         return entry
 
-    def _line(self, start: int) -> str:
-        """The record line at an offset into the bytes open read."""
-        end = self._data.find(b"\n", start)
-        return self._data[start : None if end < 0 else end].decode("ascii")
+    def _read(self, seq: int) -> StreamItem:
+        """Build the item of a record open checked from the file, which
+        must still hold that record: the field check passes again and the
+        fields re-derive the digest open kept."""
+        start, end = self._offsets[seq], self._offsets[seq + 1]
+        record = os.pread(self._reader.fileno(), end - start, start)
+        try:
+            match = _match_line(record.decode("ascii").removesuffix("\n"))
+            item = _build_item(match)
+        except ValueError as exc:
+            raise LedgerError(
+                f"corrupt ledger record at seq {seq}: {exc}; run chain verification"
+            ) from None
+        kept = self._digests[seq * DIGEST_BYTES : (seq + 1) * DIGEST_BYTES]
+        digest = _item_digest(
+            item.seq, item.stream, item.key, item.publisher, match[5], item.payload, item.prev_digest
+        )
+        if item.seq != seq or item.item_digest != kept or digest != kept:
+            raise LedgerError(
+                f"ledger record at seq {seq} does not match its digest; "
+                "run chain verification"
+            )
+        return item
 
     # -- verification -------------------------------------------------------
 
     def verify_chain(self) -> ChainReport:
-        """Verify the persisted file against itself and the in-memory chain.
-
-        A record not read yet gives its digest field from the line open
-        checked, so no item is built.
-        """
-        expected = [
-            self._line(entry).rsplit("\t", 2)[1]
-            if isinstance(entry, int)
-            else entry.item_digest.hex()
-            for entry in self._items
-        ]
-        return _verify_digests(self._path.read_bytes(), expected)
+        """Verify the persisted file against itself and the item digests
+        held in memory, so no item is built."""
+        with open(self._path, "rb") as fh:
+            return _verify_digests(fh, self._digests)

@@ -8,7 +8,9 @@ mismatch aborts the whole request with zero disclosed cells.  Verified
 lineages then pass through policy evaluation, the query is rewritten to
 the allowed attribute set, executed once, and each disclosed cell is
 transformed to its granted granularity.  A stored policy record that
-fails to decode on first touch is a mismatch too, never a pass.
+fails to decode on first touch, or a ledger record that fails its read
+back (changed on disk since open, or not matching its digest), is a
+mismatch too, never a pass.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -22,7 +24,7 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-from .ledger import EmptyStream, Ledger, UnknownStream, stream_name_for
+from .ledger import EmptyStream, Ledger, LedgerError, UnknownStream, stream_name_for
 from .policy import GranularityMode, Record, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
 from .tuples import MalformedRecord, verify_hash
@@ -212,6 +214,9 @@ class Mediator:
         except (UnknownStream, EmptyStream):
             note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
             return (VerificationEntry(lineage, None, False, note), None)
+        except LedgerError:
+            seq = self._ledger.stream(lineage.stream).seqs[-1]
+            return (VerificationEntry(lineage, seq, False, VERIFIED_MISMATCH), None)
         ops.ledger_reads += 1
         if instance is None:
             # A published hash with no readable stored plaintext cannot be

@@ -6,14 +6,17 @@ stay here while only their hashes go to the ledger.  Writes append or
 atomically replace a family file (write temp, then rename); the files
 are the source of truth.
 
-Opening decodes every content and credential record.  Of policy.db it
-reads each line's lineage, ledger seq and tuple version with one
-anchored pattern and keeps only the latest raw line per lineage; a line
-the pattern rejects, or one that is not UTF-8, fails the open.  The latest tuple instance of a
-lineage is decoded on first touch and checked against those indexed
-fields; a record that fails either raises CorruptRecord.  Older versions
-stay on disk as history: policy.db is append-only, and no query reads
-them.
+Opening reads each family file in one streaming pass over its bytes and
+decodes every content and credential record.  Of policy.db it reads each
+line's lineage, ledger seq and tuple version with one anchored pattern,
+and keeps per lineage only where its latest line is (offset, length and
+line number), not the line; a line the pattern rejects, or one that is
+not UTF-8, fails the open.  The latest tuple instance of a lineage is read
+back with os.pread and decoded on first touch, and checked against those
+indexed fields; a record that fails either, say because it changed on
+disk since open, raises CorruptRecord.  The store holds policy.db open
+for these reads until close().  Older versions stay on disk as history:
+policy.db is append-only, and no query reads them.
 """
 
 from __future__ import annotations
@@ -271,12 +274,14 @@ _POLICY_LINE_RE = re.compile(
 )
 
 
-class _RawRecord(NamedTuple):
-    """A latest policy line not yet decoded, with the fields open read."""
+class _Indexed(NamedTuple):
+    """Where a latest policy line not yet decoded is, with the fields open
+    read from it."""
 
     version: int
     seq: int
-    line: str
+    offset: int  # of the line in policy.db
+    length: int  # in bytes, without the line end
     lineno: int
 
 
@@ -289,18 +294,26 @@ def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
     return (provider_id, attribute_id, accessor_id), version, seq
 
 
-def _decode_lines(path: Path, lines, decode):
-    """(line number, line, decoded) per non-blank line of text or UTF-8
-    bytes; an unreadable line raises StoreError naming the file and line."""
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = (raw if isinstance(raw, str) else raw.decode("utf-8")).strip()
-            if not line:
-                continue
-            record = decode(line)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StoreError(f"{path} line {lineno}: unreadable record ({exc})") from None
-        yield lineno, line, record
+def _decode_lines(path: Path, fh, decode):
+    """(line number, offset, length, decoded) per non-blank line of a family
+    file, in one pass over its bytes.  Lines end at LF, CRLF or a lone CR,
+    as a text read ends them; offset and length are the line's bytes
+    without its end.  Each line is decoded as UTF-8 on its own and
+    stripped, so a line that is not UTF-8 or fails to decode raises
+    StoreError naming the file and line."""
+    offset = lineno = 0
+    for raw in fh:  # up to and with each LF
+        for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
+            lineno += 1
+            content = piece.rstrip(b"\r\n")
+            try:
+                line = content.decode("utf-8").strip()
+                record = decode(line) if line else None
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StoreError(f"{path} line {lineno}: unreadable record ({exc})") from None
+            if line:
+                yield lineno, offset, len(content), record
+            offset += len(piece)
 
 
 def _decode_provider(line: str) -> ProviderRecord:
@@ -319,8 +332,9 @@ class Store:
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        # Latest policy version per lineage, raw until first touch.
-        self._latest: dict[tuple[int, int, int], TupleInstance | _RawRecord] = {}
+        # Latest policy version per lineage, indexed until first touch.
+        self._latest: dict[tuple[int, int, int], TupleInstance | _Indexed] = {}
+        self._policy = None  # policy.db, read-only, for first touches
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         if create:
@@ -345,32 +359,39 @@ class Store:
     def catalog(self) -> Catalog:
         return self._catalog
 
+    def close(self):
+        if self._policy is not None:
+            self._policy.close()
+            self._policy = None
+
     # -- persistence --------------------------------------------------------
 
     def _load(self):
-        for _, _, record in self._read_records(CONTENT_FILE, _decode_provider):
+        for *_, record in self._read_records(CONTENT_FILE, _decode_provider):
             self._providers[record.provider_id] = record
-        for lineno, line, (lineage, version, seq) in self._read_records(
-            POLICY_FILE, _index_policy_line
-        ):
-            self._latest[lineage] = _RawRecord(version, seq, line, lineno)
-        for _, _, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
+        # Kept open for first touches, which read the latest lines back.
+        self._policy = open(self._dir / POLICY_FILE, "rb")
+        try:
+            for lineno, offset, length, (lineage, version, seq) in _decode_lines(
+                self._dir / POLICY_FILE, self._policy, _index_policy_line
+            ):
+                self._latest[lineage] = _Indexed(version, seq, offset, length, lineno)
+        except BaseException:
+            self.close()
+            raise
+        for *_, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
             self._credentials[cred.login] = cred
             self._accessors[cred.profile.accessor_id] = cred
 
-    def _read_records(self, name: str, decode) -> list[tuple[int, str, object]]:
-        """(line number, line, decoded) per non-blank line; a line that is
-        not UTF-8 or fails to decode raises StoreError naming the file and
-        line."""
+    def _read_records(self, name: str, decode) -> list:
         path = self._dir / name
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return list(_decode_lines(path, fh, decode))
-        except UnicodeDecodeError:
-            # A text read decodes a block at a time, so its error names no
-            # line; decoding line by line names the first unreadable one.
-            # Lines end where a text read ends them: at \n, \r\n or \r.
-            return list(_decode_lines(path, path.read_bytes().splitlines(), decode))
+        with open(path, "rb") as fh:
+            return list(_decode_lines(path, fh, decode))
+
+    def _policy_line(self, indexed: _Indexed) -> str:
+        """The indexed line as policy.db holds it now, stripped."""
+        data = os.pread(self._policy.fileno(), indexed.length, indexed.offset)
+        return data.decode("utf-8").strip()
 
     def _append_record(self, name: str, record: dict):
         with open(self._dir / name, "a", encoding="utf-8") as fh:
@@ -443,17 +464,21 @@ class Store:
         when its record fails to decode or disagrees with its index."""
         lineage = tuple(lineage)
         held = self._latest.get(lineage)
-        if isinstance(held, _RawRecord):
+        if isinstance(held, _Indexed):
             held = self._latest[lineage] = self._decode(lineage, held)
         return held
 
-    def _decode(self, lineage: tuple[int, int, int], raw: _RawRecord) -> TupleInstance:
-        where = f"{self._dir / POLICY_FILE} line {raw.lineno}"
+    def _decode(self, lineage: tuple[int, int, int], indexed: _Indexed) -> TupleInstance:
+        where = f"{self._dir / POLICY_FILE} line {indexed.lineno}"
         try:
-            instance = TupleInstance.from_dict(json.loads(raw.line))
+            instance = TupleInstance.from_dict(json.loads(self._policy_line(indexed)))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
-        if (instance.lineage, instance.version, instance.seq) != (lineage, raw.version, raw.seq):
+        if (instance.lineage, instance.version, instance.seq) != (
+            lineage,
+            indexed.version,
+            indexed.seq,
+        ):
             raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
         return instance
 

@@ -17,12 +17,15 @@ refuse as unparseable:
 
 reference_verify_records is the chain verifier as it was before it
 worked on the matched fields: it builds every item and re-renders it to
-check the canonical encoding.
+check the canonical encoding.  reference_item_digest is the item digest
+as it was before it hashed one joined input: one update per length and
+per field.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import re
 
 from privledger.ledger import (
@@ -31,7 +34,6 @@ from privledger.ledger import (
     ChainReport,
     StreamItem,
     _format_ts,
-    _item_digest,
     _render_line,
 )
 
@@ -95,6 +97,30 @@ def reference_parse_line(line: str) -> StreamItem:
     )
 
 
+def reference_item_digest(
+    seq: int,
+    stream: str,
+    key: str,
+    publisher: str,
+    ts_text: str,
+    payload: bytes,
+    prev_digest: bytes,
+) -> bytes:
+    h = hashlib.sha256()
+    for part in (
+        str(seq).encode("ascii"),
+        stream.encode("ascii"),
+        key.encode("ascii"),
+        publisher.encode("ascii"),
+        ts_text.encode("ascii"),
+        payload,
+        prev_digest,
+    ):
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.digest()
+
+
 def reference_verify_records(
     content: bytes,
     expected: list[StreamItem] | None = None,
@@ -129,7 +155,7 @@ def reference_verify_records(
             return bad(index, "unconfirmed item in a confirmed chain")
         if item.prev_digest != prev:
             return bad(index, "previous-digest link mismatch")
-        recomputed = _item_digest(
+        recomputed = reference_item_digest(
             item.seq,
             item.stream,
             item.key,

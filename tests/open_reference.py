@@ -1,6 +1,6 @@
-"""The per-line open loops, kept as the references for the one-pass
-privledger.ledger.Ledger._load and for the policy.db index that
-privledger.store.Store._load builds through _read_records.
+"""The per-line open loops, kept as the references for the chunked pass
+of privledger.ledger.Ledger._load and for the policy.db index that
+privledger.store.Store._load builds in one pass over the file's bytes.
 
 reference_load_ledger is Ledger._load as it was before open ran one
 pattern over the whole file: it splits the text at newlines and checks

@@ -110,6 +110,30 @@ def test_commands_before_init_fail(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "--login", "physician3", "--password", "physician3-secret",
+         "--purpose", "care-delivery", "--attributes", "first_name", "--provider", "4"],
+        ["ledger", "list-streams"],
+        ["ledger", "items", "stream-4-5-3"],
+        ["provider", "add", "--id", "4", "--set", "city=Red Deer"],
+        ["accessor", "add", "--id", "3", "--login", "physician3",
+         "--password", "physician3-secret", "--role", "ClinicalPhysician",
+         "--permission", "Level4Restricted"],
+        ["policy", "set", "--provider", "4", "--attribute", "5", "--accessor", "3",
+         "--file", str(STREET_POLICY)],
+    ],
+    ids=["query", "list-streams", "items", "provider-add", "accessor-add", "policy-set"],
+)
+def test_only_init_creates_the_data_directory(tmp_path, capsys, argv):
+    data_dir = tmp_path / "typo" / "x" / "y"
+    code, out, err = run(capsys, "--data-dir", str(data_dir), *argv)
+    assert code == 1
+    assert err == f"error: no engine state in {data_dir}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # ledger inspection over the demo population
 # ---------------------------------------------------------------------------

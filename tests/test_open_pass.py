@@ -1,28 +1,33 @@
-"""Open against the per-line references in open_reference: the one-pass
-ledger.db load, and the policy.db index, which reads text a block at a
-time and falls back to decoding line by line.  On mutated records and on
-layouts with blank lines, surrounding whitespace, CRLF or lone CR line
-ends, no final newline and bytes that are not UTF-8, open must accept
-exactly the files the reference accepts, build the same indexes and
-refuse with the same error text.  Also: a byte that is not UTF-8 in any
-store file fails open naming its file and line."""
+"""Open against the per-line references in open_reference: the chunked
+ledger.db pass, and the policy.db index, one pass over the file's bytes.
+On mutated records and on layouts with blank lines, surrounding
+whitespace, CRLF or lone CR line ends, no final newline and bytes that
+are not UTF-8, open must accept exactly the files the reference accepts,
+build the same indexes (read back at the offsets open kept) and refuse
+with the same error text; the ledger pass and chain verification must
+agree with their references also when records straddle chunks.  Also: a
+byte that is not UTF-8 in any store file fails open naming its file and
+line."""
 
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import install_demo_fixture, make_engine
+from ledger_reference import reference_item_digest, reference_verify_records
 from open_reference import reference_index_policy, reference_load_ledger
+from privledger import ledger as ledger_module
 from privledger.cli import main
 from privledger.engine import Engine
 from privledger.ledger import Ledger, LedgerError, _parse_line, verify_records
 from privledger.store import POLICY_FILE, Store, StoreError
-from test_ledger_pattern import ALPHABET, CANONICAL, mutated_lines
+from test_ledger_pattern import ALPHABET, CANONICAL, CHAIN_ITEMS, _mutations, mutated_lines
 
 # Whitespace as str.strip sees it (every one but \n), plus characters that
 # look like it and are not.
@@ -105,9 +110,14 @@ def _opened_ledger(path: Path):
         return "refused", str(exc)
     try:
         # Verification first, while no item is built: it reads the
-        # digests from the offsets open kept.
+        # digests open kept.
         report = ledger.verify_chain()
-        items = [ledger.item(seq) for seq in range(ledger.chain_length())]
+        items = []
+        for seq in range(ledger.chain_length()):
+            try:
+                items.append(ledger.item(seq))
+            except LedgerError as exc:
+                items.append(("refused", str(exc)))
         streams = [(s.name, s.created_by, s.seqs) for s in ledger.streams()]
         return "opened", items, streams, report
     finally:
@@ -121,7 +131,22 @@ def _reference_ledger(path: Path):
         return "refused", str(exc)
     items = [_parse_line(line) for line in lines]
     report = verify_records(path.read_bytes(), items)
-    return "opened", items, [(n, c, s) for n, (c, s) in streams.items()], report
+    # A record's first read re-derives its item digest from its fields and
+    # refuses the record when the digest it carries does not match.
+    read = [
+        item
+        if reference_item_digest(
+            item.seq, item.stream, item.key, item.publisher,
+            line.split("\t")[4], item.payload, item.prev_digest,
+        )
+        == item.item_digest
+        else (
+            "refused",
+            f"ledger record at seq {seq} does not match its digest; run chain verification",
+        )
+        for seq, (item, line) in enumerate(zip(items, lines))
+    ]
+    return "opened", read, [(n, c, s) for n, (c, s) in streams.items()], report
 
 
 @settings(max_examples=1500, deadline=None)
@@ -135,6 +160,38 @@ def test_ledger_open_agrees_with_reference(data):
         path = Path(tmp) / "ledger.db"
         path.write_bytes(data)
         assert _opened_ledger(path) == _reference_ledger(path)
+
+
+# Chunk sizes at which records straddle chunks: a byte at a time, a few
+# bytes, and less than one record.
+SMALL_CHUNKS = [1, 7, 64]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@settings(max_examples=300, deadline=None)
+@given(data=ledger_files())
+@example(data="\n".join(CANONICAL).encode())
+@example(data=b"\n")
+def test_ledger_open_and_verify_agree_with_reference_across_chunks(chunk, data):
+    with mock.patch.object(ledger_module, "CHUNK_BYTES", chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.db"
+            path.write_bytes(data)
+            assert _opened_ledger(path) == _reference_ledger(path)
+        for expected in (None, CHAIN_ITEMS):
+            assert verify_records(data, expected) == reference_verify_records(
+                data, expected, parse=_parse_line
+            )
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_verifier_agrees_with_reference_on_every_flip_across_chunks(chunk):
+    with mock.patch.object(ledger_module, "CHUNK_BYTES", chunk):
+        for content in _mutations():
+            for expected in (None, CHAIN_ITEMS):
+                assert verify_records(content, expected) == reference_verify_records(
+                    content, expected, parse=_parse_line
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +225,15 @@ def _opened_index(directory: Path):
         store = Store(directory)
     except StoreError as exc:
         return "refused", str(exc)
-    return "opened", [tuple(raw) for raw in store._latest.values()], list(store._latest)
+    try:
+        # Open keeps where each line is; read the line back from there.
+        latest = [
+            (held.version, held.seq, store._policy_line(held), held.lineno)
+            for held in store._latest.values()
+        ]
+        return "opened", latest, list(store._latest)
+    finally:
+        store.close()
 
 
 def _reference_index(directory: Path):

@@ -273,6 +273,7 @@ def test_reopen_restores_everything(tmp_path):
     assert again.lineage_version((4, 5, 3)) == 2
     assert again.latest_tuple_instance((4, 5, 3)).stream == "stream-4-5-3"
     assert again.authenticate("physician3", "pw") == make_accessor()
+    again.close()
 
 
 def test_create_refuses_existing_files(tmp_path):
