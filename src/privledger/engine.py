@@ -197,19 +197,19 @@ class Engine:
         lineage = (provider_id, attribute.attribute_id, accessor_id)
         prior = self.store.lineage_version(lineage)
         bound = bind_tuple(provider_id, attribute, prefs, profile, prior)
-        record = hash_tuple(canonical_encode(bound), self.config.hash_cost)
+        # One dict gives both the hashed bytes and the policy.db line.
+        data = bound.to_dict()
+        encoded = canonical_encode(bound, data)
+        record = hash_tuple(encoded, self.config.hash_cost)
+        hash_text = record.to_string()
         stream = stream_name_for(*lineage)
         if not self.ledger.has_stream(stream):
             self.ledger.create_stream(stream)
         key = publish_key(bound.version)
-        item = self.ledger.publish(stream, key, record.to_string().encode("ascii"))
+        item = self.ledger.publish(stream, key, hash_text.encode("ascii"))
         self.store.put_tuple_instance(
-            TupleInstance(
-                privacy_tuple=bound,
-                hash_record=record,
-                stream=stream,
-                seq=item.seq,
-            )
+            TupleInstance(bound, record, stream, item.seq, encoded),
+            {"tuple": data, "hash": hash_text, "stream": stream, "seq": item.seq},
         )
         return PolicyPublication(
             stream=stream, seq=item.seq, version=bound.version, key=key

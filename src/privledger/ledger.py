@@ -134,14 +134,6 @@ def _valid_key(key: str) -> bool:
     return isinstance(key, str) and _KEY_RE.fullmatch(key) is not None
 
 
-def _format_ts(moment: dt.datetime) -> str:
-    if moment.tzinfo is None:
-        raise LedgerError("ledger timestamps must be timezone-aware")
-    moment = moment.astimezone(dt.timezone.utc)
-    millis = moment.microsecond // 1000
-    return f"{moment:%Y-%m-%dT%H:%M:%S}.{millis:03d}Z"
-
-
 def _parse_ts(text: str) -> dt.datetime:
     # Fixed width: YYYY-MM-DDTHH:MM:SS.mmmZ.  The constructor rejects
     # calendar-invalid dates such as February 30.
@@ -233,22 +225,6 @@ def _digest(seq, stream, key, publisher, ts, payload, prev) -> bytes:
             )
         )
     ).digest()
-
-
-def _render_line(item: StreamItem) -> str:
-    return "\t".join(
-        (
-            str(item.seq),
-            item.stream,
-            item.key,
-            item.publisher,
-            _format_ts(item.timestamp),
-            item.payload.hex(),
-            item.prev_digest.hex(),
-            item.item_digest.hex(),
-            "true" if item.confirmed else "false",
-        )
-    )
 
 
 def _match_line(line: str) -> re.Match:
@@ -464,23 +440,23 @@ class Ledger:
         self._digests = bytearray()  # every record's item digest, in seq order
         self._streams: dict[str, Stream] = {}
         self._handle = None
-        if create:
-            if self._path.exists() and self._path.stat().st_size > 0:
-                raise LedgerError(f"ledger already exists at {self._path}")
-            self._publisher = publisher or f"node-{secrets.token_hex(8)}"
-            self._handle = open(self._path, "a", encoding="ascii", newline="")
-            self._register_stream(ROOT_STREAM)
-        else:
-            if not self._path.exists() or self._path.stat().st_size == 0:
-                raise LedgerError(f"no ledger at {self._path}")
-            self._reader = open(self._path, "rb")
-            try:
+        if create and self._path.exists() and self._path.stat().st_size > 0:
+            raise LedgerError(f"ledger already exists at {self._path}")
+        if not create and (not self._path.exists() or self._path.stat().st_size == 0):
+            raise LedgerError(f"no ledger at {self._path}")
+        try:
+            if create:
+                self._publisher = publisher or f"node-{secrets.token_hex(8)}"
+                self._handle = open(self._path, "a", encoding="ascii", newline="")
+                self._register_stream(ROOT_STREAM)
+            else:
+                self._reader = open(self._path, "rb")
                 genesis_publisher = self._load()
-            except BaseException:
-                self.close()
-                raise
-            self._publisher = publisher or genesis_publisher
-            self._handle = open(self._path, "a", encoding="ascii", newline="")
+                self._publisher = publisher or genesis_publisher
+                self._handle = open(self._path, "a", encoding="ascii", newline="")
+        except BaseException:
+            self.close()  # a failed open or create leaves no file open
+            raise
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -540,25 +516,22 @@ class Ledger:
         moment = self._clock()
         if moment.tzinfo is None:
             raise LedgerError("clock must produce timezone-aware instants")
-        # Truncate to the millisecond grid and keep the chain non-decreasing
-        # in time even if the wall clock steps backwards.
-        moment = moment.replace(microsecond=(moment.microsecond // 1000) * 1000)
+        # The UTC instant on the millisecond grid, kept non-decreasing in
+        # time even if the wall clock steps backwards.
+        moment = moment.astimezone(dt.timezone.utc)
+        moment = moment.replace(microsecond=moment.microsecond // 1000 * 1000)
         if last is not None and moment < last.timestamp:
             moment = last.timestamp
-        ts_text = _format_ts(moment)
-        digest = _item_digest(seq, stream, key, self._publisher, ts_text, payload, prev)
-        item = StreamItem(
-            seq=seq,
-            stream=stream,
-            key=key,
-            publisher=self._publisher,
-            timestamp=_parse_ts(ts_text),
-            payload=payload,
-            prev_digest=prev,
-            item_digest=digest,
-            confirmed=True,
+        ts_text = f"{moment:%Y-%m-%dT%H:%M:%S}.{moment.microsecond // 1000:03d}Z"
+        if last is None:  # open refuses a year before 1000; later items are no earlier
+            _parse_ts(ts_text)
+        publisher = self._publisher
+        digest = _item_digest(seq, stream, key, publisher, ts_text, payload, prev)
+        item = StreamItem(seq, stream, key, publisher, moment, payload, prev, digest, True)
+        self._handle.write(
+            f"{seq}\t{stream}\t{key}\t{publisher}\t{ts_text}\t{payload.hex()}"
+            f"\t{prev.hex()}\t{digest.hex()}\ttrue\n"
         )
-        self._handle.write(_render_line(item) + "\n")
         self._handle.flush()
         self._items.append(item)
         self._digests += digest

@@ -11,16 +11,19 @@ decodes every content and credential record.  Of policy.db it reads each
 line's lineage, ledger seq and tuple version with one anchored pattern,
 and keeps per lineage only where its latest line is (offset, length and
 line number), not the line; a line the pattern rejects, or one that is
-not UTF-8, fails the open.  The latest tuple instance of a lineage is read
-back with os.pread and decoded on first touch, and checked against those
-indexed fields; a record that fails either, say because it changed on
-disk since open, raises CorruptRecord.  The store holds policy.db open
-for these reads until close().  Older versions stay on disk as history:
-policy.db is append-only, and no query reads them.
+not UTF-8, fails the open, which then leaves no file open.  The latest
+tuple instance of a lineage is read back with os.pread and decoded on
+first touch, and checked against those indexed fields; a record that
+fails either, say because it changed on disk since open, raises
+CorruptRecord.  The store holds policy.db open for these reads and, from
+its first append, a handle appending to it, both until close().  Older versions stay on
+disk as history: policy.db is append-only, and no query reads them.
+Every write goes to the file before memory takes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -188,13 +191,21 @@ class TupleInstance(Record):
     _fields = ("privacy_tuple", "hash_record", "stream", "seq")
 
     def __init__(
-        self, privacy_tuple: PrivacyTuple, hash_record: HashRecord, stream: str, seq: int
+        self,
+        privacy_tuple: PrivacyTuple,
+        hash_record: HashRecord,
+        stream: str,
+        seq: int,
+        encoded: bytes | None = None,
     ):
         self._set(privacy_tuple, hash_record, stream, seq)
+        if encoded is not None:
+            object.__setattr__(self, "_encoded", encoded)
 
     @property
     def encoded(self) -> bytes:
-        """The canonical encoding of the tuple, derived on first read.
+        """The canonical encoding of the tuple: the bytes it was published
+        from, or derived on first read.
 
         A stored version never changes, so its bytes are encoded once;
         verifying them against the ledger still hashes them every time.
@@ -335,6 +346,7 @@ class Store:
         # Latest policy version per lineage, indexed until first touch.
         self._latest: dict[tuple[int, int, int], TupleInstance | _Indexed] = {}
         self._policy = None  # policy.db, read-only, for first touches
+        self._policy_out = None  # policy.db, appending, from the first append
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         if create:
@@ -360,9 +372,10 @@ class Store:
         return self._catalog
 
     def close(self):
-        if self._policy is not None:
-            self._policy.close()
-            self._policy = None
+        for handle in (self._policy, self._policy_out):
+            if handle is not None:
+                handle.close()
+        self._policy = self._policy_out = None
 
     # -- persistence --------------------------------------------------------
 
@@ -376,12 +389,12 @@ class Store:
                 self._dir / POLICY_FILE, self._policy, _index_policy_line
             ):
                 self._latest[lineage] = _Indexed(version, seq, offset, length, lineno)
+            for *_, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
+                self._credentials[cred.login] = cred
+                self._accessors[cred.profile.accessor_id] = cred
         except BaseException:
             self.close()
             raise
-        for *_, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
-            self._credentials[cred.login] = cred
-            self._accessors[cred.profile.accessor_id] = cred
 
     def _read_records(self, name: str, decode) -> list:
         path = self._dir / name
@@ -396,6 +409,21 @@ class Store:
     def _append_record(self, name: str, record: dict):
         with open(self._dir / name, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def _append_policy(self, record: dict):
+        # Held, unlike content.db's, which a rewrite replaces by renaming.
+        fh = self._policy_out
+        if fh is None:
+            fh = self._policy_out = open(self._dir / POLICY_FILE, "a", encoding="utf-8")
+        try:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.flush()
+        except BaseException:
+            # Drop what it could not write, or a later flush would write it.
+            self._policy_out = None
+            with contextlib.suppress(OSError):
+                fh.close()
+            raise
 
     def _rewrite_records(self, name: str, records):
         # Write the whole family to a temp file, then rename over the old one
@@ -419,15 +447,12 @@ class Store:
         for name in record.attributes:
             if not self._catalog.has_name(name):
                 raise UnknownAttribute(f"no attribute named {name!r}")
-        replacing = record.provider_id in self._providers
-        self._providers[record.provider_id] = record
-        if replacing:
-            self._rewrite_records(
-                CONTENT_FILE,
-                (self._providers[pid].to_dict() for pid in sorted(self._providers)),
-            )
+        if record.provider_id in self._providers:
+            providers = {**self._providers, record.provider_id: record}
+            self._rewrite_records(CONTENT_FILE, (providers[p].to_dict() for p in sorted(providers)))
         else:
             self._append_record(CONTENT_FILE, record.to_dict())
+        self._providers[record.provider_id] = record
         return record.provider_id
 
     def get_provider_record(self, provider_id: int) -> ProviderRecord:
@@ -444,8 +469,9 @@ class Store:
 
     # -- tuple instances ----------------------------------------------------
 
-    def put_tuple_instance(self, instance: TupleInstance) -> tuple[int, int, int]:
-        """Record a new tuple version.  Old versions are retained."""
+    def put_tuple_instance(self, instance: TupleInstance, record=None) -> tuple[int, int, int]:
+        """Record a new tuple version, with its to_dict() if the caller has
+        built it.  Old versions are retained."""
         lineage = instance.lineage
         if lineage[0] not in self._providers:
             raise UnknownProvider(f"no provider with id {lineage[0]}")
@@ -455,8 +481,8 @@ class Store:
                 f"lineage {lineage} already at version {held.version}, "
                 f"got {instance.version}"
             )
+        self._append_policy(instance.to_dict() if record is None else record)
         self._latest[lineage] = instance
-        self._append_record(POLICY_FILE, instance.to_dict())
         return lineage
 
     def latest_tuple_instance(self, lineage: tuple[int, int, int]) -> TupleInstance | None:
@@ -518,9 +544,9 @@ class Store:
             password_hash=hash_tuple(password.encode("utf-8"), self._hash_cost),
             profile=profile,
         )
+        self._append_record(CREDENTIALS_FILE, cred.to_dict())
         self._credentials[login] = cred
         self._accessors[profile.accessor_id] = cred
-        self._append_record(CREDENTIALS_FILE, cred.to_dict())
         return cred
 
     def authenticate(self, login: str, password: str) -> AccessorProfile:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import operator
 import re
 import secrets
 from enum import Enum
@@ -197,19 +198,15 @@ def bind_tuple(
 # Top-level field order is fixed; keys inside each nested record are sorted
 # lexicographically.  Integers render in decimal, dates in ISO-8601, and no
 # insignificant whitespace appears, so equal tuples encode identically.
+_PARTS = operator.itemgetter("provider_id", "attribute", "prefs", "accessor", "version")
 
 
-def canonical_encode(t: PrivacyTuple) -> bytes:
-    parts = [
-        t.provider_id,
-        t.attribute.to_dict(),
-        t.prefs.to_dict(),
-        t.accessor.to_dict(),
-        t.version,
-    ]
-    return json.dumps(
-        parts, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
+def canonical_encode(t: PrivacyTuple, data: dict | None = None) -> bytes:
+    """The encoding of the parts of t.to_dict(), or of data, that dict when
+    the caller has already built it."""
+    parts = _PARTS(t.to_dict() if data is None else data)
+    text = json.dumps(parts, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return text.encode("ascii")
 
 
 def canonical_decode(data: bytes) -> PrivacyTuple:

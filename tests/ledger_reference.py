@@ -15,6 +15,10 @@ refuse as unparseable:
   1000 renders with fewer than four digits, so a record dated, say,
   0999 used to open.
 
+reference_render_line is the record rendering as it was before the
+ledger built each record line straight from its fields: the item's
+fields, its timestamp formatted in UTC.  It is what Ledger writes.
+
 reference_verify_records is the chain verifier as it was before it
 worked on the matched fields: it builds every item and re-renders it to
 check the canonical encoding.  reference_item_digest is the item digest
@@ -33,8 +37,6 @@ from privledger.ledger import (
     ZERO_DIGEST,
     ChainReport,
     StreamItem,
-    _format_ts,
-    _render_line,
 )
 
 MAX_KEY_LENGTH = 256
@@ -51,6 +53,30 @@ def _valid_key(key: str) -> bool:
     if not isinstance(key, str) or len(key) > MAX_KEY_LENGTH:
         return False
     return all(0x21 <= ord(ch) <= 0x7E and ch not in "'\"" for ch in key)
+
+
+def reference_format_ts(moment: dt.datetime) -> str:
+    if moment.tzinfo is None:
+        raise ValueError("ledger timestamps must be timezone-aware")
+    moment = moment.astimezone(dt.timezone.utc)
+    millis = moment.microsecond // 1000
+    return f"{moment:%Y-%m-%dT%H:%M:%S}.{millis:03d}Z"
+
+
+def reference_render_line(item: StreamItem) -> str:
+    return "\t".join(
+        (
+            str(item.seq),
+            item.stream,
+            item.key,
+            item.publisher,
+            reference_format_ts(item.timestamp),
+            item.payload.hex(),
+            item.prev_digest.hex(),
+            item.item_digest.hex(),
+            "true" if item.confirmed else "false",
+        )
+    )
 
 
 def reference_parse_ts(text: str) -> dt.datetime:
@@ -147,7 +173,7 @@ def reference_verify_records(
             item = parse(line)
         except ValueError as exc:
             return bad(index, f"unparseable record ({exc})")
-        if _render_line(item) != line:
+        if reference_render_line(item) != line:
             return bad(index, "non-canonical record encoding")
         if item.seq != index:
             return bad(index, f"sequence discontinuity (record claims {item.seq})")
@@ -160,7 +186,7 @@ def reference_verify_records(
             item.stream,
             item.key,
             item.publisher,
-            _format_ts(item.timestamp),
+            reference_format_ts(item.timestamp),
             item.payload,
             item.prev_digest,
         )

@@ -270,3 +270,4 @@ def test_unknown_login_costs_as_much_as_a_wrong_password(tmp_path, monkeypatch):
         with pytest.raises(AuthenticationFailed):
             reopened.authenticate(login, "wrong-password")
     assert costs == [2048, 2048]
+    reopened.close()

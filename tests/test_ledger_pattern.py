@@ -13,14 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import TickingClock
-from ledger_reference import reference_parse_line, reference_verify_records
+from ledger_reference import (
+    reference_parse_line,
+    reference_render_line,
+    reference_verify_records,
+)
 from privledger.cli import main
 from privledger.ledger import (
     Ledger,
     LedgerError,
     _check_line,
     _parse_line,
-    _render_line,
     verify_file,
     verify_records,
 )
@@ -129,7 +132,7 @@ def test_accepted_lines_render_canonically(line):
     # Chain verification does not re-render records, so the field rules
     # alone must admit no encoding but the one _append writes.
     if _outcome(lambda text: _check_line(text, set()), line) != "refused":
-        assert _render_line(_parse_line(line)) == line
+        assert reference_render_line(_parse_line(line)) == line
 
 
 def test_canonical_lines_parse_identically():

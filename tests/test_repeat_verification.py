@@ -104,7 +104,7 @@ def test_every_query_rehashes_every_published_lineage(config, hashed, encodes):
     engine.close()
 
 
-def test_a_new_version_is_verified_by_the_next_query(config, hashed):
+def test_a_new_version_is_verified_by_the_next_query(config, hashed, encodes):
     engine = Engine.open(config)
     first = engine.mediate(REQUEST, now=NOW)
     [old] = [e for e in first.verification if e.lineage.key == (1, CITY, BENCH_ACCESSOR_ID)]
@@ -117,7 +117,9 @@ def test_a_new_version_is_verified_by_the_next_query(config, hashed):
     publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
     assert publication.seq > old.seq
     hashed.clear()
+    encodes.clear()
     second = engine.mediate(REQUEST, now=NOW)
+    assert encodes == []  # the published version keeps the bytes it was hashed from
     [new] = [e for e in second.verification if e.lineage.key == old.lineage.key]
     assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
     assert second.ops.hash_verifications == first.ops.hash_verifications == len(hashed)

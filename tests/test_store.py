@@ -33,7 +33,9 @@ from privledger.tuples import (
 
 @pytest.fixture
 def store(tmp_path):
-    return Store(tmp_path, hash_cost=4, create=True)
+    store = Store(tmp_path, hash_cost=4, create=True)
+    yield store
+    store.close()
 
 
 def sample_instance(catalog, version=1, provider_id=4, attribute_id=5, seq=1):
@@ -267,6 +269,7 @@ def test_reopen_restores_everything(tmp_path):
     store.put_tuple_instance(sample_instance(store.catalog, version=1))
     store.put_tuple_instance(sample_instance(store.catalog, version=2, seq=2))
     store.add_accessor("physician3", "pw", make_accessor())
+    store.close()
 
     again = Store(tmp_path, hash_cost=4)
     assert again.get_provider_record(4).attributes["street_name"] == "5202 50 Ave"
@@ -294,6 +297,7 @@ def test_files_are_line_delimited_json(tmp_path):
     store.put_provider_record(ProviderRecord(4, {"city": "Calgary"}))
     store.put_tuple_instance(sample_instance(store.catalog))
     store.add_accessor("a", "b", make_accessor())
+    store.close()
     for name in ("content.db", "policy.db", "credentials.db"):
         for line in (tmp_path / name).read_text().splitlines():
             json.loads(line)
