@@ -28,6 +28,7 @@ from .engine import (
     EngineConfig,
     EngineError,
     NotInitialized,
+    require_format,
 )
 from .ledger import ChainReport, LedgerError, verify_file
 from .mediator import MediationStatus, QueryRequest
@@ -374,10 +375,7 @@ def cmd_ledger_items(config: EngineConfig, args, out: Output) -> int:
             args.stream, start=args.start, count=args.count
         )
         for item in items:
-            try:
-                payload_text = item.payload.decode("ascii")
-            except UnicodeDecodeError:
-                payload_text = item.payload.hex()
+            payload = item.payload.decode("ascii")
             out.emit(
                 {
                     "record": "item",
@@ -385,13 +383,10 @@ def cmd_ledger_items(config: EngineConfig, args, out: Output) -> int:
                     "key": item.key,
                     "publisher": item.publisher,
                     "timestamp": item.timestamp.isoformat(),
-                    "payload": payload_text,
-                    "confirmed": item.confirmed,
+                    "payload": payload,
                 },
                 f"seq={item.seq}  key={item.key}  "
-                f"time={item.timestamp.isoformat()}  "
-                f"confirmed={'yes' if item.confirmed else 'no'}  "
-                f"payload={payload_text}",
+                f"time={item.timestamp.isoformat()}  payload={payload}",
             )
     return EXIT_OK
 
@@ -399,6 +394,7 @@ def cmd_ledger_items(config: EngineConfig, args, out: Output) -> int:
 def cmd_ledger_verify(config: EngineConfig, out: Output) -> int:
     if not config.ledger_file.exists():
         raise CliError(f"no ledger at {config.ledger_file}")
+    require_format(config.data_dir)
     report: ChainReport = verify_file(config.ledger_file)
     out.emit(
         {

@@ -7,6 +7,10 @@ Publishing a policy binds the tuple at the next lineage version, hashes
 the canonical encoding, appends the hash to the lineage's stream and only
 then records the plaintext instance in the store, so the ledger is never
 behind the store.
+
+A data directory in data format 2 has a ``format`` file, written first,
+that reads ``privledger 2``.  One without it is in format 1: it is
+refused and left as it is.
 """
 
 from __future__ import annotations
@@ -45,8 +49,14 @@ class ConfigError(EngineError):
     pass
 
 
+class UnsupportedFormat(EngineError):
+    pass
+
+
 DATA_DIR_ENV = "PRIVLEDGER_DATA_DIR"
 LEDGER_FILE = "ledger.db"
+FORMAT_FILE = "format"
+FORMAT = "privledger 2\n"
 
 _CONFIG_KEYS = {"data_dir", "hash_cost"}
 
@@ -91,6 +101,18 @@ class EngineConfig(Record):
                     f"hash_cost must be an integer, got {values['hash_cost']!r}"
                 )
         return cls(values["data_dir"], cost)
+
+
+def require_format(data_dir: Path):
+    """Raise UnsupportedFormat unless the directory is in format 2."""
+    path = data_dir / FORMAT_FILE
+    if not path.exists():
+        raise UnsupportedFormat(
+            f"{data_dir} holds data format 1, which this privledger does not read; "
+            "rebuild it with init in a new directory"
+        )
+    if (text := path.read_text()) != FORMAT:
+        raise UnsupportedFormat(f"{path}: unknown data format {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +160,7 @@ class Engine:
         if (data_dir / "content.db").exists() or config.ledger_file.exists():
             raise AlreadyInitialized(f"engine already initialized in {data_dir}")
         data_dir.mkdir(parents=True, exist_ok=True)
+        (data_dir / FORMAT_FILE).write_text(FORMAT)
         store = Store(data_dir, hash_cost=config.hash_cost, create=True)
         ledger = Ledger(config.ledger_file, create=True)
         return cls(config, store, ledger)
@@ -156,9 +179,11 @@ class Engine:
 
     @staticmethod
     def require_state(config: EngineConfig):
-        """Raise NotInitialized unless the data directory holds engine state."""
+        """Raise NotInitialized unless the data directory holds engine state,
+        and UnsupportedFormat unless that state is in format 2."""
         if not (config.data_dir / "content.db").exists() or not config.ledger_file.exists():
             raise NotInitialized(f"no engine state in {config.data_dir}")
+        require_format(config.data_dir)
 
     def close(self):
         self.store.close()
@@ -200,16 +225,17 @@ class Engine:
         # One dict gives both the hashed bytes and the policy.db line.
         data = bound.to_dict()
         encoded = canonical_encode(bound, data)
-        record = hash_tuple(encoded, self.config.hash_cost)
-        hash_text = record.to_string()
+        payload = hash_tuple(encoded, self.config.hash_cost).to_string().encode("ascii")
         stream = stream_name_for(*lineage)
-        if not self.ledger.has_stream(stream):
-            self.ledger.create_stream(stream)
         key = publish_key(bound.version)
-        item = self.ledger.publish(stream, key, hash_text.encode("ascii"))
+        # A stream begins with its lineage's first published version.
+        if self.ledger.has_stream(stream):
+            item = self.ledger.publish(stream, key, payload)
+        else:
+            item = self.ledger.create_stream(stream, key, payload)
         self.store.put_tuple_instance(
-            TupleInstance(bound, record, stream, item.seq, encoded),
-            {"tuple": data, "hash": hash_text, "stream": stream, "seq": item.seq},
+            TupleInstance(bound, stream, item.seq, encoded),
+            {"seq": item.seq, "stream": stream, "tuple": data},
         )
         return PolicyPublication(
             stream=stream, seq=item.seq, version=bound.version, key=key

@@ -1,33 +1,25 @@
-"""Append-only hash-chained ledger with named streams.
+"""Append-only hash-chained ledger with named streams, in data format 2.
 
-A single global chain of items crosses every stream: each item's digest
-covers its content plus the previous item's digest, with the genesis
-item chained to 32 zero bytes.  Streams are named channels over the
-chain; creating one appends an administrative item (empty key, reserved
-payload tag) and transaction items are published onto it under an
-application-chosen key.
+One chain of items crosses every stream: each item's digest covers its
+fields and the previous item's digest.  The genesis, chained to 32 zero
+bytes, is seq 0 and the only item on the root stream.  Every later item
+is on a lineage stream, which exists from its first item on.
 
-Persistence is one line per item in append order.  The file is the
-source of truth.  The field rules admit one encoding of each item, the
-canonical one it is written in (every record they accept re-renders byte
-for byte), so verification rejects any byte that deviates from what the
-chain digests committed to without re-rendering anything.
+The file, the source of truth, holds one line per item in append order:
+eight tab-separated fields, the payload as its own printable ASCII bytes.
+The field rules admit only the canonical encoding (every record they
+accept re-renders byte for byte), so verification rejects any byte that
+deviates from what the digests committed to without re-rendering.
 
-Opening and chain verification share one field check: one compiled line
-pattern plus the calendar validity of each timestamp.  Opening runs it as
-one pass over the file's bytes, checks the continuity of each seq and
-indexes streams from the matched fields.  The index is one Stream per
-creation record, holding the seqs of the stream's transaction items in
-order; a transaction record that precedes its stream's creation record
-is not indexed, so a stream's item count, listing and latest item always
-agree.  The pass reads the file CHUNK_BYTES at a time and keeps no text:
-only each record's offset and its item digest.  A StreamItem is built
-when something first reads it, from the record read back at its offset,
-and cached; the read reruns the field check and re-derives the item
-digest, which must equal the digest open kept, so a record that changed
-or vanished on disk since open, or whose digest field does not cover its
-fields, fails that read instead of yielding an item.  Chain verification
-runs the same pass and re-derives every digest and link.
+Open and chain verification share one field check, one compiled line
+pattern plus the calendar validity of each timestamp, run as one pass
+over the file's bytes, CHUNK_BYTES at a time.  Open also checks seq
+continuity and the genesis rule, indexes each stream's seqs from the
+matched fields and keeps no text: only each record's offset and item
+digest.  A StreamItem is built on first read, from the record read back
+at its offset, which must pass the field check again and re-derive the
+digest open kept, so a record that changed on disk since open fails that
+read.  Chain verification re-derives every digest and link.
 """
 
 from __future__ import annotations
@@ -72,17 +64,12 @@ class RootPublishForbidden(LedgerError):
     """The root stream carries no transaction items."""
 
 
-class ReservedPayload(LedgerError):
-    """Payload value is reserved for administrative items."""
-
-
 # ---------------------------------------------------------------------------
 # Naming, keys, timestamps
 # ---------------------------------------------------------------------------
 
 ROOT_STREAM = "root"
 ZERO_DIGEST = b"\x00" * 32
-ADMIN_PAYLOAD = b"!stream-create"
 MAX_KEY_LENGTH = 256
 
 _STREAM_NAME = r"stream-[1-9][0-9]*-[1-9][0-9]*-[1-9][0-9]*"
@@ -95,28 +82,27 @@ _DIGEST_HEX = r"[0-9a-f]{64}"
 # Printable ASCII without whitespace or quotes, up to MAX_KEY_LENGTH.
 _KEY = rf"[!#-&(-~]{{0,{MAX_KEY_LENGTH}}}"
 _KEY_RE = re.compile(_KEY)
+_PAYLOAD = r"[!-~]*"  # printable ASCII, no whitespace
+_PAYLOAD_RE = re.compile(_PAYLOAD.encode("ascii"))
 
-# One persisted record: nine tab-separated fields, each with its rule.
-# ASCII classes only; Python's \d would also match non-ASCII digits.  The
-# payload's even length is checked apart: a repeated pair group would
-# double the cost of matching a line.
+# One persisted record: eight tab-separated fields, each with its rule.
+# ASCII classes only; Python's \d would also match non-ASCII digits.
 _LINE_FIELDS = (
     ("seq", r"0|[1-9][0-9]*"),
     ("stream name", rf"{ROOT_STREAM}|{_STREAM_NAME}"),
     ("key", _KEY),
     ("publisher", r"[!-~]+"),  # printable ASCII, no whitespace
     ("timestamp", _TS),
-    ("payload", r"[0-9a-f]*"),  # lowercase hex
+    ("payload", _PAYLOAD),
     ("previous digest", _DIGEST_HEX),
     ("item digest", _DIGEST_HEX),
-    ("confirmation flag", r"true|false"),
 )
 _LINE_RE = re.compile("\t".join(f"({rule})" for _, rule in _LINE_FIELDS))
 # The same record as one line of the file's bytes: no field rule admits a
 # newline or a byte outside ASCII.
 _RECORD_RE = re.compile(_LINE_RE.pattern.encode("ascii") + rb"(?:\n|\Z)")
 _FIELD_RES = tuple((name, re.compile(rule)) for name, rule in _LINE_FIELDS)
-_ADMIN_PAYLOAD_HEX = ADMIN_PAYLOAD.hex().encode("ascii")
+_ROOT = ROOT_STREAM.encode("ascii")
 DIGEST_BYTES = 32
 # Open and chain verification read the file this many bytes at a time.
 CHUNK_BYTES = 64 * 1024
@@ -130,8 +116,17 @@ def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> st
     return f"stream-{provider_id}-{attribute_id}-{accessor_id}"
 
 
-def _valid_key(key: str) -> bool:
-    return isinstance(key, str) and _KEY_RE.fullmatch(key) is not None
+def _check_entry(key: str, payload: bytes):
+    """The rules a new item's key and payload must meet."""
+    if not (isinstance(key, str) and _KEY_RE.fullmatch(key)):
+        raise InvalidKey(
+            "keys are at most 256 printable ASCII characters with no "
+            "whitespace or quotes"
+        )
+    if not isinstance(payload, bytes):
+        raise LedgerError("payload must be bytes")
+    if not _PAYLOAD_RE.fullmatch(payload):
+        raise LedgerError("payload must be printable ASCII with no whitespace")
 
 
 def _parse_ts(text: str) -> dt.datetime:
@@ -169,11 +164,6 @@ class StreamItem(NamedTuple):
     payload: bytes
     prev_digest: bytes
     item_digest: bytes
-    confirmed: bool
-
-    @property
-    def is_admin(self) -> bool:
-        return self.key == "" and self.payload == ADMIN_PAYLOAD
 
 
 class Stream:
@@ -182,31 +172,16 @@ class Stream:
     def __init__(self, name: str, created_by: str):
         self.name = name
         self.created_by = created_by
-        self.seqs: list[int] = []  # transaction items, ascending
+        self.seqs: list[int] = []  # its items, ascending; none for root
 
     @property
     def item_count(self) -> int:
         return len(self.seqs)
 
 
-def _item_digest(
-    seq: int,
-    stream: str,
-    key: str,
-    publisher: str,
-    ts_text: str,
-    payload: bytes,
-    prev_digest: bytes,
-) -> bytes:
-    return _digest(
-        str(seq).encode("ascii"),
-        stream.encode("ascii"),
-        key.encode("ascii"),
-        publisher.encode("ascii"),
-        ts_text.encode("ascii"),
-        payload,
-        prev_digest,
-    )
+def _item_digest(seq, stream, key, publisher, ts_text, payload, prev_digest) -> bytes:
+    texts = (str(seq), stream, key, publisher, ts_text)  # seq as an int or its text
+    return _digest(*(text.encode("ascii") for text in texts), payload, prev_digest)
 
 
 def _digest(seq, stream, key, publisher, ts, payload, prev) -> bytes:
@@ -234,9 +209,7 @@ def _match_line(line: str) -> re.Match:
     """
     match = _LINE_RE.fullmatch(line)
     if match is not None:
-        if (match.end(6) - match.start(6)) % 2 == 0:
-            return match
-        raise ValueError("invalid payload: odd hex length")
+        return match
     fields = line.split("\t")
     if len(fields) != len(_FIELD_RES):
         raise ValueError(f"expected {len(_FIELD_RES)} fields, got {len(fields)}")
@@ -260,24 +233,19 @@ def _check_line(line: str, valid_dates: set[str]) -> re.Match:
     return match
 
 
-def _parse_line(line: str) -> StreamItem:
-    return _build_item(_match_line(line))
-
-
 def _build_item(match: re.Match) -> StreamItem:
     """The item of a matched record; raises ValueError on a date that is
     not on the calendar."""
-    seq, stream, key, publisher, ts_text, payload, prev, digest, confirmed = match.groups()
+    seq, stream, key, publisher, ts_text, payload, prev, digest = match.groups()
     return StreamItem(
         seq=int(seq),
         stream=stream,
         key=key,
         publisher=publisher,
         timestamp=_parse_ts(ts_text),
-        payload=bytes.fromhex(payload),
+        payload=payload.encode("ascii"),
         prev_digest=bytes.fromhex(prev),
         item_digest=bytes.fromhex(digest),
-        confirmed=confirmed == "true",
     )
 
 
@@ -298,13 +266,11 @@ def verify_records(
 ) -> ChainReport:
     """Walk a persisted chain from genesis and report the first divergence.
 
-    Applies open's field check, which admits only the canonical encoding,
-    then checks the sequence numbering, the confirmation flags and the
-    previous-digest links and re-derives every item digest, all from the
-    matched fields, building no item.  When the caller supplies its
-    in-memory chain, the file is also required to match it record for
-    record, which catches deletion of a self-consistent tail.  Corruption
-    is a report outcome, never an exception.
+    Applies open's field check, then checks the seq numbering, the genesis
+    rule and the links and re-derives every item digest, all from the
+    matched fields, building no item.  Given the in-memory chain, the file
+    must also match it record for record, which catches deletion of a
+    self-consistent tail.  Corruption is a report outcome, never raised.
     """
     return _verify_digests(io.BytesIO(content), _held_digests(expected))
 
@@ -319,8 +285,8 @@ def _records(fh):
 
     Reads CHUNK_BYTES at a time and cuts the bytes after their last
     newline, so the pattern never sees part of a record.  Where the pass
-    stops short (a gap between matches, an odd payload or a date that is
-    not on the calendar), yields the records before it and then raises
+    stops short (a gap between matches or a date that is not on the
+    calendar), yields the records before it and then raises
     the ValueError the field check raises for that record.
     """
     valid_dates: set[bytes] = set()
@@ -334,7 +300,7 @@ def _records(fh):
             matches = []
             end = 0
             for match in _RECORD_RE.finditer(data, 0, cut):
-                if match.start() != end or (match.end(6) - match.start(6)) % 2:
+                if match.start() != end:
                     break
                 ts_text = match[5]
                 if ts_text[:10] not in valid_dates:
@@ -358,6 +324,11 @@ def _records(fh):
             return
 
 
+def _genesis_rule(index: int) -> str:
+    """How the record at index breaks the rule that only seq 0 is on root."""
+    return "the genesis is not on root" if index == 0 else "a record on root after the genesis"
+
+
 def _count_lines(fh) -> int:
     """Lines of a file as a split at newlines counts them, less the empty
     one after a final newline."""
@@ -377,17 +348,15 @@ def _verify_digests(fh, expected: bytes | bytearray | None) -> ChainReport:
     detail = None
     try:
         for match in (match for _, matches in _records(fh) for match in matches):
-            seq, stream, key, publisher, ts_text, payload, prev_hex, digest_hex, confirmed = (
-                match.groups()
-            )
+            seq, stream, key, publisher, ts_text, payload, prev_hex, digest_hex = match.groups()
             if int(seq) != index:
                 detail = f"sequence discontinuity (record claims {seq.decode()})"
-            elif confirmed != b"true":
-                detail = "unconfirmed item in a confirmed chain"
+            elif (stream == _ROOT) != (index == 0):
+                detail = _genesis_rule(index)
             elif unhexlify(prev_hex) != prev:
                 detail = "previous-digest link mismatch"
             else:
-                digest = _digest(seq, stream, key, publisher, ts_text, unhexlify(payload), prev)
+                digest = _digest(seq, stream, key, publisher, ts_text, payload, prev)
                 if digest != unhexlify(digest_hex):
                     detail = "item digest mismatch"
                 elif expected is not None and index * DIGEST_BYTES < len(expected):
@@ -425,6 +394,28 @@ def verify_file(path, expected: list[StreamItem] | None = None) -> ChainReport:
 # ---------------------------------------------------------------------------
 
 
+def append_line(handle, line: str):
+    """Append a line and its newline through an unbuffered binary handle.
+
+    A short write is carried on.  If a write fails, what the line's
+    earlier writes put in the file is cut off again, so nothing of it
+    stays for the next append to run into, and the handle is closed: the
+    next append opens the file afresh.
+    """
+    data = line.encode("utf-8") + b"\n"
+    written = 0
+    try:
+        while written < len(data):
+            written += handle.write(data[written:])
+    except BaseException:
+        try:
+            if written:
+                os.ftruncate(handle.fileno(), os.fstat(handle.fileno()).st_size - written)
+        finally:
+            handle.close()
+        raise
+
+
 class Ledger:
     """Single-writer stream ledger over one append-only file."""
 
@@ -439,7 +430,7 @@ class Ledger:
         self._reader = None
         self._digests = bytearray()  # every record's item digest, in seq order
         self._streams: dict[str, Stream] = {}
-        self._handle = None
+        self._handle = None  # appending, unbuffered; closed by a failed append
         if create and self._path.exists() and self._path.stat().st_size > 0:
             raise LedgerError(f"ledger already exists at {self._path}")
         if not create and (not self._path.exists() or self._path.stat().st_size == 0):
@@ -447,13 +438,13 @@ class Ledger:
         try:
             if create:
                 self._publisher = publisher or f"node-{secrets.token_hex(8)}"
-                self._handle = open(self._path, "a", encoding="ascii", newline="")
-                self._register_stream(ROOT_STREAM)
+                self._handle = open(self._path, "ab", buffering=0)
+                self._append(ROOT_STREAM, "", b"")
+                self._streams[ROOT_STREAM] = Stream(ROOT_STREAM, self._publisher)
             else:
                 self._reader = open(self._path, "rb")
-                genesis_publisher = self._load()
-                self._publisher = publisher or genesis_publisher
-                self._handle = open(self._path, "a", encoding="ascii", newline="")
+                self._publisher = publisher or self._load()
+                self._handle = open(self._path, "ab", buffering=0)
         except BaseException:
             self.close()  # a failed open or create leaves no file open
             raise
@@ -471,30 +462,31 @@ class Ledger:
         offsets = self._offsets
         digests = self._digests
         streams: dict[bytes, Stream] = {}  # by name, as the pass reads it
-        genesis_publisher = ""
         try:
             for base, matches in _records(self._reader):
-                if matches and not offsets:
-                    genesis_publisher = matches[0][4].decode("ascii")
                 digest_hex = []
                 for match in matches:
-                    seq, stream, key, digest = match.group(1, 2, 3, 8)
+                    seq, stream, digest = match.group(1, 2, 8)
                     index = len(offsets)
                     if int(seq) != index:
                         raise LedgerError(
                             f"ledger sequence discontinuity at position {index}; "
                             "run chain verification"
                         )
+                    if (stream == _ROOT) != (index == 0):
+                        raise LedgerError(
+                            f"ledger record at position {index} breaks the genesis "
+                            f"rule: {_genesis_rule(index)}; run chain verification"
+                        )
                     offsets.append(base + match.start())
                     digest_hex.append(digest)
-                    if not key and match[6] == _ADMIN_PAYLOAD_HEX:
+                    target = streams.get(stream)
+                    if target is None:
                         name = stream.decode("ascii")
-                        created = Stream(name, match[4].decode("ascii"))
-                        streams[stream] = self._streams[name] = created
-                    else:
-                        target = streams.get(stream)
-                        if target is not None:
-                            target.seqs.append(index)
+                        target = Stream(name, match[4].decode("ascii"))
+                        streams[stream] = self._streams[name] = target
+                    if index:
+                        target.seqs.append(index)
                 digests += unhexlify(b"".join(digest_hex))
         except ValueError as exc:
             raise LedgerError(
@@ -503,9 +495,7 @@ class Ledger:
             ) from None
         self._items = [None] * len(offsets)
         offsets.append(self._reader.tell())
-        if ROOT_STREAM not in self._streams:
-            raise LedgerError("ledger has no root stream")
-        return genesis_publisher
+        return self._streams[ROOT_STREAM].created_by
 
     # -- writing ------------------------------------------------------------
 
@@ -527,47 +517,40 @@ class Ledger:
             _parse_ts(ts_text)
         publisher = self._publisher
         digest = _item_digest(seq, stream, key, publisher, ts_text, payload, prev)
-        item = StreamItem(seq, stream, key, publisher, moment, payload, prev, digest, True)
-        self._handle.write(
-            f"{seq}\t{stream}\t{key}\t{publisher}\t{ts_text}\t{payload.hex()}"
-            f"\t{prev.hex()}\t{digest.hex()}\ttrue\n"
+        item = StreamItem(seq, stream, key, publisher, moment, payload, prev, digest)
+        if self._handle.closed:
+            self._handle = open(self._path, "ab", buffering=0)
+        append_line(
+            self._handle,
+            f"{seq}\t{stream}\t{key}\t{publisher}\t{ts_text}\t{payload.decode('ascii')}"
+            f"\t{prev.hex()}\t{digest.hex()}",
         )
-        self._handle.flush()
         self._items.append(item)
         self._digests += digest
         return item
 
-    def _register_stream(self, name: str) -> Stream:
-        if name in self._streams:
-            raise DuplicateStream(f"stream already exists: {name}")
-        self._append(name, "", ADMIN_PAYLOAD)
-        stream = self._streams[name] = Stream(name, self._publisher)
-        return stream
-
-    def create_stream(self, name: str) -> Stream:
-        """Create a named stream by appending its administrative item."""
+    def create_stream(self, name: str, key: str, payload: bytes) -> StreamItem:
+        """Create a lineage stream by appending its first item."""
         if name != ROOT_STREAM and not _STREAM_NAME_RE.fullmatch(name):
             raise InvalidStreamName(
                 f"stream name must read stream-<provider>-<attribute>-<accessor>, got {name!r}"
             )
-        return self._register_stream(name)
+        if name in self._streams:
+            raise DuplicateStream(f"stream already exists: {name}")
+        _check_entry(key, payload)
+        item = self._append(name, key, payload)
+        stream = self._streams[name] = Stream(name, self._publisher)
+        stream.seqs.append(item.seq)
+        return item
 
     def publish(self, stream: str, key: str, payload: bytes) -> StreamItem:
-        """Append one confirmed transaction item to a stream."""
+        """Append one transaction item to an existing stream."""
         target = self._streams.get(stream)
         if target is None:
             raise UnknownStream(f"unknown stream: {stream}")
         if stream == ROOT_STREAM:
             raise RootPublishForbidden("the root stream holds no transaction items")
-        if not _valid_key(key):
-            raise InvalidKey(
-                "keys are at most 256 printable ASCII characters with no "
-                "whitespace or quotes"
-            )
-        if not isinstance(payload, bytes):
-            raise LedgerError("payload must be bytes")
-        if payload == ADMIN_PAYLOAD:
-            raise ReservedPayload("payload value is reserved for stream creation")
+        _check_entry(key, payload)
         item = self._append(stream, key, payload)
         target.seqs.append(item.seq)
         return item
@@ -589,7 +572,7 @@ class Ledger:
         return name in self._streams
 
     def streams(self) -> list[Stream]:
-        """All streams in creation order."""
+        """All streams, in the order of their first items."""
         return list(self._streams.values())
 
     def stream(self, name: str) -> Stream:
@@ -643,9 +626,7 @@ class Ledger:
                 f"corrupt ledger record at seq {seq}: {exc}; run chain verification"
             ) from None
         kept = self._digests[seq * DIGEST_BYTES : (seq + 1) * DIGEST_BYTES]
-        digest = _item_digest(
-            item.seq, item.stream, item.key, item.publisher, match[5], item.payload, item.prev_digest
-        )
+        digest = _item_digest(*match.group(1, 2, 3, 4, 5), item.payload, item.prev_digest)
         if item.seq != seq or item.item_digest != kept or digest != kept:
             raise LedgerError(
                 f"ledger record at seq {seq} does not match its digest; "

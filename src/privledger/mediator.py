@@ -24,7 +24,7 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-from .ledger import EmptyStream, Ledger, LedgerError, UnknownStream, stream_name_for
+from .ledger import Ledger, LedgerError, UnknownStream, stream_name_for
 from .policy import GranularityMode, Record, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
 from .tuples import MalformedRecord, verify_hash
@@ -211,7 +211,7 @@ class Mediator:
             instance, readable = None, False
         try:
             item = self._ledger.latest_item(lineage.stream)
-        except (UnknownStream, EmptyStream):
+        except UnknownStream:  # a lineage stream has items from its start
             note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
             return (VerificationEntry(lineage, None, False, note), None)
         except LedgerError:

@@ -3,8 +3,9 @@
 Three line-delimited families live under the data directory as
 credentials.db, policy.db and content.db.  Plaintext tuple instances
 stay here while only their hashes go to the ledger.  Writes append or
-atomically replace a family file (write temp, then rename); the files
-are the source of truth.
+atomically replace a family file (write temp, then rename); an append
+that fails cuts the file back to its size before.  The files are the
+source of truth.
 
 Opening reads each family file in one streaming pass over its bytes and
 decodes every content and credential record.  Of policy.db it reads each
@@ -23,7 +24,6 @@ Every write goes to the file before memory takes it.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
+from .ledger import append_line
 from .policy import AccessorProfile, Record
 from .tuples import (
     DEFAULT_COST,
@@ -186,19 +187,18 @@ class ProviderRecord(Record):
 
 
 class TupleInstance(Record):
-    """One stored tuple version with its published hash location."""
+    """One stored tuple version and where its hash is on the ledger."""
 
-    _fields = ("privacy_tuple", "hash_record", "stream", "seq")
+    _fields = ("privacy_tuple", "stream", "seq")
 
     def __init__(
         self,
         privacy_tuple: PrivacyTuple,
-        hash_record: HashRecord,
         stream: str,
         seq: int,
         encoded: bytes | None = None,
     ):
-        self._set(privacy_tuple, hash_record, stream, seq)
+        self._set(privacy_tuple, stream, seq)
         if encoded is not None:
             object.__setattr__(self, "_encoded", encoded)
 
@@ -228,18 +228,12 @@ class TupleInstance(Record):
         return self.privacy_tuple.version
 
     def to_dict(self) -> dict:
-        return {
-            "tuple": self.privacy_tuple.to_dict(),
-            "hash": self.hash_record.to_string(),
-            "stream": self.stream,
-            "seq": self.seq,
-        }
+        return {"seq": self.seq, "stream": self.stream, "tuple": self.privacy_tuple.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> TupleInstance:
         return cls(
             privacy_tuple=PrivacyTuple.from_dict(data["tuple"]),
-            hash_record=HashRecord.from_string(data["hash"]),
             stream=data["stream"],
             seq=data["seq"],
         )
@@ -276,10 +270,10 @@ CONTENT_FILE = "content.db"
 FAMILY_FILES = (CREDENTIALS_FILE, POLICY_FILE, CONTENT_FILE)
 
 # A policy.db line is json.dumps(TupleInstance.to_dict(), sort_keys=True), so
-# it reads {"hash": ..., "seq": N, "stream": "stream-P-A-X", "tuple": {...}}
-# and the tuple's last key is its version.
+# it reads {"seq": N, "stream": "stream-P-A-X", "tuple": {...}} and the
+# tuple's last key is its version.  The ledger holds the tuple's hash.
 _POLICY_LINE_RE = re.compile(
-    r'\{"hash": "[^"\\]*(?:\\.[^"\\]*)*", "seq": (0|[1-9][0-9]*), '
+    r'\{"seq": (0|[1-9][0-9]*), '
     r'"stream": "stream-([1-9][0-9]*)-([1-9][0-9]*)-([1-9][0-9]*)", '
     r'"tuple": \{.*"version": (0|[1-9][0-9]*)\}\}'
 )
@@ -407,23 +401,14 @@ class Store:
         return data.decode("utf-8").strip()
 
     def _append_record(self, name: str, record: dict):
-        with open(self._dir / name, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with open(self._dir / name, "ab", buffering=0) as fh:
+            append_line(fh, json.dumps(record, sort_keys=True))
 
     def _append_policy(self, record: dict):
         # Held, unlike content.db's, which a rewrite replaces by renaming.
-        fh = self._policy_out
-        if fh is None:
-            fh = self._policy_out = open(self._dir / POLICY_FILE, "a", encoding="utf-8")
-        try:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-        except BaseException:
-            # Drop what it could not write, or a later flush would write it.
-            self._policy_out = None
-            with contextlib.suppress(OSError):
-                fh.close()
-            raise
+        if self._policy_out is None or self._policy_out.closed:  # closed by a failure
+            self._policy_out = open(self._dir / POLICY_FILE, "ab", buffering=0)
+        append_line(self._policy_out, json.dumps(record, sort_keys=True))
 
     def _rewrite_records(self, name: str, records):
         # Write the whole family to a temp file, then rename over the old one

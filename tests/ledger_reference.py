@@ -3,8 +3,9 @@ verifier, kept as the references for the single-pattern parser and the
 match-based chain verifier in privledger.ledger.
 
 This is the record parser as it was before the ledger checked each line
-with one compiled pattern, with two deliberate tightenings of its
-timestamp rule, each of which turned a record that used to open (chain
+with one compiled pattern, moved to data format 2 (eight fields, the
+payload as its own printable ASCII bytes, no confirmation flag), with
+two deliberate tightenings of its timestamp rule, each of which turned a record that used to open (chain
 verification then reported it as non-canonical) into one both parsers
 refuse as unparseable:
 
@@ -21,7 +22,8 @@ fields, its timestamp formatted in UTC.  It is what Ledger writes.
 
 reference_verify_records is the chain verifier as it was before it
 worked on the matched fields: it builds every item and re-renders it to
-check the canonical encoding.  reference_item_digest is the item digest
+check the canonical encoding.  In format 2 it also holds the chain to
+the genesis rule: the record at seq 0, and no other, is on root.  reference_item_digest is the item digest
 as it was before it hashed one joined input: one update per length and
 per field.
 """
@@ -44,7 +46,7 @@ MAX_KEY_LENGTH = 256
 _STREAM_NAME_RE = re.compile(r"stream-[1-9][0-9]*-[1-9][0-9]*-[1-9][0-9]*")
 _FIELD_RE = re.compile(r"[\x21-\x7e]+")  # printable ASCII, no whitespace
 _TS_RE = re.compile(r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
-_HEX_RE = re.compile(r"(?:[0-9a-f][0-9a-f])*")
+_PAYLOAD_RE = re.compile(r"[\x21-\x7e]*")
 _DIGEST_HEX_RE = re.compile(r"[0-9a-f]{64}")
 _SEQ_RE = re.compile(r"0|[1-9][0-9]*")
 
@@ -71,10 +73,9 @@ def reference_render_line(item: StreamItem) -> str:
             item.key,
             item.publisher,
             reference_format_ts(item.timestamp),
-            item.payload.hex(),
+            item.payload.decode("ascii"),
             item.prev_digest.hex(),
             item.item_digest.hex(),
-            "true" if item.confirmed else "false",
         )
     )
 
@@ -90,9 +91,9 @@ def reference_parse_ts(text: str) -> dt.datetime:
 
 def reference_parse_line(line: str) -> StreamItem:
     fields = line.split("\t")
-    if len(fields) != 9:
-        raise ValueError(f"expected 9 fields, got {len(fields)}")
-    seq_text, stream, key, publisher, ts_text, payload_hex, prev_hex, digest_hex, confirmed_text = fields
+    if len(fields) != 8:
+        raise ValueError(f"expected 8 fields, got {len(fields)}")
+    seq_text, stream, key, publisher, ts_text, payload, prev_hex, digest_hex = fields
     if not _SEQ_RE.fullmatch(seq_text):
         raise ValueError(f"invalid seq: {seq_text!r}")
     if stream != ROOT_STREAM and not _STREAM_NAME_RE.fullmatch(stream):
@@ -102,24 +103,21 @@ def reference_parse_line(line: str) -> StreamItem:
     if not _FIELD_RE.fullmatch(publisher):
         raise ValueError(f"invalid publisher: {publisher!r}")
     timestamp = reference_parse_ts(ts_text)
-    if not _HEX_RE.fullmatch(payload_hex):
-        raise ValueError("payload is not lowercase hex")
+    if not _PAYLOAD_RE.fullmatch(payload):
+        raise ValueError("payload is not printable ASCII without whitespace")
     if not _DIGEST_HEX_RE.fullmatch(prev_hex):
         raise ValueError("previous digest is not a 64-char lowercase hex digest")
     if not _DIGEST_HEX_RE.fullmatch(digest_hex):
         raise ValueError("item digest is not a 64-char lowercase hex digest")
-    if confirmed_text not in ("true", "false"):
-        raise ValueError(f"invalid confirmation flag: {confirmed_text!r}")
     return StreamItem(
         seq=int(seq_text, 10),
         stream=stream,
         key=key,
         publisher=publisher,
         timestamp=timestamp,
-        payload=bytes.fromhex(payload_hex),
+        payload=payload.encode("ascii"),
         prev_digest=bytes.fromhex(prev_hex),
         item_digest=bytes.fromhex(digest_hex),
-        confirmed=confirmed_text == "true",
     )
 
 
@@ -177,8 +175,10 @@ def reference_verify_records(
             return bad(index, "non-canonical record encoding")
         if item.seq != index:
             return bad(index, f"sequence discontinuity (record claims {item.seq})")
-        if not item.confirmed:
-            return bad(index, "unconfirmed item in a confirmed chain")
+        if index == 0 and item.stream != ROOT_STREAM:
+            return bad(index, "the genesis is not on root")
+        if index > 0 and item.stream == ROOT_STREAM:
+            return bad(index, "a record on root after the genesis")
         if item.prev_digest != prev:
             return bad(index, "previous-digest link mismatch")
         recomputed = reference_item_digest(

@@ -3,8 +3,9 @@ of privledger.ledger.Ledger._load and for the policy.db index that
 privledger.store.Store._load builds in one pass over the file's bytes.
 
 reference_load_ledger is Ledger._load as it was before open ran one
-pattern over the whole file: it splits the text at newlines and checks
-each line on its own.  reference_index_policy is the policy.db indexing
+pattern over the whole file, moved to data format 2: it splits the text
+at newlines, checks each line on its own, holds the chain to the genesis
+rule and indexes each stream from its first record.  reference_index_policy is the policy.db indexing
 as it was before the store read text a block at a time with a fallback
 that decodes line by line, with one fix: each line is decoded on its own
 inside the check, so a byte that is not UTF-8 fails as an unreadable
@@ -15,14 +16,14 @@ text-mode read's: at \\n, \\r\\n or a lone \\r.
 
 from __future__ import annotations
 
-from privledger.ledger import ADMIN_PAYLOAD, ROOT_STREAM, LedgerError, _check_line
+from privledger.ledger import ROOT_STREAM, LedgerError, _check_line
 from privledger.store import StoreError, _index_policy_line
 
 
 def reference_load_ledger(path) -> tuple[list[str], dict[str, tuple[str, list[int]]]]:
     """The record lines of a ledger file and its stream index, as
-    {name: (created_by, transaction seqs)} in creation order; raises
-    LedgerError as open does."""
+    {name: (created_by, seqs)} in the order of each stream's first record,
+    root listing none; raises LedgerError as open does."""
     # A byte that is not UTF-8 decodes to U+FFFD, which no field rule
     # admits, so it fails like any other corrupt record.
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
@@ -40,20 +41,28 @@ def reference_load_ledger(path) -> tuple[list[str], dict[str, tuple[str, list[in
                 f"corrupt ledger record at position {index}: {exc}; "
                 "run chain verification"
             ) from None
-        seq, stream, key, publisher = match.group(1, 2, 3, 4)
+        seq, stream, publisher = match.group(1, 2, 4)
         seq = int(seq)
         if seq != len(items):
             raise LedgerError(
                 f"ledger sequence discontinuity at position {index}; "
                 "run chain verification"
             )
+        if seq == 0 and stream != ROOT_STREAM:
+            rule = "the genesis is not on root"
+        elif seq > 0 and stream == ROOT_STREAM:
+            rule = "a record on root after the genesis"
+        else:
+            rule = None
+        if rule is not None:
+            raise LedgerError(
+                f"ledger record at position {index} breaks the genesis rule: {rule}; "
+                "run chain verification"
+            )
         items.append(raw)
-        if key == "" and match[6] == ADMIN_PAYLOAD.hex():
-            streams[stream] = (publisher, [])
-        elif stream in streams:
-            streams[stream][1].append(seq)
-    if ROOT_STREAM not in streams:
-        raise LedgerError("ledger has no root stream")
+        _, seqs = streams.setdefault(stream, (publisher, []))
+        if seq > 0:
+            seqs.append(seq)
     return items, streams
 
 

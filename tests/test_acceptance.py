@@ -194,9 +194,9 @@ def test_criterion_3_tamper_detection(tmp_path):
     ledger = Ledger(path, clock=TickingClock(), create=True)
     for provider in range(1, 6):
         stream = f"stream-{provider}-1-1"
-        ledger.create_stream(stream)
         for version in range(1, 11):
-            ledger.publish(
+            append = ledger.publish if version > 1 else ledger.create_stream
+            append(
                 stream,
                 publish_key(version),
                 f"payload-{provider}-{version}".encode("ascii"),

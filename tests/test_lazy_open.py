@@ -153,15 +153,11 @@ def _bad_purpose_mode(record):
     record["tuple"]["prefs"]["purpose"]["mode"] = "NoSuchMode"
 
 
-def _bad_hash(record):
-    record["hash"] = "$md5$1$00$00"
-
-
 def _missing_accessor(record):
     del record["tuple"]["accessor"]
 
 
-@pytest.mark.parametrize("edit", [_bad_purpose_mode, _bad_hash, _missing_accessor])
+@pytest.mark.parametrize("edit", [_bad_purpose_mode, _missing_accessor])
 def test_undecodable_latest_record_aborts_only_queries_touching_it(tmp_path, edit):
     config = _demo_config(tmp_path)
     _rewrite_latest(config, 5, edit)

@@ -10,7 +10,6 @@ import pytest
 from helpers import TickingClock
 from privledger import ledger as ledger_module
 from privledger.ledger import (
-    ADMIN_PAYLOAD,
     ROOT_STREAM,
     ZERO_DIGEST,
     DuplicateStream,
@@ -19,7 +18,6 @@ from privledger.ledger import (
     InvalidStreamName,
     Ledger,
     LedgerError,
-    ReservedPayload,
     RootPublishForbidden,
     UnknownStream,
     stream_name_for,
@@ -36,9 +34,8 @@ def ledger(tmp_path):
 
 
 def fill(led, stream="stream-4-5-3", items=3):
-    led.create_stream(stream)
-    out = []
-    for i in range(items):
+    out = [led.create_stream(stream, "key0", b"payload-0")]
+    for i in range(1, items):
         out.append(led.publish(stream, f"key{i}", f"payload-{i}".encode()))
     return out
 
@@ -53,8 +50,7 @@ def test_genesis_creates_root_with_zero_prev(ledger):
     genesis = ledger.item(0)
     assert genesis.stream == ROOT_STREAM
     assert genesis.prev_digest == ZERO_DIGEST
-    assert genesis.is_admin
-    assert genesis.confirmed
+    assert (genesis.key, genesis.payload) == ("", b"")
     assert ledger.stream(ROOT_STREAM).item_count == 0
 
 
@@ -82,26 +78,28 @@ def test_stream_name_for_lineage():
 )
 def test_create_stream_rejects_bad_grammar(ledger, name):
     with pytest.raises(InvalidStreamName):
-        ledger.create_stream(name)
+        ledger.create_stream(name, "key17", b"x")
+    assert ledger.chain_length() == 1
 
 
-def test_create_stream_appends_admin_item(ledger):
+def test_create_stream_appends_the_first_item(ledger):
     before = ledger.chain_length()
-    stream = ledger.create_stream("stream-4-5-3")
+    first = ledger.create_stream("stream-4-5-3", "key17", b"h1")
     assert ledger.chain_length() == before + 1
-    assert stream.item_count == 0
-    admin = ledger.item(before)
-    assert admin.is_admin
-    assert admin.key == ""
-    assert admin.payload == ADMIN_PAYLOAD
+    assert (first.seq, first.stream, first.key, first.payload) == (
+        before, "stream-4-5-3", "key17", b"h1"
+    )
+    assert ledger.stream("stream-4-5-3").item_count == 1
+    assert ledger.latest_item("stream-4-5-3") == first
 
 
 def test_duplicate_stream_rejected(ledger):
-    ledger.create_stream("stream-4-5-3")
+    ledger.create_stream("stream-4-5-3", "key17", b"x")
     with pytest.raises(DuplicateStream):
-        ledger.create_stream("stream-4-5-3")
+        ledger.create_stream("stream-4-5-3", "key17", b"x")
     with pytest.raises(DuplicateStream):
-        ledger.create_stream(ROOT_STREAM)
+        ledger.create_stream(ROOT_STREAM, "key17", b"x")
+    assert ledger.chain_length() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +107,12 @@ def test_duplicate_stream_rejected(ledger):
 # ---------------------------------------------------------------------------
 
 
-def test_publish_appends_confirmed_items(ledger):
+def test_publish_appends_items_after_the_first(ledger):
     items = fill(ledger, items=3)
     assert [i.key for i in items] == ["key0", "key1", "key2"]
-    assert all(i.confirmed for i in items)
     assert ledger.stream("stream-4-5-3").item_count == 3
-    # admin items never count as stream items
-    assert ledger.chain_length() == 1 + 1 + 3
+    # one record per item, after the genesis
+    assert ledger.chain_length() == 1 + 3
 
 
 def test_publish_to_unknown_stream(ledger):
@@ -129,10 +126,20 @@ def test_publish_to_root_forbidden(ledger):
     assert ledger.stream(ROOT_STREAM).item_count == 0
 
 
-def test_reserved_payload_rejected(ledger):
-    ledger.create_stream("stream-4-5-3")
-    with pytest.raises(ReservedPayload):
-        ledger.publish("stream-4-5-3", "k", ADMIN_PAYLOAD)
+@pytest.mark.parametrize(
+    "payload",
+    [b"two words", b"tab\there", b"line\n", b"\x00", b"\x7f", b"\xff", "text".encode("utf-16")],
+    ids=["space", "tab", "newline", "nul", "del", "non-ascii", "utf-16"],
+)
+def test_payload_must_be_printable_ascii_without_whitespace(ledger, payload):
+    message = "payload must be printable ASCII with no whitespace"
+    with pytest.raises(LedgerError, match=message):
+        ledger.create_stream("stream-4-5-3", "key17", payload)
+    assert not ledger.has_stream("stream-4-5-3")
+    ledger.create_stream("stream-4-5-3", "key17", b"!~")
+    with pytest.raises(LedgerError, match=message):
+        ledger.publish("stream-4-5-3", "key18", payload)
+    assert ledger.chain_length() == 2
 
 
 @pytest.mark.parametrize(
@@ -140,28 +147,32 @@ def test_reserved_payload_rejected(ledger):
     ["bad key", "ta\tb", "qu'ote", 'qu"ote', "unié", "k" * 257, None, 7],
 )
 def test_invalid_keys_rejected(ledger, key):
-    ledger.create_stream("stream-4-5-3")
+    with pytest.raises(InvalidKey):
+        ledger.create_stream("stream-4-5-3", key, b"x")
+    ledger.create_stream("stream-4-5-3", "key17", b"x")
     with pytest.raises(InvalidKey):
         ledger.publish("stream-4-5-3", key, b"x")
 
 
 def test_long_but_legal_key_accepted(ledger):
-    ledger.create_stream("stream-4-5-3")
+    ledger.create_stream("stream-4-5-3", "key17", b"x")
     item = ledger.publish("stream-4-5-3", "k" * 256, b"x")
     assert item.key == "k" * 256
 
 
 def test_empty_key_is_a_valid_transaction_key(ledger):
-    # Only the reserved payload marks an item administrative.
-    ledger.create_stream("stream-4-5-3")
-    item = ledger.publish("stream-4-5-3", "", b"x")
-    assert not item.is_admin
-    assert ledger.stream("stream-4-5-3").item_count == 1
+    # Only the genesis is on root; an empty key marks nothing.
+    ledger.create_stream("stream-4-5-3", "", b"x")
+    item = ledger.publish("stream-4-5-3", "", b"")
+    assert (item.key, item.payload) == ("", b"")
+    assert ledger.stream("stream-4-5-3").item_count == 2
 
 
 def test_payload_must_be_bytes(ledger):
-    ledger.create_stream("stream-4-5-3")
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError, match="payload must be bytes"):
+        ledger.create_stream("stream-4-5-3", "k", "text")
+    ledger.create_stream("stream-4-5-3", "k", b"text")
+    with pytest.raises(LedgerError, match="payload must be bytes"):
         ledger.publish("stream-4-5-3", "k", "text")
 
 
@@ -171,10 +182,8 @@ def test_payload_must_be_bytes(ledger):
 
 
 def test_items_chain_across_streams(ledger):
-    ledger.create_stream("stream-1-1-1")
-    ledger.create_stream("stream-2-2-2")
-    ledger.publish("stream-1-1-1", "a", b"1")
-    ledger.publish("stream-2-2-2", "b", b"2")
+    ledger.create_stream("stream-1-1-1", "a", b"1")
+    ledger.create_stream("stream-2-2-2", "b", b"2")
     ledger.publish("stream-1-1-1", "c", b"3")
     for seq in range(1, ledger.chain_length()):
         assert ledger.item(seq).prev_digest == ledger.item(seq - 1).item_digest
@@ -190,8 +199,8 @@ def test_timestamps_never_decrease(tmp_path):
         ]
     )
     led = Ledger(tmp_path / "l.db", clock=lambda: next(moments), create=True)
-    led.create_stream("stream-1-1-1")
-    led.publish("stream-1-1-1", "k", b"x")
+    led.create_stream("stream-1-1-1", "k", b"x")
+    led.publish("stream-1-1-1", "k", b"y")
     assert led.item(1).timestamp == led.item(0).timestamp
     assert led.item(2).timestamp > led.item(1).timestamp
     led.close()
@@ -201,7 +210,7 @@ def test_naive_clock_rejected(tmp_path):
     led = Ledger(tmp_path / "l.db", clock=TickingClock(), create=True)
     led._clock = lambda: dt.datetime(2021, 6, 1, 12, 0, 0)  # no tzinfo
     with pytest.raises(LedgerError):
-        led.create_stream("stream-1-1-1")
+        led.create_stream("stream-1-1-1", "k", b"x")
     led.close()
 
 
@@ -223,8 +232,7 @@ def test_list_items_windows(ledger):
 
 
 def test_list_items_of_empty_stream(ledger):
-    ledger.create_stream("stream-4-5-3")
-    assert ledger.list_items("stream-4-5-3") == []
+    assert ledger.list_items(ROOT_STREAM) == []
 
 
 def test_latest_item(ledger):
@@ -232,14 +240,13 @@ def test_latest_item(ledger):
     assert ledger.latest_item("stream-4-5-3").key == "key2"
     with pytest.raises(UnknownStream):
         ledger.latest_item("stream-8-8-8")
-    ledger.create_stream("stream-8-8-8")
     with pytest.raises(EmptyStream):
-        ledger.latest_item("stream-8-8-8")
+        ledger.latest_item(ROOT_STREAM)
 
 
 def test_streams_listing_in_creation_order(ledger):
-    ledger.create_stream("stream-2-2-2")
-    ledger.create_stream("stream-1-1-1")
+    ledger.create_stream("stream-2-2-2", "k", b"x")
+    ledger.create_stream("stream-1-1-1", "k", b"x")
     names = [s.name for s in ledger.streams()]
     assert names == [ROOT_STREAM, "stream-2-2-2", "stream-1-1-1"]
 
@@ -253,7 +260,7 @@ def test_reopen_restores_state(tmp_path):
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
     fill(led, items=3)
-    led.create_stream("stream-7-7-7")
+    led.create_stream("stream-7-7-7", "key17", b"x")
     digests = [led.item(s).item_digest for s in range(led.chain_length())]
     publisher = led.publisher
     led.close()
@@ -263,7 +270,7 @@ def test_reopen_restores_state(tmp_path):
     assert [again.item(s).item_digest for s in range(again.chain_length())] == digests
     assert again.publisher == publisher
     assert again.stream("stream-4-5-3").item_count == 3
-    assert again.stream("stream-7-7-7").item_count == 0
+    assert again.stream("stream-7-7-7").item_count == 1
     assert [i.key for i in again.list_items("stream-4-5-3")] == [
         "key0",
         "key1",
@@ -302,7 +309,7 @@ def test_file_has_one_line_per_item(tmp_path):
     fill(led, items=4)
     lines = path.read_text().splitlines()
     assert len(lines) == led.chain_length()
-    assert all(len(line.split("\t")) == 9 for line in lines)
+    assert all(len(line.split("\t")) == 8 for line in lines)
     led.close()
 
 
@@ -311,7 +318,7 @@ def test_corrupt_file_refuses_to_load(tmp_path):
     led = Ledger(path, clock=TickingClock(), create=True)
     fill(led, items=2)
     led.close()
-    data = path.read_bytes().replace(b"true", b"truE", 1)
+    data = path.read_bytes().replace(b"\tkey0\t", b"\tkey 0\t", 1)
     path.write_bytes(data)
     with pytest.raises(LedgerError, match="verification"):
         Ledger(path)
@@ -323,12 +330,12 @@ def test_blank_line_refuses_to_load(tmp_path, position):
     # and chain verification must both fail on any other empty line.
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
-    fill(led, items=2)
+    fill(led, items=3)
     led.close()
     lines = path.read_text().splitlines()
     lines.insert(position, "")
     path.write_text("\n".join(lines) + "\n")
-    expected = f"position {position}: expected 9 fields, got 1; run chain verification"
+    expected = f"position {position}: expected 8 fields, got 1; run chain verification"
     with pytest.raises(LedgerError, match=re.escape(expected)):
         Ledger(path)
     assert verify_file(path).first_bad_seq == position
@@ -346,26 +353,31 @@ def test_non_utf8_byte_refuses_to_load(tmp_path):
     assert verify_file(path).detail == f"seq 0: unparseable record ({detail})"
 
 
-def test_transaction_before_stream_creation_is_not_indexed(tmp_path):
-    # Open re-checks field rules and seq order, not digests, so swapping
-    # the creation and the first transaction record (seqs renumbered)
-    # opens; the stream must then hold no item by every reading.
+@pytest.mark.parametrize(
+    "seq, stream, rule",
+    [
+        (0, "stream-1-1-1", "the genesis is not on root"),
+        (2, ROOT_STREAM, "a record on root after the genesis"),
+    ],
+    ids=["genesis-off-root", "root-after-genesis"],
+)
+def test_genesis_rule_refuses_to_load(tmp_path, seq, stream, rule):
+    # Open re-checks field rules and seq order, not digests; the genesis
+    # rule is one of those checks, so a record on the wrong side of it
+    # fails the open, naming its position, and verification names it too.
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
-    fill(led, items=1)
+    fill(led, items=3)
     led.close()
     lines = path.read_text().splitlines()
-    create, transaction = lines[1].split("\t"), lines[2].split("\t")
-    create[0], transaction[0] = "2", "1"
-    lines[1:3] = ["\t".join(transaction), "\t".join(create)]
+    fields = lines[seq].split("\t")
+    fields[1] = stream
+    lines[seq] = "\t".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    led = Ledger(path)
-    assert led.stream("stream-4-5-3").item_count == 0
-    assert led.list_items("stream-4-5-3") == []
-    with pytest.raises(EmptyStream):
-        led.latest_item("stream-4-5-3")
-    assert not led.verify_chain().intact
-    led.close()
+    expected = f"ledger record at position {seq} breaks the genesis rule: {rule}; run chain"
+    with pytest.raises(LedgerError, match=re.escape(expected)):
+        Ledger(path)
+    assert verify_file(path).detail == f"seq {seq}: {rule}"
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +402,20 @@ def test_reopened_chain_verifies_against_raw_records(tmp_path, monkeypatch):
     fill(led, items=3)
     led.close()
     built = []
-    original = ledger_module._parse_line
+    original = ledger_module._build_item
 
-    def counting(line):
-        built.append(line)
-        return original(line)
+    def counting(match):
+        built.append(match)
+        return original(match)
 
-    monkeypatch.setattr(ledger_module, "_parse_line", counting)
+    monkeypatch.setattr(ledger_module, "_build_item", counting)
     led = Ledger(path)
-    built.clear()  # open reads item 0 for its publisher
     report = led.verify_chain()
-    assert (report.intact, report.records, report.detail) == (True, 5, "chain intact")
+    assert (report.intact, report.records, report.detail) == (True, 4, "chain intact")
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     report = led.verify_chain()
-    assert (report.first_bad_seq, report.detail) == (4, "seq 4: missing link at former chain tail")
+    assert (report.first_bad_seq, report.detail) == (3, "seq 3: missing link at former chain tail")
     assert built == []
     led.close()
 
@@ -414,7 +425,7 @@ def test_payload_mutation_is_reported_at_its_seq(tmp_path):
     led = Ledger(path, clock=TickingClock(), create=True)
     items = fill(led, items=3)
     target = items[1]
-    data = path.read_bytes().replace(b"payload-1".hex().encode(), b"payload-x".hex().encode())
+    data = path.read_bytes().replace(b"payload-1", b"payload-x")
     path.write_bytes(data)
     report = led.verify_chain()
     assert not report.intact
@@ -491,24 +502,21 @@ def test_swapping_two_records_detected(tmp_path):
 
 
 def test_non_canonical_but_equivalent_encoding_rejected(tmp_path):
-    # Uppercasing one hex digit keeps the decoded bytes meaningful but
+    # Uppercasing one hex digit of a digest keeps the decoded bytes but
     # breaks the canonical rendering, which verification requires.
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
     fill(led, items=2)
-    data = path.read_bytes()
-    idx = data.index(b"payload-0".hex().encode())
-    mutated = bytearray(data)
-    ch = mutated[idx]
-    assert ch in b"abcdef0123456789"
-    if chr(ch).isalpha():
-        mutated[idx] = ord(chr(ch).upper())
-    else:
-        idx = data.index(b"a", idx)
-        mutated[idx] = ord("A")
-    path.write_bytes(bytes(mutated))
-    report = led.verify_chain()
-    assert not report.intact
+    canonical = path.read_text().splitlines()
+    for column in (6, 7):  # the previous and the item digest
+        lines = list(canonical)
+        fields = lines[2].split("\t")
+        index = next(i for i, ch in enumerate(fields[column]) if ch in "abcdef")
+        fields[column] = fields[column][:index] + fields[column][index].upper() + fields[column][index + 1 :]
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        report = led.verify_chain()
+        assert (report.intact, report.first_bad_seq) == (False, 2)
     led.close()
 
 

@@ -19,26 +19,32 @@ from ledger_reference import (
     reference_verify_records,
 )
 from privledger.cli import main
+from privledger.engine import FORMAT, FORMAT_FILE
 from privledger.ledger import (
     Ledger,
     LedgerError,
+    _build_item,
     _check_line,
-    _parse_line,
+    _match_line,
     verify_file,
     verify_records,
 )
 
 
+def _parse_line(line: str):
+    """The ledger's own reading of a record: its pattern match, then its item."""
+    return _build_item(_match_line(line))
+
+
 def _canonical_chain(last_payload=b"x"):
-    """The persisted bytes and the in-memory items of a 9-record chain."""
+    """The persisted bytes and the in-memory items of a 7-record chain."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ledger.db"
         clock = TickingClock(dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone.utc))
         led = Ledger(path, clock=clock, publisher="node-0123abcd", create=True)
         for stream in ("stream-4-5-3", "stream-120-18-7"):
-            led.create_stream(stream)
-            led.publish(stream, "key17", b"$sha256i$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
-            led.publish(stream, "key18", b"\x00\xff")
+            led.create_stream(stream, "key17", b"$sha256i$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
+            led.publish(stream, "key18", b"!~'\"\\{}")
         led.publish("stream-4-5-3", "", b"")
         led.publish("stream-4-5-3", "k" * 256, last_payload)
         led.close()
@@ -50,6 +56,8 @@ CANONICAL = CHAIN.decode("ascii").splitlines()
 
 # Characters a mutation may write: field syntax, hex case, whitespace,
 # quotes, and digits outside ASCII (Arabic-Indic, fullwidth, Devanagari).
+# A payload admits every printable ASCII character, so only whitespace,
+# control characters and non-ASCII ones make it refused.
 ALPHABET = list("0159afgAFZTt-:.$'\" \t\x7f\x00é") + ["٣", "５", "३"]
 NON_ASCII_DIGITS = ["٠", "٣", "０", "５", "३"]
 
@@ -64,7 +72,7 @@ def mutated_lines(draw) -> str:
     fields = line.split("\t")
     kind = draw(
         st.sampled_from(
-            ["none", "flip", "quote_in_key", "odd_payload", "upper_hex",
+            ["none", "flip", "quote_in_key", "unprintable_payload", "upper_hex",
              "non_ascii_digit", "date", "drop_tab", "extra_tab"]
         )
     )
@@ -76,11 +84,13 @@ def mutated_lines(draw) -> str:
         key = fields[2]
         index = draw(st.integers(0, len(key)))
         fields[2] = key[:index] + draw(st.sampled_from(["'", '"'])) + key[index:]
-    elif kind == "odd_payload":
+    elif kind == "unprintable_payload":
         payload = fields[5]
-        fields[5] = payload[:-1] if payload else draw(st.sampled_from(list("0af")))
+        index = draw(st.integers(0, len(payload)))
+        char = draw(st.sampled_from([" ", "\x7f", "\x00", "\x0b", "é", "٣"]))
+        fields[5] = payload[:index] + char + payload[index:]
     elif kind == "upper_hex":
-        column = draw(st.sampled_from([5, 6, 7]))
+        column = draw(st.sampled_from([6, 7]))
         letters = [i for i, ch in enumerate(fields[column]) if ch in "abcdef"]
         if letters:
             index = draw(st.sampled_from(letters))
@@ -114,8 +124,8 @@ def _outcome(parse, line):
 
 @settings(max_examples=1500, deadline=None)
 @given(mutated_lines())
-@example("\t".join(["0", "root", "", "node-1", "2021-02-30T00:00:00.000Z", "", "0" * 64, "0" * 64, "true"]))
-@example("\t".join(["0", "root", "", "node-1", "2024-02-29T23:59:59.999Z", "ab", "0" * 64, "0" * 64, "false"]))
+@example("\t".join(["0", "root", "", "node-1", "2021-02-30T00:00:00.000Z", "", "0" * 64, "0" * 64]))
+@example("\t".join(["0", "root", "", "node-1", "2024-02-29T23:59:59.999Z", "a b", "0" * 64, "0" * 64]))
 def test_pattern_parser_agrees_with_reference(line):
     expected = _outcome(reference_parse_line, line)
     assert _outcome(_parse_line, line) == expected
@@ -126,8 +136,8 @@ def test_pattern_parser_agrees_with_reference(line):
 
 @settings(max_examples=1500, deadline=None)
 @given(mutated_lines())
-@example("\t".join(["0", "root", "", "node-1", "0001-01-01T00:00:00.000Z", "", "0" * 64, "0" * 64, "true"]))
-@example("\t".join(["0", "root", "", "node-1", "0999-12-31T23:59:59.999Z", "ab", "0" * 64, "0" * 64, "true"]))
+@example("\t".join(["0", "root", "", "node-1", "0001-01-01T00:00:00.000Z", "", "0" * 64, "0" * 64]))
+@example("\t".join(["0", "root", "", "node-1", "0999-12-31T23:59:59.999Z", "ab", "0" * 64, "0" * 64]))
 def test_accepted_lines_render_canonically(line):
     # Chain verification does not re-render records, so the field rules
     # alone must admit no encoding but the one _append writes.
@@ -151,19 +161,20 @@ def test_non_ascii_timestamp_digits_are_refused(digit):
 
 def test_refusal_names_the_failing_field():
     fields = CANONICAL[1].split("\t")
-    fields[5] = fields[5][:-1]
-    with pytest.raises(ValueError, match="invalid payload: odd"):
+    fields[5] = "two words"
+    with pytest.raises(ValueError, match="invalid payload: 'two words'"):
         _parse_line("\t".join(fields))
-    with pytest.raises(ValueError, match="expected 9 fields, got 10"):
+    with pytest.raises(ValueError, match="expected 8 fields, got 9"):
         _parse_line(CANONICAL[1] + "\textra")
 
 
 def _write_dated(tmp_path, date):
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
-    led.create_stream("stream-4-5-3")
-    led.publish("stream-4-5-3", "key17", b"v1")
+    led.create_stream("stream-4-5-3", "key17", b"v1")
+    led.publish("stream-4-5-3", "key18", b"v2")
     led.close()
+    (tmp_path / FORMAT_FILE).write_text(FORMAT)
     lines = path.read_text().splitlines()
     fields = lines[2].split("\t")
     fields[4] = date + fields[4][10:]
@@ -249,10 +260,12 @@ def _with_record(seq, line):
         (CHAIN + CANONICAL[-1].encode() + b"\n", CHAIN_ITEMS),
         # A self-consistent file whose last record differs from memory.
         (CHAIN, _canonical_chain(last_payload=b"y")[1]),
-        # The flag is outside the digest; only its own check catches it.
-        (_with_record(3, CANONICAL[3].replace("\ttrue", "\tfalse")), None),
+        # Digests aside, the genesis rule catches a record on the wrong
+        # side of it before the links do.
+        (_with_record(3, CANONICAL[3].replace("\tstream-120-18-7\t", "\troot\t")), None),
+        (_with_record(0, CANONICAL[0].replace("\troot\t", "\tstream-1-1-1\t")), None),
     ],
-    ids=["truncated-tail", "out-of-band-append", "diverged", "unconfirmed"],
+    ids=["truncated-tail", "out-of-band-append", "diverged", "root-after-genesis", "genesis-off-root"],
 )
 def test_verifier_agrees_with_reference_on_whole_records(content, expected):
     report = verify_records(content, expected)

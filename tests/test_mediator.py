@@ -319,12 +319,10 @@ def test_tampered_ledger_payload_aborts(tmp_path):
     target = max(
         index
         for index, line in enumerate(data)
-        if line.split("\t")[1] == "stream-4-1-3" and line.split("\t")[2]
+        if line.split("\t")[1] == "stream-4-1-3"
     )
     fields = data[target].split("\t")
-    payload = bytearray.fromhex(fields[5])
-    payload[-1] ^= 0xFF
-    fields[5] = payload.hex()
+    fields[5] = fields[5][:-1] + ("1" if fields[5][-1] == "0" else "0")
     data[target] = "\t".join(fields)
     ledger_path.write_text("\n".join(data) + "\n")
 
@@ -349,7 +347,6 @@ def test_store_version_ahead_of_ledger_aborts(demo):
     demo.store.put_tuple_instance(
         TupleInstance(
             privacy_tuple=ahead,
-            hash_record=latest.hash_record,
             stream=latest.stream,
             seq=latest.seq,
         )
@@ -360,8 +357,7 @@ def test_store_version_ahead_of_ledger_aborts(demo):
 
 def test_published_hash_without_stored_plaintext_aborts(demo):
     # Ledger knows a lineage the store has never seen.
-    demo.ledger.create_stream("stream-4-2-3")
-    demo.ledger.publish("stream-4-2-3", "key17", b"$sha256i$1$" + b"0" * 32 + b"$" + b"0" * 64)
+    demo.ledger.create_stream("stream-4-2-3", "key17", b"$sha256i$1$" + b"0" * 32 + b"$" + b"0" * 64)
     result = demo.mediate(demo_request("last_name"), now=NOW)
     assert result.status is MediationStatus.ABORTED
     assert result.denials == (("last_name", INTEGRITY_ABORT),)
@@ -369,7 +365,7 @@ def test_published_hash_without_stored_plaintext_aborts(demo):
 
 def test_garbage_ledger_payload_is_a_mismatch(demo):
     stream = "stream-4-5-3"
-    demo.ledger.publish(stream, "key18", b"not a hash record")
+    demo.ledger.publish(stream, "key18", b"not-a-hash-record")
     result = demo.mediate(demo_request("street_name"), now=NOW)
     assert result.status is MediationStatus.ABORTED
 

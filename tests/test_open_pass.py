@@ -25,9 +25,16 @@ from open_reference import reference_index_policy, reference_load_ledger
 from privledger import ledger as ledger_module
 from privledger.cli import main
 from privledger.engine import Engine
-from privledger.ledger import Ledger, LedgerError, _parse_line, verify_records
+from privledger.ledger import Ledger, LedgerError, verify_records
 from privledger.store import POLICY_FILE, Store, StoreError
-from test_ledger_pattern import ALPHABET, CANONICAL, CHAIN_ITEMS, _mutations, mutated_lines
+from test_ledger_pattern import (
+    ALPHABET,
+    CANONICAL,
+    CHAIN_ITEMS,
+    _mutations,
+    _parse_line,
+    mutated_lines,
+)
 
 # Whitespace as str.strip sees it (every one but \n), plus characters that
 # look like it and are not.

@@ -2,9 +2,12 @@
 fails leaves behind.
 
 A publication derives the tuple dict, the canonical encoding, the hash
-record text and the ledger line once each; the files must hold what they
-always held.  The digests below are of the files this module's build
-writes under a fixed salt source and clock.  A store write that fails
+record text and the ledger line once each; the files must hold data
+format 2: one ledger record per publication after the genesis, each as
+the reference renders it, and policy.db lines with no copy of the hash.
+The digests below are of the files this module's build writes under a
+fixed salt source and clock; content.db and credentials.db read as they
+did in format 1.  A store write that fails
 must leave memory as the file is, and an open or create that fails must
 leave no file open.
 """
@@ -12,6 +15,7 @@ leave no file open.
 from __future__ import annotations
 
 import datetime as dt
+import errno
 import hashlib
 import json
 import os
@@ -43,7 +47,7 @@ from privledger.store import (
     TupleInstance,
     UnknownAccessor,
 )
-from privledger.tuples import canonical_encode, hash_tuple
+from privledger.tuples import canonical_encode
 
 # 23:59:59.998 at UTC-07:00, so the UTC date is the next day's.
 START = dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone(dt.timedelta(hours=-7)))
@@ -51,8 +55,8 @@ PUBLISHER = "node-0123abcd"
 FILE_DIGESTS = {
     "content.db": "2163086a404e3de4634aaf6e7be790bb6bf0519d03d267398aceb8042a53fec2",
     "credentials.db": "5528acb6c83a9590c108dd803fbcceb9215ad4ebbf5dacfc0b915068e247d43e",
-    "ledger.db": "6b42ae742be807e21ba1644aa28b79aba70ca62e2a525d902acd9945466d3809",
-    "policy.db": "1ab4a82f9eec2ae947228baef66b623fc77ee7fd55f1ee24741017f2a1c77c49",
+    "ledger.db": "fa88674104bbe13e496520a688e0893fb2bb846aadbc132228a3a4cc4762a5f1",
+    "policy.db": "2e00703cfae01efb657143755b7a9411e8e7f410589b2b8443eef23de4eff40b",
 }
 
 
@@ -106,10 +110,20 @@ def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
         assert TupleInstance.from_dict(json.loads(lines[-1])) == instance
         assert instance.encoded == canonical_encode(instance.privacy_tuple)
         policy_lines = lines
+    # The genesis, then one record per publication: 7 in the demo, 2 here.
     ledger_lines = engine.config.ledger_file.read_text().splitlines()
-    assert len(ledger_lines) == engine.ledger.chain_length() == 1 + 3 + 9
+    assert len(policy_lines) == 9
+    assert len(ledger_lines) == engine.ledger.chain_length() == 1 + 9
     for seq, line in enumerate(ledger_lines):
         assert line == reference_render_line(engine.ledger.item(seq))
+    for line in policy_lines:
+        record = json.loads(line)
+        assert sorted(record) == ["seq", "stream", "tuple"]
+        instance = TupleInstance.from_dict(record)
+        item = engine.ledger.item(instance.seq)
+        assert item.stream == instance.stream
+        hashed = tuples.HashRecord.from_string(item.payload.decode("ascii"))
+        assert tuples.verify_hash(canonical_encode(instance.privacy_tuple), hashed)
     assert engine.ledger.item(0).timestamp == dt.datetime(
         2024, 2, 29, 6, 59, 59, 998000, tzinfo=dt.timezone.utc
     )
@@ -168,8 +182,7 @@ def sample_instance(store, version=1, seq=1) -> TupleInstance:
         make_accessor(DEMO_ACCESSOR_ID),
         version - 1,
     )
-    record = hash_tuple(canonical_encode(bound), 2)
-    return TupleInstance(bound, record, "stream-4-5-3", seq)
+    return TupleInstance(bound, "stream-4-5-3", seq)
 
 
 @pytest.fixture
@@ -262,4 +275,132 @@ def test_failed_store_write_in_set_policy_aborts_the_lineage(tmp_path):
     reopened = Engine.open(engine.config)
     again = reopened.mediate(request)
     assert (again.status, again.verification) == (result.status, result.verification)
+    reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# An append that fails part way
+# ---------------------------------------------------------------------------
+
+
+class _Disk:
+    """The disk the ledger and the store append to, with room for a set
+    number of bytes more (None: no limit).  A write takes what fits and
+    returns its count, and fails with ENOSPC once no room is left, as a
+    write to a device that fills up does."""
+
+    def __init__(self):
+        self.room = None
+
+    def open(self, path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        return _DiskHandle(self, handle) if "a" in mode else handle
+
+
+class _DiskHandle:
+    def __init__(self, disk, handle):
+        self._disk = disk
+        self._handle = handle
+
+    def write(self, data):
+        room = self._disk.room
+        if room is not None:
+            if room == 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            data = data[:room]
+            self._disk.room = room - len(data)
+        return self._handle.write(data)
+
+    def fileno(self):
+        return self._handle.fileno()
+
+    @property
+    def closed(self):
+        return self._handle.closed
+
+    def close(self):
+        self._handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.fixture
+def disk(monkeypatch):
+    """The disk the ledger and the store append to from here on."""
+    disk = _Disk()
+    for module in (store_module, ledger_module):
+        monkeypatch.setattr(module, "open", disk.open, raising=False)
+    return disk
+
+
+def test_failed_ledger_append_leaves_no_part_of_its_record(tmp_path, disk):
+    path = tmp_path / "ledger.db"
+    led = Ledger(path, clock=TickingClock(), create=True)
+    first = led.create_stream("stream-4-5-3", "key17", b"v1")
+    before = path.read_bytes()
+    for append in (
+        lambda: led.create_stream("stream-4-1-3", "key17", b"refused"),
+        lambda: led.publish("stream-4-5-3", "key18", b"refused"),
+    ):
+        disk.room = 40  # part of a record
+        with pytest.raises(OSError) as failure:
+            append()
+        assert failure.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+    assert (led.chain_length(), led.has_stream("stream-4-1-3")) == (2, False)
+    disk.room = None
+    second = led.publish("stream-4-5-3", "key18", b"v2")
+    led.close()
+    reopened = Ledger(path)
+    assert reopened.verify_chain().intact
+    assert reopened.list_items("stream-4-5-3") == [first, second]
+    assert not reopened.has_stream("stream-4-1-3")
+    reopened.close()
+
+
+def _policy_append(store):
+    store.put_tuple_instance(sample_instance(store, seq=2))
+
+
+def _content_append(store):
+    store.put_provider_record(ProviderRecord(5, {"city": "Calgary"}))
+
+
+def _credential_append(store):
+    store.add_accessor("physician3", "pw", make_accessor())
+
+
+@pytest.mark.parametrize(
+    "family, append",
+    [
+        ("policy.db", _policy_append),
+        ("content.db", _content_append),
+        ("credentials.db", _credential_append),
+    ],
+    ids=["policy", "content", "credentials"],
+)
+def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, store, disk, family, append):
+    path = tmp_path / family
+    before = path.read_bytes()
+    disk.room = 40  # part of a line
+    with pytest.raises(OSError) as failure:
+        append(store)
+    assert failure.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    disk.room = None
+    append(store)
+    lines = path.read_bytes().splitlines()
+    assert lines[:-1] == before.splitlines() and all(json.loads(line) for line in lines)
+    store.close()
+    reopened = Store(tmp_path, hash_cost=4)
+    assert reopened.latest_tuple_instance(DEMO_LINEAGE_A) == (
+        sample_instance(reopened, seq=2) if family == "policy.db" else None
+    )
+    assert reopened.has_provider(5) == (family == "content.db")
+    if family == "credentials.db":
+        assert reopened.authenticate("physician3", "pw") == make_accessor()
     reopened.close()

@@ -26,8 +26,6 @@ from privledger.tuples import (
     AttributeCategory,
     AttributeMeta,
     bind_tuple,
-    canonical_encode,
-    hash_tuple,
 )
 
 
@@ -47,10 +45,8 @@ def sample_instance(catalog, version=1, provider_id=4, attribute_id=5, seq=1):
         make_accessor(),
         prior_version=version - 1,
     )
-    record = hash_tuple(canonical_encode(bound), cost=2)
     return TupleInstance(
         privacy_tuple=bound,
-        hash_record=record,
         stream=f"stream-{provider_id}-{attribute_id}-3",
         seq=seq,
     )
