@@ -8,6 +8,9 @@ the canonical encoding, appends the hash to the lineage's stream and only
 then records the plaintext instance in the store, so the ledger is never
 behind the store.
 
+Closing writes the checkpoints that let the next open skip the checks of
+what this one checked or wrote (see ledger.py); nothing else writes them.
+
 A data directory in data format 2 has a ``format`` file, written first,
 that reads ``privledger 2``.  One without it is in format 1: it is
 refused and left as it is.
@@ -186,8 +189,14 @@ class Engine:
         require_format(config.data_dir)
 
     def close(self):
-        self.store.close()
-        self.ledger.close()
+        """Close the store and the ledger, each writing its checkpoint first
+        if it appended, ran a full pass or met a long tail."""
+        try:
+            self.store.save_checkpoint()
+            self.ledger.save_checkpoint()
+        finally:
+            self.store.close()
+            self.ledger.close()
 
     # -- administration -----------------------------------------------------
 

@@ -20,6 +20,15 @@ digest.  A StreamItem is built on first read, from the record read back
 at its offset, which must pass the field check again and re-derive the
 digest open kept, so a record that changed on disk since open fails that
 read.  Chain verification re-derives every digest and link.
+
+A checkpoint beside the file (CHECKPOINT_SUFFIX) lets open skip that pass
+over a prefix checked before: it holds the checker version, the length and
+SHA-256 of a prefix that passed every open check, and the index open
+built from it.  Open hashes the prefix CHUNK_BYTES at a time; if the
+checkpoint is whole, of this CHECKER_VERSION and its prefix is unchanged,
+open takes the index from it and runs the pass over the tail only.  Else
+it runs the pass over the whole file, as if there were no checkpoint.
+First reads check each record against the file as before.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import io
 import os
 import re
 import secrets
+import tempfile
 from array import array
 from binascii import unhexlify
 from pathlib import Path
@@ -279,21 +289,24 @@ def _held_digests(items: list[StreamItem] | None) -> bytes | None:
     return None if items is None else b"".join(item.item_digest for item in items)
 
 
-def _records(fh):
-    """(base, matches) per chunk of a ledger file: the records the pattern
-    matched in it, in order, each at file offset base + match.start().
+def _records(fh, hasher=None):
+    """(base, matches) per chunk of a ledger file from its position on: the
+    records the pattern matched in it, in order, each at file offset
+    base + match.start().
 
-    Reads CHUNK_BYTES at a time and cuts the bytes after their last
-    newline, so the pattern never sees part of a record.  Where the pass
-    stops short (a gap between matches or a date that is not on the
-    calendar), yields the records before it and then raises
-    the ValueError the field check raises for that record.
+    Reads CHUNK_BYTES at a time, feeding each to hasher if given, and cuts
+    the bytes after their last newline, so the pattern never sees part of
+    a record.  Where the pass stops short (a gap between matches or a date
+    that is not on the calendar), yields the records before it and then
+    raises the ValueError the field check raises for that record.
     """
     valid_dates: set[bytes] = set()
-    base = 0  # the file offset of data[0]
+    base = fh.tell()  # the file offset of data[0]
     data = b""
     while True:
         chunk = fh.read(CHUNK_BYTES)
+        if hasher is not None:
+            hasher.update(chunk)
         data += chunk
         cut = data.rfind(b"\n") + 1 if chunk else len(data)
         if cut:
@@ -394,15 +407,17 @@ def verify_file(path, expected: list[StreamItem] | None = None) -> ChainReport:
 # ---------------------------------------------------------------------------
 
 
-def append_line(handle, line: str):
-    """Append a line and its newline through an unbuffered binary handle.
+def append_line(handle, line: str, newline_first: bool = False) -> bytes:
+    """Append a line and its newline through an unbuffered binary handle,
+    first a newline if newline_first (the file's last line lacks one);
+    returns the bytes written.
 
     A short write is carried on.  If a write fails, what the line's
     earlier writes put in the file is cut off again, so nothing of it
     stays for the next append to run into, and the handle is closed: the
     next append opens the file afresh.
     """
-    data = line.encode("utf-8") + b"\n"
+    data = b"\n" * newline_first + line.encode("utf-8") + b"\n"
     written = 0
     try:
         while written < len(data):
@@ -414,6 +429,103 @@ def append_line(handle, line: str):
         finally:
             handle.close()
         raise
+    return data
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+# The version of open's checks.  A checkpoint names the version it was
+# written under, and open ignores one of any other, so a change to what
+# open accepts or to what a checkpoint holds must raise it.
+CHECKER_VERSION = 1
+CHECKPOINT_SUFFIX = ".checkpoint"
+_CHECKPOINT_HEAD = b"privledger checkpoint\n" + CHECKER_VERSION.to_bytes(4, "big")
+# Close writes a new checkpoint when open met a tail of at least this many
+# bytes beyond the checkpoint's prefix.
+CHECKPOINT_TAIL_BYTES = 256 * 1024
+
+
+def checkpoint_path(path: Path) -> Path:
+    """Where the checkpoint of the file at path is."""
+    return path.with_name(path.name + CHECKPOINT_SUFFIX)
+
+
+def load_checkpoint(path: Path, fh):
+    """(hasher, parts) of the checkpoint of the file at path, open as fh
+    at its start, when the checkpoint is whole, of this checker version,
+    and its prefix still begins the file and ends after a newline: hasher
+    is a SHA-256 fed that prefix, which it reads CHUNK_BYTES at a time,
+    leaving fh at its end.  None otherwise, with fh anywhere."""
+    try:
+        with open(checkpoint_path(path), "rb") as ck:
+            data = ck.read()
+    except OSError:
+        return None
+    body = memoryview(data)[:-DIGEST_BYTES]
+    if not data.startswith(_CHECKPOINT_HEAD) or hashlib.sha256(body).digest() != data[-DIGEST_BYTES:]:
+        return None
+    parts = []
+    at = len(_CHECKPOINT_HEAD)
+    while at < len(body):
+        size = int.from_bytes(body[at : at + 8], "big")
+        parts.append(body[at + 8 : at + 8 + size])
+        at += 8 + size
+    if at != len(body) or len(parts) < 2:
+        return None
+    left = int.from_bytes(parts[0], "big")
+    hasher = hashlib.sha256()
+    last = b"\n"
+    while left > 0:
+        chunk = fh.read(min(CHUNK_BYTES, left))
+        if not chunk:
+            return None
+        hasher.update(chunk)
+        left -= len(chunk)
+        last = chunk[-1:]
+    if last != b"\n" or hasher.digest() != parts[1]:
+        return None
+    return hasher, parts[2:]
+
+
+def save_checkpoint(path: Path, length: int, hasher, parts):
+    """Write the checkpoint of the file at path: its first length bytes,
+    which hasher was fed, and parts, a sequence of bytes.  It is written to
+    a temporary file beside it, then renamed over it.  A write that fails
+    leaves no temporary file and raises nothing."""
+    target = checkpoint_path(path)
+    chunks = [_CHECKPOINT_HEAD]
+    for part in (length.to_bytes(8, "big"), hasher.digest(), *parts):
+        chunks += (len(part).to_bytes(8, "big"), part)
+    body = b"".join(chunks)
+    try:
+        replace_file(target, (body, hashlib.sha256(body).digest()))
+    except OSError:
+        pass
+
+
+def replace_file(target: Path, chunks):
+    """Write the chunks of bytes to a temporary file beside target, then
+    rename it over target, so that no reader sees a half-written file.  A
+    write that fails leaves no temporary file."""
+    fd, temp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    try:
+        with open(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temp, target)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
+
+
+def int_array(data) -> array:
+    """The 64-bit integers a checkpoint part holds."""
+    values = array("q")
+    values.frombytes(data)
+    return values
 
 
 class Ledger:
@@ -424,12 +536,22 @@ class Ledger:
         self._clock = clock or system_clock
         # The item at each seq once something has read it.
         self._items: list[StreamItem | None] = []
-        # Of the records open checked: each one's offset, then the end of
-        # the last; read back through _reader.
+        # Each record's offset, then the end of the last; a record open
+        # checked is read back through _reader.
         self._offsets = array("q")
         self._reader = None
         self._digests = bytearray()  # every record's item digest, in seq order
-        self._streams: dict[str, Stream] = {}
+        self._order: list[str] = []  # every stream's name, in the order of first items
+        self._rows: dict[str, int] = {}  # every stream's place in _order, by name
+        self._streams: dict[str, Stream] = {}  # by name, once built
+        # What the checkpoint open started from indexed of its streams, which
+        # are built from it on first touch: the creators' names, per stream
+        # its creator and its latest seq (0 for none), and per record the
+        # seq before it on its stream (0 for none).
+        self._indexed: tuple[list[str], array, array, array] | None = None
+        self._hasher = hashlib.sha256()  # fed the file's bytes up to _offsets[-1]
+        self._checkpoint_due = False
+        self._unterminated = False  # the file's last record lacks its newline
         self._handle = None  # appending, unbuffered; closed by a failed append
         if create and self._path.exists() and self._path.stat().st_size > 0:
             raise LedgerError(f"ledger already exists at {self._path}")
@@ -439,8 +561,9 @@ class Ledger:
             if create:
                 self._publisher = publisher or f"node-{secrets.token_hex(8)}"
                 self._handle = open(self._path, "ab", buffering=0)
+                self._offsets.append(0)
                 self._append(ROOT_STREAM, "", b"")
-                self._streams[ROOT_STREAM] = Stream(ROOT_STREAM, self._publisher)
+                self._add_stream(ROOT_STREAM, self._publisher)
             else:
                 self._reader = open(self._path, "rb")
                 self._publisher = publisher or self._load()
@@ -458,12 +581,56 @@ class Ledger:
         self._handle = self._reader = None
 
     def _load(self) -> str:
-        """Index the file; returns the publisher of its genesis record."""
+        """Index the file, from its checkpoint where that holds; returns the
+        publisher of its genesis record."""
+        if not self._load_checkpoint():
+            self._reader.seek(0)
+            self._checkpoint_due = True
+        start = self._reader.tell()
+        self._index()
+        end = self._offsets[-1]
+        self._checkpoint_due |= end - start >= CHECKPOINT_TAIL_BYTES
+        self._unterminated = os.pread(self._reader.fileno(), 1, end - 1) != b"\n"
+        return self.stream(ROOT_STREAM).created_by
+
+    def _load_checkpoint(self) -> bool:
+        """Take the index of the checkpoint's prefix, if the checkpoint holds."""
+        found = load_checkpoint(self._path, self._reader)
+        if found is None:
+            return False
+        hasher, parts = found
+        try:
+            offsets, digests, names, creators, created_by, last, prev = parts
+            offsets, created_by, last, prev = map(int_array, (offsets, created_by, last, prev))
+            names = str(names, "ascii").split("\n")
+            creators = str(creators, "ascii").split("\n")
+        except ValueError:
+            return False
+        if not (
+            len(digests) == len(offsets) * DIGEST_BYTES == len(prev) * DIGEST_BYTES
+            and names[0] == ROOT_STREAM
+            and len(created_by) == len(names) == len(last)
+            and max(created_by) < len(creators)
+            and max(last) < len(prev)
+            and max(prev) < len(prev)
+        ):
+            return False
+        self._hasher = hasher
+        self._offsets = offsets
+        self._digests = bytearray(digests)
+        self._order = names
+        self._rows = dict(zip(names, range(len(names))))
+        self._indexed = creators, created_by, last, prev
+        return True
+
+    def _index(self):
+        """Run open's pass from the reader's position to the end of the
+        file, carrying on from the records indexed before it."""
         offsets = self._offsets
         digests = self._digests
         streams: dict[bytes, Stream] = {}  # by name, as the pass reads it
         try:
-            for base, matches in _records(self._reader):
+            for base, matches in _records(self._reader, self._hasher):
                 digest_hex = []
                 for match in matches:
                     seq, stream, digest = match.group(1, 2, 8)
@@ -483,8 +650,9 @@ class Ledger:
                     target = streams.get(stream)
                     if target is None:
                         name = stream.decode("ascii")
-                        target = Stream(name, match[4].decode("ascii"))
-                        streams[stream] = self._streams[name] = target
+                        target = streams[stream] = self._stream(name) or self._add_stream(
+                            name, match[4].decode("ascii")
+                        )
                     if index:
                         target.seqs.append(index)
                 digests += unhexlify(b"".join(digest_hex))
@@ -495,7 +663,46 @@ class Ledger:
             ) from None
         self._items = [None] * len(offsets)
         offsets.append(self._reader.tell())
-        return self._streams[ROOT_STREAM].created_by
+
+    def save_checkpoint(self):
+        """Write the checkpoint of all this ledger checked or wrote, if it
+        appended, ran the full pass or met a long tail, and the file ends
+        in a newline.  A write that fails raises nothing."""
+        if not self._checkpoint_due or self._unterminated:
+            return
+        creators, *columns = self._indexed or ([], array("q"), array("q"), array("q"))
+        created_by, last, prev = (column[:] for column in columns)  # brought up to date below
+        known = len(prev)  # the records the checkpoint indexed
+        prev.frombytes(bytes(8 * (len(self._items) - known)))
+        number = {creator: index for index, creator in enumerate(creators)}
+        for name in self._order[len(last) :]:  # first seen since
+            creator = self._streams[name].created_by
+            created_by.append(number.setdefault(creator, len(number)))
+            last.append(0)
+        # Only a built stream can have items since: the pass and appends
+        # build the streams they index.
+        for name, stream in self._streams.items():
+            seqs = stream.seqs
+            at = len(seqs)
+            while at and seqs[at - 1] >= known:
+                at -= 1
+                prev[seqs[at]] = seqs[at - 1] if at else 0
+            if seqs:
+                last[self._rows[name]] = seqs[-1]
+        save_checkpoint(
+            self._path,
+            self._offsets[-1],
+            self._hasher,
+            (
+                self._offsets[:-1].tobytes(),
+                self._digests,
+                "\n".join(self._order).encode("ascii"),
+                "\n".join(number).encode("ascii"),
+                created_by.tobytes(),
+                last.tobytes(),
+                prev.tobytes(),
+            ),
+        )
 
     # -- writing ------------------------------------------------------------
 
@@ -520,14 +727,42 @@ class Ledger:
         item = StreamItem(seq, stream, key, publisher, moment, payload, prev, digest)
         if self._handle.closed:
             self._handle = open(self._path, "ab", buffering=0)
-        append_line(
+        newline = self._unterminated
+        data = append_line(
             self._handle,
             f"{seq}\t{stream}\t{key}\t{publisher}\t{ts_text}\t{payload.decode('ascii')}"
             f"\t{prev.hex()}\t{digest.hex()}",
+            newline,
         )
+        self._unterminated = False
+        self._hasher.update(data)
+        self._offsets[-1] += newline  # the record starts after a newline written first
+        self._offsets.append(self._offsets[-1] + len(data) - newline)
+        self._checkpoint_due = True
         self._items.append(item)
         self._digests += digest
         return item
+
+    def _add_stream(self, name: str, created_by: str) -> Stream:
+        stream = self._streams[name] = Stream(name, created_by)
+        self._rows[name] = len(self._order)
+        self._order.append(name)
+        return stream
+
+    def _stream(self, name: str) -> Stream | None:
+        """The stream, built on first touch if a checkpoint indexed it."""
+        stream = self._streams.get(name)
+        if stream is None and name in self._rows:
+            creators, created_by, last, prev = self._indexed
+            row = self._rows[name]
+            stream = self._streams[name] = Stream(name, creators[created_by[row]])
+            seq = last[row]
+            while seq:
+                stream.seqs.append(seq)
+                # Links run back; a forged checkpoint cannot make this loop.
+                seq = prev[seq] if prev[seq] < seq else 0
+            stream.seqs.reverse()
+        return stream
 
     def create_stream(self, name: str, key: str, payload: bytes) -> StreamItem:
         """Create a lineage stream by appending its first item."""
@@ -535,17 +770,16 @@ class Ledger:
             raise InvalidStreamName(
                 f"stream name must read stream-<provider>-<attribute>-<accessor>, got {name!r}"
             )
-        if name in self._streams:
+        if self.has_stream(name):
             raise DuplicateStream(f"stream already exists: {name}")
         _check_entry(key, payload)
         item = self._append(name, key, payload)
-        stream = self._streams[name] = Stream(name, self._publisher)
-        stream.seqs.append(item.seq)
+        self._add_stream(name, self._publisher).seqs.append(item.seq)
         return item
 
     def publish(self, stream: str, key: str, payload: bytes) -> StreamItem:
         """Append one transaction item to an existing stream."""
-        target = self._streams.get(stream)
+        target = self._stream(stream)
         if target is None:
             raise UnknownStream(f"unknown stream: {stream}")
         if stream == ROOT_STREAM:
@@ -569,17 +803,17 @@ class Ledger:
         return len(self._items)
 
     def has_stream(self, name: str) -> bool:
-        return name in self._streams
+        return name in self._rows
 
     def streams(self) -> list[Stream]:
         """All streams, in the order of their first items."""
-        return list(self._streams.values())
+        return [self.stream(name) for name in self._order]
 
     def stream(self, name: str) -> Stream:
-        try:
-            return self._streams[name]
-        except KeyError:
-            raise UnknownStream(f"unknown stream: {name}") from None
+        stream = self._stream(name)
+        if stream is None:
+            raise UnknownStream(f"unknown stream: {name}")
+        return stream
 
     def list_items(self, name: str, start: int = 0, count: int | None = None) -> list[StreamItem]:
         """Transaction items of a stream in ascending seq order.

@@ -20,18 +20,31 @@ CorruptRecord.  The store holds policy.db open for these reads and, from
 its first append, a handle appending to it, both until close().  Older versions stay on
 disk as history: policy.db is append-only, and no query reads them.
 Every write goes to the file before memory takes it.
+
+Like the ledger, policy.db has a checkpoint beside it (see ledger.py):
+the length and SHA-256 of a prefix open indexed, and per lineage the
+fields open read from its latest line in that prefix.  Where it holds,
+open takes the index from it and reads only the tail past that prefix.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
-import tempfile
+from array import array
 from pathlib import Path
 from typing import NamedTuple
 
-from .ledger import append_line
+from .ledger import (
+    CHECKPOINT_TAIL_BYTES,
+    append_line,
+    int_array,
+    load_checkpoint,
+    replace_file,
+    save_checkpoint,
+)
 from .policy import AccessorProfile, Record
 from .tuples import (
     DEFAULT_COST,
@@ -299,15 +312,19 @@ def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
     return (provider_id, attribute_id, accessor_id), version, seq
 
 
-def _decode_lines(path: Path, fh, decode):
-    """(line number, offset, length, decoded) per non-blank line of a family
-    file, in one pass over its bytes.  Lines end at LF, CRLF or a lone CR,
-    as a text read ends them; offset and length are the line's bytes
-    without its end.  Each line is decoded as UTF-8 on its own and
-    stripped, so a line that is not UTF-8 or fails to decode raises
-    StoreError naming the file and line."""
-    offset = lineno = 0
+def _decode_lines(path: Path, fh, decode, lineno: int = 0, hasher=None):
+    """(line number, offset, length, decoded) per line of a family file
+    from its position on, in one pass over its bytes, decoded None for a
+    blank line; line numbers carry on from lineno, and hasher, if given,
+    is fed the bytes.  Lines end at LF, CRLF or a lone CR, as a text read
+    ends them; offset and length are the line's bytes without its end.
+    Each line is decoded as UTF-8 on its own and stripped, so a line that
+    is not UTF-8 or fails to decode raises StoreError naming the file and
+    line."""
+    offset = fh.tell()
     for raw in fh:  # up to and with each LF
+        if hasher is not None:
+            hasher.update(raw)
         for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
             lineno += 1
             content = piece.rstrip(b"\r\n")
@@ -316,8 +333,7 @@ def _decode_lines(path: Path, fh, decode):
                 record = decode(line) if line else None
             except (ValueError, KeyError, TypeError) as exc:
                 raise StoreError(f"{path} line {lineno}: unreadable record ({exc})") from None
-            if line:
-                yield lineno, offset, len(content), record
+            yield lineno, offset, len(content), record
             offset += len(piece)
 
 
@@ -337,10 +353,21 @@ class Store:
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        # Latest policy version per lineage, indexed until first touch.
-        self._latest: dict[tuple[int, int, int], TupleInstance | _Indexed] = {}
+        # Where each lineage's latest policy line is: the lines this store
+        # indexed or appended, over the rows of the checkpoint it opened
+        # from (per lineage a row of _columns: its provider, attribute and
+        # accessor, then the fields of its _Indexed).
+        self._latest: dict[tuple[int, int, int], _Indexed] = {}
+        self._rows: dict[tuple[int, int, int], int] = {}
+        self._columns: list[array] = []
+        # The latest version per lineage, once decoded or published.
+        self._instances: dict[tuple[int, int, int], TupleInstance] = {}
         self._policy = None  # policy.db, read-only, for first touches
         self._policy_out = None  # policy.db, appending, from the first append
+        self._policy_size = self._policy_lines = 0  # bytes and lines
+        self._hasher = hashlib.sha256()  # fed policy.db's first _policy_size bytes
+        self._checkpoint_due = False
+        self._unterminated = False  # policy.db's last line lacks its LF
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         if create:
@@ -374,26 +401,97 @@ class Store:
     # -- persistence --------------------------------------------------------
 
     def _load(self):
-        for *_, record in self._read_records(CONTENT_FILE, _decode_provider):
+        for record in self._read_records(CONTENT_FILE, _decode_provider):
             self._providers[record.provider_id] = record
         # Kept open for first touches, which read the latest lines back.
         self._policy = open(self._dir / POLICY_FILE, "rb")
         try:
-            for lineno, offset, length, (lineage, version, seq) in _decode_lines(
-                self._dir / POLICY_FILE, self._policy, _index_policy_line
-            ):
-                self._latest[lineage] = _Indexed(version, seq, offset, length, lineno)
-            for *_, cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
+            self._index_policy()
+            for cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
                 self._credentials[cred.login] = cred
                 self._accessors[cred.profile.accessor_id] = cred
         except BaseException:
             self.close()
             raise
 
+    def _index_policy(self):
+        """Index policy.db, from its checkpoint where that holds."""
+        path = self._dir / POLICY_FILE
+        if not self._load_checkpoint():
+            self._policy.seek(0)
+            self._checkpoint_due = True
+        start = self._policy.tell()
+        lineno = self._policy_lines
+        for lineno, offset, length, indexed in _decode_lines(
+            path, self._policy, _index_policy_line, lineno, self._hasher
+        ):
+            if indexed is not None:
+                lineage, version, seq = indexed
+                self._latest[lineage] = _Indexed(version, seq, offset, length, lineno)
+        self._policy_lines = lineno
+        self._policy_size = end = self._policy.tell()
+        self._checkpoint_due |= end - start >= CHECKPOINT_TAIL_BYTES
+        self._unterminated = end > 0 and os.pread(self._policy.fileno(), 1, end - 1) != b"\n"
+
+    def _load_checkpoint(self) -> bool:
+        """Take the index of the checkpoint's prefix, if the checkpoint holds."""
+        found = load_checkpoint(self._dir / POLICY_FILE, self._policy)
+        if found is None:
+            return False
+        hasher, parts = found
+        if len(parts) != 9:
+            return False
+        try:
+            lines, *columns = (int_array(part) for part in parts)
+        except ValueError:
+            return False
+        if len(lines) != 1 or len({len(column) for column in columns}) != 1:
+            return False
+        self._hasher = hasher
+        self._policy_lines = lines[0]
+        self._columns = columns
+        self._rows = dict(zip(zip(*columns[:3]), range(len(columns[0]))))
+        return True
+
+    def _where(self, lineage: tuple[int, int, int]) -> _Indexed | None:
+        """Where the lineage's latest policy line is, if it has one."""
+        held = self._latest.get(lineage)
+        if held is None:
+            row = self._rows.get(lineage)
+            if row is not None:
+                held = _Indexed(*(column[row] for column in self._columns[3:]))
+        return held
+
+    def save_checkpoint(self):
+        """Write the checkpoint of all of policy.db this store indexed or
+        wrote, if it appended, ran the full pass or met a long tail, and
+        the file ends in a LF.  A write that fails raises nothing."""
+        if not self._checkpoint_due or self._unterminated:
+            return
+        # The rows open started from, brought up to date.
+        columns = [column[:] for column in self._columns] or [array("q") for _ in range(8)]
+        try:
+            for lineage, held in self._latest.items():
+                row = self._rows.get(lineage)
+                if row is None:
+                    for column, value in zip(columns, (*lineage, *held)):
+                        column.append(value)
+                else:
+                    for column, value in zip(columns[3:], held):
+                        column[row] = value
+        except OverflowError:  # a value beyond 64 bits: left to the full pass
+            return
+        save_checkpoint(
+            self._dir / POLICY_FILE,
+            self._policy_size,
+            self._hasher,
+            [array("q", [self._policy_lines]).tobytes(), *(column.tobytes() for column in columns)],
+        )
+
     def _read_records(self, name: str, decode) -> list:
         path = self._dir / name
         with open(path, "rb") as fh:
-            return list(_decode_lines(path, fh, decode))
+            return [record for *_, record in _decode_lines(path, fh, decode) if record is not None]
 
     def _policy_line(self, indexed: _Indexed) -> str:
         """The indexed line as policy.db holds it now, stripped."""
@@ -401,29 +499,32 @@ class Store:
         return data.decode("utf-8").strip()
 
     def _append_record(self, name: str, record: dict):
-        with open(self._dir / name, "ab", buffering=0) as fh:
-            append_line(fh, json.dumps(record, sort_keys=True))
+        with open(self._dir / name, "a+b", buffering=0) as fh:
+            end = os.fstat(fh.fileno()).st_size
+            newline = end > 0 and os.pread(fh.fileno(), 1, end - 1) != b"\n"
+            append_line(fh, json.dumps(record, sort_keys=True), newline)
 
-    def _append_policy(self, record: dict):
+    def _append_policy(self, record: dict) -> tuple[int, int, int]:
+        """Append a policy line; returns its offset, length and line number."""
         # Held, unlike content.db's, which a rewrite replaces by renaming.
         if self._policy_out is None or self._policy_out.closed:  # closed by a failure
             self._policy_out = open(self._dir / POLICY_FILE, "ab", buffering=0)
-        append_line(self._policy_out, json.dumps(record, sort_keys=True))
+        newline = self._unterminated
+        data = append_line(self._policy_out, json.dumps(record, sort_keys=True), newline)
+        self._unterminated = False
+        self._hasher.update(data)
+        self._checkpoint_due = True
+        offset = self._policy_size + newline
+        self._policy_size += len(data)
+        self._policy_lines += 1
+        return offset, len(data) - newline - 1, self._policy_lines
 
     def _rewrite_records(self, name: str, records):
-        # Write the whole family to a temp file, then rename over the old one
-        # so readers never observe a half-written family.
-        target = self._dir / name
-        fd, temp_path = tempfile.mkstemp(dir=self._dir, prefix=name + ".")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            os.replace(temp_path, target)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        # Replaced as a whole, so readers never observe a half-written family.
+        replace_file(
+            self._dir / name,
+            (json.dumps(record, sort_keys=True).encode("utf-8") + b"\n" for record in records),
+        )
 
     # -- content ------------------------------------------------------------
 
@@ -460,24 +561,28 @@ class Store:
         lineage = instance.lineage
         if lineage[0] not in self._providers:
             raise UnknownProvider(f"no provider with id {lineage[0]}")
-        held = self._latest.get(lineage)
-        if held is not None and instance.version <= held.version:
+        prior = self.lineage_version(lineage)
+        if instance.version <= prior:
             raise StaleVersion(
-                f"lineage {lineage} already at version {held.version}, "
-                f"got {instance.version}"
+                f"lineage {lineage} already at version {prior}, got {instance.version}"
             )
-        self._append_policy(instance.to_dict() if record is None else record)
-        self._latest[lineage] = instance
+        offset, length, lineno = self._append_policy(
+            instance.to_dict() if record is None else record
+        )
+        self._latest[lineage] = _Indexed(instance.version, instance.seq, offset, length, lineno)
+        self._instances[lineage] = instance
         return lineage
 
     def latest_tuple_instance(self, lineage: tuple[int, int, int]) -> TupleInstance | None:
         """The latest version, decoded on first touch; raises CorruptRecord
         when its record fails to decode or disagrees with its index."""
         lineage = tuple(lineage)
-        held = self._latest.get(lineage)
-        if isinstance(held, _Indexed):
-            held = self._latest[lineage] = self._decode(lineage, held)
-        return held
+        instance = self._instances.get(lineage)
+        if instance is None:
+            indexed = self._where(lineage)
+            if indexed is not None:
+                instance = self._instances[lineage] = self._decode(lineage, indexed)
+        return instance
 
     def _decode(self, lineage: tuple[int, int, int], indexed: _Indexed) -> TupleInstance:
         where = f"{self._dir / POLICY_FILE} line {indexed.lineno}"
@@ -494,8 +599,12 @@ class Store:
         return instance
 
     def lineage_version(self, lineage: tuple[int, int, int]) -> int:
-        held = self._latest.get(tuple(lineage))
-        return held.version if held is not None else 0
+        lineage = tuple(lineage)
+        held = self._latest.get(lineage)
+        if held is not None:
+            return held.version
+        row = self._rows.get(lineage)
+        return 0 if row is None else self._columns[3][row]
 
     # -- selection ----------------------------------------------------------
 

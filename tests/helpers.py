@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import datetime as dt
 import random
+import shutil
 
 from privledger.engine import Engine, EngineConfig
+from privledger.ledger import CHECKPOINT_SUFFIX
 from privledger.policy import (
     AccessorProfile,
     AccessorRole,
@@ -111,6 +113,28 @@ def make_engine(tmp_path, hash_cost: int = 8) -> Engine:
 def reopen_engine(engine: Engine) -> Engine:
     engine.close()
     return Engine.open(engine.config)
+
+
+def policy_index(store) -> list:
+    """(lineage, where its latest policy line is) of every lineage the
+    store indexed, in the order of their first lines."""
+    lineages = [*store._rows, *(lin for lin in store._latest if lin not in store._rows)]
+    return [(lineage, store._where(lineage)) for lineage in lineages]
+
+
+def both_open_paths(engine: Engine) -> list[EngineConfig]:
+    """Close the engine and return two configs over its data: its own
+    directory, where its close wrote checkpoints, so an open starts from
+    them, and a copy without them, where an open runs the full pass."""
+    engine.close()
+    config = engine.config
+    names = sorted(path.name for path in config.data_dir.glob("*" + CHECKPOINT_SUFFIX))
+    assert names == ["ledger.db" + CHECKPOINT_SUFFIX, "policy.db" + CHECKPOINT_SUFFIX]
+    bare = config.data_dir.with_name(config.data_dir.name + "-no-checkpoint")
+    shutil.copytree(config.data_dir, bare)
+    for name in names:
+        (bare / name).unlink()
+    return [config, EngineConfig(data_dir=bare, hash_cost=config.hash_cost)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,20 @@ build the same indexes (read back at the offsets open kept) and refuse
 with the same error text; the ledger pass and chain verification must
 agree with their references also when records straddle chunks.  Also: a
 byte that is not UTF-8 in any store file fails open naming its file and
-line."""
+line.
+
+Checkpoints: every generated file is opened twice, from a checkpoint of
+a canonical prefix taken before the change and without one, and both
+opens must agree (and agree with the reference): same refusal text or
+the same indexes, items, streams and chain report.  A checkpoint that is
+damaged, of another checker version or over a prefix that changed is
+ignored; a leftover temporary file changes nothing; a data directory
+where no checkpoint can be written still answers."""
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -19,13 +29,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import install_demo_fixture, make_engine
+from helpers import (
+    DEMO_ACCESSOR_ID,
+    DEMO_ACCESSOR_LOGIN,
+    DEMO_ACCESSOR_PASSWORD,
+    DEMO_PROVIDER_ID,
+    demo_preferences,
+    install_demo_fixture,
+    make_engine,
+    policy_index,
+)
 from ledger_reference import reference_item_digest, reference_verify_records
 from open_reference import reference_index_policy, reference_load_ledger
 from privledger import ledger as ledger_module
+from privledger import store as store_module
 from privledger.cli import main
 from privledger.engine import Engine
-from privledger.ledger import Ledger, LedgerError, verify_records
+from privledger.ledger import (
+    CHECKER_VERSION,
+    CHECKPOINT_SUFFIX,
+    Ledger,
+    LedgerError,
+    checkpoint_path,
+    load_checkpoint,
+    verify_records,
+)
 from privledger.store import POLICY_FILE, Store, StoreError
 from test_ledger_pattern import (
     ALPHABET,
@@ -234,11 +262,12 @@ def _opened_index(directory: Path):
         return "refused", str(exc)
     try:
         # Open keeps where each line is; read the line back from there.
+        indexed = policy_index(store)
         latest = [
             (held.version, held.seq, store._policy_line(held), held.lineno)
-            for held in store._latest.values()
+            for _, held in indexed
         ]
-        return "opened", latest, list(store._latest)
+        return "opened", latest, [lineage for lineage, _ in indexed]
     finally:
         store.close()
 
@@ -288,3 +317,348 @@ def test_non_utf8_byte_fails_open_naming_file_and_line(tmp_path, capsys, family,
         Engine.open(engine.config)
     assert main(["--data-dir", str(engine.config.data_dir), "ledger", "list-streams"]) == 1
     assert f"{family} line {lineno}: unreadable record" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# checkpoints: the same outcome with and without one
+# ---------------------------------------------------------------------------
+
+
+def _recording_starts(starts: list):
+    """ledger._records, noting the file offset each pass starts at."""
+    records = ledger_module._records
+
+    def recording(fh, hasher=None):
+        starts.append(fh.tell())
+        return records(fh, hasher)
+
+    return recording
+
+
+@st.composite
+def checkpointed_ledger_files(draw) -> tuple[bytes, bytes]:
+    """A canonical ledger a checkpoint was taken of, and the file at the
+    next open: the same records with more after them, or any generated
+    ledger file."""
+    count = draw(st.integers(1, len(CANONICAL)))
+    before = ("\n".join(CANONICAL[:count]) + "\n").encode()
+    if draw(st.booleans()):
+        return before, draw(ledger_files())
+    rest = CANONICAL[count:]
+    if rest and draw(st.booleans()):
+        rest[draw(st.integers(0, len(rest) - 1))] = draw(mutated_lines())
+    return before, before + draw(layouts(rest))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(checkpointed_ledger_files())
+@example((("\n".join(CANONICAL) + "\n").encode(),) * 2)
+@example(((CANONICAL[0] + "\n").encode(), ("\n".join(CANONICAL) + "\n").encode()))
+@example(((CANONICAL[0] + "\n").encode(), ("\n".join(CANONICAL)).encode()))
+def test_ledger_open_from_a_checkpoint_agrees_with_the_full_pass(files):
+    before, data = files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.db"
+        path.write_bytes(before)
+        ledger = Ledger(path)
+        ledger.save_checkpoint()  # due after the full pass
+        ledger.close()
+        path.write_bytes(data)
+        starts = []
+        with mock.patch.object(ledger_module, "_records", _recording_starts(starts)):
+            from_checkpoint = _opened_ledger(path)
+        checkpoint_path(path).unlink()
+        assert from_checkpoint == _opened_ledger(path) == _reference_ledger(path)
+    # Where the checkpoint's records still begin the file, open's pass
+    # starts after them.
+    assert starts[0] == (len(before) if data.startswith(before) else 0)
+
+
+@st.composite
+def checkpointed_policy_files(draw) -> tuple[bytes, bytes]:
+    """A policy.db a checkpoint was taken of, and the file at the next
+    open: the same lines with more after them, or any generated file."""
+    before = "".join(
+        line + "\n" for line in draw(st.lists(st.sampled_from(POLICY_LINES), max_size=4))
+    ).encode()
+    after = draw(policy_files())
+    return before, before + after if draw(st.booleans()) else after
+
+
+def _counting_policy_lines(count: list):
+    index_line = store_module._index_policy_line
+
+    def counting(line):
+        count.append(line)
+        return index_line(line)
+
+    return counting
+
+
+@settings(max_examples=1000, deadline=None)
+@given(checkpointed_policy_files())
+@example((b"", b""))
+@example(((POLICY_LINES[0] + "\n").encode(), (POLICY_LINES[0] + "\n").encode()))
+@example(((POLICY_LINES[0] + "\n").encode(), (POLICY_LINES[0] + "\n\r\n" + POLICY_LINES[1]).encode()))
+def test_policy_index_from_a_checkpoint_agrees_with_the_full_pass(files):
+    before, data = files
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name in ("credentials.db", "content.db"):
+            (directory / name).touch()
+        path = directory / POLICY_FILE
+        path.write_bytes(before)
+        store = Store(directory)
+        store.save_checkpoint()  # due after the full pass
+        store.close()
+        path.write_bytes(data)
+        from_lines, full_lines = [], []
+        with mock.patch.object(store_module, "_index_policy_line", _counting_policy_lines(from_lines)):
+            from_checkpoint = _opened_index(directory)
+        checkpoint_path(path).unlink()
+        with mock.patch.object(store_module, "_index_policy_line", _counting_policy_lines(full_lines)):
+            assert from_checkpoint == _opened_index(directory) == _reference_index(directory)
+    # Where the checkpoint's lines still begin the file, open indexes none
+    # of them again.
+    skipped = before.count(b"\n") if data.startswith(before) else 0
+    assert len(from_lines) == len(full_lines) - skipped
+
+
+# ---------------------------------------------------------------------------
+# checkpoints over a data directory
+# ---------------------------------------------------------------------------
+
+CHECKPOINTED = ("ledger.db", POLICY_FILE)
+
+
+@pytest.fixture
+def demo_config(tmp_path):
+    engine = make_engine(tmp_path)
+    install_demo_fixture(engine)
+    engine.close()
+    for name in CHECKPOINTED:
+        assert checkpoint_path(engine.config.data_dir / name).exists()
+    return engine.config
+
+
+def _outcome(value):
+    """Call value; its result, or the type and text of the error it raised."""
+    try:
+        return value()
+    except (LedgerError, StoreError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _opened_state(config):
+    """What an open of the directory finds: its refusal, or every item,
+    stream, policy index entry and latest instance, and the chain report.
+    Closes without writing checkpoints."""
+    try:
+        engine = Engine.open(config)
+    except (LedgerError, StoreError) as exc:
+        return "refused", type(exc).__name__, str(exc)
+    ledger, store = engine.ledger, engine.store
+    try:
+        report = ledger.verify_chain()
+        items = [_outcome(lambda: ledger.item(seq)) for seq in range(ledger.chain_length())]
+        streams = [(s.name, s.created_by, s.seqs) for s in ledger.streams()]
+        indexed = policy_index(store)
+        latest = [_outcome(lambda: store.latest_tuple_instance(lineage)) for lineage, _ in indexed]
+        return "opened", report, items, streams, indexed, latest
+    finally:
+        store.close()
+        ledger.close()
+
+
+def _checkpoints(config) -> dict[str, bytes]:
+    return {
+        name: checkpoint_path(config.data_dir / name).read_bytes() for name in CHECKPOINTED
+    }
+
+
+def _usable(config, name) -> bool:
+    with open(config.data_dir / name, "rb") as fh:
+        return load_checkpoint(config.data_dir / name, fh) is not None
+
+
+def _other_checker_version(data: bytes) -> bytes:
+    """The checkpoint as the next checker version would have written it."""
+    head = b"privledger checkpoint\n" + CHECKER_VERSION.to_bytes(4, "big")
+    assert data.startswith(head)
+    body = b"privledger checkpoint\n" + (CHECKER_VERSION + 1).to_bytes(4, "big")
+    body += data[len(head) : -32]
+    return body + hashlib.sha256(body).digest()
+
+
+DAMAGES = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "cut-short-by-a-byte": lambda data: data[:-1],
+    "empty": lambda data: b"",
+    "garbage": lambda data: bytes(range(256)) * 8,
+    "flipped-byte": lambda data: data[:100] + bytes([data[100] ^ 1]) + data[101:],
+    "other-checker-version": _other_checker_version,
+}
+
+
+@pytest.mark.parametrize("name", CHECKPOINTED)
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_damaged_checkpoint_is_ignored(demo_config, name, damage):
+    path = checkpoint_path(demo_config.data_dir / name)
+    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    assert not _usable(demo_config, name)
+    damaged = _opened_state(demo_config)
+    path.unlink()
+    assert damaged == _opened_state(demo_config)
+    assert damaged[0] == "opened"
+    # The full pass it ran makes the next close write a usable one.
+    Engine.open(demo_config).close()
+    assert _usable(demo_config, name)
+
+
+def _seq_of_record_2(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines[2] = b"9" + lines[2][1:]
+    return b"\n".join(lines)
+
+
+def _next_version(data: bytes) -> bytes:
+    at = data.index(b'"version": 1}}')
+    return data[:at] + b'"version": 7}}' + data[at + 14 :]
+
+
+CHANGES = {
+    # open refuses it
+    ("ledger.db", "seq"): _seq_of_record_2,
+    # open accepts; the first read of that record fails
+    ("ledger.db", "payload"): lambda data: data.replace(b"$sha256i$", b"$sha256I$", 1),
+    ("ledger.db", "last-record-dropped"): lambda data: data[: data.rindex(b"\n", 0, -1) + 1],
+    ("ledger.db", "record-appended-twice"): lambda data: data + data[data.rindex(b"\n", 0, -1) + 1 :],
+    ("policy.db", "version"): _next_version,
+    ("policy.db", "last-line-dropped"): lambda data: data[: data.rindex(b"\n", 0, -1) + 1],
+    ("policy.db", "line-appended-twice"): lambda data: data + data[data.rindex(b"\n", 0, -1) + 1 :],
+    ("policy.db", "blank-line-inserted"): lambda data: data.replace(b"\n", b"\n\n", 1),
+}
+
+
+@pytest.mark.parametrize("name, change", CHANGES, ids=[f"{n}-{c}" for n, c in CHANGES])
+def test_checkpoint_over_a_changed_file_gives_the_full_pass_outcome(demo_config, name, change):
+    path = demo_config.data_dir / name
+    path.write_bytes(CHANGES[name, change](path.read_bytes()))
+    from_checkpoint = _opened_state(demo_config)
+    for other in CHECKPOINTED:
+        checkpoint_path(demo_config.data_dir / other).unlink()
+    assert from_checkpoint == _opened_state(demo_config)
+
+
+def test_open_from_a_valid_checkpoint_checks_no_record_of_its_prefix(demo_config):
+    starts, lines = [], []
+    with mock.patch.object(ledger_module, "_records", _recording_starts(starts)), \
+            mock.patch.object(store_module, "_index_policy_line", _counting_policy_lines(lines)):
+        engine = Engine.open(demo_config)
+    size = (demo_config.data_dir / "ledger.db").stat().st_size
+    assert (starts, lines) == ([size], [])
+    assert engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)).version == 3
+    before = _checkpoints(demo_config)
+    engine.close()  # nothing appended, no full pass, no tail: nothing written
+    assert _checkpoints(demo_config) == before
+
+
+def test_set_policy_writes_no_checkpoint_and_close_does(demo_config):
+    before = _checkpoints(demo_config)
+    engine = Engine.open(demo_config)
+    publication = engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+    assert _checkpoints(demo_config) == before
+    engine.close()
+    after = _checkpoints(demo_config)
+    assert all(after[name] != before[name] for name in CHECKPOINTED)
+    assert all(_usable(demo_config, name) for name in CHECKPOINTED)
+    starts = []
+    with mock.patch.object(ledger_module, "_records", _recording_starts(starts)):
+        engine = Engine.open(demo_config)
+    assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
+    assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
+    assert engine.store.lineage_version((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)) == 4
+    engine.close()
+
+
+def test_a_tail_past_the_checkpoint_is_checked_and_checkpointed_when_long(demo_config, monkeypatch):
+    stale = _checkpoints(demo_config)
+    engine = Engine.open(demo_config)
+    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+    engine.close()
+    for name, data in stale.items():  # as if the close had not written them
+        checkpoint_path(demo_config.data_dir / name).write_bytes(data)
+    tail = _opened_state(demo_config)
+    Engine.open(demo_config).close()  # a short tail: no new checkpoint
+    assert _checkpoints(demo_config) == stale
+    monkeypatch.setattr(ledger_module, "CHECKPOINT_TAIL_BYTES", 1)
+    monkeypatch.setattr(store_module, "CHECKPOINT_TAIL_BYTES", 1)
+    Engine.open(demo_config).close()
+    assert all(_checkpoints(demo_config)[name] != stale[name] for name in CHECKPOINTED)
+    assert _opened_state(demo_config) == tail
+
+
+def _temporaries(data_dir) -> list[str]:
+    return sorted(p.name for p in data_dir.iterdir() if f"{CHECKPOINT_SUFFIX}." in p.name)
+
+
+def test_leftover_temporary_file_changes_nothing(demo_config):
+    data_dir = demo_config.data_dir
+    clean = _opened_state(demo_config)
+    for name in CHECKPOINTED:
+        (data_dir / f"{name}{CHECKPOINT_SUFFIX}.x1y2z3").write_bytes(b"half a checkpoint")
+    assert _opened_state(demo_config) == clean
+    engine = Engine.open(demo_config)
+    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+    engine.close()
+    assert all(_usable(demo_config, name) for name in CHECKPOINTED)
+    assert _temporaries(data_dir) == [
+        f"{name}{CHECKPOINT_SUFFIX}.x1y2z3" for name in CHECKPOINTED
+    ]
+
+
+def test_failed_checkpoint_write_leaves_no_temporary_file(demo_config, monkeypatch):
+    before = _checkpoints(demo_config)
+    engine = Engine.open(demo_config)
+    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(ledger_module.os, "replace", full_disk)
+    engine.close()  # raises nothing
+    monkeypatch.undo()
+    assert _checkpoints(demo_config) == before
+    assert _temporaries(demo_config.data_dir) == []
+    assert _opened_state(demo_config)[0] == "opened"
+
+
+def _without_timing(out: str) -> list[str]:
+    return [line for line in out.splitlines() if '"record": "timing"' not in line]
+
+
+def test_read_only_data_directory_still_answers(demo_config, monkeypatch, capsys):
+    data_dir = demo_config.data_dir
+    query = [
+        "--data-dir", str(data_dir), "--json", "query",
+        "--login", DEMO_ACCESSOR_LOGIN, "--password", DEMO_ACCESSOR_PASSWORD,
+        "--purpose", "care-delivery", "--attributes", "street_name,first_name",
+        "--provider", str(DEMO_PROVIDER_ID), "--now", "2021-07-01",
+    ]
+    assert main(query) == 0  # takes the lock file, so the next query needs no new file
+    answer = capsys.readouterr().out
+    for name in CHECKPOINTED:
+        checkpoint_path(data_dir / name).unlink()  # so close has one to write
+    files = sorted(p.name for p in data_dir.iterdir())
+
+    def read_only(*args, **kwargs):  # also where the permission bits do not bind
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(ledger_module.tempfile, "mkstemp", read_only)
+    data_dir.chmod(0o555)
+    try:
+        assert main(query) == 0
+    finally:
+        data_dir.chmod(0o755)
+    assert _without_timing(capsys.readouterr().out) == _without_timing(answer)
+    assert sorted(p.name for p in data_dir.iterdir()) == files

@@ -404,3 +404,47 @@ def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, store, disk, f
     if family == "credentials.db":
         assert reopened.authenticate("physician3", "pw") == make_accessor()
     reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# An append after a file that lacks its final newline
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["ledger.db", "policy.db", "content.db", "credentials.db"])
+def test_append_after_a_missing_final_newline_starts_a_new_line(tmp_path, family):
+    """Open accepts a file whose last line lacks its newline; the first
+    append to it writes that newline first, so it runs into no record."""
+    engine = make_engine(tmp_path)
+    install_demo_fixture(engine)
+    engine.close()
+    path = engine.config.data_dir / family
+    cut = path.read_bytes().removesuffix(b"\n")
+    path.write_bytes(cut)
+
+    engine = Engine.open(engine.config)
+    publication = engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+    engine.add_provider(5, {"city": "Calgary"})
+    engine.add_accessor("nurse9", "nurse9-secret", make_accessor(9))
+    engine.close()
+    data = path.read_bytes()
+    assert data.startswith(cut + b"\n") and data.endswith(b"\n")
+    assert b"\n\n" not in data
+
+    engine = Engine.open(engine.config)
+    assert engine.ledger.verify_chain().intact
+    assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
+    result = engine.mediate(
+        QueryRequest(
+            accessor_id=DEMO_ACCESSOR_ID,
+            requested_purpose="care-delivery",
+            attributes=("street_name",),
+            provider_id=DEMO_PROVIDER_ID,
+        ),
+        now=dt.date(2021, 7, 1),
+    )
+    assert [(e.seq, e.note) for e in result.verification] == [(publication.seq, "ok")]
+    assert result.status is MediationStatus.COMPLETED
+    assert engine.store.get_provider_record(5).attributes == {"city": "Calgary"}
+    assert engine.store.authenticate("nurse9", "nurse9-secret") == make_accessor(9)
+    engine.close()

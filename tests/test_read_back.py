@@ -4,7 +4,8 @@ touch.  A record that changed or vanished on disk since open fails that
 read with the store's CorruptRecord or a LedgerError that says to run
 chain verification, and a query touching it aborts; nothing escapes as
 a bare ValueError, IndexError or UnicodeDecodeError.  Also bounds the
-memory Engine.open keeps per lineage."""
+memory Engine.open keeps per lineage.  Every test runs on both open
+paths: from the checkpoints the last close wrote, and the full pass."""
 
 from __future__ import annotations
 
@@ -18,9 +19,11 @@ import pytest
 from helpers import (
     DEMO_ACCESSOR_ID,
     DEMO_PROVIDER_ID,
+    both_open_paths,
     install_archetype_fixture,
     install_demo_fixture,
     make_engine,
+    policy_index,
 )
 from privledger.engine import Engine
 from privledger.ledger import LedgerError
@@ -33,13 +36,15 @@ STREAM = "stream-4-5-3"
 
 
 @pytest.fixture
-def opened(tmp_path):
+def engines(tmp_path):
+    """The demo opened from the checkpoints its close wrote, and opened by
+    the full pass."""
     engine = make_engine(tmp_path, hash_cost=8)
     install_demo_fixture(engine)
-    engine.close()
-    engine = Engine.open(engine.config)
-    yield engine
-    engine.close()
+    engines = [Engine.open(config) for config in both_open_paths(engine)]
+    yield engines
+    for engine in engines:
+        engine.close()
 
 
 def _line_span(path, is_target) -> tuple[int, int]:
@@ -97,25 +102,26 @@ def _flip_payload_digit(line: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("how", ["rewrite", "truncate", "drop"])
-def test_ledger_record_changed_after_open_fails_its_first_read(opened, how):
-    seq = opened.ledger.stream(STREAM).seqs[-1]
-    path = opened.ledger.path
-    span = _line_span(path, lambda line: line.startswith(f"{seq}\t".encode()))
-    _change(path, span, how, _flip_payload_digit)
-    # Rewritten, the fields no longer give the digest open kept; cut
-    # short, they fail the field check; dropped, the next record is read
-    # over it, which fails one or the other.
-    expected = {
-        "rewrite": rf"ledger record at seq {seq} does not match its digest",
-        "truncate": rf"corrupt ledger record at seq {seq}: .+",
-        "drop": rf"(corrupt )?ledger record at seq {seq}\b.+",
-    }[how]
-    with pytest.raises(LedgerError, match=f"^{expected}; run chain verification$"):
-        opened.ledger.latest_item(STREAM)
-    _assert_query_aborts(opened, seq)
-    # A failed read is not cached: the next one fails again.
-    with pytest.raises(LedgerError, match="run chain verification"):
-        opened.ledger.item(seq)
+def test_ledger_record_changed_after_open_fails_its_first_read(engines, how):
+    for opened in engines:
+        seq = opened.ledger.stream(STREAM).seqs[-1]
+        path = opened.ledger.path
+        span = _line_span(path, lambda line: line.startswith(f"{seq}\t".encode()))
+        _change(path, span, how, _flip_payload_digit)
+        # Rewritten, the fields no longer give the digest open kept; cut
+        # short, they fail the field check; dropped, the next record is read
+        # over it, which fails one or the other.
+        expected = {
+            "rewrite": rf"ledger record at seq {seq} does not match its digest",
+            "truncate": rf"corrupt ledger record at seq {seq}: .+",
+            "drop": rf"(corrupt )?ledger record at seq {seq}\b.+",
+        }[how]
+        with pytest.raises(LedgerError, match=f"^{expected}; run chain verification$"):
+            opened.ledger.latest_item(STREAM)
+        _assert_query_aborts(opened, seq)
+        # A failed read is not cached: the next one fails again.
+        with pytest.raises(LedgerError, match="run chain verification"):
+            opened.ledger.item(seq)
 
 
 def _next_version(line: bytes) -> bytes:
@@ -126,40 +132,42 @@ def _next_version(line: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("how", ["rewrite", "truncate", "drop"])
-def test_policy_record_changed_after_open_fails_its_first_read(opened, how):
-    seq = opened.ledger.stream(STREAM).seqs[-1]
-    path = opened.config.data_dir / POLICY_FILE
-    span = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
-    _change(path, span, how, _next_version)
-    disagrees = "tuple disagrees with its stream, seq or version"
-    undecodable = r"undecodable policy record \(.+\)"
-    expected = {
-        "rewrite": disagrees,
-        "truncate": undecodable,
-        "drop": f"({disagrees}|{undecodable})",
-    }[how]
-    where = re.escape(f"{path} line ")
-    with pytest.raises(CorruptRecord, match=rf"^{where}\d+: {expected}$"):
-        opened.store.latest_tuple_instance(LINEAGE)
-    _assert_query_aborts(opened, seq)
+def test_policy_record_changed_after_open_fails_its_first_read(engines, how):
+    for opened in engines:
+        seq = opened.ledger.stream(STREAM).seqs[-1]
+        path = opened.config.data_dir / POLICY_FILE
+        span = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
+        _change(path, span, how, _next_version)
+        disagrees = "tuple disagrees with its stream, seq or version"
+        undecodable = r"undecodable policy record \(.+\)"
+        expected = {
+            "rewrite": disagrees,
+            "truncate": undecodable,
+            "drop": f"({disagrees}|{undecodable})",
+        }[how]
+        where = re.escape(f"{path} line ")
+        with pytest.raises(CorruptRecord, match=rf"^{where}\d+: {expected}$"):
+            opened.store.latest_tuple_instance(LINEAGE)
+        _assert_query_aborts(opened, seq)
 
 
-def test_untouched_lineages_still_answer_after_a_change(opened):
-    seq = opened.ledger.stream(STREAM).seqs[-1]
-    path = opened.ledger.path
-    span = _line_span(path, lambda line: line.startswith(f"{seq}\t".encode()))
-    _change(path, span, "rewrite", _flip_payload_digit)
-    result = opened.mediate(
-        QueryRequest(
-            accessor_id=DEMO_ACCESSOR_ID,
-            requested_purpose="care-delivery",
-            attributes=("first_name",),
-            provider_id=DEMO_PROVIDER_ID,
-        ),
-        now=NOW,
-    )
-    assert result.status is MediationStatus.COMPLETED
-    assert opened.ledger.verify_chain().first_bad_seq == seq
+def test_untouched_lineages_still_answer_after_a_change(engines):
+    for opened in engines:
+        seq = opened.ledger.stream(STREAM).seqs[-1]
+        path = opened.ledger.path
+        span = _line_span(path, lambda line: line.startswith(f"{seq}\t".encode()))
+        _change(path, span, "rewrite", _flip_payload_digit)
+        result = opened.mediate(
+            QueryRequest(
+                accessor_id=DEMO_ACCESSOR_ID,
+                requested_purpose="care-delivery",
+                attributes=("first_name",),
+                provider_id=DEMO_PROVIDER_ID,
+            ),
+            now=NOW,
+        )
+        assert result.status is MediationStatus.COMPLETED
+        assert opened.ledger.verify_chain().first_bad_seq == seq
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +182,17 @@ MAX_KEPT_PER_LINEAGE = 1536
 def test_open_keeps_no_file_text(tmp_path):
     engine = make_engine(tmp_path, hash_cost=8)
     install_archetype_fixture(engine, 20, seed=3)
-    engine.close()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        engine = Engine.open(engine.config)
+    for config in both_open_paths(engine):
         gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    lineages = len(engine.store._latest)
-    engine.close()
-    assert lineages == 20 * 18
-    assert kept / lineages <= MAX_KEPT_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = Engine.open(config)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        lineages = len(policy_index(engine.store))
+        engine.close()
+        assert lineages == 20 * 18
+        assert kept / lineages <= MAX_KEPT_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
