@@ -39,7 +39,7 @@ import io
 import os
 import re
 import secrets
-import tempfile
+import stat
 from array import array
 from binascii import unhexlify
 from pathlib import Path
@@ -507,11 +507,19 @@ def save_checkpoint(path: Path, length: int, hasher, parts):
 
 def replace_file(target: Path, chunks):
     """Write the chunks of bytes to a temporary file beside target, then
-    rename it over target, so that no reader sees a half-written file.  A
-    write that fails leaves no temporary file."""
-    fd, temp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    rename it over target, so that no reader sees a half-written file.  The
+    new file keeps target's mode; with no target, it has the mode a plain
+    open creates a file with.  A write that fails leaves no temporary file."""
     try:
-        with open(fd, "wb") as fh:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        mode = None
+    temp = target.with_name(f"{target.name}.{secrets.token_hex(8)}")
+    fh = open(temp, "xb")
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(temp, target)

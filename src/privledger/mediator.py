@@ -4,13 +4,14 @@ Every query is decomposed into (provider, attribute, accessor) lineages.
 For each lineage the stored tuple instance's canonical encoding (derived
 once per stored version) is re-hashed and checked against the hash
 published on the lineage's ledger stream on every query; a single
-mismatch aborts the whole request with zero disclosed cells.  Verified
-lineages then pass through policy evaluation, the query is rewritten to
-the allowed attribute set, executed once, and each disclosed cell is
-transformed to its granted granularity.  A stored policy record that
-fails to decode on first touch, or a ledger record that fails its read
-back (changed on disk since open, or not matching its digest), is a
-mismatch too, never a pass.
+mismatch aborts the whole request with zero disclosed cells.  Between
+queries only the parse of each lineage's latest published hash record is
+kept, never a verification outcome.  Verified lineages then pass through
+policy evaluation, the query is rewritten to the allowed attribute set,
+executed once, and each disclosed cell is transformed to its granted
+granularity.  A stored policy record that fails to decode on first touch,
+or a ledger record that fails its read back (changed on disk since open,
+or not matching its digest), is a mismatch too, never a pass.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -24,10 +25,10 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-from .ledger import Ledger, LedgerError, UnknownStream, stream_name_for
+from .ledger import Ledger, LedgerError, StreamItem, UnknownStream, stream_name_for
 from .policy import GranularityMode, Record, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
-from .tuples import MalformedRecord, verify_hash
+from .tuples import HashRecord, MalformedRecord, verify_hash
 
 
 class MediationStatus(str, Enum):
@@ -176,6 +177,9 @@ class Mediator:
     def __init__(self, store: Store, ledger: Ledger):
         self._store = store
         self._ledger = ledger
+        # Stream name -> (seq, parsed payload) of the latest ledger item a
+        # query read on it; a later item replaces the entry.
+        self._records: dict[str, tuple[int, HashRecord]] = {}
 
     # -- analysis -----------------------------------------------------------
 
@@ -200,6 +204,18 @@ class Mediator:
         ]
 
     # -- verification -------------------------------------------------------
+
+    def _hash_record(self, item: StreamItem) -> HashRecord:
+        """The hash record a ledger item's payload holds.  The parse of the
+        latest item read on each stream is kept, so a repeat query parses
+        nothing; a payload that does not parse raises MalformedRecord on
+        every query and is never kept."""
+        kept = self._records.get(item.stream)
+        if kept is not None and kept[0] == item.seq:
+            return kept[1]
+        record = HashRecord.from_string(item.payload)
+        self._records[item.stream] = (item.seq, record)
+        return record
 
     def _verify_lineage(
         self, lineage: Lineage, ops: OpCounters
@@ -226,7 +242,7 @@ class Mediator:
                 None,
             )
         try:
-            ok = verify_hash(instance.encoded, item.payload)
+            ok = verify_hash(instance.encoded, self._hash_record(item))
         except MalformedRecord:
             ok = False
         ops.hash_verifications += 1

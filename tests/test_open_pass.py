@@ -651,10 +651,12 @@ def test_read_only_data_directory_still_answers(demo_config, monkeypatch, capsys
         checkpoint_path(data_dir / name).unlink()  # so close has one to write
     files = sorted(p.name for p in data_dir.iterdir())
 
-    def read_only(*args, **kwargs):  # also where the permission bits do not bind
-        raise PermissionError(errno.EACCES, "Permission denied")
+    def read_only(file, mode="r", *args, **kwargs):  # also where the permission bits do not bind
+        if "x" in mode:  # creates a file
+            raise PermissionError(errno.EACCES, "Permission denied")
+        return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(ledger_module.tempfile, "mkstemp", read_only)
+    monkeypatch.setattr(ledger_module, "open", read_only, raising=False)
     data_dir.chmod(0o555)
     try:
         assert main(query) == 0

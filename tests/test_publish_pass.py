@@ -19,6 +19,7 @@ import errno
 import hashlib
 import json
 import os
+import stat
 
 import pytest
 
@@ -37,7 +38,7 @@ from privledger import ledger as ledger_module
 from privledger import store as store_module
 from privledger import tuples
 from privledger.engine import Engine, EngineConfig
-from privledger.ledger import Ledger
+from privledger.ledger import CHECKPOINT_SUFFIX, Ledger
 from privledger.mediator import MediationStatus, QueryRequest
 from privledger.store import (
     AuthenticationFailed,
@@ -447,4 +448,48 @@ def test_append_after_a_missing_final_newline_starts_a_new_line(tmp_path, family
     assert result.status is MediationStatus.COMPLETED
     assert engine.store.get_provider_record(5).attributes == {"city": "Calgary"}
     assert engine.store.authenticate("nurse9", "nurse9-secret") == make_accessor(9)
+    engine.close()
+
+
+DATA_FILES = ("content.db", "credentials.db", "ledger.db", "policy.db")
+CHECKPOINTS = tuple(name + CHECKPOINT_SUFFIX for name in ("ledger.db", "policy.db"))
+UMASK = 0o026  # a umask no default shares
+
+
+@pytest.fixture
+def umask():
+    old = os.umask(UMASK)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def file_modes(data_dir, names) -> dict:
+    return {name: stat.S_IMODE((data_dir / name).stat().st_mode) for name in names}
+
+
+def test_a_rewritten_file_keeps_its_mode(tmp_path, umask):
+    """A provider update and a checkpoint replace their file through a
+    temporary one, which takes the mode of the file it replaces, or where
+    there is none the mode a plain open creates a file with."""
+    engine = make_engine(tmp_path)
+    install_demo_fixture(engine)
+    engine.add_provider(DEMO_PROVIDER_ID, {"city": "Calgary"})  # rewrites content.db
+    engine.close()  # writes both checkpoints, where there were none
+    data_dir = engine.config.data_dir
+    names = DATA_FILES + CHECKPOINTS
+    assert file_modes(data_dir, names) == dict.fromkeys(names, 0o666 & ~UMASK)
+
+    chosen = dict(zip(names, (0o644, 0o604, 0o664, 0o660, 0o644, 0o600)))
+    for name, mode in chosen.items():
+        (data_dir / name).chmod(mode)
+    engine = Engine.open(engine.config)
+    engine.add_provider(DEMO_PROVIDER_ID, {"city": "Edmonton"})
+    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))  # both checkpoints due
+    engine.close()
+    assert file_modes(data_dir, names) == chosen
+    assert sorted(path.name for path in data_dir.iterdir()) == sorted((*names, "format"))
+    engine = Engine.open(engine.config)
+    assert engine.store.get_provider_record(DEMO_PROVIDER_ID).attributes == {"city": "Edmonton"}
     engine.close()

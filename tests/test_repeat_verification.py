@@ -1,8 +1,8 @@
-"""Repeat verification: a stored version's canonical encoding is derived
-once, but every query re-hashes every published lineage it touches, so a
-new version or a tampered record decides the very next query.  Each test
-runs on both open paths: from the checkpoints the last close wrote, and
-the full pass."""
+"""Repeat verification: a stored version's canonical encoding and the
+parse of a lineage's latest ledger hash record are derived once, but every
+query re-hashes every published lineage it touches, so a new version or a
+tampered record decides the very next query.  Each test runs on both open
+paths: from the checkpoints the last close wrote, and the full pass."""
 
 from __future__ import annotations
 
@@ -57,6 +57,20 @@ def hashed(monkeypatch):
 
 
 @pytest.fixture
+def parsed(monkeypatch):
+    """The text of every hash record parsed."""
+    texts = []
+    original = tuples.HashRecord.from_string
+
+    def counting(cls, text):
+        texts.append(text)
+        return original(text)
+
+    monkeypatch.setattr(tuples.HashRecord, "from_string", classmethod(counting))
+    return texts
+
+
+@pytest.fixture
 def encodes(monkeypatch):
     """Lineages of every tuple the store encodes canonically."""
     lineages = []
@@ -73,6 +87,10 @@ def published(result):
     return [e for e in result.verification if e.seq is not None]
 
 
+def payloads(engine, entries):
+    return [engine.ledger.item(e.seq).payload for e in entries]
+
+
 def stored_encodings(engine, entries):
     return [
         canonical_encode(engine.store.latest_tuple_instance(e.lineage.key).privacy_tuple)
@@ -84,11 +102,12 @@ def disclosed(result):
     return sum(cell != WITHHELD for row in result.rows for cell in row.cells)
 
 
-def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes):
+def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes, parsed):
     for config in configs:
+        engine = Engine.open(config)
         hashed.clear()
         encodes.clear()
-        engine = Engine.open(config)
+        parsed.clear()
         first = engine.mediate(REQUEST, now=NOW)
         assert first.status is MediationStatus.COMPLETED
         entries = published(first)
@@ -97,19 +116,22 @@ def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes):
         # The bytes verified are the decoded instance's canonical encoding.
         assert hashed == stored_encodings(engine, entries)
         assert sorted(encodes) == sorted(e.lineage.key for e in entries)
+        assert parsed == payloads(engine, entries)
 
         hashed.clear()
         encodes.clear()
+        parsed.clear()
         second = engine.mediate(REQUEST, now=NOW)
         assert second.ops.hash_verifications == first.ops.hash_verifications
         assert hashed == stored_encodings(engine, entries)
         assert encodes == []  # each stored version is encoded once
+        assert parsed == []  # and each latest hash record parsed once
         assert second.verification == first.verification
         assert second.rows == first.rows
         engine.close()
 
 
-def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes):
+def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, parsed):
     for config in configs:
         hashed.clear()
         encodes.clear()
@@ -126,8 +148,10 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes):
         assert publication.seq > old.seq
         hashed.clear()
         encodes.clear()
+        parsed.clear()
         second = engine.mediate(REQUEST, now=NOW)
         assert encodes == []  # the published version keeps the bytes it was hashed from
+        assert parsed == [engine.ledger.item(publication.seq).payload]
         [new] = [e for e in second.verification if e.lineage.key == old.lineage.key]
         assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
         assert second.ops.hash_verifications == first.ops.hash_verifications == len(hashed)
@@ -185,4 +209,43 @@ def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
         )
         assert untouched.status is MediationStatus.COMPLETED
         assert disclosed(untouched) == 1
+        engine.close()
+
+
+def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
+    for config in configs:
+        engine = Engine.open(config)
+        stream = f"stream-1-{CITY}-{BENCH_ACCESSOR_ID}"
+        for declared in ("care-delivery", "research", "billing", "triage", "audit"):
+            prefs = make_prefs(attribute_id=CITY, mode=PurposeMode.REUSE_SELECTED, declared=declared)
+            publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
+            result = engine.mediate(REQUEST, now=NOW)
+            assert result.status is MediationStatus.COMPLETED
+            records = engine.mediator._records
+            assert len(records) == 6
+            seq, record = records[stream]
+            assert seq == publication.seq
+            assert record == tuples.HashRecord.from_string(engine.ledger.item(seq).payload)
+        engine.close()
+
+
+def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed):
+    engine = make_engine(tmp_path, hash_cost=8)
+    install_archetype_fixture(engine, 3, seed=7)
+    stream = f"stream-2-{CITY}-{BENCH_ACCESSOR_ID}"
+    bad = engine.ledger.publish(stream, "key-bad", b"$sha256i$8$not-a-salt")
+    for config in both_open_paths(engine):
+        engine = Engine.open(config)
+        for _ in range(3):
+            hashed.clear()
+            parsed.clear()
+            result = engine.mediate(REQUEST, now=NOW)
+            assert result.status is MediationStatus.ABORTED
+            assert result.rows == () and disclosed(result) == 0
+            assert [(e.lineage.key, e.seq) for e in result.verification if e.note == "mismatch"] == [
+                ((2, CITY, BENCH_ACCESSOR_ID), bad.seq)
+            ]
+            assert parsed.count(bad.payload) == 1  # parsed again by every query
+            assert len(hashed) == 5  # the lineages whose records parse
+        assert stream not in engine.mediator._records
         engine.close()

@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_accessor, make_prefs, random_tuple
+from privledger import tuples
 from privledger.policy import Sensitivity
 from privledger.tuples import (
     DEFAULT_COST,
+    HASH_ALGORITHM,
     MAX_COST,
     AttributeCategory,
     AttributeMeta,
@@ -211,6 +218,72 @@ def test_higher_cost_rehashes_the_digest():
     step = hashlib.sha256(step).digest()
     step = hashlib.sha256(step).digest()
     assert record.digest == step
+
+
+# The iterated digest of KNOWN_DATA under KNOWN_SALT at cost 64, computed
+# with hashlib.sha256 alone.
+KNOWN_SALT = bytes(range(16))
+KNOWN_DATA = b'{"known":"answer"}'
+KNOWN_DIGEST = "ce1e045b7fb73b73513e67017b2694ac4fcc7f66df8edb18b2639ebfdda31102"
+
+
+def reference_iterate(salt: bytes, data: bytes, cost: int) -> bytes:
+    digest = hashlib.sha256(salt + data).digest()
+    for _ in range(cost - 1):
+        digest = hashlib.sha256(digest).digest()
+    return digest
+
+
+def test_iterated_digest_known_answer():
+    assert reference_iterate(KNOWN_SALT, KNOWN_DATA, 64).hex() == KNOWN_DIGEST
+    assert tuples._iterate_digest(KNOWN_SALT, KNOWN_DATA, 64).hex() == KNOWN_DIGEST
+    record = HashRecord(HASH_ALGORITHM, 64, KNOWN_SALT, bytes.fromhex(KNOWN_DIGEST))
+    assert verify_hash(KNOWN_DATA, record)
+    assert verify_hash(KNOWN_DATA, record.to_string())
+
+
+def test_rounds_use_the_builtin_constructor_where_there_is_one():
+    for name in ("_sha2", "_sha256"):
+        try:
+            builtin = importlib.import_module(name).sha256
+        except ImportError:
+            continue
+        assert tuples._round_sha256 is builtin
+        break
+    else:
+        assert tuples._round_sha256 is hashlib.sha256
+
+
+@settings(max_examples=100)
+@given(
+    st.binary(min_size=16, max_size=16),
+    st.binary(max_size=4096),
+    st.integers(min_value=1, max_value=80),
+)
+def test_iterated_digest_equals_a_hashlib_loop(salt, data, cost):
+    expected = reference_iterate(salt, data, cost)
+    assert tuples._iterate_digest(salt, data, cost) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tuples, "_round_sha256", hashlib.sha256)
+        assert tuples._iterate_digest(salt, data, cost) == expected
+
+
+def test_known_answer_without_the_builtin_constructors():
+    src = Path(tuples.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from privledger import tuples\n"
+        "assert tuples._round_sha256 is hashlib.sha256\n"
+        f"print(tuples._iterate_digest({KNOWN_SALT!r}, {KNOWN_DATA!r}, 64).hex())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == KNOWN_DIGEST
 
 
 def test_any_single_byte_flip_fails_verification():
