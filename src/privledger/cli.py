@@ -7,6 +7,12 @@ overhead table is built by the benchmark (perfbench), not here.  Exit
 status is 0 for success, 1 for general errors, 2 for usage errors, 3 for an aborted
 mediation, 4 for failed authentication and 5 for a failed chain
 verification.  With --json every record prints as one JSON line.
+
+Each command loads only the modules it runs.  ``ledger verify`` reads the
+configuration and walks the chain file, so a process that runs it loads
+config.py and chain.py only; every other command opens the engine and
+loads the engine, mediator, store, policy and tuples modules when it
+runs, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -20,28 +26,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .engine import (
-    DATA_DIR_ENV,
-    AlreadyInitialized,
-    ConfigError,
-    Engine,
-    EngineConfig,
-    EngineError,
-    NotInitialized,
-    require_format,
-)
-from .ledger import ChainReport, LedgerError, verify_file
-from .mediator import MediationStatus, QueryRequest
-from .policy import (
-    AccessorProfile,
-    AccessorRole,
-    PolicyError,
-    Sensitivity,
-    parse_decimal,
-    parse_policy_document,
-)
-from .store import AuthenticationFailed, StoreError
-from .tuples import TupleError
+from .chain import ChainReport, LedgerError, verify_file
+from .config import DATA_DIR_ENV, EngineConfig, EngineError, parse_decimal, require_format
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,6 +81,8 @@ def open_engine(config: EngineConfig):
 
     A directory without engine state is refused before the lock, so no
     command but init creates anything."""
+    from .engine import Engine
+
     Engine.require_state(config)
     with data_dir_lock(config.data_dir):
         engine = Engine.open(config)
@@ -107,6 +95,18 @@ def open_engine(config: EngineConfig):
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+# The tokens of policy.AccessorRole and policy.Sensitivity, in their order,
+# so that building the parser loads no policy code; a test holds them equal.
+ROLE_TOKENS = (
+    "ClinicalNurse",
+    "LaboratoryAnalyst",
+    "ClinicalPhysician",
+    "ThirdPartyAllied",
+    "DataProvider",
+    "PatientLegalRepresentative",
+)
+PERMISSION_TOKENS = ("Level1Public", "Level2InternalUse", "Level3Confidential", "Level4Restricted")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,13 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     accessor_add.add_argument("--id", type=int, required=True)
     accessor_add.add_argument("--login", required=True)
     accessor_add.add_argument("--password", required=True)
-    accessor_add.add_argument(
-        "--role", required=True, choices=[r.token for r in AccessorRole]
-    )
+    accessor_add.add_argument("--role", required=True, choices=ROLE_TOKENS)
     accessor_add.add_argument(
         "--permission",
         required=True,
-        choices=[level.token for level in Sensitivity],
+        choices=PERMISSION_TOKENS,
         help="maximum readable sensitivity",
     )
 
@@ -215,6 +213,8 @@ def _parse_assignments(pairs, what: str) -> dict:
 
 
 def cmd_init(config: EngineConfig, out: Output) -> int:
+    from .engine import Engine
+
     config.data_dir.mkdir(parents=True, exist_ok=True)
     with data_dir_lock(config.data_dir):
         engine = Engine.initialize(config)
@@ -245,6 +245,8 @@ def cmd_provider_add(config: EngineConfig, args, out: Output) -> int:
 
 
 def cmd_accessor_add(config: EngineConfig, args, out: Output) -> int:
+    from .policy import AccessorProfile, AccessorRole, Sensitivity
+
     profile = AccessorProfile(
         accessor_id=args.id,
         role=AccessorRole.from_token(args.role),
@@ -260,6 +262,8 @@ def cmd_accessor_add(config: EngineConfig, args, out: Output) -> int:
 
 
 def cmd_policy_set(config: EngineConfig, args, out: Output) -> int:
+    from .policy import parse_policy_document
+
     text = Path(args.file).read_text()
     records = parse_policy_document(text)
     if len(records) != 1:
@@ -289,6 +293,8 @@ def _render_cell(value) -> str:
 
 
 def cmd_query(config: EngineConfig, args, out: Output) -> int:
+    from .mediator import MediationStatus, QueryRequest
+
     attributes = tuple(a.strip() for a in args.attributes.split(",") if a.strip())
     predicate = _parse_assignments(args.where, "--where")
     now = None
@@ -419,22 +425,30 @@ def cmd_ledger_verify(config: EngineConfig, out: Output) -> int:
 def run(args) -> int:
     config = resolve_config(args)
     out = Output(args.json)
-    if args.command == "init":
-        return cmd_init(config, out)
-    if args.command == "provider":
-        return cmd_provider_add(config, args, out)
-    if args.command == "accessor":
-        return cmd_accessor_add(config, args, out)
-    if args.command == "policy":
-        return cmd_policy_set(config, args, out)
-    if args.command == "query":
-        return cmd_query(config, args, out)
-    if args.command == "ledger":
-        if args.subcommand == "list-streams":
-            return cmd_ledger_list_streams(config, out)
-        if args.subcommand == "items":
-            return cmd_ledger_items(config, args, out)
+    if args.command == "ledger" and args.subcommand == "verify":
         return cmd_ledger_verify(config, out)
+    # Every other command opens the engine; the store's errors come with it.
+    from .store import AuthenticationFailed, StoreError
+
+    try:
+        if args.command == "init":
+            return cmd_init(config, out)
+        if args.command == "provider":
+            return cmd_provider_add(config, args, out)
+        if args.command == "accessor":
+            return cmd_accessor_add(config, args, out)
+        if args.command == "policy":
+            return cmd_policy_set(config, args, out)
+        if args.command == "query":
+            return cmd_query(config, args, out)
+        if args.command == "ledger":
+            if args.subcommand == "list-streams":
+                return cmd_ledger_list_streams(config, out)
+            return cmd_ledger_items(config, args, out)
+    except AuthenticationFailed as exc:
+        raise CliError(str(exc), EXIT_AUTH_FAILED) from None
+    except StoreError as exc:
+        raise CliError(str(exc)) from None
     raise CliError(f"unknown command: {args.command}", EXIT_USAGE)
 
 
@@ -449,23 +463,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except AuthenticationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUTH_FAILED
-    except (
-        AlreadyInitialized,
-        NotInitialized,
-        ConfigError,
-        EngineError,
-        LedgerError,
-        StoreError,
-        PolicyError,
-        TupleError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    # PolicyError and TupleError are ValueErrors.
+    except (EngineError, LedgerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,6 +1,5 @@
-"""Engine wiring: configuration, initialization and the policy-set flow.
+"""Engine wiring: initialization and the policy-set flow.
 
-A configuration names a data directory and the hash cost, nothing else.
 The engine owns one store, one ledger (``ledger.db`` inside the data
 directory, so the directory's lock covers it) and one mediator.
 Publishing a policy binds the tuple at the next lineage version, hashes
@@ -11,111 +10,33 @@ behind the store.
 Closing writes the checkpoints that let the next open skip the checks of
 what this one checked or wrote (see ledger.py); nothing else writes them.
 
-A data directory in data format 2 has a ``format`` file, written first,
-that reads ``privledger 2``.  One without it is in format 1: it is
-refused and left as it is.
+The configuration, the data format check and the engine's errors are in
+config.py, which imports nothing of the engine; they are re-exported here.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from pathlib import Path
 from typing import NamedTuple
 
+from .config import (  # noqa: F401  re-exported
+    DATA_DIR_ENV,
+    FORMAT,
+    FORMAT_FILE,
+    LEDGER_FILE,
+    AlreadyInitialized,
+    ConfigError,
+    EngineConfig,
+    EngineError,
+    NotInitialized,
+    UnsupportedFormat,
+    require_format,
+)
 from .ledger import Ledger, stream_name_for
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
-from .policy import AccessorProfile, PreferenceSet, Record, parse_decimal
+from .policy import AccessorProfile, PreferenceSet
 from .store import ProviderRecord, Store, TupleInstance
-from .tuples import (
-    DEFAULT_COST,
-    MAX_COST,
-    MIN_COST,
-    bind_tuple,
-    canonical_encode,
-    hash_tuple,
-)
-
-
-class EngineError(Exception):
-    pass
-
-
-class AlreadyInitialized(EngineError):
-    pass
-
-
-class NotInitialized(EngineError):
-    pass
-
-
-class ConfigError(EngineError):
-    pass
-
-
-class UnsupportedFormat(EngineError):
-    pass
-
-
-DATA_DIR_ENV = "PRIVLEDGER_DATA_DIR"
-LEDGER_FILE = "ledger.db"
-FORMAT_FILE = "format"
-FORMAT = "privledger 2\n"
-
-_CONFIG_KEYS = {"data_dir", "hash_cost"}
-
-
-class EngineConfig(Record):
-    _fields = ("data_dir", "hash_cost")
-
-    def __init__(self, data_dir, hash_cost: int = DEFAULT_COST):
-        data_dir = Path(data_dir)
-        if not MIN_COST <= hash_cost <= MAX_COST:
-            raise ConfigError(f"hash_cost out of range: {hash_cost}")
-        self._set(data_dir, hash_cost)
-
-    @property
-    def ledger_file(self) -> Path:
-        return self.data_dir / LEDGER_FILE
-
-    @classmethod
-    def from_file(cls, path) -> EngineConfig:
-        """Load 'key = value' configuration text."""
-        values: dict[str, str] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
-        if "data_dir" not in values:
-            raise ConfigError("config must set data_dir")
-        cost = DEFAULT_COST
-        if "hash_cost" in values:
-            cost = parse_decimal(values["hash_cost"])
-            if cost is None:
-                raise ConfigError(
-                    f"hash_cost must be an integer, got {values['hash_cost']!r}"
-                )
-        return cls(values["data_dir"], cost)
-
-
-def require_format(data_dir: Path):
-    """Raise UnsupportedFormat unless the directory is in format 2."""
-    path = data_dir / FORMAT_FILE
-    if not path.exists():
-        raise UnsupportedFormat(
-            f"{data_dir} holds data format 1, which this privledger does not read; "
-            "rebuild it with init in a new directory"
-        )
-    if (text := path.read_text()) != FORMAT:
-        raise UnsupportedFormat(f"{path}: unknown data format {text!r}")
+from .tuples import bind_tuple, canonical_encode, hash_tuple
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .ledger import Ledger, LedgerError, StreamItem, UnknownStream, stream_name_for
-from .policy import GranularityMode, Record, apply_granularity, evaluate_access
+from .config import Record
+from .policy import GranularityMode, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
 from .tuples import HashRecord, MalformedRecord, verify_hash
 
@@ -242,10 +243,12 @@ class Mediator:
                 None,
             )
         try:
-            ok = verify_hash(instance.encoded, self._hash_record(item))
+            record = self._hash_record(item)
         except MalformedRecord:
-            ok = False
-        ops.hash_verifications += 1
+            ok = False  # no digest is computed for a payload that does not parse
+        else:
+            ok = verify_hash(instance.encoded, record)
+            ops.hash_verifications += 1
         note = VERIFIED_OK if ok else VERIFIED_MISMATCH
         return (VerificationEntry(lineage, item.seq, ok, note), instance)
 

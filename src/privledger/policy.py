@@ -10,53 +10,14 @@ policy document format used to load preference records from text.
 from __future__ import annotations
 
 import datetime as dt
-import re
 from enum import Enum, IntEnum
 from typing import NamedTuple
+
+from .config import Record, parse_decimal
 
 
 class PolicyError(ValueError):
     """Malformed policy data or policy document."""
-
-
-class Record:
-    """An immutable record, compared, hashed and shown by its fields.
-
-    A plain base class: @dataclass would generate and compile methods for
-    every record class at import, in every process.  A subclass names its
-    fields in _fields, in constructor order, and sets them once in
-    __init__ through _set, in that order, after its checks.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, *values):
-        # Attribute by attribute, so that the instance keeps its values
-        # inline: reading __dict__ would build a dict per record.
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +457,6 @@ def apply_granularity(value, mode: GranularityMode):
 
 # One "field = value" pair per line, blank-line-separated records, full-line
 # comments starting with "#".  Enumeration fields use the exact wire tokens.
-
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def parse_decimal(text: str) -> int | None:
-    """The integer text spells in canonical ASCII decimal, else None.
-
-    The one rule for integers in outside text (policy documents, config
-    files, CLI values): '-' is the only sign, and underscores, leading
-    zeros, whitespace and non-ASCII digits are refused.
-    """
-    return int(text) if _DECIMAL.fullmatch(text) else None
-
 
 _REQUIRED_FIELDS = (
     "attribute_id",

@@ -45,7 +45,8 @@ from .ledger import (
     replace_file,
     save_checkpoint,
 )
-from .policy import AccessorProfile, Record
+from .config import Record
+from .policy import AccessorProfile
 from .tuples import (
     DEFAULT_COST,
     DIGEST_BYTES,

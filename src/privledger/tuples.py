@@ -19,7 +19,8 @@ import secrets
 from enum import Enum
 from typing import NamedTuple
 
-from .policy import AccessorProfile, PolicyError, PreferenceSet, Record, Sensitivity
+from .config import DEFAULT_COST, MAX_COST, MIN_COST, Record
+from .policy import AccessorProfile, PolicyError, PreferenceSet, Sensitivity
 
 # CPython's built-in SHA-256, which hashlib itself falls back to: on a
 # 32-byte input it costs less per call than hashlib's OpenSSL object, whose
@@ -249,9 +250,6 @@ def canonical_decode(data: bytes) -> PrivacyTuple:
 HASH_ALGORITHM = "sha256i"  # iterated salted SHA-256
 SALT_BYTES = 16
 DIGEST_BYTES = 32
-MIN_COST = 1
-MAX_COST = 1 << 20
-DEFAULT_COST = 1024
 
 _HEX_SALT_RE = re.compile(r"[0-9a-f]{32}")
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")

@@ -554,7 +554,7 @@ def test_policy_attribute_flag_must_match_file(demo_dir, capsys):
 
 
 # ---------------------------------------------------------------------------
-# removed commands and the import graph
+# removed commands
 # ---------------------------------------------------------------------------
 
 
@@ -565,30 +565,131 @@ def test_bench_subcommand_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "ledger.db").exists()
 
 
-def test_cli_imports_only_core_modules():
-    """The query path loads no benchmark or fixture code, and no
-    dataclasses or inspect: the record classes generate no code at
-    import."""
+# ---------------------------------------------------------------------------
+# the modules each command loads
+# ---------------------------------------------------------------------------
+
+# The modules a process may load, by the command it runs.  No run loads
+# dataclasses or inspect: the record classes generate no code at import.
+CORE = ("chain", "config", "engine", "ledger", "mediator", "policy", "store", "tuples")
+ENGINE_STACK = ("engine", "ledger", "mediator", "policy", "store", "tuples")
+LOADED = (
+    "sorted(m for m in sys.modules if m.split('.')[0] == 'privledger' "
+    "or m in ('dataclasses', 'inspect'))"
+)
+
+
+def fresh(*argv, code=None):
+    """Run privledger in a new interpreter with nothing preloaded: the
+    command line as ``python -m privledger.cli`` runs it, or, given code,
+    ``python -c code`` with argv as its arguments."""
     src = Path(privledger.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import privledger.cli, sys; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('privledger') "
-            "or m in ('dataclasses', 'inspect'))))",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.split()
-    assert loaded == [
-        "privledger",
-        *(
-            f"privledger.{name}"
-            for name in ("cli", "engine", "ledger", "mediator", "policy", "store", "tuples")
-        ),
+    command = ["-m", "privledger.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *command, *argv], env=env, capture_output=True, text=True
+    )
+
+
+def loaded_by(*argv) -> tuple[int, list[str]]:
+    """The exit status of a CLI run in a fresh interpreter, and the
+    privledger modules (plus dataclasses and inspect) loaded by its end."""
+    result = fresh(
+        *argv,
+        code="import sys, privledger.cli; code = privledger.cli.main(sys.argv[1:]); "
+        f"print(' '.join({LOADED})); sys.exit(code)",
+    )
+    return result.returncode, result.stdout.splitlines()[-1].split()
+
+
+def test_importing_the_cli_loads_only_config_and_chain():
+    result = fresh(code=f"import sys, privledger.cli; print(' '.join({LOADED}))")
+    assert result.stdout.split() == [
+        "privledger", "privledger.chain", "privledger.cli", "privledger.config"
     ]
+
+
+def test_ledger_verify_loads_only_config_and_chain(demo_dir):
+    code, loaded = loaded_by("--data-dir", str(demo_dir), "ledger", "verify")
+    assert code == 0
+    assert loaded == ["privledger", "privledger.chain", "privledger.cli", "privledger.config"]
+    assert not {f"privledger.{name}" for name in ENGINE_STACK} & set(loaded)
+
+
+def test_query_loads_the_core_modules(demo_dir):
+    code, loaded = loaded_by(*query_args(demo_dir, "street_name"))
+    assert code == 0
+    assert loaded == sorted(
+        ["privledger", "privledger.cli", *(f"privledger.{name}" for name in CORE)]
+    )
+
+
+def test_role_and_permission_choices_are_the_policy_tokens():
+    from privledger.cli import PERMISSION_TOKENS, ROLE_TOKENS
+    from privledger.policy import AccessorRole, Sensitivity
+
+    assert ROLE_TOKENS == tuple(role.token for role in AccessorRole)
+    assert PERMISSION_TOKENS == tuple(level.token for level in Sensitivity)
+
+
+# ---------------------------------------------------------------------------
+# exit status in a fresh process
+# ---------------------------------------------------------------------------
+
+# In-process tests run with every module imported; these catch an error
+# class that a lazily loaded module defines and main does not handle.
+
+
+def test_fresh_verify_of_a_missing_ledger(tmp_path):
+    result = fresh("--data-dir", str(tmp_path), "ledger", "verify")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", f"error: no ledger at {tmp_path / 'ledger.db'}\n"
+    )
+
+
+def test_fresh_verify_of_a_format_1_directory(tmp_path):
+    from test_format import FORMAT_1_FILES, format_1_message
+
+    for name, text in FORMAT_1_FILES.items():
+        (tmp_path / name).write_text(text)
+    result = fresh("--data-dir", str(tmp_path), "ledger", "verify")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", f"error: {format_1_message(tmp_path)}\n"
+    )
+
+
+def test_fresh_verify_with_a_bad_hash_cost(demo_dir, tmp_path):
+    config = tmp_path / "privledger.conf"
+    config.write_text(f"data_dir = {demo_dir}\nhash_cost = 0x10\n")
+    result = fresh("--config", str(config), "ledger", "verify")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: hash_cost must be an integer, got '0x10'\n"
+    )
+
+
+def test_fresh_verify_of_a_corrupted_chain(demo_dir, tmp_path):
+    copy = tmp_path / "corrupt"
+    shutil.copytree(demo_dir, copy)
+    ledger_path = copy / "ledger.db"
+    ledger_path.write_bytes(ledger_path.read_bytes().replace(b"\tkey18\t", b"\tkey19\t", 1))
+    result = fresh("--data-dir", str(copy), "ledger", "verify")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        5, "chain verification failed: seq 2: item digest mismatch\n", ""
+    )
+
+
+def test_fresh_query_with_a_wrong_password(demo_dir):
+    argv = query_args(demo_dir, "street_name")
+    argv[argv.index("physician3-secret")] = "wrong"
+    result = fresh(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        4, "", "error: invalid credentials\n"
+    )
+
+
+def test_fresh_query_of_an_unknown_attribute(demo_dir):
+    result = fresh(*query_args(demo_dir, "nosuch"))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: no attribute named 'nosuch'\n"
+    )

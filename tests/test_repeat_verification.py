@@ -246,6 +246,7 @@ def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed)
                 ((2, CITY, BENCH_ACCESSOR_ID), bad.seq)
             ]
             assert parsed.count(bad.payload) == 1  # parsed again by every query
-            assert len(hashed) == 5  # the lineages whose records parse
+            # the lineages whose records parse, each hashed and counted once
+            assert result.ops.hash_verifications == len(hashed) == 5
         assert stream not in engine.mediator._records
         engine.close()
