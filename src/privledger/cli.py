@@ -13,6 +13,10 @@ configuration and walks the chain file, so a process that runs it loads
 config.py and chain.py only; every other command opens the engine and
 loads the engine, mediator, store, policy and tuples modules when it
 runs, not when this module is imported.
+
+A command process freezes the garbage collector's objects after main()
+returns, so the interpreter's collections at exit do not walk them; every
+command has closed what it wrote by then.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import fcntl
+import gc
 import json
 import os
 import sys
@@ -470,7 +475,12 @@ def main(argv=None) -> int:
 
 
 def main_entry():
-    sys.exit(main())
+    code = main()
+    # The collections at exit would only free memory the OS takes back.
+    # Not in main(): a caller that runs it in process would keep every
+    # object it has for good.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

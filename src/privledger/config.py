@@ -133,7 +133,11 @@ class EngineConfig(Record):
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
+            value = value.strip()
+            # Path("") is the current directory.
+            if key == "data_dir" and not value:
+                raise ConfigError(f"line {lineno}: data_dir is empty")
+            values[key] = value
         if "data_dir" not in values:
             raise ConfigError("config must set data_dir")
         cost = DEFAULT_COST

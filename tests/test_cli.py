@@ -15,6 +15,7 @@ import pytest
 import privledger
 from privledger.cli import main
 from privledger.engine import DATA_DIR_ENV
+from privledger.ledger import load_checkpoint
 
 REPO = Path(__file__).resolve().parent.parent
 STREET_POLICY = REPO / "fixtures" / "demo" / "policy-street-name.txt"
@@ -29,39 +30,40 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The demo population, one command line per step, as the CLI builds it.
+DEMO_STEPS = [
+    ["init"],
+    [
+        "provider", "add", "--id", "4",
+        "--set", "first_name=Avery",
+        "--set", "last_name=Quinn",
+        "--set", "street_name=5202 50 Ave",
+        "--set", "city=Red Deer",
+        "--set", "province=AB",
+        "--set", "postal_code=T2N 1N4",
+        "--set", "original_province=SK",
+        "--set", "phone_number=403-555-0187",
+    ],
+    [
+        "accessor", "add", "--id", "3", "--login", "physician3",
+        "--password", "physician3-secret", "--role", "ClinicalPhysician",
+        "--permission", "Level4Restricted",
+    ],
+    *[
+        ["policy", "set", "--provider", "4", "--attribute", "5", "--accessor", "3",
+         "--file", str(STREET_POLICY)]
+    ] * 3,
+    *[
+        ["policy", "set", "--provider", "4", "--attribute", "1", "--accessor", "3",
+         "--file", str(FIRST_NAME_POLICY)]
+    ] * 4,
+]
+
+
 def build_demo(data_dir: Path):
     """Drive the demo population through the CLI itself."""
-    steps = [
-        ["init"],
-        [
-            "provider", "add", "--id", "4",
-            "--set", "first_name=Avery",
-            "--set", "last_name=Quinn",
-            "--set", "street_name=5202 50 Ave",
-            "--set", "city=Red Deer",
-            "--set", "province=AB",
-            "--set", "postal_code=T2N 1N4",
-            "--set", "original_province=SK",
-            "--set", "phone_number=403-555-0187",
-        ],
-        [
-            "accessor", "add", "--id", "3", "--login", "physician3",
-            "--password", "physician3-secret", "--role", "ClinicalPhysician",
-            "--permission", "Level4Restricted",
-        ],
-    ]
-    for argv in steps:
+    for argv in DEMO_STEPS:
         assert main(["--data-dir", str(data_dir), *argv]) == 0
-    for _ in range(3):
-        assert main([
-            "--data-dir", str(data_dir), "policy", "set", "--provider", "4",
-            "--attribute", "5", "--accessor", "3", "--file", str(STREET_POLICY),
-        ]) == 0
-    for _ in range(4):
-        assert main([
-            "--data-dir", str(data_dir), "policy", "set", "--provider", "4",
-            "--attribute", "1", "--accessor", "3", "--file", str(FIRST_NAME_POLICY),
-        ]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +429,16 @@ def test_config_file_duplicate_key(tmp_path, capsys):
     assert not first.exists() and not second.exists()
 
 
+@pytest.mark.parametrize("argv", [["init"], ["ledger", "verify"]], ids=["init", "verify"])
+def test_config_file_empty_data_dir(tmp_path, capsys, monkeypatch, argv):
+    config = tmp_path / "empty.conf"
+    config.write_text("hash_cost = 8\ndata_dir =\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--config", str(config), *argv)
+    assert (code, out, err) == (1, "", "error: line 2: data_dir is empty\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_env_var_selects_data_dir(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env-data"
     monkeypatch.setenv(DATA_DIR_ENV, str(target))
@@ -579,16 +591,17 @@ LOADED = (
 )
 
 
-def fresh(*argv, code=None):
+def fresh(*argv, code=None, options=()):
     """Run privledger in a new interpreter with nothing preloaded: the
     command line as ``python -m privledger.cli`` runs it, or, given code,
-    ``python -c code`` with argv as its arguments."""
+    ``python -c code`` with argv as its arguments.  options are the
+    interpreter's own."""
     src = Path(privledger.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     command = ["-m", "privledger.cli"] if code is None else ["-c", code]
     return subprocess.run(
-        [sys.executable, *command, *argv], env=env, capture_output=True, text=True
+        [sys.executable, *options, *command, *argv], env=env, capture_output=True, text=True
     )
 
 
@@ -693,3 +706,80 @@ def test_fresh_query_of_an_unknown_attribute(demo_dir):
     assert (result.returncode, result.stdout, result.stderr) == (
         1, "", "error: no attribute named 'nosuch'\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# how a command process ends
+# ---------------------------------------------------------------------------
+
+# main_entry freezes the collector's objects before the interpreter exits,
+# so its collections at exit skip them.  That is safe only while every
+# command has closed what it wrote by the time main() returns.
+
+
+@pytest.mark.parametrize(
+    "ending, frozen",
+    [
+        ("import privledger.cli; privledger.cli.main_entry()", True),
+        ("import runpy; runpy.run_module('privledger.cli', run_name='__main__')", True),
+        ("import privledger.cli; sys.exit(privledger.cli.main())", False),
+    ],
+    ids=["main_entry", "-m", "main"],
+)
+def test_only_a_command_process_freezes_at_exit(demo_dir, ending, frozen):
+    probe = (
+        "import atexit, gc, sys; "
+        "atexit.register(lambda: print('freeze count', gc.get_freeze_count()))"
+    )
+    result = fresh("--data-dir", str(demo_dir), "ledger", "verify", code=f"{probe}; {ending}")
+    assert (result.returncode, result.stderr) == (0, "")
+    verified, probed = result.stdout.splitlines()
+    assert verified == "chain intact (8 records)"
+    assert probed.startswith("freeze count ")
+    assert (int(probed.split()[-1]) > 0) is frozen
+
+
+def test_no_command_leaves_a_handle_for_the_collector(tmp_path):
+    """Each command through main(), then a full collection, in development
+    mode where an unclosed file warns and the warning is an error: stderr
+    is the command's own, so the collections main_entry skips close
+    nothing."""
+    data_dir = tmp_path / "data"
+    wrong_password = query_args(data_dir, "street_name")[2:]
+    wrong_password[wrong_password.index("physician3-secret")] = "wrong"
+    steps = [
+        *((argv, 0, "") for argv in DEMO_STEPS[:4]),
+        (query_args(data_dir, "street_name", "first_name")[2:], 0, ""),
+        (wrong_password, 4, "error: invalid credentials\n"),
+        (["ledger", "list-streams"], 0, ""),
+        (["ledger", "items", "stream-4-5-3"], 0, ""),
+        (["ledger", "verify"], 0, ""),
+        (["init"], 1, f"error: engine already initialized in {data_dir}\n"),
+    ]
+    collected = (
+        "import gc, sys, privledger.cli; "
+        "code = privledger.cli.main(sys.argv[1:]); gc.collect(); sys.exit(code)"
+    )
+    for argv, code, err in steps:
+        result = fresh(
+            "--data-dir", str(data_dir), *argv,
+            code=collected, options=("-X", "dev", "-W", "error::ResourceWarning"),
+        )
+        assert (result.returncode, result.stderr) == (code, err), argv
+
+
+def test_each_writing_process_leaves_whole_checkpoints(tmp_path):
+    """After each writing command ends through ``-m privledger.cli``, the
+    next open starts from checkpoints that cover the whole files."""
+    data_dir = tmp_path / "data"
+    for argv in DEMO_STEPS[:4]:
+        result = fresh("--data-dir", str(data_dir), *argv)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+        # init leaves policy.db empty and writes no checkpoint of it.
+        for name in ["ledger.db"] if argv == ["init"] else ["ledger.db", "policy.db"]:
+            path = data_dir / name
+            with open(path, "rb") as fh:
+                assert load_checkpoint(path, fh) is not None, (argv, name)
+                assert fh.tell() == path.stat().st_size, (argv, name)
+        verified = fresh("--data-dir", str(data_dir), "ledger", "verify")
+        assert verified.returncode == 0, argv
