@@ -1,9 +1,10 @@
 """Configuration, data format and the engine's errors, on the stdlib alone.
 
 A configuration names a data directory and the hash cost, nothing else.
-A data directory in data format 2 has a ``format`` file, written first,
-that reads ``privledger 2``.  One without it is in format 1: it is
-refused and left as it is.
+A data directory in data format 3 has a ``format`` file, written first,
+that reads ``privledger 3``.  One without it is in format 1, and one
+that reads ``privledger 2`` is in format 2, whose hash records differ:
+both are refused and left as they are.
 
 This module imports no other privledger module, so a command that opens
 no engine (``ledger verify``) loads it and the chain module only.  It
@@ -91,7 +92,7 @@ def parse_decimal(text: str) -> int | None:
     return int(text) if _DECIMAL.fullmatch(text) else None
 
 
-# The iterated hash's cost bounds (see tuples.hash_tuple).
+# The hash cost's bounds, in SHA-256 compressions (see tuples.hash_tuple).
 MIN_COST = 1
 MAX_COST = 1 << 20
 DEFAULT_COST = 1024
@@ -99,7 +100,9 @@ DEFAULT_COST = 1024
 DATA_DIR_ENV = "PRIVLEDGER_DATA_DIR"
 LEDGER_FILE = "ledger.db"
 FORMAT_FILE = "format"
-FORMAT = "privledger 2\n"
+FORMAT = "privledger 3\n"
+# The format file text of each earlier format, None for no file.
+_EARLIER_FORMATS = {None: 1, "privledger 2\n": 2}
 
 _CONFIG_KEYS = {"data_dir", "hash_cost"}
 
@@ -151,12 +154,14 @@ class EngineConfig(Record):
 
 
 def require_format(data_dir: Path):
-    """Raise UnsupportedFormat unless the directory is in format 2."""
+    """Raise UnsupportedFormat unless the directory is in format 3."""
     path = data_dir / FORMAT_FILE
-    if not path.exists():
+    text = path.read_text() if path.exists() else None
+    if text == FORMAT:
+        return
+    if (earlier := _EARLIER_FORMATS.get(text)) is not None:
         raise UnsupportedFormat(
-            f"{data_dir} holds data format 1, which this privledger does not read; "
+            f"{data_dir} holds data format {earlier}, which this privledger does not read; "
             "rebuild it with init in a new directory"
         )
-    if (text := path.read_text()) != FORMAT:
-        raise UnsupportedFormat(f"{path}: unknown data format {text!r}")
+    raise UnsupportedFormat(f"{path}: unknown data format {text!r}")

@@ -104,7 +104,7 @@ class Engine:
     @staticmethod
     def require_state(config: EngineConfig):
         """Raise NotInitialized unless the data directory holds engine state,
-        and UnsupportedFormat unless that state is in format 2."""
+        and UnsupportedFormat unless that state is in format 3."""
         if not (config.data_dir / "content.db").exists() or not config.ledger_file.exists():
             raise NotInitialized(f"no engine state in {config.data_dir}")
         require_format(config.data_dir)

@@ -1,4 +1,4 @@
-"""Append-only hash-chained ledger with named streams, in data format 2.
+"""Append-only hash-chained ledger with named streams, in data format 3.
 
 The record format, its field check and chain verification are in
 chain.py, which imports nothing of the engine; their names are
@@ -567,9 +567,6 @@ class Ledger:
     @property
     def path(self) -> Path:
         return self._path
-
-    def chain_length(self) -> int:
-        return len(self._items)
 
     def has_stream(self, name: str) -> bool:
         return name in self._rows

@@ -384,7 +384,7 @@ class Store:
             self._load()
         # Unknown logins verify against this record at the configured cost,
         # so they take as long as a wrong password.  No password can match:
-        # that would take a SHA-256 preimage of the all-zero digest.
+        # that would take a password whose PBKDF2 output is all zeros.
         self._decoy = HashRecord(
             HASH_ALGORITHM, hash_cost, bytes(SALT_BYTES), bytes(DIGEST_BYTES)
         )

@@ -1,4 +1,4 @@
-"""Privacy tuple binding, canonical encoding and salted iterated hashing.
+"""Privacy tuple binding, canonical encoding and salted PBKDF2 hashing.
 
 A privacy tuple binds one provider attribute to the provider's
 preference set and one accessor profile, under a version that increases
@@ -20,20 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .config import DEFAULT_COST, MAX_COST, MIN_COST, Record
-from .policy import AccessorProfile, PolicyError, PreferenceSet, Sensitivity
-
-# CPython's built-in SHA-256, which hashlib itself falls back to: on a
-# 32-byte input it costs less per call than hashlib's OpenSSL object, whose
-# set-up outweighs the hashing (by a quarter on 3.10 and 3.11), while on
-# large inputs OpenSSL is far faster.  So only the rounds after the first
-# use it.
-try:
-    from _sha2 import sha256 as _round_sha256  # 3.12 on
-except ImportError:
-    try:
-        from _sha256 import sha256 as _round_sha256  # 3.10 and 3.11
-    except ImportError:
-        _round_sha256 = hashlib.sha256
+from .policy import AccessorProfile, PreferenceSet, Sensitivity
 
 
 class TupleError(ValueError):
@@ -50,10 +37,6 @@ class CostOutOfRange(TupleError):
 
 class MalformedRecord(TupleError):
     """Serialized hash record failed to parse."""
-
-
-class MalformedEncoding(TupleError):
-    """Canonical tuple encoding failed to decode."""
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +206,11 @@ def canonical_encode(t: PrivacyTuple, data: dict | None = None) -> bytes:
     return text.encode("ascii")
 
 
-def canonical_decode(data: bytes) -> PrivacyTuple:
-    try:
-        parts = json.loads(data.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedEncoding(f"not a canonical tuple encoding: {exc}") from None
-    if not isinstance(parts, list) or len(parts) != 5:
-        raise MalformedEncoding("canonical encoding must hold exactly five parts")
-    provider_id, attribute, prefs, accessor, version = parts
-    try:
-        return PrivacyTuple(
-            provider_id=provider_id,
-            attribute=AttributeMeta.from_dict(attribute),
-            prefs=PreferenceSet.from_dict(prefs),
-            accessor=AccessorProfile.from_dict(accessor),
-            version=version,
-        )
-    except (TupleError, PolicyError, TypeError) as exc:
-        raise MalformedEncoding(f"invalid tuple content: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # Hashing
 # ---------------------------------------------------------------------------
 
-HASH_ALGORITHM = "sha256i"  # iterated salted SHA-256
+HASH_ALGORITHM = "pbkdf2"  # PBKDF2-HMAC-SHA256, RFC 8018
 SALT_BYTES = 16
 DIGEST_BYTES = 32
 
@@ -301,12 +264,12 @@ class HashRecord(NamedTuple):
         )
 
 
-def _iterate_digest(salt: bytes, data: bytes, cost: int) -> bytes:
-    """SHA-256 of salt + data, then cost - 1 rounds over the 32-byte digest."""
-    digest = hashlib.sha256(salt + data).digest()
-    for _ in range(cost - 1):
-        digest = _round_sha256(digest).digest()
-    return digest
+def _pbkdf2(salt: bytes, data: bytes, cost: int) -> bytes:
+    """PBKDF2-HMAC-SHA256 of data under salt, 32 bytes, at ceil(cost / 2)
+    iterations.  The cost counts SHA-256 compressions: each iteration is
+    one HMAC over a 32-byte block, two compressions once the keyed inner
+    and outer states are set up."""
+    return hashlib.pbkdf2_hmac("sha256", data, salt, (cost + 1) // 2)
 
 
 def hash_tuple(encoded: bytes, cost: int = DEFAULT_COST) -> HashRecord:
@@ -322,7 +285,7 @@ def hash_tuple(encoded: bytes, cost: int = DEFAULT_COST) -> HashRecord:
         algorithm_id=HASH_ALGORITHM,
         cost=cost,
         salt=salt,
-        digest=_iterate_digest(salt, encoded, cost),
+        digest=_pbkdf2(salt, encoded, cost),
     )
 
 
@@ -334,5 +297,5 @@ def verify_hash(encoded: bytes, record) -> bool:
     """
     if not isinstance(record, HashRecord):
         record = HashRecord.from_string(record)
-    expected = _iterate_digest(record.salt, encoded, record.cost)
+    expected = _pbkdf2(record.salt, encoded, record.cost)
     return hmac.compare_digest(expected, record.digest)

@@ -504,3 +504,9 @@ def reference_decision(
         if check in failures:
             return ("deny", token)
     return ("allow", prefs.granularity.mode)
+
+
+def chain_length(ledger) -> int:
+    """The ledger's record count from its public stream item counts: the
+    genesis, which is on no stream's item list, plus every stream's items."""
+    return 1 + sum(stream.item_count for stream in ledger.streams())

@@ -161,7 +161,7 @@ def test_stream_items_key_labels(demo_dir, capsys):
     items = [json.loads(line) for line in out.splitlines()]
     assert [i["key"] for i in items] == ["key17", "key18", "key18"]
     assert all(set(i) == {"record", "seq", "key", "publisher", "timestamp", "payload"} for i in items)
-    assert all(i["payload"].startswith("$sha256i$") for i in items)
+    assert all(i["payload"].startswith("$pbkdf2$") for i in items)
 
     code, out, err = run(
         capsys, "--data-dir", str(demo_dir), "--json", "ledger", "items", "stream-4-1-3"
@@ -662,13 +662,13 @@ def test_fresh_verify_of_a_missing_ledger(tmp_path):
 
 
 def test_fresh_verify_of_a_format_1_directory(tmp_path):
-    from test_format import FORMAT_1_FILES, format_1_message
+    from test_format import FORMAT_1_FILES, format_message
 
     for name, text in FORMAT_1_FILES.items():
         (tmp_path / name).write_text(text)
     result = fresh("--data-dir", str(tmp_path), "ledger", "verify")
     assert (result.returncode, result.stdout, result.stderr) == (
-        1, "", f"error: {format_1_message(tmp_path)}\n"
+        1, "", f"error: {format_message(tmp_path, 1)}\n"
     )
 
 

@@ -1,9 +1,11 @@
-"""Data format 2 and the directories format 1 left behind.
+"""Data format 3 and the directories formats 1 and 2 left behind.
 
-Format 2 marks a data directory with a format file that init writes
-before anything else.  A directory without one, as every directory
-written before format 2 is, must be refused by the engine and by every
-command with one message, and left byte for byte as it was.
+A data directory carries a format file that init writes before anything
+else; format 3 reads "privledger 3".  A directory without one, as every
+directory written before format 2 is, and one whose file reads
+"privledger 2", whose hash records are iterated SHA-256 rather than
+PBKDF2, must be refused by the engine and by every command with one
+message naming its format, and left byte for byte as it was.
 """
 
 from __future__ import annotations
@@ -75,20 +77,71 @@ FORMAT_1_FILES = {
 }
 
 
-def format_1_message(data_dir) -> str:
+# A data directory as format 2 wrote it (init, one provider, one accessor
+# and one policy), without the checkpoints that close writes: the ledger
+# and the credentials hold $sha256i$ records.  A command that opened it
+# would write checkpoints, so their absence also shows that none did.
+FORMAT_2_FILES = {
+    "format": "privledger 2\n",
+    "ledger.db": (
+        "0\troot\t\tnode-10da6ea031583db5\t2026-10-19T11:39:39.018Z\t\t"
+        "0000000000000000000000000000000000000000000000000000000000000000\t"
+        "96d140c80e1d44852115bdafc56c31587b6502e2bdfc56d95a3fd97b6e04aa2a\n"
+        "1\tstream-4-5-3\tkey17\tnode-10da6ea031583db5\t2026-10-19T11:39:39.649Z\t"
+        "$sha256i$1024$d1c6a994d96219ee6f3fb3f14a737fe5$92236087c9810bab266175e3879f2950"
+        "5a03bc1bf864a0a208d3719723177448\t"
+        "96d140c80e1d44852115bdafc56c31587b6502e2bdfc56d95a3fd97b6e04aa2a\t"
+        "cde87b64fbe79edf60bb03cb32dcb001b61938fecf53304ebc721f60d2e01836\n"
+    ),
+    "policy.db": (
+        '{"seq": 1, "stream": "stream-4-5-3", "tuple": {"accessor": {"accessor_id": 3, '
+        '"permission_level": "Level4Restricted", "role": "ClinicalPhysician"}, '
+        '"attribute": {"attribute_id": 5, "category": "Demographic", '
+        '"name": "street_name", "sensitivity_hint": "Level3Confidential"}, '
+        '"prefs": {"attribute_id": 5, "granularity": "Specific", '
+        '"purpose": {"declared_purpose": "care-delivery", "mode": "ReuseSame", '
+        '"norms": {"how": null, "when": null, "where": null, "who": null, '
+        '"why": null}}, "retention": {"duration_days": 0, '
+        '"effective_date": "2021-01-01"}, "sensitivity": "Level4Restricted", '
+        '"third_party_accessors": [], '
+        '"visibility": {"allowed_roles": ["ClinicalPhysician", '
+        '"ThirdPartyAllied"], "scope": "ThirdPartyAlliedHealth"}}, '
+        '"provider_id": 4, "version": 1}}\n'
+    ),
+    "content.db": FORMAT_1_FILES["content.db"],
+    "credentials.db": (
+        '{"login": "physician3", '
+        '"password_hash": "$sha256i$1024$fa19b762d797d10cad55f3960a16a63f$455ef199'
+        '718b55895d95936126ae67dec6c97d3d331e2c85c71c54604a0c5965", '
+        '"profile": {"accessor_id": 3, "permission_level": "Level4Restricted", '
+        '"role": "ClinicalPhysician"}}\n'
+    ),
+    ".lock": "",
+}
+
+
+def format_message(data_dir, number: int) -> str:
     return (
-        f"{data_dir} holds data format 1, which this privledger does not read; "
+        f"{data_dir} holds data format {number}, which this privledger does not read; "
         "rebuild it with init in a new directory"
     )
 
 
-@pytest.fixture
-def format_1_dir(tmp_path):
-    data_dir = tmp_path / "v1"
+def write_dir(data_dir, files: dict):
     data_dir.mkdir()
-    for name, text in FORMAT_1_FILES.items():
+    for name, text in files.items():
         (data_dir / name).write_text(text)
     return data_dir
+
+
+@pytest.fixture
+def format_1_dir(tmp_path):
+    return write_dir(tmp_path / "v1", FORMAT_1_FILES)
+
+
+@pytest.fixture
+def format_2_dir(tmp_path):
+    return write_dir(tmp_path / "v2", FORMAT_2_FILES)
 
 
 def snapshot(data_dir) -> dict:
@@ -98,17 +151,17 @@ def snapshot(data_dir) -> dict:
 def test_init_writes_the_format_file(tmp_path):
     data_dir = tmp_path / "fresh"
     assert main(["--data-dir", str(data_dir), "init"]) == 0
-    assert (data_dir / FORMAT_FILE).read_text() == FORMAT == "privledger 2\n"
+    assert (data_dir / FORMAT_FILE).read_text() == FORMAT == "privledger 3\n"
 
 
 def test_format_1_directory_is_refused_by_open(format_1_dir):
     before = snapshot(format_1_dir)
-    with pytest.raises(UnsupportedFormat, match=re.escape(format_1_message(format_1_dir))):
+    with pytest.raises(UnsupportedFormat, match=re.escape(format_message(format_1_dir, 1))):
         Engine.open(EngineConfig(format_1_dir))
     assert snapshot(format_1_dir) == before
 
 
-@pytest.mark.parametrize(
+EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
         ["query", "--login", "physician3", "--password", "physician3-secret",
@@ -122,21 +175,42 @@ def test_format_1_directory_is_refused_by_open(format_1_dir):
     ],
     ids=["query", "policy-set", "provider-add", "list-streams", "items", "verify"],
 )
+
+
+@EVERY_COMMAND
 def test_format_1_directory_is_refused_by_every_command(format_1_dir, capsys, argv):
     before = snapshot(format_1_dir)
     code = main(["--data-dir", str(format_1_dir), *argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
-        1, "", f"error: {format_1_message(format_1_dir)}\n"
+        1, "", f"error: {format_message(format_1_dir, 1)}\n"
     )
     assert snapshot(format_1_dir) == before
 
 
+def test_format_2_directory_is_refused_by_open(format_2_dir):
+    before = snapshot(format_2_dir)
+    with pytest.raises(UnsupportedFormat, match=re.escape(format_message(format_2_dir, 2))):
+        Engine.open(EngineConfig(format_2_dir))
+    assert snapshot(format_2_dir) == before
+
+
+@EVERY_COMMAND
+def test_format_2_directory_is_refused_by_every_command(format_2_dir, capsys, argv):
+    before = snapshot(format_2_dir)
+    code = main(["--data-dir", str(format_2_dir), *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", f"error: {format_message(format_2_dir, 2)}\n"
+    )
+    assert snapshot(format_2_dir) == before
+
+
 def test_unknown_format_is_refused(format_1_dir, capsys):
-    (format_1_dir / FORMAT_FILE).write_text("privledger 3\n")
+    (format_1_dir / FORMAT_FILE).write_text("privledger 4\n")
     before = snapshot(format_1_dir)
     assert main(["--data-dir", str(format_1_dir), "ledger", "list-streams"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {format_1_dir / FORMAT_FILE}: unknown data format 'privledger 3\\n'\n"
+        f"error: {format_1_dir / FORMAT_FILE}: unknown data format 'privledger 4\\n'\n"
     )
     assert snapshot(format_1_dir) == before

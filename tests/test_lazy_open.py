@@ -258,13 +258,13 @@ def test_unknown_login_costs_as_much_as_a_wrong_password(tmp_path, monkeypatch):
     store = Store(tmp_path, hash_cost=2048, create=True)
     store.add_accessor("physician3", "physician3-secret", make_accessor())
     costs = []
-    original = tuples._iterate_digest
+    original = tuples._pbkdf2
 
     def counting(salt, data, cost):
         costs.append(cost)
         return original(salt, data, cost)
 
-    monkeypatch.setattr(tuples, "_iterate_digest", counting)
+    monkeypatch.setattr(tuples, "_pbkdf2", counting)
     reopened = Store(tmp_path, hash_cost=2048)
     assert costs == []  # opening hashes nothing
     for login in ("physician3", "nobody"):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import TickingClock
+from helpers import TickingClock, chain_length
 from privledger import ledger as ledger_module
 from privledger.ledger import (
     ROOT_STREAM,
@@ -46,7 +46,7 @@ def fill(led, stream="stream-4-5-3", items=3):
 
 
 def test_genesis_creates_root_with_zero_prev(ledger):
-    assert ledger.chain_length() == 1
+    assert chain_length(ledger) == 1
     genesis = ledger.item(0)
     assert genesis.stream == ROOT_STREAM
     assert genesis.prev_digest == ZERO_DIGEST
@@ -79,13 +79,13 @@ def test_stream_name_for_lineage():
 def test_create_stream_rejects_bad_grammar(ledger, name):
     with pytest.raises(InvalidStreamName):
         ledger.create_stream(name, "key17", b"x")
-    assert ledger.chain_length() == 1
+    assert chain_length(ledger) == 1
 
 
 def test_create_stream_appends_the_first_item(ledger):
-    before = ledger.chain_length()
+    before = chain_length(ledger)
     first = ledger.create_stream("stream-4-5-3", "key17", b"h1")
-    assert ledger.chain_length() == before + 1
+    assert chain_length(ledger) == before + 1
     assert (first.seq, first.stream, first.key, first.payload) == (
         before, "stream-4-5-3", "key17", b"h1"
     )
@@ -99,7 +99,7 @@ def test_duplicate_stream_rejected(ledger):
         ledger.create_stream("stream-4-5-3", "key17", b"x")
     with pytest.raises(DuplicateStream):
         ledger.create_stream(ROOT_STREAM, "key17", b"x")
-    assert ledger.chain_length() == 2
+    assert chain_length(ledger) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_publish_appends_items_after_the_first(ledger):
     assert [i.key for i in items] == ["key0", "key1", "key2"]
     assert ledger.stream("stream-4-5-3").item_count == 3
     # one record per item, after the genesis
-    assert ledger.chain_length() == 1 + 3
+    assert chain_length(ledger) == 1 + 3
 
 
 def test_publish_to_unknown_stream(ledger):
@@ -139,7 +139,7 @@ def test_payload_must_be_printable_ascii_without_whitespace(ledger, payload):
     ledger.create_stream("stream-4-5-3", "key17", b"!~")
     with pytest.raises(LedgerError, match=message):
         ledger.publish("stream-4-5-3", "key18", payload)
-    assert ledger.chain_length() == 2
+    assert chain_length(ledger) == 2
 
 
 @pytest.mark.parametrize(
@@ -185,7 +185,7 @@ def test_items_chain_across_streams(ledger):
     ledger.create_stream("stream-1-1-1", "a", b"1")
     ledger.create_stream("stream-2-2-2", "b", b"2")
     ledger.publish("stream-1-1-1", "c", b"3")
-    for seq in range(1, ledger.chain_length()):
+    for seq in range(1, chain_length(ledger)):
         assert ledger.item(seq).prev_digest == ledger.item(seq - 1).item_digest
         assert ledger.item(seq).seq == seq
 
@@ -261,13 +261,13 @@ def test_reopen_restores_state(tmp_path):
     led = Ledger(path, clock=TickingClock(), create=True)
     fill(led, items=3)
     led.create_stream("stream-7-7-7", "key17", b"x")
-    digests = [led.item(s).item_digest for s in range(led.chain_length())]
+    digests = [led.item(s).item_digest for s in range(chain_length(led))]
     publisher = led.publisher
     led.close()
 
     again = Ledger(path, clock=TickingClock())
-    assert again.chain_length() == len(digests)
-    assert [again.item(s).item_digest for s in range(again.chain_length())] == digests
+    assert chain_length(again) == len(digests)
+    assert [again.item(s).item_digest for s in range(chain_length(again))] == digests
     assert again.publisher == publisher
     assert again.stream("stream-4-5-3").item_count == 3
     assert again.stream("stream-7-7-7").item_count == 1
@@ -308,7 +308,7 @@ def test_file_has_one_line_per_item(tmp_path):
     led = Ledger(path, clock=TickingClock(), create=True)
     fill(led, items=4)
     lines = path.read_text().splitlines()
-    assert len(lines) == led.chain_length()
+    assert len(lines) == chain_length(led)
     assert all(len(line.split("\t")) == 8 for line in lines)
     led.close()
 
@@ -390,7 +390,7 @@ def test_fresh_chain_verifies(ledger):
     report = ledger.verify_chain()
     assert report.intact
     assert report.first_bad_seq is None
-    assert report.records == ledger.chain_length()
+    assert report.records == chain_length(ledger)
     assert report.detail == "chain intact"
 
 
@@ -453,7 +453,7 @@ def test_deleting_tail_record_is_detected_against_memory(tmp_path):
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
     fill(led, items=3)
-    tail_seq = led.chain_length() - 1
+    tail_seq = chain_length(led) - 1
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     report = led.verify_chain()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TickingClock
+from helpers import TickingClock, chain_length
 from ledger_reference import (
     reference_parse_line,
     reference_render_line,
@@ -43,12 +43,12 @@ def _canonical_chain(last_payload=b"x"):
         clock = TickingClock(dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone.utc))
         led = Ledger(path, clock=clock, publisher="node-0123abcd", create=True)
         for stream in ("stream-4-5-3", "stream-120-18-7"):
-            led.create_stream(stream, "key17", b"$sha256i$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
+            led.create_stream(stream, "key17", b"$pbkdf2$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
             led.publish(stream, "key18", b"!~'\"\\{}")
         led.publish("stream-4-5-3", "", b"")
         led.publish("stream-4-5-3", "k" * 256, last_payload)
         led.close()
-        return path.read_bytes(), [led.item(seq) for seq in range(led.chain_length())]
+        return path.read_bytes(), [led.item(seq) for seq in range(chain_length(led))]
 
 
 CHAIN, CHAIN_ITEMS = _canonical_chain()

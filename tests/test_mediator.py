@@ -357,7 +357,7 @@ def test_store_version_ahead_of_ledger_aborts(demo):
 
 def test_published_hash_without_stored_plaintext_aborts(demo):
     # Ledger knows a lineage the store has never seen.
-    demo.ledger.create_stream("stream-4-2-3", "key17", b"$sha256i$1$" + b"0" * 32 + b"$" + b"0" * 64)
+    demo.ledger.create_stream("stream-4-2-3", "key17", b"$pbkdf2$1$" + b"0" * 32 + b"$" + b"0" * 64)
     result = demo.mediate(demo_request("last_name"), now=NOW)
     assert result.status is MediationStatus.ABORTED
     assert result.denials == (("last_name", INTEGRITY_ABORT),)

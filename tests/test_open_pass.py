@@ -34,6 +34,7 @@ from helpers import (
     DEMO_ACCESSOR_LOGIN,
     DEMO_ACCESSOR_PASSWORD,
     DEMO_PROVIDER_ID,
+    chain_length,
     demo_preferences,
     install_demo_fixture,
     make_engine,
@@ -148,7 +149,7 @@ def _opened_ledger(path: Path):
         # digests open kept.
         report = ledger.verify_chain()
         items = []
-        for seq in range(ledger.chain_length()):
+        for seq in range(chain_length(ledger)):
             try:
                 items.append(ledger.item(seq))
             except LedgerError as exc:
@@ -460,7 +461,7 @@ def _opened_state(config):
     ledger, store = engine.ledger, engine.store
     try:
         report = ledger.verify_chain()
-        items = [_outcome(lambda: ledger.item(seq)) for seq in range(ledger.chain_length())]
+        items = [_outcome(lambda: ledger.item(seq)) for seq in range(chain_length(ledger))]
         streams = [(s.name, s.created_by, s.seqs) for s in ledger.streams()]
         indexed = policy_index(store)
         latest = [_outcome(lambda: store.latest_tuple_instance(lineage)) for lineage, _ in indexed]
@@ -530,7 +531,7 @@ CHANGES = {
     # open refuses it
     ("ledger.db", "seq"): _seq_of_record_2,
     # open accepts; the first read of that record fails
-    ("ledger.db", "payload"): lambda data: data.replace(b"$sha256i$", b"$sha256I$", 1),
+    ("ledger.db", "payload"): lambda data: data.replace(b"$pbkdf2$", b"$pbkdF2$", 1),
     ("ledger.db", "last-record-dropped"): lambda data: data[: data.rindex(b"\n", 0, -1) + 1],
     ("ledger.db", "record-appended-twice"): lambda data: data + data[data.rindex(b"\n", 0, -1) + 1 :],
     ("policy.db", "version"): _next_version,

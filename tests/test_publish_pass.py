@@ -3,11 +3,12 @@ fails leaves behind.
 
 A publication derives the tuple dict, the canonical encoding, the hash
 record text and the ledger line once each; the files must hold data
-format 2: one ledger record per publication after the genesis, each as
+format 3: one ledger record per publication after the genesis, each as
 the reference renders it, and policy.db lines with no copy of the hash.
 The digests below are of the files this module's build writes under a
-fixed salt source and clock; content.db and credentials.db read as they
-did in format 1.  A store write that fails
+fixed salt source and clock; content.db and policy.db read as they did
+in format 2, and ledger.db and credentials.db differ from format 2 only
+in their $pbkdf2$ hash records.  A store write that fails
 must leave memory as the file is, and an open or create that fails must
 leave no file open.
 """
@@ -28,6 +29,7 @@ from helpers import (
     DEMO_LINEAGE_A,
     DEMO_PROVIDER_ID,
     TickingClock,
+    chain_length,
     demo_preferences,
     install_demo_fixture,
     make_accessor,
@@ -55,8 +57,8 @@ START = dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone(dt.timed
 PUBLISHER = "node-0123abcd"
 FILE_DIGESTS = {
     "content.db": "2163086a404e3de4634aaf6e7be790bb6bf0519d03d267398aceb8042a53fec2",
-    "credentials.db": "5528acb6c83a9590c108dd803fbcceb9215ad4ebbf5dacfc0b915068e247d43e",
-    "ledger.db": "fa88674104bbe13e496520a688e0893fb2bb846aadbc132228a3a4cc4762a5f1",
+    "credentials.db": "f042b89735b345606023f3e17f8bb0757e179cacdd2c118fc580eafff33404c1",
+    "ledger.db": "72b98329f733b52f229199e2d9bb91cef498a5772daa0151f08cbf810c52f807",
     "policy.db": "2e00703cfae01efb657143755b7a9411e8e7f410589b2b8443eef23de4eff40b",
 }
 
@@ -114,7 +116,7 @@ def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
     # The genesis, then one record per publication: 7 in the demo, 2 here.
     ledger_lines = engine.config.ledger_file.read_text().splitlines()
     assert len(policy_lines) == 9
-    assert len(ledger_lines) == engine.ledger.chain_length() == 1 + 9
+    assert len(ledger_lines) == chain_length(engine.ledger) == 1 + 9
     for seq, line in enumerate(ledger_lines):
         assert line == reference_render_line(engine.ledger.item(seq))
     for line in policy_lines:
@@ -352,7 +354,7 @@ def test_failed_ledger_append_leaves_no_part_of_its_record(tmp_path, disk):
             append()
         assert failure.value.errno == errno.ENOSPC
         assert path.read_bytes() == before
-    assert (led.chain_length(), led.has_stream("stream-4-1-3")) == (2, False)
+    assert (chain_length(led), led.has_stream("stream-4-1-3")) == (2, False)
     disk.room = None
     second = led.publish("stream-4-5-3", "key18", b"v2")
     led.close()

@@ -44,15 +44,15 @@ def configs(tmp_path):
 
 @pytest.fixture
 def hashed(monkeypatch):
-    """The data of every salted iterated digest computed."""
+    """The data of every salted PBKDF2 digest computed."""
     inputs = []
-    original = tuples._iterate_digest
+    original = tuples._pbkdf2
 
     def counting(salt, data, cost):
         inputs.append(data)
         return original(salt, data, cost)
 
-    monkeypatch.setattr(tuples, "_iterate_digest", counting)
+    monkeypatch.setattr(tuples, "_pbkdf2", counting)
     return inputs
 
 
@@ -233,7 +233,7 @@ def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed)
     engine = make_engine(tmp_path, hash_cost=8)
     install_archetype_fixture(engine, 3, seed=7)
     stream = f"stream-2-{CITY}-{BENCH_ACCESSOR_ID}"
-    bad = engine.ledger.publish(stream, "key-bad", b"$sha256i$8$not-a-salt")
+    bad = engine.ledger.publish(stream, "key-bad", b"$pbkdf2$8$not-a-salt")
     for config in both_open_paths(engine):
         engine = Engine.open(config)
         for _ in range(3):

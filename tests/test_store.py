@@ -235,7 +235,7 @@ def test_passwords_stored_only_as_hash_records(store, tmp_path):
     store.add_accessor("physician3", "physician3-secret", make_accessor())
     raw = (tmp_path / "credentials.db").read_text()
     assert "physician3-secret" not in raw
-    assert "$sha256i$" in raw
+    assert "$pbkdf2$" in raw
 
 
 def test_duplicate_login_and_accessor_id_rejected(store):

@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import importlib
+import hmac
 import json
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import make_accessor, make_prefs, random_tuple
 from privledger import tuples
-from privledger.policy import Sensitivity
+from privledger.policy import PolicyError, Sensitivity
 from privledger.tuples import (
     DEFAULT_COST,
     HASH_ALGORITHM,
@@ -27,13 +23,11 @@ from privledger.tuples import (
     AttributeMeta,
     CostOutOfRange,
     HashRecord,
-    MalformedEncoding,
     MalformedRecord,
     MismatchedAttribute,
     PrivacyTuple,
     TupleError,
     bind_tuple,
-    canonical_decode,
     canonical_encode,
     hash_tuple,
     verify_hash,
@@ -134,7 +128,9 @@ def test_round_trip_decode():
     rng = random.Random(91)
     for _ in range(100):
         t = random_tuple(rng)
-        assert canonical_decode(canonical_encode(t)) == t
+        back = PrivacyTuple.from_dict(t.to_dict())
+        assert back == t
+        assert canonical_encode(back) == canonical_encode(t)
 
 
 def test_version_changes_the_encoding():
@@ -142,29 +138,28 @@ def test_version_changes_the_encoding():
 
 
 def test_decode_rejects_garbage():
-    with pytest.raises(MalformedEncoding):
-        canonical_decode(b"not json")
-    with pytest.raises(MalformedEncoding):
-        canonical_decode(b"{}")
-    with pytest.raises(MalformedEncoding):
-        canonical_decode(b"[1,2,3]")
-    with pytest.raises(MalformedEncoding):
-        canonical_decode("méta".encode("utf-8"))
+    # What a policy.db line's "tuple" field could hold instead of a record.
+    for garbage in ("not a record", {}, [1, 2, 3], {"provider_id": 4}):
+        with pytest.raises(TupleError):
+            PrivacyTuple.from_dict(garbage)
 
 
 def test_decode_rejects_wrong_shapes_inside():
-    encoded = canonical_encode(make_tuple())
-    parts = json.loads(encoded)
-    parts[2].pop("sensitivity")
-    with pytest.raises(MalformedEncoding):
-        canonical_decode(json.dumps(parts).encode("ascii"))
+    data = make_tuple().to_dict()
+    data["prefs"].pop("sensitivity")
+    with pytest.raises(PolicyError):
+        PrivacyTuple.from_dict(data)
+    data = make_tuple().to_dict()
+    data["attribute"] = "postal_code"
+    with pytest.raises(TupleError):
+        PrivacyTuple.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
 # hash records
 # ---------------------------------------------------------------------------
 
-RECORD_RE = re.compile(r"^\$sha256i\$[1-9][0-9]*\$[0-9a-f]{32}\$[0-9a-f]{64}$")
+RECORD_RE = re.compile(r"^\$pbkdf2\$[1-9][0-9]*\$[0-9a-f]{32}\$[0-9a-f]{64}$")
 
 
 def test_hash_record_string_shape():
@@ -207,51 +202,53 @@ def test_cost_bounds():
             hash_tuple(b"x", cost=bad)
 
 
+def reference_pbkdf2(password: bytes, salt: bytes, iterations: int) -> bytes:
+    """PBKDF2 with HMAC-SHA256 (RFC 8018, section 5.2), one 32-byte block:
+    the XOR of U_1 = PRF(P, S || INT(1)) and U_i = PRF(P, U_{i-1})."""
+    u = hmac.new(password, salt + (1).to_bytes(4, "big"), hashlib.sha256).digest()
+    block = int.from_bytes(u, "big")
+    for _ in range(iterations - 1):
+        u = hmac.new(password, u, hashlib.sha256).digest()
+        block ^= int.from_bytes(u, "big")
+    return block.to_bytes(32, "big")
+
+
+def test_reference_pbkdf2_known_answer():
+    # RFC 7914, section 11: PBKDF2-HMAC-SHA256, P = "passwd", S = "salt",
+    # one iteration; its first 32 bytes.
+    expected = "55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc"
+    assert reference_pbkdf2(b"passwd", b"salt", 1).hex() == expected
+    assert hashlib.pbkdf2_hmac("sha256", b"passwd", b"salt", 1).hex() == expected
+
+
 def test_cost_one_is_single_salted_digest():
     record = hash_tuple(b"data", cost=1)
-    assert record.digest == hashlib.sha256(record.salt + b"data").digest()
+    assert record.digest == hmac.new(
+        b"data", record.salt + b"\x00\x00\x00\x01", hashlib.sha256
+    ).digest()
 
 
 def test_higher_cost_rehashes_the_digest():
-    record = hash_tuple(b"data", cost=3)
-    step = hashlib.sha256(record.salt + b"data").digest()
-    step = hashlib.sha256(step).digest()
-    step = hashlib.sha256(step).digest()
-    assert record.digest == step
+    # ceil(cost / 2) iterations: two SHA-256 compressions each.
+    for cost, iterations in ((2, 1), (3, 2), (4, 2), (5, 3)):
+        record = hash_tuple(b"data", cost=cost)
+        digests = [reference_pbkdf2(b"data", record.salt, n) for n in (1, 2, 3)]
+        assert digests.index(record.digest) == iterations - 1
 
 
-# The iterated digest of KNOWN_DATA under KNOWN_SALT at cost 64, computed
-# with hashlib.sha256 alone.
+# The digest of KNOWN_DATA under KNOWN_SALT at cost 64 (32 iterations),
+# computed with reference_pbkdf2.
 KNOWN_SALT = bytes(range(16))
 KNOWN_DATA = b'{"known":"answer"}'
-KNOWN_DIGEST = "ce1e045b7fb73b73513e67017b2694ac4fcc7f66df8edb18b2639ebfdda31102"
-
-
-def reference_iterate(salt: bytes, data: bytes, cost: int) -> bytes:
-    digest = hashlib.sha256(salt + data).digest()
-    for _ in range(cost - 1):
-        digest = hashlib.sha256(digest).digest()
-    return digest
+KNOWN_DIGEST = "3a6698045ba19aa3bbcdc1ad680dffe068e237440d14dcca15cecc1b838a60c5"
 
 
 def test_iterated_digest_known_answer():
-    assert reference_iterate(KNOWN_SALT, KNOWN_DATA, 64).hex() == KNOWN_DIGEST
-    assert tuples._iterate_digest(KNOWN_SALT, KNOWN_DATA, 64).hex() == KNOWN_DIGEST
+    assert reference_pbkdf2(KNOWN_DATA, KNOWN_SALT, 32).hex() == KNOWN_DIGEST
+    assert tuples._pbkdf2(KNOWN_SALT, KNOWN_DATA, 64).hex() == KNOWN_DIGEST
     record = HashRecord(HASH_ALGORITHM, 64, KNOWN_SALT, bytes.fromhex(KNOWN_DIGEST))
     assert verify_hash(KNOWN_DATA, record)
     assert verify_hash(KNOWN_DATA, record.to_string())
-
-
-def test_rounds_use_the_builtin_constructor_where_there_is_one():
-    for name in ("_sha2", "_sha256"):
-        try:
-            builtin = importlib.import_module(name).sha256
-        except ImportError:
-            continue
-        assert tuples._round_sha256 is builtin
-        break
-    else:
-        assert tuples._round_sha256 is hashlib.sha256
 
 
 @settings(max_examples=100)
@@ -260,30 +257,11 @@ def test_rounds_use_the_builtin_constructor_where_there_is_one():
     st.binary(max_size=4096),
     st.integers(min_value=1, max_value=80),
 )
-def test_iterated_digest_equals_a_hashlib_loop(salt, data, cost):
-    expected = reference_iterate(salt, data, cost)
-    assert tuples._iterate_digest(salt, data, cost) == expected
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tuples, "_round_sha256", hashlib.sha256)
-        assert tuples._iterate_digest(salt, data, cost) == expected
-
-
-def test_known_answer_without_the_builtin_constructors():
-    src = Path(tuples.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-        "import hashlib\n"
-        "from privledger import tuples\n"
-        "assert tuples._round_sha256 is hashlib.sha256\n"
-        f"print(tuples._iterate_digest({KNOWN_SALT!r}, {KNOWN_DATA!r}, 64).hex())\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == KNOWN_DIGEST
+def test_digest_equals_a_pure_python_pbkdf2(salt, data, cost):
+    expected = reference_pbkdf2(data, salt, (cost + 1) // 2)
+    assert tuples._pbkdf2(salt, data, cost) == expected
+    record = HashRecord(HASH_ALGORITHM, cost, salt, expected)
+    assert verify_hash(data, record)
 
 
 def test_any_single_byte_flip_fails_verification():
@@ -300,21 +278,30 @@ def test_record_parse_round_trip():
     assert HashRecord.from_string(record.to_string()) == record
 
 
+# Each field fault, under this format's algorithm id and under format 2's
+# sha256i, which is refused whatever its fields.
+FIELD_FAULTS = [
+    "{}$1$" + "0" * 32 + "$" + "0" * 64,  # missing leading $
+    "${}$0$" + "0" * 32 + "$" + "0" * 64,  # cost below minimum
+    "${}$1048577$" + "0" * 32 + "$" + "0" * 64,  # cost above maximum
+    "${}$01$" + "0" * 32 + "$" + "0" * 64,  # non-canonical cost
+    "${}$x$" + "0" * 32 + "$" + "0" * 64,
+    "${}$1$" + "0" * 31 + "$" + "0" * 64,  # short salt
+    "${}$1$" + "0" * 32 + "$" + "0" * 63,  # short digest
+    "${}$1$" + "A" * 32 + "$" + "0" * 64,  # uppercase hex
+    "${}$1$" + "0" * 32 + "$" + "0" * 64 + "$extra",
+    "${}$1$" + "0" * 32,
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "",
-        "sha256i$1$" + "0" * 32 + "$" + "0" * 64,  # missing leading $
         "$md5$1$" + "0" * 32 + "$" + "0" * 64,
-        "$sha256i$0$" + "0" * 32 + "$" + "0" * 64,  # cost below minimum
-        "$sha256i$1048577$" + "0" * 32 + "$" + "0" * 64,  # cost above maximum
-        "$sha256i$01$" + "0" * 32 + "$" + "0" * 64,  # non-canonical cost
-        "$sha256i$x$" + "0" * 32 + "$" + "0" * 64,
-        "$sha256i$1$" + "0" * 31 + "$" + "0" * 64,  # short salt
-        "$sha256i$1$" + "0" * 32 + "$" + "0" * 63,  # short digest
-        "$sha256i$1$" + "A" * 32 + "$" + "0" * 64,  # uppercase hex
-        "$sha256i$1$" + "0" * 32 + "$" + "0" * 64 + "$extra",
-        "$sha256i$1$" + "0" * 32,
+        "$sha256i$1$" + "0" * 32 + "$" + "0" * 64,  # well formed in format 2
+        "$PBKDF2$1$" + "0" * 32 + "$" + "0" * 64,
+        *(fault.format(algorithm) for algorithm in ("pbkdf2", "sha256i") for fault in FIELD_FAULTS),
     ],
 )
 def test_malformed_records_rejected(text):
