@@ -9,8 +9,8 @@ both are refused and left as they are.
 This module imports no other privledger module, so a command that opens
 no engine (``ledger verify``) loads it and the chain module only.  It
 also holds what the engine modules share with the configuration: the
-plain Record base class, the one rule for integers in outside text and
-the bounds of the hash cost.  ``engine`` re-exports its names.
+plain Record base class, the one rule for integers in outside text, the
+one rule for ids and the bounds of the hash cost.  ``engine`` re-exports its names.
 """
 
 from __future__ import annotations
@@ -90,6 +90,17 @@ def parse_decimal(text: str) -> int | None:
     zeros, whitespace and non-ASCII digits are refused.
     """
     return int(text) if _DECIMAL.fullmatch(text) else None
+
+
+# Provider, attribute and accessor ids, and tuple versions, are integers in
+# [1, ID_LIMIT): a policy.db checkpoint holds them as signed 64-bit integers.
+ID_LIMIT = 1 << 63
+ID_RULE = "an integer in [1, 2**63)"
+
+
+def is_id(value) -> bool:
+    """Whether value is an id (or a tuple version)."""
+    return isinstance(value, int) and 0 < value < ID_LIMIT
 
 
 # The hash cost's bounds, in SHA-256 compressions (see tuples.hash_tuple).

@@ -5,22 +5,25 @@ chain.py, which imports nothing of the engine; their names are
 re-exported here.
 
 Open runs chain.py's pass over the file's bytes, CHUNK_BYTES at a time,
-and also checks seq continuity and the genesis rule, indexes each
-stream's seqs from the matched fields and keeps no text: only each
-record's offset and item digest.  A StreamItem is built on first read,
-from the record read back at its offset, which must pass the field check
-again and re-derive the digest open kept, so a record that changed on
-disk since open fails that read.  Chain verification re-derives every
-digest and link.
+and also checks seq continuity and the genesis rule.  It keeps no text:
+per record its offset, its item digest and the seq before it on its
+stream; per stream, in the order of first items, its creator and its
+latest seq.  These packed columns are the whole index, as a checkpoint
+holds it: a Stream is a snapshot with its seqs walked back from the
+latest.  A StreamItem is built on first read, from the record read back
+at its offset, which must pass the field check again and re-derive the
+digest open kept, so a record that changed on disk since open fails that
+read.  Chain verification re-derives every digest and link.
 
 A checkpoint beside the file (CHECKPOINT_SUFFIX) lets open skip that pass
 over a prefix checked before: it holds the checker version, the length and
 SHA-256 of a prefix that passed every open check, and the index open
 built from it.  Open hashes the prefix CHUNK_BYTES at a time; if the
-checkpoint is whole, of this CHECKER_VERSION and its prefix is unchanged,
-open takes the index from it and runs the pass over the tail only.  Else
-it runs the pass over the whole file, as if there were no checkpoint.
-First reads check each record against the file as before.
+checkpoint is whole, of this CHECKER_VERSION, its prefix is unchanged and
+its values are in range, open takes the index from it and runs the pass
+over the tail only.  Else it runs the pass over the whole file, as if
+there were no checkpoint.  First reads check each record against the
+file as before.
 """
 
 from __future__ import annotations
@@ -134,13 +137,12 @@ class StreamItem(NamedTuple):
     item_digest: bytes
 
 
-class Stream:
-    __slots__ = ("name", "created_by", "seqs")
+class Stream(NamedTuple):
+    """A stream as the index held it when asked."""
 
-    def __init__(self, name: str, created_by: str):
-        self.name = name
-        self.created_by = created_by
-        self.seqs: list[int] = []  # its items, ascending; none for root
+    name: str
+    created_by: str
+    seqs: list[int]  # its items, ascending; none for root
 
     @property
     def item_count(self) -> int:
@@ -310,14 +312,13 @@ class Ledger:
         self._offsets = array("q")
         self._reader = None
         self._digests = bytearray()  # every record's item digest, in seq order
-        self._order: list[str] = []  # every stream's name, in the order of first items
-        self._rows: dict[str, int] = {}  # every stream's place in _order, by name
-        self._streams: dict[str, Stream] = {}  # by name, once built
-        # What the checkpoint open started from indexed of its streams, which
-        # are built from it on first touch: the creators' names, per stream
-        # its creator and its latest seq (0 for none), and per record the
-        # seq before it on its stream (0 for none).
-        self._indexed: tuple[list[str], array, array, array] | None = None
+        # The stream index, as a checkpoint holds it: each stream's row by
+        # name, in the order of first items; the creators' names; per row
+        # its creator's place in _creators and its latest seq (0 for none);
+        # per record the seq before it on its stream (0 for none).
+        self._rows: dict[str, int] = {}
+        self._creators: list[str] = []
+        self._created_by, self._last, self._prev = array("q"), array("q"), array("q")
         self._hasher = hashlib.sha256()  # fed the file's bytes up to _offsets[-1]
         self._checkpoint_due = False
         self._unterminated = False  # the file's last record lacks its newline
@@ -332,7 +333,6 @@ class Ledger:
                 self._handle = open(self._path, "ab", buffering=0)
                 self._offsets.append(0)
                 self._append(ROOT_STREAM, "", b"")
-                self._add_stream(ROOT_STREAM, self._publisher)
             else:
                 self._reader = open(self._path, "rb")
                 self._publisher = publisher or self._load()
@@ -363,7 +363,8 @@ class Ledger:
         return self.stream(ROOT_STREAM).created_by
 
     def _load_checkpoint(self) -> bool:
-        """Take the index of the checkpoint's prefix, if the checkpoint holds."""
+        """Take the index of the checkpoint's prefix, if the checkpoint holds
+        and its values are in range."""
         found = load_checkpoint(self._path, self._reader)
         if found is None:
             return False
@@ -375,10 +376,12 @@ class Ledger:
             creators = str(creators, "ascii").split("\n")
         except ValueError:
             return False
+        rows = dict(zip(names, range(len(names))))
         if not (
             len(digests) == len(offsets) * DIGEST_BYTES == len(prev) * DIGEST_BYTES
             and names[0] == ROOT_STREAM
-            and len(created_by) == len(names) == len(last)
+            and len(rows) == len(names) == len(created_by) == len(last)
+            and min(min(column, default=0) for column in (offsets, created_by, last, prev)) >= 0
             and max(created_by) < len(creators)
             and max(last) < len(prev)
             and max(prev) < len(prev)
@@ -387,9 +390,9 @@ class Ledger:
         self._hasher = hasher
         self._offsets = offsets
         self._digests = bytearray(digests)
-        self._order = names
-        self._rows = dict(zip(names, range(len(names))))
-        self._indexed = creators, created_by, last, prev
+        self._rows = rows
+        self._creators = creators
+        self._created_by, self._last, self._prev = created_by, last, prev
         return True
 
     def _index(self):
@@ -397,7 +400,8 @@ class Ledger:
         file, carrying on from the records indexed before it."""
         offsets = self._offsets
         digests = self._digests
-        streams: dict[bytes, Stream] = {}  # by name, as the pass reads it
+        last, prev = self._last, self._prev
+        rows: dict[bytes, int] = {}  # by name, as the pass reads it
         try:
             for base, matches in _records(self._reader, self._hasher):
                 digest_hex = []
@@ -416,14 +420,12 @@ class Ledger:
                         )
                     offsets.append(base + match.start())
                     digest_hex.append(digest)
-                    target = streams.get(stream)
-                    if target is None:
-                        name = stream.decode("ascii")
-                        target = streams[stream] = self._stream(name) or self._add_stream(
-                            name, match[4].decode("ascii")
-                        )
-                    if index:
-                        target.seqs.append(index)
+                    row = rows.get(stream)
+                    if row is None:
+                        name, creator = stream.decode("ascii"), match[4].decode("ascii")
+                        row = rows[stream] = self._stream_row(name, creator)
+                    prev.append(last[row])
+                    last[row] = index
                 digests += unhexlify(b"".join(digest_hex))
         except ValueError as exc:
             raise LedgerError(
@@ -439,25 +441,6 @@ class Ledger:
         in a newline.  A write that fails raises nothing."""
         if not self._checkpoint_due or self._unterminated:
             return
-        creators, *columns = self._indexed or ([], array("q"), array("q"), array("q"))
-        created_by, last, prev = (column[:] for column in columns)  # brought up to date below
-        known = len(prev)  # the records the checkpoint indexed
-        prev.frombytes(bytes(8 * (len(self._items) - known)))
-        number = {creator: index for index, creator in enumerate(creators)}
-        for name in self._order[len(last) :]:  # first seen since
-            creator = self._streams[name].created_by
-            created_by.append(number.setdefault(creator, len(number)))
-            last.append(0)
-        # Only a built stream can have items since: the pass and appends
-        # build the streams they index.
-        for name, stream in self._streams.items():
-            seqs = stream.seqs
-            at = len(seqs)
-            while at and seqs[at - 1] >= known:
-                at -= 1
-                prev[seqs[at]] = seqs[at - 1] if at else 0
-            if seqs:
-                last[self._rows[name]] = seqs[-1]
         save_checkpoint(
             self._path,
             self._offsets[-1],
@@ -465,11 +448,11 @@ class Ledger:
             (
                 self._offsets[:-1].tobytes(),
                 self._digests,
-                "\n".join(self._order).encode("ascii"),
-                "\n".join(number).encode("ascii"),
-                created_by.tobytes(),
-                last.tobytes(),
-                prev.tobytes(),
+                "\n".join(self._rows).encode("ascii"),
+                "\n".join(self._creators).encode("ascii"),
+                self._created_by.tobytes(),
+                self._last.tobytes(),
+                self._prev.tobytes(),
             ),
         )
 
@@ -510,28 +493,27 @@ class Ledger:
         self._checkpoint_due = True
         self._items.append(item)
         self._digests += digest
+        row = self._stream_row(stream, publisher)
+        self._prev.append(self._last[row])
+        self._last[row] = seq
         return item
 
-    def _add_stream(self, name: str, created_by: str) -> Stream:
-        stream = self._streams[name] = Stream(name, created_by)
-        self._rows[name] = len(self._order)
-        self._order.append(name)
-        return stream
+    def _stream_row(self, name: str, created_by: str) -> int:
+        """The stream's row, added with no item yet if it has none."""
+        row = self._rows.get(name)
+        if row is None:
+            if created_by not in self._creators:
+                self._creators.append(created_by)
+            self._created_by.append(self._creators.index(created_by))
+            self._last.append(0)
+            row = self._rows[name] = len(self._rows)
+        return row
 
-    def _stream(self, name: str) -> Stream | None:
-        """The stream, built on first touch if a checkpoint indexed it."""
-        stream = self._streams.get(name)
-        if stream is None and name in self._rows:
-            creators, created_by, last, prev = self._indexed
-            row = self._rows[name]
-            stream = self._streams[name] = Stream(name, creators[created_by[row]])
-            seq = last[row]
-            while seq:
-                stream.seqs.append(seq)
-                # Links run back; a forged checkpoint cannot make this loop.
-                seq = prev[seq] if prev[seq] < seq else 0
-            stream.seqs.reverse()
-        return stream
+    def _row(self, name: str) -> int:
+        row = self._rows.get(name)
+        if row is None:
+            raise UnknownStream(f"unknown stream: {name}")
+        return row
 
     def create_stream(self, name: str, key: str, payload: bytes) -> StreamItem:
         """Create a lineage stream by appending its first item."""
@@ -542,21 +524,15 @@ class Ledger:
         if self.has_stream(name):
             raise DuplicateStream(f"stream already exists: {name}")
         _check_entry(key, payload)
-        item = self._append(name, key, payload)
-        self._add_stream(name, self._publisher).seqs.append(item.seq)
-        return item
+        return self._append(name, key, payload)
 
     def publish(self, stream: str, key: str, payload: bytes) -> StreamItem:
         """Append one transaction item to an existing stream."""
-        target = self._stream(stream)
-        if target is None:
-            raise UnknownStream(f"unknown stream: {stream}")
+        self._row(stream)
         if stream == ROOT_STREAM:
             raise RootPublishForbidden("the root stream holds no transaction items")
         _check_entry(key, payload)
-        item = self._append(stream, key, payload)
-        target.seqs.append(item.seq)
-        return item
+        return self._append(stream, key, payload)
 
     # -- reading ------------------------------------------------------------
 
@@ -573,13 +549,18 @@ class Ledger:
 
     def streams(self) -> list[Stream]:
         """All streams, in the order of their first items."""
-        return [self.stream(name) for name in self._order]
+        return [self.stream(name) for name in self._rows]
 
     def stream(self, name: str) -> Stream:
-        stream = self._stream(name)
-        if stream is None:
-            raise UnknownStream(f"unknown stream: {name}")
-        return stream
+        row = self._row(name)
+        seqs = []
+        seq, prev = self._last[row], self._prev
+        while seq:
+            seqs.append(seq)
+            # Links run back; a forged checkpoint cannot make this loop.
+            seq = prev[seq] if prev[seq] < seq else 0
+        seqs.reverse()
+        return Stream(name, self._creators[self._created_by[row]], seqs)
 
     def list_items(self, name: str, start: int = 0, count: int | None = None) -> list[StreamItem]:
         """Transaction items of a stream in ascending seq order.
@@ -596,11 +577,14 @@ class Ledger:
             start = max(0, len(seqs) + start)
         return [self.item(s) for s in seqs[start : start + count]]
 
-    def latest_item(self, name: str) -> StreamItem:
-        seqs = self.stream(name).seqs
-        if not seqs:
+    def latest_seq(self, name: str) -> int:
+        seq = self._last[self._row(name)]
+        if not seq:
             raise EmptyStream(f"stream has no items: {name}")
-        return self.item(seqs[-1])
+        return seq
+
+    def latest_item(self, name: str) -> StreamItem:
+        return self.item(self.latest_seq(name))
 
     def item(self, seq: int) -> StreamItem:
         try:

@@ -232,7 +232,7 @@ class Mediator:
             note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
             return (VerificationEntry(lineage, None, False, note), None)
         except LedgerError:
-            seq = self._ledger.stream(lineage.stream).seqs[-1]
+            seq = self._ledger.latest_seq(lineage.stream)
             return (VerificationEntry(lineage, seq, False, VERIFIED_MISMATCH), None)
         ops.ledger_reads += 1
         if instance is None:

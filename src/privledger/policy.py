@@ -13,7 +13,7 @@ import datetime as dt
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
-from .config import Record, parse_decimal
+from .config import ID_RULE, Record, is_id, parse_decimal
 
 
 class PolicyError(ValueError):
@@ -332,8 +332,8 @@ class AccessorProfile(Record):
     _fields = ("accessor_id", "role", "permission_level")
 
     def __init__(self, accessor_id: int, role: AccessorRole, permission_level: Sensitivity):
-        if not isinstance(accessor_id, int) or accessor_id < 1:
-            raise PolicyError("accessor id must be a positive integer")
+        if not is_id(accessor_id):
+            raise PolicyError(f"accessor id must be {ID_RULE}")
         if not isinstance(role, AccessorRole):
             raise PolicyError("role must be an AccessorRole")
         if not isinstance(permission_level, Sensitivity):

@@ -10,21 +10,23 @@ source of truth.
 Opening reads each family file in one streaming pass over its bytes and
 decodes every content and credential record.  Of policy.db it reads each
 line's lineage, ledger seq and tuple version with one anchored pattern,
-and keeps per lineage only where its latest line is (offset, length and
-line number), not the line; a line the pattern rejects, or one that is
-not UTF-8, fails the open, which then leaves no file open.  The latest
-tuple instance of a lineage is read back with os.pread and decoded on
-first touch, and checked against those indexed fields; a record that
-fails either, say because it changed on disk since open, raises
-CorruptRecord.  The store holds policy.db open for these reads and, from
-its first append, a handle appending to it, both until close().  Older versions stay on
-disk as history: policy.db is append-only, and no query reads them.
-Every write goes to the file before memory takes it.
+and keeps per lineage only those fields and where its latest line is
+(offset, length and line number), not the line, in one row of packed
+64-bit columns; a line the pattern rejects, one with a number of 2**63
+or more, or one that is not UTF-8, fails the open, which then leaves no
+file open.  The latest tuple instance of a lineage is read back with
+os.pread and decoded on first touch, and checked against those indexed
+fields; a record that fails either, say because it changed on disk since
+open, raises CorruptRecord.  The store holds policy.db open for these
+reads and, from its first append, a handle appending to it, both until
+close().  Older versions stay on disk as history: policy.db is
+append-only, and no query reads them.  Every write goes to the file
+before memory takes it.
 
 Like the ledger, policy.db has a checkpoint beside it (see ledger.py):
-the length and SHA-256 of a prefix open indexed, and per lineage the
-fields open read from its latest line in that prefix.  Where it holds,
-open takes the index from it and reads only the tail past that prefix.
+the length and SHA-256 of a prefix open indexed, and those columns as
+they stood at its end.  Where it holds and its values are in range, open
+takes the columns from it and reads only the tail past that prefix.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import json
 import os
 import re
 from array import array
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,7 +48,7 @@ from .ledger import (
     replace_file,
     save_checkpoint,
 )
-from .config import Record
+from .config import ID_LIMIT, ID_RULE, Record, is_id
 from .policy import AccessorProfile
 from .tuples import (
     DEFAULT_COST,
@@ -190,6 +193,8 @@ class ProviderRecord(Record):
     _fields = ("provider_id", "attributes")
 
     def __init__(self, provider_id: int, attributes: dict | None = None):
+        if not is_id(provider_id):
+            raise ValueError(f"provider id must be {ID_RULE}")
         self._set(provider_id, {} if attributes is None else attributes)
 
     def to_dict(self) -> dict:
@@ -212,6 +217,8 @@ class TupleInstance(Record):
         seq: int,
         encoded: bytes | None = None,
     ):
+        if not (isinstance(seq, int) and 0 <= seq < ID_LIMIT):
+            raise ValueError("seq must be an integer in [0, 2**63)")
         self._set(privacy_tuple, stream, seq)
         if encoded is not None:
             object.__setattr__(self, "_encoded", encoded)
@@ -309,7 +316,10 @@ def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
     match = _POLICY_LINE_RE.fullmatch(line)
     if match is None:
         raise ValueError("not a policy record")
-    seq, provider_id, attribute_id, accessor_id, version = map(int, match.groups())
+    fields = tuple(map(int, match.groups()))
+    if max(fields) >= ID_LIMIT:
+        raise ValueError("a seq, id or version is 2**63 or more")
+    seq, provider_id, attribute_id, accessor_id, version = fields
     return (provider_id, attribute_id, accessor_id), version, seq
 
 
@@ -354,13 +364,12 @@ class Store:
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        # Where each lineage's latest policy line is: the lines this store
-        # indexed or appended, over the rows of the checkpoint it opened
-        # from (per lineage a row of _columns: its provider, attribute and
-        # accessor, then the fields of its _Indexed).
-        self._latest: dict[tuple[int, int, int], _Indexed] = {}
+        # Where each lineage's latest policy line is, as a checkpoint holds
+        # it: each lineage's row by lineage, in the order of first lines,
+        # and per row in _columns its provider, attribute and accessor,
+        # then the fields of its _Indexed.
         self._rows: dict[tuple[int, int, int], int] = {}
-        self._columns: list[array] = []
+        self._columns = [array("q") for _ in range(8)]
         # The latest version per lineage, once decoded or published.
         self._instances: dict[tuple[int, int, int], TupleInstance] = {}
         self._policy = None  # policy.db, read-only, for first touches
@@ -428,14 +437,15 @@ class Store:
         ):
             if indexed is not None:
                 lineage, version, seq = indexed
-                self._latest[lineage] = _Indexed(version, seq, offset, length, lineno)
+                self._index_line(lineage, version, seq, offset, length, lineno)
         self._policy_lines = lineno
         self._policy_size = end = self._policy.tell()
         self._checkpoint_due |= end - start >= CHECKPOINT_TAIL_BYTES
         self._unterminated = end > 0 and os.pread(self._policy.fileno(), 1, end - 1) != b"\n"
 
     def _load_checkpoint(self) -> bool:
-        """Take the index of the checkpoint's prefix, if the checkpoint holds."""
+        """Take the index of the checkpoint's prefix, if the checkpoint holds
+        and its values are in range."""
         found = load_checkpoint(self._dir / POLICY_FILE, self._policy)
         if found is None:
             return False
@@ -446,22 +456,36 @@ class Store:
             lines, *columns = (int_array(part) for part in parts)
         except ValueError:
             return False
-        if len(lines) != 1 or len({len(column) for column in columns}) != 1:
+        rows = dict(zip(zip(*columns[:3]), range(len(columns[0]))))
+        offsets, lengths = columns[5:7]
+        if not (
+            len(lines) == 1
+            and len({len(rows), *map(len, columns)}) == 1
+            and min(min(column, default=0) for column in (lines, *columns)) >= 0
+            and max(map(add, offsets, lengths), default=0) <= self._policy.tell()
+        ):
             return False
         self._hasher = hasher
         self._policy_lines = lines[0]
         self._columns = columns
-        self._rows = dict(zip(zip(*columns[:3]), range(len(columns[0]))))
+        self._rows = rows
         return True
+
+    def _index_line(self, lineage: tuple[int, int, int], *fields: int):
+        """Make the fields of _Indexed the lineage's row."""
+        row = self._rows.get(lineage)
+        if row is None:
+            self._rows[lineage] = len(self._rows)
+            for column, value in zip(self._columns, (*lineage, *fields)):
+                column.append(value)
+        else:
+            for column, value in zip(self._columns[3:], fields):
+                column[row] = value
 
     def _where(self, lineage: tuple[int, int, int]) -> _Indexed | None:
         """Where the lineage's latest policy line is, if it has one."""
-        held = self._latest.get(lineage)
-        if held is None:
-            row = self._rows.get(lineage)
-            if row is not None:
-                held = _Indexed(*(column[row] for column in self._columns[3:]))
-        return held
+        row = self._rows.get(lineage)
+        return None if row is None else _Indexed(*(column[row] for column in self._columns[3:]))
 
     def save_checkpoint(self):
         """Write the checkpoint of all of policy.db this store indexed or
@@ -469,25 +493,9 @@ class Store:
         the file ends in a LF.  A write that fails raises nothing."""
         if not self._checkpoint_due or self._unterminated:
             return
-        # The rows open started from, brought up to date.
-        columns = [column[:] for column in self._columns] or [array("q") for _ in range(8)]
-        try:
-            for lineage, held in self._latest.items():
-                row = self._rows.get(lineage)
-                if row is None:
-                    for column, value in zip(columns, (*lineage, *held)):
-                        column.append(value)
-                else:
-                    for column, value in zip(columns[3:], held):
-                        column[row] = value
-        except OverflowError:  # a value beyond 64 bits: left to the full pass
-            return
-        save_checkpoint(
-            self._dir / POLICY_FILE,
-            self._policy_size,
-            self._hasher,
-            [array("q", [self._policy_lines]).tobytes(), *(column.tobytes() for column in columns)],
-        )
+        lines = array("q", [self._policy_lines])
+        parts = [part.tobytes() for part in (lines, *self._columns)]
+        save_checkpoint(self._dir / POLICY_FILE, self._policy_size, self._hasher, parts)
 
     def _read_records(self, name: str, decode) -> list:
         path = self._dir / name
@@ -570,7 +578,7 @@ class Store:
         offset, length, lineno = self._append_policy(
             instance.to_dict() if record is None else record
         )
-        self._latest[lineage] = _Indexed(instance.version, instance.seq, offset, length, lineno)
+        self._index_line(lineage, instance.version, instance.seq, offset, length, lineno)
         self._instances[lineage] = instance
         return lineage
 
@@ -600,11 +608,7 @@ class Store:
         return instance
 
     def lineage_version(self, lineage: tuple[int, int, int]) -> int:
-        lineage = tuple(lineage)
-        held = self._latest.get(lineage)
-        if held is not None:
-            return held.version
-        row = self._rows.get(lineage)
+        row = self._rows.get(tuple(lineage))
         return 0 if row is None else self._columns[3][row]
 
     # -- selection ----------------------------------------------------------

@@ -19,7 +19,7 @@ import secrets
 from enum import Enum
 from typing import NamedTuple
 
-from .config import DEFAULT_COST, MAX_COST, MIN_COST, Record
+from .config import DEFAULT_COST, ID_RULE, MAX_COST, MIN_COST, Record, is_id
 from .policy import AccessorProfile, PreferenceSet, Sensitivity
 
 
@@ -76,8 +76,8 @@ class AttributeMeta(Record):
         category: AttributeCategory,
         sensitivity_hint: Sensitivity,
     ):
-        if not isinstance(attribute_id, int) or attribute_id < 1:
-            raise TupleError("attribute id must be a positive integer")
+        if not is_id(attribute_id):
+            raise TupleError(f"attribute id must be {ID_RULE}")
         if not name:
             raise TupleError("attribute name must be non-empty")
         if not isinstance(category, AttributeCategory):
@@ -122,15 +122,15 @@ class PrivacyTuple(Record):
         accessor: AccessorProfile,
         version: int,
     ):
-        if not isinstance(provider_id, int) or provider_id < 1:
-            raise TupleError("provider id must be a positive integer")
+        if not is_id(provider_id):
+            raise TupleError(f"provider id must be {ID_RULE}")
         if prefs.attribute_id != attribute.attribute_id:
             raise MismatchedAttribute(
                 f"preferences target attribute {prefs.attribute_id}, "
                 f"tuple binds attribute {attribute.attribute_id}"
             )
-        if not isinstance(version, int) or version < 1:
-            raise TupleError("version must be a positive integer")
+        if not is_id(version):
+            raise TupleError(f"version must be {ID_RULE}")
         self._set(provider_id, attribute, prefs, accessor, version)
 
     @property

@@ -118,8 +118,7 @@ def reopen_engine(engine: Engine) -> Engine:
 def policy_index(store) -> list:
     """(lineage, where its latest policy line is) of every lineage the
     store indexed, in the order of their first lines."""
-    lineages = [*store._rows, *(lin for lin in store._latest if lin not in store._rows)]
-    return [(lineage, store._where(lineage)) for lineage in lineages]
+    return [(lineage, store._where(lineage)) for lineage in store._rows]
 
 
 def both_open_paths(engine: Engine) -> list[EngineConfig]:

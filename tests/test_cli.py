@@ -541,6 +541,37 @@ def test_set_and_where_values_are_integers_only_in_canonical_decimal(tmp_path, c
 
 
 # ---------------------------------------------------------------------------
+# ids
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["provider", "add", "--id", "0", "--set", "city=Red Deer"],
+         "error: provider id must be an integer in [1, 2**63)\n"),
+        (["accessor", "add", "--id", str(2**63), "--login", "huge",
+          "--password", "huge-secret", "--role", "ClinicalPhysician",
+          "--permission", "Level4Restricted"],
+         "error: accessor id must be an integer in [1, 2**63)\n"),
+    ],
+    ids=["provider-0", "accessor-2-to-the-63"],
+)
+def test_an_id_out_of_range_is_refused_and_changes_nothing(
+    demo_dir, tmp_path, capsys, argv, message
+):
+    data_dir = tmp_path / "demo-data"
+    shutil.copytree(demo_dir, data_dir)
+    before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+    assert run(capsys, "--data-dir", str(data_dir), *argv) == (1, "", message)
+    assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
+    everyone = query_args(data_dir, "street_name")[:-2]  # no --provider: all of them
+    code, out, err = run(capsys, *everyone)
+    assert (code, err) == (0, "")
+    assert "provider 4: 5202 50 Ave" in out
+
+
+# ---------------------------------------------------------------------------
 # policy set validation
 # ---------------------------------------------------------------------------
 

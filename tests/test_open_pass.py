@@ -13,15 +13,20 @@ Checkpoints: every generated file is opened twice, from a checkpoint of
 a canonical prefix taken before the change and without one, and both
 opens must agree (and agree with the reference): same refusal text or
 the same indexes, items, streams and chain report.  A checkpoint that is
-damaged, of another checker version or over a prefix that changed is
-ignored; a leftover temporary file changes nothing; a data directory
-where no checkpoint can be written still answers."""
+damaged, of another checker version, over a prefix that changed or
+sealed over values out of range is ignored; a leftover temporary file
+changes nothing; a data directory where no checkpoint can be written
+still answers.  A close after a checkpointed open and appends writes the
+bytes a full pass over the same files writes, and a directory that
+earlier code checkpointed opens from its checkpoints."""
 
 from __future__ import annotations
 
 import errno
 import hashlib
+import shutil
 import tempfile
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -45,14 +50,13 @@ from open_reference import reference_index_policy, reference_load_ledger
 from privledger import ledger as ledger_module
 from privledger import store as store_module
 from privledger.cli import main
-from privledger.engine import Engine
+from privledger.engine import Engine, EngineConfig
 from privledger.ledger import (
     CHECKER_VERSION,
     CHECKPOINT_SUFFIX,
     Ledger,
     LedgerError,
     checkpoint_path,
-    load_checkpoint,
     verify_records,
 )
 from privledger.store import POLICY_FILE, Store, StoreError
@@ -119,7 +123,10 @@ def layouts(draw, lines: list[str]) -> bytes:
         elif change == "repeat" and lines:
             index = draw(st.integers(0, len(lines) - 1))
             lines.insert(draw(st.integers(0, len(lines))), lines[index])
-    data = (ending.join(lines) + (ending if final and lines else "")).encode("utf-8")
+    # A lone surrogate a mutated line may hold is written as the bytes a
+    # surrogate-passing encoder makes, which are not UTF-8.
+    text = ending.join(lines) + (ending if final and lines else "")
+    data = text.encode("utf-8", "surrogatepass")
     for splice in splices:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + splice + data[at:]
@@ -478,8 +485,14 @@ def _checkpoints(config) -> dict[str, bytes]:
 
 
 def _usable(config, name) -> bool:
-    with open(config.data_dir / name, "rb") as fh:
-        return load_checkpoint(config.data_dir / name, fh) is not None
+    """Whether an open takes the file's index from its checkpoint, which
+    covers the whole file: it then checks none of the file's records."""
+    starts, lines = [], []
+    with mock.patch.object(ledger_module, "_records", _recording_starts(starts)), \
+            mock.patch.object(store_module, "_index_policy_line", _counting_policy_lines(lines)):
+        opened = Ledger(config.data_dir / name) if name == "ledger.db" else Store(config.data_dir)
+    opened.close()
+    return starts != [0] if name == "ledger.db" else not lines
 
 
 def _other_checker_version(data: bytes) -> bytes:
@@ -491,21 +504,88 @@ def _other_checker_version(data: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
+# The parts of each file's checkpoint, in order; the integer ones are
+# arrays of 64-bit integers, but for the prefix length.
+PARTS = {
+    "ledger.db": ("length", "sha256", "offsets", "digests", "names", "creators",
+                  "created_by", "last", "prev"),
+    POLICY_FILE: ("length", "sha256", "lines", "provider", "attribute", "accessor",
+                  "version", "seq", "offset", "line_length", "lineno"),
+}
+BYTE_PARTS = ("length", "sha256", "digests", "names", "creators")
+
+
+def _resealed(name, edit):
+    """A damage that edits the values of the file's checkpoint, given as
+    {part: value}, then seals it again: its SHA-256 still holds."""
+
+    def damage(data: bytes) -> bytes:
+        head = at = len(b"privledger checkpoint\n") + 4
+        parts = {}
+        for part in PARTS[name]:
+            size = int.from_bytes(data[at : at + 8], "big")
+            value = data[at + 8 : at + 8 + size]
+            parts[part] = value if part in BYTE_PARTS else array("q", value)
+            at += 8 + size
+        edit(parts)
+        values = [v if p in BYTE_PARTS else v.tobytes() for p, v in parts.items()]
+        body = data[:head] + b"".join(len(v).to_bytes(8, "big") + v for v in values)
+        return body + hashlib.sha256(body).digest()
+
+    return damage
+
+
+def _set(part, at, value):
+    """An edit that sets an integer part's value at an index; value may be
+    a function of the parts."""
+
+    def edit(parts):
+        parts[part][at] = value(parts) if callable(value) else value
+
+    return edit
+
+
+def _duplicate_last_stream_name(parts):
+    names = parts["names"].split(b"\n")
+    parts["names"] = b"\n".join([*names[:-1], names[-2]])
+
+
+def _duplicate_first_lineage(parts):
+    for column in ("provider", "attribute", "accessor"):
+        parts[column][1] = parts[column][0]
+
+
 DAMAGES = {
-    "truncated": lambda data: data[: len(data) // 2],
-    "cut-short-by-a-byte": lambda data: data[:-1],
-    "empty": lambda data: b"",
-    "garbage": lambda data: bytes(range(256)) * 8,
-    "flipped-byte": lambda data: data[:100] + bytes([data[100] ^ 1]) + data[101:],
-    "other-checker-version": _other_checker_version,
+    **{
+        (name, damage): edit
+        for damage, edit in {
+            "truncated": lambda data: data[: len(data) // 2],
+            "cut-short-by-a-byte": lambda data: data[:-1],
+            "empty": lambda data: b"",
+            "garbage": lambda data: bytes(range(256)) * 8,
+            "flipped-byte": lambda data: data[:100] + bytes([data[100] ^ 1]) + data[101:],
+            "other-checker-version": _other_checker_version,
+        }.items()
+        for name in CHECKPOINTED
+    },
+    # Whole and sealed, with values out of range.
+    ("ledger.db", "negative-latest-seq"): _resealed("ledger.db", _set("last", -1, -1)),
+    ("ledger.db", "negative-creator"): _resealed("ledger.db", _set("created_by", -1, -2)),
+    ("ledger.db", "negative-record-offset"): _resealed("ledger.db", _set("offsets", -1, -1)),
+    ("ledger.db", "duplicate-stream-name"): _resealed("ledger.db", _duplicate_last_stream_name),
+    (POLICY_FILE, "negative-line-offset"): _resealed(POLICY_FILE, _set("offset", -1, -1)),
+    (POLICY_FILE, "negative-version"): _resealed(POLICY_FILE, _set("version", -1, -1)),
+    (POLICY_FILE, "line-past-the-prefix"): _resealed(
+        POLICY_FILE, _set("offset", -1, lambda parts: int.from_bytes(parts["length"], "big"))
+    ),
+    (POLICY_FILE, "duplicate-lineage"): _resealed(POLICY_FILE, _duplicate_first_lineage),
 }
 
 
-@pytest.mark.parametrize("name", CHECKPOINTED)
-@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("name, damage", DAMAGES, ids=[f"{d}-{n}" for n, d in DAMAGES])
 def test_damaged_checkpoint_is_ignored(demo_config, name, damage):
     path = checkpoint_path(demo_config.data_dir / name)
-    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    path.write_bytes(DAMAGES[name, damage](path.read_bytes()))
     assert not _usable(demo_config, name)
     damaged = _opened_state(demo_config)
     path.unlink()
@@ -597,6 +677,71 @@ def test_a_tail_past_the_checkpoint_is_checked_and_checkpointed_when_long(demo_c
     Engine.open(demo_config).close()
     assert all(_checkpoints(demo_config)[name] != stale[name] for name in CHECKPOINTED)
     assert _opened_state(demo_config) == tail
+
+
+def test_close_after_a_checkpointed_open_writes_what_the_full_pass_writes(demo_config):
+    starts = []
+    with mock.patch.object(ledger_module, "_records", _recording_starts(starts)):
+        engine = Engine.open(demo_config)
+    assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
+    for attribute_id in (5, 6, 1, 5):  # a new lineage among those the checkpoint holds
+        engine.set_policy(
+            DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(attribute_id), attribute_id
+        )
+    engine.close()
+    written = _checkpoints(demo_config)
+    for name in CHECKPOINTED:
+        checkpoint_path(demo_config.data_dir / name).unlink()
+    Engine.open(demo_config).close()  # the full pass
+    assert _checkpoints(demo_config) == written
+
+
+# A data directory with both checkpoints, as the code before the index was
+# kept in the checkpoint's columns alone wrote it (checker version 1): the
+# demo plus a fourth version of its street_name lineage, so the two
+# lineage streams interleave.
+EARLIER_CHECKPOINTED = Path(__file__).resolve().parent.parent / "fixtures" / "checkpointed"
+
+
+def test_a_directory_earlier_code_checkpointed_opens_from_its_checkpoints(tmp_path):
+    config = EngineConfig(data_dir=tmp_path / "data", hash_cost=8)
+    shutil.copytree(EARLIER_CHECKPOINTED, config.data_dir)
+    earlier = _checkpoints(config)
+    assert all(_usable(config, name) for name in CHECKPOINTED)
+    from_checkpoints = _opened_state(config)
+    assert from_checkpoints[0] == "opened"
+    streams = from_checkpoints[3]
+    assert [(name, seqs) for name, _, seqs in streams] == [
+        ("root", []), ("stream-4-5-3", [1, 2, 3, 8]), ("stream-4-1-3", [4, 5, 6, 7])
+    ]
+    for name in CHECKPOINTED:
+        checkpoint_path(config.data_dir / name).unlink()
+    assert _opened_state(config) == from_checkpoints
+    Engine.open(config).close()  # the full pass writes the same bytes
+    assert _checkpoints(config) == earlier
+
+
+TOO_LARGE = "a seq, id or version is 2**63 or more"
+
+
+@pytest.mark.parametrize("accessor_id, opens", [(2**63 - 1, True), (2**63, False)])
+def test_a_policy_line_number_beyond_64_bits_is_unreadable(demo_config, accessor_id, opens):
+    path = demo_config.data_dir / POLICY_FILE
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.append(lines[-1].replace(b"stream-4-1-3", f"stream-4-1-{accessor_id}".encode()))
+    path.write_bytes(b"".join(lines))
+    checkpoint_path(path).unlink()  # so that open runs the full pass and close writes one
+    if not opens:
+        message = f"{path} line {len(lines)}: unreadable record ({TOO_LARGE})"
+        with pytest.raises(StoreError) as raised:
+            Store(demo_config.data_dir)
+        assert str(raised.value) == message
+        return
+    store = Store(demo_config.data_dir)
+    assert store.lineage_version((DEMO_PROVIDER_ID, 1, accessor_id)) == 4
+    store.save_checkpoint()
+    store.close()
+    assert _usable(demo_config, POLICY_FILE)
 
 
 def _temporaries(data_dir) -> list[str]:

@@ -206,6 +206,14 @@ def test_tuple_requires_known_provider(store):
         store.put_tuple_instance(sample_instance(store.catalog))
 
 
+def test_a_value_beyond_64_bits_is_refused_before_any_write(store, tmp_path):
+    store.put_provider_record(ProviderRecord(4, {}))
+    with pytest.raises(ValueError, match=r"seq must be an integer in \[0, 2\*\*63\)"):
+        store.put_tuple_instance(sample_instance(store.catalog, seq=2**63))
+    assert (tmp_path / "policy.db").read_bytes() == b""
+    assert store.lineage_version((4, 5, 3)) == 0
+
+
 def test_missing_lineage_reads(store):
     assert store.latest_tuple_instance((9, 9, 9)) is None
     assert store.lineage_version((9, 9, 9)) == 0
