@@ -193,6 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> EngineConfig:
+    # An empty flag names no directory; an empty environment variable is unset.
+    if args.data_dir == "":
+        raise CliError("--data-dir is empty", EXIT_USAGE)
     if args.config:
         config = EngineConfig.from_file(args.config)
     else:

@@ -36,6 +36,8 @@ import secrets
 import stat
 from array import array
 from binascii import unhexlify
+from itertools import islice
+from operator import lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -94,6 +96,7 @@ class RootPublishForbidden(LedgerError):
 _STREAM_NAME_RE = re.compile(_STREAM_NAME)
 _KEY_RE = re.compile(_KEY)
 _PAYLOAD_RE = re.compile(_PAYLOAD.encode("ascii"))
+LINEAGE_STREAM = "stream-{}-{}-{}"  # formatted with provider, attribute, accessor ids
 
 
 def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> str:
@@ -101,7 +104,7 @@ def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> st
     for value in (provider_id, attribute_id, accessor_id):
         if not isinstance(value, int) or value < 1:
             raise InvalidStreamName("lineage ids must be positive integers")
-    return f"stream-{provider_id}-{attribute_id}-{accessor_id}"
+    return LINEAGE_STREAM.format(provider_id, attribute_id, accessor_id)
 
 
 def _check_entry(key: str, payload: bytes):
@@ -385,6 +388,8 @@ class Ledger:
             and max(created_by) < len(creators)
             and max(last) < len(prev)
             and max(prev) < len(prev)
+            and all(map(lt, offsets, islice(offsets, 1, None)))  # record offsets rise
+            and offsets[-1] < self._reader.tell()  # to below the prefix's end
         ):
             return False
         self._hasher = hasher
@@ -584,7 +589,17 @@ class Ledger:
         return seq
 
     def latest_item(self, name: str) -> StreamItem:
-        return self.item(self.latest_seq(name))
+        """The stream's latest item; raises what latest_seq and item raise."""
+        row = self._rows.get(name)
+        if row is None:
+            raise UnknownStream(f"unknown stream: {name}")
+        seq = self._last[row]
+        if not seq:
+            raise EmptyStream(f"stream has no items: {name}")
+        entry = self._items[seq]  # open and the checkpoint checks keep seq in range
+        if entry is None:
+            entry = self._items[seq] = self._read(seq)
+        return entry
 
     def item(self, seq: int) -> StreamItem:
         try:
@@ -598,14 +613,16 @@ class Ledger:
 
     def _read(self, seq: int) -> StreamItem:
         """Build the item of a record open checked from the file, which
-        must still hold that record: the field check passes again and the
-        fields re-derive the digest open kept."""
+        must still hold that record: the read is whole, the field check
+        passes again and the fields re-derive the digest open kept."""
         start, end = self._offsets[seq], self._offsets[seq + 1]
-        record = os.pread(self._reader.fileno(), end - start, start)
         try:
+            record = os.pread(self._reader.fileno(), end - start, start)
+            if len(record) != end - start:
+                raise ValueError("the file ends inside the record")
             match = _match_line(record.decode("ascii").removesuffix("\n"))
             item = _build_item(match)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise LedgerError(
                 f"corrupt ledger record at seq {seq}: {exc}; run chain verification"
             ) from None

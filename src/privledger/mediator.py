@@ -1,17 +1,18 @@
 """Privacy-aware query mediation.
 
 Every query is decomposed into (provider, attribute, accessor) lineages.
-For each lineage the stored tuple instance's canonical encoding (derived
-once per stored version) is re-hashed and checked against the hash
-published on the lineage's ledger stream on every query; a single
+One pass over them re-hashes each stored tuple instance's canonical
+encoding (derived once per stored version) and checks it against the
+hash published on the lineage's ledger stream, on every query; a single
 mismatch aborts the whole request with zero disclosed cells.  Between
 queries only the parse of each lineage's latest published hash record is
-kept, never a verification outcome.  Verified lineages then pass through
-policy evaluation, the query is rewritten to the allowed attribute set,
-executed once, and each disclosed cell is transformed to its granted
-granularity.  A stored policy record that fails to decode on first touch,
-or a ledger record that fails its read back (changed on disk since open,
-or not matching its digest), is a mismatch too, never a pass.
+kept, never a verification outcome or an access decision.  Verified
+lineages then pass through policy evaluation, the query is rewritten to
+the allowed attribute set, executed once, and each disclosed cell is
+transformed to its granted granularity.  A stored policy record that
+fails to decode on first touch, or a ledger record that fails its read
+back (changed on disk since open, or not matching its digest), is a
+mismatch too, never a pass.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -25,7 +26,7 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-from .ledger import Ledger, LedgerError, StreamItem, UnknownStream, stream_name_for
+from .ledger import LINEAGE_STREAM, Ledger, LedgerError, UnknownStream
 from .config import Record
 from .policy import GranularityMode, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
@@ -58,11 +59,7 @@ class Lineage(NamedTuple):
 
     @property
     def stream(self) -> str:
-        return stream_name_for(self.provider_id, self.attribute_id, self.accessor_id)
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.provider_id, self.attribute_id, self.accessor_id)
+        return LINEAGE_STREAM.format(*self)
 
 
 class QueryRequest(Record):
@@ -204,54 +201,6 @@ class Mediator:
             for attribute_id in sorted(attribute_ids)
         ]
 
-    # -- verification -------------------------------------------------------
-
-    def _hash_record(self, item: StreamItem) -> HashRecord:
-        """The hash record a ledger item's payload holds.  The parse of the
-        latest item read on each stream is kept, so a repeat query parses
-        nothing; a payload that does not parse raises MalformedRecord on
-        every query and is never kept."""
-        kept = self._records.get(item.stream)
-        if kept is not None and kept[0] == item.seq:
-            return kept[1]
-        record = HashRecord.from_string(item.payload)
-        self._records[item.stream] = (item.seq, record)
-        return record
-
-    def _verify_lineage(
-        self, lineage: Lineage, ops: OpCounters
-    ) -> tuple[VerificationEntry, TupleInstance | None]:
-        try:
-            instance = self._store.latest_tuple_instance(lineage.key)
-            readable = True
-        except CorruptRecord:
-            instance, readable = None, False
-        try:
-            item = self._ledger.latest_item(lineage.stream)
-        except UnknownStream:  # a lineage stream has items from its start
-            note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
-            return (VerificationEntry(lineage, None, False, note), None)
-        except LedgerError:
-            seq = self._ledger.latest_seq(lineage.stream)
-            return (VerificationEntry(lineage, seq, False, VERIFIED_MISMATCH), None)
-        ops.ledger_reads += 1
-        if instance is None:
-            # A published hash with no readable stored plaintext cannot be
-            # verified.
-            return (
-                VerificationEntry(lineage, item.seq, False, VERIFIED_MISMATCH),
-                None,
-            )
-        try:
-            record = self._hash_record(item)
-        except MalformedRecord:
-            ok = False  # no digest is computed for a payload that does not parse
-        else:
-            ok = verify_hash(instance.encoded, record)
-            ops.hash_verifications += 1
-        note = VERIFIED_OK if ok else VERIFIED_MISMATCH
-        return (VerificationEntry(lineage, item.seq, ok, note), instance)
-
     # -- mediation ----------------------------------------------------------
 
     def mediate(self, request: QueryRequest, now: dt.date | None = None) -> MediationResult:
@@ -260,22 +209,71 @@ class Mediator:
         Hash inconsistency on any touched lineage aborts the whole
         request before anything is read from content.  Lineages without
         a published policy are denied, not aborted.  Equal requests over
-        unchanged state produce equal results.
+        unchanged state produce equal results.  Only if the pass over the
+        lineages verified every published one are their policies evaluated.
         """
         started = time.perf_counter()
         now = now or dt.date.today()
-        ops = OpCounters()
         accessor = self._store.get_accessor(request.accessor_id)
         lineages = self.analyze(request)
 
+        stream_name = LINEAGE_STREAM.format
+        latest_instance = self._store.latest_tuple_instance
+        latest_item = self._ledger.latest_item
+        records = self._records
         entries: list[VerificationEntry] = []
-        instances: dict[Lineage, TupleInstance | None] = {}
+        instances: list[TupleInstance | None] = []  # None: no published policy to evaluate
+        aborted = False
+        ledger_reads = hash_verifications = 0
         for lineage in lineages:
-            entry, instance = self._verify_lineage(lineage, ops)
-            entries.append(entry)
-            instances[lineage] = instance
+            stream = stream_name(*lineage)
+            try:
+                instance = latest_instance(lineage)
+                readable = True
+            except CorruptRecord:
+                instance, readable = None, False
+            try:
+                item = latest_item(stream)
+            except UnknownStream:  # a lineage stream has items from its start
+                note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
+                seq, ok, instance = None, False, None
+            except LedgerError:
+                seq, ok, note = self._ledger.latest_seq(stream), False, VERIFIED_MISMATCH
+            else:
+                ledger_reads += 1
+                seq = item.seq
+                # A published hash with no readable stored plaintext cannot
+                # be verified.  The parse of the latest hash record read on
+                # each stream is kept, so a repeat query parses nothing; a
+                # payload that does not parse is parsed again by every query
+                # and gets no digest computed.
+                record = None
+                if instance is not None:
+                    kept = records.get(stream)
+                    if kept is not None and kept[0] == seq:
+                        record = kept[1]
+                    else:
+                        try:
+                            record = HashRecord.from_string(item.payload)
+                        except MalformedRecord:
+                            pass
+                        else:
+                            # Keyed by the item's own name: no string kept per lineage.
+                            records[item.stream] = (seq, record)
+                if record is None:
+                    ok = False
+                else:
+                    ok = verify_hash(instance.encoded, record)
+                    hash_verifications += 1
+                note = VERIFIED_OK if ok else VERIFIED_MISMATCH
+            aborted = aborted or note == VERIFIED_MISMATCH
+            entries.append(VerificationEntry(lineage, seq, ok, note))
+            instances.append(instance)
 
-        if any(entry.note == VERIFIED_MISMATCH for entry in entries):
+        ops = OpCounters()
+        ops.ledger_reads = ledger_reads
+        ops.hash_verifications = hash_verifications
+        if aborted:
             total = (time.perf_counter() - started) * 1000.0
             return MediationResult(
                 status=MediationStatus.ABORTED,
@@ -298,23 +296,20 @@ class Mediator:
         }
         granted: dict[tuple[int, str], GranularityMode] = {}
         first_reason: dict[str, str] = {}
-        for lineage, entry in zip(lineages, entries):
-            name = id_to_name[lineage.attribute_id]
-            instance = instances[lineage]
+        evaluations = 0
+        for (provider_id, attribute_id, _), instance in zip(lineages, instances):
+            name = id_to_name[attribute_id]
             if instance is None:
                 first_reason.setdefault(name, NO_PUBLISHED_POLICY)
                 continue
-            decision = evaluate_access(
-                instance.privacy_tuple.prefs,
-                accessor,
-                request.requested_purpose,
-                now,
-            )
-            ops.policy_evaluations += 1
+            prefs = instance.privacy_tuple.prefs
+            decision = evaluate_access(prefs, accessor, request.requested_purpose, now)
+            evaluations += 1
             if decision.allowed:
-                granted[(lineage.provider_id, name)] = decision.granularity
-            else:
-                first_reason.setdefault(name, decision.reason.token)
+                granted[(provider_id, name)] = decision.granularity
+            elif name not in first_reason:
+                first_reason[name] = decision.reason.token
+        ops.policy_evaluations = evaluations
 
         granted_names = {name for _, name in granted}
         allowed_names = [

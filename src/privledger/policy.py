@@ -368,13 +368,10 @@ class AccessDecision(NamedTuple):
     granularity: GranularityMode | None = None
     reason: DenialReason | None = None
 
-    @classmethod
-    def allow(cls, mode: GranularityMode) -> AccessDecision:
-        return cls(allowed=True, granularity=mode)
 
-    @classmethod
-    def deny(cls, reason: DenialReason) -> AccessDecision:
-        return cls(allowed=False, reason=reason)
+# The decisions evaluate_access returns, one per outcome, shared.
+_GRANTS = {mode: AccessDecision(True, mode) for mode in GranularityMode}
+_DENIALS = {reason: AccessDecision(False, None, reason) for reason in DenialReason}
 
 
 def retention_active(retention: RetentionPolicy, now: dt.date) -> bool:
@@ -383,13 +380,12 @@ def retention_active(retention: RetentionPolicy, now: dt.date) -> bool:
     False before the effective date (data not yet disclosable).  A zero
     duration means indefinite retention.  The window end is exclusive:
     a 365-day window starting 2021-06-01 is already inactive on
-    2022-06-01.
+    2022-06-01.  The window is decided by day count, so one that ends
+    past the last calendar date is open to its end.
     """
-    if now < retention.effective_date:
-        return False
-    if retention.duration_days == 0:
-        return True
-    return now < retention.effective_date + dt.timedelta(days=retention.duration_days)
+    days = (now - retention.effective_date).days
+    duration = retention.duration_days
+    return days >= 0 and (duration == 0 or days < duration)
 
 
 def evaluate_access(
@@ -404,19 +400,17 @@ def evaluate_access(
     visibility, then sensitivity, then purpose, then retention.  Pure
     function of its arguments.
     """
-    permitted = prefs.visibility.allowed_roles | prefs.third_party_accessors
-    if accessor.role not in permitted:
-        return AccessDecision.deny(DenialReason.VISIBILITY_VIOLATION)
+    role = accessor.role
+    if role not in prefs.visibility.allowed_roles and role not in prefs.third_party_accessors:
+        return _DENIALS[DenialReason.VISIBILITY_VIOLATION]
     if prefs.sensitivity > accessor.permission_level:
-        return AccessDecision.deny(DenialReason.SENSITIVITY_EXCEEDED)
-    if (
-        prefs.purpose.mode is PurposeMode.REUSE_SELECTED
-        and requested_purpose != prefs.purpose.declared_purpose
-    ):
-        return AccessDecision.deny(DenialReason.PURPOSE_MISMATCH)
+        return _DENIALS[DenialReason.SENSITIVITY_EXCEEDED]
+    purpose = prefs.purpose
+    if purpose.mode is PurposeMode.REUSE_SELECTED and requested_purpose != purpose.declared_purpose:
+        return _DENIALS[DenialReason.PURPOSE_MISMATCH]
     if not retention_active(prefs.retention, now):
-        return AccessDecision.deny(DenialReason.RETENTION_EXPIRED)
-    return AccessDecision.allow(prefs.granularity.mode)
+        return _DENIALS[DenialReason.RETENTION_EXPIRED]
+    return _GRANTS[prefs.granularity.mode]
 
 
 # Characters that survive Partial masking besides the leading character.

@@ -584,8 +584,8 @@ class Store:
 
     def latest_tuple_instance(self, lineage: tuple[int, int, int]) -> TupleInstance | None:
         """The latest version, decoded on first touch; raises CorruptRecord
-        when its record fails to decode or disagrees with its index."""
-        lineage = tuple(lineage)
+        when its record fails to decode or disagrees with its index.  The
+        lineage is a tuple, or a tuple subclass such as a mediator Lineage."""
         instance = self._instances.get(lineage)
         if instance is None:
             indexed = self._where(lineage)

@@ -277,6 +277,24 @@ def test_query_now_flag_controls_retention(demo_dir, capsys):
     assert code == 2
 
 
+def test_a_retention_window_past_the_calendar_answers(demo_dir, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    shutil.copytree(demo_dir, data_dir)
+    policy = tmp_path / "policy.txt"
+    policy.write_text(STREET_POLICY.read_text().replace("duration_days = 0", "duration_days = 4000000"))
+    code, out, err = run(
+        capsys, "--data-dir", str(data_dir), "policy", "set",
+        "--provider", "4", "--attribute", "5", "--accessor", "3", "--file", str(policy),
+    )
+    assert code == 0
+    # Over every provider, on the default date and at the last calendar date.
+    argv = query_args(data_dir, "street_name", "first_name")[:-2]
+    for extra in ((), ("--now", "9999-12-31")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert "5202 50 Ave" in out
+
+
 def _where(demo_dir, capsys, attribute, condition):
     """JSON records of a filtered all-provider query, timing left out."""
     code, out, err = run(
@@ -437,6 +455,23 @@ def test_config_file_empty_data_dir(tmp_path, capsys, monkeypatch, argv):
     code, out, err = run(capsys, "--config", str(config), *argv)
     assert (code, out, err) == (1, "", "error: line 2: data_dir is empty\n")
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("argv", [["init"], ["ledger", "verify"]], ids=["init", "verify"])
+def test_an_empty_data_dir_flag_is_refused_and_creates_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "env-data"))
+    code, out, err = run(capsys, "--data-dir", "", *argv)
+    assert (code, out, err) == (2, "", "error: --data-dir is empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_data_dir_variable_counts_as_unset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(DATA_DIR_ENV, "")
+    code, out, err = run(capsys, "init")
+    assert code == 0
+    assert (tmp_path / "privledger-data" / "ledger.db").exists()
 
 
 def test_env_var_selects_data_dir(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,203 @@
+"""Mediation in one pass answers as the two-pass reference does.
+
+Mediator.mediate verifies every lineage in one pass and then decides the
+verified ones' policies.  tests/mediation_reference.py keeps the
+mediation as it was before: a method per lineage, a dict of instances, a
+second scan for a mismatch, and the access decision that built a role
+union and a window end per call.  For random point, all-provider and
+filtered requests over a population that meets every denial reason,
+with unpublished lineages and with damage drawn per lineage (a tampered
+stored tuple, a ledger payload that does not parse, a stored record that
+does not decode, a ledger record that fails its read back), both give
+equal results in every field but timing, their operation counts
+included, on a first query and on its repeat.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+import json
+import random
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import WORDS, make_accessor, make_engine, random_prefs
+from mediation_reference import ReferenceMediator
+from privledger.engine import Engine, EngineConfig
+from privledger.ledger import LedgerError, stream_name_for
+from privledger.mediator import INTEGRITY_ABORT, NO_PUBLISHED_POLICY, QueryRequest
+from privledger.policy import AccessorRole, DenialReason, Sensitivity
+from privledger.store import StoreError
+
+PROVIDERS = (1, 2, 3, 4)
+ACCESSORS = {
+    1: (AccessorRole.CLINICAL_PHYSICIAN, Sensitivity.LEVEL4_RESTRICTED),
+    2: (AccessorRole.THIRD_PARTY_ALLIED, Sensitivity.LEVEL2_INTERNAL_USE),
+    3: (AccessorRole.CLINICAL_NURSE, Sensitivity.LEVEL3_CONFIDENTIAL),
+}
+ATTRIBUTES = ("first_name", "street_name", "city", "chart_number", "witness_city")
+VALUES = ("Calgary", "Leduc", "Quinn", "CH-00001")
+PURPOSES = WORDS[:3]
+DATES = (dt.date(2019, 6, 1), dt.date(2021, 7, 1), dt.date(2024, 1, 1))
+DAMAGES = ("tampered", "malformed-payload", "undecodable", "read-back")
+
+
+@pytest.fixture(scope="module")
+def population(tmp_path_factory):
+    """The data directory of four providers, three accessors and random
+    policies, some lineages unpublished and some republished, and the
+    lineages it publishes."""
+    rng = random.Random("mediation-pass")
+    engine = make_engine(tmp_path_factory.mktemp("population"))
+    for accessor_id, (role, level) in ACCESSORS.items():
+        engine.add_accessor(f"login-{accessor_id}", "secret", make_accessor(accessor_id, role, level))
+    catalog = engine.store.catalog
+    published = []
+    for provider_id in PROVIDERS:
+        values = {name: rng.choice(VALUES) for name in ATTRIBUTES if rng.random() < 0.8}
+        engine.add_provider(provider_id, values)
+        for name in ATTRIBUTES:
+            attribute_id = catalog.by_name(name).attribute_id
+            for accessor_id in ACCESSORS:
+                if rng.random() < 0.2:
+                    continue  # no policy published
+                for _ in range(rng.choice((1, 1, 2))):
+                    engine.set_policy(provider_id, accessor_id, random_prefs(rng, attribute_id))
+                published.append((provider_id, attribute_id, accessor_id))
+    engine.close()
+    return engine.config, published
+
+
+@st.composite
+def requests(draw):
+    attributes = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=1, max_size=3, unique=True))
+    predicate = draw(st.dictionaries(st.sampled_from(ATTRIBUTES), st.sampled_from(VALUES), max_size=2))
+    if draw(st.booleans()):
+        predicate["provider_id"] = draw(st.sampled_from(PROVIDERS))
+    return QueryRequest(
+        accessor_id=draw(st.sampled_from(sorted(ACCESSORS))),
+        requested_purpose=draw(st.sampled_from(PURPOSES)),
+        attributes=tuple(attributes),
+        predicate=predicate,
+        provider_id=draw(st.one_of(st.none(), st.sampled_from(PROVIDERS))),
+    )
+
+
+def _latest_line_span(path: Path, stream: str) -> tuple[int, int]:
+    """Start and end of the last policy.db line on the stream."""
+    start, span, field = 0, None, f'"stream": "{stream}"'.encode()
+    for line in path.read_bytes().splitlines(keepends=True):
+        if field in line:  # a line another damage left undecodable holds none
+            span = (start, start + len(line))
+        start += len(line)
+    return span
+
+
+def _overwrite(path: Path, start: int, data: bytes):
+    content = path.read_bytes()
+    path.write_bytes(content[:start] + data + content[start + len(data) :])
+
+
+def _tamper(data_dir: Path, stream: str):
+    """Change the stored tuple the stream's latest hash was taken from."""
+    path = data_dir / "policy.db"
+    start, end = _latest_line_span(path, stream)
+    content = path.read_bytes()
+    record = json.loads(content[start:end])
+    record["tuple"]["prefs"]["purpose"]["declared_purpose"] += "-tampered"
+    line = json.dumps(record, sort_keys=True).encode() + b"\n"
+    path.write_bytes(content[:start] + line + content[end:])
+
+
+def _damage_after_open(engine: Engine, stream: str, kind: str):
+    if kind == "malformed-payload":
+        engine.ledger.publish(stream, "key-bad", b"$pbkdf2$8$not-a-salt")
+    elif kind == "undecodable":
+        path = engine.config.data_dir / "policy.db"
+        start, end = _latest_line_span(path, stream)
+        _overwrite(path, start, b"{" * (end - start - 1))
+    elif kind == "read-back":
+        # A payload digit changed: the record no longer gives its digest.
+        seq = engine.ledger.stream(stream).seqs[-1]
+        path = engine.ledger.path
+        at = 0
+        for line in path.read_bytes().splitlines(keepends=True):
+            if line.startswith(f"{seq}\t".encode()):
+                payload_end = at + len(b"\t".join(line.split(b"\t")[:6]))
+                digit = line.split(b"\t")[5][-1:]
+                _overwrite(path, payload_end - 1, b"1" if digit == b"0" else b"0")
+                break
+            at += len(line)
+
+
+def _outcome(mediate, request, now):
+    """The result with its timing left out, or the error raised."""
+    try:
+        return mediate(request, now=now)._replace(timing=None)
+    except (LedgerError, StoreError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    request=requests(),
+    now=st.sampled_from(DATES),
+    damage=st.data(),
+)
+def test_one_pass_mediation_equals_the_reference(population, request, now, damage):
+    config, published = population
+    damaged = damage.draw(
+        st.dictionaries(st.sampled_from(published), st.sampled_from(DAMAGES), max_size=2)
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        data_dir = Path(scratch) / "data"
+        shutil.copytree(config.data_dir, data_dir)
+        for lineage, kind in damaged.items():
+            if kind == "tampered":
+                _tamper(data_dir, stream_name_for(*lineage))
+        engine = Engine.open(EngineConfig(data_dir, config.hash_cost))
+        try:
+            # A publication first: it reads the ledger's last record.
+            for lineage, kind in sorted(damaged.items(), key=lambda pair: pair[1] != "malformed-payload"):
+                if kind != "tampered":
+                    _damage_after_open(engine, stream_name_for(*lineage), kind)
+            reference = ReferenceMediator(engine.store, engine.ledger)
+            for _ in range(2):  # the repeat finds each parse kept
+                assert _outcome(engine.mediate, request, now) == _outcome(
+                    reference.mediate, request, now
+                )
+        finally:
+            engine.close()
+
+
+def test_the_population_meets_every_outcome(population, tmp_path):
+    """The generated requests can meet every denial reason and an abort."""
+    config, published = population
+    engine = Engine.open(config)
+    try:
+        reference = ReferenceMediator(engine.store, engine.ledger)
+        reasons = set()
+        for accessor_id in ACCESSORS:
+            for purpose in PURPOSES:
+                for now in DATES:
+                    request = QueryRequest(accessor_id, purpose, ATTRIBUTES)
+                    reasons |= {reason for _, reason in reference.mediate(request, now=now).denials}
+    finally:
+        engine.close()
+    assert reasons == {reason.token for reason in DenialReason} | {NO_PUBLISHED_POLICY}
+    # A tampered tuple aborts.
+    data_dir = tmp_path / "data"
+    shutil.copytree(config.data_dir, data_dir)
+    _tamper(data_dir, stream_name_for(*published[0]))
+    engine = Engine.open(EngineConfig(data_dir, config.hash_cost))
+    try:
+        request = QueryRequest(published[0][2], PURPOSES[0], ATTRIBUTES)
+        result = engine.mediate(request, now=DATES[1])
+        assert {reason for _, reason in result.denials} == {INTEGRITY_ABORT}
+    finally:
+        engine.close()

@@ -550,6 +550,16 @@ def _duplicate_last_stream_name(parts):
     parts["names"] = b"\n".join([*names[:-1], names[-2]])
 
 
+def _swap_offsets(first, second):
+    """An edit that swaps two records' offsets, so they no longer rise."""
+
+    def edit(parts):
+        offsets = parts["offsets"]
+        offsets[first], offsets[second] = offsets[second], offsets[first]
+
+    return edit
+
+
 def _duplicate_first_lineage(parts):
     for column in ("provider", "attribute", "accessor"):
         parts[column][1] = parts[column][0]
@@ -573,6 +583,7 @@ DAMAGES = {
     ("ledger.db", "negative-creator"): _resealed("ledger.db", _set("created_by", -1, -2)),
     ("ledger.db", "negative-record-offset"): _resealed("ledger.db", _set("offsets", -1, -1)),
     ("ledger.db", "duplicate-stream-name"): _resealed("ledger.db", _duplicate_last_stream_name),
+    ("ledger.db", "swapped-record-offsets"): _resealed("ledger.db", _swap_offsets(-2, -1)),
     (POLICY_FILE, "negative-line-offset"): _resealed(POLICY_FILE, _set("offset", -1, -1)),
     (POLICY_FILE, "negative-version"): _resealed(POLICY_FILE, _set("version", -1, -1)),
     (POLICY_FILE, "line-past-the-prefix"): _resealed(
@@ -719,6 +730,25 @@ def test_a_directory_earlier_code_checkpointed_opens_from_its_checkpoints(tmp_pa
     assert _opened_state(config) == from_checkpoints
     Engine.open(config).close()  # the full pass writes the same bytes
     assert _checkpoints(config) == earlier
+
+
+def test_a_query_over_swapped_record_offsets_answers_as_the_full_pass(tmp_path, capsys):
+    config = EngineConfig(data_dir=tmp_path / "data", hash_cost=8)
+    shutil.copytree(EARLIER_CHECKPOINTED, config.data_dir)
+    path = checkpoint_path(config.data_dir / "ledger.db")
+    path.write_bytes(_resealed("ledger.db", _swap_offsets(7, 8))(path.read_bytes()))
+    query = [
+        "--data-dir", str(config.data_dir), "--json", "query",
+        "--login", DEMO_ACCESSOR_LOGIN, "--password", DEMO_ACCESSOR_PASSWORD,
+        "--purpose", "care-delivery", "--attributes", "first_name,street_name",
+        "--now", "2021-07-01",
+    ]
+    assert main(query) == 0
+    swapped = capsys.readouterr()
+    assert swapped.err == ""
+    path.unlink()
+    assert main(query) == 0
+    assert _without_timing(swapped.out) == _without_timing(capsys.readouterr().out)
 
 
 TOO_LARGE = "a seq, id or version is 2**63 or more"

@@ -180,6 +180,26 @@ def test_single_day_window():
     assert not retention_active(window, dt.date(2021, 6, 2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.dates(), st.dates(), st.integers(0, 10**12))
+def test_retention_is_decided_by_day_count(effective, now, duration):
+    """The window holds day numbers effective .. effective + duration - 1
+    (no end when duration is 0), however far past the calendar it ends."""
+    first = effective.toordinal()
+    inside = first <= now.toordinal() and (duration == 0 or now.toordinal() < first + duration)
+    window = RetentionPolicy(effective_date=effective, duration_days=duration)
+    assert retention_active(window, now) is inside
+
+
+def test_a_window_ending_past_the_calendar_is_open_to_its_end():
+    window = RetentionPolicy(effective_date=dt.date(2021, 1, 1), duration_days=4_000_000)
+    assert retention_active(window, dt.date(2021, 1, 1))
+    assert retention_active(window, dt.date.max)
+    assert not retention_active(window, dt.date(2020, 12, 31))
+    decision = evaluate_access(make_prefs(duration=4_000_000), make_accessor(), "care-delivery", NOW)
+    assert decision.allowed
+
+
 # ---------------------------------------------------------------------------
 # apply_granularity
 # ---------------------------------------------------------------------------

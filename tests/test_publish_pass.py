@@ -269,7 +269,7 @@ def test_failed_store_write_in_set_policy_aborts_the_lineage(tmp_path):
     (tmp_path / "policy.db.kept").rename(policy)
 
     def mismatches(result):
-        return [e.lineage.key for e in result.verification if e.note == "mismatch"]
+        return [e.lineage for e in result.verification if e.note == "mismatch"]
 
     result = engine.mediate(request)
     assert result.status is MediationStatus.ABORTED

@@ -10,7 +10,9 @@ paths: from the checkpoints the last close wrote, and the full pass."""
 from __future__ import annotations
 
 import datetime as dt
+import errno
 import gc
+import os
 import re
 import tracemalloc
 
@@ -90,7 +92,7 @@ def _assert_query_aborts(engine, seq):
         ("street_name", INTEGRITY_ABORT),
         ("first_name", INTEGRITY_ABORT),
     )
-    entries = {entry.lineage.key: entry for entry in result.verification}
+    entries = {entry.lineage: entry for entry in result.verification}
     assert (entries[LINEAGE].note, entries[LINEAGE].seq) == ("mismatch", seq)
     assert result.ops.selects == 0
 
@@ -122,6 +124,24 @@ def test_ledger_record_changed_after_open_fails_its_first_read(engines, how):
         # A failed read is not cached: the next one fails again.
         with pytest.raises(LedgerError, match="run chain verification"):
             opened.ledger.item(seq)
+
+
+def test_a_ledger_read_the_system_refuses_fails_as_a_read_back(engines, monkeypatch):
+    def refused(fd, length, offset):
+        raise OSError(errno.EIO, "Input/output error")
+
+    for opened in engines:
+        seq = opened.ledger.stream(STREAM).seqs[-1]
+        for lineage in (LINEAGE, (DEMO_PROVIDER_ID, 1, DEMO_ACCESSOR_ID)):
+            opened.store.latest_tuple_instance(lineage)  # read before reads fail
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "pread", refused)
+            with pytest.raises(
+                LedgerError,
+                match=rf"^corrupt ledger record at seq {seq}: \[Errno 5\] .+; run chain verification$",
+            ):
+                opened.ledger.latest_item(STREAM)
+            _assert_query_aborts(opened, seq)
 
 
 def _next_version(line: bytes) -> bytes:

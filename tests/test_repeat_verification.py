@@ -19,7 +19,7 @@ from helpers import (
     make_engine,
     make_prefs,
 )
-from privledger import store, tuples
+from privledger import mediator, store, tuples
 from privledger.engine import Engine
 from privledger.mediator import INTEGRITY_ABORT, WITHHELD, MediationStatus, QueryRequest
 from privledger.policy import PurposeMode
@@ -93,7 +93,7 @@ def payloads(engine, entries):
 
 def stored_encodings(engine, entries):
     return [
-        canonical_encode(engine.store.latest_tuple_instance(e.lineage.key).privacy_tuple)
+        canonical_encode(engine.store.latest_tuple_instance(e.lineage).privacy_tuple)
         for e in entries
     ]
 
@@ -115,7 +115,7 @@ def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes, 
         assert first.ops.hash_verifications == len(hashed) == len(entries)
         # The bytes verified are the decoded instance's canonical encoding.
         assert hashed == stored_encodings(engine, entries)
-        assert sorted(encodes) == sorted(e.lineage.key for e in entries)
+        assert sorted(encodes) == sorted(e.lineage for e in entries)
         assert parsed == payloads(engine, entries)
 
         hashed.clear()
@@ -131,13 +131,52 @@ def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes, 
         engine.close()
 
 
+def test_every_repeat_of_a_filtered_scan_hashes_and_evaluates_each_lineage(
+    configs, hashed, monkeypatch
+):
+    evaluated = []
+    original = mediator.evaluate_access
+
+    def counting(prefs, *args):
+        evaluated.append(prefs.attribute_id)
+        return original(prefs, *args)
+
+    monkeypatch.setattr(mediator, "evaluate_access", counting)
+    for config in configs:
+        engine = Engine.open(config)
+        city = engine.store.select_rows(["city"])[0][1][0]
+        request = QueryRequest(
+            accessor_id=BENCH_ACCESSOR_ID,
+            requested_purpose=BENCH_PURPOSE,
+            attributes=("first_name", "city", "chart_number", "witness_city"),
+            predicate={"city": city},
+        )
+        results = []
+        for _ in range(4):  # the first query warms the engine
+            hashed.clear()
+            evaluated.clear()
+            result = engine.mediate(request, now=NOW)
+            assert result.status is MediationStatus.COMPLETED
+            entries = published(result)
+            verified = [e for e in result.verification if e.verified]
+            assert len(entries) == len(verified) == 9 and len(result.verification) == 12
+            assert len(hashed) == result.ops.hash_verifications == len(entries)
+            assert hashed == stored_encodings(engine, entries)
+            assert len(evaluated) == result.ops.policy_evaluations == len(verified)
+            assert evaluated == [e.lineage.attribute_id for e in verified]
+            results.append(result)
+        assert all(result.rows == results[0].rows != () for result in results)
+        assert all(result.ops == results[0].ops for result in results)
+        engine.close()
+
+
 def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, parsed):
     for config in configs:
         hashed.clear()
         encodes.clear()
         engine = Engine.open(config)
         first = engine.mediate(REQUEST, now=NOW)
-        [old] = [e for e in first.verification if e.lineage.key == (1, CITY, BENCH_ACCESSOR_ID)]
+        [old] = [e for e in first.verification if e.lineage == (1, CITY, BENCH_ACCESSOR_ID)]
         assert old.verified
         assert first.rows[0].provider_id == 1
         assert first.rows[0].cells[1] != WITHHELD
@@ -152,11 +191,11 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, p
         second = engine.mediate(REQUEST, now=NOW)
         assert encodes == []  # the published version keeps the bytes it was hashed from
         assert parsed == [engine.ledger.item(publication.seq).payload]
-        [new] = [e for e in second.verification if e.lineage.key == old.lineage.key]
+        [new] = [e for e in second.verification if e.lineage == old.lineage]
         assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
         assert second.ops.hash_verifications == first.ops.hash_verifications == len(hashed)
         # The bytes verified are the freshly published instance's encoding.
-        instance = engine.store.latest_tuple_instance(old.lineage.key)
+        instance = engine.store.latest_tuple_instance(old.lineage)
         assert instance.version == publication.version
         assert hashed == stored_encodings(engine, published(second))
         assert instance.encoded == canonical_encode(instance.privacy_tuple)
@@ -191,7 +230,7 @@ def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
             assert result.status is MediationStatus.ABORTED
             assert result.rows == () and disclosed(result) == 0
             assert result.denials == tuple((name, INTEGRITY_ABORT) for name in REQUEST.attributes)
-            assert [e.lineage.key for e in result.verification if e.note == "mismatch"] == [
+            assert [e.lineage for e in result.verification if e.note == "mismatch"] == [
                 (2, CITY, BENCH_ACCESSOR_ID)
             ]
             assert result.ops.hash_verifications == len(hashed) == 6
@@ -242,7 +281,7 @@ def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed)
             result = engine.mediate(REQUEST, now=NOW)
             assert result.status is MediationStatus.ABORTED
             assert result.rows == () and disclosed(result) == 0
-            assert [(e.lineage.key, e.seq) for e in result.verification if e.note == "mismatch"] == [
+            assert [(e.lineage, e.seq) for e in result.verification if e.note == "mismatch"] == [
                 ((2, CITY, BENCH_ACCESSOR_ID), bad.seq)
             ]
             assert parsed.count(bad.payload) == 1  # parsed again by every query
