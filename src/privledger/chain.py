@@ -18,8 +18,7 @@ Chain verification re-derives every digest and link from the matched
 fields.
 
 This module imports no other privledger module, nor ``typing``, so a
-``ledger verify`` process loads it and config.py only.  ledger.py
-re-exports its names.
+``ledger verify`` process loads it and config.py only.
 """
 
 from __future__ import annotations

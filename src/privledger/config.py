@@ -10,7 +10,7 @@ This module imports no other privledger module, so a command that opens
 no engine (``ledger verify``) loads it and the chain module only.  It
 also holds what the engine modules share with the configuration: the
 plain Record base class, the one rule for integers in outside text, the
-one rule for ids and the bounds of the hash cost.  ``engine`` re-exports its names.
+one rule for ids and the bounds of the hash cost.
 """
 
 from __future__ import annotations

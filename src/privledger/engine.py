@@ -8,10 +8,11 @@ then records the plaintext instance in the store, so the ledger is never
 behind the store.
 
 Closing writes the checkpoints that let the next open skip the checks of
-what this one checked or wrote (see ledger.py); nothing else writes them.
+what this one checked or wrote (see ledger.IndexedFile); nothing else
+writes them.
 
 The configuration, the data format check and the engine's errors are in
-config.py, which imports nothing of the engine; they are re-exported here.
+config.py, which imports nothing of the engine.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ from __future__ import annotations
 import datetime as dt
 from typing import NamedTuple
 
-from .config import (  # noqa: F401  re-exported
-    DATA_DIR_ENV,
+from .config import (
     FORMAT,
     FORMAT_FILE,
-    LEDGER_FILE,
     AlreadyInitialized,
-    ConfigError,
     EngineConfig,
     EngineError,
     NotInitialized,
-    UnsupportedFormat,
     require_format,
 )
 from .ledger import Ledger, stream_name_for

@@ -1,8 +1,7 @@
 """Append-only hash-chained ledger with named streams, in data format 3.
 
 The record format, its field check and chain verification are in
-chain.py, which imports nothing of the engine; their names are
-re-exported here.
+chain.py, which imports nothing of the engine.
 
 Open runs chain.py's pass over the file's bytes, CHUNK_BYTES at a time,
 and also checks seq continuity and the genesis rule.  It keeps no text:
@@ -15,15 +14,8 @@ at its offset, which must pass the field check again and re-derive the
 digest open kept, so a record that changed on disk since open fails that
 read.  Chain verification re-derives every digest and link.
 
-A checkpoint beside the file (CHECKPOINT_SUFFIX) lets open skip that pass
-over a prefix checked before: it holds the checker version, the length and
-SHA-256 of a prefix that passed every open check, and the index open
-built from it.  Open hashes the prefix CHUNK_BYTES at a time; if the
-checkpoint is whole, of this CHECKER_VERSION, its prefix is unchanged and
-its values are in range, open takes the index from it and runs the pass
-over the tail only.  Else it runs the pass over the whole file, as if
-there were no checkpoint.  First reads check each record against the
-file as before.
+IndexedFile keeps what ledger.db shares with the store's policy.db: the
+handles, the checkpoint beside the file, when one is due, and appends.
 """
 
 from __future__ import annotations
@@ -41,28 +33,25 @@ from operator import lt
 from pathlib import Path
 from typing import NamedTuple
 
-from .chain import (  # noqa: F401  re-exported
+from .chain import (
     _KEY,
     _PAYLOAD,
     _ROOT,
     _STREAM_NAME,
     CHUNK_BYTES,
     DIGEST_BYTES,
-    MAX_KEY_LENGTH,
     ROOT_STREAM,
     ZERO_DIGEST,
     ChainReport,
     LedgerError,
-    _check_line,
     _genesis_rule,
     _item_digest,
     _match_line,
     _parse_ts,
     _records,
     _verify_digests,
-    verify_file,
-    verify_records,
 )
+from .chain import verify_file  # noqa: F401  perfbench traces ledger.verify_file
 
 
 class InvalidStreamName(LedgerError):
@@ -255,20 +244,90 @@ def load_checkpoint(path: Path, fh):
     return hasher, parts[2:]
 
 
-def save_checkpoint(path: Path, length: int, hasher, parts):
-    """Write the checkpoint of the file at path: its first length bytes,
-    which hasher was fed, and parts, a sequence of bytes.  It is written to
-    a temporary file beside it, then renamed over it.  A write that fails
-    leaves no temporary file and raises nothing."""
-    target = checkpoint_path(path)
-    chunks = [_CHECKPOINT_HEAD]
-    for part in (length.to_bytes(8, "big"), hasher.digest(), *parts):
-        chunks += (len(part).to_bytes(8, "big"), part)
-    body = b"".join(chunks)
-    try:
-        replace_file(target, (body, hashlib.sha256(body).digest()))
-    except OSError:
-        pass
+class IndexedFile:
+    """One append-only line file that its owner indexes at open and
+    checkpoints at close: ledger.db for Ledger, policy.db for Store.
+
+    The owner keeps its index and runs the pass that builds it; this keeps
+    the rest.  open() takes the checkpoint beside the file (CHECKPOINT_SUFFIX)
+    where it is whole, of this CHECKER_VERSION, its prefix unchanged and
+    ending after a newline, and the owner's take(parts) accepts its parts
+    (the index as it stood at the prefix's end); the owner's pass then runs
+    over the tail past the prefix only.  Else the pass runs over the whole
+    file, as if there were no checkpoint.  save() writes a new checkpoint,
+    the prefix's length and SHA-256 and then the owner's parts, only when
+    this process appended, ran the full pass or met a tail of at least
+    CHECKPOINT_TAIL_BYTES, and the file ends in a newline.  The first
+    append to a file whose last line lacks its newline writes it first.
+
+    The read-only handle is held from open() and the unbuffered append
+    handle from the first append (or from create), both until close(); an
+    append that fails closes its handle, and the next opens the file afresh.
+    """
+
+    def __init__(self, path: Path, create: bool = False):
+        self.path = path
+        self.reader = None
+        self._out = open(path, "ab", buffering=0) if create else None
+        self.hasher = hashlib.sha256()  # fed the file's first `size` bytes
+        self.size = 0
+        self._due = False
+        self._unterminated = False  # the file's last line lacks its newline
+
+    def open(self, take, index):
+        """Open the file and index it: take(parts) takes the checkpoint's
+        index, with the reader at its prefix's end, and says whether its
+        values are in range; index() then runs the owner's pass from the
+        reader's position to the end of the file, feeding hasher."""
+        self.reader = open(self.path, "rb")
+        found = load_checkpoint(self.path, self.reader)
+        if found is not None and take(found[1]):
+            self.hasher = found[0]
+        else:
+            self.reader.seek(0)
+            self._due = True
+        start = self.reader.tell()
+        index()
+        self.size = end = self.reader.tell()
+        self._due |= end - start >= CHECKPOINT_TAIL_BYTES
+        self._unterminated = end > 0 and os.pread(self.reader.fileno(), 1, end - 1) != b"\n"
+
+    def append(self, line: str) -> tuple[int, int]:
+        """Append a line; returns its offset and its length in bytes without
+        the newline."""
+        if self._out is None or self._out.closed:
+            self._out = open(self.path, "ab", buffering=0)
+        newline = self._unterminated
+        data = append_line(self._out, line, newline)
+        self._unterminated = False
+        self._due = True
+        self.hasher.update(data)
+        offset = self.size + newline
+        self.size += len(data)
+        return offset, len(data) - newline - 1
+
+    def save(self, parts):
+        """Write the checkpoint of all of the file this indexed or wrote,
+        with the parts that parts() returns, if one is due and the file
+        ends in a newline.  It goes to a temporary file beside it, then is
+        renamed over it; a write that fails leaves no temporary file and
+        raises nothing."""
+        if not self._due or self._unterminated:
+            return
+        chunks = [_CHECKPOINT_HEAD]
+        for part in (self.size.to_bytes(8, "big"), self.hasher.digest(), *parts()):
+            chunks += (len(part).to_bytes(8, "big"), part)
+        body = b"".join(chunks)
+        try:
+            replace_file(checkpoint_path(self.path), (body, hashlib.sha256(body).digest()))
+        except OSError:
+            pass
+
+    def close(self):
+        for handle in (self._out, self.reader):
+            if handle is not None:
+                handle.close()
+        self._out = self.reader = None
 
 
 def replace_file(target: Path, chunks):
@@ -311,9 +370,8 @@ class Ledger:
         # The item at each seq once something has read it.
         self._items: list[StreamItem | None] = []
         # Each record's offset, then the end of the last; a record open
-        # checked is read back through _reader.
+        # checked is read back from the file's reader.
         self._offsets = array("q")
-        self._reader = None
         self._digests = bytearray()  # every record's item digest, in seq order
         # The stream index, as a checkpoint holds it: each stream's row by
         # name, in the order of first items; the creators' names; per row
@@ -322,24 +380,19 @@ class Ledger:
         self._rows: dict[str, int] = {}
         self._creators: list[str] = []
         self._created_by, self._last, self._prev = array("q"), array("q"), array("q")
-        self._hasher = hashlib.sha256()  # fed the file's bytes up to _offsets[-1]
-        self._checkpoint_due = False
-        self._unterminated = False  # the file's last record lacks its newline
-        self._handle = None  # appending, unbuffered; closed by a failed append
         if create and self._path.exists() and self._path.stat().st_size > 0:
             raise LedgerError(f"ledger already exists at {self._path}")
         if not create and (not self._path.exists() or self._path.stat().st_size == 0):
             raise LedgerError(f"no ledger at {self._path}")
+        self._file = IndexedFile(self._path, create)
         try:
             if create:
                 self._publisher = publisher or f"node-{secrets.token_hex(8)}"
-                self._handle = open(self._path, "ab", buffering=0)
                 self._offsets.append(0)
                 self._append(ROOT_STREAM, "", b"")
             else:
-                self._reader = open(self._path, "rb")
-                self._publisher = publisher or self._load()
-                self._handle = open(self._path, "ab", buffering=0)
+                self._file.open(self._take, self._index)
+                self._publisher = publisher or self.stream(ROOT_STREAM).created_by
         except BaseException:
             self.close()  # a failed open or create leaves no file open
             raise
@@ -347,31 +400,11 @@ class Ledger:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self):
-        for handle in (self._handle, self._reader):
-            if handle is not None:
-                handle.close()
-        self._handle = self._reader = None
+        self._file.close()
 
-    def _load(self) -> str:
-        """Index the file, from its checkpoint where that holds; returns the
-        publisher of its genesis record."""
-        if not self._load_checkpoint():
-            self._reader.seek(0)
-            self._checkpoint_due = True
-        start = self._reader.tell()
-        self._index()
-        end = self._offsets[-1]
-        self._checkpoint_due |= end - start >= CHECKPOINT_TAIL_BYTES
-        self._unterminated = os.pread(self._reader.fileno(), 1, end - 1) != b"\n"
-        return self.stream(ROOT_STREAM).created_by
-
-    def _load_checkpoint(self) -> bool:
-        """Take the index of the checkpoint's prefix, if the checkpoint holds
-        and its values are in range."""
-        found = load_checkpoint(self._path, self._reader)
-        if found is None:
-            return False
-        hasher, parts = found
+    def _take(self, parts) -> bool:
+        """Take the index of the checkpoint's prefix, if its values are in
+        range."""
         try:
             offsets, digests, names, creators, created_by, last, prev = parts
             offsets, created_by, last, prev = map(int_array, (offsets, created_by, last, prev))
@@ -389,10 +422,9 @@ class Ledger:
             and max(last) < len(prev)
             and max(prev) < len(prev)
             and all(map(lt, offsets, islice(offsets, 1, None)))  # record offsets rise
-            and offsets[-1] < self._reader.tell()  # to below the prefix's end
+            and offsets[-1] < self._file.reader.tell()  # to below the prefix's end
         ):
             return False
-        self._hasher = hasher
         self._offsets = offsets
         self._digests = bytearray(digests)
         self._rows = rows
@@ -403,12 +435,13 @@ class Ledger:
     def _index(self):
         """Run open's pass from the reader's position to the end of the
         file, carrying on from the records indexed before it."""
+        reader = self._file.reader
         offsets = self._offsets
         digests = self._digests
         last, prev = self._last, self._prev
         rows: dict[bytes, int] = {}  # by name, as the pass reads it
         try:
-            for base, matches in _records(self._reader, self._hasher):
+            for base, matches in _records(reader, self._file.hasher):
                 digest_hex = []
                 for match in matches:
                     seq, stream, digest = match.group(1, 2, 8)
@@ -438,19 +471,12 @@ class Ledger:
                 "run chain verification"
             ) from None
         self._items = [None] * len(offsets)
-        offsets.append(self._reader.tell())
+        offsets.append(reader.tell())
 
     def save_checkpoint(self):
-        """Write the checkpoint of all this ledger checked or wrote, if it
-        appended, ran the full pass or met a long tail, and the file ends
-        in a newline.  A write that fails raises nothing."""
-        if not self._checkpoint_due or self._unterminated:
-            return
-        save_checkpoint(
-            self._path,
-            self._offsets[-1],
-            self._hasher,
-            (
+        """Write the checkpoint when one is due (see IndexedFile)."""
+        self._file.save(
+            lambda: (
                 self._offsets[:-1].tobytes(),
                 self._digests,
                 "\n".join(self._rows).encode("ascii"),
@@ -458,7 +484,7 @@ class Ledger:
                 self._created_by.tobytes(),
                 self._last.tobytes(),
                 self._prev.tobytes(),
-            ),
+            )
         )
 
     # -- writing ------------------------------------------------------------
@@ -482,20 +508,12 @@ class Ledger:
         publisher = self._publisher
         digest = _item_digest(seq, stream, key, publisher, ts_text, payload, prev)
         item = StreamItem(seq, stream, key, publisher, moment, payload, prev, digest)
-        if self._handle.closed:
-            self._handle = open(self._path, "ab", buffering=0)
-        newline = self._unterminated
-        data = append_line(
-            self._handle,
+        # A newline written first moves the record's start past it.
+        self._offsets[-1], _ = self._file.append(
             f"{seq}\t{stream}\t{key}\t{publisher}\t{ts_text}\t{payload.decode('ascii')}"
-            f"\t{prev.hex()}\t{digest.hex()}",
-            newline,
+            f"\t{prev.hex()}\t{digest.hex()}"
         )
-        self._unterminated = False
-        self._hasher.update(data)
-        self._offsets[-1] += newline  # the record starts after a newline written first
-        self._offsets.append(self._offsets[-1] + len(data) - newline)
-        self._checkpoint_due = True
+        self._offsets.append(self._file.size)
         self._items.append(item)
         self._digests += digest
         row = self._stream_row(stream, publisher)
@@ -617,7 +635,7 @@ class Ledger:
         passes again and the fields re-derive the digest open kept."""
         start, end = self._offsets[seq], self._offsets[seq + 1]
         try:
-            record = os.pread(self._reader.fileno(), end - start, start)
+            record = os.pread(self._file.reader.fileno(), end - start, start)
             if len(record) != end - start:
                 raise ValueError("the file ends inside the record")
             match = _match_line(record.decode("ascii").removesuffix("\n"))

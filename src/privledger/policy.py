@@ -555,34 +555,3 @@ def parse_policy_document(text: str) -> list[PreferenceSet]:
     if fields:
         records.append(_record_from_fields(fields))
     return records
-
-
-def render_policy_document(records: list[PreferenceSet]) -> str:
-    """Inverse of parse_policy_document for the fields it covers."""
-    blocks = []
-    for prefs in records:
-        lines = [
-            f"attribute_id = {prefs.attribute_id}",
-            f"sensitivity = {prefs.sensitivity.token}",
-            f"purpose_mode = {prefs.purpose.mode.token}",
-            f"declared_purpose = {prefs.purpose.declared_purpose}",
-        ]
-        for key in _NORM_KEYS:
-            value = getattr(prefs.purpose.norms, key)
-            if value is not None:
-                lines.append(f"norm_{key} = {value}")
-        lines.append(f"visibility_scope = {prefs.visibility.scope.token}")
-        lines.append(
-            "allowed_roles = "
-            + ", ".join(sorted(r.token for r in prefs.visibility.allowed_roles))
-        )
-        lines.append(f"granularity = {prefs.granularity.mode.token}")
-        lines.append(f"effective_date = {prefs.retention.effective_date.isoformat()}")
-        lines.append(f"duration_days = {prefs.retention.duration_days}")
-        if prefs.third_party_accessors:
-            lines.append(
-                "third_party_accessors = "
-                + ", ".join(sorted(r.token for r in prefs.third_party_accessors))
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

@@ -17,21 +17,17 @@ or more, or one that is not UTF-8, fails the open, which then leaves no
 file open.  The latest tuple instance of a lineage is read back with
 os.pread and decoded on first touch, and checked against those indexed
 fields; a record that fails either, say because it changed on disk since
-open, raises CorruptRecord.  The store holds policy.db open for these
-reads and, from its first append, a handle appending to it, both until
-close().  Older versions stay on disk as history: policy.db is
-append-only, and no query reads them.  Every write goes to the file
-before memory takes it.
+open, raises CorruptRecord.  Older versions stay on disk as history:
+policy.db is append-only, and no query reads them.  Every write goes to
+the file before memory takes it.
 
-Like the ledger, policy.db has a checkpoint beside it (see ledger.py):
-the length and SHA-256 of a prefix open indexed, and those columns as
-they stood at its end.  Where it holds and its values are in range, open
-takes the columns from it and reads only the tail past that prefix.
+policy.db is read, appended to and checkpointed through a
+ledger.IndexedFile, as ledger.db is; the rules are described there.  Its
+checkpoint holds the line count and those columns.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -40,14 +36,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .ledger import (
-    CHECKPOINT_TAIL_BYTES,
-    append_line,
-    int_array,
-    load_checkpoint,
-    replace_file,
-    save_checkpoint,
-)
+from .ledger import IndexedFile, append_line, int_array, replace_file
 from .config import ID_LIMIT, ID_RULE, Record, is_id
 from .policy import AccessorProfile
 from .tuples import (
@@ -372,12 +361,8 @@ class Store:
         self._columns = [array("q") for _ in range(8)]
         # The latest version per lineage, once decoded or published.
         self._instances: dict[tuple[int, int, int], TupleInstance] = {}
-        self._policy = None  # policy.db, read-only, for first touches
-        self._policy_out = None  # policy.db, appending, from the first append
-        self._policy_size = self._policy_lines = 0  # bytes and lines
-        self._hasher = hashlib.sha256()  # fed policy.db's first _policy_size bytes
-        self._checkpoint_due = False
-        self._unterminated = False  # policy.db's last line lacks its LF
+        self._policy = IndexedFile(self._dir / POLICY_FILE)
+        self._policy_lines = 0
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         if create:
@@ -403,20 +388,15 @@ class Store:
         return self._catalog
 
     def close(self):
-        for handle in (self._policy, self._policy_out):
-            if handle is not None:
-                handle.close()
-        self._policy = self._policy_out = None
+        self._policy.close()
 
     # -- persistence --------------------------------------------------------
 
     def _load(self):
         for record in self._read_records(CONTENT_FILE, _decode_provider):
             self._providers[record.provider_id] = record
-        # Kept open for first touches, which read the latest lines back.
-        self._policy = open(self._dir / POLICY_FILE, "rb")
         try:
-            self._index_policy()
+            self._policy.open(self._take, self._index_policy)
             for cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
                 self._credentials[cred.login] = cred
                 self._accessors[cred.profile.accessor_id] = cred
@@ -425,31 +405,19 @@ class Store:
             raise
 
     def _index_policy(self):
-        """Index policy.db, from its checkpoint where that holds."""
-        path = self._dir / POLICY_FILE
-        if not self._load_checkpoint():
-            self._policy.seek(0)
-            self._checkpoint_due = True
-        start = self._policy.tell()
+        """Run open's pass over policy.db from the reader's position on."""
         lineno = self._policy_lines
         for lineno, offset, length, indexed in _decode_lines(
-            path, self._policy, _index_policy_line, lineno, self._hasher
+            self._policy.path, self._policy.reader, _index_policy_line, lineno, self._policy.hasher
         ):
             if indexed is not None:
                 lineage, version, seq = indexed
                 self._index_line(lineage, version, seq, offset, length, lineno)
         self._policy_lines = lineno
-        self._policy_size = end = self._policy.tell()
-        self._checkpoint_due |= end - start >= CHECKPOINT_TAIL_BYTES
-        self._unterminated = end > 0 and os.pread(self._policy.fileno(), 1, end - 1) != b"\n"
 
-    def _load_checkpoint(self) -> bool:
-        """Take the index of the checkpoint's prefix, if the checkpoint holds
-        and its values are in range."""
-        found = load_checkpoint(self._dir / POLICY_FILE, self._policy)
-        if found is None:
-            return False
-        hasher, parts = found
+    def _take(self, parts) -> bool:
+        """Take the index of the checkpoint's prefix, if its values are in
+        range."""
         if len(parts) != 9:
             return False
         try:
@@ -462,10 +430,9 @@ class Store:
             len(lines) == 1
             and len({len(rows), *map(len, columns)}) == 1
             and min(min(column, default=0) for column in (lines, *columns)) >= 0
-            and max(map(add, offsets, lengths), default=0) <= self._policy.tell()
+            and max(map(add, offsets, lengths), default=0) <= self._policy.reader.tell()
         ):
             return False
-        self._hasher = hasher
         self._policy_lines = lines[0]
         self._columns = columns
         self._rows = rows
@@ -488,14 +455,9 @@ class Store:
         return None if row is None else _Indexed(*(column[row] for column in self._columns[3:]))
 
     def save_checkpoint(self):
-        """Write the checkpoint of all of policy.db this store indexed or
-        wrote, if it appended, ran the full pass or met a long tail, and
-        the file ends in a LF.  A write that fails raises nothing."""
-        if not self._checkpoint_due or self._unterminated:
-            return
+        """Write policy.db's checkpoint when one is due (see IndexedFile)."""
         lines = array("q", [self._policy_lines])
-        parts = [part.tobytes() for part in (lines, *self._columns)]
-        save_checkpoint(self._dir / POLICY_FILE, self._policy_size, self._hasher, parts)
+        self._policy.save(lambda: [part.tobytes() for part in (lines, *self._columns)])
 
     def _read_records(self, name: str, decode) -> list:
         path = self._dir / name
@@ -504,7 +466,7 @@ class Store:
 
     def _policy_line(self, indexed: _Indexed) -> str:
         """The indexed line as policy.db holds it now, stripped."""
-        data = os.pread(self._policy.fileno(), indexed.length, indexed.offset)
+        data = os.pread(self._policy.reader.fileno(), indexed.length, indexed.offset)
         return data.decode("utf-8").strip()
 
     def _append_record(self, name: str, record: dict):
@@ -512,21 +474,6 @@ class Store:
             end = os.fstat(fh.fileno()).st_size
             newline = end > 0 and os.pread(fh.fileno(), 1, end - 1) != b"\n"
             append_line(fh, json.dumps(record, sort_keys=True), newline)
-
-    def _append_policy(self, record: dict) -> tuple[int, int, int]:
-        """Append a policy line; returns its offset, length and line number."""
-        # Held, unlike content.db's, which a rewrite replaces by renaming.
-        if self._policy_out is None or self._policy_out.closed:  # closed by a failure
-            self._policy_out = open(self._dir / POLICY_FILE, "ab", buffering=0)
-        newline = self._unterminated
-        data = append_line(self._policy_out, json.dumps(record, sort_keys=True), newline)
-        self._unterminated = False
-        self._hasher.update(data)
-        self._checkpoint_due = True
-        offset = self._policy_size + newline
-        self._policy_size += len(data)
-        self._policy_lines += 1
-        return offset, len(data) - newline - 1, self._policy_lines
 
     def _rewrite_records(self, name: str, records):
         # Replaced as a whole, so readers never observe a half-written family.
@@ -575,10 +522,13 @@ class Store:
             raise StaleVersion(
                 f"lineage {lineage} already at version {prior}, got {instance.version}"
             )
-        offset, length, lineno = self._append_policy(
-            instance.to_dict() if record is None else record
+        offset, length = self._policy.append(
+            json.dumps(instance.to_dict() if record is None else record, sort_keys=True)
         )
-        self._index_line(lineage, instance.version, instance.seq, offset, length, lineno)
+        self._policy_lines += 1
+        self._index_line(
+            lineage, instance.version, instance.seq, offset, length, self._policy_lines
+        )
         self._instances[lineage] = instance
         return lineage
 

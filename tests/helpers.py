@@ -402,12 +402,42 @@ def random_prefs(rng: random.Random, attribute_id: int | None = None) -> Prefere
         roles=roles,
         granularity=rng.choice(list(GranularityMode)),
         effective=dt.date(2020, 1, 1) + dt.timedelta(days=rng.randint(0, 1500)),
-        duration=rng.choice([0, rng.randint(1, 2000)]),
+        # Indefinite, a window of days, or one that ends past 9999-12-31.
+        duration=rng.choice([0, rng.randint(1, 2000), rng.randint(3_000_000, 4_000_000)]),
         third_party=frozenset(
             rng.sample(list(AccessorRole), rng.randint(0, 2))
         ),
         norms=random_norms(rng),
     )
+
+
+def policy_document(records: list[PreferenceSet]) -> str:
+    """The policy document text that parse_policy_document reads as
+    records, one block of fields per record."""
+    blocks = []
+    for prefs in records:
+        fields = {
+            "attribute_id": prefs.attribute_id,
+            "sensitivity": prefs.sensitivity.token,
+            "purpose_mode": prefs.purpose.mode.token,
+            "declared_purpose": prefs.purpose.declared_purpose,
+            **{
+                f"norm_{key}": value
+                for key, value in prefs.purpose.norms.to_dict().items()
+                if value is not None
+            },
+            "visibility_scope": prefs.visibility.scope.token,
+            "allowed_roles": ", ".join(sorted(r.token for r in prefs.visibility.allowed_roles)),
+            "granularity": prefs.granularity.mode.token,
+            "effective_date": prefs.retention.effective_date.isoformat(),
+            "duration_days": prefs.retention.duration_days,
+        }
+        if prefs.third_party_accessors:
+            fields["third_party_accessors"] = ", ".join(
+                sorted(r.token for r in prefs.third_party_accessors)
+            )
+        blocks.append("\n".join(f"{name} = {value}" for name, value in fields.items()))
+    return "\n\n".join(blocks) + "\n"
 
 
 def random_attribute(rng: random.Random, attribute_id: int | None = None) -> AttributeMeta:
@@ -485,12 +515,11 @@ def reference_decision(
     if prefs.purpose.mode is PurposeMode.REUSE_SELECTED:
         if requested_purpose != prefs.purpose.declared_purpose:
             failures.add("purpose")
+    # Day numbers, not dates: a window may end past the last calendar date.
     window_open = now >= prefs.retention.effective_date
     if window_open and prefs.retention.duration_days > 0:
-        closes = prefs.retention.effective_date + dt.timedelta(
-            days=prefs.retention.duration_days
-        )
-        window_open = now < closes
+        closes = prefs.retention.effective_date.toordinal() + prefs.retention.duration_days
+        window_open = now.toordinal() < closes
     if not window_open:
         failures.add("retention")
     priority = (

@@ -16,7 +16,7 @@ text-mode read's: at \\n, \\r\\n or a lone \\r.
 
 from __future__ import annotations
 
-from privledger.ledger import ROOT_STREAM, LedgerError, _check_line
+from privledger.chain import ROOT_STREAM, LedgerError, _check_line
 from privledger.store import StoreError, _index_policy_line
 
 

@@ -30,9 +30,10 @@ from helpers import (
     reference_mask,
 )
 from privledger.bench import ArchetypeRow, aggregate, overhead_percent
+from privledger.chain import verify_file
 from privledger.cli import main
 from privledger.engine import Engine, EngineConfig, publish_key
-from privledger.ledger import Ledger, verify_file
+from privledger.ledger import Ledger
 from privledger.mediator import INTEGRITY_ABORT, MediationStatus, QueryRequest
 from privledger.policy import (
     AccessorRole,
@@ -379,6 +380,7 @@ def test_criterion_6_decision_truth_table():
         (dt.date(2021, 1, 1), 0),  # active indefinitely
         (dt.date(2021, 1, 1), 30),  # expired before NOW
         (dt.date(2022, 1, 1), 0),  # not yet effective
+        (dt.date(2021, 1, 1), 4_000_000),  # open until past 9999-12-31
     )
     combos = 0
     agreements = 0
@@ -412,7 +414,7 @@ def test_criterion_6_decision_truth_table():
                         want = reference_decision(prefs, accessor, "research", NOW)
                         combos += 1
                         agreements += got == want
-    ok = combos == 288 and agreements == combos
+    ok = combos == 384 and agreements == combos
     elapsed = time.perf_counter() - started
     ok &= elapsed < 5.0
     _report(

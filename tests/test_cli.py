@@ -14,7 +14,7 @@ import pytest
 
 import privledger
 from privledger.cli import main
-from privledger.engine import DATA_DIR_ENV
+from privledger.config import DATA_DIR_ENV
 from privledger.ledger import load_checkpoint
 
 REPO = Path(__file__).resolve().parent.parent

@@ -15,13 +15,8 @@ import re
 import pytest
 
 from privledger.cli import main
-from privledger.engine import (
-    FORMAT,
-    FORMAT_FILE,
-    Engine,
-    EngineConfig,
-    UnsupportedFormat,
-)
+from privledger.config import FORMAT, FORMAT_FILE, UnsupportedFormat
+from privledger.engine import Engine, EngineConfig
 from test_cli import STREET_POLICY
 
 # A data directory as format 1 wrote it (init, one provider, one accessor

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import TickingClock, chain_length
 from privledger import ledger as ledger_module
+from privledger.chain import verify_file, verify_records
 from privledger.ledger import (
     ROOT_STREAM,
     ZERO_DIGEST,
@@ -21,8 +22,6 @@ from privledger.ledger import (
     RootPublishForbidden,
     UnknownStream,
     stream_name_for,
-    verify_file,
-    verify_records,
 )
 
 

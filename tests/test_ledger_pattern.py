@@ -18,17 +18,10 @@ from ledger_reference import (
     reference_render_line,
     reference_verify_records,
 )
+from privledger.chain import _check_line, verify_file, verify_records
 from privledger.cli import main
-from privledger.engine import FORMAT, FORMAT_FILE
-from privledger.ledger import (
-    Ledger,
-    LedgerError,
-    _build_item,
-    _check_line,
-    _match_line,
-    verify_file,
-    verify_records,
-)
+from privledger.config import FORMAT, FORMAT_FILE
+from privledger.ledger import Ledger, LedgerError, _build_item, _match_line
 
 
 def _parse_line(line: str):

@@ -49,6 +49,7 @@ from ledger_reference import reference_item_digest, reference_verify_records
 from open_reference import reference_index_policy, reference_load_ledger
 from privledger import ledger as ledger_module
 from privledger import store as store_module
+from privledger.chain import verify_records
 from privledger.cli import main
 from privledger.engine import Engine, EngineConfig
 from privledger.ledger import (
@@ -57,7 +58,6 @@ from privledger.ledger import (
     Ledger,
     LedgerError,
     checkpoint_path,
-    verify_records,
 )
 from privledger.store import POLICY_FILE, Store, StoreError
 from test_ledger_pattern import (
@@ -683,11 +683,31 @@ def test_a_tail_past_the_checkpoint_is_checked_and_checkpointed_when_long(demo_c
     tail = _opened_state(demo_config)
     Engine.open(demo_config).close()  # a short tail: no new checkpoint
     assert _checkpoints(demo_config) == stale
-    monkeypatch.setattr(ledger_module, "CHECKPOINT_TAIL_BYTES", 1)
-    monkeypatch.setattr(store_module, "CHECKPOINT_TAIL_BYTES", 1)
+    monkeypatch.setattr(ledger_module, "CHECKPOINT_TAIL_BYTES", 1)  # for both files
     Engine.open(demo_config).close()
     assert all(_checkpoints(demo_config)[name] != stale[name] for name in CHECKPOINTED)
     assert _opened_state(demo_config) == tail
+
+
+@pytest.mark.parametrize("name", CHECKPOINTED)
+def test_an_unterminated_file_is_checkpointed_once_an_append_ends_it(demo_config, name):
+    """A file whose last line lacks its newline gets no checkpoint, not even
+    after the full pass; the append that writes the newline makes one due,
+    and the next open takes it and answers as the full pass does."""
+    path = demo_config.data_dir / name
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    checkpoint_path(path).unlink()  # so the open runs the full pass
+    Engine.open(demo_config).close()
+    assert not checkpoint_path(path).exists()
+    engine = Engine.open(demo_config)
+    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+    engine.close()
+    assert _usable(demo_config, name)  # checks no record of its prefix
+    from_checkpoint = _opened_state(demo_config)
+    assert from_checkpoint[0] == "opened"
+    for other in CHECKPOINTED:
+        checkpoint_path(demo_config.data_dir / other).unlink()
+    assert _opened_state(demo_config) == from_checkpoint
 
 
 def test_close_after_a_checkpointed_open_writes_what_the_full_pass_writes(demo_config):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_accessor, make_prefs, random_prefs, reference_mask
+from helpers import make_accessor, make_prefs, policy_document, random_prefs, reference_mask
 from privledger.policy import (
     ABSENT_TOKEN,
     EXISTS_TOKEN,
@@ -30,7 +30,6 @@ from privledger.policy import (
     evaluate_access,
     parse_decimal,
     parse_policy_document,
-    render_policy_document,
     retention_active,
 )
 
@@ -464,7 +463,7 @@ def test_parse_two_record_document():
 def test_render_parse_round_trip():
     rng = random.Random(86)
     records = [random_prefs(rng) for _ in range(8)]
-    text = render_policy_document(records)
+    text = policy_document(records)
     assert parse_policy_document(text) == records
 
 
