@@ -44,7 +44,8 @@ class Record:
 
     A plain base class: @dataclass would generate and compile methods for
     every record class at import, in every process.  A subclass names its
-    fields in _fields, in constructor order, and sets them once in
+    fields in _fields, in constructor order, and also as its __slots__, so
+    that a record is one object with no __dict__; it sets them once in
     __init__ through _set, in that order, after its checks.
     """
 
@@ -52,8 +53,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def _set(self, *values):
-        # Attribute by attribute, so that the instance keeps its values
-        # inline: reading __dict__ would build a dict per record.
+        # Attribute by attribute, into the instance's slots.
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -119,7 +119,7 @@ _CONFIG_KEYS = {"data_dir", "hash_cost"}
 
 
 class EngineConfig(Record):
-    _fields = ("data_dir", "hash_cost")
+    __slots__ = _fields = ("data_dir", "hash_cost")
 
     def __init__(self, data_dir, hash_cost: int = DEFAULT_COST):
         data_dir = Path(data_dir)

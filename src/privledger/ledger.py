@@ -9,10 +9,13 @@ per record its offset, its item digest and the seq before it on its
 stream; per stream, in the order of first items, its creator and its
 latest seq.  These packed columns are the whole index, as a checkpoint
 holds it: a Stream is a snapshot with its seqs walked back from the
-latest.  A StreamItem is built on first read, from the record read back
-at its offset, which must pass the field check again and re-derive the
-digest open kept, so a record that changed on disk since open fails that
-read.  Chain verification re-derives every digest and link.
+latest.  A StreamItem is built on every read and not kept, from the
+record read back at its offset, which must pass the field check again and
+re-derive the digest open kept or the append wrote, so a record that
+changed on disk since fails that read.  An append links to the digest
+kept and, after the first append since open, to the kept timestamp of the
+last record, so it reads nothing.  Chain verification re-derives every
+digest and link.
 
 IndexedFile keeps what ledger.db shares with the store's policy.db: the
 handles, the checkpoint beside the file, when one is due, and appends.
@@ -260,15 +263,15 @@ class IndexedFile:
     CHECKPOINT_TAIL_BYTES, and the file ends in a newline.  The first
     append to a file whose last line lacks its newline writes it first.
 
-    The read-only handle is held from open() and the unbuffered append
-    handle from the first append (or from create), both until close(); an
-    append that fails closes its handle, and the next opens the file afresh.
+    The read-only handle is held from open() or create() and the unbuffered
+    append handle from the first append (or from create()), both until
+    close(); an append that fails closes its handle, and the next opens the
+    file afresh.
     """
 
-    def __init__(self, path: Path, create: bool = False):
+    def __init__(self, path: Path):
         self.path = path
-        self.reader = None
-        self._out = open(path, "ab", buffering=0) if create else None
+        self.reader = self._out = None
         self.hasher = hashlib.sha256()  # fed the file's first `size` bytes
         self.size = 0
         self._due = False
@@ -291,6 +294,11 @@ class IndexedFile:
         self.size = end = self.reader.tell()
         self._due |= end - start >= CHECKPOINT_TAIL_BYTES
         self._unterminated = end > 0 and os.pread(self.reader.fileno(), 1, end - 1) != b"\n"
+
+    def create(self):
+        """Create the file, or take it empty, with both handles open."""
+        self._out = open(self.path, "ab", buffering=0)
+        self.reader = open(self.path, "rb")
 
     def append(self, line: str) -> tuple[int, int]:
         """Append a line; returns its offset and its length in bytes without
@@ -367,10 +375,8 @@ class Ledger:
     def __init__(self, path, clock=None, publisher: str | None = None, create: bool = False):
         self._path = Path(path)
         self._clock = clock or system_clock
-        # The item at each seq once something has read it.
-        self._items: list[StreamItem | None] = []
-        # Each record's offset, then the end of the last; a record open
-        # checked is read back from the file's reader.
+        # Each record's offset, then the end of the last; every read of a
+        # record reads it back from the file's reader.
         self._offsets = array("q")
         self._digests = bytearray()  # every record's item digest, in seq order
         # The stream index, as a checkpoint holds it: each stream's row by
@@ -384,9 +390,12 @@ class Ledger:
             raise LedgerError(f"ledger already exists at {self._path}")
         if not create and (not self._path.exists() or self._path.stat().st_size == 0):
             raise LedgerError(f"no ledger at {self._path}")
-        self._file = IndexedFile(self._path, create)
+        # The last record's time once an append has needed it.
+        self._last_time: dt.datetime | None = None
+        self._file = IndexedFile(self._path)
         try:
             if create:
+                self._file.create()
                 self._publisher = publisher or f"node-{secrets.token_hex(8)}"
                 self._offsets.append(0)
                 self._append(ROOT_STREAM, "", b"")
@@ -470,7 +479,6 @@ class Ledger:
                 f"corrupt ledger record at position {len(offsets)}: {exc}; "
                 "run chain verification"
             ) from None
-        self._items = [None] * len(offsets)
         offsets.append(reader.tell())
 
     def save_checkpoint(self):
@@ -490,9 +498,10 @@ class Ledger:
     # -- writing ------------------------------------------------------------
 
     def _append(self, stream: str, key: str, payload: bytes) -> StreamItem:
-        seq = len(self._items)
-        last = self.item(-1) if self._items else None
-        prev = ZERO_DIGEST if last is None else last.item_digest
+        seq = len(self._offsets) - 1
+        prev = bytes(self._digests[-DIGEST_BYTES:]) if seq else ZERO_DIGEST
+        if seq and self._last_time is None:  # read once, with the read's checks
+            self._last_time = self._read(seq - 1).timestamp
         moment = self._clock()
         if moment.tzinfo is None:
             raise LedgerError("clock must produce timezone-aware instants")
@@ -500,10 +509,10 @@ class Ledger:
         # time even if the wall clock steps backwards.
         moment = moment.astimezone(dt.timezone.utc)
         moment = moment.replace(microsecond=moment.microsecond // 1000 * 1000)
-        if last is not None and moment < last.timestamp:
-            moment = last.timestamp
+        if seq and moment < self._last_time:
+            moment = self._last_time
         ts_text = f"{moment:%Y-%m-%dT%H:%M:%S}.{moment.microsecond // 1000:03d}Z"
-        if last is None:  # open refuses a year before 1000; later items are no earlier
+        if not seq:  # open refuses a year before 1000; later items are no earlier
             _parse_ts(ts_text)
         publisher = self._publisher
         digest = _item_digest(seq, stream, key, publisher, ts_text, payload, prev)
@@ -514,7 +523,7 @@ class Ledger:
             f"\t{prev.hex()}\t{digest.hex()}"
         )
         self._offsets.append(self._file.size)
-        self._items.append(item)
+        self._last_time = moment
         self._digests += digest
         row = self._stream_row(stream, publisher)
         self._prev.append(self._last[row])
@@ -608,31 +617,20 @@ class Ledger:
 
     def latest_item(self, name: str) -> StreamItem:
         """The stream's latest item; raises what latest_seq and item raise."""
-        row = self._rows.get(name)
-        if row is None:
-            raise UnknownStream(f"unknown stream: {name}")
-        seq = self._last[row]
-        if not seq:
-            raise EmptyStream(f"stream has no items: {name}")
-        entry = self._items[seq]  # open and the checkpoint checks keep seq in range
-        if entry is None:
-            entry = self._items[seq] = self._read(seq)
-        return entry
+        # Open and the checkpoint checks keep seq in range.
+        return self._read(self.latest_seq(name))
 
     def item(self, seq: int) -> StreamItem:
-        try:
-            entry = self._items[seq]
-        except IndexError:
-            raise LedgerError(f"no item at seq {seq}") from None
-        if entry is None:
-            seq %= len(self._items)
-            entry = self._items[seq] = self._read(seq)
-        return entry
+        """The item at seq, read back; a negative seq counts from the end."""
+        count = len(self._offsets) - 1
+        if not -count <= seq < count:
+            raise LedgerError(f"no item at seq {seq}")
+        return self._read(seq % count)
 
     def _read(self, seq: int) -> StreamItem:
-        """Build the item of a record open checked from the file, which
-        must still hold that record: the read is whole, the field check
-        passes again and the fields re-derive the digest open kept."""
+        """Build the item of a record open checked or an append wrote from
+        the file, which must still hold that record: the read is whole, the
+        field check passes again and the fields re-derive the digest kept."""
         start, end = self._offsets[seq], self._offsets[seq + 1]
         try:
             record = os.pread(self._file.reader.fileno(), end - start, start)

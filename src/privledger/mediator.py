@@ -6,10 +6,11 @@ encoding (derived once per stored version) and checks it against the
 hash published on the lineage's ledger stream, on every query; a single
 mismatch aborts the whole request with zero disclosed cells.  Between
 queries only the parse of each lineage's latest published hash record is
-kept, never a verification outcome or an access decision.  Verified
-lineages then pass through policy evaluation, the query is rewritten to
-the allowed attribute set, executed once, and each disclosed cell is
-transformed to its granted granularity.  A stored policy record that
+kept, with its seq, never a verification outcome or an access decision;
+the ledger item is read again only when the stream's latest seq is
+another.  Verified lineages then pass through policy evaluation, the
+query is rewritten to the allowed attribute set, executed once, and each
+disclosed cell is transformed to its granted granularity.  A stored policy record that
 fails to decode on first touch, or a ledger record that fails its read
 back (changed on disk since open, or not matching its digest), is a
 mismatch too, never a pass.
@@ -63,7 +64,7 @@ class Lineage(NamedTuple):
 
 
 class QueryRequest(Record):
-    _fields = ("accessor_id", "requested_purpose", "attributes", "predicate", "provider_id")
+    __slots__ = _fields = ("accessor_id", "requested_purpose", "attributes", "predicate", "provider_id")
 
     def __init__(
         self,
@@ -181,24 +182,31 @@ class Mediator:
 
     # -- analysis -----------------------------------------------------------
 
-    def analyze(self, request: QueryRequest) -> list[Lineage]:
+    def analyze(self, request: QueryRequest, names: dict | None = None) -> list[Lineage]:
         """Lineages touched by a request, provider then attribute ascending:
-        one per requested or filtered attribute, however often it is named."""
-        attribute_ids = {
-            self._store.catalog.by_name(name).attribute_id
+        one per requested or filtered attribute, however often it is named.
+        names, if given, takes each of those attributes' id -> name."""
+        by_name = self._store.catalog.by_name
+        id_to_name = {
+            by_name(name).attribute_id: name
             for name in _projection(request.attributes, request.predicate)
         }
+        if names is not None:
+            names.update(id_to_name)
         if request.provider_id is None:
             providers = self._store.provider_ids()
         else:
             if not self._store.has_provider(request.provider_id):
                 raise UnknownProvider(f"no provider with id {request.provider_id}")
             providers = [request.provider_id]
-        self._store.get_accessor(request.accessor_id)
+        accessor_id = request.accessor_id
+        self._store.get_accessor(accessor_id)
+        attribute_ids = sorted(id_to_name)
+        new = tuple.__new__  # in C: Lineage(...) runs a __new__ written in Python
         return [
-            Lineage(provider_id, attribute_id, request.accessor_id)
+            new(Lineage, (provider_id, attribute_id, accessor_id))
             for provider_id in sorted(providers)
-            for attribute_id in sorted(attribute_ids)
+            for attribute_id in attribute_ids
         ]
 
     # -- mediation ----------------------------------------------------------
@@ -215,10 +223,12 @@ class Mediator:
         started = time.perf_counter()
         now = now or dt.date.today()
         accessor = self._store.get_accessor(request.accessor_id)
-        lineages = self.analyze(request)
+        id_to_name: dict[int, str] = {}
+        lineages = self.analyze(request, id_to_name)
 
         stream_name = LINEAGE_STREAM.format
         latest_instance = self._store.latest_tuple_instance
+        latest_seq = self._ledger.latest_seq
         latest_item = self._ledger.latest_item
         records = self._records
         entries: list[VerificationEntry] = []
@@ -233,37 +243,33 @@ class Mediator:
             except CorruptRecord:
                 instance, readable = None, False
             try:
-                item = latest_item(stream)
+                seq = latest_seq(stream)
             except UnknownStream:  # a lineage stream has items from its start
                 note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
                 seq, ok, instance = None, False, None
-            except LedgerError:
-                seq, ok, note = self._ledger.latest_seq(stream), False, VERIFIED_MISMATCH
             else:
-                ledger_reads += 1
-                seq = item.seq
-                # A published hash with no readable stored plaintext cannot
-                # be verified.  The parse of the latest hash record read on
-                # each stream is kept, so a repeat query parses nothing; a
-                # payload that does not parse is parsed again by every query
-                # and gets no digest computed.
-                record = None
-                if instance is not None:
-                    kept = records.get(stream)
-                    if kept is not None and kept[0] == seq:
-                        record = kept[1]
-                    else:
-                        try:
-                            record = HashRecord.from_string(item.payload)
-                        except MalformedRecord:
-                            pass
-                        else:
-                            # Keyed by the item's own name: no string kept per lineage.
-                            records[item.stream] = (seq, record)
-                if record is None:
+                # The parse of the latest hash record read on each stream is
+                # kept with its seq, so a repeat query reads and parses
+                # nothing.  A ledger read that fails, or a payload that does
+                # not parse, keeps nothing: every query reads it again.  A
+                # published hash with no readable stored plaintext cannot be
+                # verified.
+                kept = records.get(stream)
+                if kept is not None and kept[0] == seq:
+                    ledger_reads += 1
+                else:
+                    kept = None
+                    try:
+                        payload = latest_item(stream).payload
+                        ledger_reads += 1
+                        if instance is not None:
+                            kept = records[stream] = (seq, HashRecord.from_string(payload))
+                    except (LedgerError, MalformedRecord):
+                        pass
+                if kept is None or instance is None:
                     ok = False
                 else:
-                    ok = verify_hash(instance.encoded, record)
+                    ok = verify_hash(instance.encoded, kept[1])
                     hash_verifications += 1
                 note = VERIFIED_OK if ok else VERIFIED_MISMATCH
             aborted = aborted or note == VERIFIED_MISMATCH
@@ -290,10 +296,6 @@ class Mediator:
         # Per-lineage access decisions.  A provider-specific denial withholds
         # that provider's cell; an attribute denied on every lineage is
         # reported in the denial table.
-        id_to_name = {
-            self._store.catalog.by_name(name).attribute_id: name
-            for name in _projection(request.attributes, request.predicate)
-        }
         granted: dict[tuple[int, str], GranularityMode] = {}
         first_reason: dict[str, str] = {}
         evaluations = 0

@@ -100,6 +100,16 @@ class AccessorRole(_TokenEnum):
 # Roles that count as third-party for the House visibility constraint.
 THIRD_PARTY_ROLES = frozenset({AccessorRole.THIRD_PARTY_ALLIED})
 
+# Each role set read, once: equal sets are one object, which no caller can
+# tell apart from a copy, since a frozenset never changes.  There are at
+# most 2**6 of them, so this stays small whatever the data.
+_ROLE_SETS: dict[frozenset, frozenset] = {}
+
+
+def _role_set(tokens) -> frozenset[AccessorRole]:
+    roles = frozenset(AccessorRole.from_token(t) for t in tokens)
+    return _ROLE_SETS.setdefault(roles, roles)
+
 
 class DenialReason(_TokenEnum):
     VISIBILITY_VIOLATION = "VisibilityViolation"
@@ -119,7 +129,7 @@ _NORM_KEYS = ("who", "when", "why", "where", "how")
 class ContextualNorms(Record):
     """Free-text transmission context.  Every field is optional."""
 
-    _fields = _NORM_KEYS
+    __slots__ = _fields = _NORM_KEYS
 
     def __init__(
         self,
@@ -146,7 +156,7 @@ class ContextualNorms(Record):
 
 
 class PurposePolicy(Record):
-    _fields = ("mode", "declared_purpose", "norms")
+    __slots__ = _fields = ("mode", "declared_purpose", "norms")
 
     def __init__(
         self, mode: PurposeMode, declared_purpose: str, norms: ContextualNorms | None = None
@@ -176,7 +186,7 @@ class PurposePolicy(Record):
 
 
 class VisibilityPolicy(Record):
-    _fields = ("scope", "allowed_roles")
+    __slots__ = _fields = ("scope", "allowed_roles")
 
     def __init__(self, scope: VisibilityScope, allowed_roles):
         if not isinstance(scope, VisibilityScope):
@@ -200,16 +210,14 @@ class VisibilityPolicy(Record):
             raise PolicyError("visibility record has wrong keys")
         return cls(
             scope=VisibilityScope.from_token(data["scope"]),
-            allowed_roles=frozenset(
-                AccessorRole.from_token(t) for t in data["allowed_roles"]
-            ),
+            allowed_roles=_role_set(data["allowed_roles"]),
         )
 
 
 class GranularityPolicy(Record):
     """Exactly one disclosure granularity per attribute policy."""
 
-    _fields = ("mode",)
+    __slots__ = _fields = ("mode",)
 
     def __init__(self, mode: GranularityMode):
         if not isinstance(mode, GranularityMode):
@@ -217,8 +225,12 @@ class GranularityPolicy(Record):
         self._set(mode)
 
 
+# One GranularityPolicy per mode, shared by every record that reads it.
+_GRANULARITIES = {mode: GranularityPolicy(mode) for mode in GranularityMode}
+
+
 class RetentionPolicy(Record):
-    _fields = ("effective_date", "duration_days")
+    __slots__ = _fields = ("effective_date", "duration_days")
 
     def __init__(self, effective_date: dt.date, duration_days: int):  # 0 days: indefinite
         if not isinstance(effective_date, dt.date) or isinstance(
@@ -249,7 +261,7 @@ class RetentionPolicy(Record):
 class PreferenceSet(Record):
     """Complete per-attribute privacy preferences of one data provider."""
 
-    _fields = (
+    __slots__ = _fields = (
         "attribute_id",
         "sensitivity",
         "purpose",
@@ -316,20 +328,16 @@ class PreferenceSet(Record):
             sensitivity=Sensitivity.from_token(data["sensitivity"]),
             purpose=PurposePolicy.from_dict(data["purpose"]),
             visibility=VisibilityPolicy.from_dict(data["visibility"]),
-            granularity=GranularityPolicy(
-                GranularityMode.from_token(data["granularity"])
-            ),
+            granularity=_GRANULARITIES[GranularityMode.from_token(data["granularity"])],
             retention=RetentionPolicy.from_dict(data["retention"]),
-            third_party_accessors=frozenset(
-                AccessorRole.from_token(t) for t in data["third_party_accessors"]
-            ),
+            third_party_accessors=_role_set(data["third_party_accessors"]),
         )
 
 
 class AccessorProfile(Record):
     """An accessor identity with its maximum readable sensitivity."""
 
-    _fields = ("accessor_id", "role", "permission_level")
+    __slots__ = _fields = ("accessor_id", "role", "permission_level")
 
     def __init__(self, accessor_id: int, role: AccessorRole, permission_level: Sensitivity):
         if not is_id(accessor_id):
@@ -483,8 +491,7 @@ def _parse_int(fields: dict, name: str) -> int:
 
 
 def _parse_role_list(raw: str) -> frozenset[AccessorRole]:
-    tokens = [t.strip() for t in raw.split(",") if t.strip()]
-    return frozenset(AccessorRole.from_token(t) for t in tokens)
+    return _role_set(t.strip() for t in raw.split(",") if t.strip())
 
 
 def _record_from_fields(fields: dict) -> PreferenceSet:
@@ -519,9 +526,7 @@ def _record_from_fields(fields: dict) -> PreferenceSet:
             scope=VisibilityScope.from_token(fields["visibility_scope"]),
             allowed_roles=_parse_role_list(fields["allowed_roles"]),
         ),
-        granularity=GranularityPolicy(
-            GranularityMode.from_token(fields["granularity"])
-        ),
+        granularity=_GRANULARITIES[GranularityMode.from_token(fields["granularity"])],
         retention=RetentionPolicy(
             effective_date=effective,
             duration_days=_parse_int(fields, "duration_days"),

@@ -17,7 +17,10 @@ or more, or one that is not UTF-8, fails the open, which then leaves no
 file open.  The latest tuple instance of a lineage is read back with
 os.pread and decoded on first touch, and checked against those indexed
 fields; a record that fails either, say because it changed on disk since
-open, raises CorruptRecord.  Older versions stay on disk as history:
+open, raises CorruptRecord.  A decoded tuple holds the catalog's
+AttributeMeta and the registered accessor's AccessorProfile in place of
+its own copies where those hold the same values of the same types, so it
+encodes to the same bytes.  Older versions stay on disk as history:
 policy.db is append-only, and no query reads them.  Every write goes to
 the file before memory takes it.
 
@@ -179,7 +182,7 @@ def default_catalog() -> Catalog:
 
 
 class ProviderRecord(Record):
-    _fields = ("provider_id", "attributes")
+    __slots__ = _fields = ("provider_id", "attributes")
 
     def __init__(self, provider_id: int, attributes: dict | None = None):
         if not is_id(provider_id):
@@ -198,6 +201,7 @@ class TupleInstance(Record):
     """One stored tuple version and where its hash is on the ledger."""
 
     _fields = ("privacy_tuple", "stream", "seq")
+    __slots__ = (*_fields, "_encoded")
 
     def __init__(
         self,
@@ -223,8 +227,8 @@ class TupleInstance(Record):
         try:
             return self._encoded
         except AttributeError:
-            # Kept as an attribute, not in a per-instance dict as
-            # functools.cached_property would: one dict per lineage.
+            # Kept in a slot: functools.cached_property would need a
+            # per-instance dict, one per lineage.
             encoded = canonical_encode(self.privacy_tuple)
             object.__setattr__(self, "_encoded", encoded)
             return encoded
@@ -335,6 +339,16 @@ def _decode_lines(path: Path, fh, decode, lineno: int = 0, hasher=None):
                 raise StoreError(f"{path} line {lineno}: unreadable record ({exc})") from None
             yield lineno, offset, len(content), record
             offset += len(piece)
+
+
+def _shared(kept, decoded: Record):
+    """kept where it is a record of decoded's class holding equal values of
+    the same types, so that either encodes to the same bytes (1 == True, but
+    JSON writes them apart); else decoded."""
+    same = kept.__class__ is decoded.__class__ and all(
+        type(a) is type(b) and a == b for a, b in zip(kept._values(), decoded._values())
+    )
+    return kept if same else decoded
 
 
 def _decode_provider(line: str) -> ProviderRecord:
@@ -555,7 +569,16 @@ class Store:
             indexed.seq,
         ):
             raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
-        return instance
+        t = instance.privacy_tuple
+        cred = self._accessors.get(t.accessor.accessor_id)
+        shared = PrivacyTuple(
+            t.provider_id,
+            _shared(self._catalog._by_id.get(t.attribute.attribute_id), t.attribute),
+            t.prefs,
+            _shared(cred and cred.profile, t.accessor),
+            t.version,
+        )
+        return TupleInstance(shared, instance.stream, instance.seq)
 
     def lineage_version(self, lineage: tuple[int, int, int]) -> int:
         row = self._rows.get(tuple(lineage))

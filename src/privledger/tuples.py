@@ -67,7 +67,7 @@ class AttributeCategory(str, Enum):
 class AttributeMeta(Record):
     """Schema-level description of one provider attribute."""
 
-    _fields = ("attribute_id", "name", "category", "sensitivity_hint")
+    __slots__ = _fields = ("attribute_id", "name", "category", "sensitivity_hint")
 
     def __init__(
         self,
@@ -112,7 +112,7 @@ class AttributeMeta(Record):
 
 
 class PrivacyTuple(Record):
-    _fields = ("provider_id", "attribute", "prefs", "accessor", "version")
+    __slots__ = _fields = ("provider_id", "attribute", "prefs", "accessor", "version")
 
     def __init__(
         self,

@@ -468,11 +468,12 @@ def test_truncated_file_alone_still_self_consistent(tmp_path):
     path = tmp_path / "ledger.db"
     led = Ledger(path, clock=TickingClock(), create=True)
     fill(led, items=3)
+    items = [led.item(seq) for seq in range(chain_length(led))]  # read back while open
     led.close()
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     assert verify_file(path).intact
-    assert not verify_file(path, expected=led._items).intact
+    assert not verify_file(path, expected=items).intact
 
 
 def test_out_of_band_append_detected(tmp_path):

@@ -40,8 +40,9 @@ def _canonical_chain(last_payload=b"x"):
             led.publish(stream, "key18", b"!~'\"\\{}")
         led.publish("stream-4-5-3", "", b"")
         led.publish("stream-4-5-3", "k" * 256, last_payload)
+        items = [led.item(seq) for seq in range(chain_length(led))]  # read back while open
         led.close()
-        return path.read_bytes(), [led.item(seq) for seq in range(chain_length(led))]
+        return path.read_bytes(), items
 
 
 CHAIN, CHAIN_ITEMS = _canonical_chain()

@@ -1,17 +1,22 @@
-"""What open keeps and what a first read finds: open holds offsets and
-digests, not file text, so a record is read back from disk on first
-touch.  A record that changed or vanished on disk since open fails that
-read with the store's CorruptRecord or a LedgerError that says to run
-chain verification, and a query touching it aborts; nothing escapes as
-a bare ValueError, IndexError or UnicodeDecodeError.  Also bounds the
-memory Engine.open keeps per lineage.  Every test runs on both open
-paths: from the checkpoints the last close wrote, and the full pass."""
+"""What open keeps and what a read finds: open holds offsets and digests,
+not file text, so a policy record is read back from disk on first touch
+and a ledger record on every read.  A record that changed or vanished on
+disk since open, or since its last read, fails that read with the store's
+CorruptRecord or a LedgerError that says to run chain verification, and a
+query touching it aborts; nothing escapes as a bare ValueError,
+IndexError or UnicodeDecodeError.  A decoded tuple shares the catalog's
+attribute and the accessor's profile only where it holds the same values.
+Also bounds the memory Engine.open keeps per lineage, what a query adds
+to it, and what a publish adds.  Every test on an opened engine runs on
+both open paths: from the checkpoints the last close wrote, and the full
+pass."""
 
 from __future__ import annotations
 
 import datetime as dt
 import errno
 import gc
+import json
 import os
 import re
 import tracemalloc
@@ -19,9 +24,13 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    ARCHETYPE_ATTRIBUTES,
+    BENCH_ACCESSOR_ID,
+    BENCH_PURPOSE,
     DEMO_ACCESSOR_ID,
     DEMO_PROVIDER_ID,
     both_open_paths,
+    demo_preferences,
     install_archetype_fixture,
     install_demo_fixture,
     make_engine,
@@ -30,7 +39,9 @@ from helpers import (
 from privledger.engine import Engine
 from privledger.ledger import LedgerError
 from privledger.mediator import INTEGRITY_ABORT, MediationStatus, QueryRequest
+from privledger.policy import Sensitivity
 from privledger.store import POLICY_FILE, CorruptRecord
+from privledger.tuples import PrivacyTuple, canonical_encode
 
 NOW = dt.date(2021, 7, 1)
 LINEAGE = (DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)  # street_name
@@ -76,7 +87,7 @@ def _change(path, span, how, rewrite):
         _rewrite(path, start, end, b"")
 
 
-def _assert_query_aborts(engine, seq):
+def _assert_query_aborts(engine, seq, lineage=LINEAGE):
     result = engine.mediate(
         QueryRequest(
             accessor_id=DEMO_ACCESSOR_ID,
@@ -93,7 +104,7 @@ def _assert_query_aborts(engine, seq):
         ("first_name", INTEGRITY_ABORT),
     )
     entries = {entry.lineage: entry for entry in result.verification}
-    assert (entries[LINEAGE].note, entries[LINEAGE].seq) == ("mismatch", seq)
+    assert (entries[lineage].note, entries[lineage].seq) == ("mismatch", seq)
     assert result.ops.selects == 0
 
 
@@ -124,6 +135,22 @@ def test_ledger_record_changed_after_open_fails_its_first_read(engines, how):
         # A failed read is not cached: the next one fails again.
         with pytest.raises(LedgerError, match="run chain verification"):
             opened.ledger.item(seq)
+
+
+def test_a_ledger_record_changed_after_a_read_fails_the_next(engines):
+    for opened in engines:
+        seq = opened.ledger.stream(STREAM).seqs[-1]
+        assert opened.ledger.item(seq).seq == seq
+        assert opened.ledger.latest_item(STREAM).seq == seq
+        path = opened.ledger.path
+        span = _line_span(path, lambda line: line.startswith(f"{seq}\t".encode()))
+        _change(path, span, "rewrite", _flip_payload_digit)
+        expected = rf"^ledger record at seq {seq} does not match its digest; run chain"
+        with pytest.raises(LedgerError, match=expected):
+            opened.ledger.item(seq)
+        with pytest.raises(LedgerError, match=expected):
+            opened.ledger.latest_item(STREAM)
+        _assert_query_aborts(opened, seq)
 
 
 def test_a_ledger_read_the_system_refuses_fails_as_a_read_back(engines, monkeypatch):
@@ -169,6 +196,67 @@ def test_policy_record_changed_after_open_fails_its_first_read(engines, how):
         with pytest.raises(CorruptRecord, match=rf"^{where}\d+: {expected}$"):
             opened.store.latest_tuple_instance(LINEAGE)
         _assert_query_aborts(opened, seq)
+
+
+def _stored_tuple(path, span) -> PrivacyTuple:
+    start, end = span
+    return PrivacyTuple.from_dict(json.loads(path.read_bytes()[start:end])["tuple"])
+
+
+def test_a_decoded_tuple_shares_the_catalogs_attribute_and_the_accessors_profile(engines):
+    for opened in engines:
+        policy = opened.config.data_dir / POLICY_FILE
+        for lineage in (LINEAGE, (DEMO_PROVIDER_ID, 1, DEMO_ACCESSOR_ID)):
+            instance = opened.store.latest_tuple_instance(lineage)
+            assert instance.privacy_tuple.attribute is opened.store.catalog.by_id(lineage[1])
+            assert instance.privacy_tuple.accessor is opened.store.get_accessor(DEMO_ACCESSOR_ID)
+            stream = 'stream-{}-{}-{}"'.format(*lineage).encode()
+            span = _line_span(policy, lambda line: stream in line)
+            assert instance.encoded == canonical_encode(_stored_tuple(policy, span))
+
+
+@pytest.mark.parametrize(
+    "lineage, stored, rewritten",
+    [
+        # Another sensitivity hint, padded to the same length.
+        (
+            LINEAGE,
+            '"sensitivity_hint": "Level3Confidential"',
+            '"sensitivity_hint":   "Level4Restricted"',
+        ),
+        # The attribute id as JSON true: equal to 1 in Python, written apart.
+        (
+            (DEMO_PROVIDER_ID, 1, DEMO_ACCESSOR_ID),
+            '"attribute": {"attribute_id": 1, "category": "Biographical"',
+            '"attribute": {"attribute_id":true,"category":"Biographical"',
+        ),
+    ],
+    ids=["other-value", "other-type"],
+)
+def test_a_stored_attribute_unlike_the_catalogs_is_kept_and_aborts(
+    engines, lineage, stored, rewritten
+):
+    assert len(stored) == len(rewritten)
+    stream = "stream-{}-{}-{}".format(*lineage)
+    for opened in engines:
+        seq = opened.ledger.stream(stream).seqs[-1]
+        path = opened.config.data_dir / POLICY_FILE
+        span = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
+        before, after = stored.encode(), rewritten.encode()
+        _change(path, span, "rewrite", lambda line: line.replace(before, after))
+        instance = opened.store.latest_tuple_instance(lineage)
+        attribute = instance.privacy_tuple.attribute
+        assert attribute is not opened.store.catalog.by_id(lineage[1])
+        assert attribute == _stored_tuple(path, span).attribute
+        if lineage == LINEAGE:
+            assert attribute.sensitivity_hint is Sensitivity.LEVEL4_RESTRICTED
+        else:
+            assert attribute.attribute_id is True
+        # The encoding is of the stored values, so it no longer gives the
+        # published hash, and no re-seal is made.
+        assert instance.encoded == canonical_encode(_stored_tuple(path, span))
+        assert instance.privacy_tuple.accessor is opened.store.get_accessor(DEMO_ACCESSOR_ID)
+        _assert_query_aborts(opened, seq, lineage)
 
 
 def test_untouched_lineages_still_answer_after_a_change(engines):
@@ -218,3 +306,70 @@ def test_open_keeps_no_file_text(tmp_path):
         engine.close()
         assert lineages == 20 * 18
         assert kept / lineages <= MAX_KEPT_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
+
+
+# A query adds, per lineage it touches, the decoded tuple instance, its
+# canonical encoding and the parse of its latest hash record: about 1.74 KB
+# per lineage here (Python 3.11).  The bound leaves a fifth of that as
+# headroom.  An engine that kept every ledger item it read, and a copy of
+# the catalog's attribute and the accessor's profile in every tuple, kept
+# about 3.35 KB.
+MAX_WARM_PER_LINEAGE = 2080
+
+
+def test_a_query_keeps_each_lineage_once(tmp_path):
+    engine = make_engine(tmp_path, hash_cost=8)
+    install_archetype_fixture(engine, 20, seed=3)
+    request = QueryRequest(
+        accessor_id=BENCH_ACCESSOR_ID,
+        requested_purpose=BENCH_PURPOSE,
+        attributes=tuple(name for names in ARCHETYPE_ATTRIBUTES.values() for name in names),
+    )
+    for config in both_open_paths(engine):
+        engine = Engine.open(config)
+        try:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = engine.mediate(request, now=NOW)
+                lineages = len(result.verification)
+                assert result.status is MediationStatus.COMPLETED
+                assert result.ops.hash_verifications == lineages == 20 * 18
+                del result
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        finally:
+            engine.close()
+        assert kept / lineages <= MAX_WARM_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
+
+
+# A republish adds a ledger record's offset, digest and stream link, and
+# moves its lineage's policy.db row in place: about 90 B here (Python
+# 3.11), the arrays' spare room included.  Keeping each appended ledger
+# item added about 0.6 KB.
+MAX_KEPT_PER_PUBLISH = 160
+
+
+def test_publishing_keeps_no_ledger_item(tmp_path):
+    engine = make_engine(tmp_path, hash_cost=8)
+    install_demo_fixture(engine)
+    prefs = demo_preferences(5)
+    try:
+        for _ in range(20):  # the first publish reads the last record's time once
+            engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, prefs)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, prefs)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    finally:
+        engine.close()
+    assert kept / 200 <= MAX_KEPT_PER_PUBLISH, f"{kept / 200:.0f} B per publish"
