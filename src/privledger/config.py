@@ -47,10 +47,33 @@ class Record:
     fields in _fields, in constructor order, and also as its __slots__, so
     that a record is one object with no __dict__; it sets them once in
     __init__ through _set, in that order, after its checks.
+
+    from_dict is the one decoder of a stored record: the dict must hold
+    exactly the keys _keys (where they differ from _fields), each value
+    goes through its field's function in _decoders, if any, and then the
+    constructor's checks; a dict of other keys, or no dict, raises _error.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _keys: tuple[str, ...] = ()
+    _decoders: dict = {}
+    _error: type[Exception] = ValueError
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        keys = cls._keys or cls._fields
+        try:
+            # As many keys as the record's, each of them: the same key set.
+            if not isinstance(data, dict) or len(data) != len(keys):
+                raise KeyError
+            values = [data[key] for key in keys]
+        except KeyError:
+            raise cls._error(f"{cls.__name__} record must hold exactly the keys {keys}") from None
+        for name, decode in cls._decoders.items():
+            index = cls._fields.index(name)
+            values[index] = decode(values[index])
+        return cls(*values)
 
     def _set(self, *values):
         # Attribute by attribute, into the instance's slots.

@@ -266,12 +266,14 @@ class IndexedFile:
     The read-only handle is held from open() or create() and the unbuffered
     append handle from the first append (or from create()), both until
     close(); an append that fails closes its handle, and the next opens the
-    file afresh.
+    file afresh.  Once close() ran, fileno() and append() raise ValueError
+    naming the file, as io does for a closed file.
     """
 
     def __init__(self, path: Path):
         self.path = path
         self.reader = self._out = None
+        self.closed = False
         self.hasher = hashlib.sha256()  # fed the file's first `size` bytes
         self.size = 0
         self._due = False
@@ -300,9 +302,19 @@ class IndexedFile:
         self._out = open(self.path, "ab", buffering=0)
         self.reader = open(self.path, "rb")
 
+    def _check_open(self):
+        if self.closed:
+            raise ValueError(f"I/O operation on closed file: {self.path}")
+
+    def fileno(self) -> int:
+        """The read-only handle's descriptor, to read records by offset."""
+        self._check_open()
+        return self.reader.fileno()
+
     def append(self, line: str) -> tuple[int, int]:
         """Append a line; returns its offset and its length in bytes without
         the newline."""
+        self._check_open()
         if self._out is None or self._out.closed:
             self._out = open(self.path, "ab", buffering=0)
         newline = self._unterminated
@@ -336,6 +348,7 @@ class IndexedFile:
             if handle is not None:
                 handle.close()
         self._out = self.reader = None
+        self.closed = True
 
 
 def replace_file(target: Path, chunks):
@@ -632,8 +645,9 @@ class Ledger:
         the file, which must still hold that record: the read is whole, the
         field check passes again and the fields re-derive the digest kept."""
         start, end = self._offsets[seq], self._offsets[seq + 1]
+        fd = self._file.fileno()
         try:
-            record = os.pread(self._file.reader.fileno(), end - start, start)
+            record = os.pread(fd, end - start, start)
             if len(record) != end - start:
                 raise ValueError("the file ends inside the record")
             match = _match_line(record.decode("ascii").removesuffix("\n"))

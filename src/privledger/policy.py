@@ -130,6 +130,7 @@ class ContextualNorms(Record):
     """Free-text transmission context.  Every field is optional."""
 
     __slots__ = _fields = _NORM_KEYS
+    _error = PolicyError
 
     def __init__(
         self,
@@ -148,15 +149,11 @@ class ContextualNorms(Record):
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _NORM_KEYS}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> ContextualNorms:
-        if set(data) != set(_NORM_KEYS):
-            raise PolicyError("contextual norms record has wrong keys")
-        return cls(**{key: data[key] for key in _NORM_KEYS})
-
 
 class PurposePolicy(Record):
     __slots__ = _fields = ("mode", "declared_purpose", "norms")
+    _decoders = {"mode": PurposeMode.from_token, "norms": ContextualNorms.from_dict}
+    _error = PolicyError
 
     def __init__(
         self, mode: PurposeMode, declared_purpose: str, norms: ContextualNorms | None = None
@@ -174,19 +171,11 @@ class PurposePolicy(Record):
             "norms": self.norms.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> PurposePolicy:
-        if set(data) != {"mode", "declared_purpose", "norms"}:
-            raise PolicyError("purpose record has wrong keys")
-        return cls(
-            mode=PurposeMode.from_token(data["mode"]),
-            declared_purpose=data["declared_purpose"],
-            norms=ContextualNorms.from_dict(data["norms"]),
-        )
-
 
 class VisibilityPolicy(Record):
     __slots__ = _fields = ("scope", "allowed_roles")
+    _decoders = {"scope": VisibilityScope.from_token, "allowed_roles": _role_set}
+    _error = PolicyError
 
     def __init__(self, scope: VisibilityScope, allowed_roles):
         if not isinstance(scope, VisibilityScope):
@@ -204,15 +193,6 @@ class VisibilityPolicy(Record):
             "allowed_roles": sorted(r.token for r in self.allowed_roles),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> VisibilityPolicy:
-        if set(data) != {"scope", "allowed_roles"}:
-            raise PolicyError("visibility record has wrong keys")
-        return cls(
-            scope=VisibilityScope.from_token(data["scope"]),
-            allowed_roles=_role_set(data["allowed_roles"]),
-        )
-
 
 class GranularityPolicy(Record):
     """Exactly one disclosure granularity per attribute policy."""
@@ -229,8 +209,21 @@ class GranularityPolicy(Record):
 _GRANULARITIES = {mode: GranularityPolicy(mode) for mode in GranularityMode}
 
 
+def _granularity(token) -> GranularityPolicy:
+    return _GRANULARITIES[GranularityMode.from_token(token)]
+
+
+def _date(text) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except (TypeError, ValueError):
+        raise PolicyError(f"effective date must be an ISO-8601 date, got {text!r}") from None
+
+
 class RetentionPolicy(Record):
     __slots__ = _fields = ("effective_date", "duration_days")
+    _decoders = {"effective_date": _date}
+    _error = PolicyError
 
     def __init__(self, effective_date: dt.date, duration_days: int):  # 0 days: indefinite
         if not isinstance(effective_date, dt.date) or isinstance(
@@ -247,16 +240,6 @@ class RetentionPolicy(Record):
             "duration_days": self.duration_days,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> RetentionPolicy:
-        if set(data) != {"effective_date", "duration_days"}:
-            raise PolicyError("retention record has wrong keys")
-        try:
-            effective = dt.date.fromisoformat(data["effective_date"])
-        except (TypeError, ValueError):
-            raise PolicyError("effective date must be an ISO-8601 date") from None
-        return cls(effective_date=effective, duration_days=data["duration_days"])
-
 
 class PreferenceSet(Record):
     """Complete per-attribute privacy preferences of one data provider."""
@@ -270,6 +253,15 @@ class PreferenceSet(Record):
         "retention",
         "third_party_accessors",
     )
+    _decoders = {
+        "sensitivity": Sensitivity.from_token,
+        "purpose": PurposePolicy.from_dict,
+        "visibility": VisibilityPolicy.from_dict,
+        "granularity": _granularity,
+        "retention": RetentionPolicy.from_dict,
+        "third_party_accessors": _role_set,
+    }
+    _error = PolicyError
 
     def __init__(
         self,
@@ -310,34 +302,13 @@ class PreferenceSet(Record):
             ),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> PreferenceSet:
-        expected = {
-            "attribute_id",
-            "sensitivity",
-            "purpose",
-            "visibility",
-            "granularity",
-            "retention",
-            "third_party_accessors",
-        }
-        if set(data) != expected:
-            raise PolicyError("preference record has wrong keys")
-        return cls(
-            attribute_id=data["attribute_id"],
-            sensitivity=Sensitivity.from_token(data["sensitivity"]),
-            purpose=PurposePolicy.from_dict(data["purpose"]),
-            visibility=VisibilityPolicy.from_dict(data["visibility"]),
-            granularity=_GRANULARITIES[GranularityMode.from_token(data["granularity"])],
-            retention=RetentionPolicy.from_dict(data["retention"]),
-            third_party_accessors=_role_set(data["third_party_accessors"]),
-        )
-
 
 class AccessorProfile(Record):
     """An accessor identity with its maximum readable sensitivity."""
 
     __slots__ = _fields = ("accessor_id", "role", "permission_level")
+    _decoders = {"role": AccessorRole.from_token, "permission_level": Sensitivity.from_token}
+    _error = PolicyError
 
     def __init__(self, accessor_id: int, role: AccessorRole, permission_level: Sensitivity):
         if not is_id(accessor_id):
@@ -354,16 +325,6 @@ class AccessorProfile(Record):
             "role": self.role.token,
             "permission_level": self.permission_level.token,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> AccessorProfile:
-        if set(data) != {"accessor_id", "role", "permission_level"}:
-            raise PolicyError("accessor record has wrong keys")
-        return cls(
-            accessor_id=data["accessor_id"],
-            role=AccessorRole.from_token(data["role"]),
-            permission_level=Sensitivity.from_token(data["permission_level"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +462,6 @@ def _record_from_fields(fields: dict) -> PreferenceSet:
     missing = [f for f in _REQUIRED_FIELDS if f not in fields]
     if missing:
         raise PolicyError(f"missing policy fields: {missing}")
-    try:
-        effective = dt.date.fromisoformat(fields["effective_date"])
-    except ValueError:
-        raise PolicyError(
-            f"effective_date must be an ISO-8601 date, got {fields['effective_date']!r}"
-        ) from None
     norms = ContextualNorms(
         who=fields.get("norm_who"),
         when=fields.get("norm_when"),
@@ -526,9 +481,9 @@ def _record_from_fields(fields: dict) -> PreferenceSet:
             scope=VisibilityScope.from_token(fields["visibility_scope"]),
             allowed_roles=_parse_role_list(fields["allowed_roles"]),
         ),
-        granularity=_GRANULARITIES[GranularityMode.from_token(fields["granularity"])],
+        granularity=_granularity(fields["granularity"]),
         retention=RetentionPolicy(
-            effective_date=effective,
+            effective_date=_date(fields["effective_date"]),
             duration_days=_parse_int(fields, "duration_days"),
         ),
         third_party_accessors=_parse_role_list(

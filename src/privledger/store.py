@@ -192,16 +192,14 @@ class ProviderRecord(Record):
     def to_dict(self) -> dict:
         return {"provider_id": self.provider_id, "attributes": dict(self.attributes)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> ProviderRecord:
-        return cls(provider_id=data["provider_id"], attributes=data["attributes"])
-
 
 class TupleInstance(Record):
     """One stored tuple version and where its hash is on the ledger."""
 
     _fields = ("privacy_tuple", "stream", "seq")
     __slots__ = (*_fields, "_encoded")
+    _keys = ("tuple", "stream", "seq")
+    _decoders = {"privacy_tuple": PrivacyTuple.from_dict}
 
     def __init__(
         self,
@@ -244,19 +242,13 @@ class TupleInstance(Record):
     def to_dict(self) -> dict:
         return {"seq": self.seq, "stream": self.stream, "tuple": self.privacy_tuple.to_dict()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> TupleInstance:
-        return cls(
-            privacy_tuple=PrivacyTuple.from_dict(data["tuple"]),
-            stream=data["stream"],
-            seq=data["seq"],
-        )
 
+class Credential(Record):
+    __slots__ = _fields = ("login", "password_hash", "profile")
+    _decoders = {"password_hash": HashRecord.from_string, "profile": AccessorProfile.from_dict}
 
-class Credential(NamedTuple):
-    login: str
-    password_hash: HashRecord
-    profile: AccessorProfile
+    def __init__(self, login: str, password_hash: HashRecord, profile: AccessorProfile):
+        self._set(login, password_hash, profile)
 
     def to_dict(self) -> dict:
         return {
@@ -264,14 +256,6 @@ class Credential(NamedTuple):
             "password_hash": self.password_hash.to_string(),
             "profile": self.profile.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Credential:
-        return cls(
-            login=data["login"],
-            password_hash=HashRecord.from_string(data["password_hash"]),
-            profile=AccessorProfile.from_dict(data["profile"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +335,6 @@ def _shared(kept, decoded: Record):
     return kept if same else decoded
 
 
-def _decode_provider(line: str) -> ProviderRecord:
-    return ProviderRecord.from_dict(json.loads(line))
-
-
-def _decode_credential(line: str) -> Credential:
-    return Credential.from_dict(json.loads(line))
-
-
 class Store:
     """Single-writer store over the three family files."""
 
@@ -407,11 +383,11 @@ class Store:
     # -- persistence --------------------------------------------------------
 
     def _load(self):
-        for record in self._read_records(CONTENT_FILE, _decode_provider):
+        for record in self._read_records(CONTENT_FILE, ProviderRecord):
             self._providers[record.provider_id] = record
         try:
             self._policy.open(self._take, self._index_policy)
-            for cred in self._read_records(CREDENTIALS_FILE, _decode_credential):
+            for cred in self._read_records(CREDENTIALS_FILE, Credential):
                 self._credentials[cred.login] = cred
                 self._accessors[cred.profile.accessor_id] = cred
         except BaseException:
@@ -473,15 +449,15 @@ class Store:
         lines = array("q", [self._policy_lines])
         self._policy.save(lambda: [part.tobytes() for part in (lines, *self._columns)])
 
-    def _read_records(self, name: str, decode) -> list:
+    def _read_records(self, name: str, kind: type[Record]) -> list:
         path = self._dir / name
         with open(path, "rb") as fh:
-            return [record for *_, record in _decode_lines(path, fh, decode) if record is not None]
+            lines = _decode_lines(path, fh, lambda line: kind.from_dict(json.loads(line)))
+            return [record for *_, record in lines if record is not None]
 
-    def _policy_line(self, indexed: _Indexed) -> str:
-        """The indexed line as policy.db holds it now, stripped."""
-        data = os.pread(self._policy.reader.fileno(), indexed.length, indexed.offset)
-        return data.decode("utf-8").strip()
+    def _policy_line(self, indexed: _Indexed) -> bytes:
+        """The indexed line as policy.db holds it now."""
+        return os.pread(self._policy.fileno(), indexed.length, indexed.offset)
 
     def _append_record(self, name: str, record: dict):
         with open(self._dir / name, "a+b", buffering=0) as fh:
@@ -559,8 +535,9 @@ class Store:
 
     def _decode(self, lineage: tuple[int, int, int], indexed: _Indexed) -> TupleInstance:
         where = f"{self._dir / POLICY_FILE} line {indexed.lineno}"
+        line = self._policy_line(indexed)  # a closed store raises here
         try:
-            instance = TupleInstance.from_dict(json.loads(self._policy_line(indexed)))
+            instance = TupleInstance.from_dict(json.loads(line.decode("utf-8").strip()))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
         if (instance.lineage, instance.version, instance.seq) != (

@@ -68,6 +68,11 @@ class AttributeMeta(Record):
     """Schema-level description of one provider attribute."""
 
     __slots__ = _fields = ("attribute_id", "name", "category", "sensitivity_hint")
+    _decoders = {
+        "category": AttributeCategory.from_token,
+        "sensitivity_hint": Sensitivity.from_token,
+    }
+    _error = TupleError
 
     def __init__(
         self,
@@ -94,17 +99,6 @@ class AttributeMeta(Record):
             "sensitivity_hint": self.sensitivity_hint.token,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> AttributeMeta:
-        if set(data) != {"attribute_id", "name", "category", "sensitivity_hint"}:
-            raise TupleError("attribute record has wrong keys")
-        return cls(
-            attribute_id=data["attribute_id"],
-            name=data["name"],
-            category=AttributeCategory.from_token(data["category"]),
-            sensitivity_hint=Sensitivity.from_token(data["sensitivity_hint"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # The tuple itself
@@ -113,6 +107,12 @@ class AttributeMeta(Record):
 
 class PrivacyTuple(Record):
     __slots__ = _fields = ("provider_id", "attribute", "prefs", "accessor", "version")
+    _decoders = {
+        "attribute": AttributeMeta.from_dict,
+        "prefs": PreferenceSet.from_dict,
+        "accessor": AccessorProfile.from_dict,
+    }
+    _error = TupleError
 
     def __init__(
         self,
@@ -149,19 +149,6 @@ class PrivacyTuple(Record):
             "accessor": self.accessor.to_dict(),
             "version": self.version,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> PrivacyTuple:
-        expected = {"provider_id", "attribute", "prefs", "accessor", "version"}
-        if set(data) != expected:
-            raise TupleError("tuple record has wrong keys")
-        return cls(
-            provider_id=data["provider_id"],
-            attribute=AttributeMeta.from_dict(data["attribute"]),
-            prefs=PreferenceSet.from_dict(data["prefs"]),
-            accessor=AccessorProfile.from_dict(data["accessor"]),
-            version=data["version"],
-        )
 
 
 def bind_tuple(
@@ -289,13 +276,8 @@ def hash_tuple(encoded: bytes, cost: int = DEFAULT_COST) -> HashRecord:
     )
 
 
-def verify_hash(encoded: bytes, record) -> bool:
-    """Recompute the digest under the record's salt and cost and compare.
-
-    Accepts a HashRecord or its serialized form.  Comparison is
-    constant-time.  Never raises on mismatch, only on malformed records.
-    """
-    if not isinstance(record, HashRecord):
-        record = HashRecord.from_string(record)
+def verify_hash(encoded: bytes, record: HashRecord) -> bool:
+    """Recompute the digest under the record's salt and cost and compare, in
+    constant time."""
     expected = _pbkdf2(record.salt, encoded, record.cost)
     return hmac.compare_digest(expected, record.digest)

@@ -44,7 +44,7 @@ from privledger.policy import (
     apply_granularity,
     evaluate_access,
 )
-from privledger.tuples import PrivacyTuple, canonical_encode, hash_tuple, verify_hash
+from privledger.tuples import HashRecord, PrivacyTuple, canonical_encode, hash_tuple, verify_hash
 
 NOW = dt.date(2021, 7, 1)
 
@@ -496,7 +496,7 @@ def test_criterion_8_round_trip_determinism(tmp_path):
         data = rng.randbytes(rng.randint(0, 200))
         record = hash_tuple(data, cost=rng.randint(1, 16))
         ok &= verify_hash(data, record)
-        ok &= verify_hash(data, record.to_string())
+        ok &= verify_hash(data, HashRecord.from_string(record.to_string()))
         if data:
             flipped = bytearray(data)
             flipped[rng.randrange(len(data))] ^= 0xFF

@@ -606,6 +606,21 @@ def test_an_id_out_of_range_is_refused_and_changes_nothing(
     assert "provider 4: 5202 50 Ave" in out
 
 
+def test_a_stored_record_with_another_key_fails_open_and_changes_nothing(
+    demo_dir, tmp_path, capsys
+):
+    data_dir = tmp_path / "demo-data"
+    shutil.copytree(demo_dir, data_dir)
+    content = data_dir / "content.db"
+    record = json.loads(content.read_text())
+    content.write_text(json.dumps({**record, "nickname": "Ave"}, sort_keys=True) + "\n")
+    before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+    code, out, err = run(capsys, *query_args(data_dir, "street_name"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {content} line 1: unreadable record (ProviderRecord record ")
+    assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
+
+
 # ---------------------------------------------------------------------------
 # policy set validation
 # ---------------------------------------------------------------------------

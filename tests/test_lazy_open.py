@@ -162,7 +162,11 @@ def _missing_accessor(record):
     del record["tuple"]["accessor"]
 
 
-@pytest.mark.parametrize("edit", [_bad_purpose_mode, _missing_accessor])
+def _extra_norm_key(record):
+    record["tuple"]["prefs"]["purpose"]["norms"]["whom"] = "anyone"
+
+
+@pytest.mark.parametrize("edit", [_bad_purpose_mode, _missing_accessor, _extra_norm_key])
 def test_undecodable_latest_record_aborts_only_queries_touching_it(tmp_path, edit):
     for config in _demo_configs(tmp_path):
         _rewrite_latest(config, 5, edit)

@@ -272,7 +272,7 @@ def _opened_index(directory: Path):
         # Open keeps where each line is; read the line back from there.
         indexed = policy_index(store)
         latest = [
-            (held.version, held.seq, store._policy_line(held), held.lineno)
+            (held.version, held.seq, store._policy_line(held).decode("utf-8").strip(), held.lineno)
             for _, held in indexed
         ]
         return "opened", latest, [lineage for lineage, _ in indexed]

@@ -10,7 +10,8 @@ fixed salt source and clock; content.db and policy.db read as they did
 in format 2, and ledger.db and credentials.db differ from format 2 only
 in their $pbkdf2$ hash records.  A store write that fails
 must leave memory as the file is, and an open or create that fails must
-leave no file open.
+leave no file open.  Once closed, the ledger and the store refuse every
+read and append of ledger.db and policy.db.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import stat
 
 import pytest
@@ -495,3 +497,63 @@ def test_a_rewritten_file_keeps_its_mode(tmp_path, umask):
     engine = Engine.open(engine.config)
     assert engine.store.get_provider_record(DEMO_PROVIDER_ID).attributes == {"city": "Edmonton"}
     engine.close()
+
+
+# ---------------------------------------------------------------------------
+# Use after close
+# ---------------------------------------------------------------------------
+
+
+def closed_file(path) -> str:
+    return rf"^I/O operation on closed file: {re.escape(str(path))}$"
+
+
+def test_a_closed_ledger_refuses_every_read_and_append(tmp_path, opened):
+    path = tmp_path / "ledger.db"
+    led = Ledger(path, clock=TickingClock(), create=True)
+    led.create_stream("stream-4-5-3", "key17", b"v1")
+    led.close()
+    before = path.read_bytes()
+    for use in (
+        lambda: led.item(0),
+        lambda: led.latest_item("stream-4-5-3"),
+        lambda: led.list_items("stream-4-5-3"),
+        lambda: led.create_stream("stream-4-1-3", "key17", b"v1"),
+        lambda: led.publish("stream-4-5-3", "key18", b"v2"),
+    ):
+        with pytest.raises(ValueError, match=closed_file(path)):
+            use()
+    assert path.read_bytes() == before
+    assert opened and all(handle.closed for handle in opened)
+
+
+def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
+    engine = make_engine(tmp_path)
+    install_demo_fixture(engine)
+    engine.close()
+    store = Store(engine.config.data_dir, hash_cost=8)
+    store.close()
+    path = engine.config.data_dir / "policy.db"
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=closed_file(path)):
+        store.latest_tuple_instance(DEMO_LINEAGE_A)  # not a CorruptRecord
+    with pytest.raises(ValueError, match=closed_file(path)):
+        store.put_tuple_instance(sample_instance(store, version=9, seq=99))
+    assert path.read_bytes() == before
+    assert opened and all(handle.closed for handle in opened)
+
+
+def test_a_closed_engine_raises_rather_than_abort_a_query(tmp_path):
+    engine = make_engine(tmp_path)
+    install_demo_fixture(engine)
+    engine.close()
+    engine = Engine.open(engine.config)
+    engine.close()
+    request = QueryRequest(
+        accessor_id=DEMO_ACCESSOR_ID,
+        requested_purpose="care-delivery",
+        attributes=("street_name",),
+        provider_id=DEMO_PROVIDER_ID,
+    )
+    with pytest.raises(ValueError, match=closed_file(engine.config.data_dir / "policy.db")):
+        engine.mediate(request, now=dt.date(2021, 7, 1))
