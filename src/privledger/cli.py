@@ -32,7 +32,16 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .chain import ChainReport, LedgerError, verify_file
-from .config import DATA_DIR_ENV, EngineConfig, EngineError, parse_decimal, require_format
+from .config import (
+    DATA_DIR_ENV,
+    EngineConfig,
+    EngineError,
+    make_private_dir,
+    parse_decimal,
+    private,
+    require_format,
+    require_private,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,7 +76,7 @@ class Output:
 @contextmanager
 def data_dir_lock(data_dir: Path):
     """One process per data directory; the second fails fast."""
-    handle = open(data_dir / LOCK_FILE, "a+")
+    handle = open(data_dir / LOCK_FILE, "a+", opener=private)
     try:
         try:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -84,11 +93,12 @@ def data_dir_lock(data_dir: Path):
 def open_engine(config: EngineConfig):
     """Lock the data directory, then open its engine; close it on exit.
 
-    A directory without engine state is refused before the lock, so no
-    command but init creates anything."""
+    A directory without engine state, or one that others may access, is
+    refused before the lock, so no command but init creates anything."""
     from .engine import Engine
 
     Engine.require_state(config)
+    require_private(config.data_dir)
     with data_dir_lock(config.data_dir):
         engine = Engine.open(config)
         try:
@@ -223,7 +233,8 @@ def _parse_assignments(pairs, what: str) -> dict:
 def cmd_init(config: EngineConfig, out: Output) -> int:
     from .engine import Engine
 
-    config.data_dir.mkdir(parents=True, exist_ok=True)
+    make_private_dir(config.data_dir)
+    require_private(config.data_dir)
     with data_dir_lock(config.data_dir):
         engine = Engine.initialize(config)
         try:
@@ -253,12 +264,10 @@ def cmd_provider_add(config: EngineConfig, args, out: Output) -> int:
 
 
 def cmd_accessor_add(config: EngineConfig, args, out: Output) -> int:
-    from .policy import AccessorProfile, AccessorRole, Sensitivity
+    from .policy import AccessorProfile
 
-    profile = AccessorProfile(
-        accessor_id=args.id,
-        role=AccessorRole.from_token(args.role),
-        permission_level=Sensitivity.from_token(args.permission),
+    profile = AccessorProfile.from_dict(
+        {"accessor_id": args.id, "role": args.role, "permission_level": args.permission}
     )
     with open_engine(config) as engine:
         engine.add_accessor(args.login, args.password, profile)
@@ -301,6 +310,7 @@ def _render_cell(value) -> str:
 
 
 def cmd_query(config: EngineConfig, args, out: Output) -> int:
+    from .ledger import LINEAGE_STREAM
     from .mediator import MediationStatus, QueryRequest
 
     attributes = tuple(a.strip() for a in args.attributes.split(",") if a.strip())
@@ -327,15 +337,16 @@ def cmd_query(config: EngineConfig, args, out: Output) -> int:
         f"status = {result.status.value}",
     )
     for entry in result.verification:
+        stream = LINEAGE_STREAM.format(*entry.lineage)
         out.emit(
             {
                 "record": "verification",
-                "stream": entry.lineage.stream,
+                "stream": stream,
                 "seq": entry.seq,
                 "verified": entry.verified,
                 "note": entry.note,
             },
-            f"  {entry.lineage.stream}  seq={entry.seq}  "
+            f"  {stream}  seq={entry.seq}  "
             f"verified={'yes' if entry.verified else 'no'} ({entry.note})",
         )
     for name, reason in result.denials:
@@ -409,6 +420,7 @@ def cmd_ledger_verify(config: EngineConfig, out: Output) -> int:
     if not config.ledger_file.exists():
         raise CliError(f"no ledger at {config.ledger_file}")
     require_format(config.data_dir)
+    require_private(config.data_dir)
     report: ChainReport = verify_file(config.ledger_file)
     out.emit(
         {

@@ -6,6 +6,11 @@ that reads ``privledger 3``.  One without it is in format 1, and one
 that reads ``privledger 2`` is in format 2, whose hash records differ:
 both are refused and left as they are.
 
+Only the directory's owner may read it: it holds the plaintext and the
+login hashes that mediation guards.  The directory is made with mode 0700
+and every file in it with mode 0600, and a command refuses the directory
+when the group or others have any permission on it or on any entry in it.
+
 This module imports no other privledger module, so a command that opens
 no engine (``ledger verify``) loads it and the chain module only.  It
 also holds what the engine modules share with the configuration: the
@@ -15,6 +20,7 @@ one rule for ids and the bounds of the hash cost.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -36,6 +42,10 @@ class ConfigError(EngineError):
 
 
 class UnsupportedFormat(EngineError):
+    pass
+
+
+class LoosePermissions(EngineError):
     pass
 
 
@@ -199,3 +209,30 @@ def require_format(data_dir: Path):
             "rebuild it with init in a new directory"
         )
     raise UnsupportedFormat(f"{path}: unknown data format {text!r}")
+
+
+def private(path, flags: int) -> int:
+    """An opener for open(): a file it creates gets mode 0600."""
+    return os.open(path, flags, 0o600)
+
+
+def make_private_dir(data_dir: Path):
+    """Create the data directory with mode 0700, or set it to 0700."""
+    data_dir.mkdir(0o700, parents=True, exist_ok=True)
+    data_dir.chmod(0o700)
+
+
+def require_private(data_dir: Path):
+    """Raise LoosePermissions unless the group and others have no permission
+    on the data directory or on any entry in it."""
+    with os.scandir(data_dir) as entries:
+        paths = [data_dir, *(Path(entry.path) for entry in entries)]
+    for path in paths:
+        try:
+            mode = path.stat().st_mode & 0o7777
+        except FileNotFoundError:  # a writer's temporary file, renamed since
+            continue
+        if mode & 0o077:
+            raise LoosePermissions(
+                f"{path} has mode {mode:04o}; only its owner may have access (chmod go-rwx)"
+            )

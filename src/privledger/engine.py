@@ -27,6 +27,8 @@ from .config import (
     EngineConfig,
     EngineError,
     NotInitialized,
+    make_private_dir,
+    private,
     require_format,
 )
 from .ledger import Ledger, stream_name_for
@@ -80,8 +82,9 @@ class Engine:
         data_dir = config.data_dir
         if (data_dir / "content.db").exists() or config.ledger_file.exists():
             raise AlreadyInitialized(f"engine already initialized in {data_dir}")
-        data_dir.mkdir(parents=True, exist_ok=True)
-        (data_dir / FORMAT_FILE).write_text(FORMAT)
+        make_private_dir(data_dir)
+        with open(data_dir / FORMAT_FILE, "w", opener=private) as fh:
+            fh.write(FORMAT)
         store = Store(data_dir, hash_cost=config.hash_cost, create=True)
         ledger = Ledger(config.ledger_file, create=True)
         return cls(config, store, ledger)

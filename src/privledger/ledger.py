@@ -28,7 +28,6 @@ import hashlib
 import os
 import re
 import secrets
-import stat
 from array import array
 from binascii import unhexlify
 from itertools import islice
@@ -55,6 +54,7 @@ from .chain import (
     _verify_digests,
 )
 from .chain import verify_file  # noqa: F401  perfbench traces ledger.verify_file
+from .config import private
 
 
 class InvalidStreamName(LedgerError):
@@ -267,7 +267,8 @@ class IndexedFile:
     append handle from the first append (or from create()), both until
     close(); an append that fails closes its handle, and the next opens the
     file afresh.  Once close() ran, fileno() and append() raise ValueError
-    naming the file, as io does for a closed file.
+    naming the file, as io does for a closed file.  A file it creates gets
+    mode 0600.
     """
 
     def __init__(self, path: Path):
@@ -299,24 +300,26 @@ class IndexedFile:
 
     def create(self):
         """Create the file, or take it empty, with both handles open."""
-        self._out = open(self.path, "ab", buffering=0)
+        self._out = open(self.path, "ab", buffering=0, opener=private)
         self.reader = open(self.path, "rb")
 
-    def _check_open(self):
+    def check_open(self, path: Path | None = None):
+        """Raise ValueError once close() ran, as io does for a closed file,
+        naming path, by default this file."""
         if self.closed:
-            raise ValueError(f"I/O operation on closed file: {self.path}")
+            raise ValueError(f"I/O operation on closed file: {path or self.path}")
 
     def fileno(self) -> int:
         """The read-only handle's descriptor, to read records by offset."""
-        self._check_open()
+        self.check_open()
         return self.reader.fileno()
 
     def append(self, line: str) -> tuple[int, int]:
         """Append a line; returns its offset and its length in bytes without
         the newline."""
-        self._check_open()
+        self.check_open()
         if self._out is None or self._out.closed:
-            self._out = open(self.path, "ab", buffering=0)
+            self._out = open(self.path, "ab", buffering=0, opener=private)
         newline = self._unterminated
         data = append_line(self._out, line, newline)
         self._unterminated = False
@@ -354,18 +357,11 @@ class IndexedFile:
 def replace_file(target: Path, chunks):
     """Write the chunks of bytes to a temporary file beside target, then
     rename it over target, so that no reader sees a half-written file.  The
-    new file keeps target's mode; with no target, it has the mode a plain
-    open creates a file with.  A write that fails leaves no temporary file."""
-    try:
-        mode = stat.S_IMODE(os.stat(target).st_mode)
-    except FileNotFoundError:
-        mode = None
+    new file has mode 0600.  A write that fails leaves no temporary file."""
     temp = target.with_name(f"{target.name}.{secrets.token_hex(8)}")
-    fh = open(temp, "xb")
+    fh = open(temp, "xb", opener=private)
     try:
         with fh:
-            if mode is not None:
-                os.fchmod(fh.fileno(), mode)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(temp, target)

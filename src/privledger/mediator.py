@@ -25,6 +25,7 @@ from __future__ import annotations
 import datetime as dt
 import time
 from enum import Enum
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .ledger import LINEAGE_STREAM, Ledger, LedgerError, UnknownStream
@@ -53,16 +54,6 @@ VERIFIED_NO_POLICY = "no-policy"
 PROVIDER_ID = "provider_id"  # the one conjunct name that is not an attribute
 
 
-class Lineage(NamedTuple):
-    provider_id: int
-    attribute_id: int
-    accessor_id: int
-
-    @property
-    def stream(self) -> str:
-        return LINEAGE_STREAM.format(*self)
-
-
 class QueryRequest(Record):
     __slots__ = _fields = ("accessor_id", "requested_purpose", "attributes", "predicate", "provider_id")
 
@@ -89,7 +80,7 @@ class QueryRequest(Record):
 
 
 class VerificationEntry(NamedTuple):
-    lineage: Lineage
+    lineage: tuple[int, int, int]  # (provider_id, attribute_id, accessor_id)
     seq: int | None
     verified: bool
     note: str  # ok | mismatch | no-policy
@@ -105,23 +96,11 @@ class Timing(NamedTuple):
     total_ms: float
 
 
-class OpCounters:
+class OpCounters(SimpleNamespace):
     """Instrumented operation counts for one query execution."""
 
-    __slots__ = ("ledger_reads", "hash_verifications", "policy_evaluations", "selects")
-
     def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        counts = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
-        return f"OpCounters({counts})"
+        super().__init__(ledger_reads=0, hash_verifications=0, policy_evaluations=0, selects=0)
 
 
 class MediationResult(NamedTuple):
@@ -182,10 +161,13 @@ class Mediator:
 
     # -- analysis -----------------------------------------------------------
 
-    def analyze(self, request: QueryRequest, names: dict | None = None) -> list[Lineage]:
-        """Lineages touched by a request, provider then attribute ascending:
-        one per requested or filtered attribute, however often it is named.
-        names, if given, takes each of those attributes' id -> name."""
+    def analyze(
+        self, request: QueryRequest, names: dict | None = None
+    ) -> list[tuple[int, int, int]]:
+        """Lineages touched by a request, as (provider_id, attribute_id,
+        accessor_id), provider then attribute ascending: one per requested
+        or filtered attribute, however often it is named.  names, if given,
+        takes each of those attributes' id -> name."""
         by_name = self._store.catalog.by_name
         id_to_name = {
             by_name(name).attribute_id: name
@@ -202,9 +184,8 @@ class Mediator:
         accessor_id = request.accessor_id
         self._store.get_accessor(accessor_id)
         attribute_ids = sorted(id_to_name)
-        new = tuple.__new__  # in C: Lineage(...) runs a __new__ written in Python
         return [
-            new(Lineage, (provider_id, attribute_id, accessor_id))
+            (provider_id, attribute_id, accessor_id)
             for provider_id in sorted(providers)
             for attribute_id in attribute_ids
         ]

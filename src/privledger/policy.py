@@ -451,8 +451,8 @@ def _parse_int(fields: dict, name: str) -> int:
     return number
 
 
-def _parse_role_list(raw: str) -> frozenset[AccessorRole]:
-    return _role_set(t.strip() for t in raw.split(",") if t.strip())
+def _tokens(raw: str) -> list[str]:
+    return [t.strip() for t in raw.split(",") if t.strip()]
 
 
 def _record_from_fields(fields: dict) -> PreferenceSet:
@@ -462,33 +462,27 @@ def _record_from_fields(fields: dict) -> PreferenceSet:
     missing = [f for f in _REQUIRED_FIELDS if f not in fields]
     if missing:
         raise PolicyError(f"missing policy fields: {missing}")
-    norms = ContextualNorms(
-        who=fields.get("norm_who"),
-        when=fields.get("norm_when"),
-        why=fields.get("norm_why"),
-        where=fields.get("norm_where"),
-        how=fields.get("norm_how"),
-    )
-    return PreferenceSet(
-        attribute_id=_parse_int(fields, "attribute_id"),
-        sensitivity=Sensitivity.from_token(fields["sensitivity"]),
-        purpose=PurposePolicy(
-            mode=PurposeMode.from_token(fields["purpose_mode"]),
-            declared_purpose=fields["declared_purpose"],
-            norms=norms,
-        ),
-        visibility=VisibilityPolicy(
-            scope=VisibilityScope.from_token(fields["visibility_scope"]),
-            allowed_roles=_parse_role_list(fields["allowed_roles"]),
-        ),
-        granularity=_granularity(fields["granularity"]),
-        retention=RetentionPolicy(
-            effective_date=_date(fields["effective_date"]),
-            duration_days=_parse_int(fields, "duration_days"),
-        ),
-        third_party_accessors=_parse_role_list(
-            fields.get("third_party_accessors", "")
-        ),
+    # The record in its stored form, decoded as a stored one is.
+    return PreferenceSet.from_dict(
+        {
+            "attribute_id": _parse_int(fields, "attribute_id"),
+            "sensitivity": fields["sensitivity"],
+            "purpose": {
+                "mode": fields["purpose_mode"],
+                "declared_purpose": fields["declared_purpose"],
+                "norms": {key: fields.get("norm_" + key) for key in _NORM_KEYS},
+            },
+            "visibility": {
+                "scope": fields["visibility_scope"],
+                "allowed_roles": _tokens(fields["allowed_roles"]),
+            },
+            "granularity": fields["granularity"],
+            "retention": {
+                "effective_date": fields["effective_date"],
+                "duration_days": _parse_int(fields, "duration_days"),
+            },
+            "third_party_accessors": _tokens(fields.get("third_party_accessors", "")),
+        }
     )
 
 

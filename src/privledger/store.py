@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .ledger import IndexedFile, append_line, int_array, replace_file
-from .config import ID_LIMIT, ID_RULE, Record, is_id
+from .config import ID_LIMIT, ID_RULE, Record, is_id, private
 from .policy import AccessorProfile
 from .tuples import (
     DEFAULT_COST,
@@ -360,7 +360,7 @@ class Store:
                 target = self._dir / name
                 if target.exists():
                     raise StoreError(f"store file already exists: {target}")
-                target.touch()
+                open(target, "xb", opener=private).close()
         else:
             for name in FAMILY_FILES:
                 if not (self._dir / name).exists():
@@ -460,13 +460,15 @@ class Store:
         return os.pread(self._policy.fileno(), indexed.length, indexed.offset)
 
     def _append_record(self, name: str, record: dict):
-        with open(self._dir / name, "a+b", buffering=0) as fh:
+        self._policy.check_open(self._dir / name)  # a closed store writes nothing
+        with open(self._dir / name, "a+b", buffering=0, opener=private) as fh:
             end = os.fstat(fh.fileno()).st_size
             newline = end > 0 and os.pread(fh.fileno(), 1, end - 1) != b"\n"
             append_line(fh, json.dumps(record, sort_keys=True), newline)
 
     def _rewrite_records(self, name: str, records):
         # Replaced as a whole, so readers never observe a half-written family.
+        self._policy.check_open(self._dir / name)
         replace_file(
             self._dir / name,
             (json.dumps(record, sort_keys=True).encode("utf-8") + b"\n" for record in records),
@@ -525,7 +527,7 @@ class Store:
     def latest_tuple_instance(self, lineage: tuple[int, int, int]) -> TupleInstance | None:
         """The latest version, decoded on first touch; raises CorruptRecord
         when its record fails to decode or disagrees with its index.  The
-        lineage is a tuple, or a tuple subclass such as a mediator Lineage."""
+        lineage is a (provider_id, attribute_id, accessor_id) tuple."""
         instance = self._instances.get(lineage)
         if instance is None:
             indexed = self._where(lineage)

@@ -5,8 +5,9 @@ ReferenceMediator.mediate is the mediation as it was then: each lineage
 is verified by its own method, which reads the stream's latest item as
 latest_seq then item and parses the item's hash record through a method
 that keeps the parse per stream; the entries are collected in a list and
-the instances in a dict keyed by Lineage; a second scan of the entries
-looks for a mismatch; and then each lineage's policy is decided.
+the instances in a dict keyed by Lineage, a named tuple built from each
+of analyze's plain ones; a second scan of the entries looks for a
+mismatch; and then each lineage's policy is decided.
 
 reference_evaluate_access is the access decision as it was before it
 returned shared decisions: it builds the union of the roles the policy
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import datetime as dt
 import time
+from typing import NamedTuple
 
-from privledger.ledger import LedgerError, StreamItem, UnknownStream
+from privledger.ledger import LINEAGE_STREAM, LedgerError, StreamItem, UnknownStream
 from privledger.mediator import (
     INTEGRITY_ABORT,
     NO_PUBLISHED_POLICY,
@@ -29,7 +31,6 @@ from privledger.mediator import (
     VERIFIED_NO_POLICY,
     VERIFIED_OK,
     WITHHELD,
-    Lineage,
     MediationResult,
     MediationStatus,
     Mediator,
@@ -54,6 +55,16 @@ from privledger.policy import (
 )
 from privledger.store import CorruptRecord, TupleInstance
 from privledger.tuples import HashRecord, MalformedRecord, verify_hash
+
+
+class Lineage(NamedTuple):
+    provider_id: int
+    attribute_id: int
+    accessor_id: int
+
+    @property
+    def stream(self) -> str:
+        return LINEAGE_STREAM.format(*self)
 
 
 def reference_retention_active(retention: RetentionPolicy, now: dt.date) -> bool:
@@ -138,7 +149,7 @@ class ReferenceMediator(Mediator):
         now = now or dt.date.today()
         ops = OpCounters()
         accessor = self._store.get_accessor(request.accessor_id)
-        lineages = self.analyze(request)
+        lineages = [Lineage(*lineage) for lineage in self.analyze(request)]
 
         entries: list[VerificationEntry] = []
         instances: dict[Lineage, TupleInstance | None] = {}

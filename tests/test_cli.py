@@ -6,6 +6,7 @@ import fcntl
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 import privledger
 from privledger.cli import main
-from privledger.config import DATA_DIR_ENV
+from privledger.config import DATA_DIR_ENV, private
 from privledger.ledger import load_checkpoint
 
 REPO = Path(__file__).resolve().parent.parent
@@ -134,6 +135,82 @@ def test_only_init_creates_the_data_directory(tmp_path, capsys, argv):
     assert code == 1
     assert err == f"error: no engine state in {data_dir}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# only the owner can read the data directory
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def modes(data_dir: Path) -> dict:
+    """The permission bits of each entry of the data directory, and of the
+    directory itself under the name ""."""
+    return {
+        "" if path == data_dir else path.name: stat.S_IMODE(path.stat().st_mode)
+        for path in (data_dir, *data_dir.iterdir())
+    }
+
+
+def test_init_and_the_first_writes_leave_access_to_the_owner_alone(tmp_path, umask_022):
+    data_dir = tmp_path / "fresh"
+    assert main(["--data-dir", str(data_dir), "init"]) == 0
+    private_modes = {"": 0o700, **dict.fromkeys((*LEDGER_FILES, ".lock"), 0o600)}
+    assert modes(data_dir).items() >= private_modes.items()
+    for argv in DEMO_STEPS[1:4]:  # provider add, accessor add, the first policy set
+        assert main(["--data-dir", str(data_dir), *argv]) == 0
+    checkpoints = ("ledger.db.checkpoint", "policy.db.checkpoint")
+    assert modes(data_dir) == {**private_modes, **dict.fromkeys(checkpoints, 0o600)}
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    existing.chmod(0o755)
+    assert main(["--data-dir", str(existing), "init"]) == 0
+    assert modes(existing)[""] == 0o700
+
+
+OPENING_COMMANDS = [
+    ["query", "--login", "physician3", "--password", "physician3-secret",
+     "--purpose", "care-delivery", "--attributes", "street_name"],
+    ["ledger", "list-streams"],
+    ["ledger", "items", "stream-4-5-3"],
+    ["ledger", "verify"],
+    ["provider", "add", "--id", "9", "--set", "city=Calgary"],
+    ["accessor", "add", "--id", "9", "--login", "nurse9", "--password", "nurse9-secret",
+     "--role", "ClinicalNurse", "--permission", "Level2InternalUse"],
+    ["policy", "set", "--provider", "4", "--attribute", "5", "--accessor", "3",
+     "--file", str(STREET_POLICY)],
+]
+
+
+@pytest.mark.parametrize(
+    "loosened",
+    ["", *LEDGER_FILES, ".lock", "ledger.db.checkpoint", "policy.db.checkpoint"],
+    ids=lambda name: name or "directory",
+)
+def test_a_loosened_entry_is_refused_by_every_opening_command(
+    demo_dir, tmp_path, capsys, loosened
+):
+    data_dir = tmp_path / "copy"
+    shutil.copytree(demo_dir, data_dir)
+    path = data_dir / loosened
+    path.chmod(stat.S_IMODE(path.stat().st_mode) | stat.S_IRGRP)  # chmod g+r
+    mode = stat.S_IMODE(path.stat().st_mode)
+    before = modes(data_dir), {p.name: p.read_bytes() for p in data_dir.iterdir()}
+    for argv in OPENING_COMMANDS:
+        code, out, err = run(capsys, "--data-dir", str(data_dir), *argv)
+        assert code == 1
+        assert err.startswith(f"error: {path} has mode {mode:04o};")
+        assert out == ""
+    assert (modes(data_dir), {p.name: p.read_bytes() for p in data_dir.iterdir()}) == before
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +573,7 @@ def test_data_dir_flag_beats_env(tmp_path, capsys, monkeypatch):
 def test_locked_data_dir_fails_fast(tmp_path, capsys):
     data_dir = tmp_path / "busy"
     data_dir.mkdir()
-    holder = open(data_dir / ".lock", "w")
+    holder = open(data_dir / ".lock", "w", opener=private)  # a lock file init would make
     try:
         fcntl.flock(holder.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         code, out, err = run(capsys, "--data-dir", str(data_dir), "init")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from contextlib import closing
 
 import pytest
 
@@ -23,6 +24,7 @@ from helpers import (
 )
 from privledger import tuples
 from privledger.engine import Engine
+from privledger.ledger import LINEAGE_STREAM
 from privledger.mediator import INTEGRITY_ABORT, MediationStatus, QueryRequest
 from privledger.store import (
     AuthenticationFailed,
@@ -72,49 +74,47 @@ def point_request(provider, *attributes):
 
 def test_open_decodes_no_tuple(population_configs, decodes):
     for config in population_configs:
-        engine = Engine.open(config)
-        assert decodes == []
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            assert decodes == []
 
 
 def test_point_query_decodes_each_touched_lineage_once(population_configs, decodes):
     for config in population_configs:
-        engine = Engine.open(config)
-        request = point_request(2, "city", "province", "postal_code")
-        first = engine.mediate(request, now=NOW)
-        assert first.status is MediationStatus.COMPLETED
-        assert sorted(decodes) == sorted(e.lineage.stream for e in first.verification)
-        assert len(decodes) == 3
-        decodes.clear()
-        second = engine.mediate(request, now=NOW)
-        assert decodes == []
-        assert second.rows == first.rows
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            request = point_request(2, "city", "province", "postal_code")
+            first = engine.mediate(request, now=NOW)
+            assert first.status is MediationStatus.COMPLETED
+            assert sorted(decodes) == sorted(
+                LINEAGE_STREAM.format(*e.lineage) for e in first.verification
+            )
+            assert len(decodes) == 3
+            decodes.clear()
+            second = engine.mediate(request, now=NOW)
+            assert decodes == []
+            assert second.rows == first.rows
 
 
 def test_publish_on_untouched_lineage_decodes_nothing(population_configs, decodes):
     for config in population_configs:
-        engine = Engine.open(config)
-        lineage = (2, 6, BENCH_ACCESSOR_ID)
-        prior = engine.store.lineage_version(lineage)
-        assert prior >= 1
-        publication = engine.set_policy(
-            2, BENCH_ACCESSOR_ID, make_prefs(attribute_id=6)
-        )
-        assert publication.version == prior + 1
-        assert decodes == []
-        assert engine.store.latest_tuple_instance(lineage).version == prior + 1
-        assert decodes == []  # the published instance was kept, not re-read
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            lineage = (2, 6, BENCH_ACCESSOR_ID)
+            prior = engine.store.lineage_version(lineage)
+            assert prior >= 1
+            publication = engine.set_policy(
+                2, BENCH_ACCESSOR_ID, make_prefs(attribute_id=6)
+            )
+            assert publication.version == prior + 1
+            assert decodes == []
+            assert engine.store.latest_tuple_instance(lineage).version == prior + 1
+            assert decodes == []  # the published instance was kept, not re-read
 
 
 def test_history_is_read_from_disk(population_configs):
     for config in population_configs:
-        engine = Engine.open(config)
-        lineage = (1, 6, BENCH_ACCESSOR_ID)
-        for _ in range(2):
-            engine.set_policy(1, BENCH_ACCESSOR_ID, make_prefs(attribute_id=6))
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            lineage = (1, 6, BENCH_ACCESSOR_ID)
+            for _ in range(2):
+                engine.set_policy(1, BENCH_ACCESSOR_ID, make_prefs(attribute_id=6))
         policy_lines = (config.data_dir / "policy.db").read_text().splitlines()
         history = [
             record
@@ -122,10 +122,9 @@ def test_history_is_read_from_disk(population_configs):
             if record["stream"] == f"stream-1-6-{BENCH_ACCESSOR_ID}"
         ]
         assert [record["tuple"]["version"] for record in history] == [1, 2, 3]
-        engine = Engine.open(config)
-        latest = engine.store.latest_tuple_instance(lineage)
-        assert latest == TupleInstance.from_dict(history[-1])
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            latest = engine.store.latest_tuple_instance(lineage)
+            assert latest == TupleInstance.from_dict(history[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -171,40 +170,39 @@ def test_undecodable_latest_record_aborts_only_queries_touching_it(tmp_path, edi
     for config in _demo_configs(tmp_path):
         _rewrite_latest(config, 5, edit)
 
-        engine = Engine.open(config)  # the record is not read yet
-        request = QueryRequest(
-            accessor_id=DEMO_ACCESSOR_ID,
-            requested_purpose="care-delivery",
-            attributes=("street_name", "first_name"),
-            provider_id=DEMO_PROVIDER_ID,
-        )
-        result = engine.mediate(request, now=NOW)
-        assert result.status is MediationStatus.ABORTED
-        assert result.rows == ()
-        assert result.denials == (
-            ("street_name", INTEGRITY_ABORT),
-            ("first_name", INTEGRITY_ABORT),
-        )
-        [mismatch] = [e for e in result.verification if e.note == "mismatch"]
-        assert mismatch.lineage.attribute_id == 5
-        assert mismatch.seq == engine.ledger.latest_item("stream-4-5-3").seq
-        assert result.ops.selects == 0
-
-        # A failed decode is not cached as a pass: the next touch fails again.
-        with pytest.raises(CorruptRecord, match=r"policy\.db line 3"):
-            engine.store.latest_tuple_instance((4, 5, 3))
-        clean = engine.mediate(
-            QueryRequest(
+        with closing(Engine.open(config)) as engine:  # the record is not read yet
+            request = QueryRequest(
                 accessor_id=DEMO_ACCESSOR_ID,
                 requested_purpose="care-delivery",
-                attributes=("first_name",),
+                attributes=("street_name", "first_name"),
                 provider_id=DEMO_PROVIDER_ID,
-            ),
-            now=NOW,
-        )
-        assert clean.status is MediationStatus.COMPLETED
-        assert clean.rows[0].cells != ()
-        engine.close()
+            )
+            result = engine.mediate(request, now=NOW)
+            assert result.status is MediationStatus.ABORTED
+            assert result.rows == ()
+            assert result.denials == (
+                ("street_name", INTEGRITY_ABORT),
+                ("first_name", INTEGRITY_ABORT),
+            )
+            [mismatch] = [e for e in result.verification if e.note == "mismatch"]
+            assert mismatch.lineage[1] == 5  # its attribute id
+            assert mismatch.seq == engine.ledger.latest_item("stream-4-5-3").seq
+            assert result.ops.selects == 0
+
+            # A failed decode is not cached as a pass: the next touch fails again.
+            with pytest.raises(CorruptRecord, match=r"policy\.db line 3"):
+                engine.store.latest_tuple_instance((4, 5, 3))
+            clean = engine.mediate(
+                QueryRequest(
+                    accessor_id=DEMO_ACCESSOR_ID,
+                    requested_purpose="care-delivery",
+                    attributes=("first_name",),
+                    provider_id=DEMO_PROVIDER_ID,
+                ),
+                now=NOW,
+            )
+            assert clean.status is MediationStatus.COMPLETED
+            assert clean.rows[0].cells != ()
 
 
 def test_record_filed_under_another_stream_is_corrupt(tmp_path):
@@ -214,10 +212,9 @@ def test_record_filed_under_another_stream_is_corrupt(tmp_path):
             record["stream"] = "stream-4-5-3"
 
         _rewrite_latest(config, 1, restream)  # a first_name record claims street_name
-        engine = Engine.open(config)
-        with pytest.raises(CorruptRecord, match="disagrees"):
-            engine.store.latest_tuple_instance((4, 5, 3))
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            with pytest.raises(CorruptRecord, match="disagrees"):
+                engine.store.latest_tuple_instance((4, 5, 3))
 
 
 def test_corrupt_record_without_a_stream_is_a_mismatch(tmp_path):
@@ -227,19 +224,18 @@ def test_corrupt_record_without_a_stream_is_a_mismatch(tmp_path):
             record["stream"] = "stream-4-9-3"  # original_province: never published
 
         _rewrite_latest(config, 5, restream)
-        engine = Engine.open(config)
-        result = engine.mediate(
-            QueryRequest(
-                accessor_id=DEMO_ACCESSOR_ID,
-                requested_purpose="care-delivery",
-                attributes=("original_province",),
-                provider_id=DEMO_PROVIDER_ID,
-            ),
-            now=NOW,
-        )
-        assert result.status is MediationStatus.ABORTED
-        assert [(e.seq, e.note) for e in result.verification] == [(None, "mismatch")]
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            result = engine.mediate(
+                QueryRequest(
+                    accessor_id=DEMO_ACCESSOR_ID,
+                    requested_purpose="care-delivery",
+                    attributes=("original_province",),
+                    provider_id=DEMO_PROVIDER_ID,
+                ),
+                now=NOW,
+            )
+            assert result.status is MediationStatus.ABORTED
+            assert [(e.seq, e.note) for e in result.verification] == [(None, "mismatch")]
 
 
 @pytest.mark.parametrize("family", ["policy.db", "content.db"])
@@ -269,10 +265,9 @@ def test_unknown_login_costs_as_much_as_a_wrong_password(tmp_path, monkeypatch):
         return original(salt, data, cost)
 
     monkeypatch.setattr(tuples, "_pbkdf2", counting)
-    reopened = Store(tmp_path, hash_cost=2048)
-    assert costs == []  # opening hashes nothing
-    for login in ("physician3", "nobody"):
-        with pytest.raises(AuthenticationFailed):
-            reopened.authenticate(login, "wrong-password")
+    with closing(Store(tmp_path, hash_cost=2048)) as reopened:
+        assert costs == []  # opening hashes nothing
+        for login in ("physician3", "nobody"):
+            with pytest.raises(AuthenticationFailed):
+                reopened.authenticate(login, "wrong-password")
     assert costs == [2048, 2048]
-    reopened.close()

@@ -20,7 +20,7 @@ from ledger_reference import (
 )
 from privledger.chain import _check_line, verify_file, verify_records
 from privledger.cli import main
-from privledger.config import FORMAT, FORMAT_FILE
+from privledger.config import FORMAT, FORMAT_FILE, private
 from privledger.ledger import Ledger, LedgerError, _build_item, _match_line
 
 
@@ -168,7 +168,8 @@ def _write_dated(tmp_path, date):
     led.create_stream("stream-4-5-3", "key17", b"v1")
     led.publish("stream-4-5-3", "key18", b"v2")
     led.close()
-    (tmp_path / FORMAT_FILE).write_text(FORMAT)
+    with open(tmp_path / FORMAT_FILE, "w", opener=private) as fh:  # ledger verify refuses 0644
+        fh.write(FORMAT)
     lines = path.read_text().splitlines()
     fields = lines[2].split("\t")
     fields[4] = date + fields[4][10:]

@@ -16,11 +16,11 @@ from helpers import (
     make_engine,
 )
 from privledger.engine import Engine
+from privledger.ledger import LINEAGE_STREAM
 from privledger.mediator import (
     INTEGRITY_ABORT,
     NO_PUBLISHED_POLICY,
     WITHHELD,
-    Lineage,
     MediationStatus,
     QueryRequest,
     ResultRow,
@@ -80,10 +80,10 @@ def test_request_requires_distinct_attributes():
 def test_analyze_orders_lineages(demo):
     lineages = demo.mediator.analyze(demo_request("street_name", "first_name"))
     assert lineages == [
-        Lineage(4, 1, DEMO_ACCESSOR_ID),
-        Lineage(4, 5, DEMO_ACCESSOR_ID),
+        (4, 1, DEMO_ACCESSOR_ID),
+        (4, 5, DEMO_ACCESSOR_ID),
     ]
-    assert lineages[0].stream == "stream-4-1-3"
+    assert LINEAGE_STREAM.format(*lineages[0]) == "stream-4-1-3"
 
     # Filtered attributes are lineages too, one per attribute however often
     # it is named; a provider_id conjunct is not an attribute.
@@ -94,13 +94,13 @@ def test_analyze_orders_lineages(demo):
         predicate={"street_name": "x", "last_name": "y", "provider_id": 4},
         provider_id=DEMO_PROVIDER_ID,
     )
-    assert [l.attribute_id for l in demo.mediator.analyze(filtered)] == [1, 2, 5]
+    assert [attribute_id for _, attribute_id, _ in demo.mediator.analyze(filtered)] == [1, 2, 5]
 
 
 def test_analyze_expands_all_providers(population):
     lineages = population.mediator.analyze(bench_request("city", "gender"))
-    assert [l.provider_id for l in lineages] == [1, 1, 2, 2, 3, 3]
-    assert [l.attribute_id for l in lineages] == [4, 6] * 3  # ascending per provider
+    assert [provider_id for provider_id, _, _ in lineages] == [1, 1, 2, 2, 3, 3]
+    assert [attribute_id for _, attribute_id, _ in lineages] == [4, 6] * 3  # ascending per provider
 
 
 def test_analyze_rejects_unknowns(demo):
@@ -278,7 +278,7 @@ def test_out_of_band_policy_edit_aborts_queries(tmp_path):
     )
     mismatches = [e for e in result.verification if e.note == "mismatch"]
     assert len(mismatches) == 1
-    assert mismatches[0].lineage.attribute_id == 5
+    assert mismatches[0].lineage[1] == 5  # its attribute id
     assert result.ops.selects == 0
     assert result.timing.native_ms == 0.0
 

@@ -734,9 +734,18 @@ def test_close_after_a_checkpointed_open_writes_what_the_full_pass_writes(demo_c
 EARLIER_CHECKPOINTED = Path(__file__).resolve().parent.parent / "fixtures" / "checkpointed"
 
 
+def _copy_earlier_checkpointed(data_dir: Path):
+    """Copy the fixture with the modes init gives: a checkout leaves its
+    directory 0755 and its files 0644, which every command refuses."""
+    shutil.copytree(EARLIER_CHECKPOINTED, data_dir)
+    data_dir.chmod(0o700)
+    for path in data_dir.iterdir():
+        path.chmod(0o600)
+
+
 def test_a_directory_earlier_code_checkpointed_opens_from_its_checkpoints(tmp_path):
     config = EngineConfig(data_dir=tmp_path / "data", hash_cost=8)
-    shutil.copytree(EARLIER_CHECKPOINTED, config.data_dir)
+    _copy_earlier_checkpointed(config.data_dir)
     earlier = _checkpoints(config)
     assert all(_usable(config, name) for name in CHECKPOINTED)
     from_checkpoints = _opened_state(config)
@@ -754,7 +763,7 @@ def test_a_directory_earlier_code_checkpointed_opens_from_its_checkpoints(tmp_pa
 
 def test_a_query_over_swapped_record_offsets_answers_as_the_full_pass(tmp_path, capsys):
     config = EngineConfig(data_dir=tmp_path / "data", hash_cost=8)
-    shutil.copytree(EARLIER_CHECKPOINTED, config.data_dir)
+    _copy_earlier_checkpointed(config.data_dir)
     path = checkpoint_path(config.data_dir / "ledger.db")
     path.write_bytes(_resealed("ledger.db", _swap_offsets(7, 8))(path.read_bytes()))
     query = [
@@ -853,10 +862,10 @@ def test_read_only_data_directory_still_answers(demo_config, monkeypatch, capsys
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(ledger_module, "open", read_only, raising=False)
-    data_dir.chmod(0o555)
+    data_dir.chmod(0o500)  # no write permission; the group and others have none
     try:
         assert main(query) == 0
     finally:
-        data_dir.chmod(0o755)
+        data_dir.chmod(0o700)
     assert _without_timing(capsys.readouterr().out) == _without_timing(answer)
     assert sorted(p.name for p in data_dir.iterdir()) == files

@@ -457,12 +457,11 @@ def test_append_after_a_missing_final_newline_starts_a_new_line(tmp_path, family
 
 DATA_FILES = ("content.db", "credentials.db", "ledger.db", "policy.db")
 CHECKPOINTS = tuple(name + CHECKPOINT_SUFFIX for name in ("ledger.db", "policy.db"))
-UMASK = 0o026  # a umask no default shares
 
 
-@pytest.fixture
-def umask():
-    old = os.umask(UMASK)
+@pytest.fixture(params=[0o022, 0o026, 0o000], ids=lambda mask: f"umask-{mask:03o}")
+def umask(request):
+    old = os.umask(request.param)
     try:
         yield
     finally:
@@ -473,27 +472,30 @@ def file_modes(data_dir, names) -> dict:
     return {name: stat.S_IMODE((data_dir / name).stat().st_mode) for name in names}
 
 
-def test_a_rewritten_file_keeps_its_mode(tmp_path, umask):
-    """A provider update and a checkpoint replace their file through a
-    temporary one, which takes the mode of the file it replaces, or where
-    there is none the mode a plain open creates a file with."""
+def test_a_written_file_is_private_whatever_the_umask(tmp_path, umask):
+    """Every file the engine creates, a provider update's rewrite and each
+    checkpoint included, has mode 0600, in a directory of mode 0700.  A
+    rewrite does not take the mode of the file it replaces; an append
+    leaves the file's mode as it is."""
     engine = make_engine(tmp_path)
     install_demo_fixture(engine)
     engine.add_provider(DEMO_PROVIDER_ID, {"city": "Calgary"})  # rewrites content.db
     engine.close()  # writes both checkpoints, where there were none
     data_dir = engine.config.data_dir
-    names = DATA_FILES + CHECKPOINTS
-    assert file_modes(data_dir, names) == dict.fromkeys(names, 0o666 & ~UMASK)
+    names = DATA_FILES + CHECKPOINTS + ("format",)
+    assert stat.S_IMODE(data_dir.stat().st_mode) == 0o700
+    assert file_modes(data_dir, names) == dict.fromkeys(names, 0o600)
 
-    chosen = dict(zip(names, (0o644, 0o604, 0o664, 0o660, 0o644, 0o600)))
-    for name, mode in chosen.items():
+    loose = dict.fromkeys(names, 0o644)
+    for name, mode in loose.items():
         (data_dir / name).chmod(mode)
     engine = Engine.open(engine.config)
     engine.add_provider(DEMO_PROVIDER_ID, {"city": "Edmonton"})
     engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))  # both checkpoints due
     engine.close()
-    assert file_modes(data_dir, names) == chosen
-    assert sorted(path.name for path in data_dir.iterdir()) == sorted((*names, "format"))
+    rewritten = ("content.db", *CHECKPOINTS)
+    assert file_modes(data_dir, names) == {**loose, **dict.fromkeys(rewritten, 0o600)}
+    assert sorted(path.name for path in data_dir.iterdir()) == sorted(names)
     engine = Engine.open(engine.config)
     assert engine.store.get_provider_record(DEMO_PROVIDER_ID).attributes == {"city": "Edmonton"}
     engine.close()
@@ -541,6 +543,24 @@ def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
         store.put_tuple_instance(sample_instance(store, version=9, seq=99))
     assert path.read_bytes() == before
     assert opened and all(handle.closed for handle in opened)
+
+
+def test_a_closed_engine_writes_no_provider_or_accessor(tmp_path):
+    engine = make_engine(tmp_path)
+    install_demo_fixture(engine)
+    engine.close()
+    data_dir = engine.config.data_dir
+    before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+    for name, write in (
+        ("content.db", lambda: engine.add_provider(7, {"city": "Calgary"})),  # an append
+        ("content.db", lambda: engine.add_provider(DEMO_PROVIDER_ID, {"city": "Calgary"})),
+        ("credentials.db", lambda: engine.add_accessor("nurse9", "secret", make_accessor(9))),
+    ):
+        with pytest.raises(ValueError, match=closed_file(data_dir / name)):
+            write()
+    assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
+    assert not engine.store.has_provider(7)
+    assert engine.store.get_provider_record(DEMO_PROVIDER_ID).attributes["city"] != "Calgary"
 
 
 def test_a_closed_engine_raises_rather_than_abort_a_query(tmp_path):

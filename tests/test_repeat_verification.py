@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from contextlib import closing
 
 import pytest
 
@@ -104,31 +105,30 @@ def disclosed(result):
 
 def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes, parsed):
     for config in configs:
-        engine = Engine.open(config)
-        hashed.clear()
-        encodes.clear()
-        parsed.clear()
-        first = engine.mediate(REQUEST, now=NOW)
-        assert first.status is MediationStatus.COMPLETED
-        entries = published(first)
-        assert len(entries) == 6 and len(first.verification) == 9
-        assert first.ops.hash_verifications == len(hashed) == len(entries)
-        # The bytes verified are the decoded instance's canonical encoding.
-        assert hashed == stored_encodings(engine, entries)
-        assert sorted(encodes) == sorted(e.lineage for e in entries)
-        assert parsed == payloads(engine, entries)
+        with closing(Engine.open(config)) as engine:
+            hashed.clear()
+            encodes.clear()
+            parsed.clear()
+            first = engine.mediate(REQUEST, now=NOW)
+            assert first.status is MediationStatus.COMPLETED
+            entries = published(first)
+            assert len(entries) == 6 and len(first.verification) == 9
+            assert first.ops.hash_verifications == len(hashed) == len(entries)
+            # The bytes verified are the decoded instance's canonical encoding.
+            assert hashed == stored_encodings(engine, entries)
+            assert sorted(encodes) == sorted(e.lineage for e in entries)
+            assert parsed == payloads(engine, entries)
 
-        hashed.clear()
-        encodes.clear()
-        parsed.clear()
-        second = engine.mediate(REQUEST, now=NOW)
-        assert second.ops.hash_verifications == first.ops.hash_verifications
-        assert hashed == stored_encodings(engine, entries)
-        assert encodes == []  # each stored version is encoded once
-        assert parsed == []  # and each latest hash record parsed once
-        assert second.verification == first.verification
-        assert second.rows == first.rows
-        engine.close()
+            hashed.clear()
+            encodes.clear()
+            parsed.clear()
+            second = engine.mediate(REQUEST, now=NOW)
+            assert second.ops.hash_verifications == first.ops.hash_verifications
+            assert hashed == stored_encodings(engine, entries)
+            assert encodes == []  # each stored version is encoded once
+            assert parsed == []  # and each latest hash record parsed once
+            assert second.verification == first.verification
+            assert second.rows == first.rows
 
 
 def test_every_repeat_of_a_filtered_scan_hashes_and_evaluates_each_lineage(
@@ -143,67 +143,67 @@ def test_every_repeat_of_a_filtered_scan_hashes_and_evaluates_each_lineage(
 
     monkeypatch.setattr(mediator, "evaluate_access", counting)
     for config in configs:
-        engine = Engine.open(config)
-        city = engine.store.select_rows(["city"])[0][1][0]
-        request = QueryRequest(
-            accessor_id=BENCH_ACCESSOR_ID,
-            requested_purpose=BENCH_PURPOSE,
-            attributes=("first_name", "city", "chart_number", "witness_city"),
-            predicate={"city": city},
-        )
-        results = []
-        for _ in range(4):  # the first query warms the engine
-            hashed.clear()
-            evaluated.clear()
-            result = engine.mediate(request, now=NOW)
-            assert result.status is MediationStatus.COMPLETED
-            entries = published(result)
-            verified = [e for e in result.verification if e.verified]
-            assert len(entries) == len(verified) == 9 and len(result.verification) == 12
-            assert len(hashed) == result.ops.hash_verifications == len(entries)
-            assert hashed == stored_encodings(engine, entries)
-            assert len(evaluated) == result.ops.policy_evaluations == len(verified)
-            assert evaluated == [e.lineage.attribute_id for e in verified]
-            results.append(result)
-        assert all(result.rows == results[0].rows != () for result in results)
-        assert all(result.ops == results[0].ops for result in results)
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            city = engine.store.select_rows(["city"])[0][1][0]
+            request = QueryRequest(
+                accessor_id=BENCH_ACCESSOR_ID,
+                requested_purpose=BENCH_PURPOSE,
+                attributes=("first_name", "city", "chart_number", "witness_city"),
+                predicate={"city": city},
+            )
+            results = []
+            for _ in range(4):  # the first query warms the engine
+                hashed.clear()
+                evaluated.clear()
+                result = engine.mediate(request, now=NOW)
+                assert result.status is MediationStatus.COMPLETED
+                entries = published(result)
+                verified = [e for e in result.verification if e.verified]
+                assert len(entries) == len(verified) == 9 and len(result.verification) == 12
+                assert len(hashed) == result.ops.hash_verifications == len(entries)
+                assert hashed == stored_encodings(engine, entries)
+                assert len(evaluated) == result.ops.policy_evaluations == len(verified)
+                assert evaluated == [e.lineage[1] for e in verified]  # attribute ids
+                results.append(result)
+            assert all(result.rows == results[0].rows != () for result in results)
+            assert all(result.ops == results[0].ops for result in results)
 
 
 def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, parsed):
     for config in configs:
         hashed.clear()
         encodes.clear()
-        engine = Engine.open(config)
-        first = engine.mediate(REQUEST, now=NOW)
-        [old] = [e for e in first.verification if e.lineage == (1, CITY, BENCH_ACCESSOR_ID)]
-        assert old.verified
-        assert first.rows[0].provider_id == 1
-        assert first.rows[0].cells[1] != WITHHELD
+        with closing(Engine.open(config)) as engine:
+            first = engine.mediate(REQUEST, now=NOW)
+            [old] = [e for e in first.verification if e.lineage == (1, CITY, BENCH_ACCESSOR_ID)]
+            assert old.verified
+            assert first.rows[0].provider_id == 1
+            assert first.rows[0].cells[1] != WITHHELD
 
-        # The new version selects another purpose, so it denies the accessor.
-        prefs = make_prefs(attribute_id=CITY, mode=PurposeMode.REUSE_SELECTED, declared="research")
-        publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
-        assert publication.seq > old.seq
-        hashed.clear()
-        encodes.clear()
-        parsed.clear()
-        second = engine.mediate(REQUEST, now=NOW)
-        assert encodes == []  # the published version keeps the bytes it was hashed from
-        assert parsed == [engine.ledger.item(publication.seq).payload]
-        [new] = [e for e in second.verification if e.lineage == old.lineage]
-        assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
-        assert second.ops.hash_verifications == first.ops.hash_verifications == len(hashed)
-        # The bytes verified are the freshly published instance's encoding.
-        instance = engine.store.latest_tuple_instance(old.lineage)
-        assert instance.version == publication.version
-        assert hashed == stored_encodings(engine, published(second))
-        assert instance.encoded == canonical_encode(instance.privacy_tuple)
-        assert second.rows[0].cells[1] == WITHHELD
-        assert [row.cells[1] for row in second.rows[1:]] == [
-            row.cells[1] for row in first.rows[1:]
-        ]
-        engine.close()
+            # The new version selects another purpose, so it denies the accessor.
+            prefs = make_prefs(
+                attribute_id=CITY, mode=PurposeMode.REUSE_SELECTED, declared="research"
+            )
+            publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
+            assert publication.seq > old.seq
+            hashed.clear()
+            encodes.clear()
+            parsed.clear()
+            second = engine.mediate(REQUEST, now=NOW)
+            assert encodes == []  # the published version keeps the bytes it was hashed from
+            assert parsed == [engine.ledger.item(publication.seq).payload]
+            [new] = [e for e in second.verification if e.lineage == old.lineage]
+            assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
+            assert second.ops.hash_verifications == first.ops.hash_verifications == len(hashed)
+            # The bytes verified are the freshly published instance's encoding.
+            instance = engine.store.latest_tuple_instance(old.lineage)
+            assert instance.version == publication.version
+            assert hashed == stored_encodings(engine, published(second))
+            assert instance.encoded == canonical_encode(instance.privacy_tuple)
+            assert second.rows[0].cells[1] == WITHHELD
+            assert [row.cells[1] for row in second.rows[1:]] == [
+                row.cells[1] for row in first.rows[1:]
+            ]
 
 
 def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
@@ -221,51 +221,53 @@ def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
         lines[target] = json.dumps(record, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
 
-        engine = Engine.open(config)
-        results = []
-        for _ in range(2):
-            hashed.clear()
-            result = engine.mediate(REQUEST, now=NOW)
-            results.append(result)
-            assert result.status is MediationStatus.ABORTED
-            assert result.rows == () and disclosed(result) == 0
-            assert result.denials == tuple((name, INTEGRITY_ABORT) for name in REQUEST.attributes)
-            assert [e.lineage for e in result.verification if e.note == "mismatch"] == [
-                (2, CITY, BENCH_ACCESSOR_ID)
-            ]
-            assert result.ops.hash_verifications == len(hashed) == 6
-            assert result.ops.selects == 0
-        assert results[1].verification == results[0].verification
+        with closing(Engine.open(config)) as engine:
+            results = []
+            for _ in range(2):
+                hashed.clear()
+                result = engine.mediate(REQUEST, now=NOW)
+                results.append(result)
+                assert result.status is MediationStatus.ABORTED
+                assert result.rows == () and disclosed(result) == 0
+                assert result.denials == tuple(
+                    (name, INTEGRITY_ABORT) for name in REQUEST.attributes
+                )
+                assert [e.lineage for e in result.verification if e.note == "mismatch"] == [
+                    (2, CITY, BENCH_ACCESSOR_ID)
+                ]
+                assert result.ops.hash_verifications == len(hashed) == 6
+                assert result.ops.selects == 0
+            assert results[1].verification == results[0].verification
 
-        untouched = engine.mediate(
-            QueryRequest(
-                accessor_id=BENCH_ACCESSOR_ID,
-                requested_purpose=BENCH_PURPOSE,
-                attributes=("city",),
-                provider_id=1,
-            ),
-            now=NOW,
-        )
-        assert untouched.status is MediationStatus.COMPLETED
-        assert disclosed(untouched) == 1
-        engine.close()
+            untouched = engine.mediate(
+                QueryRequest(
+                    accessor_id=BENCH_ACCESSOR_ID,
+                    requested_purpose=BENCH_PURPOSE,
+                    attributes=("city",),
+                    provider_id=1,
+                ),
+                now=NOW,
+            )
+            assert untouched.status is MediationStatus.COMPLETED
+            assert disclosed(untouched) == 1
 
 
 def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
     for config in configs:
-        engine = Engine.open(config)
-        stream = f"stream-1-{CITY}-{BENCH_ACCESSOR_ID}"
-        for declared in ("care-delivery", "research", "billing", "triage", "audit"):
-            prefs = make_prefs(attribute_id=CITY, mode=PurposeMode.REUSE_SELECTED, declared=declared)
-            publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
-            result = engine.mediate(REQUEST, now=NOW)
-            assert result.status is MediationStatus.COMPLETED
-            records = engine.mediator._records
-            assert len(records) == 6
-            seq, record = records[stream]
-            assert seq == publication.seq
-            assert record == tuples.HashRecord.from_string(engine.ledger.item(seq).payload)
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            stream = f"stream-1-{CITY}-{BENCH_ACCESSOR_ID}"
+            for declared in ("care-delivery", "research", "billing", "triage", "audit"):
+                prefs = make_prefs(
+                    attribute_id=CITY, mode=PurposeMode.REUSE_SELECTED, declared=declared
+                )
+                publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
+                result = engine.mediate(REQUEST, now=NOW)
+                assert result.status is MediationStatus.COMPLETED
+                records = engine.mediator._records
+                assert len(records) == 6
+                seq, record = records[stream]
+                assert seq == publication.seq
+                assert record == tuples.HashRecord.from_string(engine.ledger.item(seq).payload)
 
 
 def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed):
@@ -274,18 +276,18 @@ def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed)
     stream = f"stream-2-{CITY}-{BENCH_ACCESSOR_ID}"
     bad = engine.ledger.publish(stream, "key-bad", b"$pbkdf2$8$not-a-salt")
     for config in both_open_paths(engine):
-        engine = Engine.open(config)
-        for _ in range(3):
-            hashed.clear()
-            parsed.clear()
-            result = engine.mediate(REQUEST, now=NOW)
-            assert result.status is MediationStatus.ABORTED
-            assert result.rows == () and disclosed(result) == 0
-            assert [(e.lineage, e.seq) for e in result.verification if e.note == "mismatch"] == [
-                ((2, CITY, BENCH_ACCESSOR_ID), bad.seq)
-            ]
-            assert parsed.count(bad.payload) == 1  # parsed again by every query
-            # the lineages whose records parse, each hashed and counted once
-            assert result.ops.hash_verifications == len(hashed) == 5
-        assert stream not in engine.mediator._records
-        engine.close()
+        with closing(Engine.open(config)) as engine:
+            for _ in range(3):
+                hashed.clear()
+                parsed.clear()
+                result = engine.mediate(REQUEST, now=NOW)
+                assert result.status is MediationStatus.ABORTED
+                assert result.rows == () and disclosed(result) == 0
+                mismatches = [e for e in result.verification if e.note == "mismatch"]
+                assert [(e.lineage, e.seq) for e in mismatches] == [
+                    ((2, CITY, BENCH_ACCESSOR_ID), bad.seq)
+                ]
+                assert parsed.count(bad.payload) == 1  # parsed again by every query
+                # the lineages whose records parse, each hashed and counted once
+                assert result.ops.hash_verifications == len(hashed) == 5
+            assert stream not in engine.mediator._records
