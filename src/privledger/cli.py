@@ -12,7 +12,10 @@ Each command loads only the modules it runs.  ``ledger verify`` reads the
 configuration and walks the chain file, so a process that runs it loads
 config.py and chain.py only; every other command opens the engine and
 loads the engine, mediator, store, policy and tuples modules when it
-runs, not when this module is imported.
+runs, not when this module is imported.  The --role and --permission
+choices are the tokens of config.AccessorRole and config.Sensitivity,
+the vocabularies the policy module decodes, so building the parser loads
+no policy code.
 
 A command process freezes the garbage collector's objects after main()
 returns, so the interpreter's collections at exit do not walk them; every
@@ -34,8 +37,10 @@ from pathlib import Path
 from .chain import ChainReport, LedgerError, verify_file
 from .config import (
     DATA_DIR_ENV,
+    AccessorRole,
     EngineConfig,
     EngineError,
+    Sensitivity,
     make_private_dir,
     parse_decimal,
     private,
@@ -111,19 +116,6 @@ def open_engine(config: EngineConfig):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-# The tokens of policy.AccessorRole and policy.Sensitivity, in their order,
-# so that building the parser loads no policy code; a test holds them equal.
-ROLE_TOKENS = (
-    "ClinicalNurse",
-    "LaboratoryAnalyst",
-    "ClinicalPhysician",
-    "ThirdPartyAllied",
-    "DataProvider",
-    "PatientLegalRepresentative",
-)
-PERMISSION_TOKENS = ("Level1Public", "Level2InternalUse", "Level3Confidential", "Level4Restricted")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privledger",
@@ -155,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     accessor_add.add_argument("--id", type=int, required=True)
     accessor_add.add_argument("--login", required=True)
     accessor_add.add_argument("--password", required=True)
-    accessor_add.add_argument("--role", required=True, choices=ROLE_TOKENS)
+    accessor_add.add_argument("--role", required=True, choices=AccessorRole.TOKENS)
     accessor_add.add_argument(
         "--permission",
         required=True,
-        choices=PERMISSION_TOKENS,
+        choices=Sensitivity.TOKENS,
         help="maximum readable sensitivity",
     )
 

@@ -13,9 +13,11 @@ when the group or others have any permission on it or on any entry in it.
 
 This module imports no other privledger module, so a command that opens
 no engine (``ledger verify``) loads it and the chain module only.  It
-also holds what the engine modules share with the configuration: the
-plain Record base class, the one rule for integers in outside text, the
-one rule for ids and the bounds of the hash cost.
+also holds what the engine modules share with the configuration and the
+command line: the plain Record base class, the one rule for integers in
+outside text, the one rule for ids, the bounds of the hash cost, the two
+vocabularies the command line offers (AccessorRole and Sensitivity) and
+the one decoder of a vocabulary's tokens.
 """
 
 from __future__ import annotations
@@ -110,6 +112,52 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+# A vocabulary is a plain class of str constants whose values are their wire
+# tokens, with TOKENS holding them in declaration order.
+
+
+class AccessorRole:
+    """Closed role vocabulary.  Unknown role text is a parse error."""
+
+    (CLINICAL_NURSE, LABORATORY_ANALYST, CLINICAL_PHYSICIAN, THIRD_PARTY_ALLIED, DATA_PROVIDER,
+     PATIENT_LEGAL_REPRESENTATIVE) = TOKENS = (
+        "ClinicalNurse",
+        "LaboratoryAnalyst",
+        "ClinicalPhysician",
+        "ThirdPartyAllied",
+        "DataProvider",
+        "PatientLegalRepresentative",
+    )
+
+
+class Sensitivity:
+    """Data sensitivity levels, lowest first: a level ranks by its position
+    in TOKENS."""
+
+    LEVEL1_PUBLIC, LEVEL2_INTERNAL_USE, LEVEL3_CONFIDENTIAL, LEVEL4_RESTRICTED = TOKENS = (
+        "Level1Public",
+        "Level2InternalUse",
+        "Level3Confidential",
+        "Level4Restricted",
+    )
+
+
+def token_decoder(vocabulary, error: type[Exception]):
+    """The decoder of vocabulary's tokens: it returns the vocabulary's own
+    str object for a token, so that decoded records share one object per
+    token, and raises error for anything else."""
+    tokens = {token: token for token in vocabulary.TOKENS}
+
+    def decode(text) -> str:
+        # An unhashable value is unknown.
+        try:
+            return tokens[text]
+        except (KeyError, TypeError):
+            raise error(f"unknown {vocabulary.__name__} token: {text!r}") from None
+
+    return decode
 
 
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")

@@ -277,7 +277,7 @@ class Mediator:
         # Per-lineage access decisions.  A provider-specific denial withholds
         # that provider's cell; an attribute denied on every lineage is
         # reported in the denial table.
-        granted: dict[tuple[int, str], GranularityMode] = {}
+        granted: dict[tuple[int, str], str] = {}  # a GranularityMode token per cell
         first_reason: dict[str, str] = {}
         evaluations = 0
         for (provider_id, attribute_id, _), instance in zip(lineages, instances):
@@ -291,7 +291,7 @@ class Mediator:
             if decision.allowed:
                 granted[(provider_id, name)] = decision.granularity
             elif name not in first_reason:
-                first_reason[name] = decision.reason.token
+                first_reason[name] = decision.reason
         ops.policy_evaluations = evaluations
 
         granted_names = {name for _, name in granted}
@@ -314,7 +314,7 @@ class Mediator:
             ops.selects += 1
 
             def specific(provider_id: int, name: str) -> bool:
-                return granted.get((provider_id, name)) is GranularityMode.SPECIFIC
+                return granted.get((provider_id, name)) == GranularityMode.SPECIFIC
 
             conjuncts = _conjuncts(request.predicate, names)
             # Each requested column with its position in the projection.

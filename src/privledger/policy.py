@@ -1,19 +1,21 @@
 """Privacy preference vocabulary and the access decision function.
 
-Defines the typed schema for per-attribute privacy preferences
-(sensitivity, purpose, visibility, granularity, retention) plus the
-pure functions that gate disclosure: evaluate_access, apply_granularity
-and retention_active.  Also implements the line-oriented ``field = value``
-policy document format used to load preference records from text.
+Defines the schema for per-attribute privacy preferences (sensitivity,
+purpose, visibility, granularity, retention) plus the pure functions
+that gate disclosure: evaluate_access, apply_granularity and
+retention_active.  A vocabulary value is its wire token, a str: each
+vocabulary is a plain class of those constants with TOKENS listing them
+in order, and each record's constructor refuses any other value.  Also
+implements the line-oriented ``field = value`` policy document format
+used to load preference records from text.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from enum import Enum, IntEnum
 from typing import NamedTuple
 
-from .config import ID_RULE, Record, is_id, parse_decimal
+from .config import ID_RULE, AccessorRole, Record, Sensitivity, is_id, parse_decimal, token_decoder
 
 
 class PolicyError(ValueError):
@@ -25,80 +27,39 @@ class PolicyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Sensitivity(IntEnum):
-    """Data sensitivity classification.  Comparisons follow level order."""
-
-    LEVEL1_PUBLIC = 1
-    LEVEL2_INTERNAL_USE = 2
-    LEVEL3_CONFIDENTIAL = 3
-    LEVEL4_RESTRICTED = 4
-
-    @property
-    def token(self) -> str:
-        return _SENSITIVITY_TOKENS[self]
-
-    @classmethod
-    def from_token(cls, text: str) -> Sensitivity:
-        try:
-            return _SENSITIVITY_BY_TOKEN[text]
-        except KeyError:
-            raise PolicyError(f"unknown sensitivity level: {text!r}") from None
+# AccessorRole and Sensitivity are defined in config, whose tokens the
+# command line offers without loading this module.
 
 
-_SENSITIVITY_TOKENS = {
-    Sensitivity.LEVEL1_PUBLIC: "Level1Public",
-    Sensitivity.LEVEL2_INTERNAL_USE: "Level2InternalUse",
-    Sensitivity.LEVEL3_CONFIDENTIAL: "Level3Confidential",
-    Sensitivity.LEVEL4_RESTRICTED: "Level4Restricted",
-}
-_SENSITIVITY_BY_TOKEN = {v: k for k, v in _SENSITIVITY_TOKENS.items()}
+class PurposeMode:
+    REUSE_SAME, REUSE_SELECTED = TOKENS = ("ReuseSame", "ReuseSelected")
 
 
-class _TokenEnum(str, Enum):
-    """String enum whose value is the wire token."""
-
-    @property
-    def token(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_token(cls, text: str):
-        # Enum's own value-to-member dict; an unhashable value is unknown.
-        try:
-            return cls._value2member_map_[text]
-        except (KeyError, TypeError):
-            raise PolicyError(f"unknown {cls.__name__} token: {text!r}") from None
+class VisibilityScope:
+    HOUSE, THIRD_PARTY_ALLIED_HEALTH = TOKENS = ("House", "ThirdPartyAlliedHealth")
 
 
-class PurposeMode(_TokenEnum):
-    REUSE_SAME = "ReuseSame"
-    REUSE_SELECTED = "ReuseSelected"
+class GranularityMode:
+    SPECIFIC, PARTIAL, EXISTENTIAL = TOKENS = ("Specific", "Partial", "Existential")
 
 
-class VisibilityScope(_TokenEnum):
-    HOUSE = "House"
-    THIRD_PARTY_ALLIED_HEALTH = "ThirdPartyAlliedHealth"
+class DenialReason:
+    VISIBILITY_VIOLATION, SENSITIVITY_EXCEEDED, PURPOSE_MISMATCH, RETENTION_EXPIRED = TOKENS = (
+        "VisibilityViolation",
+        "SensitivityExceeded",
+        "PurposeMismatch",
+        "RetentionExpired",
+    )
 
 
-class GranularityMode(_TokenEnum):
-    SPECIFIC = "Specific"
-    PARTIAL = "Partial"
-    EXISTENTIAL = "Existential"
-
-
-class AccessorRole(_TokenEnum):
-    """Closed role vocabulary.  Unknown role text is a parse error."""
-
-    CLINICAL_NURSE = "ClinicalNurse"
-    LABORATORY_ANALYST = "LaboratoryAnalyst"
-    CLINICAL_PHYSICIAN = "ClinicalPhysician"
-    THIRD_PARTY_ALLIED = "ThirdPartyAllied"
-    DATA_PROVIDER = "DataProvider"
-    PATIENT_LEGAL_REPRESENTATIVE = "PatientLegalRepresentative"
-
-
+_ROLES = frozenset(AccessorRole.TOKENS)
 # Roles that count as third-party for the House visibility constraint.
 THIRD_PARTY_ROLES = frozenset({AccessorRole.THIRD_PARTY_ALLIED})
+# Each sensitivity level's rank, by its position in Sensitivity.TOKENS.
+_LEVEL = {level: rank for rank, level in enumerate(Sensitivity.TOKENS)}
+
+_role = token_decoder(AccessorRole, PolicyError)
+_sensitivity = token_decoder(Sensitivity, PolicyError)
 
 # Each role set read, once: equal sets are one object, which no caller can
 # tell apart from a copy, since a frozenset never changes.  There are at
@@ -106,16 +67,18 @@ THIRD_PARTY_ROLES = frozenset({AccessorRole.THIRD_PARTY_ALLIED})
 _ROLE_SETS: dict[frozenset, frozenset] = {}
 
 
-def _role_set(tokens) -> frozenset[AccessorRole]:
-    roles = frozenset(AccessorRole.from_token(t) for t in tokens)
+def _role_set(tokens) -> frozenset[str]:
+    roles = frozenset(map(_role, tokens))
     return _ROLE_SETS.setdefault(roles, roles)
 
 
-class DenialReason(_TokenEnum):
-    VISIBILITY_VIOLATION = "VisibilityViolation"
-    SENSITIVITY_EXCEEDED = "SensitivityExceeded"
-    PURPOSE_MISMATCH = "PurposeMismatch"
-    RETENTION_EXPIRED = "RetentionExpired"
+def _known_roles(roles, what: str) -> frozenset[str]:
+    """roles as a frozenset, refused unless each is an AccessorRole token."""
+    roles = frozenset(roles)
+    if not roles <= _ROLES:
+        unknown = next(iter(roles - _ROLES))
+        raise PolicyError(f"{what} must be AccessorRole tokens, got {unknown!r}")
+    return roles
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +115,14 @@ class ContextualNorms(Record):
 
 class PurposePolicy(Record):
     __slots__ = _fields = ("mode", "declared_purpose", "norms")
-    _decoders = {"mode": PurposeMode.from_token, "norms": ContextualNorms.from_dict}
+    _decoders = {
+        "mode": token_decoder(PurposeMode, PolicyError),
+        "norms": ContextualNorms.from_dict,
+    }
     _error = PolicyError
 
-    def __init__(
-        self, mode: PurposeMode, declared_purpose: str, norms: ContextualNorms | None = None
-    ):
-        if not isinstance(mode, PurposeMode):
+    def __init__(self, mode: str, declared_purpose: str, norms: ContextualNorms | None = None):
+        if mode not in PurposeMode.TOKENS:
             raise PolicyError("purpose mode must be a PurposeMode")
         if not declared_purpose:
             raise PolicyError("declared purpose must be non-empty")
@@ -166,7 +130,7 @@ class PurposePolicy(Record):
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode.token,
+            "mode": self.mode,
             "declared_purpose": self.declared_purpose,
             "norms": self.norms.to_dict(),
         }
@@ -174,23 +138,23 @@ class PurposePolicy(Record):
 
 class VisibilityPolicy(Record):
     __slots__ = _fields = ("scope", "allowed_roles")
-    _decoders = {"scope": VisibilityScope.from_token, "allowed_roles": _role_set}
+    _decoders = {"scope": token_decoder(VisibilityScope, PolicyError), "allowed_roles": _role_set}
     _error = PolicyError
 
-    def __init__(self, scope: VisibilityScope, allowed_roles):
-        if not isinstance(scope, VisibilityScope):
+    def __init__(self, scope: str, allowed_roles):
+        if scope not in VisibilityScope.TOKENS:
             raise PolicyError("visibility scope must be a VisibilityScope")
-        allowed_roles = frozenset(allowed_roles)
+        allowed_roles = _known_roles(allowed_roles, "allowed roles")
         if not allowed_roles:
             raise PolicyError("allowed roles must be non-empty")
-        if scope is VisibilityScope.HOUSE and allowed_roles & THIRD_PARTY_ROLES:
+        if scope == VisibilityScope.HOUSE and allowed_roles & THIRD_PARTY_ROLES:
             raise PolicyError("House visibility cannot include third-party roles")
         self._set(scope, allowed_roles)
 
     def to_dict(self) -> dict:
         return {
-            "scope": self.scope.token,
-            "allowed_roles": sorted(r.token for r in self.allowed_roles),
+            "scope": self.scope,
+            "allowed_roles": sorted(self.allowed_roles),
         }
 
 
@@ -199,18 +163,19 @@ class GranularityPolicy(Record):
 
     __slots__ = _fields = ("mode",)
 
-    def __init__(self, mode: GranularityMode):
-        if not isinstance(mode, GranularityMode):
+    def __init__(self, mode: str):
+        if mode not in GranularityMode.TOKENS:
             raise PolicyError("granularity mode must be a GranularityMode")
         self._set(mode)
 
 
 # One GranularityPolicy per mode, shared by every record that reads it.
-_GRANULARITIES = {mode: GranularityPolicy(mode) for mode in GranularityMode}
+_GRANULARITIES = {mode: GranularityPolicy(mode) for mode in GranularityMode.TOKENS}
+_granularity_mode = token_decoder(GranularityMode, PolicyError)
 
 
 def _granularity(token) -> GranularityPolicy:
-    return _GRANULARITIES[GranularityMode.from_token(token)]
+    return _GRANULARITIES[_granularity_mode(token)]
 
 
 def _date(text) -> dt.date:
@@ -254,7 +219,7 @@ class PreferenceSet(Record):
         "third_party_accessors",
     )
     _decoders = {
-        "sensitivity": Sensitivity.from_token,
+        "sensitivity": _sensitivity,
         "purpose": PurposePolicy.from_dict,
         "visibility": VisibilityPolicy.from_dict,
         "granularity": _granularity,
@@ -266,7 +231,7 @@ class PreferenceSet(Record):
     def __init__(
         self,
         attribute_id: int,
-        sensitivity: Sensitivity,
+        sensitivity: str,
         purpose: PurposePolicy,
         visibility: VisibilityPolicy,
         granularity: GranularityPolicy,
@@ -275,7 +240,7 @@ class PreferenceSet(Record):
     ):
         if not isinstance(attribute_id, int) or attribute_id < 1:
             raise PolicyError("attribute id must be a positive integer")
-        if not isinstance(sensitivity, Sensitivity):
+        if sensitivity not in Sensitivity.TOKENS:
             raise PolicyError("sensitivity must be a Sensitivity level")
         if not isinstance(granularity, GranularityPolicy):
             raise PolicyError("granularity must be a GranularityPolicy")
@@ -286,20 +251,18 @@ class PreferenceSet(Record):
             visibility,
             granularity,
             retention,
-            frozenset(third_party_accessors),
+            _known_roles(third_party_accessors, "third-party accessors"),
         )
 
     def to_dict(self) -> dict:
         return {
             "attribute_id": self.attribute_id,
-            "sensitivity": self.sensitivity.token,
+            "sensitivity": self.sensitivity,
             "purpose": self.purpose.to_dict(),
             "visibility": self.visibility.to_dict(),
-            "granularity": self.granularity.mode.token,
+            "granularity": self.granularity.mode,
             "retention": self.retention.to_dict(),
-            "third_party_accessors": sorted(
-                r.token for r in self.third_party_accessors
-            ),
+            "third_party_accessors": sorted(self.third_party_accessors),
         }
 
 
@@ -307,23 +270,23 @@ class AccessorProfile(Record):
     """An accessor identity with its maximum readable sensitivity."""
 
     __slots__ = _fields = ("accessor_id", "role", "permission_level")
-    _decoders = {"role": AccessorRole.from_token, "permission_level": Sensitivity.from_token}
+    _decoders = {"role": _role, "permission_level": _sensitivity}
     _error = PolicyError
 
-    def __init__(self, accessor_id: int, role: AccessorRole, permission_level: Sensitivity):
+    def __init__(self, accessor_id: int, role: str, permission_level: str):
         if not is_id(accessor_id):
             raise PolicyError(f"accessor id must be {ID_RULE}")
-        if not isinstance(role, AccessorRole):
+        if role not in AccessorRole.TOKENS:
             raise PolicyError("role must be an AccessorRole")
-        if not isinstance(permission_level, Sensitivity):
+        if permission_level not in Sensitivity.TOKENS:
             raise PolicyError("permission level must be a Sensitivity level")
         self._set(accessor_id, role, permission_level)
 
     def to_dict(self) -> dict:
         return {
             "accessor_id": self.accessor_id,
-            "role": self.role.token,
-            "permission_level": self.permission_level.token,
+            "role": self.role,
+            "permission_level": self.permission_level,
         }
 
 
@@ -334,13 +297,13 @@ class AccessorProfile(Record):
 
 class AccessDecision(NamedTuple):
     allowed: bool
-    granularity: GranularityMode | None = None
-    reason: DenialReason | None = None
+    granularity: str | None = None  # a GranularityMode token
+    reason: str | None = None  # a DenialReason token
 
 
 # The decisions evaluate_access returns, one per outcome, shared.
-_GRANTS = {mode: AccessDecision(True, mode) for mode in GranularityMode}
-_DENIALS = {reason: AccessDecision(False, None, reason) for reason in DenialReason}
+_GRANTS = {mode: AccessDecision(True, mode) for mode in GranularityMode.TOKENS}
+_DENIALS = {reason: AccessDecision(False, None, reason) for reason in DenialReason.TOKENS}
 
 
 def retention_active(retention: RetentionPolicy, now: dt.date) -> bool:
@@ -372,10 +335,10 @@ def evaluate_access(
     role = accessor.role
     if role not in prefs.visibility.allowed_roles and role not in prefs.third_party_accessors:
         return _DENIALS[DenialReason.VISIBILITY_VIOLATION]
-    if prefs.sensitivity > accessor.permission_level:
+    if _LEVEL[prefs.sensitivity] > _LEVEL[accessor.permission_level]:
         return _DENIALS[DenialReason.SENSITIVITY_EXCEEDED]
     purpose = prefs.purpose
-    if purpose.mode is PurposeMode.REUSE_SELECTED and requested_purpose != purpose.declared_purpose:
+    if purpose.mode == PurposeMode.REUSE_SELECTED and requested_purpose != purpose.declared_purpose:
         return _DENIALS[DenialReason.PURPOSE_MISMATCH]
     if not retention_active(prefs.retention, now):
         return _DENIALS[DenialReason.RETENTION_EXPIRED]
@@ -389,7 +352,7 @@ EXISTS_TOKEN = "EXISTS"
 ABSENT_TOKEN = "ABSENT"
 
 
-def apply_granularity(value, mode: GranularityMode):
+def apply_granularity(value, mode: str):
     """Transform a stored value for disclosure at the given granularity.
 
     Specific returns the value unchanged.  Partial keeps the first
@@ -398,13 +361,13 @@ def apply_granularity(value, mode: GranularityMode):
     rendering.  Existential discloses only EXISTS or ABSENT, never any
     fragment of the value itself.
     """
-    if not isinstance(mode, GranularityMode):
+    if mode not in GranularityMode.TOKENS:
         raise PolicyError("granularity mode must be a GranularityMode")
-    if mode is GranularityMode.EXISTENTIAL:
+    if mode == GranularityMode.EXISTENTIAL:
         return ABSENT_TOKEN if value is None else EXISTS_TOKEN
     if value is None:
         return None
-    if mode is GranularityMode.SPECIFIC:
+    if mode == GranularityMode.SPECIFIC:
         return value
     text = value if isinstance(value, str) else str(value)
     masked = [
@@ -419,7 +382,7 @@ def apply_granularity(value, mode: GranularityMode):
 # ---------------------------------------------------------------------------
 
 # One "field = value" pair per line, blank-line-separated records, full-line
-# comments starting with "#".  Enumeration fields use the exact wire tokens.
+# comments starting with "#".  Vocabulary fields use the exact wire tokens.
 
 _REQUIRED_FIELDS = (
     "attribute_id",

@@ -16,11 +16,10 @@ import json
 import operator
 import re
 import secrets
-from enum import Enum
 from typing import NamedTuple
 
-from .config import DEFAULT_COST, ID_RULE, MAX_COST, MIN_COST, Record, is_id
-from .policy import AccessorProfile, PreferenceSet, Sensitivity
+from .config import DEFAULT_COST, ID_RULE, MAX_COST, MIN_COST, Record, Sensitivity, is_id, token_decoder
+from .policy import AccessorProfile, PreferenceSet
 
 
 class TupleError(ValueError):
@@ -44,24 +43,14 @@ class MalformedRecord(TupleError):
 # ---------------------------------------------------------------------------
 
 
-class AttributeCategory(str, Enum):
-    BIOGRAPHICAL = "Biographical"
-    DEMOGRAPHIC = "Demographic"
-    CONSENT = "Consent"
-    HEALTH_INSURANCE = "HealthInsurance"
-    HEALTHCARE = "Healthcare"
-
-    @property
-    def token(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_token(cls, text: str) -> AttributeCategory:
-        # Enum's own value-to-member dict; an unhashable value is unknown.
-        try:
-            return cls._value2member_map_[text]
-        except (KeyError, TypeError):
-            raise TupleError(f"unknown attribute category: {text!r}") from None
+class AttributeCategory:
+    BIOGRAPHICAL, DEMOGRAPHIC, CONSENT, HEALTH_INSURANCE, HEALTHCARE = TOKENS = (
+        "Biographical",
+        "Demographic",
+        "Consent",
+        "HealthInsurance",
+        "Healthcare",
+    )
 
 
 class AttributeMeta(Record):
@@ -69,8 +58,8 @@ class AttributeMeta(Record):
 
     __slots__ = _fields = ("attribute_id", "name", "category", "sensitivity_hint")
     _decoders = {
-        "category": AttributeCategory.from_token,
-        "sensitivity_hint": Sensitivity.from_token,
+        "category": token_decoder(AttributeCategory, TupleError),
+        "sensitivity_hint": token_decoder(Sensitivity, TupleError),
     }
     _error = TupleError
 
@@ -78,16 +67,16 @@ class AttributeMeta(Record):
         self,
         attribute_id: int,
         name: str,
-        category: AttributeCategory,
-        sensitivity_hint: Sensitivity,
+        category: str,
+        sensitivity_hint: str,
     ):
         if not is_id(attribute_id):
             raise TupleError(f"attribute id must be {ID_RULE}")
         if not name:
             raise TupleError("attribute name must be non-empty")
-        if not isinstance(category, AttributeCategory):
+        if category not in AttributeCategory.TOKENS:
             raise TupleError("category must be an AttributeCategory")
-        if not isinstance(sensitivity_hint, Sensitivity):
+        if sensitivity_hint not in Sensitivity.TOKENS:
             raise TupleError("sensitivity hint must be a Sensitivity level")
         self._set(attribute_id, name, category, sensitivity_hint)
 
@@ -95,8 +84,8 @@ class AttributeMeta(Record):
         return {
             "attribute_id": self.attribute_id,
             "name": self.name,
-            "category": self.category.token,
-            "sensitivity_hint": self.sensitivity_hint.token,
+            "category": self.category,
+            "sensitivity_hint": self.sensitivity_hint,
         }
 
 
@@ -159,11 +148,6 @@ def bind_tuple(
     prior_version: int = 0,
 ) -> PrivacyTuple:
     """Bind attribute, preferences and accessor at version prior + 1."""
-    if prefs.attribute_id != attribute.attribute_id:
-        raise MismatchedAttribute(
-            f"preferences target attribute {prefs.attribute_id}, "
-            f"binding attribute {attribute.attribute_id}"
-        )
     if not isinstance(prior_version, int) or prior_version < 0:
         raise TupleError("prior version must be a non-negative integer")
     return PrivacyTuple(

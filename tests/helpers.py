@@ -33,7 +33,7 @@ from privledger.policy import (
 from privledger.tuples import AttributeCategory, AttributeMeta, PrivacyTuple
 
 HOUSE_SAFE_ROLES = [
-    role for role in AccessorRole if role is not AccessorRole.THIRD_PARTY_ALLIED
+    role for role in AccessorRole.TOKENS if role != AccessorRole.THIRD_PARTY_ALLIED
 ]
 
 WORDS = (
@@ -390,22 +390,22 @@ def random_norms(rng: random.Random) -> ContextualNorms:
 
 
 def random_prefs(rng: random.Random, attribute_id: int | None = None) -> PreferenceSet:
-    scope = rng.choice(list(VisibilityScope))
-    pool = HOUSE_SAFE_ROLES if scope is VisibilityScope.HOUSE else list(AccessorRole)
+    scope = rng.choice(VisibilityScope.TOKENS)
+    pool = HOUSE_SAFE_ROLES if scope == VisibilityScope.HOUSE else AccessorRole.TOKENS
     roles = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
     return make_prefs(
         attribute_id=attribute_id or rng.randint(1, 25),
-        sensitivity=rng.choice(list(Sensitivity)),
-        mode=rng.choice(list(PurposeMode)),
+        sensitivity=rng.choice(Sensitivity.TOKENS),
+        mode=rng.choice(PurposeMode.TOKENS),
         declared=rng.choice(WORDS),
         scope=scope,
         roles=roles,
-        granularity=rng.choice(list(GranularityMode)),
+        granularity=rng.choice(GranularityMode.TOKENS),
         effective=dt.date(2020, 1, 1) + dt.timedelta(days=rng.randint(0, 1500)),
         # Indefinite, a window of days, or one that ends past 9999-12-31.
         duration=rng.choice([0, rng.randint(1, 2000), rng.randint(3_000_000, 4_000_000)]),
         third_party=frozenset(
-            rng.sample(list(AccessorRole), rng.randint(0, 2))
+            rng.sample(AccessorRole.TOKENS, rng.randint(0, 2))
         ),
         norms=random_norms(rng),
     )
@@ -418,24 +418,22 @@ def policy_document(records: list[PreferenceSet]) -> str:
     for prefs in records:
         fields = {
             "attribute_id": prefs.attribute_id,
-            "sensitivity": prefs.sensitivity.token,
-            "purpose_mode": prefs.purpose.mode.token,
+            "sensitivity": prefs.sensitivity,
+            "purpose_mode": prefs.purpose.mode,
             "declared_purpose": prefs.purpose.declared_purpose,
             **{
                 f"norm_{key}": value
                 for key, value in prefs.purpose.norms.to_dict().items()
                 if value is not None
             },
-            "visibility_scope": prefs.visibility.scope.token,
-            "allowed_roles": ", ".join(sorted(r.token for r in prefs.visibility.allowed_roles)),
-            "granularity": prefs.granularity.mode.token,
+            "visibility_scope": prefs.visibility.scope,
+            "allowed_roles": ", ".join(sorted(prefs.visibility.allowed_roles)),
+            "granularity": prefs.granularity.mode,
             "effective_date": prefs.retention.effective_date.isoformat(),
             "duration_days": prefs.retention.duration_days,
         }
         if prefs.third_party_accessors:
-            fields["third_party_accessors"] = ", ".join(
-                sorted(r.token for r in prefs.third_party_accessors)
-            )
+            fields["third_party_accessors"] = ", ".join(sorted(prefs.third_party_accessors))
         blocks.append("\n".join(f"{name} = {value}" for name, value in fields.items()))
     return "\n\n".join(blocks) + "\n"
 
@@ -446,8 +444,8 @@ def random_attribute(rng: random.Random, attribute_id: int | None = None) -> Att
         name=rng.choice(
             ("postal_code", "first_name", "chart_number", "witness_city", "gender")
         ),
-        category=rng.choice(list(AttributeCategory)),
-        sensitivity_hint=rng.choice(list(Sensitivity)),
+        category=rng.choice(AttributeCategory.TOKENS),
+        sensitivity_hint=rng.choice(Sensitivity.TOKENS),
     )
 
 
@@ -459,8 +457,8 @@ def random_tuple(rng: random.Random) -> PrivacyTuple:
         prefs=random_prefs(rng, attribute_id),
         accessor=make_accessor(
             accessor_id=rng.randint(1, 50),
-            role=rng.choice(list(AccessorRole)),
-            permission=rng.choice(list(Sensitivity)),
+            role=rng.choice(AccessorRole.TOKENS),
+            permission=rng.choice(Sensitivity.TOKENS),
         ),
         version=rng.randint(1, 9),
     )
@@ -471,15 +469,15 @@ def random_tuple(rng: random.Random) -> PrivacyTuple:
 # ---------------------------------------------------------------------------
 
 
-def reference_mask(value, mode: GranularityMode):
+def reference_mask(value, mode: str):
     """Character-by-character reference for granularity transforms."""
-    if mode is GranularityMode.EXISTENTIAL:
+    if mode == GranularityMode.EXISTENTIAL:
         if value is None:
             return "ABSENT"
         return "EXISTS"
     if value is None:
         return None
-    if mode is GranularityMode.SPECIFIC:
+    if mode == GranularityMode.SPECIFIC:
         return value
     text = value if isinstance(value, str) else str(value)
     out = ""
@@ -496,6 +494,15 @@ def reference_mask(value, mode: GranularityMode):
     return out
 
 
+# Sensitivity levels by number, written out apart from the package's order.
+LEVEL_NUMBER = {
+    "Level1Public": 1,
+    "Level2InternalUse": 2,
+    "Level3Confidential": 3,
+    "Level4Restricted": 4,
+}
+
+
 def reference_decision(
     prefs: PreferenceSet,
     accessor: AccessorProfile,
@@ -510,9 +517,9 @@ def reference_decision(
     permitted = set(prefs.visibility.allowed_roles) | set(prefs.third_party_accessors)
     if accessor.role not in permitted:
         failures.add("visibility")
-    if prefs.sensitivity.value > accessor.permission_level.value:
+    if LEVEL_NUMBER[prefs.sensitivity] > LEVEL_NUMBER[accessor.permission_level]:
         failures.add("sensitivity")
-    if prefs.purpose.mode is PurposeMode.REUSE_SELECTED:
+    if prefs.purpose.mode == PurposeMode.REUSE_SELECTED:
         if requested_purpose != prefs.purpose.declared_purpose:
             failures.add("purpose")
     # Day numbers, not dates: a window may end past the last calendar date.

@@ -91,7 +91,7 @@ def reference_evaluate_access(
     if prefs.sensitivity > accessor.permission_level:
         return AccessDecision(allowed=False, reason=DenialReason.SENSITIVITY_EXCEEDED)
     if (
-        prefs.purpose.mode is PurposeMode.REUSE_SELECTED
+        prefs.purpose.mode == PurposeMode.REUSE_SELECTED
         and requested_purpose != prefs.purpose.declared_purpose
     ):
         return AccessDecision(allowed=False, reason=DenialReason.PURPOSE_MISMATCH)
@@ -192,7 +192,7 @@ class ReferenceMediator(Mediator):
             if decision.allowed:
                 granted[(lineage.provider_id, name)] = decision.granularity
             else:
-                first_reason.setdefault(name, decision.reason.token)
+                first_reason.setdefault(name, decision.reason)
 
         granted_names = {name for _, name in granted}
         allowed_names = [name for name in request.attributes if name in granted_names]
@@ -212,7 +212,7 @@ class ReferenceMediator(Mediator):
             ops.selects += 1
 
             def specific(provider_id: int, name: str) -> bool:
-                return granted.get((provider_id, name)) is GranularityMode.SPECIFIC
+                return granted.get((provider_id, name)) == GranularityMode.SPECIFIC
 
             conjuncts = _conjuncts(request.predicate, names)
             positions = [

@@ -796,14 +796,6 @@ def test_query_loads_the_core_modules(demo_dir):
     )
 
 
-def test_role_and_permission_choices_are_the_policy_tokens():
-    from privledger.cli import PERMISSION_TOKENS, ROLE_TOKENS
-    from privledger.policy import AccessorRole, Sensitivity
-
-    assert ROLE_TOKENS == tuple(role.token for role in AccessorRole)
-    assert PERMISSION_TOKENS == tuple(level.token for level in Sensitivity)
-
-
 # ---------------------------------------------------------------------------
 # exit status in a fresh process
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
 
@@ -33,18 +34,16 @@ NOW = dt.date(2021, 7, 1)
 
 @pytest.fixture
 def demo(tmp_path):
-    engine = make_engine(tmp_path, hash_cost=8)
-    install_demo_fixture(engine)
-    yield engine
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path, hash_cost=8)) as engine:
+        install_demo_fixture(engine)
+        yield engine
 
 
 @pytest.fixture
 def population(tmp_path):
-    engine = make_engine(tmp_path, hash_cost=8)
-    install_archetype_fixture(engine, 3, seed=7)
-    yield engine
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path, hash_cost=8)) as engine:
+        install_archetype_fixture(engine, 3, seed=7)
+        yield engine
 
 
 def demo_request(*attributes, purpose="care-delivery", provider=DEMO_PROVIDER_ID):
@@ -251,10 +250,9 @@ def test_every_requested_attribute_is_accounted_for(population):
 
 
 def test_out_of_band_policy_edit_aborts_queries(tmp_path):
-    engine = make_engine(tmp_path, hash_cost=8)
-    install_demo_fixture(engine)
-    config = engine.config
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path, hash_cost=8)) as engine:
+        install_demo_fixture(engine)
+        config = engine.config
 
     policy_path = config.data_dir / "policy.db"
     lines = policy_path.read_text().splitlines()
@@ -268,48 +266,46 @@ def test_out_of_band_policy_edit_aborts_queries(tmp_path):
     lines[target] = json.dumps(record, sort_keys=True)
     policy_path.write_text("\n".join(lines) + "\n")
 
-    engine = Engine.open(config)
-    result = engine.mediate(demo_request("street_name", "first_name"), now=NOW)
-    assert result.status is MediationStatus.ABORTED
-    assert result.rows == ()
-    assert result.denials == (
-        ("street_name", INTEGRITY_ABORT),
-        ("first_name", INTEGRITY_ABORT),
-    )
-    mismatches = [e for e in result.verification if e.note == "mismatch"]
-    assert len(mismatches) == 1
-    assert mismatches[0].lineage[1] == 5  # its attribute id
-    assert result.ops.selects == 0
-    assert result.timing.native_ms == 0.0
+    with contextlib.closing(Engine.open(config)) as engine:
+        result = engine.mediate(demo_request("street_name", "first_name"), now=NOW)
+        assert result.status is MediationStatus.ABORTED
+        assert result.rows == ()
+        assert result.denials == (
+            ("street_name", INTEGRITY_ABORT),
+            ("first_name", INTEGRITY_ABORT),
+        )
+        mismatches = [e for e in result.verification if e.note == "mismatch"]
+        assert len(mismatches) == 1
+        assert mismatches[0].lineage[1] == 5  # its attribute id
+        assert result.ops.selects == 0
+        assert result.timing.native_ms == 0.0
 
-    # A filter on the tampered lineage aborts a query that requests only
-    # the untouched one.
-    filtered = engine.mediate(
-        QueryRequest(
-            DEMO_ACCESSOR_ID,
-            "care-delivery",
-            ("first_name",),
-            predicate={"street_name": "5202 50 Ave"},
-            provider_id=DEMO_PROVIDER_ID,
-        ),
-        now=NOW,
-    )
-    assert filtered.status is MediationStatus.ABORTED
-    assert filtered.rows == ()
-    assert filtered.denials == (("first_name", INTEGRITY_ABORT),)
+        # A filter on the tampered lineage aborts a query that requests only
+        # the untouched one.
+        filtered = engine.mediate(
+            QueryRequest(
+                DEMO_ACCESSOR_ID,
+                "care-delivery",
+                ("first_name",),
+                predicate={"street_name": "5202 50 Ave"},
+                provider_id=DEMO_PROVIDER_ID,
+            ),
+            now=NOW,
+        )
+        assert filtered.status is MediationStatus.ABORTED
+        assert filtered.rows == ()
+        assert filtered.denials == (("first_name", INTEGRITY_ABORT),)
 
-    # The untouched lineage still serves on its own.
-    clean = engine.mediate(demo_request("first_name"), now=NOW)
-    assert clean.status is MediationStatus.COMPLETED
-    engine.close()
+        # The untouched lineage still serves on its own.
+        clean = engine.mediate(demo_request("first_name"), now=NOW)
+        assert clean.status is MediationStatus.COMPLETED
 
 
 def test_tampered_ledger_payload_aborts(tmp_path):
-    engine = make_engine(tmp_path, hash_cost=8)
-    install_demo_fixture(engine)
-    config = engine.config
-    ledger_path = engine.ledger.path
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path, hash_cost=8)) as engine:
+        install_demo_fixture(engine)
+        config = engine.config
+        ledger_path = engine.ledger.path
 
     # Repoint the newest published hash at a different digest; the line
     # still parses, so the tamper surfaces as a verification mismatch.
@@ -326,11 +322,10 @@ def test_tampered_ledger_payload_aborts(tmp_path):
     data[target] = "\t".join(fields)
     ledger_path.write_text("\n".join(data) + "\n")
 
-    engine = Engine.open(config)
-    result = engine.mediate(demo_request("first_name"), now=NOW)
-    assert result.status is MediationStatus.ABORTED
-    assert result.rows == ()
-    engine.close()
+    with contextlib.closing(Engine.open(config)) as engine:
+        result = engine.mediate(demo_request("first_name"), now=NOW)
+        assert result.status is MediationStatus.ABORTED
+        assert result.rows == ()
 
 
 def test_store_version_ahead_of_ledger_aborts(demo):

@@ -22,6 +22,7 @@ earlier code checkpointed opens from its checkpoints."""
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import shutil
@@ -78,9 +79,8 @@ NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80"]
 
 def _demo_policy_lines() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        engine = make_engine(Path(tmp))
-        install_demo_fixture(engine)
-        engine.close()
+        with contextlib.closing(make_engine(Path(tmp))) as engine:
+            install_demo_fixture(engine)
         return (engine.config.data_dir / POLICY_FILE).read_text().splitlines()
 
 
@@ -313,9 +313,8 @@ def test_policy_index_agrees_with_reference(data):
     "family, lineno", [("credentials.db", 1), ("policy.db", 2), ("content.db", 1)]
 )
 def test_non_utf8_byte_fails_open_naming_file_and_line(tmp_path, capsys, family, lineno):
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     path = engine.config.data_dir / family
     lines = path.read_bytes().splitlines(keepends=True)
     lines[lineno - 1] = lines[lineno - 1].replace(b'"', b'"\xff', 1)
@@ -441,9 +440,8 @@ CHECKPOINTED = ("ledger.db", POLICY_FILE)
 
 @pytest.fixture
 def demo_config(tmp_path):
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     for name in CHECKPOINTED:
         assert checkpoint_path(engine.config.data_dir / name).exists()
     return engine.config
@@ -647,37 +645,36 @@ def test_open_from_a_valid_checkpoint_checks_no_record_of_its_prefix(demo_config
     with mock.patch.object(ledger_module, "_records", _recording_starts(starts)), \
             mock.patch.object(store_module, "_index_policy_line", _counting_policy_lines(lines)):
         engine = Engine.open(demo_config)
-    size = (demo_config.data_dir / "ledger.db").stat().st_size
-    assert (starts, lines) == ([size], [])
-    assert engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)).version == 3
-    before = _checkpoints(demo_config)
-    engine.close()  # nothing appended, no full pass, no tail: nothing written
+    with contextlib.closing(engine):
+        size = (demo_config.data_dir / "ledger.db").stat().st_size
+        assert (starts, lines) == ([size], [])
+        assert engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)).version == 3
+        before = _checkpoints(demo_config)
+    # Nothing appended, no full pass, no tail: the close wrote nothing.
     assert _checkpoints(demo_config) == before
 
 
 def test_set_policy_writes_no_checkpoint_and_close_does(demo_config):
     before = _checkpoints(demo_config)
-    engine = Engine.open(demo_config)
-    publication = engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
-    assert _checkpoints(demo_config) == before
-    engine.close()
+    with contextlib.closing(Engine.open(demo_config)) as engine:
+        publication = engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+        assert _checkpoints(demo_config) == before
     after = _checkpoints(demo_config)
     assert all(after[name] != before[name] for name in CHECKPOINTED)
     assert all(_usable(demo_config, name) for name in CHECKPOINTED)
     starts = []
     with mock.patch.object(ledger_module, "_records", _recording_starts(starts)):
         engine = Engine.open(demo_config)
-    assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
-    assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
-    assert engine.store.lineage_version((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)) == 4
-    engine.close()
+    with contextlib.closing(engine):
+        assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
+        assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
+        assert engine.store.lineage_version((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)) == 4
 
 
 def test_a_tail_past_the_checkpoint_is_checked_and_checkpointed_when_long(demo_config, monkeypatch):
     stale = _checkpoints(demo_config)
-    engine = Engine.open(demo_config)
-    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
-    engine.close()
+    with contextlib.closing(Engine.open(demo_config)) as engine:
+        engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
     for name, data in stale.items():  # as if the close had not written them
         checkpoint_path(demo_config.data_dir / name).write_bytes(data)
     tail = _opened_state(demo_config)
@@ -699,9 +696,8 @@ def test_an_unterminated_file_is_checkpointed_once_an_append_ends_it(demo_config
     checkpoint_path(path).unlink()  # so the open runs the full pass
     Engine.open(demo_config).close()
     assert not checkpoint_path(path).exists()
-    engine = Engine.open(demo_config)
-    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
-    engine.close()
+    with contextlib.closing(Engine.open(demo_config)) as engine:
+        engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
     assert _usable(demo_config, name)  # checks no record of its prefix
     from_checkpoint = _opened_state(demo_config)
     assert from_checkpoint[0] == "opened"
@@ -714,12 +710,12 @@ def test_close_after_a_checkpointed_open_writes_what_the_full_pass_writes(demo_c
     starts = []
     with mock.patch.object(ledger_module, "_records", _recording_starts(starts)):
         engine = Engine.open(demo_config)
-    assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
-    for attribute_id in (5, 6, 1, 5):  # a new lineage among those the checkpoint holds
-        engine.set_policy(
-            DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(attribute_id), attribute_id
-        )
-    engine.close()
+    with contextlib.closing(engine):
+        assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
+        for attribute_id in (5, 6, 1, 5):  # a new lineage among those the checkpoint holds
+            engine.set_policy(
+                DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(attribute_id), attribute_id
+            )
     written = _checkpoints(demo_config)
     for name in CHECKPOINTED:
         checkpoint_path(demo_config.data_dir / name).unlink()
@@ -813,9 +809,8 @@ def test_leftover_temporary_file_changes_nothing(demo_config):
     for name in CHECKPOINTED:
         (data_dir / f"{name}{CHECKPOINT_SUFFIX}.x1y2z3").write_bytes(b"half a checkpoint")
     assert _opened_state(demo_config) == clean
-    engine = Engine.open(demo_config)
-    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
-    engine.close()
+    with contextlib.closing(Engine.open(demo_config)) as engine:
+        engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
     assert all(_usable(demo_config, name) for name in CHECKPOINTED)
     assert _temporaries(data_dir) == [
         f"{name}{CHECKPOINT_SUFFIX}.x1y2z3" for name in CHECKPOINTED
@@ -824,14 +819,14 @@ def test_leftover_temporary_file_changes_nothing(demo_config):
 
 def test_failed_checkpoint_write_leaves_no_temporary_file(demo_config, monkeypatch):
     before = _checkpoints(demo_config)
-    engine = Engine.open(demo_config)
-    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+    with contextlib.closing(Engine.open(demo_config)) as engine:
+        engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
 
-    def full_disk(*args):
-        raise OSError(errno.ENOSPC, "No space left on device")
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(ledger_module.os, "replace", full_disk)
-    engine.close()  # raises nothing
+        monkeypatch.setattr(ledger_module.os, "replace", full_disk)
+    # The close raised nothing.
     monkeypatch.undo()
     assert _checkpoints(demo_config) == before
     assert _temporaries(demo_config.data_dir) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import random
 
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_accessor, make_prefs, policy_document, random_prefs, reference_mask
+from privledger.config import token_decoder
 from privledger.policy import (
     ABSENT_TOKEN,
     EXISTS_TOKEN,
+    AccessorProfile,
     AccessorRole,
     ContextualNorms,
     DenialReason,
@@ -35,7 +38,7 @@ from privledger.policy import (
 
 NOW = dt.date(2021, 7, 1)
 
-ALL_ROLES = frozenset(AccessorRole)
+ALL_ROLES = frozenset(AccessorRole.TOKENS)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,7 @@ def test_partial_of_missing_value_stays_missing():
 
 
 @settings(max_examples=300)
-@given(st.text(max_size=40), st.sampled_from(list(GranularityMode)))
+@given(st.text(max_size=40), st.sampled_from(GranularityMode.TOKENS))
 def test_masking_agrees_with_reference(value, mode):
     assert apply_granularity(value, mode) == reference_mask(value, mode)
 
@@ -274,8 +277,8 @@ def test_decision_is_deterministic():
     for _ in range(200):
         prefs = random_prefs(rng)
         accessor = make_accessor(
-            role=rng.choice(list(AccessorRole)),
-            permission=rng.choice(list(Sensitivity)),
+            role=rng.choice(AccessorRole.TOKENS),
+            permission=rng.choice(Sensitivity.TOKENS),
         )
         purpose = rng.choice(("care-delivery", "research"))
         first = evaluate_access(prefs, accessor, purpose, NOW)
@@ -289,7 +292,7 @@ def test_unlisted_role_always_sees_visibility_violation():
         prefs = random_prefs(rng)
         outside = [
             r
-            for r in AccessorRole
+            for r in AccessorRole.TOKENS
             if r not in prefs.visibility.allowed_roles
             and r not in prefs.third_party_accessors
         ]
@@ -307,17 +310,15 @@ def test_raising_permission_never_revokes_access():
     checked = 0
     for _ in range(400):
         prefs = random_prefs(rng)
-        role = rng.choice(list(AccessorRole))
-        level = rng.choice(list(Sensitivity))
+        role = rng.choice(AccessorRole.TOKENS)
+        level = rng.choice(Sensitivity.TOKENS)
         accessor = make_accessor(role=role, permission=level)
         purpose = rng.choice(("care-delivery", "research"))
         base = evaluate_access(prefs, accessor, purpose, NOW)
         if not base.allowed:
             continue
         checked += 1
-        for higher in Sensitivity:
-            if higher < level:
-                continue
+        for higher in Sensitivity.TOKENS[Sensitivity.TOKENS.index(level):]:
             upgraded = make_accessor(role=role, permission=higher)
             again = evaluate_access(prefs, upgraded, purpose, NOW)
             assert again.allowed
@@ -330,8 +331,8 @@ def test_allow_and_deny_are_mutually_exclusive():
     for _ in range(200):
         prefs = random_prefs(rng)
         accessor = make_accessor(
-            role=rng.choice(list(AccessorRole)),
-            permission=rng.choice(list(Sensitivity)),
+            role=rng.choice(AccessorRole.TOKENS),
+            permission=rng.choice(Sensitivity.TOKENS),
         )
         decision = evaluate_access(prefs, accessor, "care-delivery", NOW)
         if decision.allowed:
@@ -372,26 +373,44 @@ def test_negative_duration_rejected():
         RetentionPolicy(effective_date=dt.date(2021, 1, 1), duration_days=-1)
 
 
+def test_unknown_roles_are_refused_when_a_record_is_built():
+    # A record holding one would be published and then never decode again.
+    with pytest.raises(PolicyError) as caught:
+        VisibilityPolicy(VisibilityScope.HOUSE, {"Janitor"})
+    assert str(caught.value) == "allowed roles must be AccessorRole tokens, got 'Janitor'"
+    with pytest.raises(PolicyError) as caught:
+        make_prefs(third_party={AccessorRole.CLINICAL_NURSE, "Nobody"})
+    assert str(caught.value) == "third-party accessors must be AccessorRole tokens, got 'Nobody'"
+
+
 def test_unknown_tokens_rejected():
-    with pytest.raises(PolicyError):
-        AccessorRole.from_token("Janitor")
-    with pytest.raises(PolicyError):
-        Sensitivity.from_token("Level5")
-    with pytest.raises(PolicyError):
-        GranularityMode.from_token("Fuzzy")
+    accessor = make_accessor().to_dict()
+    with pytest.raises(PolicyError, match="unknown AccessorRole token: 'Janitor'"):
+        AccessorProfile.from_dict({**accessor, "role": "Janitor"})
+    with pytest.raises(PolicyError, match="unknown Sensitivity token: 'Level5'"):
+        AccessorProfile.from_dict({**accessor, "permission_level": "Level5"})
+    with pytest.raises(PolicyError, match="unknown GranularityMode token: 'Fuzzy'"):
+        PreferenceSet.from_dict({**make_prefs().to_dict(), "granularity": "Fuzzy"})
 
 
 @pytest.mark.parametrize(
-    "enum", [PurposeMode, VisibilityScope, GranularityMode, AccessorRole, DenialReason]
+    "vocabulary",
+    [PurposeMode, VisibilityScope, GranularityMode, AccessorRole, DenialReason, Sensitivity],
 )
-def test_token_lookup_accepts_exact_tokens_only(enum):
-    for member in enum:
-        assert enum.from_token(member.token) is member
-        assert enum.from_token(member) is member
-    for bad in ("", member.name, member.token.lower(), None, 1, ["x"], {"a": 1}):
+def test_token_lookup_accepts_exact_tokens_only(vocabulary):
+    decode = token_decoder(vocabulary, PolicyError)
+    for token in vocabulary.TOKENS:
+        assert decode(token) is token
+        # A token read from a file is another str object; decoding returns
+        # the vocabulary's own, which every decoded record then shares.
+        read = json.loads(json.dumps(token))
+        assert read is not token
+        assert decode(read) is token
+    name = next(key for key, value in vars(vocabulary).items() if value == token)
+    for bad in ("", name, token.lower(), None, 1, ["x"], {"a": 1}):
         with pytest.raises(PolicyError) as caught:
-            enum.from_token(bad)
-        assert str(caught.value) == f"unknown {enum.__name__} token: {bad!r}"
+            decode(bad)
+        assert str(caught.value) == f"unknown {vocabulary.__name__} token: {bad!r}"
 
 
 def test_preference_record_round_trip():

@@ -16,6 +16,7 @@ read and append of ledger.db and policy.db.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import errno
 import hashlib
@@ -100,39 +101,38 @@ def fixed_engine(data_dir) -> Engine:
 
 
 def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
-    engine = fixed_engine(tmp_path / "data")
-    install_demo_fixture(engine)
-    policy_lines = (engine.config.data_dir / "policy.db").read_text().splitlines()
-    for revision in range(2):
-        publication = engine.set_policy(
-            DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(9, note=f"r{revision}")
+    with contextlib.closing(fixed_engine(tmp_path / "data")) as engine:
+        install_demo_fixture(engine)
+        policy_lines = (engine.config.data_dir / "policy.db").read_text().splitlines()
+        for revision in range(2):
+            publication = engine.set_policy(
+                DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(9, note=f"r{revision}")
+            )
+            instance = engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID))
+            assert (instance.seq, instance.version) == (publication.seq, publication.version)
+            lines = (engine.config.data_dir / "policy.db").read_text().splitlines()
+            assert lines[:-1] == policy_lines
+            assert lines[-1] == json.dumps(instance.to_dict(), sort_keys=True)
+            assert TupleInstance.from_dict(json.loads(lines[-1])) == instance
+            assert instance.encoded == canonical_encode(instance.privacy_tuple)
+            policy_lines = lines
+        # The genesis, then one record per publication: 7 in the demo, 2 here.
+        ledger_lines = engine.config.ledger_file.read_text().splitlines()
+        assert len(policy_lines) == 9
+        assert len(ledger_lines) == chain_length(engine.ledger) == 1 + 9
+        for seq, line in enumerate(ledger_lines):
+            assert line == reference_render_line(engine.ledger.item(seq))
+        for line in policy_lines:
+            record = json.loads(line)
+            assert sorted(record) == ["seq", "stream", "tuple"]
+            instance = TupleInstance.from_dict(record)
+            item = engine.ledger.item(instance.seq)
+            assert item.stream == instance.stream
+            hashed = tuples.HashRecord.from_string(item.payload.decode("ascii"))
+            assert tuples.verify_hash(canonical_encode(instance.privacy_tuple), hashed)
+        assert engine.ledger.item(0).timestamp == dt.datetime(
+            2024, 2, 29, 6, 59, 59, 998000, tzinfo=dt.timezone.utc
         )
-        instance = engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID))
-        assert (instance.seq, instance.version) == (publication.seq, publication.version)
-        lines = (engine.config.data_dir / "policy.db").read_text().splitlines()
-        assert lines[:-1] == policy_lines
-        assert lines[-1] == json.dumps(instance.to_dict(), sort_keys=True)
-        assert TupleInstance.from_dict(json.loads(lines[-1])) == instance
-        assert instance.encoded == canonical_encode(instance.privacy_tuple)
-        policy_lines = lines
-    # The genesis, then one record per publication: 7 in the demo, 2 here.
-    ledger_lines = engine.config.ledger_file.read_text().splitlines()
-    assert len(policy_lines) == 9
-    assert len(ledger_lines) == chain_length(engine.ledger) == 1 + 9
-    for seq, line in enumerate(ledger_lines):
-        assert line == reference_render_line(engine.ledger.item(seq))
-    for line in policy_lines:
-        record = json.loads(line)
-        assert sorted(record) == ["seq", "stream", "tuple"]
-        instance = TupleInstance.from_dict(record)
-        item = engine.ledger.item(instance.seq)
-        assert item.stream == instance.stream
-        hashed = tuples.HashRecord.from_string(item.payload.decode("ascii"))
-        assert tuples.verify_hash(canonical_encode(instance.privacy_tuple), hashed)
-    assert engine.ledger.item(0).timestamp == dt.datetime(
-        2024, 2, 29, 6, 59, 59, 998000, tzinfo=dt.timezone.utc
-    )
-    engine.close()
     digests = {
         name: hashlib.sha256((engine.config.data_dir / name).read_bytes()).hexdigest()
         for name in FILE_DIGESTS
@@ -158,9 +158,8 @@ def test_failed_create_leaves_no_file_open(tmp_path, opened):
 
 
 def test_failed_open_leaves_no_file_open(tmp_path, opened):
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     path = engine.config.data_dir / "credentials.db"
     path.write_bytes(path.read_bytes().replace(b'"', b'"\xff', 1))
     with pytest.raises(StoreError, match="credentials.db line 1"):
@@ -251,36 +250,33 @@ def test_failed_accessor_write_registers_nobody(tmp_path, store):
 
 
 def test_failed_store_write_in_set_policy_aborts_the_lineage(tmp_path):
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     request = QueryRequest(
         accessor_id=DEMO_ACCESSOR_ID,
         requested_purpose="care-delivery",
         attributes=("first_name", "street_name"),
         provider_id=DEMO_PROVIDER_ID,
     )
-    engine = Engine.open(engine.config)
-    assert engine.mediate(request).status is MediationStatus.COMPLETED
-    policy = engine.config.data_dir / "policy.db"
-    policy.rename(tmp_path / "policy.db.kept")
-    policy.mkdir()
-    with pytest.raises(IsADirectoryError):
-        engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5, note="lost"))
-    policy.rmdir()
-    (tmp_path / "policy.db.kept").rename(policy)
+    with contextlib.closing(Engine.open(engine.config)) as engine:
+        assert engine.mediate(request).status is MediationStatus.COMPLETED
+        policy = engine.config.data_dir / "policy.db"
+        policy.rename(tmp_path / "policy.db.kept")
+        policy.mkdir()
+        with pytest.raises(IsADirectoryError):
+            engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5, note="lost"))
+        policy.rmdir()
+        (tmp_path / "policy.db.kept").rename(policy)
 
-    def mismatches(result):
-        return [e.lineage for e in result.verification if e.note == "mismatch"]
+        def mismatches(result):
+            return [e.lineage for e in result.verification if e.note == "mismatch"]
 
-    result = engine.mediate(request)
-    assert result.status is MediationStatus.ABORTED
-    assert mismatches(result) == [DEMO_LINEAGE_A]
-    engine.close()
-    reopened = Engine.open(engine.config)
-    again = reopened.mediate(request)
-    assert (again.status, again.verification) == (result.status, result.verification)
-    reopened.close()
+        result = engine.mediate(request)
+        assert result.status is MediationStatus.ABORTED
+        assert mismatches(result) == [DEMO_LINEAGE_A]
+    with contextlib.closing(Engine.open(engine.config)) as reopened:
+        again = reopened.mediate(request)
+        assert (again.status, again.verification) == (result.status, result.verification)
 
 
 # ---------------------------------------------------------------------------
@@ -420,39 +416,36 @@ def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, store, disk, f
 def test_append_after_a_missing_final_newline_starts_a_new_line(tmp_path, family):
     """Open accepts a file whose last line lacks its newline; the first
     append to it writes that newline first, so it runs into no record."""
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     path = engine.config.data_dir / family
     cut = path.read_bytes().removesuffix(b"\n")
     path.write_bytes(cut)
 
-    engine = Engine.open(engine.config)
-    publication = engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
-    engine.add_provider(5, {"city": "Calgary"})
-    engine.add_accessor("nurse9", "nurse9-secret", make_accessor(9))
-    engine.close()
+    with contextlib.closing(Engine.open(engine.config)) as engine:
+        publication = engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))
+        engine.add_provider(5, {"city": "Calgary"})
+        engine.add_accessor("nurse9", "nurse9-secret", make_accessor(9))
     data = path.read_bytes()
     assert data.startswith(cut + b"\n") and data.endswith(b"\n")
     assert b"\n\n" not in data
 
-    engine = Engine.open(engine.config)
-    assert engine.ledger.verify_chain().intact
-    assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
-    result = engine.mediate(
-        QueryRequest(
-            accessor_id=DEMO_ACCESSOR_ID,
-            requested_purpose="care-delivery",
-            attributes=("street_name",),
-            provider_id=DEMO_PROVIDER_ID,
-        ),
-        now=dt.date(2021, 7, 1),
-    )
-    assert [(e.seq, e.note) for e in result.verification] == [(publication.seq, "ok")]
-    assert result.status is MediationStatus.COMPLETED
-    assert engine.store.get_provider_record(5).attributes == {"city": "Calgary"}
-    assert engine.store.authenticate("nurse9", "nurse9-secret") == make_accessor(9)
-    engine.close()
+    with contextlib.closing(Engine.open(engine.config)) as engine:
+        assert engine.ledger.verify_chain().intact
+        assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
+        result = engine.mediate(
+            QueryRequest(
+                accessor_id=DEMO_ACCESSOR_ID,
+                requested_purpose="care-delivery",
+                attributes=("street_name",),
+                provider_id=DEMO_PROVIDER_ID,
+            ),
+            now=dt.date(2021, 7, 1),
+        )
+        assert [(e.seq, e.note) for e in result.verification] == [(publication.seq, "ok")]
+        assert result.status is MediationStatus.COMPLETED
+        assert engine.store.get_provider_record(5).attributes == {"city": "Calgary"}
+        assert engine.store.authenticate("nurse9", "nurse9-secret") == make_accessor(9)
 
 
 DATA_FILES = ("content.db", "credentials.db", "ledger.db", "policy.db")
@@ -477,10 +470,10 @@ def test_a_written_file_is_private_whatever_the_umask(tmp_path, umask):
     checkpoint included, has mode 0600, in a directory of mode 0700.  A
     rewrite does not take the mode of the file it replaces; an append
     leaves the file's mode as it is."""
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.add_provider(DEMO_PROVIDER_ID, {"city": "Calgary"})  # rewrites content.db
-    engine.close()  # writes both checkpoints, where there were none
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
+        engine.add_provider(DEMO_PROVIDER_ID, {"city": "Calgary"})  # rewrites content.db
+    # Closing it wrote both checkpoints, where there were none.
     data_dir = engine.config.data_dir
     names = DATA_FILES + CHECKPOINTS + ("format",)
     assert stat.S_IMODE(data_dir.stat().st_mode) == 0o700
@@ -489,16 +482,14 @@ def test_a_written_file_is_private_whatever_the_umask(tmp_path, umask):
     loose = dict.fromkeys(names, 0o644)
     for name, mode in loose.items():
         (data_dir / name).chmod(mode)
-    engine = Engine.open(engine.config)
-    engine.add_provider(DEMO_PROVIDER_ID, {"city": "Edmonton"})
-    engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))  # both checkpoints due
-    engine.close()
+    with contextlib.closing(Engine.open(engine.config)) as engine:
+        engine.add_provider(DEMO_PROVIDER_ID, {"city": "Edmonton"})
+        engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5))  # both checkpoints due
     rewritten = ("content.db", *CHECKPOINTS)
     assert file_modes(data_dir, names) == {**loose, **dict.fromkeys(rewritten, 0o600)}
     assert sorted(path.name for path in data_dir.iterdir()) == sorted(names)
-    engine = Engine.open(engine.config)
-    assert engine.store.get_provider_record(DEMO_PROVIDER_ID).attributes == {"city": "Edmonton"}
-    engine.close()
+    with contextlib.closing(Engine.open(engine.config)) as engine:
+        assert engine.store.get_provider_record(DEMO_PROVIDER_ID).attributes == {"city": "Edmonton"}
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +521,8 @@ def test_a_closed_ledger_refuses_every_read_and_append(tmp_path, opened):
 
 
 def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     store = Store(engine.config.data_dir, hash_cost=8)
     store.close()
     path = engine.config.data_dir / "policy.db"
@@ -546,9 +536,8 @@ def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
 
 
 def test_a_closed_engine_writes_no_provider_or_accessor(tmp_path):
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     data_dir = engine.config.data_dir
     before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
     for name, write in (
@@ -564,9 +553,8 @@ def test_a_closed_engine_writes_no_provider_or_accessor(tmp_path):
 
 
 def test_a_closed_engine_raises_rather_than_abort_a_query(tmp_path):
-    engine = make_engine(tmp_path)
-    install_demo_fixture(engine)
-    engine.close()
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
     engine = Engine.open(engine.config)
     engine.close()
     request = QueryRequest(

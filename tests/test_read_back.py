@@ -13,6 +13,7 @@ pass."""
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import errno
 import gc
@@ -54,10 +55,10 @@ def engines(tmp_path):
     the full pass."""
     engine = make_engine(tmp_path, hash_cost=8)
     install_demo_fixture(engine)
-    engines = [Engine.open(config) for config in both_open_paths(engine)]
-    yield engines
-    for engine in engines:
-        engine.close()
+    checkpointed, full_pass = both_open_paths(engine)
+    with contextlib.closing(Engine.open(checkpointed)) as first, \
+            contextlib.closing(Engine.open(full_pass)) as second:
+        yield [first, second]
 
 
 def _line_span(path, is_target) -> tuple[int, int]:
@@ -302,8 +303,8 @@ def test_open_keeps_no_file_text(tmp_path):
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        lineages = len(policy_index(engine.store))
-        engine.close()
+        with contextlib.closing(engine):
+            lineages = len(policy_index(engine.store))
         assert lineages == 20 * 18
         assert kept / lineages <= MAX_KEPT_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
 
@@ -326,8 +327,7 @@ def test_a_query_keeps_each_lineage_once(tmp_path):
         attributes=tuple(name for names in ARCHETYPE_ATTRIBUTES.values() for name in names),
     )
     for config in both_open_paths(engine):
-        engine = Engine.open(config)
-        try:
+        with contextlib.closing(Engine.open(config)) as engine:
             gc.collect()
             tracemalloc.start()
             try:
@@ -341,8 +341,6 @@ def test_a_query_keeps_each_lineage_once(tmp_path):
                 kept = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-        finally:
-            engine.close()
         assert kept / lineages <= MAX_WARM_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
 
 
@@ -354,10 +352,9 @@ MAX_KEPT_PER_PUBLISH = 160
 
 
 def test_publishing_keeps_no_ledger_item(tmp_path):
-    engine = make_engine(tmp_path, hash_cost=8)
-    install_demo_fixture(engine)
     prefs = demo_preferences(5)
-    try:
+    with contextlib.closing(make_engine(tmp_path, hash_cost=8)) as engine:
+        install_demo_fixture(engine)
         for _ in range(20):  # the first publish reads the last record's time once
             engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, prefs)
         gc.collect()
@@ -370,6 +367,4 @@ def test_publishing_keeps_no_ledger_item(tmp_path):
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-    finally:
-        engine.close()
     assert kept / 200 <= MAX_KEPT_PER_PUBLISH, f"{kept / 200:.0f} B per publish"

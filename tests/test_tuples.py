@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import make_accessor, make_prefs, random_tuple
 from privledger import tuples
+from privledger.config import token_decoder
 from privledger.policy import PolicyError, Sensitivity
 from privledger.tuples import (
     DEFAULT_COST,
@@ -346,14 +347,18 @@ def test_attribute_meta_validation():
             category=AttributeCategory.DEMOGRAPHIC,
             sensitivity_hint=Sensitivity.LEVEL1_PUBLIC,
         )
-    with pytest.raises(TupleError):
-        AttributeCategory.from_token("Astrological")
+    with pytest.raises(TupleError, match="unknown AttributeCategory token: 'Astrological'"):
+        AttributeMeta.from_dict({**POSTAL.to_dict(), "category": "Astrological"})
+    with pytest.raises(TupleError, match="unknown Sensitivity token: 'Level5'"):
+        AttributeMeta.from_dict({**POSTAL.to_dict(), "sensitivity_hint": "Level5"})
 
 
 def test_category_lookup_accepts_exact_tokens_only():
-    for member in AttributeCategory:
-        assert AttributeCategory.from_token(member.token) is member
+    decode = token_decoder(AttributeCategory, TupleError)
+    for token in AttributeCategory.TOKENS:
+        assert decode(token) is token
+        assert decode(json.loads(json.dumps(token))) is token
     for bad in ("", "CONSENT", "consent", None, 1, ["Consent"], {"a": 1}):
         with pytest.raises(TupleError) as caught:
-            AttributeCategory.from_token(bad)
-        assert str(caught.value) == f"unknown attribute category: {bad!r}"
+            decode(bad)
+        assert str(caught.value) == f"unknown AttributeCategory token: {bad!r}"
