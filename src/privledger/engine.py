@@ -2,10 +2,12 @@
 
 The engine owns one store, one ledger (``ledger.db`` inside the data
 directory, so the directory's lock covers it) and one mediator.
-Publishing a policy binds the tuple at the next lineage version, hashes
-the canonical encoding, appends the hash to the lineage's stream and only
-then records the plaintext instance in the store, so the ledger is never
-behind the store.
+Publishing a policy binds the tuple at the version after its stream's
+item count, hashes the canonical encoding, appends the hash to the
+lineage's stream and only then records the plaintext instance in the
+store at that item's seq, so the ledger is never behind the store and
+the store's seqs rise.  A failed store append leaves its lineage
+aborting as a mismatch until the next publish.
 
 Closing writes the checkpoints that let the next open skip the checks of
 what this one checked or wrote (see ledger.IndexedFile); nothing else
@@ -86,7 +88,11 @@ class Engine:
         with open(data_dir / FORMAT_FILE, "w", opener=private) as fh:
             fh.write(FORMAT)
         store = Store(data_dir, hash_cost=config.hash_cost, create=True)
-        ledger = Ledger(config.ledger_file, create=True)
+        try:
+            ledger = Ledger(config.ledger_file, create=True)
+        except BaseException:
+            store.close()
+            raise
         return cls(config, store, ledger)
 
     @classmethod
@@ -149,17 +155,17 @@ class Engine:
         )
         profile = self.store.get_accessor(accessor_id)
         self.store.get_provider_record(provider_id)
-        lineage = (provider_id, attribute.attribute_id, accessor_id)
-        prior = self.store.lineage_version(lineage)
+        stream = stream_name_for(provider_id, attribute.attribute_id, accessor_id)
+        published = self.ledger.has_stream(stream)
+        prior = self.ledger.stream(stream).item_count if published else 0
         bound = bind_tuple(provider_id, attribute, prefs, profile, prior)
         # One dict gives both the hashed bytes and the policy.db line.
         data = bound.to_dict()
         encoded = canonical_encode(bound, data)
         payload = hash_tuple(encoded, self.config.hash_cost).to_string().encode("ascii")
-        stream = stream_name_for(*lineage)
         key = publish_key(bound.version)
         # A stream begins with its lineage's first published version.
-        if self.ledger.has_stream(stream):
+        if published:
             item = self.ledger.publish(stream, key, payload)
         else:
             item = self.ledger.create_stream(stream, key, payload)

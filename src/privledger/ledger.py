@@ -197,7 +197,7 @@ def append_line(handle, line: str, newline_first: bool = False) -> bytes:
 # The version of open's checks.  A checkpoint names the version it was
 # written under, and open ignores one of any other, so a change to what
 # open accepts or to what a checkpoint holds must raise it.
-CHECKER_VERSION = 1
+CHECKER_VERSION = 2
 CHECKPOINT_SUFFIX = ".checkpoint"
 _CHECKPOINT_HEAD = b"privledger checkpoint\n" + CHECKER_VERSION.to_bytes(4, "big")
 # Close writes a new checkpoint when open met a tail of at least this many
@@ -260,13 +260,13 @@ class IndexedFile:
     file, as if there were no checkpoint.  save() writes a new checkpoint,
     the prefix's length and SHA-256 and then the owner's parts, only when
     this process appended, ran the full pass or met a tail of at least
-    CHECKPOINT_TAIL_BYTES, and the file ends in a newline.  The first
-    append to a file whose last line lacks its newline writes it first.
+    CHECKPOINT_TAIL_BYTES, and the file ends in a newline, and never once
+    close() ran.  The first append to a file whose last line lacks its
+    newline writes it first.
 
     The read-only handle is held from open() or create() and the unbuffered
-    append handle from the first append (or from create()), both until
-    close(); an append that fails closes its handle, and the next opens the
-    file afresh.  Once close() ran, fileno() and append() raise ValueError
+    append handle from the first append, both until close(); an append
+    that fails closes its handle, and the next opens the file afresh.  Once close() ran, fileno() and append() raise ValueError
     naming the file, as io does for a closed file.  A file it creates gets
     mode 0600.
     """
@@ -299,8 +299,8 @@ class IndexedFile:
         self._unterminated = end > 0 and os.pread(self.reader.fileno(), 1, end - 1) != b"\n"
 
     def create(self):
-        """Create the file, or take it empty, with both handles open."""
-        self._out = open(self.path, "ab", buffering=0, opener=private)
+        """Create the file, or take it empty, with the read-only handle open."""
+        open(self.path, "ab", opener=private).close()
         self.reader = open(self.path, "rb")
 
     def check_open(self, path: Path | None = None):
@@ -335,7 +335,7 @@ class IndexedFile:
         ends in a newline.  It goes to a temporary file beside it, then is
         renamed over it; a write that fails leaves no temporary file and
         raises nothing."""
-        if not self._due or self._unterminated:
+        if self.closed or not self._due or self._unterminated:
             return
         chunks = [_CHECKPOINT_HEAD]
         for part in (self.size.to_bytes(8, "big"), self.hasher.digest(), *parts()):
@@ -379,9 +379,10 @@ def int_array(data) -> array:
 
 
 class Ledger:
-    """Single-writer stream ledger over one append-only file."""
+    """Single-writer stream ledger over one append-only file.  Every item
+    names the genesis record's publisher: a node name drawn at create."""
 
-    def __init__(self, path, clock=None, publisher: str | None = None, create: bool = False):
+    def __init__(self, path, clock=None, create: bool = False):
         self._path = Path(path)
         self._clock = clock or system_clock
         # Each record's offset, then the end of the last; every read of a
@@ -405,12 +406,12 @@ class Ledger:
         try:
             if create:
                 self._file.create()
-                self._publisher = publisher or f"node-{secrets.token_hex(8)}"
+                self._publisher = f"node-{secrets.token_hex(8)}"
                 self._offsets.append(0)
                 self._append(ROOT_STREAM, "", b"")
             else:
                 self._file.open(self._take, self._index)
-                self._publisher = publisher or self.stream(ROOT_STREAM).created_by
+                self._publisher = self.stream(ROOT_STREAM).created_by
         except BaseException:
             self.close()  # a failed open or create leaves no file open
             raise

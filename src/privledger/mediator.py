@@ -1,19 +1,23 @@
 """Privacy-aware query mediation.
 
 Every query is decomposed into (provider, attribute, accessor) lineages.
-One pass over them re-hashes each stored tuple instance's canonical
-encoding (derived once per stored version) and checks it against the
-hash published on the lineage's ledger stream, on every query; a single
-mismatch aborts the whole request with zero disclosed cells.  Between
-queries only the parse of each lineage's latest published hash record is
-kept, with its seq, never a verification outcome or an access decision;
-the ledger item is read again only when the stream's latest seq is
-another.  Verified lineages then pass through policy evaluation, the
-query is rewritten to the allowed attribute set, executed once, and each
-disclosed cell is transformed to its granted granularity.  A stored policy record that
-fails to decode on first touch, or a ledger record that fails its read
-back (changed on disk since open, or not matching its digest), is a
-mismatch too, never a pass.
+One pass over them asks the ledger for each lineage stream's latest seq,
+which alone says which version is current, re-hashes the canonical
+encoding (derived once per stored version) of the tuple instance the
+store holds at that seq and checks it against the hash published there,
+on every query.  A lineage without a stream has no policy and reads
+nothing from the store; a single mismatch, including a published item
+with no readable instance at its seq, aborts the whole request with zero
+disclosed cells.  Between queries only the parse of each lineage's
+latest published hash record is kept, with its seq, never a verification
+outcome or an access decision; the ledger item is read again only when
+the stream's latest seq is another.  Verified lineages then pass through
+policy evaluation, the query is rewritten to the allowed attribute set,
+executed once, and each disclosed cell is transformed to its granted
+granularity.  A stored policy record that fails to decode on first
+touch, or a ledger record that fails its read back (changed on disk
+since open, or not matching its digest), is a mismatch too, never a
+pass.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -219,22 +223,20 @@ class Mediator:
         for lineage in lineages:
             stream = stream_name(*lineage)
             try:
-                instance = latest_instance(lineage)
-                readable = True
-            except CorruptRecord:
-                instance, readable = None, False
-            try:
                 seq = latest_seq(stream)
             except UnknownStream:  # a lineage stream has items from its start
-                note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
-                seq, ok, instance = None, False, None
+                seq, ok, instance, note = None, False, None, VERIFIED_NO_POLICY
             else:
+                try:
+                    instance = latest_instance(lineage, seq)
+                except CorruptRecord:
+                    instance = None
                 # The parse of the latest hash record read on each stream is
                 # kept with its seq, so a repeat query reads and parses
                 # nothing.  A ledger read that fails, or a payload that does
                 # not parse, keeps nothing: every query reads it again.  A
-                # published hash with no readable stored plaintext cannot be
-                # verified.
+                # published hash with no readable plaintext stored at its seq
+                # cannot be verified.
                 kept = records.get(stream)
                 if kept is not None and kept[0] == seq:
                     ledger_reads += 1

@@ -9,20 +9,24 @@ source of truth.
 
 Opening reads each family file in one streaming pass over its bytes and
 decodes every content and credential record.  Of policy.db it reads each
-line's lineage, ledger seq and tuple version with one anchored pattern,
-and keeps per lineage only those fields and where its latest line is
-(offset, length and line number), not the line, in one row of packed
-64-bit columns; a line the pattern rejects, one with a number of 2**63
-or more, or one that is not UTF-8, fails the open, which then leaves no
-file open.  The latest tuple instance of a lineage is read back with
-os.pread and decoded on first touch, and checked against those indexed
-fields; a record that fails either, say because it changed on disk since
-open, raises CorruptRecord.  A decoded tuple holds the catalog's
-AttributeMeta and the registered accessor's AccessorProfile in place of
-its own copies where those hold the same values of the same types, so it
-encodes to the same bytes.  Older versions stay on disk as history:
-policy.db is append-only, and no query reads them.  Every write goes to
-the file before memory takes it.
+line's ledger seq and tuple version (and checks its stream name) with
+one anchored pattern, and keeps per line, in file order, only those
+fields and where the line is (offset, length and line number), not the
+line, in packed 64-bit columns.  The seqs must rise from line to line; a
+line whose seq does not, one the pattern rejects, one with a number of
+2**63 or more, or one that is not UTF-8, fails the open, which then
+leaves no file open.  The store does not say which version of a lineage
+is current: the ledger does, through its stream's latest seq, and the
+store finds the line at that seq by bisection.  That line is read back
+with os.pread and decoded on first touch, and must be of the lineage
+asked for, at the indexed version and seq; a record that fails either,
+say because it changed on disk since open, raises CorruptRecord.  A
+decoded tuple holds the catalog's AttributeMeta and the registered
+accessor's AccessorProfile in place of its own copies where those hold
+the same values of the same types, so it encodes to the same bytes.
+Older versions, and a line no ledger item names, stay on disk and are
+never read: policy.db is append-only.  Every write goes to the file
+before memory takes it.
 
 policy.db is read, appended to and checkpointed through a
 ledger.IndexedFile, as ledger.db is; the rules are described there.  Its
@@ -35,11 +39,11 @@ import json
 import os
 import re
 from array import array
-from operator import add
+from bisect import bisect_left
+from operator import add, lt
 from pathlib import Path
-from typing import NamedTuple
 
-from .ledger import IndexedFile, append_line, int_array, replace_file
+from .ledger import LINEAGE_STREAM, IndexedFile, append_line, int_array, replace_file
 from .config import ID_LIMIT, ID_RULE, Record, is_id, private
 from .policy import AccessorProfile
 from .tuples import (
@@ -277,27 +281,15 @@ _POLICY_LINE_RE = re.compile(
 )
 
 
-class _Indexed(NamedTuple):
-    """Where a latest policy line not yet decoded is, with the fields open
-    read from it."""
-
-    version: int
-    seq: int
-    offset: int  # of the line in policy.db
-    length: int  # in bytes, without the line end
-    lineno: int
-
-
-def _index_policy_line(line: str) -> tuple[tuple[int, int, int], int, int]:
-    """Lineage, tuple version and ledger seq of one policy.db line."""
+def _index_policy_line(line: str) -> tuple[int, int]:
+    """Ledger seq and tuple version of one policy.db line."""
     match = _POLICY_LINE_RE.fullmatch(line)
     if match is None:
         raise ValueError("not a policy record")
     fields = tuple(map(int, match.groups()))
     if max(fields) >= ID_LIMIT:
         raise ValueError("a seq, id or version is 2**63 or more")
-    seq, provider_id, attribute_id, accessor_id, version = fields
-    return (provider_id, attribute_id, accessor_id), version, seq
+    return fields[0], fields[4]
 
 
 def _decode_lines(path: Path, fh, decode, lineno: int = 0, hasher=None):
@@ -343,13 +335,12 @@ class Store:
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        # Where each lineage's latest policy line is, as a checkpoint holds
-        # it: each lineage's row by lineage, in the order of first lines,
-        # and per row in _columns its provider, attribute and accessor,
-        # then the fields of its _Indexed.
-        self._rows: dict[tuple[int, int, int], int] = {}
-        self._columns = [array("q") for _ in range(8)]
-        # The latest version per lineage, once decoded or published.
+        # Every policy.db line, as a checkpoint holds it: one row per line
+        # in file order, seqs rising, and per row its ledger seq, tuple
+        # version, offset, length in bytes without the line end, and line
+        # number.
+        self._columns = [array("q") for _ in range(5)]
+        # One version per lineage, once decoded or published.
         self._instances: dict[tuple[int, int, int], TupleInstance] = {}
         self._policy = IndexedFile(self._dir / POLICY_FILE)
         self._policy_lines = 0
@@ -361,6 +352,7 @@ class Store:
                 if target.exists():
                     raise StoreError(f"store file already exists: {target}")
                 open(target, "xb", opener=private).close()
+            self._policy.create()
         else:
             for name in FAMILY_FILES:
                 if not (self._dir / name).exists():
@@ -401,48 +393,41 @@ class Store:
             self._policy.path, self._policy.reader, _index_policy_line, lineno, self._policy.hasher
         ):
             if indexed is not None:
-                lineage, version, seq = indexed
-                self._index_line(lineage, version, seq, offset, length, lineno)
+                seqs = self._columns[0]
+                if seqs and indexed[0] <= seqs[-1]:
+                    raise StoreError(
+                        f"{self._policy.path} line {lineno}: unreadable record "
+                        f"(seq {indexed[0]} is not above the previous line's {seqs[-1]})"
+                    )
+                self._index_line(*indexed, offset, length, lineno)
         self._policy_lines = lineno
 
     def _take(self, parts) -> bool:
         """Take the index of the checkpoint's prefix, if its values are in
         range."""
-        if len(parts) != 9:
+        if len(parts) != 6:
             return False
         try:
             lines, *columns = (int_array(part) for part in parts)
         except ValueError:
             return False
-        rows = dict(zip(zip(*columns[:3]), range(len(columns[0]))))
-        offsets, lengths = columns[5:7]
+        seqs, _, offsets, lengths, _ = columns
         if not (
             len(lines) == 1
-            and len({len(rows), *map(len, columns)}) == 1
+            and len(set(map(len, columns))) == 1
             and min(min(column, default=0) for column in (lines, *columns)) >= 0
+            and all(map(lt, seqs, seqs[1:]))
             and max(map(add, offsets, lengths), default=0) <= self._policy.reader.tell()
         ):
             return False
         self._policy_lines = lines[0]
         self._columns = columns
-        self._rows = rows
         return True
 
-    def _index_line(self, lineage: tuple[int, int, int], *fields: int):
-        """Make the fields of _Indexed the lineage's row."""
-        row = self._rows.get(lineage)
-        if row is None:
-            self._rows[lineage] = len(self._rows)
-            for column, value in zip(self._columns, (*lineage, *fields)):
-                column.append(value)
-        else:
-            for column, value in zip(self._columns[3:], fields):
-                column[row] = value
-
-    def _where(self, lineage: tuple[int, int, int]) -> _Indexed | None:
-        """Where the lineage's latest policy line is, if it has one."""
-        row = self._rows.get(lineage)
-        return None if row is None else _Indexed(*(column[row] for column in self._columns[3:]))
+    def _index_line(self, *fields: int):
+        """Add a row of the columns' fields for the next line."""
+        for column, value in zip(self._columns, fields):
+            column.append(value)
 
     def save_checkpoint(self):
         """Write policy.db's checkpoint when one is due (see IndexedFile)."""
@@ -455,9 +440,10 @@ class Store:
             lines = _decode_lines(path, fh, lambda line: kind.from_dict(json.loads(line)))
             return [record for *_, record in lines if record is not None]
 
-    def _policy_line(self, indexed: _Indexed) -> bytes:
-        """The indexed line as policy.db holds it now."""
-        return os.pread(self._policy.fileno(), indexed.length, indexed.offset)
+    def _policy_line(self, row: int) -> bytes:
+        """The row's line as policy.db holds it now."""
+        _, _, offsets, lengths, _ = self._columns
+        return os.pread(self._policy.fileno(), lengths[row], offsets[row])
 
     def _append_record(self, name: str, record: dict):
         self._policy.check_open(self._dir / name)  # a closed store writes nothing
@@ -505,47 +491,50 @@ class Store:
 
     def put_tuple_instance(self, instance: TupleInstance, record=None) -> tuple[int, int, int]:
         """Record a new tuple version, with its to_dict() if the caller has
-        built it.  Old versions are retained."""
+        built it; its ledger seq must be above every stored line's.  Old
+        versions are retained."""
         lineage = instance.lineage
         if lineage[0] not in self._providers:
             raise UnknownProvider(f"no provider with id {lineage[0]}")
-        prior = self.lineage_version(lineage)
-        if instance.version <= prior:
-            raise StaleVersion(
-                f"lineage {lineage} already at version {prior}, got {instance.version}"
-            )
+        seqs = self._columns[0]
+        if seqs and instance.seq <= seqs[-1]:
+            raise StaleVersion(f"policy.db already holds seq {seqs[-1]}, got {instance.seq}")
         offset, length = self._policy.append(
             json.dumps(instance.to_dict() if record is None else record, sort_keys=True)
         )
         self._policy_lines += 1
-        self._index_line(
-            lineage, instance.version, instance.seq, offset, length, self._policy_lines
-        )
+        self._index_line(instance.seq, instance.version, offset, length, self._policy_lines)
         self._instances[lineage] = instance
         return lineage
 
-    def latest_tuple_instance(self, lineage: tuple[int, int, int]) -> TupleInstance | None:
-        """The latest version, decoded on first touch; raises CorruptRecord
-        when its record fails to decode or disagrees with its index.  The
-        lineage is a (provider_id, attribute_id, accessor_id) tuple."""
+    def latest_tuple_instance(self, lineage: tuple[int, int, int], seq: int) -> TupleInstance | None:
+        """The lineage's version stored at the ledger seq that is its
+        stream's latest, decoded on first touch, or None when policy.db
+        holds no line at that seq; raises CorruptRecord when the line fails
+        to decode or disagrees with the lineage or its index.  The lineage
+        is a (provider_id, attribute_id, accessor_id) tuple."""
         instance = self._instances.get(lineage)
-        if instance is None:
-            indexed = self._where(lineage)
-            if indexed is not None:
-                instance = self._instances[lineage] = self._decode(lineage, indexed)
+        if instance is None or instance.seq != seq:
+            seqs = self._columns[0]
+            row = bisect_left(seqs, seq)
+            if row == len(seqs) or seqs[row] != seq:
+                return None
+            instance = self._instances[lineage] = self._decode(lineage, row)
         return instance
 
-    def _decode(self, lineage: tuple[int, int, int], indexed: _Indexed) -> TupleInstance:
-        where = f"{self._dir / POLICY_FILE} line {indexed.lineno}"
-        line = self._policy_line(indexed)  # a closed store raises here
+    def _decode(self, lineage: tuple[int, int, int], row: int) -> TupleInstance:
+        seqs, versions, _, _, linenos = self._columns
+        where = f"{self._dir / POLICY_FILE} line {linenos[row]}"
+        line = self._policy_line(row)  # a closed store raises here
         try:
             instance = TupleInstance.from_dict(json.loads(line.decode("utf-8").strip()))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
-        if (instance.lineage, instance.version, instance.seq) != (
+        if (instance.lineage, instance.stream, instance.version, instance.seq) != (
             lineage,
-            indexed.version,
-            indexed.seq,
+            LINEAGE_STREAM.format(*lineage),
+            versions[row],
+            seqs[row],
         ):
             raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
         t = instance.privacy_tuple
@@ -558,10 +547,6 @@ class Store:
             t.version,
         )
         return TupleInstance(shared, instance.stream, instance.seq)
-
-    def lineage_version(self, lineage: tuple[int, int, int]) -> int:
-        row = self._rows.get(tuple(lineage))
-        return 0 if row is None else self._columns[3][row]
 
     # -- selection ----------------------------------------------------------
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import datetime as dt
 import random
 import shutil
+from unittest import mock
 
+from privledger import ledger as ledger_module
 from privledger.engine import Engine, EngineConfig
-from privledger.ledger import CHECKPOINT_SUFFIX
+from privledger.ledger import CHECKPOINT_SUFFIX, Ledger
 from privledger.policy import (
     AccessorProfile,
     AccessorRole,
@@ -106,6 +108,14 @@ class TickingClock:
         return moment
 
 
+def named_ledger(path, publisher: str, clock) -> Ledger:
+    """A new ledger whose node name, which create draws at random, is
+    publisher ("node-" and the drawn hex)."""
+    drawn = publisher.removeprefix("node-")
+    with mock.patch.object(ledger_module.secrets, "token_hex", lambda n: drawn):
+        return Ledger(path, clock=clock, create=True)
+
+
 def make_engine(tmp_path, hash_cost: int = 8) -> Engine:
     return Engine.initialize(EngineConfig(data_dir=tmp_path / "data", hash_cost=hash_cost))
 
@@ -115,10 +125,10 @@ def reopen_engine(engine: Engine) -> Engine:
     return Engine.open(engine.config)
 
 
-def policy_index(store) -> list:
-    """(lineage, where its latest policy line is) of every lineage the
-    store indexed, in the order of their first lines."""
-    return [(lineage, store._where(lineage)) for lineage in store._rows]
+def policy_index(store) -> list[tuple[int, int, int, int, int]]:
+    """(seq, version, offset, length, line number) of every policy.db line
+    the store indexed, in file order."""
+    return list(zip(*store._columns))
 
 
 def both_open_paths(engine: Engine) -> list[EngineConfig]:

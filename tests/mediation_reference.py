@@ -2,9 +2,10 @@
 lineages in one pass, kept as the reference for that pass.
 
 ReferenceMediator.mediate is the mediation as it was then: each lineage
-is verified by its own method, which reads the stream's latest item as
-latest_seq then item and parses the item's hash record through a method
-that keeps the parse per stream; the entries are collected in a list and
+is verified by its own method, which asks the ledger for the stream's
+latest seq, the store for the instance stored at that seq and the
+ledger for the item at it, and parses the item's hash record through a
+method that keeps the parse per stream; the entries are collected in a list and
 the instances in a dict keyed by Lineage, a named tuple built from each
 of analyze's plain ones; a second scan of the entries looks for a
 mismatch; and then each lineage's policy is decided.
@@ -116,17 +117,16 @@ class ReferenceMediator(Mediator):
         self, lineage: Lineage, ops: OpCounters
     ) -> tuple[VerificationEntry, TupleInstance | None]:
         try:
-            instance = self._store.latest_tuple_instance(tuple(lineage))
-            readable = True
-        except CorruptRecord:
-            instance, readable = None, False
-        try:
-            item = self._ledger.item(self._ledger.latest_seq(lineage.stream))
-        except UnknownStream:
-            note = VERIFIED_NO_POLICY if readable else VERIFIED_MISMATCH
-            return (VerificationEntry(lineage, None, False, note), None)
-        except LedgerError:
             seq = self._ledger.latest_seq(lineage.stream)
+        except UnknownStream:
+            return (VerificationEntry(lineage, None, False, VERIFIED_NO_POLICY), None)
+        try:
+            instance = self._store.latest_tuple_instance(tuple(lineage), seq)
+        except CorruptRecord:
+            instance = None
+        try:
+            item = self._ledger.item(seq)
+        except LedgerError:
             return (VerificationEntry(lineage, seq, False, VERIFIED_MISMATCH), None)
         ops.ledger_reads += 1
         if instance is None:

@@ -7,7 +7,8 @@ pattern over the whole file, moved to data format 2: it splits the text
 at newlines, checks each line on its own, holds the chain to the genesis
 rule and indexes each stream from its first record.  reference_index_policy is the policy.db indexing
 as it was before the store read text a block at a time with a fallback
-that decodes line by line, with one fix: each line is decoded on its own
+that decodes line by line, moved to one entry per line with seqs that
+must rise, with one fix: each line is decoded on its own
 inside the check, so a byte that is not UTF-8 fails as an unreadable
 record naming its file and line, as any other bad line does, instead of
 escaping as a bare UnicodeDecodeError.  Its line splitting is a
@@ -83,12 +84,16 @@ def reference_read_records(path, decode):
         yield lineno, line, record
 
 
-def reference_index_policy(path) -> dict[tuple[int, int, int], tuple[int, int, str, int]]:
-    """{lineage: (version, seq, stripped line, line number)} of the last
-    record per lineage in a policy.db file; raises StoreError as open does."""
-    latest = {}
-    for lineno, line, (lineage, version, seq) in reference_read_records(
-        path, _index_policy_line
-    ):
-        latest[lineage] = (version, seq, line, lineno)
-    return latest
+def reference_index_policy(path) -> list[tuple[int, int, str, int]]:
+    """(seq, version, stripped line, line number) of every record in a
+    policy.db file, in file order; raises StoreError as open does, also
+    where a record's seq is not above the one before it."""
+    index = []
+    for lineno, line, (seq, version) in reference_read_records(path, _index_policy_line):
+        if index and seq <= index[-1][0]:
+            raise StoreError(
+                f"{path} line {lineno}: unreadable record "
+                f"(seq {seq} is not above the previous line's {index[-1][0]})"
+            )
+        index.append((seq, version, line, lineno))
+    return index

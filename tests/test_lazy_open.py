@@ -98,14 +98,15 @@ def test_publish_on_untouched_lineage_decodes_nothing(population_configs, decode
     for config in population_configs:
         with closing(Engine.open(config)) as engine:
             lineage = (2, 6, BENCH_ACCESSOR_ID)
-            prior = engine.store.lineage_version(lineage)
+            prior = engine.ledger.stream(LINEAGE_STREAM.format(*lineage)).item_count
             assert prior >= 1
             publication = engine.set_policy(
                 2, BENCH_ACCESSOR_ID, make_prefs(attribute_id=6)
             )
             assert publication.version == prior + 1
             assert decodes == []
-            assert engine.store.latest_tuple_instance(lineage).version == prior + 1
+            latest = engine.store.latest_tuple_instance(lineage, publication.seq)
+            assert latest.version == prior + 1
             assert decodes == []  # the published instance was kept, not re-read
 
 
@@ -123,7 +124,8 @@ def test_history_is_read_from_disk(population_configs):
         ]
         assert [record["tuple"]["version"] for record in history] == [1, 2, 3]
         with closing(Engine.open(config)) as engine:
-            latest = engine.store.latest_tuple_instance(lineage)
+            seq = engine.ledger.latest_seq(LINEAGE_STREAM.format(*lineage))
+            latest = engine.store.latest_tuple_instance(lineage, seq)
             assert latest == TupleInstance.from_dict(history[-1])
 
 
@@ -191,7 +193,7 @@ def test_undecodable_latest_record_aborts_only_queries_touching_it(tmp_path, edi
 
             # A failed decode is not cached as a pass: the next touch fails again.
             with pytest.raises(CorruptRecord, match=r"policy\.db line 3"):
-                engine.store.latest_tuple_instance((4, 5, 3))
+                engine.store.latest_tuple_instance((4, 5, 3), mismatch.seq)
             clean = engine.mediate(
                 QueryRequest(
                     accessor_id=DEMO_ACCESSOR_ID,
@@ -205,6 +207,18 @@ def test_undecodable_latest_record_aborts_only_queries_touching_it(tmp_path, edi
             assert clean.rows[0].cells != ()
 
 
+def _demo_query(engine, attribute):
+    return engine.mediate(
+        QueryRequest(
+            accessor_id=DEMO_ACCESSOR_ID,
+            requested_purpose="care-delivery",
+            attributes=(attribute,),
+            provider_id=DEMO_PROVIDER_ID,
+        ),
+        now=NOW,
+    )
+
+
 def test_record_filed_under_another_stream_is_corrupt(tmp_path):
     for config in _demo_configs(tmp_path):
 
@@ -213,8 +227,14 @@ def test_record_filed_under_another_stream_is_corrupt(tmp_path):
 
         _rewrite_latest(config, 1, restream)  # a first_name record claims street_name
         with closing(Engine.open(config)) as engine:
+            # It is caught on the lineage whose ledger seq names its line.
+            seq = engine.ledger.latest_seq("stream-4-1-3")
             with pytest.raises(CorruptRecord, match="disagrees"):
-                engine.store.latest_tuple_instance((4, 5, 3))
+                engine.store.latest_tuple_instance((4, 1, 3), seq)
+            result = _demo_query(engine, "first_name")
+            assert result.status is MediationStatus.ABORTED
+            assert [(e.seq, e.note) for e in result.verification] == [(seq, "mismatch")]
+            assert _demo_query(engine, "street_name").status is MediationStatus.COMPLETED
 
 
 def test_corrupt_record_without_a_stream_is_a_mismatch(tmp_path):
@@ -225,17 +245,33 @@ def test_corrupt_record_without_a_stream_is_a_mismatch(tmp_path):
 
         _rewrite_latest(config, 5, restream)
         with closing(Engine.open(config)) as engine:
-            result = engine.mediate(
-                QueryRequest(
-                    accessor_id=DEMO_ACCESSOR_ID,
-                    requested_purpose="care-delivery",
-                    attributes=("original_province",),
-                    provider_id=DEMO_PROVIDER_ID,
-                ),
-                now=NOW,
-            )
+            # The ledger names the line for street_name, whose query aborts;
+            # original_province has no stream, so nothing is read for it.
+            seq = engine.ledger.latest_seq("stream-4-5-3")
+            result = _demo_query(engine, "street_name")
             assert result.status is MediationStatus.ABORTED
-            assert [(e.seq, e.note) for e in result.verification] == [(None, "mismatch")]
+            assert [(e.seq, e.note) for e in result.verification] == [(seq, "mismatch")]
+            result = _demo_query(engine, "original_province")
+            assert result.status is MediationStatus.COMPLETED
+            assert [(e.seq, e.note) for e in result.verification] == [(None, "no-policy")]
+
+
+def test_a_stored_version_never_published_is_never_read(tmp_path, decodes):
+    for config in _demo_configs(tmp_path):
+        # A next street_name version stored past every ledger seq, as if
+        # its publish never reached the ledger.
+        path = config.data_dir / "policy.db"
+        record = json.loads(path.read_text().splitlines()[2])
+        assert (record["stream"], record["tuple"]["version"]) == ("stream-4-5-3", 3)
+        record["seq"], record["tuple"]["version"] = 99, 4
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with closing(Engine.open(config)) as engine:
+            result = _demo_query(engine, "street_name")
+            assert result.status is MediationStatus.COMPLETED
+            assert [(e.seq, e.note) for e in result.verification] == [(3, "ok")]
+            assert decodes == ["stream-4-5-3"]  # the published line alone
+        decodes.clear()
 
 
 @pytest.mark.parametrize("family", ["policy.db", "content.db"])
@@ -255,8 +291,8 @@ def test_torn_final_line_fails_open_naming_file_and_line(tmp_path, family):
 
 
 def test_unknown_login_costs_as_much_as_a_wrong_password(tmp_path, monkeypatch):
-    store = Store(tmp_path, hash_cost=2048, create=True)
-    store.add_accessor("physician3", "physician3-secret", make_accessor())
+    with closing(Store(tmp_path, hash_cost=2048, create=True)) as store:
+        store.add_accessor("physician3", "physician3-secret", make_accessor())
     costs = []
     original = tuples._pbkdf2
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TickingClock, chain_length
+from helpers import TickingClock, chain_length, named_ledger
 from ledger_reference import (
     reference_parse_line,
     reference_render_line,
@@ -34,7 +34,7 @@ def _canonical_chain(last_payload=b"x"):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ledger.db"
         clock = TickingClock(dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone.utc))
-        led = Ledger(path, clock=clock, publisher="node-0123abcd", create=True)
+        led = named_ledger(path, "node-0123abcd", clock)
         for stream in ("stream-4-5-3", "stream-120-18-7"):
             led.create_stream(stream, "key17", b"$pbkdf2$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
             led.publish(stream, "key18", b"!~'\"\\{}")

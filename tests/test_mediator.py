@@ -328,10 +328,11 @@ def test_tampered_ledger_payload_aborts(tmp_path):
         assert result.rows == ()
 
 
-def test_store_version_ahead_of_ledger_aborts(demo):
-    # Craft a next-version instance that was never published.
+def test_store_version_ahead_of_ledger_is_ignored(demo):
+    # Craft a next-version instance that was never published, stored past
+    # every ledger seq: the ledger names the published version, which answers.
     lineage = (4, 5, 3)
-    latest = demo.store.latest_tuple_instance(lineage)
+    latest = demo.store.latest_tuple_instance(lineage, demo.ledger.latest_seq("stream-4-5-3"))
     ahead = bind_tuple(
         4,
         demo.store.catalog.by_id(5),
@@ -343,11 +344,12 @@ def test_store_version_ahead_of_ledger_aborts(demo):
         TupleInstance(
             privacy_tuple=ahead,
             stream=latest.stream,
-            seq=latest.seq,
+            seq=latest.seq + 100,
         )
     )
     result = demo.mediate(demo_request("street_name"), now=NOW)
-    assert result.status is MediationStatus.ABORTED
+    assert result.status is MediationStatus.COMPLETED
+    assert [(e.seq, e.note) for e in result.verification] == [(latest.seq, "ok")]
 
 
 def test_published_hash_without_stored_plaintext_aborts(demo):

@@ -17,8 +17,13 @@ damaged, of another checker version, over a prefix that changed or
 sealed over values out of range is ignored; a leftover temporary file
 changes nothing; a data directory where no checkpoint can be written
 still answers.  A close after a checkpointed open and appends writes the
-bytes a full pass over the same files writes, and a directory that
-earlier code checkpointed opens from its checkpoints."""
+bytes a full pass over the same files writes.  The checkpoints of a
+directory an earlier checker version wrote are ignored once, and the
+first close writes them again.
+
+policy.db's seqs must rise from line to line, as every file written
+through the engine's publish has them; the generated files keep their
+lines in the demo's order, so that most of them open."""
 
 from __future__ import annotations
 
@@ -243,8 +248,15 @@ def test_verifier_agrees_with_reference_on_every_flip_across_chunks(chunk):
 
 
 @st.composite
-def policy_lines(draw) -> str:
-    line = draw(st.sampled_from(POLICY_LINES))
+def ordered_policy_lines(draw) -> list[str]:
+    """Some of the demo's lines in file order, so that their seqs rise."""
+    picked = draw(st.lists(st.sampled_from(POLICY_LINES), max_size=6, unique=True))
+    return sorted(picked, key=POLICY_LINES.index)
+
+
+@st.composite
+def policy_lines(draw, line: str) -> str:
+    """The line, or the line with one character changed."""
     if draw(st.booleans()):
         # Most of a record is its tuple, which the index does not read;
         # aim half of the changes at the fields it does read.
@@ -260,7 +272,8 @@ def policy_lines(draw) -> str:
 
 @st.composite
 def policy_files(draw) -> bytes:
-    return draw(layouts(draw(st.lists(policy_lines(), max_size=6))))
+    lines = [draw(policy_lines(line)) for line in draw(ordered_policy_lines())]
+    return draw(layouts(lines))
 
 
 def _opened_index(directory: Path):
@@ -270,22 +283,19 @@ def _opened_index(directory: Path):
         return "refused", str(exc)
     try:
         # Open keeps where each line is; read the line back from there.
-        indexed = policy_index(store)
-        latest = [
-            (held.version, held.seq, store._policy_line(held).decode("utf-8").strip(), held.lineno)
-            for _, held in indexed
+        return "opened", [
+            (seq, version, store._policy_line(row).decode("utf-8").strip(), lineno)
+            for row, (seq, version, _, _, lineno) in enumerate(policy_index(store))
         ]
-        return "opened", latest, [lineage for lineage, _ in indexed]
     finally:
         store.close()
 
 
 def _reference_index(directory: Path):
     try:
-        latest = reference_index_policy(directory / POLICY_FILE)
+        return "opened", reference_index_policy(directory / POLICY_FILE)
     except StoreError as exc:
         return "refused", str(exc)
-    return "opened", list(latest.values()), list(latest)
 
 
 @settings(max_examples=1500, deadline=None)
@@ -295,6 +305,8 @@ def _reference_index(directory: Path):
 @example((" " + POLICY_LINES[0] + "\x1c\n\n\u3000\n" + POLICY_LINES[1]).encode())
 @example((POLICY_LINES[0][:20] + "\n" + POLICY_LINES[0][20:]).encode())
 @example((POLICY_LINES[0] + "\n").encode() + b"\xff\n")
+@example((POLICY_LINES[1] + "\n" + POLICY_LINES[0] + "\n").encode())
+@example((POLICY_LINES[0] + "\n" + POLICY_LINES[0] + "\n").encode())
 def test_policy_index_agrees_with_reference(data):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
@@ -384,12 +396,14 @@ def test_ledger_open_from_a_checkpoint_agrees_with_the_full_pass(files):
 @st.composite
 def checkpointed_policy_files(draw) -> tuple[bytes, bytes]:
     """A policy.db a checkpoint was taken of, and the file at the next
-    open: the same lines with more after them, or any generated file."""
-    before = "".join(
-        line + "\n" for line in draw(st.lists(st.sampled_from(POLICY_LINES), max_size=4))
-    ).encode()
-    after = draw(policy_files())
-    return before, before + after if draw(st.booleans()) else after
+    open: the same lines with later ones after them, or any generated
+    file."""
+    lines = draw(ordered_policy_lines())
+    count = draw(st.integers(0, len(lines)))
+    before = "".join(line + "\n" for line in lines[:count]).encode()
+    if draw(st.booleans()):
+        return before, draw(policy_files())
+    return before, before + draw(layouts([draw(policy_lines(line)) for line in lines[count:]]))
 
 
 def _counting_policy_lines(count: list):
@@ -468,12 +482,20 @@ def _opened_state(config):
         report = ledger.verify_chain()
         items = [_outcome(lambda: ledger.item(seq)) for seq in range(chain_length(ledger))]
         streams = [(s.name, s.created_by, s.seqs) for s in ledger.streams()]
-        indexed = policy_index(store)
-        latest = [_outcome(lambda: store.latest_tuple_instance(lineage)) for lineage, _ in indexed]
-        return "opened", report, items, streams, indexed, latest
+        # Each lineage's version at its stream's latest seq.
+        latest = [
+            _outcome(lambda: store.latest_tuple_instance(_lineage(name), seqs[-1]))
+            for name, _, seqs in streams[1:]
+        ]
+        return "opened", report, items, streams, policy_index(store), latest
     finally:
         store.close()
         ledger.close()
+
+
+def _lineage(stream: str) -> tuple[int, int, int]:
+    """The lineage of a stream-P-A-X name."""
+    return tuple(int(part) for part in stream.split("-")[1:])
 
 
 def _checkpoints(config) -> dict[str, bytes]:
@@ -507,8 +529,8 @@ def _other_checker_version(data: bytes) -> bytes:
 PARTS = {
     "ledger.db": ("length", "sha256", "offsets", "digests", "names", "creators",
                   "created_by", "last", "prev"),
-    POLICY_FILE: ("length", "sha256", "lines", "provider", "attribute", "accessor",
-                  "version", "seq", "offset", "line_length", "lineno"),
+    POLICY_FILE: ("length", "sha256", "lines", "seq", "version", "offset", "line_length",
+                  "lineno"),
 }
 BYTE_PARTS = ("length", "sha256", "digests", "names", "creators")
 
@@ -558,9 +580,13 @@ def _swap_offsets(first, second):
     return edit
 
 
-def _duplicate_first_lineage(parts):
-    for column in ("provider", "attribute", "accessor"):
-        parts[column][1] = parts[column][0]
+def _swap_first_seqs(parts):
+    seqs = parts["seq"]
+    seqs[0], seqs[1] = seqs[1], seqs[0]
+
+
+def _cut_last_line_number(parts):
+    parts["lineno"] = parts["lineno"][:-1]
 
 
 DAMAGES = {
@@ -587,7 +613,8 @@ DAMAGES = {
     (POLICY_FILE, "line-past-the-prefix"): _resealed(
         POLICY_FILE, _set("offset", -1, lambda parts: int.from_bytes(parts["length"], "big"))
     ),
-    (POLICY_FILE, "duplicate-lineage"): _resealed(POLICY_FILE, _duplicate_first_lineage),
+    (POLICY_FILE, "falling-seqs"): _resealed(POLICY_FILE, _swap_first_seqs),
+    (POLICY_FILE, "short-column"): _resealed(POLICY_FILE, _cut_last_line_number),
 }
 
 
@@ -648,7 +675,8 @@ def test_open_from_a_valid_checkpoint_checks_no_record_of_its_prefix(demo_config
     with contextlib.closing(engine):
         size = (demo_config.data_dir / "ledger.db").stat().st_size
         assert (starts, lines) == ([size], [])
-        assert engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)).version == 3
+        seq = engine.ledger.latest_seq("stream-4-5-3")
+        assert engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID), seq).version == 3
         before = _checkpoints(demo_config)
     # Nothing appended, no full pass, no tail: the close wrote nothing.
     assert _checkpoints(demo_config) == before
@@ -668,7 +696,8 @@ def test_set_policy_writes_no_checkpoint_and_close_does(demo_config):
     with contextlib.closing(engine):
         assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
         assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
-        assert engine.store.lineage_version((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)) == 4
+        lineage = (DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)
+        assert engine.store.latest_tuple_instance(lineage, publication.seq).version == 4
 
 
 def test_a_tail_past_the_checkpoint_is_checked_and_checkpointed_when_long(demo_config, monkeypatch):
@@ -724,9 +753,9 @@ def test_close_after_a_checkpointed_open_writes_what_the_full_pass_writes(demo_c
 
 
 # A data directory with both checkpoints, as the code before the index was
-# kept in the checkpoint's columns alone wrote it (checker version 1): the
-# demo plus a fourth version of its street_name lineage, so the two
-# lineage streams interleave.
+# kept in the checkpoint's columns alone wrote it (checker version 1, with
+# a policy.db index per lineage): the demo plus a fourth version of its
+# street_name lineage, so the two lineage streams interleave.
 EARLIER_CHECKPOINTED = Path(__file__).resolve().parent.parent / "fixtures" / "checkpointed"
 
 
@@ -739,27 +768,43 @@ def _copy_earlier_checkpointed(data_dir: Path):
         path.chmod(0o600)
 
 
-def test_a_directory_earlier_code_checkpointed_opens_from_its_checkpoints(tmp_path):
+def _checker_version(checkpoint: bytes) -> int:
+    head = len(b"privledger checkpoint\n")
+    return int.from_bytes(checkpoint[head : head + 4], "big")
+
+
+def test_a_checker_version_1_directory_is_ignored_once_and_rewritten(tmp_path):
     config = EngineConfig(data_dir=tmp_path / "data", hash_cost=8)
     _copy_earlier_checkpointed(config.data_dir)
     earlier = _checkpoints(config)
-    assert all(_usable(config, name) for name in CHECKPOINTED)
-    from_checkpoints = _opened_state(config)
-    assert from_checkpoints[0] == "opened"
-    streams = from_checkpoints[3]
+    assert {_checker_version(data) for data in earlier.values()} == {1}
+    assert not any(_usable(config, name) for name in CHECKPOINTED)
+    ignored = _opened_state(config)
+    assert ignored[0] == "opened"
+    streams = ignored[3]
     assert [(name, seqs) for name, _, seqs in streams] == [
         ("root", []), ("stream-4-5-3", [1, 2, 3, 8]), ("stream-4-1-3", [4, 5, 6, 7])
     ]
+    bare = EngineConfig(data_dir=tmp_path / "bare", hash_cost=8)
+    _copy_earlier_checkpointed(bare.data_dir)
     for name in CHECKPOINTED:
-        checkpoint_path(config.data_dir / name).unlink()
-    assert _opened_state(config) == from_checkpoints
-    Engine.open(config).close()  # the full pass writes the same bytes
-    assert _checkpoints(config) == earlier
+        checkpoint_path(bare.data_dir / name).unlink()
+    assert _opened_state(bare) == ignored  # as the full pass answers
+    # The first close writes both checkpoints again, at this checker
+    # version, and the next open takes them.
+    Engine.open(config).close()
+    rewritten = _checkpoints(config)
+    assert {_checker_version(data) for data in rewritten.values()} == {CHECKER_VERSION} == {2}
+    assert all(_usable(config, name) for name in CHECKPOINTED)
+    assert _opened_state(config) == ignored
+    Engine.open(bare).close()
+    assert _checkpoints(bare) == rewritten
 
 
 def test_a_query_over_swapped_record_offsets_answers_as_the_full_pass(tmp_path, capsys):
     config = EngineConfig(data_dir=tmp_path / "data", hash_cost=8)
     _copy_earlier_checkpointed(config.data_dir)
+    Engine.open(config).close()  # checkpoints of this checker version
     path = checkpoint_path(config.data_dir / "ledger.db")
     path.write_bytes(_resealed("ledger.db", _swap_offsets(7, 8))(path.read_bytes()))
     query = [
@@ -783,7 +828,12 @@ TOO_LARGE = "a seq, id or version is 2**63 or more"
 def test_a_policy_line_number_beyond_64_bits_is_unreadable(demo_config, accessor_id, opens):
     path = demo_config.data_dir / POLICY_FILE
     lines = path.read_bytes().splitlines(keepends=True)
-    lines.append(lines[-1].replace(b"stream-4-1-3", f"stream-4-1-{accessor_id}".encode()))
+    assert lines[-1].startswith(b'{"seq": 7, ')
+    lines.append(
+        lines[-1]
+        .replace(b'{"seq": 7, ', b'{"seq": 8, ')
+        .replace(b"stream-4-1-3", f"stream-4-1-{accessor_id}".encode())
+    )
     path.write_bytes(b"".join(lines))
     checkpoint_path(path).unlink()  # so that open runs the full pass and close writes one
     if not opens:
@@ -793,7 +843,7 @@ def test_a_policy_line_number_beyond_64_bits_is_unreadable(demo_config, accessor
         assert str(raised.value) == message
         return
     store = Store(demo_config.data_dir)
-    assert store.lineage_version((DEMO_PROVIDER_ID, 1, accessor_id)) == 4
+    assert policy_index(store)[-1][:2] == (8, 4)  # its seq and version
     store.save_checkpoint()
     store.close()
     assert _usable(demo_config, POLICY_FILE)

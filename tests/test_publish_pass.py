@@ -30,6 +30,7 @@ import pytest
 from helpers import (
     DEMO_ACCESSOR_ID,
     DEMO_LINEAGE_A,
+    DEMO_LINEAGE_B,
     DEMO_PROVIDER_ID,
     TickingClock,
     chain_length,
@@ -37,6 +38,8 @@ from helpers import (
     install_demo_fixture,
     make_accessor,
     make_engine,
+    named_ledger,
+    policy_index,
 )
 from ledger_reference import reference_render_line
 from privledger import ledger as ledger_module
@@ -96,7 +99,7 @@ def fixed_engine(data_dir) -> Engine:
     config = EngineConfig(data_dir=data_dir, hash_cost=8)
     data_dir.mkdir()
     store = Store(data_dir, hash_cost=8, create=True)
-    led = Ledger(config.ledger_file, clock=TickingClock(START), publisher=PUBLISHER, create=True)
+    led = named_ledger(config.ledger_file, PUBLISHER, TickingClock(START))
     return Engine(config, store, led)
 
 
@@ -108,7 +111,9 @@ def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
             publication = engine.set_policy(
                 DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(9, note=f"r{revision}")
             )
-            instance = engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID))
+            instance = engine.store.latest_tuple_instance(
+                (DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID), publication.seq
+            )
             assert (instance.seq, instance.version) == (publication.seq, publication.version)
             lines = (engine.config.data_dir / "policy.db").read_text().splitlines()
             assert lines[:-1] == policy_lines
@@ -201,11 +206,11 @@ def test_failed_tuple_append_keeps_the_held_version(tmp_path, store):
     unwritable(tmp_path / "policy.db")
     with pytest.raises(IsADirectoryError):
         store.put_tuple_instance(sample_instance(store))
-    assert store.lineage_version(DEMO_LINEAGE_A) == 0
-    assert store.latest_tuple_instance(DEMO_LINEAGE_A) is None
+    assert policy_index(store) == []
+    assert store.latest_tuple_instance(DEMO_LINEAGE_A, 1) is None
     (tmp_path / "policy.db").rmdir()
     store.put_tuple_instance(sample_instance(store))
-    assert store.lineage_version(DEMO_LINEAGE_A) == 1
+    assert store.latest_tuple_instance(DEMO_LINEAGE_A, 1).version == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
@@ -220,7 +225,7 @@ def test_failed_flush_reaches_no_later_append(tmp_path, store):
     second = sample_instance(store, seq=2)
     store.put_tuple_instance(second)
     assert path.read_text() == json.dumps(second.to_dict(), sort_keys=True) + "\n"
-    assert store.latest_tuple_instance(DEMO_LINEAGE_A) == second
+    assert store.latest_tuple_instance(DEMO_LINEAGE_A, 2) == second
 
 
 def test_failed_provider_write_keeps_the_held_record(tmp_path, store):
@@ -277,6 +282,53 @@ def test_failed_store_write_in_set_policy_aborts_the_lineage(tmp_path):
     with contextlib.closing(Engine.open(engine.config)) as reopened:
         again = reopened.mediate(request)
         assert (again.status, again.verification) == (result.status, result.verification)
+
+
+def test_an_interrupted_publish_aborts_its_lineage_until_the_next_publish(tmp_path):
+    """The ledger took a version and policy.db did not: that lineage aborts
+    at the ledger's seq, with no hash run for it, the others answer, and the
+    next publish binds the version after the interrupted one."""
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
+    both, first_name = (
+        QueryRequest(
+            accessor_id=DEMO_ACCESSOR_ID,
+            requested_purpose="care-delivery",
+            attributes=attributes,
+            provider_id=DEMO_PROVIDER_ID,
+        )
+        for attributes in (("street_name", "first_name"), ("first_name",))
+    )
+    policy = engine.config.data_dir / "policy.db"
+    with contextlib.closing(Engine.open(engine.config)) as engine:
+        policy.rename(tmp_path / "policy.db.kept")
+        policy.mkdir()
+        with pytest.raises(IsADirectoryError):
+            engine.set_policy(DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5, note="lost"))
+        policy.rmdir()
+        (tmp_path / "policy.db.kept").rename(policy)
+        lost = engine.ledger.latest_seq("stream-4-5-3")
+        result = engine.mediate(both)
+        assert result.status is MediationStatus.ABORTED
+        assert [(e.lineage, e.seq, e.note) for e in result.verification] == [
+            (DEMO_LINEAGE_B, engine.ledger.latest_seq("stream-4-1-3"), "ok"),
+            (DEMO_LINEAGE_A, lost, "mismatch"),
+        ]
+        assert result.ops.hash_verifications == 1
+        assert engine.mediate(first_name).status is MediationStatus.COMPLETED
+        publication = engine.set_policy(
+            DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(5, note="found")
+        )
+        assert publication.version == engine.ledger.stream("stream-4-5-3").item_count == 5
+        assert engine.mediate(both).status is MediationStatus.COMPLETED
+    versions = [
+        record["tuple"]["version"]
+        for record in map(json.loads, policy.read_text().splitlines())
+        if record["stream"] == "stream-4-5-3"
+    ]
+    assert versions == [1, 2, 3, 5]
+    with contextlib.closing(Engine.open(engine.config)) as reopened:
+        assert reopened.mediate(both).status is MediationStatus.COMPLETED
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +450,7 @@ def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, store, disk, f
     assert lines[:-1] == before.splitlines() and all(json.loads(line) for line in lines)
     store.close()
     reopened = Store(tmp_path, hash_cost=4)
-    assert reopened.latest_tuple_instance(DEMO_LINEAGE_A) == (
+    assert reopened.latest_tuple_instance(DEMO_LINEAGE_A, 2) == (
         sample_instance(reopened, seq=2) if family == "policy.db" else None
     )
     assert reopened.has_provider(5) == (family == "content.db")
@@ -528,7 +580,7 @@ def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
     path = engine.config.data_dir / "policy.db"
     before = path.read_bytes()
     with pytest.raises(ValueError, match=closed_file(path)):
-        store.latest_tuple_instance(DEMO_LINEAGE_A)  # not a CorruptRecord
+        store.latest_tuple_instance(DEMO_LINEAGE_A, 3)  # not a CorruptRecord
     with pytest.raises(ValueError, match=closed_file(path)):
         store.put_tuple_instance(sample_instance(store, version=9, seq=99))
     assert path.read_bytes() == before
@@ -550,6 +602,20 @@ def test_a_closed_engine_writes_no_provider_or_accessor(tmp_path):
     assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
     assert not engine.store.has_provider(7)
     assert engine.store.get_provider_record(DEMO_PROVIDER_ID).attributes["city"] != "Calgary"
+
+
+def test_a_second_close_writes_no_checkpoint(tmp_path):
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
+    data_dir = engine.config.data_dir
+
+    def files():
+        return {path.name: (path.stat().st_ino, path.read_bytes()) for path in data_dir.iterdir()}
+
+    before = files()
+    assert all(f"{name}{CHECKPOINT_SUFFIX}" in before for name in ("ledger.db", "policy.db"))
+    engine.close()
+    assert files() == before
 
 
 def test_a_closed_engine_raises_rather_than_abort_a_query(tmp_path):

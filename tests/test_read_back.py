@@ -161,7 +161,8 @@ def test_a_ledger_read_the_system_refuses_fails_as_a_read_back(engines, monkeypa
     for opened in engines:
         seq = opened.ledger.stream(STREAM).seqs[-1]
         for lineage in (LINEAGE, (DEMO_PROVIDER_ID, 1, DEMO_ACCESSOR_ID)):
-            opened.store.latest_tuple_instance(lineage)  # read before reads fail
+            latest = opened.ledger.latest_seq("stream-{}-{}-{}".format(*lineage))
+            opened.store.latest_tuple_instance(lineage, latest)  # read before reads fail
         with monkeypatch.context() as patch:
             patch.setattr(os, "pread", refused)
             with pytest.raises(
@@ -195,7 +196,7 @@ def test_policy_record_changed_after_open_fails_its_first_read(engines, how):
         }[how]
         where = re.escape(f"{path} line ")
         with pytest.raises(CorruptRecord, match=rf"^{where}\d+: {expected}$"):
-            opened.store.latest_tuple_instance(LINEAGE)
+            opened.store.latest_tuple_instance(LINEAGE, seq)
         _assert_query_aborts(opened, seq)
 
 
@@ -208,11 +209,11 @@ def test_a_decoded_tuple_shares_the_catalogs_attribute_and_the_accessors_profile
     for opened in engines:
         policy = opened.config.data_dir / POLICY_FILE
         for lineage in (LINEAGE, (DEMO_PROVIDER_ID, 1, DEMO_ACCESSOR_ID)):
-            instance = opened.store.latest_tuple_instance(lineage)
+            seq = opened.ledger.latest_seq("stream-{}-{}-{}".format(*lineage))
+            instance = opened.store.latest_tuple_instance(lineage, seq)
             assert instance.privacy_tuple.attribute is opened.store.catalog.by_id(lineage[1])
             assert instance.privacy_tuple.accessor is opened.store.get_accessor(DEMO_ACCESSOR_ID)
-            stream = 'stream-{}-{}-{}"'.format(*lineage).encode()
-            span = _line_span(policy, lambda line: stream in line)
+            span = _line_span(policy, lambda line: f'"seq": {seq},'.encode() in line)
             assert instance.encoded == canonical_encode(_stored_tuple(policy, span))
 
 
@@ -245,7 +246,7 @@ def test_a_stored_attribute_unlike_the_catalogs_is_kept_and_aborts(
         span = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
         before, after = stored.encode(), rewritten.encode()
         _change(path, span, "rewrite", lambda line: line.replace(before, after))
-        instance = opened.store.latest_tuple_instance(lineage)
+        instance = opened.store.latest_tuple_instance(lineage, seq)
         attribute = instance.privacy_tuple.attribute
         assert attribute is not opened.store.catalog.by_id(lineage[1])
         assert attribute == _stored_tuple(path, span).attribute
@@ -283,11 +284,12 @@ def test_untouched_lineages_still_answer_after_a_change(engines):
 # memory open keeps
 # ---------------------------------------------------------------------------
 
-# Open holds, per lineage, where its latest policy line is and, per ledger
-# record, an offset and a 32-byte digest: no line of either file.  Both
-# open paths keep the same packed columns, about 0.62 KB per lineage here
-# (Python 3.11); the bound leaves a fifth of that as headroom.
-MAX_KEPT_PER_LINEAGE = 768
+# Open holds, per policy.db line, its seq, version and where it is and, per
+# ledger record, an offset and a 32-byte digest: no line of either file.
+# Both open paths keep the same packed columns, about 0.46 KB per lineage
+# here, one line each (Python 3.11; 0.61 KB while the store also kept a
+# dict entry per lineage); the bound leaves a quarter of that as headroom.
+MAX_KEPT_PER_LINEAGE = 576
 
 
 def test_open_keeps_no_file_text(tmp_path):
@@ -304,8 +306,8 @@ def test_open_keeps_no_file_text(tmp_path):
         finally:
             tracemalloc.stop()
         with contextlib.closing(engine):
-            lineages = len(policy_index(engine.store))
-        assert lineages == 20 * 18
+            lineages = len(engine.ledger.streams()) - 1  # each lineage's stream, and root
+            assert len(policy_index(engine.store)) == lineages == 20 * 18
         assert kept / lineages <= MAX_KEPT_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
 
 
@@ -344,10 +346,9 @@ def test_a_query_keeps_each_lineage_once(tmp_path):
         assert kept / lineages <= MAX_WARM_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
 
 
-# A republish adds a ledger record's offset, digest and stream link, and
-# moves its lineage's policy.db row in place: about 90 B here (Python
-# 3.11), the arrays' spare room included.  Keeping each appended ledger
-# item added about 0.6 KB.
+# A republish adds a ledger record's offset, digest and stream link, and a
+# policy.db row: about 130 B here (Python 3.11), the arrays' spare room
+# included.  Keeping each appended ledger item added about 0.6 KB.
 MAX_KEPT_PER_PUBLISH = 160
 
 

@@ -94,7 +94,7 @@ def payloads(engine, entries):
 
 def stored_encodings(engine, entries):
     return [
-        canonical_encode(engine.store.latest_tuple_instance(e.lineage).privacy_tuple)
+        canonical_encode(engine.store.latest_tuple_instance(e.lineage, e.seq).privacy_tuple)
         for e in entries
     ]
 
@@ -196,7 +196,7 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, p
             assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
             assert second.ops.hash_verifications == first.ops.hash_verifications == len(hashed)
             # The bytes verified are the freshly published instance's encoding.
-            instance = engine.store.latest_tuple_instance(old.lineage)
+            instance = engine.store.latest_tuple_instance(old.lineage, publication.seq)
             assert instance.version == publication.version
             assert hashed == stored_encodings(engine, published(second))
             assert instance.encoded == canonical_encode(instance.privacy_tuple)
@@ -273,8 +273,14 @@ def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
 def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed):
     engine = make_engine(tmp_path, hash_cost=8)
     install_archetype_fixture(engine, 3, seed=7)
+    lineage = (2, CITY, BENCH_ACCESSOR_ID)
     stream = f"stream-2-{CITY}-{BENCH_ACCESSOR_ID}"
+    latest = engine.store.latest_tuple_instance(lineage, engine.ledger.latest_seq(stream))
     bad = engine.ledger.publish(stream, "key-bad", b"$pbkdf2$8$not-a-salt")
+    # A next version stored at its seq, so that verification reaches the payload.
+    t = latest.privacy_tuple
+    bound = tuples.bind_tuple(2, t.attribute, t.prefs, t.accessor, t.version)
+    engine.store.put_tuple_instance(store.TupleInstance(bound, stream, bad.seq))
     for config in both_open_paths(engine):
         with closing(Engine.open(config)) as engine:
             for _ in range(3):

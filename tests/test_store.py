@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from helpers import make_accessor, make_prefs
+from helpers import make_accessor, make_prefs, policy_index
 from privledger.policy import AccessorRole, Sensitivity
 from privledger.store import (
     AuthenticationFailed,
@@ -182,7 +182,6 @@ def test_tuple_versions_accumulate(store, tmp_path):
             sample_instance(store.catalog, version=version, seq=version)
         )
     lineage = (4, 5, 3)
-    assert store.lineage_version(lineage) == 3
     history = [
         json.loads(line)
         for line in (tmp_path / "policy.db").read_text().splitlines()
@@ -190,7 +189,10 @@ def test_tuple_versions_accumulate(store, tmp_path):
     assert [(r["stream"], r["tuple"]["version"]) for r in history] == [
         ("stream-4-5-3", version) for version in (1, 2, 3)
     ]
-    assert store.latest_tuple_instance(lineage).version == 3
+    assert store.latest_tuple_instance(lineage, 3).version == 3
+    # Another seq decodes its own line.
+    assert store.latest_tuple_instance(lineage, 2).version == 2
+    assert store.latest_tuple_instance(lineage, 4) is None
 
 
 def test_stale_version_rejected(store):
@@ -199,6 +201,27 @@ def test_stale_version_rejected(store):
     for stale in (1, 2):
         with pytest.raises(StaleVersion):
             store.put_tuple_instance(sample_instance(store.catalog, version=stale))
+
+
+@pytest.mark.parametrize("seq", [1, 2])
+def test_a_policy_seq_that_does_not_rise_is_refused(tmp_path, seq):
+    store = Store(tmp_path, hash_cost=4, create=True)
+    store.put_provider_record(ProviderRecord(4, {}))
+    store.put_tuple_instance(sample_instance(store.catalog, version=1, seq=2))
+    # A later version at a seq not above the last line's is refused ...
+    later = sample_instance(store.catalog, version=2, seq=seq)
+    with pytest.raises(StaleVersion, match=rf"^policy\.db already holds seq 2, got {seq}$"):
+        store.put_tuple_instance(later)
+    store.close()
+    # ... and so is a file that holds one, naming the file and line.
+    path = tmp_path / "policy.db"
+    with open(path, "a") as fh:
+        fh.write(json.dumps(later.to_dict(), sort_keys=True) + "\n")
+    with pytest.raises(StoreError) as raised:
+        Store(tmp_path, hash_cost=4)
+    assert str(raised.value) == (
+        f"{path} line 2: unreadable record (seq {seq} is not above the previous line's 2)"
+    )
 
 
 def test_tuple_requires_known_provider(store):
@@ -211,12 +234,11 @@ def test_a_value_beyond_64_bits_is_refused_before_any_write(store, tmp_path):
     with pytest.raises(ValueError, match=r"seq must be an integer in \[0, 2\*\*63\)"):
         store.put_tuple_instance(sample_instance(store.catalog, seq=2**63))
     assert (tmp_path / "policy.db").read_bytes() == b""
-    assert store.lineage_version((4, 5, 3)) == 0
+    assert policy_index(store) == []
 
 
 def test_missing_lineage_reads(store):
-    assert store.latest_tuple_instance((9, 9, 9)) is None
-    assert store.lineage_version((9, 9, 9)) == 0
+    assert store.latest_tuple_instance((9, 9, 9), 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +299,20 @@ def test_reopen_restores_everything(tmp_path):
 
     again = Store(tmp_path, hash_cost=4)
     assert again.get_provider_record(4).attributes["street_name"] == "5202 50 Ave"
-    assert again.lineage_version((4, 5, 3)) == 2
-    assert again.latest_tuple_instance((4, 5, 3)).stream == "stream-4-5-3"
+    latest = again.latest_tuple_instance((4, 5, 3), 2)
+    assert (latest.version, latest.stream) == (2, "stream-4-5-3")
     assert again.authenticate("physician3", "pw") == make_accessor()
     again.close()
 
 
 def test_create_refuses_existing_files(tmp_path):
-    Store(tmp_path, create=True)
+    Store(tmp_path, create=True).close()
     with pytest.raises(StoreError):
         Store(tmp_path, create=True)
 
 
 def test_open_requires_all_family_files(tmp_path):
-    Store(tmp_path, create=True)
+    Store(tmp_path, create=True).close()
     (tmp_path / "policy.db").unlink()
     with pytest.raises(StoreError, match="missing"):
         Store(tmp_path)
