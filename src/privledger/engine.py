@@ -7,7 +7,9 @@ item count, hashes the canonical encoding, appends the hash to the
 lineage's stream and only then records the plaintext instance in the
 store at that item's seq, so the ledger is never behind the store and
 the store's seqs rise.  A failed store append leaves its lineage
-aborting as a mismatch until the next publish.
+aborting as a mismatch until the next publish.  Nothing of a published
+version stays in memory: the next query on its lineage reads it back
+from policy.db, as a fresh process does.
 
 Closing writes the checkpoints that let the next open skip the checks of
 what this one checked or wrote (see ledger.IndexedFile); nothing else
@@ -33,7 +35,7 @@ from .config import (
     private,
     require_format,
 )
-from .ledger import Ledger, stream_name_for
+from .ledger import LINEAGE_STREAM, Ledger
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
 from .policy import AccessorProfile, PreferenceSet
 from .store import ProviderRecord, Store, TupleInstance
@@ -155,7 +157,7 @@ class Engine:
         )
         profile = self.store.get_accessor(accessor_id)
         self.store.get_provider_record(provider_id)
-        stream = stream_name_for(provider_id, attribute.attribute_id, accessor_id)
+        stream = LINEAGE_STREAM.format(provider_id, attribute.attribute_id, accessor_id)
         published = self.ledger.has_stream(stream)
         prior = self.ledger.stream(stream).item_count if published else 0
         bound = bind_tuple(provider_id, attribute, prefs, profile, prior)
@@ -170,7 +172,7 @@ class Engine:
         else:
             item = self.ledger.create_stream(stream, key, payload)
         self.store.put_tuple_instance(
-            TupleInstance(bound, stream, item.seq, encoded),
+            TupleInstance(bound, stream, item.seq),
             {"seq": item.seq, "stream": stream, "tuple": data},
         )
         return PolicyPublication(

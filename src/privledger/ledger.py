@@ -91,14 +91,6 @@ _PAYLOAD_RE = re.compile(_PAYLOAD.encode("ascii"))
 LINEAGE_STREAM = "stream-{}-{}-{}"  # formatted with provider, attribute, accessor ids
 
 
-def stream_name_for(provider_id: int, attribute_id: int, accessor_id: int) -> str:
-    """Canonical stream name for one (provider, attribute, accessor) lineage."""
-    for value in (provider_id, attribute_id, accessor_id):
-        if not isinstance(value, int) or value < 1:
-            raise InvalidStreamName("lineage ids must be positive integers")
-    return LINEAGE_STREAM.format(provider_id, attribute_id, accessor_id)
-
-
 def _check_entry(key: str, payload: bytes):
     """The rules a new item's key and payload must meet."""
     if not (isinstance(key, str) and _KEY_RE.fullmatch(key)):

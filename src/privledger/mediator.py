@@ -3,21 +3,21 @@
 Every query is decomposed into (provider, attribute, accessor) lineages.
 One pass over them asks the ledger for each lineage stream's latest seq,
 which alone says which version is current, re-hashes the canonical
-encoding (derived once per stored version) of the tuple instance the
-store holds at that seq and checks it against the hash published there,
-on every query.  A lineage without a stream has no policy and reads
-nothing from the store; a single mismatch, including a published item
-with no readable instance at its seq, aborts the whole request with zero
-disclosed cells.  Between queries only the parse of each lineage's
-latest published hash record is kept, with its seq, never a verification
-outcome or an access decision; the ledger item is read again only when
-the stream's latest seq is another.  Verified lineages then pass through
-policy evaluation, the query is rewritten to the allowed attribute set,
-executed once, and each disclosed cell is transformed to its granted
-granularity.  A stored policy record that fails to decode on first
-touch, or a ledger record that fails its read back (changed on disk
-since open, or not matching its digest), is a mismatch too, never a
-pass.
+encoding of the tuple instance the store holds at that seq and checks it
+against the hash published there, on every query.  A lineage without a
+stream has no policy and reads nothing from the store; a single
+mismatch, including a published item with no readable instance at its
+seq, aborts the whole request with zero disclosed cells.  Between
+queries the mediator alone keeps, per lineage, what a repeat query
+reads: the seq, the canonical encoding, the preferences and the parse of
+the hash record published there, never a verification outcome or an
+access decision.  Neither file is read again until the stream's latest
+seq is another.  Verified lineages then pass through policy evaluation,
+the query is rewritten to the allowed attribute set, executed once, and
+each disclosed cell is transformed to its granted granularity.  A stored
+policy record that fails its read back or its decode, or a ledger record
+that fails its read back (changed on disk since open, or not matching
+its digest), is a mismatch too, never a pass.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 from .ledger import LINEAGE_STREAM, Ledger, LedgerError, UnknownStream
 from .config import Record
-from .policy import GranularityMode, apply_granularity, evaluate_access
-from .store import CorruptRecord, Store, TupleInstance, UnknownProvider
-from .tuples import HashRecord, MalformedRecord, verify_hash
+from .policy import GranularityMode, PreferenceSet, apply_granularity, evaluate_access
+from .store import CorruptRecord, Store, UnknownProvider
+from .tuples import HashRecord, MalformedRecord, canonical_encode, verify_hash
 
 
 class MediationStatus(str, Enum):
@@ -159,9 +159,10 @@ class Mediator:
     def __init__(self, store: Store, ledger: Ledger):
         self._store = store
         self._ledger = ledger
-        # Stream name -> (seq, parsed payload) of the latest ledger item a
-        # query read on it; a later item replaces the entry.
-        self._records: dict[str, tuple[int, HashRecord]] = {}
+        # Lineage -> (seq, canonical encoding, preferences, parsed payload)
+        # of the version at the latest ledger seq a query read both records
+        # of; a later seq replaces the entry.
+        self._kept: dict[tuple[int, int, int], tuple[int, bytes, PreferenceSet, HashRecord]] = {}
 
     # -- analysis -----------------------------------------------------------
 
@@ -215,9 +216,9 @@ class Mediator:
         latest_instance = self._store.latest_tuple_instance
         latest_seq = self._ledger.latest_seq
         latest_item = self._ledger.latest_item
-        records = self._records
+        kept = self._kept
         entries: list[VerificationEntry] = []
-        instances: list[TupleInstance | None] = []  # None: no published policy to evaluate
+        preferences: list[PreferenceSet | None] = []  # None: no published policy to evaluate
         aborted = False
         ledger_reads = hash_verifications = 0
         for lineage in lineages:
@@ -225,39 +226,42 @@ class Mediator:
             try:
                 seq = latest_seq(stream)
             except UnknownStream:  # a lineage stream has items from its start
-                seq, ok, instance, note = None, False, None, VERIFIED_NO_POLICY
+                seq, ok, prefs, note = None, False, None, VERIFIED_NO_POLICY
             else:
-                try:
-                    instance = latest_instance(lineage, seq)
-                except CorruptRecord:
-                    instance = None
-                # The parse of the latest hash record read on each stream is
-                # kept with its seq, so a repeat query reads and parses
-                # nothing.  A ledger read that fails, or a payload that does
-                # not parse, keeps nothing: every query reads it again.  A
-                # published hash with no readable plaintext stored at its seq
-                # cannot be verified.
-                kept = records.get(stream)
-                if kept is not None and kept[0] == seq:
+                # What both records of the version at this seq gave is kept,
+                # so a repeat query reads, decodes and parses nothing.  A
+                # read that fails, or a payload that does not parse, keeps
+                # nothing: every query reads it again.  A published hash
+                # with no readable plaintext stored at its seq cannot be
+                # verified.
+                entry = kept.get(lineage)
+                if entry is not None and entry[0] == seq:
                     ledger_reads += 1
                 else:
-                    kept = None
+                    entry = None
+                    try:
+                        instance = latest_instance(lineage, seq)
+                    except CorruptRecord:
+                        instance = None
                     try:
                         payload = latest_item(stream).payload
                         ledger_reads += 1
                         if instance is not None:
-                            kept = records[stream] = (seq, HashRecord.from_string(payload))
+                            record = HashRecord.from_string(payload)
+                            t = instance.privacy_tuple
+                            entry = kept[lineage] = (seq, canonical_encode(t), t.prefs, record)
                     except (LedgerError, MalformedRecord):
                         pass
-                if kept is None or instance is None:
-                    ok = False
+                if entry is None:
+                    ok, prefs = False, None
                 else:
-                    ok = verify_hash(instance.encoded, kept[1])
+                    _, encoded, prefs, record = entry
+                    ok = verify_hash(encoded, record)
                     hash_verifications += 1
                 note = VERIFIED_OK if ok else VERIFIED_MISMATCH
             aborted = aborted or note == VERIFIED_MISMATCH
             entries.append(VerificationEntry(lineage, seq, ok, note))
-            instances.append(instance)
+            preferences.append(prefs)
 
         ops = OpCounters()
         ops.ledger_reads = ledger_reads
@@ -282,12 +286,11 @@ class Mediator:
         granted: dict[tuple[int, str], str] = {}  # a GranularityMode token per cell
         first_reason: dict[str, str] = {}
         evaluations = 0
-        for (provider_id, attribute_id, _), instance in zip(lineages, instances):
+        for (provider_id, attribute_id, _), prefs in zip(lineages, preferences):
             name = id_to_name[attribute_id]
-            if instance is None:
+            if prefs is None:
                 first_reason.setdefault(name, NO_PUBLISHED_POLICY)
                 continue
-            prefs = instance.privacy_tuple.prefs
             decision = evaluate_access(prefs, accessor, request.requested_purpose, now)
             evaluations += 1
             if decision.allowed:

@@ -18,15 +18,14 @@ line whose seq does not, one the pattern rejects, one with a number of
 leaves no file open.  The store does not say which version of a lineage
 is current: the ledger does, through its stream's latest seq, and the
 store finds the line at that seq by bisection.  That line is read back
-with os.pread and decoded on first touch, and must be of the lineage
+with os.pread and decoded on every call, and must be of the lineage
 asked for, at the indexed version and seq; a record that fails either,
-say because it changed on disk since open, raises CorruptRecord.  A
-decoded tuple holds the catalog's AttributeMeta and the registered
-accessor's AccessorProfile in place of its own copies where those hold
-the same values of the same types, so it encodes to the same bytes.
-Older versions, and a line no ledger item names, stay on disk and are
-never read: policy.db is append-only.  Every write goes to the file
-before memory takes it.
+say because it changed on disk since open, or a read the system refuses,
+raises CorruptRecord.  The store keeps no decoded tuple: what a repeat
+query reads of a verified version, the mediator keeps.  Older versions,
+and a line no ledger item names, stay on disk and are never read:
+policy.db is append-only.  Every write goes to the file before memory
+takes it.
 
 policy.db is read, appended to and checkpointed through a
 ledger.IndexedFile, as ledger.db is; the rules are described there.  Its
@@ -56,7 +55,6 @@ from .tuples import (
     HashRecord,
     PrivacyTuple,
     Sensitivity,
-    canonical_encode,
     hash_tuple,
     verify_hash,
 )
@@ -200,40 +198,14 @@ class ProviderRecord(Record):
 class TupleInstance(Record):
     """One stored tuple version and where its hash is on the ledger."""
 
-    _fields = ("privacy_tuple", "stream", "seq")
-    __slots__ = (*_fields, "_encoded")
+    __slots__ = _fields = ("privacy_tuple", "stream", "seq")
     _keys = ("tuple", "stream", "seq")
     _decoders = {"privacy_tuple": PrivacyTuple.from_dict}
 
-    def __init__(
-        self,
-        privacy_tuple: PrivacyTuple,
-        stream: str,
-        seq: int,
-        encoded: bytes | None = None,
-    ):
+    def __init__(self, privacy_tuple: PrivacyTuple, stream: str, seq: int):
         if not (isinstance(seq, int) and 0 <= seq < ID_LIMIT):
             raise ValueError("seq must be an integer in [0, 2**63)")
         self._set(privacy_tuple, stream, seq)
-        if encoded is not None:
-            object.__setattr__(self, "_encoded", encoded)
-
-    @property
-    def encoded(self) -> bytes:
-        """The canonical encoding of the tuple: the bytes it was published
-        from, or derived on first read.
-
-        A stored version never changes, so its bytes are encoded once;
-        verifying them against the ledger still hashes them every time.
-        """
-        try:
-            return self._encoded
-        except AttributeError:
-            # Kept in a slot: functools.cached_property would need a
-            # per-instance dict, one per lineage.
-            encoded = canonical_encode(self.privacy_tuple)
-            object.__setattr__(self, "_encoded", encoded)
-            return encoded
 
     @property
     def lineage(self) -> tuple[int, int, int]:
@@ -317,16 +289,6 @@ def _decode_lines(path: Path, fh, decode, lineno: int = 0, hasher=None):
             offset += len(piece)
 
 
-def _shared(kept, decoded: Record):
-    """kept where it is a record of decoded's class holding equal values of
-    the same types, so that either encodes to the same bytes (1 == True, but
-    JSON writes them apart); else decoded."""
-    same = kept.__class__ is decoded.__class__ and all(
-        type(a) is type(b) and a == b for a, b in zip(kept._values(), decoded._values())
-    )
-    return kept if same else decoded
-
-
 class Store:
     """Single-writer store over the three family files."""
 
@@ -340,8 +302,6 @@ class Store:
         # version, offset, length in bytes without the line end, and line
         # number.
         self._columns = [array("q") for _ in range(5)]
-        # One version per lineage, once decoded or published.
-        self._instances: dict[tuple[int, int, int], TupleInstance] = {}
         self._policy = IndexedFile(self._dir / POLICY_FILE)
         self._policy_lines = 0
         self._credentials: dict[str, Credential] = {}
@@ -440,11 +400,6 @@ class Store:
             lines = _decode_lines(path, fh, lambda line: kind.from_dict(json.loads(line)))
             return [record for *_, record in lines if record is not None]
 
-    def _policy_line(self, row: int) -> bytes:
-        """The row's line as policy.db holds it now."""
-        _, _, offsets, lengths, _ = self._columns
-        return os.pread(self._policy.fileno(), lengths[row], offsets[row])
-
     def _append_record(self, name: str, record: dict):
         self._policy.check_open(self._dir / name)  # a closed store writes nothing
         with open(self._dir / name, "a+b", buffering=0, opener=private) as fh:
@@ -504,30 +459,26 @@ class Store:
         )
         self._policy_lines += 1
         self._index_line(instance.seq, instance.version, offset, length, self._policy_lines)
-        self._instances[lineage] = instance
         return lineage
 
     def latest_tuple_instance(self, lineage: tuple[int, int, int], seq: int) -> TupleInstance | None:
         """The lineage's version stored at the ledger seq that is its
-        stream's latest, decoded on first touch, or None when policy.db
-        holds no line at that seq; raises CorruptRecord when the line fails
-        to decode or disagrees with the lineage or its index.  The lineage
-        is a (provider_id, attribute_id, accessor_id) tuple."""
-        instance = self._instances.get(lineage)
-        if instance is None or instance.seq != seq:
-            seqs = self._columns[0]
-            row = bisect_left(seqs, seq)
-            if row == len(seqs) or seqs[row] != seq:
-                return None
-            instance = self._instances[lineage] = self._decode(lineage, row)
-        return instance
-
-    def _decode(self, lineage: tuple[int, int, int], row: int) -> TupleInstance:
-        seqs, versions, _, _, linenos = self._columns
+        stream's latest, read back and decoded, or None when policy.db
+        holds no line at that seq; raises CorruptRecord when the read fails
+        or the line fails to decode or disagrees with the lineage or its
+        index.  The lineage is a (provider_id, attribute_id, accessor_id)
+        tuple."""
+        seqs, versions, offsets, lengths, linenos = self._columns
+        row = bisect_left(seqs, seq)
+        if row == len(seqs) or seqs[row] != seq:
+            return None
         where = f"{self._dir / POLICY_FILE} line {linenos[row]}"
-        line = self._policy_line(row)  # a closed store raises here
+        fd = self._policy.fileno()  # a closed store raises ValueError here
         try:
+            line = os.pread(fd, lengths[row], offsets[row])
             instance = TupleInstance.from_dict(json.loads(line.decode("utf-8").strip()))
+        except OSError as exc:
+            raise CorruptRecord(f"{where}: unreadable policy record ({exc})") from None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
         if (instance.lineage, instance.stream, instance.version, instance.seq) != (
@@ -537,16 +488,7 @@ class Store:
             seqs[row],
         ):
             raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
-        t = instance.privacy_tuple
-        cred = self._accessors.get(t.accessor.accessor_id)
-        shared = PrivacyTuple(
-            t.provider_id,
-            _shared(self._catalog._by_id.get(t.attribute.attribute_id), t.attribute),
-            t.prefs,
-            _shared(cred and cred.profile, t.accessor),
-            t.version,
-        )
-        return TupleInstance(shared, instance.stream, instance.seq)
+        return instance
 
     # -- selection ----------------------------------------------------------
 

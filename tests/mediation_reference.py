@@ -5,7 +5,9 @@ ReferenceMediator.mediate is the mediation as it was then: each lineage
 is verified by its own method, which asks the ledger for the stream's
 latest seq, the store for the instance stored at that seq and the
 ledger for the item at it, and parses the item's hash record through a
-method that keeps the parse per stream; the entries are collected in a list and
+method that keeps the parse per stream in the reference's own dict (the
+package's mediator keeps one entry per lineage instead), then hashes the
+instance's canonical encoding; the entries are collected in a list and
 the instances in a dict keyed by Lineage, a named tuple built from each
 of analyze's plain ones; a second scan of the entries looks for a
 mismatch; and then each lineage's policy is decided.
@@ -55,7 +57,7 @@ from privledger.policy import (
     apply_granularity,
 )
 from privledger.store import CorruptRecord, TupleInstance
-from privledger.tuples import HashRecord, MalformedRecord, verify_hash
+from privledger.tuples import HashRecord, MalformedRecord, canonical_encode, verify_hash
 
 
 class Lineage(NamedTuple):
@@ -105,6 +107,11 @@ class ReferenceMediator(Mediator):
     """A mediator whose mediate is the two-pass reference; analysis and the
     native baseline are the package's."""
 
+    def __init__(self, store, ledger):
+        super().__init__(store, ledger)
+        # Stream name -> (seq, parsed payload) of the latest item read on it.
+        self._records: dict[str, tuple[int, HashRecord]] = {}
+
     def _hash_record(self, item: StreamItem) -> HashRecord:
         kept = self._records.get(item.stream)
         if kept is not None and kept[0] == item.seq:
@@ -139,7 +146,7 @@ class ReferenceMediator(Mediator):
         except MalformedRecord:
             ok = False
         else:
-            ok = verify_hash(instance.encoded, record)
+            ok = verify_hash(canonical_encode(instance.privacy_tuple), record)
             ops.hash_verifications += 1
         note = VERIFIED_OK if ok else VERIFIED_MISMATCH
         return (VerificationEntry(lineage, item.seq, ok, note), instance)

@@ -107,7 +107,16 @@ def test_publish_on_untouched_lineage_decodes_nothing(population_configs, decode
             assert decodes == []
             latest = engine.store.latest_tuple_instance(lineage, publication.seq)
             assert latest.version == prior + 1
-            assert decodes == []  # the published instance was kept, not re-read
+            # Nothing of the published version was kept: it is read back
+            # from disk, and the next query reads it back once more.
+            stream = LINEAGE_STREAM.format(*lineage)
+            assert decodes == [stream]
+            for expected in ([stream], []):
+                decodes.clear()
+                result = engine.mediate(point_request(2, "city"), now=NOW)
+                [entry] = result.verification
+                assert (entry.seq, entry.verified) == (publication.seq, True)
+                assert decodes == expected
 
 
 def test_history_is_read_from_disk(population_configs):

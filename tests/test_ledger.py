@@ -11,6 +11,7 @@ from helpers import TickingClock, chain_length
 from privledger import ledger as ledger_module
 from privledger.chain import verify_file, verify_records
 from privledger.ledger import (
+    LINEAGE_STREAM,
     ROOT_STREAM,
     ZERO_DIGEST,
     DuplicateStream,
@@ -21,7 +22,6 @@ from privledger.ledger import (
     LedgerError,
     RootPublishForbidden,
     UnknownStream,
-    stream_name_for,
 )
 
 
@@ -53,12 +53,15 @@ def test_genesis_creates_root_with_zero_prev(ledger):
     assert ledger.stream(ROOT_STREAM).item_count == 0
 
 
-def test_stream_name_for_lineage():
-    assert stream_name_for(4, 5, 3) == "stream-4-5-3"
-    assert stream_name_for(120, 8, 14) == "stream-120-8-14"
-    for bad in ((0, 1, 1), (1, -2, 1), (1, 1, "3")):
+def test_stream_name_for_lineage(ledger):
+    assert LINEAGE_STREAM.format(4, 5, 3) == "stream-4-5-3"
+    assert LINEAGE_STREAM.format(120, 8, 14) == "stream-120-8-14"
+    # A lineage's name is formatted unchecked; create_stream's pattern is
+    # the one guard, and it refuses a zero, negative or boolean id.
+    for bad in ((0, 1, 1), (1, -2, 1), (1, 1, True)):
         with pytest.raises(InvalidStreamName):
-            stream_name_for(*bad)
+            ledger.create_stream(LINEAGE_STREAM.format(*bad), "key17", b"x")
+    assert chain_length(ledger) == 1
 
 
 @pytest.mark.parametrize(

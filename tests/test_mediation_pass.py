@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from helpers import WORDS, make_accessor, make_engine, random_prefs
 from mediation_reference import ReferenceMediator
 from privledger.engine import Engine, EngineConfig
-from privledger.ledger import LedgerError, stream_name_for
+from privledger.ledger import LINEAGE_STREAM, LedgerError
 from privledger.mediator import INTEGRITY_ABORT, NO_PUBLISHED_POLICY, QueryRequest
 from privledger.policy import AccessorRole, DenialReason, Sensitivity
 from privledger.store import StoreError
@@ -159,12 +159,12 @@ def test_one_pass_mediation_equals_the_reference(population, request, now, damag
         shutil.copytree(config.data_dir, data_dir)
         for lineage, kind in damaged.items():
             if kind == "tampered":
-                _tamper(data_dir, stream_name_for(*lineage))
+                _tamper(data_dir, LINEAGE_STREAM.format(*lineage))
         with contextlib.closing(Engine.open(EngineConfig(data_dir, config.hash_cost))) as engine:
             # A publication first: it reads the ledger's last record.
             for lineage, kind in sorted(damaged.items(), key=lambda pair: pair[1] != "malformed-payload"):
                 if kind != "tampered":
-                    _damage_after_open(engine, stream_name_for(*lineage), kind)
+                    _damage_after_open(engine, LINEAGE_STREAM.format(*lineage), kind)
             reference = ReferenceMediator(engine.store, engine.ledger)
             for _ in range(2):  # the repeat finds each parse kept
                 assert _outcome(engine.mediate, request, now) == _outcome(
@@ -187,7 +187,7 @@ def test_the_population_meets_every_outcome(population, tmp_path):
     # A tampered tuple aborts.
     data_dir = tmp_path / "data"
     shutil.copytree(config.data_dir, data_dir)
-    _tamper(data_dir, stream_name_for(*published[0]))
+    _tamper(data_dir, LINEAGE_STREAM.format(*published[0]))
     with contextlib.closing(Engine.open(EngineConfig(data_dir, config.hash_cost))) as engine:
         request = QueryRequest(published[0][2], PURPOSES[0], ATTRIBUTES)
         result = engine.mediate(request, now=DATES[1])

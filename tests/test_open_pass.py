@@ -283,9 +283,10 @@ def _opened_index(directory: Path):
         return "refused", str(exc)
     try:
         # Open keeps where each line is; read the line back from there.
+        data = (directory / POLICY_FILE).read_bytes()
         return "opened", [
-            (seq, version, store._policy_line(row).decode("utf-8").strip(), lineno)
-            for row, (seq, version, _, _, lineno) in enumerate(policy_index(store))
+            (seq, version, data[offset : offset + length].decode("utf-8").strip(), lineno)
+            for seq, version, offset, length, lineno in policy_index(store)
         ]
     finally:
         store.close()

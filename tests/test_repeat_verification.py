@@ -1,5 +1,6 @@
-"""Repeat verification: a stored version's canonical encoding and the
-parse of a lineage's latest ledger hash record are derived once, but every
+"""Repeat verification: a lineage's latest stored version is decoded and
+encoded canonically, and its ledger hash record parsed, once per version,
+and the mediator keeps the results in one entry per lineage; but every
 query re-hashes every published lineage it touches, so a new version or a
 tampered record decides the very next query.  Each test runs on both open
 paths: from the checkpoints the last close wrote, and the full pass."""
@@ -73,14 +74,14 @@ def parsed(monkeypatch):
 
 @pytest.fixture
 def encodes(monkeypatch):
-    """Lineages of every tuple the store encodes canonically."""
+    """Lineages of every tuple the mediator encodes canonically."""
     lineages = []
 
     def counting(t):
         lineages.append(t.lineage)
         return canonical_encode(t)
 
-    monkeypatch.setattr(store, "canonical_encode", counting)
+    monkeypatch.setattr(mediator, "canonical_encode", counting)
     return lineages
 
 
@@ -190,7 +191,9 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, p
             encodes.clear()
             parsed.clear()
             second = engine.mediate(REQUEST, now=NOW)
-            assert encodes == []  # the published version keeps the bytes it was hashed from
+            # The new version is read back from disk and encoded, as a fresh
+            # process would; every other lineage reads nothing.
+            assert encodes == [old.lineage]
             assert parsed == [engine.ledger.item(publication.seq).payload]
             [new] = [e for e in second.verification if e.lineage == old.lineage]
             assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
@@ -199,7 +202,12 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, p
             instance = engine.store.latest_tuple_instance(old.lineage, publication.seq)
             assert instance.version == publication.version
             assert hashed == stored_encodings(engine, published(second))
-            assert instance.encoded == canonical_encode(instance.privacy_tuple)
+            seq, encoded, prefs, _ = engine.mediator._kept[old.lineage]
+            assert (seq, encoded, prefs) == (
+                publication.seq,
+                canonical_encode(instance.privacy_tuple),
+                instance.privacy_tuple.prefs,
+            )
             assert second.rows[0].cells[1] == WITHHELD
             assert [row.cells[1] for row in second.rows[1:]] == [
                 row.cells[1] for row in first.rows[1:]
@@ -255,7 +263,7 @@ def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
 def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
     for config in configs:
         with closing(Engine.open(config)) as engine:
-            stream = f"stream-1-{CITY}-{BENCH_ACCESSOR_ID}"
+            lineage = (1, CITY, BENCH_ACCESSOR_ID)
             for declared in ("care-delivery", "research", "billing", "triage", "audit"):
                 prefs = make_prefs(
                     attribute_id=CITY, mode=PurposeMode.REUSE_SELECTED, declared=declared
@@ -263,10 +271,13 @@ def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
                 publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
                 result = engine.mediate(REQUEST, now=NOW)
                 assert result.status is MediationStatus.COMPLETED
-                records = engine.mediator._records
-                assert len(records) == 6
-                seq, record = records[stream]
+                kept = engine.mediator._kept
+                assert len(kept) == 6
+                seq, encoded, kept_prefs, record = kept[lineage]
                 assert seq == publication.seq
+                assert kept_prefs == prefs
+                instance = engine.store.latest_tuple_instance(lineage, seq)
+                assert encoded == canonical_encode(instance.privacy_tuple)
                 assert record == tuples.HashRecord.from_string(engine.ledger.item(seq).payload)
 
 
@@ -296,4 +307,4 @@ def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed)
                 assert parsed.count(bad.payload) == 1  # parsed again by every query
                 # the lineages whose records parse, each hashed and counted once
                 assert result.ops.hash_verifications == len(hashed) == 5
-            assert stream not in engine.mediator._records
+            assert lineage not in engine.mediator._kept
