@@ -12,7 +12,7 @@ version stays in memory: the next query on its lineage reads it back
 from policy.db, as a fresh process does.
 
 Closing writes the checkpoints that let the next open skip the checks of
-what this one checked or wrote (see ledger.IndexedFile); nothing else
+what this one checked or wrote (see files.IndexedFile); nothing else
 writes them.
 
 The configuration, the data format check and the engine's errors are in
@@ -38,7 +38,7 @@ from .config import (
 from .ledger import LINEAGE_STREAM, Ledger
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
 from .policy import AccessorProfile, PreferenceSet
-from .store import ProviderRecord, Store, TupleInstance
+from .store import CONTENT_FILE, ProviderRecord, Store, TupleInstance
 from .tuples import bind_tuple, canonical_encode, hash_tuple
 
 
@@ -84,7 +84,7 @@ class Engine:
     def initialize(cls, config: EngineConfig) -> Engine:
         """Create engine state in a fresh data directory."""
         data_dir = config.data_dir
-        if (data_dir / "content.db").exists() or config.ledger_file.exists():
+        if (data_dir / CONTENT_FILE).exists() or config.ledger_file.exists():
             raise AlreadyInitialized(f"engine already initialized in {data_dir}")
         make_private_dir(data_dir)
         with open(data_dir / FORMAT_FILE, "w", opener=private) as fh:
@@ -113,7 +113,7 @@ class Engine:
     def require_state(config: EngineConfig):
         """Raise NotInitialized unless the data directory holds engine state,
         and UnsupportedFormat unless that state is in format 3."""
-        if not (config.data_dir / "content.db").exists() or not config.ledger_file.exists():
+        if not (config.data_dir / CONTENT_FILE).exists() or not config.ledger_file.exists():
             raise NotInitialized(f"no engine state in {config.data_dir}")
         require_format(config.data_dir)
 

@@ -2,10 +2,10 @@
 
 Three line-delimited families live under the data directory as
 credentials.db, policy.db and content.db.  Plaintext tuple instances
-stay here while only their hashes go to the ledger.  Writes append or
-atomically replace a family file (write temp, then rename); an append
-that fails cuts the file back to its size before.  The files are the
-source of truth.
+stay here while only their hashes go to the ledger.  Each family file
+is a files.IndexedFile, which makes every write: an append, or, for a
+provider's update, an atomic replace of content.db, so the replaced
+values leave the disk.  The files are the source of truth.
 
 Opening reads each family file in one streaming pass over its bytes and
 decodes every content and credential record.  Of policy.db it reads each
@@ -27,8 +27,7 @@ and a line no ledger item names, stay on disk and are never read:
 policy.db is append-only.  Every write goes to the file before memory
 takes it.
 
-policy.db is read, appended to and checkpointed through a
-ledger.IndexedFile, as ledger.db is; the rules are described there.  Its
+policy.db is checkpointed as ledger.db is (see files.IndexedFile); its
 checkpoint holds the line count and those columns.
 """
 
@@ -42,8 +41,9 @@ from bisect import bisect_left
 from operator import add, lt
 from pathlib import Path
 
-from .ledger import LINEAGE_STREAM, IndexedFile, append_line, int_array, replace_file
-from .config import ID_LIMIT, ID_RULE, Record, is_id, private
+from .config import ID_LIMIT, ID_RULE, Record, is_id
+from .files import IndexedFile, int_array
+from .ledger import LINEAGE_STREAM
 from .policy import AccessorProfile
 from .tuples import (
     DEFAULT_COST,
@@ -264,19 +264,32 @@ def _index_policy_line(line: str) -> tuple[int, int]:
     return fields[0], fields[4]
 
 
-def _decode_lines(path: Path, fh, decode, lineno: int = 0, hasher=None):
+def _line(record: Record) -> str:
+    """The line of a content or credential record."""
+    return json.dumps(record.to_dict(), sort_keys=True)
+
+
+def _open_records(file: IndexedFile, kind: type[Record]) -> list:
+    """Open a content or credential file, which has no checkpoint to take,
+    and decode its records."""
+    lines = []
+    def decode(line):
+        return kind.from_dict(json.loads(line))
+    file.open(lambda parts: False, lambda: lines.extend(_decode_lines(file, decode)))
+    return [record for *_, record in lines if record is not None]
+
+
+def _decode_lines(file: IndexedFile, decode, lineno: int = 0):
     """(line number, offset, length, decoded) per line of a family file
-    from its position on, in one pass over its bytes, decoded None for a
-    blank line; line numbers carry on from lineno, and hasher, if given,
-    is fed the bytes.  Lines end at LF, CRLF or a lone CR, as a text read
-    ends them; offset and length are the line's bytes without its end.
-    Each line is decoded as UTF-8 on its own and stripped, so a line that
-    is not UTF-8 or fails to decode raises StoreError naming the file and
-    line."""
-    offset = fh.tell()
-    for raw in fh:  # up to and with each LF
-        if hasher is not None:
-            hasher.update(raw)
+    from its reader's position on, in one pass over its bytes, which feeds
+    its hasher, decoded None for a blank line; line numbers carry on from
+    lineno.  Lines end at LF, CRLF or a lone CR, as a text read ends them;
+    offset and length are the line's bytes without its end.  Each line is
+    decoded as UTF-8 on its own and stripped, so a line that is not UTF-8
+    or fails to decode raises StoreError naming the file and line."""
+    offset = file.reader.tell()
+    for raw in file.reader:  # up to and with each LF
+        file.hasher.update(raw)
         for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
             lineno += 1
             content = piece.rstrip(b"\r\n")
@@ -284,7 +297,7 @@ def _decode_lines(path: Path, fh, decode, lineno: int = 0, hasher=None):
                 line = content.decode("utf-8").strip()
                 record = decode(line) if line else None
             except (ValueError, KeyError, TypeError) as exc:
-                raise StoreError(f"{path} line {lineno}: unreadable record ({exc})") from None
+                raise StoreError(f"{file.path} line {lineno}: unreadable record ({exc})") from None
             yield lineno, offset, len(content), record
             offset += len(piece)
 
@@ -293,7 +306,6 @@ class Store:
     """Single-writer store over the three family files."""
 
     def __init__(self, data_dir, hash_cost: int = DEFAULT_COST, create: bool = False):
-        self._dir = Path(data_dir)
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
@@ -302,22 +314,25 @@ class Store:
         # version, offset, length in bytes without the line end, and line
         # number.
         self._columns = [array("q") for _ in range(5)]
-        self._policy = IndexedFile(self._dir / POLICY_FILE)
         self._policy_lines = 0
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
-        if create:
-            for name in FAMILY_FILES:
-                target = self._dir / name
-                if target.exists():
-                    raise StoreError(f"store file already exists: {target}")
-                open(target, "xb", opener=private).close()
-            self._policy.create()
-        else:
-            for name in FAMILY_FILES:
-                if not (self._dir / name).exists():
-                    raise StoreError(f"missing store file: {self._dir / name}")
-            self._load()
+        self._files = [IndexedFile(Path(data_dir) / name) for name in FAMILY_FILES]
+        self._credential_file, self._policy, self._content = self._files
+        for file in self._files:
+            if create and file.path.exists():
+                raise StoreError(f"store file already exists: {file.path}")
+            if not create and not file.path.exists():
+                raise StoreError(f"missing store file: {file.path}")
+        try:
+            if create:
+                for file in self._files:
+                    file.create()
+            else:
+                self._load()
+        except BaseException:
+            self.close()  # a failed open or create leaves no file open
+            raise
         # Unknown logins verify against this record at the configured cost,
         # so they take as long as a wrong password.  No password can match:
         # that would take a password whose PBKDF2 output is all zeros.
@@ -330,28 +345,24 @@ class Store:
         return self._catalog
 
     def close(self):
-        self._policy.close()
+        for file in self._files:
+            file.close()
 
     # -- persistence --------------------------------------------------------
 
     def _load(self):
-        for record in self._read_records(CONTENT_FILE, ProviderRecord):
+        for record in _open_records(self._content, ProviderRecord):
             self._providers[record.provider_id] = record
-        try:
-            self._policy.open(self._take, self._index_policy)
-            for cred in self._read_records(CREDENTIALS_FILE, Credential):
-                self._credentials[cred.login] = cred
-                self._accessors[cred.profile.accessor_id] = cred
-        except BaseException:
-            self.close()
-            raise
+        self._policy.open(self._take, self._index_policy)
+        for cred in _open_records(self._credential_file, Credential):
+            self._credentials[cred.login] = cred
+            self._accessors[cred.profile.accessor_id] = cred
 
     def _index_policy(self):
         """Run open's pass over policy.db from the reader's position on."""
         lineno = self._policy_lines
-        for lineno, offset, length, indexed in _decode_lines(
-            self._policy.path, self._policy.reader, _index_policy_line, lineno, self._policy.hasher
-        ):
+        lines = _decode_lines(self._policy, _index_policy_line, lineno)
+        for lineno, offset, length, indexed in lines:
             if indexed is not None:
                 seqs = self._columns[0]
                 if seqs and indexed[0] <= seqs[-1]:
@@ -390,30 +401,9 @@ class Store:
             column.append(value)
 
     def save_checkpoint(self):
-        """Write policy.db's checkpoint when one is due (see IndexedFile)."""
+        """Write policy.db's checkpoint when one is due (see files.IndexedFile)."""
         lines = array("q", [self._policy_lines])
         self._policy.save(lambda: [part.tobytes() for part in (lines, *self._columns)])
-
-    def _read_records(self, name: str, kind: type[Record]) -> list:
-        path = self._dir / name
-        with open(path, "rb") as fh:
-            lines = _decode_lines(path, fh, lambda line: kind.from_dict(json.loads(line)))
-            return [record for *_, record in lines if record is not None]
-
-    def _append_record(self, name: str, record: dict):
-        self._policy.check_open(self._dir / name)  # a closed store writes nothing
-        with open(self._dir / name, "a+b", buffering=0, opener=private) as fh:
-            end = os.fstat(fh.fileno()).st_size
-            newline = end > 0 and os.pread(fh.fileno(), 1, end - 1) != b"\n"
-            append_line(fh, json.dumps(record, sort_keys=True), newline)
-
-    def _rewrite_records(self, name: str, records):
-        # Replaced as a whole, so readers never observe a half-written family.
-        self._policy.check_open(self._dir / name)
-        replace_file(
-            self._dir / name,
-            (json.dumps(record, sort_keys=True).encode("utf-8") + b"\n" for record in records),
-        )
 
     # -- content ------------------------------------------------------------
 
@@ -424,9 +414,9 @@ class Store:
                 raise UnknownAttribute(f"no attribute named {name!r}")
         if record.provider_id in self._providers:
             providers = {**self._providers, record.provider_id: record}
-            self._rewrite_records(CONTENT_FILE, (providers[p].to_dict() for p in sorted(providers)))
+            self._content.replace(_line(providers[p]) for p in sorted(providers))
         else:
-            self._append_record(CONTENT_FILE, record.to_dict())
+            self._content.append(_line(record))
         self._providers[record.provider_id] = record
         return record.provider_id
 
@@ -472,7 +462,7 @@ class Store:
         row = bisect_left(seqs, seq)
         if row == len(seqs) or seqs[row] != seq:
             return None
-        where = f"{self._dir / POLICY_FILE} line {linenos[row]}"
+        where = f"{self._policy.path} line {linenos[row]}"
         fd = self._policy.fileno()  # a closed store raises ValueError here
         try:
             line = os.pread(fd, lengths[row], offsets[row])
@@ -522,7 +512,7 @@ class Store:
             password_hash=hash_tuple(password.encode("utf-8"), self._hash_cost),
             profile=profile,
         )
-        self._append_record(CREDENTIALS_FILE, cred.to_dict())
+        self._credential_file.append(_line(cred))
         self._credentials[login] = cred
         self._accessors[profile.accessor_id] = cred
         return cred

@@ -17,7 +17,8 @@ from unittest import mock
 
 from privledger import ledger as ledger_module
 from privledger.engine import Engine, EngineConfig
-from privledger.ledger import CHECKPOINT_SUFFIX, Ledger
+from privledger.files import CHECKPOINT_SUFFIX
+from privledger.ledger import Ledger
 from privledger.policy import (
     AccessorProfile,
     AccessorRole,

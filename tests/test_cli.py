@@ -16,7 +16,7 @@ import pytest
 import privledger
 from privledger.cli import main
 from privledger.config import DATA_DIR_ENV, private
-from privledger.ledger import load_checkpoint
+from privledger.files import load_checkpoint
 
 REPO = Path(__file__).resolve().parent.parent
 STREET_POLICY = REPO / "fixtures" / "demo" / "policy-street-name.txt"
@@ -741,8 +741,8 @@ def test_bench_subcommand_is_a_usage_error(tmp_path, capsys):
 
 # The modules a process may load, by the command it runs.  No run loads
 # dataclasses or inspect: the record classes generate no code at import.
-CORE = ("chain", "config", "engine", "ledger", "mediator", "policy", "store", "tuples")
-ENGINE_STACK = ("engine", "ledger", "mediator", "policy", "store", "tuples")
+CORE = ("chain", "config", "engine", "files", "ledger", "mediator", "policy", "store", "tuples")
+ENGINE_STACK = ("engine", "files", "ledger", "mediator", "policy", "store", "tuples")
 LOADED = (
     "sorted(m for m in sys.modules if m.split('.')[0] == 'privledger' "
     "or m in ('dataclasses', 'inspect'))"
@@ -877,16 +877,22 @@ def test_fresh_query_of_an_unknown_attribute(demo_dir):
     ids=["main_entry", "-m", "main"],
 )
 def test_only_a_command_process_freezes_at_exit(demo_dir, ending, frozen):
+    # Some interpreters start with objects frozen already, so the count at
+    # exit is compared with the count before privledger loads.
     probe = (
-        "import atexit, gc, sys; "
-        "atexit.register(lambda: print('freeze count', gc.get_freeze_count()))"
+        "import atexit, gc, sys; start = gc.get_freeze_count(); "
+        "atexit.register(lambda: print('freeze count', start, gc.get_freeze_count()))"
     )
     result = fresh("--data-dir", str(demo_dir), "ledger", "verify", code=f"{probe}; {ending}")
     assert (result.returncode, result.stderr) == (0, "")
     verified, probed = result.stdout.splitlines()
     assert verified == "chain intact (8 records)"
     assert probed.startswith("freeze count ")
-    assert (int(probed.split()[-1]) > 0) is frozen
+    start, end = map(int, probed.split()[-2:])
+    if frozen:
+        assert end > start
+    else:
+        assert end == start
 
 
 def test_no_command_leaves_a_handle_for_the_collector(tmp_path):

@@ -53,18 +53,15 @@ from helpers import (
 )
 from ledger_reference import reference_item_digest, reference_verify_records
 from open_reference import reference_index_policy, reference_load_ledger
+from privledger import chain as chain_module
+from privledger import files as files_module
 from privledger import ledger as ledger_module
 from privledger import store as store_module
 from privledger.chain import verify_records
 from privledger.cli import main
 from privledger.engine import Engine, EngineConfig
-from privledger.ledger import (
-    CHECKER_VERSION,
-    CHECKPOINT_SUFFIX,
-    Ledger,
-    LedgerError,
-    checkpoint_path,
-)
+from privledger.files import CHECKER_VERSION, CHECKPOINT_SUFFIX, checkpoint_path
+from privledger.ledger import Ledger, LedgerError
 from privledger.store import POLICY_FILE, Store, StoreError
 from test_ledger_pattern import (
     ALPHABET,
@@ -221,7 +218,7 @@ SMALL_CHUNKS = [1, 7, 64]
 @example(data="\n".join(CANONICAL).encode())
 @example(data=b"\n")
 def test_ledger_open_and_verify_agree_with_reference_across_chunks(chunk, data):
-    with mock.patch.object(ledger_module, "CHUNK_BYTES", chunk):
+    with mock.patch.object(chain_module, "CHUNK_BYTES", chunk):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ledger.db"
             path.write_bytes(data)
@@ -234,7 +231,7 @@ def test_ledger_open_and_verify_agree_with_reference_across_chunks(chunk, data):
 
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
 def test_verifier_agrees_with_reference_on_every_flip_across_chunks(chunk):
-    with mock.patch.object(ledger_module, "CHUNK_BYTES", chunk):
+    with mock.patch.object(chain_module, "CHUNK_BYTES", chunk):
         for content in _mutations():
             for expected in (None, CHAIN_ITEMS):
                 assert verify_records(content, expected) == reference_verify_records(
@@ -710,7 +707,7 @@ def test_a_tail_past_the_checkpoint_is_checked_and_checkpointed_when_long(demo_c
     tail = _opened_state(demo_config)
     Engine.open(demo_config).close()  # a short tail: no new checkpoint
     assert _checkpoints(demo_config) == stale
-    monkeypatch.setattr(ledger_module, "CHECKPOINT_TAIL_BYTES", 1)  # for both files
+    monkeypatch.setattr(files_module, "CHECKPOINT_TAIL_BYTES", 1)  # for both files
     Engine.open(demo_config).close()
     assert all(_checkpoints(demo_config)[name] != stale[name] for name in CHECKPOINTED)
     assert _opened_state(demo_config) == tail
@@ -876,7 +873,7 @@ def test_failed_checkpoint_write_leaves_no_temporary_file(demo_config, monkeypat
         def full_disk(*args):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(ledger_module.os, "replace", full_disk)
+        monkeypatch.setattr(files_module.os, "replace", full_disk)
     # The close raised nothing.
     monkeypatch.undo()
     assert _checkpoints(demo_config) == before
@@ -907,7 +904,7 @@ def test_read_only_data_directory_still_answers(demo_config, monkeypatch, capsys
             raise PermissionError(errno.EACCES, "Permission denied")
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(ledger_module, "open", read_only, raising=False)
+    monkeypatch.setattr(files_module, "open", read_only, raising=False)
     data_dir.chmod(0o500)  # no write permission; the group and others have none
     try:
         assert main(query) == 0

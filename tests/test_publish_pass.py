@@ -11,7 +11,7 @@ in format 2, and ledger.db and credentials.db differ from format 2 only
 in their $pbkdf2$ hash records.  A store write that fails
 must leave memory as the file is, and an open or create that fails must
 leave no file open.  Once closed, the ledger and the store refuse every
-read and append of ledger.db and policy.db.
+read and write of their files.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ from helpers import (
     policy_index,
 )
 from ledger_reference import reference_render_line
-from privledger import ledger as ledger_module
-from privledger import store as store_module
+from privledger import files as files_module
 from privledger import tuples
 from privledger.engine import Engine, EngineConfig
-from privledger.ledger import CHECKPOINT_SUFFIX, Ledger
+from privledger.files import CHECKPOINT_SUFFIX
+from privledger.ledger import Ledger
 from privledger.mediator import MediationStatus, QueryRequest
 from privledger.store import (
     AuthenticationFailed,
@@ -90,8 +90,7 @@ def opened(monkeypatch):
         handles.append(open(*args, **kwargs))
         return handles[-1]
 
-    for module in (store_module, ledger_module):
-        monkeypatch.setattr(module, "open", tracking, raising=False)
+    monkeypatch.setattr(files_module, "open", tracking, raising=False)
     return handles
 
 
@@ -232,6 +231,8 @@ def test_failed_flush_reaches_no_later_append(tmp_path, store):
 
 
 def test_failed_provider_write_keeps_the_held_record(tmp_path, store):
+    store.close()  # its append handle is held until close; a fresh store holds none
+    store = Store(tmp_path, hash_cost=4)
     unwritable(tmp_path / "content.db")
     with pytest.raises(IsADirectoryError):
         store.put_provider_record(ProviderRecord(5, {"city": "Calgary"}))
@@ -239,6 +240,7 @@ def test_failed_provider_write_keeps_the_held_record(tmp_path, store):
     with pytest.raises(IsADirectoryError):  # the replace path renames
         store.put_provider_record(ProviderRecord(DEMO_PROVIDER_ID, {"city": "Calgary"}))
     assert store.get_provider_record(DEMO_PROVIDER_ID).attributes == {"city": "Red Deer"}
+    store.close()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "content.db", "credentials.db", "policy.db"
     ]
@@ -388,8 +390,7 @@ class _DiskHandle:
 def disk(monkeypatch):
     """The disk the ledger and the store append to from here on."""
     disk = _Disk()
-    for module in (store_module, ledger_module):
-        monkeypatch.setattr(module, "open", disk.open, raising=False)
+    monkeypatch.setattr(files_module, "open", disk.open, raising=False)
     return disk
 
 
@@ -439,7 +440,9 @@ def _credential_append(store):
     ],
     ids=["policy", "content", "credentials"],
 )
-def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, store, disk, family, append):
+def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, disk, store, family, append):
+    # disk comes first, so the append handle the store fixture's own append
+    # opened and holds is the disk's.
     path = tmp_path / family
     before = path.read_bytes()
     disk.room = 40  # part of a line

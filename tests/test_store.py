@@ -140,6 +140,17 @@ def test_replacing_provider_record_rewrites_file(store, tmp_path):
     assert len(lines) == 1
     assert json.loads(lines[0])["attributes"]["city"] == "Edmonton"
     assert store.get_provider_record(4).attributes["city"] == "Edmonton"
+    # The append handle follows the rename to the new file.
+    store.put_provider_record(ProviderRecord(5, {"city": "Red Deer"}))
+    store.add_accessor("physician3", "pw", make_accessor())
+    assert len((tmp_path / "content.db").read_text().splitlines()) == 2
+    store.close()
+    reopened = Store(tmp_path, hash_cost=4)
+    assert reopened.provider_ids() == [4, 5]
+    assert reopened.get_provider_record(4).attributes == {"city": "Edmonton"}
+    assert reopened.get_provider_record(5).attributes == {"city": "Red Deer"}
+    assert reopened.authenticate("physician3", "pw") == make_accessor()
+    reopened.close()
 
 
 def test_select_rows_projection_and_predicate(store):
