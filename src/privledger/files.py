@@ -143,7 +143,9 @@ class IndexedFile:
         self.path = path
         self.reader = self._out = None
         self.closed = False
-        self.hasher = hashlib.sha256()  # fed the file's first `size` bytes
+        # Fed the file's first `size` bytes, for a checkpoint; an owner that
+        # never saves one need not feed it at open.
+        self.hasher = hashlib.sha256()
         self.size = 0
         self._due = False
         self._unterminated = False  # the file's last line lacks its newline
@@ -152,7 +154,8 @@ class IndexedFile:
         """Open the file and index it: take(parts) takes the checkpoint's
         index, with the reader at its prefix's end, and says whether its
         values are in range; index() then runs the owner's pass from the
-        reader's position to the end of the file, feeding hasher."""
+        reader's position to the end of the file, feeding hasher if the
+        owner saves checkpoints."""
         self.reader = open(self.path, "rb")
         found = load_checkpoint(self.path, self.reader)
         if found is not None and take(found[1]):

@@ -12,11 +12,14 @@ holds it: a Stream is a snapshot with its seqs walked back from the
 latest.  A StreamItem is built on every read and not kept, from the
 record read back at its offset, which must pass the field check again and
 re-derive the digest open kept or the append wrote, so a record that
-changed on disk since fails that read.  An append links to the digest
-kept and, after the first append since open, to the kept timestamp of the
-last record, so it reads nothing.  Chain verification re-derives every
-digest and link.  The file, with its handles and checkpoint, is a
-files.IndexedFile.
+changed on disk since fails that read.  The read and the build are apart:
+record(seq) returns the bytes, and latest_item builds the item from bytes
+a caller already read, so a caller that only needs to know whether a
+record is still the one it checked reads it once and decodes nothing.  An
+append links to the digest kept and, after the first append since open,
+to the kept timestamp of the last record, so it reads nothing.  Chain
+verification re-derives every digest and link.  The file, with its
+handles and checkpoint, is a files.IndexedFile.
 """
 
 from __future__ import annotations
@@ -130,6 +133,10 @@ class Stream(NamedTuple):
     @property
     def item_count(self) -> int:
         return len(self.seqs)
+
+
+def _corrupt(seq: int, cause) -> LedgerError:
+    return LedgerError(f"corrupt ledger record at seq {seq}: {cause}; run chain verification")
 
 
 def _build_item(match: re.Match) -> StreamItem:
@@ -286,7 +293,7 @@ class Ledger:
         seq = len(self._offsets) - 1
         prev = bytes(self._digests[-DIGEST_BYTES:]) if seq else ZERO_DIGEST
         if seq and self._last_time is None:  # read once, with the read's checks
-            self._last_time = self._read(seq - 1).timestamp
+            self._last_time = self.item(seq - 1).timestamp
         moment = self._clock()
         if moment.tzinfo is None:
             raise LedgerError("clock must produce timezone-aware instants")
@@ -400,34 +407,46 @@ class Ledger:
             raise EmptyStream(f"stream has no items: {name}")
         return seq
 
-    def latest_item(self, name: str) -> StreamItem:
-        """The stream's latest item; raises what latest_seq and item raise."""
+    def latest_item(self, name: str, record: bytes | None = None) -> StreamItem:
+        """The stream's latest item, built from record, the bytes that
+        record(latest_seq(name)) returned, if the caller has read them;
+        raises what latest_seq, record and item raise."""
         # Open and the checkpoint checks keep seq in range.
-        return self._read(self.latest_seq(name))
+        seq = self.latest_seq(name)
+        return self._read(seq, self.record(seq) if record is None else record)
 
     def item(self, seq: int) -> StreamItem:
         """The item at seq, read back; a negative seq counts from the end."""
         count = len(self._offsets) - 1
         if not -count <= seq < count:
             raise LedgerError(f"no item at seq {seq}")
-        return self._read(seq % count)
+        seq %= count
+        return self._read(seq, self.record(seq))
 
-    def _read(self, seq: int) -> StreamItem:
-        """Build the item of a record open checked or an append wrote from
-        the file, which must still hold that record: the read is whole, the
-        field check passes again and the fields re-derive the digest kept."""
+    def record(self, seq: int) -> bytes:
+        """The bytes of the record at seq (0 <= seq < the record count),
+        read back from the file whole; a read the system refuses, or one
+        the file ends inside, raises LedgerError."""
         start, end = self._offsets[seq], self._offsets[seq + 1]
         fd = self._file.fileno()
         try:
             record = os.pread(fd, end - start, start)
-            if len(record) != end - start:
-                raise ValueError("the file ends inside the record")
+        except OSError as exc:
+            raise _corrupt(seq, exc) from None
+        if len(record) != end - start:
+            raise _corrupt(seq, "the file ends inside the record")
+        return record
+
+    def _read(self, seq: int, record: bytes) -> StreamItem:
+        """Build the item of the record at seq from the bytes read back of
+        it, which must still be the record open checked or an append
+        wrote: the field check passes again and the fields re-derive the
+        digest kept."""
+        try:
             match = _match_line(record.decode("ascii").removesuffix("\n"))
             item = _build_item(match)
-        except (OSError, ValueError) as exc:
-            raise LedgerError(
-                f"corrupt ledger record at seq {seq}: {exc}; run chain verification"
-            ) from None
+        except ValueError as exc:
+            raise _corrupt(seq, exc) from None
         kept = self._digests[seq * DIGEST_BYTES : (seq + 1) * DIGEST_BYTES]
         digest = _item_digest(*match.group(1, 2, 3, 4, 5), item.payload, item.prev_digest)
         if item.seq != seq or item.item_digest != kept or digest != kept:

@@ -2,22 +2,27 @@
 
 Every query is decomposed into (provider, attribute, accessor) lineages.
 One pass over them asks the ledger for each lineage stream's latest seq,
-which alone says which version is current, re-hashes the canonical
-encoding of the tuple instance the store holds at that seq and checks it
-against the hash published there, on every query.  A lineage without a
-stream has no policy and reads nothing from the store; a single
-mismatch, including a published item with no readable instance at its
-seq, aborts the whole request with zero disclosed cells.  Between
-queries the mediator alone keeps, per lineage, what a repeat query
-reads: the seq, the canonical encoding, the preferences and the parse of
-the hash record published there, never a verification outcome or an
-access decision.  Neither file is read again until the stream's latest
-seq is another.  Verified lineages then pass through policy evaluation,
-the query is rewritten to the allowed attribute set, executed once, and
-each disclosed cell is transformed to its granted granularity.  A stored
-policy record that fails its read back or its decode, or a ledger record
-that fails its read back (changed on disk since open, or not matching
-its digest), is a mismatch too, never a pass.
+which alone says which version is current, and reads both records of
+that version back from disk, on every query: the policy.db line the
+store holds at that seq and the ledger record there.  The canonical
+encoding of the stored tuple is re-hashed and checked against the hash
+published in the ledger record, unless both records are byte for byte
+those a check already passed on in this engine: then that verdict
+stands.  So the KDF runs once per lineage version per engine, and again
+after any change on disk to either record; a fresh process runs it on
+every published lineage it touches.  A lineage without a stream has no
+policy and reads nothing from the store; a single mismatch, including a
+published item with no readable instance at its seq, aborts the whole
+request with zero disclosed cells.  Between queries the mediator alone
+keeps, per lineage, the seq, a fingerprint of the two records' bytes and
+the preferences of the version a check passed on, never a failed check
+or an access decision.  Verified lineages then pass through policy
+evaluation, the query is rewritten to the allowed attribute set,
+executed once, and each disclosed cell is transformed to its granted
+granularity.  A stored policy record that fails its read back or its
+decode, or a ledger record that fails its read back (changed on disk
+since open, or not matching its digest), is a mismatch too, never a
+pass.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -29,6 +34,7 @@ from __future__ import annotations
 import datetime as dt
 import time
 from enum import Enum
+from hashlib import blake2b
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -159,10 +165,12 @@ class Mediator:
     def __init__(self, store: Store, ledger: Ledger):
         self._store = store
         self._ledger = ledger
-        # Lineage -> (seq, canonical encoding, preferences, parsed payload)
-        # of the version at the latest ledger seq a query read both records
-        # of; a later seq replaces the entry.
-        self._kept: dict[tuple[int, int, int], tuple[int, bytes, PreferenceSet, HashRecord]] = {}
+        # Lineage -> (seq, fingerprint, preferences) of the version at the
+        # latest ledger seq whose two records a query verified: the
+        # fingerprint is a 16-byte BLAKE2b digest of the policy.db line's
+        # bytes and then the ledger record's, exactly as decoded and
+        # verified.  Other bytes at that seq, or a later seq, drop it.
+        self._kept: dict[tuple[int, int, int], tuple[int, bytes, PreferenceSet]] = {}
 
     # -- analysis -----------------------------------------------------------
 
@@ -213,8 +221,10 @@ class Mediator:
         lineages = self.analyze(request, id_to_name)
 
         stream_name = LINEAGE_STREAM.format
+        policy_line = self._store.policy_line
         latest_instance = self._store.latest_tuple_instance
         latest_seq = self._ledger.latest_seq
+        ledger_record = self._ledger.record
         latest_item = self._ledger.latest_item
         kept = self._kept
         entries: list[VerificationEntry] = []
@@ -228,36 +238,50 @@ class Mediator:
             except UnknownStream:  # a lineage stream has items from its start
                 seq, ok, prefs, note = None, False, None, VERIFIED_NO_POLICY
             else:
-                # What both records of the version at this seq gave is kept,
-                # so a repeat query reads, decodes and parses nothing.  A
-                # read that fails, or a payload that does not parse, keeps
-                # nothing: every query reads it again.  A published hash
-                # with no readable plaintext stored at its seq cannot be
-                # verified.
+                # Both records of the version at this seq are read once, on
+                # every query.  Where their bytes are those a verification
+                # passed on, its verdict stands; otherwise they are decoded
+                # and verified, and kept only if they pass.  A read that
+                # fails, a line that does not decode, a payload that does
+                # not parse, and a published hash with no readable
+                # plaintext stored at its seq are mismatches.
+                try:
+                    line = policy_line(seq)
+                except CorruptRecord:
+                    line = None
+                try:
+                    record = ledger_record(seq)
+                except LedgerError:
+                    record = None
+                # The indexes fix both records' lengths at a seq, so their
+                # concatenation tells the two apart.
+                fingerprint = (
+                    None
+                    if line is None or record is None
+                    else blake2b(line + record, digest_size=16).digest()
+                )
                 entry = kept.get(lineage)
-                if entry is not None and entry[0] == seq:
+                if entry is not None and entry[1] == fingerprint and entry[0] == seq:
+                    ok, prefs = True, entry[2]
                     ledger_reads += 1
-                else:
-                    entry = None
-                    try:
-                        instance = latest_instance(lineage, seq)
-                    except CorruptRecord:
-                        instance = None
-                    try:
-                        payload = latest_item(stream).payload
-                        ledger_reads += 1
-                        if instance is not None:
-                            record = HashRecord.from_string(payload)
-                            t = instance.privacy_tuple
-                            entry = kept[lineage] = (seq, canonical_encode(t), t.prefs, record)
-                    except (LedgerError, MalformedRecord):
-                        pass
-                if entry is None:
-                    ok, prefs = False, None
-                else:
-                    _, encoded, prefs, record = entry
-                    ok = verify_hash(encoded, record)
                     hash_verifications += 1
+                else:
+                    kept.pop(lineage, None)
+                    ok, prefs = False, None
+                    try:
+                        if record is not None:
+                            payload = latest_item(stream, record).payload
+                            ledger_reads += 1
+                            if line is not None:
+                                t = latest_instance(lineage, seq, line).privacy_tuple
+                                published = HashRecord.from_string(payload)
+                                ok = verify_hash(canonical_encode(t), published)
+                                hash_verifications += 1
+                    except (LedgerError, CorruptRecord, MalformedRecord):
+                        pass
+                    if ok:
+                        prefs = t.prefs
+                        kept[lineage] = (seq, fingerprint, prefs)
                 note = VERIFIED_OK if ok else VERIFIED_MISMATCH
             aborted = aborted or note == VERIFIED_MISMATCH
             entries.append(VerificationEntry(lineage, seq, ok, note))

@@ -8,24 +8,27 @@ provider's update, an atomic replace of content.db, so the replaced
 values leave the disk.  The files are the source of truth.
 
 Opening reads each family file in one streaming pass over its bytes and
-decodes every content and credential record.  Of policy.db it reads each
-line's ledger seq and tuple version (and checks its stream name) with
-one anchored pattern, and keeps per line, in file order, only those
-fields and where the line is (offset, length and line number), not the
-line, in packed 64-bit columns.  The seqs must rise from line to line; a
-line whose seq does not, one the pattern rejects, one with a number of
-2**63 or more, or one that is not UTF-8, fails the open, which then
-leaves no file open.  The store does not say which version of a lineage
-is current: the ledger does, through its stream's latest seq, and the
-store finds the line at that seq by bisection.  That line is read back
-with os.pread and decoded on every call, and must be of the lineage
-asked for, at the indexed version and seq; a record that fails either,
-say because it changed on disk since open, or a read the system refuses,
-raises CorruptRecord.  The store keeps no decoded tuple: what a repeat
-query reads of a verified version, the mediator keeps.  Older versions,
-and a line no ledger item names, stay on disk and are never read:
-policy.db is append-only.  Every write goes to the file before memory
-takes it.
+decodes every content and credential record; only policy.db's bytes are
+hashed, for its checkpoint.  Of policy.db it reads each line's ledger
+seq and tuple version (and checks its stream name) with one anchored
+pattern, and keeps per line, in file order, only those fields and where
+the line is (offset, length and line number), not the line, in packed
+64-bit columns.  The seqs must rise from line to line; a line whose seq
+does not, one the pattern rejects, one with a number of 2**63 or more,
+or one that is not UTF-8, fails the open, which then leaves no file
+open.  The store does not say which version of a lineage is current: the
+ledger does, through its stream's latest seq, and the store finds the
+line at that seq by bisection.  The read and the decode are apart:
+policy_line reads the line's bytes back with os.pread, and
+latest_tuple_instance decodes them, or bytes it reads itself, on every
+call; the instance must be of the lineage asked for, at the indexed
+version and seq.  A record that fails either, say because it changed on
+disk since open, or a read the system refuses, raises CorruptRecord.
+The store keeps no decoded tuple: the mediator keeps, per verified
+version, a fingerprint of the bytes it verified and the preferences, and
+decodes a line only when its bytes are not those.  Older versions, and a
+line no ledger item names, stay on disk and are never read: policy.db is
+append-only.  Every write goes to the file before memory takes it.
 
 policy.db is checkpointed as ledger.db is (see files.IndexedFile); its
 checkpoint holds the line count and those columns.
@@ -270,26 +273,35 @@ def _line(record: Record) -> str:
 
 
 def _open_records(file: IndexedFile, kind: type[Record]) -> list:
-    """Open a content or credential file, which has no checkpoint to take,
-    and decode its records."""
+    """Open a content or credential file, which has no checkpoint to take
+    and so feeds its hasher nothing, and decode its records."""
     lines = []
     def decode(line):
         return kind.from_dict(json.loads(line))
-    file.open(lambda parts: False, lambda: lines.extend(_decode_lines(file, decode)))
+    file.open(lambda parts: False, lambda: lines.extend(_decode_lines(file, file.reader, decode)))
     return [record for *_, record in lines if record is not None]
 
 
-def _decode_lines(file: IndexedFile, decode, lineno: int = 0):
+def _hashed(file: IndexedFile):
+    """The lines of the file's reader from its position on, each fed to
+    its hasher."""
+    update = file.hasher.update
+    for raw in file.reader:
+        update(raw)
+        yield raw
+
+
+def _decode_lines(file: IndexedFile, raws, decode, lineno: int = 0):
     """(line number, offset, length, decoded) per line of a family file
-    from its reader's position on, in one pass over its bytes, which feeds
-    its hasher, decoded None for a blank line; line numbers carry on from
-    lineno.  Lines end at LF, CRLF or a lone CR, as a text read ends them;
-    offset and length are the line's bytes without its end.  Each line is
-    decoded as UTF-8 on its own and stripped, so a line that is not UTF-8
-    or fails to decode raises StoreError naming the file and line."""
+    in raws, the lines of its reader (up to and with each LF) from its
+    position on, in one pass over their bytes, decoded None for a blank
+    line; line numbers carry on from lineno.  Lines end at LF, CRLF or a
+    lone CR, as a text read ends them; offset and length are the line's
+    bytes without its end.  Each line is decoded as UTF-8 on its own and
+    stripped, so a line that is not UTF-8 or fails to decode raises
+    StoreError naming the file and line."""
     offset = file.reader.tell()
-    for raw in file.reader:  # up to and with each LF
-        file.hasher.update(raw)
+    for raw in raws:
         for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
             lineno += 1
             content = piece.rstrip(b"\r\n")
@@ -361,7 +373,7 @@ class Store:
     def _index_policy(self):
         """Run open's pass over policy.db from the reader's position on."""
         lineno = self._policy_lines
-        lines = _decode_lines(self._policy, _index_policy_line, lineno)
+        lines = _decode_lines(self._policy, _hashed(self._policy), _index_policy_line, lineno)
         for lineno, offset, length, indexed in lines:
             if indexed is not None:
                 seqs = self._columns[0]
@@ -451,34 +463,53 @@ class Store:
         self._index_line(instance.seq, instance.version, offset, length, self._policy_lines)
         return lineage
 
-    def latest_tuple_instance(self, lineage: tuple[int, int, int], seq: int) -> TupleInstance | None:
-        """The lineage's version stored at the ledger seq that is its
-        stream's latest, read back and decoded, or None when policy.db
-        holds no line at that seq; raises CorruptRecord when the read fails
-        or the line fails to decode or disagrees with the lineage or its
-        index.  The lineage is a (provider_id, attribute_id, accessor_id)
-        tuple."""
-        seqs, versions, offsets, lengths, linenos = self._columns
+    def policy_line(self, seq: int) -> bytes | None:
+        """The bytes of the policy.db line at the ledger seq, read back
+        without its line end, or None when policy.db holds no line at that
+        seq; a read the system refuses raises CorruptRecord."""
+        seqs, _, offsets, lengths, _ = self._columns
         row = bisect_left(seqs, seq)
         if row == len(seqs) or seqs[row] != seq:
             return None
-        where = f"{self._policy.path} line {linenos[row]}"
         fd = self._policy.fileno()  # a closed store raises ValueError here
         try:
-            line = os.pread(fd, lengths[row], offsets[row])
-            instance = TupleInstance.from_dict(json.loads(line.decode("utf-8").strip()))
+            return os.pread(fd, lengths[row], offsets[row])
         except OSError as exc:
-            raise CorruptRecord(f"{where}: unreadable policy record ({exc})") from None
+            raise CorruptRecord(f"{self._where(row)}: unreadable policy record ({exc})") from None
+
+    def latest_tuple_instance(
+        self, lineage: tuple[int, int, int], seq: int, line: bytes | None = None
+    ) -> TupleInstance | None:
+        """The lineage's version stored at the ledger seq that is its
+        stream's latest, decoded from line, the bytes policy_line(seq)
+        returned, if the caller has read them, or else read back; None when
+        policy.db holds no line at that seq.  Raises CorruptRecord when the
+        read fails or the line fails to decode or disagrees with the
+        lineage or its index.  The lineage is a (provider_id, attribute_id,
+        accessor_id) tuple."""
+        if line is None:
+            line = self.policy_line(seq)
+            if line is None:
+                return None
+        seqs, versions = self._columns[:2]
+        row = bisect_left(seqs, seq)
+        try:
+            instance = TupleInstance.from_dict(json.loads(line.decode("utf-8").strip()))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CorruptRecord(f"{where}: undecodable policy record ({exc})") from None
+            raise CorruptRecord(f"{self._where(row)}: undecodable policy record ({exc})") from None
         if (instance.lineage, instance.stream, instance.version, instance.seq) != (
             lineage,
             LINEAGE_STREAM.format(*lineage),
             versions[row],
             seqs[row],
         ):
-            raise CorruptRecord(f"{where}: tuple disagrees with its stream, seq or version")
+            raise CorruptRecord(
+                f"{self._where(row)}: tuple disagrees with its stream, seq or version"
+            )
         return instance
+
+    def _where(self, row: int) -> str:
+        return f"{self._policy.path} line {self._columns[4][row]}"
 
     # -- selection ----------------------------------------------------------
 

@@ -3,14 +3,19 @@ lineages in one pass, kept as the reference for that pass.
 
 ReferenceMediator.mediate is the mediation as it was then: each lineage
 is verified by its own method, which asks the ledger for the stream's
-latest seq, the store for the instance stored at that seq and the
-ledger for the item at it, and parses the item's hash record through a
-method that keeps the parse per stream in the reference's own dict (the
-package's mediator keeps one entry per lineage instead), then hashes the
-instance's canonical encoding; the entries are collected in a list and
-the instances in a dict keyed by Lineage, a named tuple built from each
-of analyze's plain ones; a second scan of the entries looks for a
-mismatch; and then each lineage's policy is decided.
+latest seq, the store for the instance stored at that seq and the ledger
+for the item at it, and parses the item's hash record through a method
+that keeps the parse per stream in the reference's own dict (the
+package's mediator keeps a fingerprint per lineage instead, and hashes
+only records whose bytes it has not verified), then hashes the
+instance's canonical encoding on every call.  Its ledger_reads counts
+each ledger item read back whole and intact, one per lineage with a
+stream whose latest record passes its read back; the package's mediator
+reads that record once per query as well, and counts the same reads.
+The entries are collected in a list and the instances in a dict keyed by
+Lineage, a named tuple built from each of analyze's plain ones; a second
+scan of the entries looks for a mismatch; and then each lineage's policy
+is decided.
 
 reference_evaluate_access is the access decision as it was before it
 returned shared decisions: it builds the union of the roles the policy

@@ -4,13 +4,18 @@ Mediator.mediate verifies every lineage in one pass and then decides the
 verified ones' policies.  tests/mediation_reference.py keeps the
 mediation as it was before: a method per lineage, a dict of instances, a
 second scan for a mismatch, and the access decision that built a role
-union and a window end per call.  For random point, all-provider and
-filtered requests over a population that meets every denial reason,
-with unpublished lineages and with damage drawn per lineage (a tampered
-stored tuple, a ledger payload that does not parse, a stored record that
-does not decode, a ledger record that fails its read back), both give
-equal results in every field but timing, their operation counts
-included, on a first query and on its repeat.
+union and a window end per call.  The reference reads, decodes and
+hashes both records of every lineage on every call, where the mediator
+hashes only records whose bytes differ from those it verified.  For
+random point, all-provider and filtered requests over a population that
+meets every denial reason, with unpublished lineages and with damage
+drawn per lineage (a tampered stored tuple, a ledger payload that does
+not parse, a stored record that does not decode, a ledger record that
+fails its read back), both give equal results in every field but
+timing, their operation counts included, on a first query and on its
+repeat.  Between the two, the stored tuple of an undamaged lineage the
+request touches, drawn, may be tampered in place, keeping the line's
+length, so that the repeat must notice the change on disk.
 """
 
 from __future__ import annotations
@@ -114,6 +119,17 @@ def _tamper(data_dir: Path, stream: str):
     path.write_bytes(content[:start] + line + content[end:])
 
 
+def _tamper_in_place(data_dir: Path, stream: str):
+    """Change one byte of the declared purpose in the stored tuple the
+    stream's latest hash was taken from, keeping the line's length."""
+    path = data_dir / "policy.db"
+    start, end = _latest_line_span(path, stream)
+    content = path.read_bytes()
+    field = b'"declared_purpose": "'
+    at = content.index(field, start, end) + len(field)
+    _overwrite(path, at, b"1" if content[at : at + 1] == b"0" else b"0")
+
+
 def _damage_after_open(engine: Engine, stream: str, kind: str):
     if kind == "malformed-payload":
         engine.ledger.publish(stream, "key-bad", b"$pbkdf2$8$not-a-salt")
@@ -166,7 +182,15 @@ def test_one_pass_mediation_equals_the_reference(population, request, now, damag
                 if kind != "tampered":
                     _damage_after_open(engine, LINEAGE_STREAM.format(*lineage), kind)
             reference = ReferenceMediator(engine.store, engine.ledger)
-            for _ in range(2):  # the repeat finds each parse kept
+            touched = [
+                lineage
+                for lineage in engine.mediator.analyze(request)
+                if lineage in published and lineage not in damaged
+            ]
+            tampered_between = damage.draw(st.sampled_from([None, *touched]))
+            for repeat in range(2):
+                if repeat and tampered_between is not None:
+                    _tamper_in_place(data_dir, LINEAGE_STREAM.format(*tampered_between))
                 assert _outcome(engine.mediate, request, now) == _outcome(
                     reference.mediate, request, now
                 )

@@ -567,6 +567,7 @@ def test_a_closed_ledger_refuses_every_read_and_append(tmp_path, opened):
     before = path.read_bytes()
     for use in (
         lambda: led.item(0),
+        lambda: led.record(1),
         lambda: led.latest_item("stream-4-5-3"),
         lambda: led.list_items("stream-4-5-3"),
         lambda: led.create_stream("stream-4-1-3", "key17", b"v1"),
@@ -587,6 +588,8 @@ def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
     before = path.read_bytes()
     with pytest.raises(ValueError, match=closed_file(path)):
         store.latest_tuple_instance(DEMO_LINEAGE_A, 3)  # not a CorruptRecord
+    with pytest.raises(ValueError, match=closed_file(path)):
+        store.policy_line(3)
     with pytest.raises(ValueError, match=closed_file(path)):
         store.put_tuple_instance(sample_instance(store, version=9, seq=99))
     assert path.read_bytes() == before
@@ -635,5 +638,23 @@ def test_a_closed_engine_raises_rather_than_abort_a_query(tmp_path):
         attributes=("street_name",),
         provider_id=DEMO_PROVIDER_ID,
     )
+    with pytest.raises(ValueError, match=closed_file(engine.config.data_dir / "policy.db")):
+        engine.mediate(request, now=dt.date(2021, 7, 1))
+
+
+def test_a_warm_engine_once_closed_raises_too(tmp_path):
+    # Every query reads both records of a published lineage, so what a
+    # warm engine verified before its close answers nothing after it.
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
+    engine = Engine.open(engine.config)
+    request = QueryRequest(
+        accessor_id=DEMO_ACCESSOR_ID,
+        requested_purpose="care-delivery",
+        attributes=("street_name",),
+        provider_id=DEMO_PROVIDER_ID,
+    )
+    assert engine.mediate(request, now=dt.date(2021, 7, 1)).verification[0].verified
+    engine.close()
     with pytest.raises(ValueError, match=closed_file(engine.config.data_dir / "policy.db")):
         engine.mediate(request, now=dt.date(2021, 7, 1))

@@ -329,13 +329,14 @@ def test_open_keeps_no_file_text(tmp_path):
 
 
 # A query adds, per lineage it touches, the mediator's one entry: the seq,
-# the canonical encoding, the preferences and the parse of the latest hash
-# record, about 1.44 KB per lineage here (Python 3.11).  The bound leaves a
-# seventh of that as headroom.  While the store also kept the decoded tuple
-# instance, this was about 1.73 KB; an engine that kept every ledger item
-# it read, and a copy of the catalog's attribute and the accessor's profile
-# in every tuple, kept about 3.35 KB.
-MAX_WARM_PER_LINEAGE = 1650
+# a 16-byte fingerprint of the two records' bytes and the preferences,
+# about 645 B per lineage here (Python 3.11).  The bound leaves about a
+# quarter of that as headroom.  While the entry also kept the canonical encoding and
+# the parse of the latest hash record, this was about 1.44 KB; while the
+# store also kept the decoded tuple instance, about 1.73 KB; an engine that
+# kept every ledger item it read, and a copy of the catalog's attribute
+# and the accessor's profile in every tuple, kept about 3.35 KB.
+MAX_WARM_PER_LINEAGE = 800
 
 
 def test_a_query_keeps_each_lineage_once(tmp_path):

@@ -1,15 +1,21 @@
-"""Repeat verification: a lineage's latest stored version is decoded and
-encoded canonically, and its ledger hash record parsed, once per version,
-and the mediator keeps the results in one entry per lineage; but every
-query re-hashes every published lineage it touches, so a new version or a
-tampered record decides the very next query.  Each test runs on both open
+"""Repeat verification: every query reads both records of each published
+lineage it touches back from disk, the policy.db line and the ledger
+record at the stream's latest seq, and compares their bytes with the
+fingerprint the mediator keeps of the bytes a check passed on.  The KDF
+runs only where they differ: once per lineage version per engine, and
+again after any change on disk, so a new version, a record tampered
+between two queries, or one restored, decides the very next query, and a
+mismatch is checked again by every query.  Each test runs on both open
 paths: from the checkpoints the last close wrote, and the full pass."""
 
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import json
+import os
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +35,8 @@ from privledger.tuples import canonical_encode
 
 NOW = dt.date(2021, 7, 1)
 CITY = 6  # a Demographic attribute, granted Specific
+LINEAGE = (2, CITY, BENCH_ACCESSOR_ID)
+STREAM = "stream-{}-{}-{}".format(*LINEAGE)
 # first_name has no published policy; city and chart_number have one.
 REQUEST = QueryRequest(
     accessor_id=BENCH_ACCESSOR_ID,
@@ -100,11 +108,70 @@ def stored_encodings(engine, entries):
     ]
 
 
+def fingerprint(engine, seq):
+    """The fingerprint of both records at seq as they are on disk."""
+    line = engine.store.policy_line(seq)
+    return hashlib.blake2b(line + engine.ledger.record(seq), digest_size=16).digest()
+
+
 def disclosed(result):
     return sum(cell != WITHHELD for row in result.rows for cell in row.cells)
 
 
-def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes, parsed):
+def assert_aborts_on(result, lineage):
+    assert result.status is MediationStatus.ABORTED
+    assert result.rows == () and disclosed(result) == 0
+    assert result.denials == tuple((name, INTEGRITY_ABORT) for name in REQUEST.attributes)
+    assert [e.lineage for e in result.verification if e.note == "mismatch"] == [lineage]
+    assert result.ops.selects == 0
+
+
+def _change_byte(path: Path, at: int) -> bytes:
+    """Change the byte at offset at of the file in place, to "0", or "1"
+    where it is "0"; returns the byte it replaced."""
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        old = fh.read(1)
+        fh.seek(at)
+        fh.write(b"1" if old == b"0" else b"0")
+    return old
+
+
+def _restore_byte(path: Path, at: int, old: bytes):
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        fh.write(old)
+
+
+def declared_purpose_byte(engine, seq) -> int:
+    """Offset in policy.db of the first byte of the declared purpose on the
+    line at seq."""
+    path = engine.config.data_dir / "policy.db"
+    field = b'"declared_purpose": "'
+    at = 0
+    for line in path.read_bytes().splitlines(keepends=True):
+        if line.startswith(f'{{"seq": {seq}, '.encode()):
+            return at + line.index(field) + len(field)
+        at += len(line)
+    raise AssertionError(f"no policy.db line at seq {seq}")
+
+
+def payload_digit(engine, seq) -> int:
+    """Offset in ledger.db of the last hex digit of the payload of the
+    record at seq."""
+    at = 0
+    for line in engine.ledger.path.read_bytes().splitlines(keepends=True):
+        fields = line.split(b"\t")
+        if fields[0] == str(seq).encode():
+            assert fields[5].startswith(b"$pbkdf2$")
+            return at + len(b"\t".join(fields[:6])) - 1
+        at += len(line)
+    raise AssertionError(f"no ledger record at seq {seq}")
+
+
+def test_a_repeat_rehashes_no_lineage_whose_records_are_unchanged(
+    configs, hashed, encodes, parsed
+):
     for config in configs:
         with closing(Engine.open(config)) as engine:
             hashed.clear()
@@ -124,15 +191,17 @@ def test_every_query_rehashes_every_published_lineage(configs, hashed, encodes, 
             encodes.clear()
             parsed.clear()
             second = engine.mediate(REQUEST, now=NOW)
-            assert second.ops.hash_verifications == first.ops.hash_verifications
-            assert hashed == stored_encodings(engine, entries)
-            assert encodes == []  # each stored version is encoded once
-            assert parsed == []  # and each latest hash record parsed once
+            # Both records of every lineage are read again and are the bytes
+            # verified, so nothing is decoded, parsed or hashed.
+            assert second.ops == first.ops
+            assert hashed == []
+            assert encodes == []
+            assert parsed == []
             assert second.verification == first.verification
             assert second.rows == first.rows
 
 
-def test_every_repeat_of_a_filtered_scan_hashes_and_evaluates_each_lineage(
+def test_every_repeat_of_a_filtered_scan_checks_and_evaluates_each_lineage(
     configs, hashed, monkeypatch
 ):
     evaluated = []
@@ -153,7 +222,7 @@ def test_every_repeat_of_a_filtered_scan_hashes_and_evaluates_each_lineage(
                 predicate={"city": city},
             )
             results = []
-            for _ in range(4):  # the first query warms the engine
+            for repeat in range(4):  # the first query warms the engine
                 hashed.clear()
                 evaluated.clear()
                 result = engine.mediate(request, now=NOW)
@@ -161,8 +230,9 @@ def test_every_repeat_of_a_filtered_scan_hashes_and_evaluates_each_lineage(
                 entries = published(result)
                 verified = [e for e in result.verification if e.verified]
                 assert len(entries) == len(verified) == 9 and len(result.verification) == 12
-                assert len(hashed) == result.ops.hash_verifications == len(entries)
-                assert hashed == stored_encodings(engine, entries)
+                assert result.ops.hash_verifications == len(entries)
+                # Only the first query runs the KDF; repeats match fingerprints.
+                assert hashed == (stored_encodings(engine, entries) if repeat == 0 else [])
                 assert len(evaluated) == result.ops.policy_evaluations == len(verified)
                 assert evaluated == [e.lineage[1] for e in verified]  # attribute ids
                 results.append(result)
@@ -191,21 +261,21 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, p
             encodes.clear()
             parsed.clear()
             second = engine.mediate(REQUEST, now=NOW)
-            # The new version is read back from disk and encoded, as a fresh
-            # process would; every other lineage reads nothing.
+            # The new version is read back from disk, decoded and hashed, as a
+            # fresh process would; every other lineage's records are the
+            # bytes verified before, and nothing of them is decoded.
             assert encodes == [old.lineage]
             assert parsed == [engine.ledger.item(publication.seq).payload]
             [new] = [e for e in second.verification if e.lineage == old.lineage]
             assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
-            assert second.ops.hash_verifications == first.ops.hash_verifications == len(hashed)
+            assert second.ops.hash_verifications == first.ops.hash_verifications == 6
             # The bytes verified are the freshly published instance's encoding.
             instance = engine.store.latest_tuple_instance(old.lineage, publication.seq)
             assert instance.version == publication.version
-            assert hashed == stored_encodings(engine, published(second))
-            seq, encoded, prefs, _ = engine.mediator._kept[old.lineage]
-            assert (seq, encoded, prefs) == (
+            assert hashed == stored_encodings(engine, [new])
+            assert engine.mediator._kept[old.lineage] == (
                 publication.seq,
-                canonical_encode(instance.privacy_tuple),
+                fingerprint(engine, publication.seq),
                 instance.privacy_tuple.prefs,
             )
             assert second.rows[0].cells[1] == WITHHELD
@@ -220,9 +290,7 @@ def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
         path = config.data_dir / "policy.db"
         lines = path.read_text().splitlines()
         target = max(
-            i
-            for i, line in enumerate(lines)
-            if json.loads(line)["stream"] == f"stream-2-{CITY}-{BENCH_ACCESSOR_ID}"
+            i for i, line in enumerate(lines) if json.loads(line)["stream"] == STREAM
         )
         record = json.loads(lines[target])
         record["tuple"]["prefs"]["purpose"]["declared_purpose"] += "-tampered"
@@ -231,21 +299,18 @@ def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
 
         with closing(Engine.open(config)) as engine:
             results = []
-            for _ in range(2):
+            for repeat in range(3):
                 hashed.clear()
                 result = engine.mediate(REQUEST, now=NOW)
                 results.append(result)
-                assert result.status is MediationStatus.ABORTED
-                assert result.rows == () and disclosed(result) == 0
-                assert result.denials == tuple(
-                    (name, INTEGRITY_ABORT) for name in REQUEST.attributes
-                )
-                assert [e.lineage for e in result.verification if e.note == "mismatch"] == [
-                    (2, CITY, BENCH_ACCESSOR_ID)
-                ]
-                assert result.ops.hash_verifications == len(hashed) == 6
-                assert result.ops.selects == 0
-            assert results[1].verification == results[0].verification
+                assert_aborts_on(result, LINEAGE)
+                assert result.ops.hash_verifications == 6
+                # The first query hashes every published lineage; a repeat
+                # hashes the mismatch again, and no other.
+                assert len(hashed) == (6 if repeat == 0 else 1)
+                assert LINEAGE not in engine.mediator._kept
+            assert results[2].verification == results[1].verification == results[0].verification
+            assert results[2].ops == results[1].ops == results[0].ops
 
             untouched = engine.mediate(
                 QueryRequest(
@@ -258,6 +323,84 @@ def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
             )
             assert untouched.status is MediationStatus.COMPLETED
             assert disclosed(untouched) == 1
+
+
+@pytest.mark.parametrize("record", ["policy-line", "ledger-payload"])
+def test_a_record_changed_between_two_warm_queries_aborts_the_second(configs, hashed, record):
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            first = engine.mediate(REQUEST, now=NOW)
+            assert first.status is MediationStatus.COMPLETED
+            [entry] = [e for e in first.verification if e.lineage == LINEAGE]
+            if record == "policy-line":
+                # One byte of the declared purpose: the line still decodes.
+                path, at = config.data_dir / "policy.db", declared_purpose_byte(engine, entry.seq)
+            else:
+                # One hex digit of the $pbkdf2$ payload: the record no longer
+                # gives its digest.
+                path, at = engine.ledger.path, payload_digit(engine, entry.seq)
+            old = _change_byte(path, at)
+            hashed.clear()
+            changed = engine.mediate(REQUEST, now=NOW)
+            assert_aborts_on(changed, LINEAGE)
+            # A changed line is decoded and hashed again; a changed ledger
+            # record fails its read back before any hash.
+            assert len(hashed) == (1 if record == "policy-line" else 0)
+            assert LINEAGE not in engine.mediator._kept
+
+            # The original bytes back: the lineage is verified once more.
+            _restore_byte(path, at, old)
+            hashed.clear()
+            restored = engine.mediate(REQUEST, now=NOW)
+            assert restored.status is MediationStatus.COMPLETED
+            assert hashed == stored_encodings(engine, [entry])
+            assert (restored.rows, restored.verification, restored.ops) == (
+                first.rows,
+                first.verification,
+                first.ops,
+            )
+
+            # A new version: the next query hashes it, and no other lineage.
+            prefs = make_prefs(attribute_id=CITY, declared="triage")
+            publication = engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
+            hashed.clear()
+            republished = engine.mediate(REQUEST, now=NOW)
+            assert republished.status is MediationStatus.COMPLETED
+            [new] = [e for e in republished.verification if e.lineage == LINEAGE]
+            assert (new.seq, new.verified) == (publication.seq, True)
+            assert hashed == stored_encodings(engine, [new])
+
+            # Nothing changed: no hash, and the same answer.
+            hashed.clear()
+            repeat = engine.mediate(REQUEST, now=NOW)
+            assert hashed == []
+            assert (repeat.rows, repeat.verification, repeat.ops) == (
+                republished.rows,
+                republished.verification,
+                republished.ops,
+            )
+
+
+def test_ledger_reads_counts_the_ledger_records_a_warm_query_reads(configs, monkeypatch):
+    original = os.pread
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            first = engine.mediate(REQUEST, now=NOW)
+            files = {"ledger": engine.ledger.path, "policy": config.data_dir / "policy.db"}
+            reads = {name: 0 for name in files}
+
+            def counting(fd, length, offset):
+                for name, path in files.items():
+                    reads[name] += os.path.samestat(os.fstat(fd), os.stat(path))
+                return original(fd, length, offset)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "pread", counting)
+                repeat = engine.mediate(REQUEST, now=NOW)
+            assert repeat.ops == first.ops
+            # Each published lineage's two records are read once each.
+            assert reads["ledger"] == repeat.ops.ledger_reads == len(published(repeat)) == 6
+            assert reads["policy"] == 6
 
 
 def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
@@ -273,38 +416,35 @@ def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
                 assert result.status is MediationStatus.COMPLETED
                 kept = engine.mediator._kept
                 assert len(kept) == 6
-                seq, encoded, kept_prefs, record = kept[lineage]
-                assert seq == publication.seq
-                assert kept_prefs == prefs
-                instance = engine.store.latest_tuple_instance(lineage, seq)
-                assert encoded == canonical_encode(instance.privacy_tuple)
-                assert record == tuples.HashRecord.from_string(engine.ledger.item(seq).payload)
+                # One entry per lineage: its seq, the fingerprint of both
+                # records' bytes there, and its preferences.
+                seq = publication.seq
+                assert kept[lineage] == (seq, fingerprint(engine, seq), prefs)
+                for e in published(result):
+                    assert kept[e.lineage][:2] == (e.seq, fingerprint(engine, e.seq))
 
 
 def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed):
     engine = make_engine(tmp_path, hash_cost=8)
     install_archetype_fixture(engine, 3, seed=7)
-    lineage = (2, CITY, BENCH_ACCESSOR_ID)
-    stream = f"stream-2-{CITY}-{BENCH_ACCESSOR_ID}"
-    latest = engine.store.latest_tuple_instance(lineage, engine.ledger.latest_seq(stream))
-    bad = engine.ledger.publish(stream, "key-bad", b"$pbkdf2$8$not-a-salt")
+    latest = engine.store.latest_tuple_instance(LINEAGE, engine.ledger.latest_seq(STREAM))
+    bad = engine.ledger.publish(STREAM, "key-bad", b"$pbkdf2$8$not-a-salt")
     # A next version stored at its seq, so that verification reaches the payload.
     t = latest.privacy_tuple
     bound = tuples.bind_tuple(2, t.attribute, t.prefs, t.accessor, t.version)
-    engine.store.put_tuple_instance(store.TupleInstance(bound, stream, bad.seq))
+    engine.store.put_tuple_instance(store.TupleInstance(bound, STREAM, bad.seq))
     for config in both_open_paths(engine):
         with closing(Engine.open(config)) as engine:
-            for _ in range(3):
+            for repeat in range(3):
                 hashed.clear()
                 parsed.clear()
                 result = engine.mediate(REQUEST, now=NOW)
-                assert result.status is MediationStatus.ABORTED
-                assert result.rows == () and disclosed(result) == 0
+                assert_aborts_on(result, LINEAGE)
                 mismatches = [e for e in result.verification if e.note == "mismatch"]
-                assert [(e.lineage, e.seq) for e in mismatches] == [
-                    ((2, CITY, BENCH_ACCESSOR_ID), bad.seq)
-                ]
+                assert [e.seq for e in mismatches] == [bad.seq]
                 assert parsed.count(bad.payload) == 1  # parsed again by every query
-                # the lineages whose records parse, each hashed and counted once
-                assert result.ops.hash_verifications == len(hashed) == 5
-            assert lineage not in engine.mediator._kept
+                # The lineages whose records parse are each counted once, and
+                # hashed by the first query only.
+                assert result.ops.hash_verifications == 5
+                assert len(hashed) == (5 if repeat == 0 else 0)
+            assert LINEAGE not in engine.mediator._kept
