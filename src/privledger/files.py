@@ -1,5 +1,8 @@
 """The file layer: each data file is an IndexedFile, and every byte the
-engine writes to one goes through append_line or replace_file."""
+engine writes to one goes through append_line or replace_file.  After
+open, records are read back by offset through IndexedFile.read_runs,
+which reads each run of back-to-back records with one os.pread and hands
+each record out as a memoryview slice of that read."""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ import hashlib
 import os
 import secrets
 from array import array
+from itertools import chain
 from pathlib import Path
 
 from .chain import CHUNK_BYTES, DIGEST_BYTES
@@ -108,6 +112,26 @@ def load_checkpoint(path: Path, fh):
     return hasher, parts[2:]
 
 
+# A run read takes at most this many bytes, so that the buffer it holds
+# stays this small whatever the query; a longer record is read alone.
+RUN_BYTES = 8 * 1024
+
+
+def _read_run(fd: int, run: list) -> list:
+    """The views IndexedFile.read_runs gives for run, a list of spans in
+    the file, each starting after the one before it ends."""
+    start = run[0][0]
+    offset, length = run[-1]
+    try:
+        data = memoryview(os.pread(fd, offset + length - start, start))
+    except OSError as exc:
+        if len(run) == 1:
+            return [exc]
+        # each span alone, so a refused read fails only the spans it covers
+        return [_read_run(fd, [span])[0] for span in run]
+    return [data[offset - start : offset - start + length] for offset, length in run]
+
+
 def int_array(data) -> array:
     """The 64-bit integers a checkpoint part holds."""
     values = array("q")
@@ -120,16 +144,21 @@ class IndexedFile:
     appends to; ledger.db and policy.db are also checkpointed at close.
 
     The owner keeps its index and runs the pass that builds it; this keeps
-    the rest.  open() takes the checkpoint beside the file where it is
-    whole, of this CHECKER_VERSION, its prefix unchanged and ending after
-    a newline, and the owner's take(parts) accepts its parts (the index at
-    the prefix's end); the owner's pass then runs over the tail only.  Else
-    the pass runs over the whole file.  save() writes a new checkpoint,
-    the prefix's length and SHA-256 and then the owner's parts, only when
-    this process wrote, ran the full pass or met a tail of at least
-    CHECKPOINT_TAIL_BYTES, the file ends in a newline, and close() never
-    ran.  The first append to a file whose last line lacks its newline
-    writes it first.
+    the rest.  An owner that checkpoints the file gives it take(parts),
+    which takes a checkpoint's parts as its index.  open() takes the
+    checkpoint beside the file where it is whole, of this CHECKER_VERSION,
+    its prefix unchanged and ending after a newline, and take accepts its
+    parts (the index at the prefix's end); the owner's pass then runs over
+    the tail only.  Else the pass runs over the whole file.  save() writes
+    a new checkpoint, the prefix's length and SHA-256 and then the owner's
+    parts, only when this process wrote, ran the full pass or met a tail
+    of at least CHECKPOINT_TAIL_BYTES, the file ends in a newline, and
+    close() never ran.  A file with no take (content.db, credentials.db)
+    has no checkpoint: open looks for none, and nothing hashes its bytes.
+    The first append to a file whose last line lacks its newline writes
+    it first.
+
+    After open, records are read back by offset through read_runs.
 
     The read-only handle is held from open(), create() or replace(), and
     the unbuffered append handle from the first append, until close() or
@@ -139,26 +168,27 @@ class IndexedFile:
     creates gets mode 0600.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, take=None):
         self.path = path
+        self._take = take
         self.reader = self._out = None
         self.closed = False
-        # Fed the file's first `size` bytes, for a checkpoint; an owner that
-        # never saves one need not feed it at open.
-        self.hasher = hashlib.sha256()
+        # Fed the file's first `size` bytes, for a checkpoint; None for a
+        # file with no take.
+        self.hasher = None if take is None else hashlib.sha256()
         self.size = 0
         self._due = False
         self._unterminated = False  # the file's last line lacks its newline
 
-    def open(self, take, index):
-        """Open the file and index it: take(parts) takes the checkpoint's
-        index, with the reader at its prefix's end, and says whether its
-        values are in range; index() then runs the owner's pass from the
-        reader's position to the end of the file, feeding hasher if the
-        owner saves checkpoints."""
+    def open(self, index):
+        """Open the file and index it: take(parts), if the file has one,
+        takes the checkpoint's index, with the reader at its prefix's end,
+        and says whether its values are in range; index() then runs the
+        owner's pass from the reader's position to the end of the file,
+        feeding hasher unless it is None."""
         self.reader = open(self.path, "rb")
-        found = load_checkpoint(self.path, self.reader)
-        if found is not None and take(found[1]):
+        found = None if self._take is None else load_checkpoint(self.path, self.reader)
+        if found is not None and self._take(found[1]):
             self.hasher = found[0]
         else:
             self.reader.seek(0)
@@ -180,10 +210,48 @@ class IndexedFile:
         if self.closed:
             raise ValueError(f"I/O operation on closed file: {self.path}")
 
-    def fileno(self) -> int:
-        """The read-only handle's descriptor, to read records by offset."""
+    def read_runs(self, spans, gap: int = 0):
+        """An iterator that gives, per (offset, length) span in spans, the
+        bytes there as a memoryview, just as os.pread of that span alone
+        returns them (short where the file ends inside it), or the OSError
+        that read raises; None for a None span.
+
+        A run is a stretch of consecutive spans, each starting gap bytes
+        after the one before it ends, of at most RUN_BYTES from the first's
+        offset to the last's end (a longer span is a run alone).  Each run
+        is read with one os.pread, when the caller asks for its first span,
+        and its views are slices of that read; so the caller that drops a
+        run's views before it asks past the run holds one run's bytes at a
+        time.  If the run's read raises OSError, each of its spans is read
+        alone, so a read the system refuses fails only the spans it covers.
+        The handle is checked open once, at the first span."""
+        return chain.from_iterable(self._runs(spans, gap))
+
+    def _runs(self, spans, gap: int):
+        """The views read_runs gives, a list per run; [None] per None span."""
         self.check_open()
-        return self.reader.fileno()
+        fd = self.reader.fileno()
+        run = []
+        follows = limit = -1  # where the run's next span must start, and end by
+        for span in spans:
+            if span is not None:
+                offset, length = span
+                end = offset + length
+                if offset == follows and end <= limit:
+                    run.append(span)
+                    follows = end + gap
+                    continue
+            if run:
+                yield _read_run(fd, run)
+            if span is None:
+                run = []
+                follows = -1
+                yield [None]
+            else:
+                run = [span]
+                follows, limit = end + gap, offset + RUN_BYTES
+        if run:
+            yield _read_run(fd, run)
 
     def append(self, line: str) -> tuple[int, int]:
         """Append a line; returns its offset and its length in bytes without
@@ -195,7 +263,8 @@ class IndexedFile:
         data = append_line(self._out, line, newline)
         self._unterminated = False
         self._due = True
-        self.hasher.update(data)
+        if self.hasher is not None:
+            self.hasher.update(data)
         offset = self.size + newline
         self.size += len(data)
         return offset, len(data) - newline - 1
@@ -210,7 +279,9 @@ class IndexedFile:
         reader = open(self.path, "rb")
         self.close()  # the replaced file's handles
         self.reader, self.closed = reader, False
-        self.hasher, self.size = hashlib.sha256(data), len(data)
+        if self.hasher is not None:
+            self.hasher = hashlib.sha256(data)
+        self.size = len(data)
         self._due, self._unterminated = True, False
 
     def save(self, parts):

@@ -13,9 +13,12 @@ latest.  A StreamItem is built on every read and not kept, from the
 record read back at its offset, which must pass the field check again and
 re-derive the digest open kept or the append wrote, so a record that
 changed on disk since fails that read.  The read and the build are apart:
-record(seq) returns the bytes, and latest_item builds the item from bytes
-a caller already read, so a caller that only needs to know whether a
-record is still the one it checked reads it once and decodes nothing.  An
+records(seqs) reads many records' bytes, each run of back-to-back records
+with one os.pread (files.IndexedFile.read_runs), and record(seq) is its
+one-record call; latest_item builds the item from bytes a caller already
+read, so a caller that only needs to know whether a record is still the
+one it checked reads it once and decodes nothing.  latest_seqs(lineages)
+looks up the latest seq of every lineage of a query in one call.  An
 append links to the digest kept and, after the first append since open,
 to the kept timestamp of the last record, so it reads nothing.  Chain
 verification re-derives every digest and link.  The file, with its
@@ -25,12 +28,11 @@ handles and checkpoint, is a files.IndexedFile.
 from __future__ import annotations
 
 import datetime as dt
-import os
 import re
 import secrets
 from array import array
 from binascii import unhexlify
-from itertools import islice
+from itertools import islice, starmap
 from operator import lt
 from pathlib import Path
 from typing import NamedTuple
@@ -184,7 +186,7 @@ class Ledger:
             raise LedgerError(f"no ledger at {self._path}")
         # The last record's time once an append has needed it.
         self._last_time: dt.datetime | None = None
-        self._file = IndexedFile(self._path)
+        self._file = IndexedFile(self._path, self._take)
         try:
             if create:
                 self._file.create()
@@ -192,7 +194,7 @@ class Ledger:
                 self._offsets.append(0)
                 self._append(ROOT_STREAM, "", b"")
             else:
-                self._file.open(self._take, self._index)
+                self._file.open(self._index)
                 self._publisher = self.stream(ROOT_STREAM).created_by
         except BaseException:
             self.close()  # a failed open or create leaves no file open
@@ -407,10 +409,26 @@ class Ledger:
             raise EmptyStream(f"stream has no items: {name}")
         return seq
 
-    def latest_item(self, name: str, record: bytes | None = None) -> StreamItem:
+    def latest_seqs(self, lineages) -> list[int | None]:
+        """The latest seq of each (provider_id, attribute_id, accessor_id)
+        lineage's stream, in order, None for a lineage with no stream;
+        raises what latest_seq raises for a stream with no items."""
+        rows, last = self._rows, self._last
+        seqs = []
+        for name in starmap(LINEAGE_STREAM.format, lineages):
+            row = rows.get(name)
+            if row is None:
+                seqs.append(None)
+            elif last[row]:
+                seqs.append(last[row])
+            else:
+                raise EmptyStream(f"stream has no items: {name}")
+        return seqs
+
+    def latest_item(self, name: str, record=None) -> StreamItem:
         """The stream's latest item, built from record, the bytes that
-        record(latest_seq(name)) returned, if the caller has read them;
-        raises what latest_seq, record and item raise."""
+        record(latest_seq(name)) returns (or records gives), if the caller
+        has read them; raises what latest_seq, record and item raise."""
         # Open and the checkpoint checks keep seq in range.
         seq = self.latest_seq(name)
         return self._read(seq, self.record(seq) if record is None else record)
@@ -427,23 +445,36 @@ class Ledger:
         """The bytes of the record at seq (0 <= seq < the record count),
         read back from the file whole; a read the system refuses, or one
         the file ends inside, raises LedgerError."""
-        start, end = self._offsets[seq], self._offsets[seq + 1]
-        fd = self._file.fileno()
-        try:
-            record = os.pread(fd, end - start, start)
-        except OSError as exc:
-            raise _corrupt(seq, exc) from None
-        if len(record) != end - start:
-            raise _corrupt(seq, "the file ends inside the record")
-        return record
+        [record] = self.records([seq])
+        if isinstance(record, OSError):
+            raise _corrupt(seq, record)
+        self._check_whole(seq, record)
+        return bytes(record)
 
-    def _read(self, seq: int, record: bytes) -> StreamItem:
+    def records(self, seqs):
+        """An iterator over the records at the seqs, a sequence (each
+        0 <= seq < the record count): per seq, its bytes read back from the
+        file as a memoryview, short where the file ends inside it, or the
+        OSError its read raised.  Back-to-back records are read together;
+        see files.IndexedFile.read_runs.  An item built from the bytes
+        (latest_item) checks that they are whole."""
+        offsets = self._offsets
+        return self._file.read_runs(
+            (offsets[seq], offsets[seq + 1] - offsets[seq]) for seq in seqs
+        )
+
+    def _check_whole(self, seq: int, record):
+        if len(record) != self._offsets[seq + 1] - self._offsets[seq]:
+            raise _corrupt(seq, "the file ends inside the record")
+
+    def _read(self, seq: int, record) -> StreamItem:
         """Build the item of the record at seq from the bytes read back of
-        it, which must still be the record open checked or an append
-        wrote: the field check passes again and the fields re-derive the
-        digest kept."""
+        it (any bytes-like object), which must still be the whole record
+        open checked or an append wrote: the field check passes again and
+        the fields re-derive the digest kept."""
+        self._check_whole(seq, record)
         try:
-            match = _match_line(record.decode("ascii").removesuffix("\n"))
+            match = _match_line(str(record, "ascii").removesuffix("\n"))
             item = _build_item(match)
         except ValueError as exc:
             raise _corrupt(seq, exc) from None

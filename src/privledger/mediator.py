@@ -1,28 +1,32 @@
 """Privacy-aware query mediation.
 
 Every query is decomposed into (provider, attribute, accessor) lineages.
-One pass over them asks the ledger for each lineage stream's latest seq,
-which alone says which version is current, and reads both records of
-that version back from disk, on every query: the policy.db line the
-store holds at that seq and the ledger record there.  The canonical
-encoding of the stored tuple is re-hashed and checked against the hash
-published in the ledger record, unless both records are byte for byte
-those a check already passed on in this engine: then that verdict
-stands.  So the KDF runs once per lineage version per engine, and again
-after any change on disk to either record; a fresh process runs it on
-every published lineage it touches.  A lineage without a stream has no
-policy and reads nothing from the store; a single mismatch, including a
-published item with no readable instance at its seq, aborts the whole
-request with zero disclosed cells.  Between queries the mediator alone
-keeps, per lineage, the seq, a fingerprint of the two records' bytes and
-the preferences of the version a check passed on, never a failed check
-or an access decision.  Verified lineages then pass through policy
-evaluation, the query is rewritten to the allowed attribute set,
-executed once, and each disclosed cell is transformed to its granted
-granularity.  A stored policy record that fails its read back or its
-decode, or a ledger record that fails its read back (changed on disk
-since open, or not matching its digest), is a mismatch too, never a
-pass.
+The ledger gives the latest seq of every lineage's stream in one call,
+which alone says which version is current, and both records of that
+version are read back from disk, on every query: the policy.db line the
+store holds at that seq and the ledger record there.  Each file hands
+its records out in analysis order, reading every run of back-to-back
+records with one os.pread and holding one run at a time.  The two
+records are fingerprinted where they lie, by SHA-256 fed the line and
+then the record.  The canonical encoding of the stored tuple is
+re-hashed and checked against the hash published in the ledger record,
+unless the fingerprint is that of bytes a check already passed on in
+this engine: then that verdict stands.  So the KDF runs once per lineage
+version per engine, and again after any change on disk to either
+record; a fresh process runs it on every published lineage it touches.
+A lineage without a stream has no policy and reads nothing from the
+store; a single mismatch, including a published item with no readable
+instance at its seq, aborts the whole request with zero disclosed cells.
+Between queries the mediator alone keeps, per lineage, the seq, the
+fingerprint and the preferences of the version a check passed on, never
+a failed check or an access decision.  Verified lineages then pass
+through policy evaluation, the query is rewritten to the allowed
+attribute set, executed once, and each disclosed cell is transformed to
+its granted granularity.  A stored policy record that fails its read
+back or its decode, or a ledger record that fails its read back (changed
+on disk since open, cut short, or not matching its digest), is a
+mismatch too, never a pass; a read the system refuses fails only the
+lineages whose records it covers.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -34,11 +38,11 @@ from __future__ import annotations
 import datetime as dt
 import time
 from enum import Enum
-from hashlib import blake2b
+from hashlib import sha256
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .ledger import LINEAGE_STREAM, Ledger, LedgerError, UnknownStream
+from .ledger import LINEAGE_STREAM, Ledger, LedgerError
 from .config import Record
 from .policy import GranularityMode, PreferenceSet, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, UnknownProvider
@@ -167,9 +171,9 @@ class Mediator:
         self._ledger = ledger
         # Lineage -> (seq, fingerprint, preferences) of the version at the
         # latest ledger seq whose two records a query verified: the
-        # fingerprint is a 16-byte BLAKE2b digest of the policy.db line's
-        # bytes and then the ledger record's, exactly as decoded and
-        # verified.  Other bytes at that seq, or a later seq, drop it.
+        # fingerprint is the SHA-256 digest of the policy.db line's bytes
+        # and then the ledger record's, exactly as decoded and verified.
+        # Other bytes at that seq, or a later seq, drop it.
         self._kept: dict[tuple[int, int, int], tuple[int, bytes, PreferenceSet]] = {}
 
     # -- analysis -----------------------------------------------------------
@@ -220,76 +224,8 @@ class Mediator:
         id_to_name: dict[int, str] = {}
         lineages = self.analyze(request, id_to_name)
 
-        stream_name = LINEAGE_STREAM.format
-        policy_line = self._store.policy_line
-        latest_instance = self._store.latest_tuple_instance
-        latest_seq = self._ledger.latest_seq
-        ledger_record = self._ledger.record
-        latest_item = self._ledger.latest_item
-        kept = self._kept
-        entries: list[VerificationEntry] = []
-        preferences: list[PreferenceSet | None] = []  # None: no published policy to evaluate
-        aborted = False
-        ledger_reads = hash_verifications = 0
-        for lineage in lineages:
-            stream = stream_name(*lineage)
-            try:
-                seq = latest_seq(stream)
-            except UnknownStream:  # a lineage stream has items from its start
-                seq, ok, prefs, note = None, False, None, VERIFIED_NO_POLICY
-            else:
-                # Both records of the version at this seq are read once, on
-                # every query.  Where their bytes are those a verification
-                # passed on, its verdict stands; otherwise they are decoded
-                # and verified, and kept only if they pass.  A read that
-                # fails, a line that does not decode, a payload that does
-                # not parse, and a published hash with no readable
-                # plaintext stored at its seq are mismatches.
-                try:
-                    line = policy_line(seq)
-                except CorruptRecord:
-                    line = None
-                try:
-                    record = ledger_record(seq)
-                except LedgerError:
-                    record = None
-                # The indexes fix both records' lengths at a seq, so their
-                # concatenation tells the two apart.
-                fingerprint = (
-                    None
-                    if line is None or record is None
-                    else blake2b(line + record, digest_size=16).digest()
-                )
-                entry = kept.get(lineage)
-                if entry is not None and entry[1] == fingerprint and entry[0] == seq:
-                    ok, prefs = True, entry[2]
-                    ledger_reads += 1
-                    hash_verifications += 1
-                else:
-                    kept.pop(lineage, None)
-                    ok, prefs = False, None
-                    try:
-                        if record is not None:
-                            payload = latest_item(stream, record).payload
-                            ledger_reads += 1
-                            if line is not None:
-                                t = latest_instance(lineage, seq, line).privacy_tuple
-                                published = HashRecord.from_string(payload)
-                                ok = verify_hash(canonical_encode(t), published)
-                                hash_verifications += 1
-                    except (LedgerError, CorruptRecord, MalformedRecord):
-                        pass
-                    if ok:
-                        prefs = t.prefs
-                        kept[lineage] = (seq, fingerprint, prefs)
-                note = VERIFIED_OK if ok else VERIFIED_MISMATCH
-            aborted = aborted or note == VERIFIED_MISMATCH
-            entries.append(VerificationEntry(lineage, seq, ok, note))
-            preferences.append(prefs)
-
         ops = OpCounters()
-        ops.ledger_reads = ledger_reads
-        ops.hash_verifications = hash_verifications
+        entries, preferences, aborted = self._verify(lineages, ops)
         if aborted:
             total = (time.perf_counter() - started) * 1000.0
             return MediationResult(
@@ -373,6 +309,86 @@ class Mediator:
             timing=Timing(native_ms=native_ms, total_ms=total),
             ops=ops,
         )
+
+    def _verify(self, lineages, ops: OpCounters):
+        """Check both records of the current version of each lineage, in
+        order: returns its VerificationEntry per lineage, per lineage the
+        preferences to evaluate (None where none is published or verified),
+        and whether any is a mismatch, and counts the ledger records read
+        and the hashes verified in ops.  Nothing it read outlives it.
+
+        A lineage without a stream (seq None) has no policy and reads
+        nothing.
+        """
+        latest_instance = self._store.latest_tuple_instance
+        latest_item = self._ledger.latest_item
+        kept = self._kept
+        entries: list[VerificationEntry] = []
+        preferences: list[PreferenceSet | None] = []  # None: no published policy to evaluate
+        aborted = False
+        ledger_reads = hash_verifications = 0
+        seqs = self._ledger.latest_seqs(lineages)
+        found = [seq for seq in seqs if seq is not None]
+        lines = self._store.policy_lines(found)
+        records = self._ledger.records(found)
+        for lineage, seq in zip(lineages, seqs):
+            if seq is None:
+                ok, prefs, note = False, None, VERIFIED_NO_POLICY
+            else:
+                # Both records of the version at this seq are read once, on
+                # every query, each run of back-to-back records in one read.
+                # Where their bytes are those a verification passed on, its
+                # verdict stands; otherwise they are decoded and verified,
+                # and kept only if they pass.  A read that fails, a line that
+                # does not decode, a payload that does not parse, and a
+                # published hash with no readable plaintext stored at its seq
+                # are mismatches.
+                line = next(lines)
+                record = next(records)
+                if isinstance(line, OSError):
+                    line = None
+                if isinstance(record, OSError):
+                    record = None
+                if line is None or record is None:
+                    fingerprint = None
+                else:
+                    # No read returns more than the length the index gives
+                    # its record, so the digest of the two fed in turn is a
+                    # kept one only for the very bytes it was taken of.
+                    hasher = sha256(line)
+                    hasher.update(record)
+                    fingerprint = hasher.digest()
+                entry = kept.get(lineage)
+                if entry is not None and entry[1] == fingerprint and entry[0] == seq:
+                    ok, prefs = True, entry[2]
+                    ledger_reads += 1
+                    hash_verifications += 1
+                else:
+                    kept.pop(lineage, None)
+                    ok, prefs = False, None
+                    try:
+                        if record is not None:
+                            stream = LINEAGE_STREAM.format(*lineage)
+                            payload = latest_item(stream, record).payload
+                            ledger_reads += 1
+                            if line is not None:
+                                t = latest_instance(lineage, seq, line).privacy_tuple
+                                published = HashRecord.from_string(payload)
+                                ok = verify_hash(canonical_encode(t), published)
+                                hash_verifications += 1
+                    except (LedgerError, CorruptRecord, MalformedRecord):
+                        pass
+                    if ok:
+                        prefs = t.prefs
+                        kept[lineage] = (seq, fingerprint, prefs)
+                note = VERIFIED_OK if ok else VERIFIED_MISMATCH
+            aborted = aborted or note == VERIFIED_MISMATCH
+            entries.append(VerificationEntry(lineage, seq, ok, note))
+            preferences.append(prefs)
+
+        ops.ledger_reads = ledger_reads
+        ops.hash_verifications = hash_verifications
+        return entries, preferences, aborted
 
     # -- native baseline ----------------------------------------------------
 

@@ -9,8 +9,9 @@ values leave the disk.  The files are the source of truth.
 
 Opening reads each family file in one streaming pass over its bytes and
 decodes every content and credential record; only policy.db's bytes are
-hashed, for its checkpoint.  Of policy.db it reads each line's ledger
-seq and tuple version (and checks its stream name) with one anchored
+hashed, at open and on append, for its checkpoint: content.db and
+credentials.db have none.  Of policy.db it reads each line's ledger seq
+and tuple version (and checks its stream name) with one anchored
 pattern, and keeps per line, in file order, only those fields and where
 the line is (offset, length and line number), not the line, in packed
 64-bit columns.  The seqs must rise from line to line; a line whose seq
@@ -19,16 +20,19 @@ or one that is not UTF-8, fails the open, which then leaves no file
 open.  The store does not say which version of a lineage is current: the
 ledger does, through its stream's latest seq, and the store finds the
 line at that seq by bisection.  The read and the decode are apart:
-policy_line reads the line's bytes back with os.pread, and
-latest_tuple_instance decodes them, or bytes it reads itself, on every
-call; the instance must be of the lineage asked for, at the indexed
-version and seq.  A record that fails either, say because it changed on
-disk since open, or a read the system refuses, raises CorruptRecord.
-The store keeps no decoded tuple: the mediator keeps, per verified
-version, a fingerprint of the bytes it verified and the preferences, and
-decodes a line only when its bytes are not those.  Older versions, and a
-line no ledger item names, stay on disk and are never read: policy.db is
-append-only.  Every write goes to the file before memory takes it.
+policy_lines(seqs) reads many lines' bytes back, each run of lines with
+only an LF between one and the next with one os.pread
+(files.IndexedFile.read_runs), and policy_line(seq) is its one-line
+call; latest_tuple_instance decodes those bytes, or bytes it reads
+itself, on every call; the instance must be of the lineage asked for, at
+the indexed version and seq.  A record that fails either, say because it
+changed on disk since open, or a read the system refuses, raises
+CorruptRecord.  The store keeps no decoded tuple: the mediator keeps,
+per verified version, a fingerprint of the bytes it verified and the
+preferences, and decodes a line only when its bytes are not those.
+Older versions, and a line no ledger item names, stay on disk and are
+never read: policy.db is append-only.  Every write goes to the file
+before memory takes it.
 
 policy.db is checkpointed as ledger.db is (see files.IndexedFile); its
 checkpoint holds the line count and those columns.
@@ -37,7 +41,6 @@ checkpoint holds the line count and those columns.
 from __future__ import annotations
 
 import json
-import os
 import re
 from array import array
 from bisect import bisect_left
@@ -273,12 +276,12 @@ def _line(record: Record) -> str:
 
 
 def _open_records(file: IndexedFile, kind: type[Record]) -> list:
-    """Open a content or credential file, which has no checkpoint to take
-    and so feeds its hasher nothing, and decode its records."""
+    """Open a content or credential file, which has no checkpoint and no
+    hasher, and decode its records."""
     lines = []
     def decode(line):
         return kind.from_dict(json.loads(line))
-    file.open(lambda parts: False, lambda: lines.extend(_decode_lines(file, file.reader, decode)))
+    file.open(lambda: lines.extend(_decode_lines(file, file.reader, decode)))
     return [record for *_, record in lines if record is not None]
 
 
@@ -329,7 +332,10 @@ class Store:
         self._policy_lines = 0
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
-        self._files = [IndexedFile(Path(data_dir) / name) for name in FAMILY_FILES]
+        self._files = [
+            IndexedFile(Path(data_dir) / name, self._take if name == POLICY_FILE else None)
+            for name in FAMILY_FILES
+        ]
         self._credential_file, self._policy, self._content = self._files
         for file in self._files:
             if create and file.path.exists():
@@ -365,7 +371,7 @@ class Store:
     def _load(self):
         for record in _open_records(self._content, ProviderRecord):
             self._providers[record.provider_id] = record
-        self._policy.open(self._take, self._index_policy)
+        self._policy.open(self._index_policy)
         for cred in _open_records(self._credential_file, Credential):
             self._credentials[cred.login] = cred
             self._accessors[cred.profile.accessor_id] = cred
@@ -467,26 +473,46 @@ class Store:
         """The bytes of the policy.db line at the ledger seq, read back
         without its line end, or None when policy.db holds no line at that
         seq; a read the system refuses raises CorruptRecord."""
-        seqs, _, offsets, lengths, _ = self._columns
-        row = bisect_left(seqs, seq)
-        if row == len(seqs) or seqs[row] != seq:
-            return None
-        fd = self._policy.fileno()  # a closed store raises ValueError here
-        try:
-            return os.pread(fd, lengths[row], offsets[row])
-        except OSError as exc:
-            raise CorruptRecord(f"{self._where(row)}: unreadable policy record ({exc})") from None
+        [line] = self.policy_lines([seq])
+        if isinstance(line, OSError):
+            row = bisect_left(self._columns[0], seq)
+            raise CorruptRecord(f"{self._where(row)}: unreadable policy record ({line})")
+        return None if line is None else bytes(line)
+
+    def policy_lines(self, seqs):
+        """An iterator over the policy.db lines at the ledger seqs: per seq,
+        its bytes as policy_line(seq) returns them but as a memoryview, None
+        where policy.db holds no line at the seq, or the OSError its read
+        raised.  Lines with only an LF between them are read together; see
+        files.IndexedFile.read_runs."""
+        return self._policy.read_runs(self._spans(seqs), gap=1)
+
+    def _spans(self, seqs):
+        """Offset and length of the policy.db line at each ledger seq, None
+        where there is none.  Lines a query reads often follow one another,
+        so the row after the last one found is tried before a bisection."""
+        column, _, offsets, lengths, _ = self._columns
+        count = len(column)
+        row = -1
+        for seq in seqs:
+            row += 1
+            if row >= count or column[row] != seq:
+                row = bisect_left(column, seq)
+                if row == count or column[row] != seq:
+                    yield None
+                    continue
+            yield offsets[row], lengths[row]
 
     def latest_tuple_instance(
-        self, lineage: tuple[int, int, int], seq: int, line: bytes | None = None
+        self, lineage: tuple[int, int, int], seq: int, line=None
     ) -> TupleInstance | None:
         """The lineage's version stored at the ledger seq that is its
         stream's latest, decoded from line, the bytes policy_line(seq)
-        returned, if the caller has read them, or else read back; None when
-        policy.db holds no line at that seq.  Raises CorruptRecord when the
-        read fails or the line fails to decode or disagrees with the
-        lineage or its index.  The lineage is a (provider_id, attribute_id,
-        accessor_id) tuple."""
+        returns (or policy_lines gives), if the caller has read them, or
+        else read back; None when policy.db holds no line at that seq.
+        Raises CorruptRecord when the read fails or the line fails to
+        decode or disagrees with the lineage or its index.  The lineage is
+        a (provider_id, attribute_id, accessor_id) tuple."""
         if line is None:
             line = self.policy_line(seq)
             if line is None:
@@ -494,7 +520,7 @@ class Store:
         seqs, versions = self._columns[:2]
         row = bisect_left(seqs, seq)
         try:
-            instance = TupleInstance.from_dict(json.loads(line.decode("utf-8").strip()))
+            instance = TupleInstance.from_dict(json.loads(str(line, "utf-8").strip()))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptRecord(f"{self._where(row)}: undecodable policy record ({exc})") from None
         if (instance.lineage, instance.stream, instance.version, instance.seq) != (

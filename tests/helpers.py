@@ -11,11 +11,13 @@ one by fixed priority.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import random
 import shutil
 from unittest import mock
 
 from privledger import ledger as ledger_module
+from privledger.config import LEDGER_FILE
 from privledger.engine import Engine, EngineConfig
 from privledger.files import CHECKPOINT_SUFFIX
 from privledger.ledger import Ledger
@@ -130,6 +132,21 @@ def policy_index(store) -> list[tuple[int, int, int, int, int]]:
     """(seq, version, offset, length, line number) of every policy.db line
     the store indexed, in file order."""
     return list(zip(*store._columns))
+
+
+def record_spans(data_dir, name: str, seqs) -> list[tuple[int, int]]:
+    """Start and end, read from the file itself, of the record at each
+    ledger seq in the file name (ledger.db or policy.db) under data_dir: a
+    ledger.db record with its newline, a policy.db line without it."""
+    spans = {}
+    at = 0
+    for line in (data_dir / name).read_bytes().splitlines(keepends=True):
+        if name == LEDGER_FILE:
+            spans[int(line.split(b"\t", 1)[0])] = (at, at + len(line))
+        else:
+            spans[json.loads(line)["seq"]] = (at, at + len(line.rstrip(b"\n")))
+        at += len(line)
+    return [spans[seq] for seq in seqs]
 
 
 def both_open_paths(engine: Engine) -> list[EngineConfig]:

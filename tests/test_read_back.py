@@ -4,10 +4,13 @@ disk on every read.  A record that changed or vanished on disk since
 open, or since its last read, or a read the system refuses, fails that
 read with the store's CorruptRecord or a LedgerError that says to run
 chain verification, and a query touching it aborts; nothing escapes as a
-bare OSError, ValueError, IndexError or UnicodeDecodeError.  Also bounds
-the memory Engine.open keeps per lineage, what a query adds to it, and
-what a publish adds.  Every test on an opened engine runs on both open
-paths: from the checkpoints the last close wrote, and the full pass."""
+bare OSError, ValueError, IndexError or UnicodeDecodeError.  A query
+reads each run of back-to-back records with one read, and a fault under
+one record of a run fails only that record's lineage.  Also bounds the
+memory Engine.open keeps per lineage, what a query adds to it, what a
+warm query holds while it runs, and what a publish adds.  Every test on
+an opened engine runs on both open paths: from the checkpoints the last
+close wrote, and the full pass."""
 
 from __future__ import annotations
 
@@ -34,7 +37,9 @@ from helpers import (
     install_demo_fixture,
     make_engine,
     policy_index,
+    record_spans,
 )
+from privledger.config import LEDGER_FILE
 from privledger.engine import Engine
 from privledger.ledger import LedgerError
 from privledger.mediator import INTEGRITY_ABORT, MediationStatus, QueryRequest
@@ -168,38 +173,66 @@ def test_a_ledger_read_the_system_refuses_fails_as_a_read_back(engines, monkeypa
             _assert_query_aborts(opened, seq)
 
 
-def test_a_policy_read_the_system_refuses_aborts_its_lineage(engines, monkeypatch):
+def _refusing(path, span):
+    """An os.pread that refuses every read of the file at path whose range
+    covers any byte of span, as a bad sector under those bytes would."""
     original = os.pread
+    bad_start, bad_end = span
+
+    def pread(fd, length, offset):
+        if offset < bad_end and bad_start < offset + length and os.path.samestat(
+            os.fstat(fd), os.stat(path)
+        ):
+            raise OSError(errno.EIO, "Input/output error")
+        return original(fd, length, offset)
+
+    return pread
+
+
+def _first_name_only(opened):
+    untouched = opened.mediate(
+        QueryRequest(
+            accessor_id=DEMO_ACCESSOR_ID,
+            requested_purpose="care-delivery",
+            attributes=("first_name",),
+            provider_id=DEMO_PROVIDER_ID,
+        ),
+        now=NOW,
+    )
+    assert untouched.status is MediationStatus.COMPLETED
+    assert [entry.note for entry in untouched.verification] == ["ok"]
+
+
+def test_a_policy_read_the_system_refuses_aborts_its_lineage(engines, monkeypatch):
     for opened in engines:
         seq = opened.ledger.stream(STREAM).seqs[-1]
         path = opened.config.data_dir / POLICY_FILE
-        start, _ = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
-
-        def refused(fd, length, offset):
-            # A bad sector under that one policy.db line.
-            if offset == start and os.path.samestat(os.fstat(fd), os.stat(path)):
-                raise OSError(errno.EIO, "Input/output error")
-            return original(fd, length, offset)
-
+        span = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
         with monkeypatch.context() as patch:
-            patch.setattr(os, "pread", refused)
+            patch.setattr(os, "pread", _refusing(path, span))
             where = re.escape(f"{path} line ")
             with pytest.raises(
                 CorruptRecord, match=rf"^{where}\d+: unreadable policy record \(\[Errno 5\] .+\)$"
             ):
                 opened.store.latest_tuple_instance(LINEAGE, seq)
             _assert_query_aborts(opened, seq)
-            untouched = opened.mediate(
-                QueryRequest(
-                    accessor_id=DEMO_ACCESSOR_ID,
-                    requested_purpose="care-delivery",
-                    attributes=("first_name",),
-                    provider_id=DEMO_PROVIDER_ID,
-                ),
-                now=NOW,
-            )
-            assert untouched.status is MediationStatus.COMPLETED
-            assert [entry.note for entry in untouched.verification] == ["ok"]
+            _first_name_only(opened)
+
+
+def test_a_ledger_read_the_system_refuses_aborts_its_lineage(engines, monkeypatch):
+    for opened in engines:
+        seq = opened.ledger.stream(STREAM).seqs[-1]
+        path = opened.ledger.path
+        span = _line_span(path, lambda line: line.startswith(f"{seq}\t".encode()))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "pread", _refusing(path, span))
+            with pytest.raises(
+                LedgerError,
+                match=rf"^corrupt ledger record at seq {seq}: \[Errno 5\] .+; run chain verification$",
+            ):
+                opened.ledger.latest_item(STREAM)
+            _assert_query_aborts(opened, seq)
+            _first_name_only(opened)
 
 
 def _next_version(line: bytes) -> bytes:
@@ -298,6 +331,97 @@ def test_untouched_lineages_still_answer_after_a_change(engines):
 
 
 # ---------------------------------------------------------------------------
+# runs of back-to-back records
+# ---------------------------------------------------------------------------
+
+# One provider's six Demographic attributes: the fixture publishes them one
+# after another, so their records lie back to back in both files and a
+# query reads each file's six with one read.
+RUN_REQUEST = QueryRequest(
+    accessor_id=BENCH_ACCESSOR_ID,
+    requested_purpose=BENCH_PURPOSE,
+    attributes=ARCHETYPE_ATTRIBUTES["Demographic"],
+    provider_id=2,
+)
+
+
+@pytest.fixture
+def warm_engines(tmp_path):
+    """The archetype fixture opened by both paths, each warmed by one
+    RUN_REQUEST, with that query's verification entries."""
+    engine = make_engine(tmp_path, hash_cost=8)
+    install_archetype_fixture(engine, 3, seed=3)
+    checkpointed, full_pass = both_open_paths(engine)
+    with contextlib.closing(Engine.open(checkpointed)) as first, \
+            contextlib.closing(Engine.open(full_pass)) as second:
+        warmed = []
+        for opened in (first, second):
+            result = opened.mediate(RUN_REQUEST, now=NOW)
+            assert result.status is MediationStatus.COMPLETED
+            assert [entry.note for entry in result.verification] == ["ok"] * 6
+            seqs = [entry.seq for entry in result.verification]
+            for name, gap in ((POLICY_FILE, 1), (LEDGER_FILE, 0)):
+                spans = record_spans(opened.config.data_dir, name, seqs)
+                assert all(end + gap == start for (_, end), (start, _) in zip(spans, spans[1:]))
+            warmed.append((opened, result.verification))
+        yield warmed
+
+
+def _assert_aborts_only(result, lineage):
+    assert result.status is MediationStatus.ABORTED
+    assert result.rows == () and result.ops.selects == 0
+    assert [entry.lineage for entry in result.verification if entry.note != "ok"] == [lineage]
+
+
+def _edit_in_place(path, at: int):
+    """Change the byte at offset at of the file in place, to "0", or "1"
+    where it is "0"."""
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        old = fh.read(1)
+        fh.seek(at)
+        fh.write(b"1" if old == b"0" else b"0")
+
+
+@pytest.mark.parametrize("fault", ["refused-read", "same-length-edit"])
+@pytest.mark.parametrize("name", [POLICY_FILE, LEDGER_FILE])
+def test_a_bad_record_inside_a_run_aborts_only_its_lineage(
+    warm_engines, monkeypatch, name, fault
+):
+    for opened, entries in warm_engines:
+        middle = entries[3]
+        path = opened.config.data_dir / name
+        start, end = record_spans(opened.config.data_dir, name, [middle.seq])[0]
+        with monkeypatch.context() as patch:
+            if fault == "refused-read":
+                # Every read whose range covers the record fails, so the
+                # run's one read does; each record is then read alone.
+                patch.setattr(os, "pread", _refusing(path, (start, end)))
+            elif name == POLICY_FILE:
+                # The version's last digit: the line still decodes.
+                _edit_in_place(path, end - len(b"}}") - 1)
+            else:
+                # The payload's last hex digit: the record no longer gives
+                # its digest.
+                record = path.read_bytes()[start:end]
+                payload_end = len(b"\t".join(record.split(b"\t")[:6]))
+                _edit_in_place(path, start + payload_end - 1)
+            _assert_aborts_only(opened.mediate(RUN_REQUEST, now=NOW), middle.lineage)
+
+
+@pytest.mark.parametrize("name", [POLICY_FILE, LEDGER_FILE])
+def test_a_file_cut_inside_the_last_record_of_a_run_aborts_only_its_lineage(warm_engines, name):
+    for opened, entries in warm_engines:
+        last = entries[-1]
+        path = opened.config.data_dir / name
+        start, end = record_spans(opened.config.data_dir, name, [last.seq])[0]
+        # The run's read comes back short: the records wholly inside it
+        # still check, and the one it ends inside fails.
+        os.truncate(path, start + (end - start) // 2)
+        _assert_aborts_only(opened.mediate(RUN_REQUEST, now=NOW), last.lineage)
+
+
+# ---------------------------------------------------------------------------
 # memory open keeps
 # ---------------------------------------------------------------------------
 
@@ -329,13 +453,14 @@ def test_open_keeps_no_file_text(tmp_path):
 
 
 # A query adds, per lineage it touches, the mediator's one entry: the seq,
-# a 16-byte fingerprint of the two records' bytes and the preferences,
-# about 645 B per lineage here (Python 3.11).  The bound leaves about a
-# quarter of that as headroom.  While the entry also kept the canonical encoding and
-# the parse of the latest hash record, this was about 1.44 KB; while the
-# store also kept the decoded tuple instance, about 1.73 KB; an engine that
-# kept every ledger item it read, and a copy of the catalog's attribute
-# and the accessor's profile in every tuple, kept about 3.35 KB.
+# a 32-byte fingerprint of the two records' bytes and the preferences,
+# about 660 B per lineage here (Python 3.11; 645 B with a 16-byte one).
+# The bound leaves about a fifth of that as headroom.  While the entry
+# also kept the canonical encoding and the parse of the latest hash
+# record, this was about 1.44 KB; while the store also kept the decoded
+# tuple instance, about 1.73 KB; an engine that kept every ledger item it
+# read, and a copy of the catalog's attribute and the accessor's profile
+# in every tuple, kept about 3.35 KB.
 MAX_WARM_PER_LINEAGE = 800
 
 
@@ -363,6 +488,38 @@ def test_a_query_keeps_each_lineage_once(tmp_path):
             finally:
                 tracemalloc.stop()
         assert kept / lineages <= MAX_WARM_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
+
+
+# What a warm all-provider query holds at its peak beyond what was held
+# before it, per lineage: about 361 B here (Python 3.11), mostly the result
+# it returns; reading each record with a pread of its own, about 365 B.  A
+# query that read every record of both files before checking any would
+# hold about 1.5 KB more.  The bound leaves a quarter of 365 B as headroom.
+MAX_PEAK_PER_LINEAGE = 456
+
+
+def test_a_warm_query_holds_one_run_at_a_time(tmp_path):
+    engine = make_engine(tmp_path, hash_cost=8)
+    install_archetype_fixture(engine, 20, seed=3)
+    request = QueryRequest(
+        accessor_id=BENCH_ACCESSOR_ID,
+        requested_purpose=BENCH_PURPOSE,
+        attributes=tuple(name for names in ARCHETYPE_ATTRIBUTES.values() for name in names),
+    )
+    for config in both_open_paths(engine):
+        with contextlib.closing(Engine.open(config)) as engine:
+            assert engine.mediate(request, now=NOW).status is MediationStatus.COMPLETED
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = engine.mediate(request, now=NOW)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            lineages = len(result.verification)
+            assert result.status is MediationStatus.COMPLETED and lineages == 20 * 18
+        assert peak / lineages <= MAX_PEAK_PER_LINEAGE, f"{peak / lineages:.0f} B per lineage"
 
 
 # A republish adds a ledger record's offset, digest and stream link, and a

@@ -14,23 +14,28 @@ import datetime as dt
 import hashlib
 import json
 import os
+from collections import Counter
 from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    ARCHETYPE_ATTRIBUTES,
     BENCH_ACCESSOR_ID,
     BENCH_PURPOSE,
     both_open_paths,
     install_archetype_fixture,
     make_engine,
     make_prefs,
+    record_spans,
 )
 from privledger import mediator, store, tuples
+from privledger.config import LEDGER_FILE
 from privledger.engine import Engine
 from privledger.mediator import INTEGRITY_ABORT, WITHHELD, MediationStatus, QueryRequest
 from privledger.policy import PurposeMode
+from privledger.store import POLICY_FILE
 from privledger.tuples import canonical_encode
 
 NOW = dt.date(2021, 7, 1)
@@ -111,7 +116,7 @@ def stored_encodings(engine, entries):
 def fingerprint(engine, seq):
     """The fingerprint of both records at seq as they are on disk."""
     line = engine.store.policy_line(seq)
-    return hashlib.blake2b(line + engine.ledger.record(seq), digest_size=16).digest()
+    return hashlib.sha256(line + engine.ledger.record(seq)).digest()
 
 
 def disclosed(result):
@@ -381,26 +386,57 @@ def test_a_record_changed_between_two_warm_queries_aborts_the_second(configs, ha
             )
 
 
+# One provider's six Demographic attributes, whose records the fixture
+# wrote back to back in both files.
+BACK_TO_BACK = QueryRequest(
+    accessor_id=BENCH_ACCESSOR_ID,
+    requested_purpose=BENCH_PURPOSE,
+    attributes=ARCHETYPE_ATTRIBUTES["Demographic"],
+    provider_id=2,
+)
+
+
 def test_ledger_reads_counts_the_ledger_records_a_warm_query_reads(configs, monkeypatch):
     original = os.pread
     for config in configs:
         with closing(Engine.open(config)) as engine:
-            first = engine.mediate(REQUEST, now=NOW)
-            files = {"ledger": engine.ledger.path, "policy": config.data_dir / "policy.db"}
-            reads = {name: 0 for name in files}
+            files = {name: config.data_dir / name for name in (LEDGER_FILE, POLICY_FILE)}
+            for request in (REQUEST, BACK_TO_BACK):
+                first = engine.mediate(request, now=NOW)
+                reads = {name: [] for name in files}  # (offset, bytes returned) per read
 
-            def counting(fd, length, offset):
-                for name, path in files.items():
-                    reads[name] += os.path.samestat(os.fstat(fd), os.stat(path))
-                return original(fd, length, offset)
+                def counting(fd, length, offset):
+                    data = original(fd, length, offset)
+                    for name, path in files.items():
+                        if os.path.samestat(os.fstat(fd), os.stat(path)):
+                            reads[name].append((offset, len(data)))
+                    return data
 
-            with monkeypatch.context() as patch:
-                patch.setattr(os, "pread", counting)
-                repeat = engine.mediate(REQUEST, now=NOW)
-            assert repeat.ops == first.ops
-            # Each published lineage's two records are read once each.
-            assert reads["ledger"] == repeat.ops.ledger_reads == len(published(repeat)) == 6
-            assert reads["policy"] == 6
+                with monkeypatch.context() as patch:
+                    patch.setattr(os, "pread", counting)
+                    repeat = engine.mediate(request, now=NOW)
+                assert repeat.ops == first.ops
+                seqs = [e.seq for e in published(repeat)]
+                assert len(seqs) == (6 if request is REQUEST else len(request.attributes))
+                for name in files:
+                    # Every byte of each published lineage's two records is
+                    # read exactly once.
+                    times = Counter(
+                        at for offset, size in reads[name] for at in range(offset, offset + size)
+                    )
+                    for start, end in record_spans(config.data_dir, name, seqs):
+                        assert all(times[at] == 1 for at in range(start, end))
+                whole = [
+                    any(offset <= start and end <= offset + size
+                        for offset, size in reads[LEDGER_FILE])
+                    for start, end in record_spans(config.data_dir, LEDGER_FILE, seqs)
+                ]
+                assert repeat.ops.ledger_reads == sum(whole) == len(seqs)
+                # REQUEST's records lie apart, one read each; back to back,
+                # each file's records are read with one read.
+                assert len(reads[LEDGER_FILE]) == len(reads[POLICY_FILE]) == (
+                    6 if request is REQUEST else 1
+                )
 
 
 def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import make_accessor, make_prefs, policy_index
+from privledger import files
 from privledger.policy import AccessorRole, Sensitivity
 from privledger.store import (
     AuthenticationFailed,
@@ -151,6 +154,39 @@ def test_replacing_provider_record_rewrites_file(store, tmp_path):
     assert reopened.get_provider_record(5).attributes == {"city": "Red Deer"}
     assert reopened.authenticate("physician3", "pw") == make_accessor()
     reopened.close()
+
+
+def test_only_policy_db_feeds_a_hasher(tmp_path, monkeypatch):
+    # Only policy.db of the three family files has a checkpoint, so an
+    # append to content.db or credentials.db, or a replace of content.db,
+    # hashes nothing; an append to policy.db feeds its line.
+    Store(tmp_path, hash_cost=4, create=True).close()
+    fed = []
+
+    class Counted:
+        def __init__(self, data=b""):
+            self._hasher = hashlib.sha256()
+            self.update(data)
+
+        def update(self, data):
+            fed.append(bytes(data))
+            self._hasher.update(data)
+
+        def digest(self):
+            return self._hasher.digest()
+
+    monkeypatch.setattr(files, "hashlib", SimpleNamespace(sha256=Counted))
+    store = Store(tmp_path, hash_cost=4)
+    try:
+        fed.clear()
+        store.put_provider_record(ProviderRecord(4, {"city": "Calgary"}))
+        store.put_provider_record(ProviderRecord(4, {"city": "Edmonton"}))  # a replace
+        store.add_accessor("physician3", "pw", make_accessor())
+        assert b"".join(fed) == b""
+        store.put_tuple_instance(sample_instance(store.catalog))
+        assert b"".join(fed) == (tmp_path / "policy.db").read_bytes()
+    finally:
+        store.close()
 
 
 def test_select_rows_projection_and_predicate(store):
