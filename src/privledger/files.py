@@ -2,7 +2,7 @@
 engine writes to one goes through append_line or replace_file.  After
 open, records are read back by offset through IndexedFile.read_runs,
 which reads each run of back-to-back records with one os.pread and hands
-each record out as a memoryview slice of that read."""
+each record of a run out as a memoryview slice of that read."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import hashlib
 import os
 import secrets
 from array import array
-from itertools import chain
 from pathlib import Path
 
 from .chain import CHUNK_BYTES, DIGEST_BYTES
@@ -113,22 +112,29 @@ def load_checkpoint(path: Path, fh):
 
 
 # A run read takes at most this many bytes, so that the buffer it holds
-# stays this small whatever the query; a longer record is read alone.
-RUN_BYTES = 8 * 1024
+# stays this small whatever the query; a longer record is read alone.  A
+# perfbench scan-where query reads, per provider, 11 or 13 policy.db lines
+# of about 790 B back to back (8.7 or 10.2 KB), so at 16 KiB it reads each
+# file with about one os.pread per provider; 8 KiB took two per provider
+# for the 11-line query.
+RUN_BYTES = 16 * 1024
 
 
-def _read_run(fd: int, run: list) -> list:
-    """The views IndexedFile.read_runs gives for run, a list of spans in
-    the file, each starting after the one before it ends."""
+def _read_run(fd: int, run: list, end: int):
+    """What IndexedFile.read_runs gives for run, a list of spans in the
+    file, each starting after the one before it ends, the last at end: a
+    lone span's bytes as read, or views into one read of the whole run."""
     start = run[0][0]
-    offset, length = run[-1]
     try:
-        data = memoryview(os.pread(fd, offset + length - start, start))
+        data = os.pread(fd, end - start, start)
     except OSError as exc:
         if len(run) == 1:
             return [exc]
         # each span alone, so a refused read fails only the spans it covers
-        return [_read_run(fd, [span])[0] for span in run]
+        return [_read_run(fd, [span], span[0] + span[1])[0] for span in run]
+    if len(run) == 1:
+        return [data]
+    data = memoryview(data)
     return [data[offset - start : offset - start + length] for offset, length in run]
 
 
@@ -212,23 +218,20 @@ class IndexedFile:
 
     def read_runs(self, spans, gap: int = 0):
         """An iterator that gives, per (offset, length) span in spans, the
-        bytes there as a memoryview, just as os.pread of that span alone
-        returns them (short where the file ends inside it), or the OSError
-        that read raises; None for a None span.
+        bytes there, just as os.pread of that span alone returns them
+        (short where the file ends inside it), or the OSError that read
+        raises; None for a None span.
 
         A run is a stretch of consecutive spans, each starting gap bytes
         after the one before it ends, of at most RUN_BYTES from the first's
         offset to the last's end (a longer span is a run alone).  Each run
-        is read with one os.pread, when the caller asks for its first span,
-        and its views are slices of that read; so the caller that drops a
-        run's views before it asks past the run holds one run's bytes at a
-        time.  If the run's read raises OSError, each of its spans is read
-        alone, so a read the system refuses fails only the spans it covers.
-        The handle is checked open once, at the first span."""
-        return chain.from_iterable(self._runs(spans, gap))
-
-    def _runs(self, spans, gap: int):
-        """The views read_runs gives, a list per run; [None] per None span."""
+        is read with one os.pread, when the caller asks for its first span.
+        A run of several spans gives memoryview slices of that read, so the
+        caller that drops a run's views before it asks past the run holds
+        one run's bytes at a time; a lone span gives the bytes read.  If the
+        run's read raises OSError, each of its spans is read alone, so a
+        read the system refuses fails only the spans it covers.  The handle
+        is checked open once, at the first span."""
         self.check_open()
         fd = self.reader.fileno()
         run = []
@@ -242,16 +245,16 @@ class IndexedFile:
                     follows = end + gap
                     continue
             if run:
-                yield _read_run(fd, run)
+                yield from _read_run(fd, run, follows - gap)
             if span is None:
                 run = []
                 follows = -1
-                yield [None]
+                yield None
             else:
                 run = [span]
                 follows, limit = end + gap, offset + RUN_BYTES
         if run:
-            yield _read_run(fd, run)
+            yield from _read_run(fd, run, follows - gap)
 
     def append(self, line: str) -> tuple[int, int]:
         """Append a line; returns its offset and its length in bytes without

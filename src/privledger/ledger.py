@@ -141,6 +141,10 @@ def _corrupt(seq: int, cause) -> LedgerError:
     return LedgerError(f"corrupt ledger record at seq {seq}: {cause}; run chain verification")
 
 
+def _no_items(name: str):
+    raise EmptyStream(f"stream has no items: {name}")
+
+
 def _build_item(match: re.Match) -> StreamItem:
     """The item of a matched record; raises ValueError on a date that is
     not on the calendar."""
@@ -404,34 +408,25 @@ class Ledger:
         return [self.item(s) for s in seqs[start : start + count]]
 
     def latest_seq(self, name: str) -> int:
-        seq = self._last[self._row(name)]
-        if not seq:
-            raise EmptyStream(f"stream has no items: {name}")
-        return seq
+        return self._last[self._row(name)] or _no_items(name)
 
     def latest_seqs(self, lineages) -> list[int | None]:
         """The latest seq of each (provider_id, attribute_id, accessor_id)
         lineage's stream, in order, None for a lineage with no stream;
         raises what latest_seq raises for a stream with no items."""
         rows, last = self._rows, self._last
-        seqs = []
-        for name in starmap(LINEAGE_STREAM.format, lineages):
-            row = rows.get(name)
-            if row is None:
-                seqs.append(None)
-            elif last[row]:
-                seqs.append(last[row])
-            else:
-                raise EmptyStream(f"stream has no items: {name}")
-        return seqs
+        return [
+            None if (row := rows.get(name)) is None else last[row] or _no_items(name)
+            for name in starmap(LINEAGE_STREAM.format, lineages)
+        ]
 
     def latest_item(self, name: str, record=None) -> StreamItem:
         """The stream's latest item, built from record, the bytes that
-        record(latest_seq(name)) returns (or records gives), if the caller
-        has read them; raises what latest_seq, record and item raise."""
+        records([latest_seq(name)]) gives, if the caller has read them;
+        raises what latest_seq, record and item raise."""
         # Open and the checkpoint checks keep seq in range.
         seq = self.latest_seq(name)
-        return self._read(seq, self.record(seq) if record is None else record)
+        return self._read(seq, self.record(seq) if record is None else self._whole(seq, record))
 
     def item(self, seq: int) -> StreamItem:
         """The item at seq, read back; a negative seq counts from the end."""
@@ -445,34 +440,34 @@ class Ledger:
         """The bytes of the record at seq (0 <= seq < the record count),
         read back from the file whole; a read the system refuses, or one
         the file ends inside, raises LedgerError."""
-        [record] = self.records([seq])
-        if isinstance(record, OSError):
-            raise _corrupt(seq, record)
-        self._check_whole(seq, record)
-        return bytes(record)
+        return bytes(self._whole(seq, *self.records([seq])))
 
     def records(self, seqs):
         """An iterator over the records at the seqs, a sequence (each
         0 <= seq < the record count): per seq, its bytes read back from the
-        file as a memoryview, short where the file ends inside it, or the
-        OSError its read raised.  Back-to-back records are read together;
-        see files.IndexedFile.read_runs.  An item built from the bytes
-        (latest_item) checks that they are whole."""
+        file (bytes, or a memoryview into a run's read), short where the
+        file ends inside it, or the OSError its read raised.  Back-to-back
+        records are read together; see files.IndexedFile.read_runs.
+        latest_item checks that the bytes given it are whole."""
         offsets = self._offsets
         return self._file.read_runs(
             (offsets[seq], offsets[seq + 1] - offsets[seq]) for seq in seqs
         )
 
-    def _check_whole(self, seq: int, record):
+    def _whole(self, seq: int, record):
+        """record, what records gave for seq, if it is the whole record;
+        else raises LedgerError."""
+        if isinstance(record, OSError):
+            raise _corrupt(seq, record)
         if len(record) != self._offsets[seq + 1] - self._offsets[seq]:
             raise _corrupt(seq, "the file ends inside the record")
+        return record
 
     def _read(self, seq: int, record) -> StreamItem:
         """Build the item of the record at seq from the bytes read back of
-        it (any bytes-like object), which must still be the whole record
+        it whole (any bytes-like object), which must still be the record
         open checked or an append wrote: the field check passes again and
         the fields re-derive the digest kept."""
-        self._check_whole(seq, record)
         try:
             match = _match_line(str(record, "ascii").removesuffix("\n"))
             item = _build_item(match)

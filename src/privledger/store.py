@@ -481,10 +481,10 @@ class Store:
 
     def policy_lines(self, seqs):
         """An iterator over the policy.db lines at the ledger seqs: per seq,
-        its bytes as policy_line(seq) returns them but as a memoryview, None
-        where policy.db holds no line at the seq, or the OSError its read
-        raised.  Lines with only an LF between them are read together; see
-        files.IndexedFile.read_runs."""
+        its bytes as policy_line(seq) returns them (or a memoryview into a
+        run's read), None where policy.db holds no line at the seq, or the
+        OSError its read raised.  Lines with only an LF between them are
+        read together; see files.IndexedFile.read_runs."""
         return self._policy.read_runs(self._spans(seqs), gap=1)
 
     def _spans(self, seqs):

@@ -491,10 +491,11 @@ def test_a_query_keeps_each_lineage_once(tmp_path):
 
 
 # What a warm all-provider query holds at its peak beyond what was held
-# before it, per lineage: about 361 B here (Python 3.11), mostly the result
-# it returns; reading each record with a pread of its own, about 365 B.  A
-# query that read every record of both files before checking any would
-# hold about 1.5 KB more.  The bound leaves a quarter of 365 B as headroom.
+# before it, per lineage: about 402 B here (Python 3.11), mostly the result
+# it returns; one provider's 18 policy.db lines, about 14 KB, are one run.
+# Reading each record with a pread of its own, about 365 B.  A query that
+# read every record of both files before checking any would hold about
+# 1.5 KB more.  The bound leaves a quarter of 365 B as headroom.
 MAX_PEAK_PER_LINEAGE = 456
 
 
