@@ -1,8 +1,8 @@
 """The file layer: each data file is an IndexedFile, and every byte the
 engine writes to one goes through append_line or replace_file.  After
-open, records are read back by offset through IndexedFile.read_runs,
-which reads each run of back-to-back records with one os.pread and hands
-each record of a run out as a memoryview slice of that read."""
+open, records are read back by offset through IndexedFile.read, one
+os.pread for a stretch of back-to-back records, and IndexedFile.pieces
+cuts such a read into each record's bytes."""
 
 from __future__ import annotations
 
@@ -111,33 +111,6 @@ def load_checkpoint(path: Path, fh):
     return hasher, parts[2:]
 
 
-# A run read takes at most this many bytes, so that the buffer it holds
-# stays this small whatever the query; a longer record is read alone.  A
-# perfbench scan-where query reads, per provider, 11 or 13 policy.db lines
-# of about 790 B back to back (8.7 or 10.2 KB), so at 16 KiB it reads each
-# file with about one os.pread per provider; 8 KiB took two per provider
-# for the 11-line query.
-RUN_BYTES = 16 * 1024
-
-
-def _read_run(fd: int, run: list, end: int):
-    """What IndexedFile.read_runs gives for run, a list of spans in the
-    file, each starting after the one before it ends, the last at end: a
-    lone span's bytes as read, or views into one read of the whole run."""
-    start = run[0][0]
-    try:
-        data = os.pread(fd, end - start, start)
-    except OSError as exc:
-        if len(run) == 1:
-            return [exc]
-        # each span alone, so a refused read fails only the spans it covers
-        return [_read_run(fd, [span], span[0] + span[1])[0] for span in run]
-    if len(run) == 1:
-        return [data]
-    data = memoryview(data)
-    return [data[offset - start : offset - start + length] for offset, length in run]
-
-
 def int_array(data) -> array:
     """The 64-bit integers a checkpoint part holds."""
     values = array("q")
@@ -164,7 +137,7 @@ class IndexedFile:
     The first append to a file whose last line lacks its newline writes
     it first.
 
-    After open, records are read back by offset through read_runs.
+    After open, records are read back by offset through read and pieces.
 
     The read-only handle is held from open(), create() or replace(), and
     the unbuffered append handle from the first append, until close() or
@@ -216,45 +189,27 @@ class IndexedFile:
         if self.closed:
             raise ValueError(f"I/O operation on closed file: {self.path}")
 
-    def read_runs(self, spans, gap: int = 0):
-        """An iterator that gives, per (offset, length) span in spans, the
-        bytes there, just as os.pread of that span alone returns them
-        (short where the file ends inside it), or the OSError that read
-        raises; None for a None span.
+    def read(self, offset: int, length: int):
+        """The length bytes at offset, read with one os.pread: short where
+        the file ends inside them; the OSError of a read the system
+        refuses."""
+        if self.closed:
+            self.check_open()
+        try:
+            return os.pread(self.reader.fileno(), length, offset)
+        except OSError as exc:
+            return exc
 
-        A run is a stretch of consecutive spans, each starting gap bytes
-        after the one before it ends, of at most RUN_BYTES from the first's
-        offset to the last's end (a longer span is a run alone).  Each run
-        is read with one os.pread, when the caller asks for its first span.
-        A run of several spans gives memoryview slices of that read, so the
-        caller that drops a run's views before it asks past the run holds
-        one run's bytes at a time; a lone span gives the bytes read.  If the
-        run's read raises OSError, each of its spans is read alone, so a
-        read the system refuses fails only the spans it covers.  The handle
-        is checked open once, at the first span."""
-        self.check_open()
-        fd = self.reader.fileno()
-        run = []
-        follows = limit = -1  # where the run's next span must start, and end by
-        for span in spans:
-            if span is not None:
-                offset, length = span
-                end = offset + length
-                if offset == follows and end <= limit:
-                    run.append(span)
-                    follows = end + gap
-                    continue
-            if run:
-                yield from _read_run(fd, run, follows - gap)
-            if span is None:
-                run = []
-                follows = -1
-                yield None
-            else:
-                run = [span]
-                follows, limit = end + gap, offset + RUN_BYTES
-        if run:
-            yield from _read_run(fd, run, follows - gap)
+    def pieces(self, data, spans) -> list:
+        """Each (offset, length) span's bytes out of data, what read gave
+        for the stretch from the first span to the last (short where the
+        file ends inside).  Where data is the OSError read gave, each of
+        several spans is read alone, so a refused read fails only the
+        spans it covers."""
+        if isinstance(data, OSError):
+            return [data] if len(spans) == 1 else [self.read(*span) for span in spans]
+        start = spans[0][0]
+        return [data[offset - start : offset - start + length] for offset, length in spans]
 
     def append(self, line: str) -> tuple[int, int]:
         """Append a line; returns its offset and its length in bytes without

@@ -13,16 +13,17 @@ latest.  A StreamItem is built on every read and not kept, from the
 record read back at its offset, which must pass the field check again and
 re-derive the digest open kept or the append wrote, so a record that
 changed on disk since fails that read.  The read and the build are apart:
-records(seqs) reads many records' bytes, each run of back-to-back records
-with one os.pread (files.IndexedFile.read_runs), and record(seq) is its
-one-record call; latest_item builds the item from bytes a caller already
-read, so a caller that only needs to know whether a record is still the
-one it checked reads it once and decodes nothing.  latest_seqs(lineages)
-looks up the latest seq of every lineage of a query in one call.  An
-append links to the digest kept and, after the first append since open,
-to the kept timestamp of the last record, so it reads nothing.  Chain
-verification re-derives every digest and link.  The file, with its
-handles and checkpoint, is a files.IndexedFile.
+read_records(first, count) reads the records at consecutive seqs, which
+lie back to back, with one os.pread, records cuts that read into each
+record's bytes, and record(seq) reads one; latest_item builds the item
+from bytes a caller already read, so a caller that only needs to know
+whether a record is still the one it checked reads it once and decodes
+nothing.  latest_seqs(lineages) looks up the latest seq of every
+lineage of a query in one call.  An append links to the digest kept
+and, after the first append since open, to the kept timestamp of the
+last record, so it reads nothing.  Chain verification re-derives every
+digest and link.  The file, with its handles and checkpoint, is a
+files.IndexedFile.
 """
 
 from __future__ import annotations
@@ -422,7 +423,7 @@ class Ledger:
 
     def latest_item(self, name: str, record=None) -> StreamItem:
         """The stream's latest item, built from record, the bytes that
-        records([latest_seq(name)]) gives, if the caller has read them;
+        records gives for latest_seq(name), if the caller has read them;
         raises what latest_seq, record and item raise."""
         # Open and the checkpoint checks keep seq in range.
         seq = self.latest_seq(name)
@@ -440,19 +441,22 @@ class Ledger:
         """The bytes of the record at seq (0 <= seq < the record count),
         read back from the file whole; a read the system refuses, or one
         the file ends inside, raises LedgerError."""
-        return bytes(self._whole(seq, *self.records([seq])))
+        return self._whole(seq, self.read_records(seq, 1))
 
-    def records(self, seqs):
-        """An iterator over the records at the seqs, a sequence (each
-        0 <= seq < the record count): per seq, its bytes read back from the
-        file (bytes, or a memoryview into a run's read), short where the
-        file ends inside it, or the OSError its read raised.  Back-to-back
-        records are read together; see files.IndexedFile.read_runs.
-        latest_item checks that the bytes given it are whole."""
+    def read_records(self, first: int, count: int):
+        """The bytes of the count records from seq first on (all below the
+        record count), back to back in the file, read with one os.pread:
+        short where the file ends inside them; the OSError of a read the
+        system refuses."""
         offsets = self._offsets
-        return self._file.read_runs(
-            (offsets[seq], offsets[seq + 1] - offsets[seq]) for seq in seqs
-        )
+        return self._file.read(offsets[first], offsets[first + count] - offsets[first])
+
+    def records(self, first: int, count: int, data) -> list:
+        """Each record's bytes out of data, what read_records gave for
+        them (see files.IndexedFile.pieces)."""
+        offsets = self._offsets
+        seqs = range(first, first + count)
+        return self._file.pieces(data, [(offsets[s], offsets[s + 1] - offsets[s]) for s in seqs])
 
     def _whole(self, seq: int, record):
         """record, what records gave for seq, if it is the whole record;

@@ -4,29 +4,38 @@ Every query is decomposed into (provider, attribute, accessor) lineages.
 The ledger gives the latest seq of every lineage's stream in one call,
 which alone says which version is current, and both records of that
 version are read back from disk, on every query: the policy.db line the
-store holds at that seq and the ledger record there.  Each file hands
-its records out in analysis order, reading every run of back-to-back
-records with one os.pread and holding one run at a time.  The two
-records are fingerprinted where they lie, by SHA-256 fed the line and
-then the record.  The canonical encoding of the stored tuple is
-re-hashed and checked against the hash published in the ledger record,
-unless the fingerprint is that of bytes a check already passed on in
-this engine: then that verdict stands.  So the KDF runs once per lineage
-version per engine, and again after any change on disk to either
-record; a fresh process runs it on every published lineage it touches.
-A lineage without a stream has no policy and reads nothing from the
-store; a single mismatch, including a published item with no readable
-instance at its seq, aborts the whole request with zero disclosed cells.
-Between queries the mediator alone keeps, per lineage, the seq, the
-fingerprint and the preferences of the version a check passed on, never
-a failed check or an access decision.  Verified lineages then pass
-through policy evaluation, the query is rewritten to the allowed
-attribute set, executed once, and each disclosed cell is transformed to
-its granted granularity.  A stored policy record that fails its read
-back or its decode, or a ledger record that fails its read back (changed
-on disk since open, cut short, or not matching its digest), is a
-mismatch too, never a pass; a read the system refuses fails only the
-lineages whose records it covers.
+store holds at that seq and the ledger record there.  In analysis order
+the lineages form runs: stretches whose latest seqs are consecutive and
+whose policy.db lines are consecutive rows one LF apart, at most
+store.RUN_BYTES of them.  Each file's bytes of a run are read with one
+os.pread, and a run of several is hashed once, by SHA-256 fed the policy
+bytes and then the ledger bytes.  Where that digest is the one kept for
+the run's (first seq, last seq) and each of its lineages still holds its
+kept entry at its seq, the run stands whole.  That is sound: a run's
+digest is kept only after every lineage in it passed its check on
+exactly the bytes hashed; the same seqs mean the same offsets, as both
+indexes are append-only; and a check a lineage fails, in a query of any
+shape, drops its entry.  Otherwise each lineage of the run is checked on
+its slices of the two reads, which SHA-256 fingerprints in turn: the
+canonical encoding of the stored tuple is re-hashed and checked against
+the hash published in the ledger record, unless the fingerprint is that
+of bytes a check already passed on in this engine.  The run's digest is
+then kept if all passed and dropped otherwise.  So the KDF runs once per
+lineage version per engine, and again after any change on disk to
+either record; a fresh process runs it on every published lineage it
+touches.  A lineage without a stream has no policy and reads nothing
+from the store; a single mismatch, including a published item with no
+readable instance at its seq, aborts the whole request with zero
+disclosed cells.  Between queries the mediator alone keeps, per lineage,
+the seq, the fingerprint and the preferences of the version a check
+passed on, and the digests of runs, never a failed check or an access
+decision.  Verified lineages then pass through policy evaluation, the
+query is rewritten to the allowed attribute set, executed once, and each
+disclosed cell is transformed to its granted granularity.  A stored
+policy record that fails its read back or its decode, or a ledger record
+that fails its read back (changed on disk since open, cut short, or not
+matching its digest), is a mismatch too, never a pass; a read the system
+refuses fails only the lineages whose records it covers.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -175,6 +184,9 @@ class Mediator:
         # and then the ledger record's, exactly as decoded and verified.
         # Other bytes at that seq, or a later seq, drop it.
         self._kept: dict[tuple[int, int, int], tuple[int, bytes, PreferenceSet]] = {}
+        # (first seq, last seq) of a run of several lineages -> SHA-256 of
+        # its policy.db bytes and then its ledger bytes, all of which passed.
+        self._runs: dict[tuple[int, int], bytes] = {}
 
     # -- analysis -----------------------------------------------------------
 
@@ -312,83 +324,120 @@ class Mediator:
 
     def _verify(self, lineages, ops: OpCounters):
         """Check both records of the current version of each lineage, in
-        order: returns its VerificationEntry per lineage, per lineage the
-        preferences to evaluate (None where none is published or verified),
-        and whether any is a mismatch, and counts the ledger records read
-        and the hashes verified in ops.  Nothing it read outlives it.
-
-        A lineage without a stream (seq None) has no policy and reads
-        nothing.
-        """
-        latest_instance = self._store.latest_tuple_instance
-        latest_item = self._ledger.latest_item
-        kept = self._kept
+        order, a run at a time: returns its VerificationEntry per lineage,
+        per lineage the preferences to evaluate (None where none is
+        published or verified), and whether any is a mismatch, and counts
+        the ledger records read and the hashes verified in ops.  Nothing
+        it read outlives it."""
+        store, ledger = self._store, self._ledger
+        kept, runs = self._kept, self._runs
         entries: list[VerificationEntry] = []
         preferences: list[PreferenceSet | None] = []  # None: no published policy to evaluate
         aborted = False
-        ledger_reads = hash_verifications = 0
-        seqs = self._ledger.latest_seqs(lineages)
-        found = [seq for seq in seqs if seq is not None]
-        lines = self._store.policy_lines(found)
-        records = self._ledger.records(found)
-        for lineage, seq in zip(lineages, seqs):
-            if seq is None:
-                ok, prefs, note = False, None, VERIFIED_NO_POLICY
-            else:
-                # Both records of the version at this seq are read once, on
-                # every query, each run of back-to-back records in one read.
-                # Where their bytes are those a verification passed on, its
-                # verdict stands; otherwise they are decoded and verified,
-                # and kept only if they pass.  A read that fails, a line that
-                # does not decode, a payload that does not parse, and a
-                # published hash with no readable plaintext stored at its seq
-                # are mismatches.
-                line = next(lines)
-                record = next(records)
-                if isinstance(line, OSError):
-                    line = None
-                if isinstance(record, OSError):
-                    record = None
-                if line is None or record is None:
-                    fingerprint = None
-                else:
-                    # No read returns more than the length the index gives
-                    # its record, so the digest of the two fed in turn is a
-                    # kept one only for the very bytes it was taken of.
-                    hasher = sha256(line)
-                    hasher.update(record)
-                    fingerprint = hasher.digest()
-                entry = kept.get(lineage)
-                if entry is not None and entry[1] == fingerprint and entry[0] == seq:
-                    ok, prefs = True, entry[2]
-                    ledger_reads += 1
-                    hash_verifications += 1
-                else:
-                    kept.pop(lineage, None)
-                    ok, prefs = False, None
-                    try:
-                        if record is not None:
-                            stream = LINEAGE_STREAM.format(*lineage)
-                            payload = latest_item(stream, record).payload
-                            ledger_reads += 1
-                            if line is not None:
-                                t = latest_instance(lineage, seq, line).privacy_tuple
-                                published = HashRecord.from_string(payload)
-                                ok = verify_hash(canonical_encode(t), published)
-                                hash_verifications += 1
-                    except (LedgerError, CorruptRecord, MalformedRecord):
-                        pass
-                    if ok:
-                        prefs = t.prefs
-                        kept[lineage] = (seq, fingerprint, prefs)
+        stood = 0  # lineages of runs that stood whole
+        seqs = ledger.latest_seqs(lineages)
+        for start, stop, row, policy in store.policy_runs(seqs):
+            first = seqs[start]
+            if first is None:
+                entries.append(VerificationEntry(lineages[start], None, False, VERIFIED_NO_POLICY))
+                preferences.append(None)
+                continue
+            count = stop - start
+            records = ledger.read_records(first, count)
+            if count == 1:  # policy and records are its two records, as read
+                prefs = self._check(lineages[start], first, policy, records, ops)
+                ok = prefs is not None
                 note = VERIFIED_OK if ok else VERIFIED_MISMATCH
-            aborted = aborted or note == VERIFIED_MISMATCH
-            entries.append(VerificationEntry(lineage, seq, ok, note))
-            preferences.append(prefs)
-
-        ops.ledger_reads = ledger_reads
-        ops.hash_verifications = hash_verifications
+                entries.append(VerificationEntry(lineages[start], first, ok, note))
+                preferences.append(prefs)
+                aborted = aborted or not ok
+                continue
+            run = lineages[start:stop]
+            key = (first, first + count - 1)
+            digest = None
+            if not isinstance(policy, OSError) and not isinstance(records, OSError):
+                hasher = sha256(policy)
+                hasher.update(records)
+                digest = hasher.digest()
+                if runs.get(key) == digest:
+                    held = list(map(kept.get, run))
+                    at = first  # the seq the next lineage's entry must be at
+                    for entry in held:
+                        if entry is None or entry[0] != at:
+                            break
+                        at += 1
+                    else:
+                        entries += [
+                            VerificationEntry(lineage, seq, True, VERIFIED_OK)
+                            for lineage, seq in zip(run, range(first, at))
+                        ]
+                        preferences += [entry[2] for entry in held]
+                        stood += count
+                        continue
+            lines = store.lines(row, count, policy)
+            records = ledger.records(first, count, records)
+            passed = True
+            for lineage, seq, line, record in zip(run, range(first, first + count), lines, records):
+                prefs = self._check(lineage, seq, line, record, ops)
+                ok = prefs is not None
+                passed = passed and ok
+                note = VERIFIED_OK if ok else VERIFIED_MISMATCH
+                entries.append(VerificationEntry(lineage, seq, ok, note))
+                preferences.append(prefs)
+            if not passed:
+                aborted = True
+                runs.pop(key, None)
+            elif digest is not None:
+                if len(runs) >= len(kept):
+                    runs.clear()  # never more digests than kept lineages
+                runs[key] = digest
+        ops.ledger_reads += stood
+        ops.hash_verifications += stood
         return entries, preferences, aborted
+
+    def _check(self, lineage, seq: int, line, record, ops: OpCounters) -> PreferenceSet | None:
+        """The preferences of the lineage's version at seq if its two
+        records pass, as read back (line None where policy.db holds none;
+        either an OSError where its read was refused), else None; counts
+        in ops.  Where their fingerprint is the one kept for the lineage at
+        seq, its verdict stands; otherwise they are decoded and verified,
+        and kept only if they pass."""
+        kept = self._kept
+        if isinstance(line, OSError):
+            line = None
+        if isinstance(record, OSError):
+            record = None
+        fingerprint = None
+        if line is not None and record is not None:
+            # No read returns more than the length the index gives its
+            # record, so the digest of the two fed in turn is a kept one
+            # only for the very bytes it was taken of.
+            hasher = sha256(line)
+            hasher.update(record)
+            fingerprint = hasher.digest()
+        entry = kept.get(lineage)
+        if entry is not None and entry[1] == fingerprint and entry[0] == seq:
+            ops.ledger_reads += 1
+            ops.hash_verifications += 1
+            return entry[2]
+        kept.pop(lineage, None)
+        if record is None:
+            return None
+        try:
+            payload = self._ledger.latest_item(LINEAGE_STREAM.format(*lineage), record).payload
+            ops.ledger_reads += 1
+            if line is None:
+                return None
+            t = self._store.latest_tuple_instance(lineage, seq, line).privacy_tuple
+            published = HashRecord.from_string(payload)
+            ok = verify_hash(canonical_encode(t), published)
+            ops.hash_verifications += 1
+        except (LedgerError, CorruptRecord, MalformedRecord):
+            return None
+        if not ok:
+            return None
+        kept[lineage] = (seq, fingerprint, t.prefs)
+        return t.prefs
 
     # -- native baseline ----------------------------------------------------
 

@@ -20,10 +20,10 @@ or one that is not UTF-8, fails the open, which then leaves no file
 open.  The store does not say which version of a lineage is current: the
 ledger does, through its stream's latest seq, and the store finds the
 line at that seq by bisection.  The read and the decode are apart:
-policy_lines(seqs) reads many lines' bytes back, each run of lines with
-only an LF between one and the next with one os.pread
-(files.IndexedFile.read_runs), and policy_line(seq) is its one-line
-call; latest_tuple_instance decodes those bytes, or bytes it reads
+policy_runs(seqs) splits a query's seqs into runs of lines with only an
+LF between one and the next and reads each run with one os.pread, lines
+cuts a run's read into each line's bytes, and policy_line(seq) reads one
+line; latest_tuple_instance decodes those bytes, or bytes it reads
 itself, on every call; the instance must be of the lineage asked for, at
 the indexed version and seq.  A record that fails either, say because it
 changed on disk since open, or a read the system refuses, raises
@@ -259,6 +259,13 @@ _POLICY_LINE_RE = re.compile(
 )
 
 
+# A run of policy.db lines (Store.policy_runs) spans at most this many
+# bytes, so a query's buffer stays small.  A perfbench scan-where query
+# reads, per provider, 11 or 13 lines of about 790 B back to back, one run
+# at 16 KiB; at 8 KiB the 11-line query took two per provider.
+RUN_BYTES = 16 * 1024
+
+
 def _index_policy_line(line: str) -> tuple[int, int]:
     """Ledger seq and tuple version of one policy.db line."""
     match = _POLICY_LINE_RE.fullmatch(line)
@@ -473,43 +480,69 @@ class Store:
         """The bytes of the policy.db line at the ledger seq, read back
         without its line end, or None when policy.db holds no line at that
         seq; a read the system refuses raises CorruptRecord."""
-        [line] = self.policy_lines([seq])
-        if isinstance(line, OSError):
-            row = bisect_left(self._columns[0], seq)
-            raise CorruptRecord(f"{self._where(row)}: unreadable policy record ({line})")
-        return None if line is None else bytes(line)
-
-    def policy_lines(self, seqs):
-        """An iterator over the policy.db lines at the ledger seqs: per seq,
-        its bytes as policy_line(seq) returns them (or a memoryview into a
-        run's read), None where policy.db holds no line at the seq, or the
-        OSError its read raised.  Lines with only an LF between them are
-        read together; see files.IndexedFile.read_runs."""
-        return self._policy.read_runs(self._spans(seqs), gap=1)
-
-    def _spans(self, seqs):
-        """Offset and length of the policy.db line at each ledger seq, None
-        where there is none.  Lines a query reads often follow one another,
-        so the row after the last one found is tried before a bisection."""
         column, _, offsets, lengths, _ = self._columns
+        row = bisect_left(column, seq)
+        if row == len(column) or column[row] != seq:
+            return None
+        line = self._policy.read(offsets[row], lengths[row])
+        if isinstance(line, OSError):
+            raise CorruptRecord(f"{self._where(row)}: unreadable policy record ({line})")
+        return line
+
+    def policy_runs(self, seqs):
+        """An iterator that splits seqs, ledger seqs in a query's order
+        (None for a lineage with no stream), into runs of consecutive seqs
+        whose lines are consecutive rows one LF apart, at most RUN_BYTES
+        from the first's start to the last's end, and reads each run's
+        lines with one os.pread when the caller asks for the run: per run
+        (start, stop, row, data), seqs[start:stop], the row of its first
+        line and what files.IndexedFile.read gave.  A None seq, or one
+        policy.db holds no line at, is a run alone with row and data None.
+        The row after the last one found is tried before a bisection."""
+        column, _, offsets, lengths, _ = self._columns
+        read = self._policy.read
         count = len(column)
-        row = -1
-        for seq in seqs:
-            row += 1
-            if row >= count or column[row] != seq:
-                row = bisect_left(column, seq)
-                if row == count or column[row] != seq:
-                    yield None
-                    continue
-            yield offsets[row], lengths[row]
+        start = None  # the open run's place in seqs
+        row = expect = follows = limit = -1  # what the run's next line must meet
+        for at, seq in enumerate(seqs):
+            if seq is not None:
+                row += 1
+                if row >= count or column[row] != seq:
+                    row = bisect_left(column, seq)
+                    if row == count or column[row] != seq:
+                        seq = None
+                if seq is not None:
+                    offset = offsets[row]
+                    end = offset + lengths[row]
+                    if seq == expect and offset == follows and end <= limit:
+                        expect, follows = seq + 1, end + 1
+                        continue
+            if start is not None:
+                yield start, at, first, read(begins, follows - 1 - begins)
+            if seq is None:
+                start = None
+                expect = -1
+                yield at, at + 1, None, None
+            else:
+                start, first, begins = at, row, offset
+                expect, follows, limit = seq + 1, end + 1, offset + RUN_BYTES
+        if start is not None:
+            yield start, len(seqs), first, read(begins, follows - 1 - begins)
+
+    def lines(self, row: int, count: int, data) -> list:
+        """Each line's bytes out of data, what policy_runs gave for the
+        run of count lines from row on (see files.IndexedFile.pieces)."""
+        _, _, offsets, lengths, _ = self._columns
+        rows = range(row, row + count)
+        return self._policy.pieces(data, [(offsets[r], lengths[r]) for r in rows])
 
     def latest_tuple_instance(
         self, lineage: tuple[int, int, int], seq: int, line=None
     ) -> TupleInstance | None:
         """The lineage's version stored at the ledger seq that is its
         stream's latest, decoded from line, the bytes policy_line(seq)
-        returns (or policy_lines gives), if the caller has read them, or
-        else read back; None when policy.db holds no line at that seq.
+        returns (or lines gives), if the caller has read them, or else
+        read back; None when policy.db holds no line at that seq.
         Raises CorruptRecord when the read fails or the line fails to
         decode or disagrees with the lineage or its index.  The lineage is
         a (provider_id, attribute_id, accessor_id) tuple."""

@@ -454,7 +454,9 @@ def test_open_keeps_no_file_text(tmp_path):
 
 # A query adds, per lineage it touches, the mediator's one entry: the seq,
 # a 32-byte fingerprint of the two records' bytes and the preferences,
-# about 660 B per lineage here (Python 3.11; 645 B with a 16-byte one).
+# and the digest of each run of several lineages, about 670 B per lineage
+# here (Python 3.11; 660 B without run digests, 645 B with a 16-byte
+# fingerprint).
 # The bound leaves about a fifth of that as headroom.  While the entry
 # also kept the canonical encoding and the parse of the latest hash
 # record, this was about 1.44 KB; while the store also kept the decoded
@@ -491,11 +493,12 @@ def test_a_query_keeps_each_lineage_once(tmp_path):
 
 
 # What a warm all-provider query holds at its peak beyond what was held
-# before it, per lineage: about 402 B here (Python 3.11), mostly the result
-# it returns; one provider's 18 policy.db lines, about 14 KB, are one run.
-# Reading each record with a pread of its own, about 365 B.  A query that
-# read every record of both files before checking any would hold about
-# 1.5 KB more.  The bound leaves a quarter of 365 B as headroom.
+# before it, per lineage: about 359 B here (Python 3.11), mostly the result
+# it returns; one provider's 18 policy.db lines, about 14 KB, fit one run,
+# and a run stands whole on its digest.  Slicing every run into records,
+# about 402 B; reading each record with a pread of its own, about 365 B.
+# A query that read every record of both files before checking any would
+# hold about 1.5 KB more.  The bound leaves a quarter of 365 B as headroom.
 MAX_PEAK_PER_LINEAGE = 456
 
 

@@ -5,7 +5,9 @@ fingerprint the mediator keeps of the bytes a check passed on.  The KDF
 runs only where they differ: once per lineage version per engine, and
 again after any change on disk, so a new version, a record tampered
 between two queries, or one restored, decides the very next query, and a
-mismatch is checked again by every query.  Each test runs on both open
+mismatch is checked again by every query.  A run of back-to-back
+lineages stands whole on one digest of its bytes in both files while
+each of its lineages keeps its entry.  Each test runs on both open
 paths: from the checkpoints the last close wrote, and the full pass."""
 
 from __future__ import annotations
@@ -484,3 +486,187 @@ def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed)
                 assert result.ops.hash_verifications == 5
                 assert len(hashed) == (5 if repeat == 0 else 0)
             assert LINEAGE not in engine.mediator._kept
+
+
+# ---------------------------------------------------------------------------
+# runs of back-to-back lineages
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """The bytes each SHA-256 object the mediator builds was first fed."""
+    fed = []
+    original = mediator.sha256
+
+    def counting(data=b""):
+        fed.append(bytes(data))
+        return original(data)
+
+    monkeypatch.setattr(mediator, "sha256", counting)
+    return fed
+
+
+def run_key(entries):
+    """The key of the run digest of entries, back-to-back lineages."""
+    return entries[0].seq, entries[-1].seq
+
+
+def test_a_warm_run_of_back_to_back_lineages_is_hashed_once(configs, hashed, digests):
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            hashed.clear()
+            digests.clear()
+            first = engine.mediate(BACK_TO_BACK, now=NOW)
+            assert first.status is MediationStatus.COMPLETED
+            entries = published(first)
+            assert [e.seq for e in entries] == list(range(entries[0].seq, entries[0].seq + 6))
+            # The cold query checks each lineage and keeps the run's digest.
+            assert len(hashed) == 6
+            assert len(digests) == 1 + 6
+            assert list(engine.mediator._runs) == [run_key(entries)]
+
+            hashed.clear()
+            digests.clear()
+            repeat = engine.mediate(BACK_TO_BACK, now=NOW)
+            # One digest over the run's bytes in both files vouches for all
+            # six lineages: no record is fingerprinted, decoded or hashed.
+            assert len(digests) == 1
+            assert hashed == []
+            assert (repeat.rows, repeat.verification, repeat.ops) == (
+                first.rows,
+                first.verification,
+                first.ops,
+            )
+
+
+def test_republishing_a_lineage_inside_a_run_rehashes_it_alone(configs, hashed, encodes, digests):
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            first = engine.mediate(BACK_TO_BACK, now=NOW)
+            entries = published(first)
+            middle = entries[3]
+            prefs = engine.store.latest_tuple_instance(middle.lineage, middle.seq).privacy_tuple.prefs
+            publication = engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
+
+            hashed.clear()
+            encodes.clear()
+            digests.clear()
+            second = engine.mediate(BACK_TO_BACK, now=NOW)
+            # The new version lies alone at the end of both files, so the
+            # run splits in three, none of them kept: each other lineage
+            # passes on its own fingerprint, and only the new version runs
+            # the KDF.
+            assert encodes == [middle.lineage]
+            [new] = [e for e in second.verification if e.lineage == middle.lineage]
+            assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
+            assert hashed == stored_encodings(engine, [new])
+            assert len(digests) == (1 + 3) + 1 + (1 + 2)
+            assert second.rows == first.rows and second.ops == first.ops
+            assert second.verification == tuple(
+                new if e.lineage == middle.lineage else e for e in first.verification
+            )
+            # The old run's digest stays until the bound clears it; no query
+            # forms that run again, as the middle lineage's old seq is no
+            # stream's latest.
+            assert {run_key(entries[:3]), run_key(entries[4:])} < set(engine.mediator._runs)
+
+            # Both parts of the run now stand whole, and the lone version on
+            # its fingerprint.
+            hashed.clear()
+            digests.clear()
+            third = engine.mediate(BACK_TO_BACK, now=NOW)
+            assert hashed == [] and len(digests) == 3
+            assert (third.rows, third.verification, third.ops) == (
+                second.rows,
+                second.verification,
+                second.ops,
+            )
+
+
+def test_a_run_digest_stands_only_while_each_lineage_keeps_its_entry(configs, hashed):
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            first = engine.mediate(BACK_TO_BACK, now=NOW)
+            entries = published(first)
+            middle = entries[3]
+            kept_digest = engine.mediator._runs[run_key(entries)]
+            alone = QueryRequest(
+                accessor_id=BACK_TO_BACK.accessor_id,
+                requested_purpose=BACK_TO_BACK.requested_purpose,
+                attributes=(engine.store.catalog.by_id(middle.lineage[1]).name,),
+                provider_id=2,
+            )
+
+            # A same-length edit of the middle line, seen by a query of that
+            # attribute alone: it aborts and drops the lineage's entry, and
+            # leaves the run's digest, which it did not read, as it was.
+            path, at = config.data_dir / POLICY_FILE, declared_purpose_byte(engine, middle.seq)
+            old = _change_byte(path, at)
+            hashed.clear()
+            changed = engine.mediate(alone, now=NOW)
+            assert changed.status is MediationStatus.ABORTED and disclosed(changed) == 0
+            assert [e.lineage for e in changed.verification if e.note == "mismatch"] == [
+                middle.lineage
+            ]
+            assert len(hashed) == 1
+            assert middle.lineage not in engine.mediator._kept
+            assert engine.mediator._runs[run_key(entries)] == kept_digest
+
+            # The bytes restored: the run's digest matches again, but the
+            # middle lineage holds no entry, so the run does not stand
+            # whole; that lineage alone runs the KDF.
+            _restore_byte(path, at, old)
+            hashed.clear()
+            restored = engine.mediate(BACK_TO_BACK, now=NOW)
+            assert restored.status is MediationStatus.COMPLETED
+            assert hashed == stored_encodings(engine, [middle])
+            assert (restored.rows, restored.verification, restored.ops) == (
+                first.rows,
+                first.verification,
+                first.ops,
+            )
+            assert engine.mediator._runs[run_key(entries)] == kept_digest
+
+
+def test_run_digests_never_outnumber_the_kept_lineages(configs, hashed):
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            first = engine.mediate(BACK_TO_BACK, now=NOW)
+            runs, kept = engine.mediator._runs, engine.mediator._kept
+            for entry in published(first):
+                # Each republish splits the runs again and leaves the digest
+                # of a run no query forms again.
+                prefs = engine.store.latest_tuple_instance(entry.lineage, entry.seq).privacy_tuple.prefs
+                engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
+                for _ in range(2):
+                    hashed.clear()
+                    result = engine.mediate(BACK_TO_BACK, now=NOW)
+                    assert result.status is MediationStatus.COMPLETED
+                    assert result.rows == first.rows
+                    assert 0 < len(runs) <= len(kept) == 6
+                assert hashed == []  # the repeat ran no KDF
+
+
+@pytest.mark.parametrize("name", [POLICY_FILE, LEDGER_FILE])
+def test_a_same_length_edit_to_any_record_of_a_warm_run_aborts_only_its_lineage(configs, name):
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            first = engine.mediate(BACK_TO_BACK, now=NOW)
+            entries = published(first)
+            assert engine.mediate(BACK_TO_BACK, now=NOW).verification == first.verification
+            for entry in entries:
+                if name == POLICY_FILE:
+                    path, at = config.data_dir / name, declared_purpose_byte(engine, entry.seq)
+                else:
+                    path, at = engine.ledger.path, payload_digit(engine, entry.seq)
+                old = _change_byte(path, at)
+                result = engine.mediate(BACK_TO_BACK, now=NOW)
+                assert result.status is MediationStatus.ABORTED and result.rows == ()
+                assert [e.lineage for e in result.verification if e.note != "ok"] == [
+                    entry.lineage
+                ]
+                assert run_key(entries) not in engine.mediator._runs
+                _restore_byte(path, at, old)
+                restored = engine.mediate(BACK_TO_BACK, now=NOW)
+                assert (restored.rows, restored.verification) == (first.rows, first.verification)
