@@ -18,10 +18,12 @@ lie back to back, with one os.pread, records cuts that read into each
 record's bytes, and record(seq) reads one; latest_item builds the item
 from bytes a caller already read, so a caller that only needs to know
 whether a record is still the one it checked reads it once and decodes
-nothing.  latest_seqs(lineages) looks up the latest seq of every
-lineage of a query in one call.  An append links to the digest kept
-and, after the first append since open, to the kept timestamp of the
-last record, so it reads nothing.  Chain verification re-derives every
+nothing.  latest_seqs(lineages, known) looks up the latest seq of every
+lineage of a query in one call, at the row a caller kept of a stream
+(stream_row; a stream keeps its row while the ledger is open) or else
+by its name.  An append links to the digest kept and, after the first
+append since open, to the kept timestamp of the last record, so it
+reads nothing.  Chain verification re-derives every
 digest and link.  The file, with its handles and checkpoint, is a
 files.IndexedFile.
 """
@@ -33,7 +35,7 @@ import re
 import secrets
 from array import array
 from binascii import unhexlify
-from itertools import islice, starmap
+from itertools import islice, repeat
 from operator import lt
 from pathlib import Path
 from typing import NamedTuple
@@ -340,7 +342,9 @@ class Ledger:
             row = self._rows[name] = len(self._rows)
         return row
 
-    def _row(self, name: str) -> int:
+    def stream_row(self, name: str) -> int:
+        """The stream's row in the index, which it keeps while the ledger
+        is open; raises UnknownStream for a stream that does not exist."""
         row = self._rows.get(name)
         if row is None:
             raise UnknownStream(f"unknown stream: {name}")
@@ -359,7 +363,7 @@ class Ledger:
 
     def publish(self, stream: str, key: str, payload: bytes) -> StreamItem:
         """Append one transaction item to an existing stream."""
-        self._row(stream)
+        self.stream_row(stream)
         if stream == ROOT_STREAM:
             raise RootPublishForbidden("the root stream holds no transaction items")
         _check_entry(key, payload)
@@ -383,7 +387,7 @@ class Ledger:
         return [self.stream(name) for name in self._rows]
 
     def stream(self, name: str) -> Stream:
-        row = self._row(name)
+        row = self.stream_row(name)
         seqs = []
         seq, prev = self._last[row], self._prev
         while seq:
@@ -409,16 +413,23 @@ class Ledger:
         return [self.item(s) for s in seqs[start : start + count]]
 
     def latest_seq(self, name: str) -> int:
-        return self._last[self._row(name)] or _no_items(name)
+        return self._last[self.stream_row(name)] or _no_items(name)
 
-    def latest_seqs(self, lineages) -> list[int | None]:
+    def latest_seqs(self, lineages, known=None) -> list[int | None]:
         """The latest seq of each (provider_id, attribute_id, accessor_id)
         lineage's stream, in order, None for a lineage with no stream;
-        raises what latest_seq raises for a stream with no items."""
-        rows, last = self._rows, self._last
+        raises what latest_seq raises for a stream with no items.  known,
+        if given, holds per lineage None or a tuple whose first item is
+        the stream_row of its stream, which is then read at that row: only
+        a lineage without one has its stream's name formatted."""
+        rows, last, stream = self._rows, self._last, LINEAGE_STREAM.format
         return [
-            None if (row := rows.get(name)) is None else last[row] or _no_items(name)
-            for name in starmap(LINEAGE_STREAM.format, lineages)
+            last[held[0]]
+            if held is not None
+            else None
+            if (row := rows.get(name := stream(*lineage))) is None
+            else last[row] or _no_items(name)
+            for lineage, held in zip(lineages, repeat(None) if known is None else known)
         ]
 
     def latest_item(self, name: str, record=None) -> StreamItem:

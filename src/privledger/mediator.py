@@ -1,37 +1,53 @@
 """Privacy-aware query mediation.
 
 Every query is decomposed into (provider, attribute, accessor) lineages.
-The ledger gives the latest seq of every lineage's stream in one call,
-which alone says which version is current, and both records of that
-version are read back from disk, on every query: the policy.db line the
-store holds at that seq and the ledger record there.  In analysis order
-the lineages form runs: stretches whose latest seqs are consecutive and
-whose policy.db lines are consecutive rows one LF apart, at most
-store.RUN_BYTES of them.  Each file's bytes of a run are read with one
-os.pread, and a run of several is hashed once, by SHA-256 fed the policy
-bytes and then the ledger bytes.  Where that digest is the one kept for
-the run's (first seq, last seq) and each of its lineages still holds its
-kept entry at its seq, the run stands whole.  That is sound: a run's
-digest is kept only after every lineage in it passed its check on
-exactly the bytes hashed; the same seqs mean the same offsets, as both
-indexes are append-only; and a check a lineage fails, in a query of any
-shape, drops its entry.  Otherwise each lineage of the run is checked on
-its slices of the two reads, which SHA-256 fingerprints in turn: the
-canonical encoding of the stored tuple is re-hashed and checked against
-the hash published in the ledger record, unless the fingerprint is that
-of bytes a check already passed on in this engine.  The run's digest is
-then kept if all passed and dropped otherwise.  So the KDF runs once per
-lineage version per engine, and again after any change on disk to
+The ledger's latest seq of a lineage's stream alone says which version
+is current, and both records of that version are read back from disk,
+on every query: the policy.db line the store holds at that seq and the
+ledger record there.  Between queries the mediator alone keeps, per
+lineage whose check passed, its VerificationEntry (which holds the seq),
+the row of its stream in the ledger's index, the fingerprint of the two
+records' bytes and the preferences; and per run of several lineages
+whose checks all passed, keyed by the run's first seq, its last seq, the
+policy.db row of its first line, the digest of its bytes in both files
+(SHA-256 fed the policy bytes and then the ledger bytes) and what each
+of its lineages kept.  It never keeps a failed check or an access
+decision.
+
+A query looks each lineage up once: a kept lineage's latest seq is read
+at its kept row, and only a lineage with no entry has its stream's name
+formatted.  Where a kept run begins at a lineage's latest seq, it stands
+whole if the query's seqs from there on are the run's consecutive seqs,
+each of its lineages still holds the very entry it held when the run was
+kept, and the run's bytes, read with one os.pread per file, give its
+digest; its kept entries and preferences are then handed out as they
+are.  That is sound: a run is kept only after every lineage in it passed
+its check on exactly the bytes hashed; both indexes are append-only, so
+the same seqs are the same rows and offsets; a record's seq fixes its
+stream, so the same seqs are the same lineages; a check a lineage fails,
+in a query of any shape, drops its entry and the run kept at its seq;
+and the bytes are still read and hashed, so any change on disk to either
+record is seen.
+
+The other lineages, and those of a run whose digest differs or whose
+read is refused or short, are checked one by one.  In analysis order
+they form runs: stretches whose latest seqs are consecutive and whose
+policy.db lines are consecutive rows one LF apart, at most
+store.RUN_BYTES of them, each file's bytes of a run read with one
+os.pread.  Each lineage is checked on its slices of the two reads, which
+SHA-256 fingerprints in turn: the canonical encoding of the stored tuple
+is re-hashed and checked against the hash published in the ledger
+record, unless the fingerprint is the one kept for the lineage at that
+seq.  A run of several is then kept if all its lineages passed, and any
+other run drops what was kept at its first seq.  So the KDF runs once
+per lineage version per engine, and again after any change on disk to
 either record; a fresh process runs it on every published lineage it
 touches.  A lineage without a stream has no policy and reads nothing
 from the store; a single mismatch, including a published item with no
 readable instance at its seq, aborts the whole request with zero
-disclosed cells.  Between queries the mediator alone keeps, per lineage,
-the seq, the fingerprint and the preferences of the version a check
-passed on, and the digests of runs, never a failed check or an access
-decision.  Verified lineages then pass through policy evaluation, the
-query is rewritten to the allowed attribute set, executed once, and each
-disclosed cell is transformed to its granted granularity.  A stored
+disclosed cells.  Verified lineages then pass through policy evaluation,
+the query is rewritten to the allowed attribute set, executed once, and
+each disclosed cell is transformed to its granted granularity.  A stored
 policy record that fails its read back or its decode, or a ledger record
 that fails its read back (changed on disk since open, cut short, or not
 matching its digest), is a mismatch too, never a pass; a read the system
@@ -48,6 +64,7 @@ import datetime as dt
 import time
 from enum import Enum
 from hashlib import sha256
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -107,6 +124,42 @@ class VerificationEntry(NamedTuple):
     seq: int | None
     verified: bool
     note: str  # ok | mismatch | no-policy
+
+
+class _Kept(NamedTuple):
+    """What the mediator keeps of a lineage's version whose check passed."""
+
+    row: int  # the ledger's stream_row of the lineage's stream
+    entry: VerificationEntry  # handed out as is while the version stands
+    fingerprint: bytes  # _digest of its policy.db line and ledger record
+    preferences: PreferenceSet
+
+
+class _Run(NamedTuple):
+    """What the mediator keeps of a run of several lineages, by its first
+    seq, whose checks all passed."""
+
+    last: int  # its last seq
+    row: int  # the policy.db row of its first line
+    digest: bytes  # _digest of its policy.db lines and ledger records
+    kept: list  # each lineage's _Kept when the digest was taken
+
+
+_ENTRY, _PREFERENCES = attrgetter("entry"), attrgetter("preferences")
+
+
+def _digest(policy, records) -> bytes | None:
+    """SHA-256 fed bytes read from policy.db and then bytes read from the
+    ledger, or None where either is None or a refused read's OSError.  No
+    read returns more than the length the index gives, so a digest kept
+    matches only the very bytes it was taken of."""
+    if policy is None or records is None:
+        return None
+    if isinstance(policy, OSError) or isinstance(records, OSError):
+        return None
+    hasher = sha256(policy)
+    hasher.update(records)
+    return hasher.digest()
 
 
 class ResultRow(NamedTuple):
@@ -178,15 +231,14 @@ class Mediator:
     def __init__(self, store: Store, ledger: Ledger):
         self._store = store
         self._ledger = ledger
-        # Lineage -> (seq, fingerprint, preferences) of the version at the
-        # latest ledger seq whose two records a query verified: the
-        # fingerprint is the SHA-256 digest of the policy.db line's bytes
-        # and then the ledger record's, exactly as decoded and verified.
-        # Other bytes at that seq, or a later seq, drop it.
-        self._kept: dict[tuple[int, int, int], tuple[int, bytes, PreferenceSet]] = {}
-        # (first seq, last seq) of a run of several lineages -> SHA-256 of
-        # its policy.db bytes and then its ledger bytes, all of which passed.
-        self._runs: dict[tuple[int, int], bytes] = {}
+        # Lineage -> what is kept of its version at the latest ledger seq
+        # whose two records a query verified.  Other bytes at that seq, or a
+        # later seq, drop it.
+        self._kept: dict[tuple[int, int, int], _Kept] = {}
+        # First seq of a run of several lineages -> what is kept of it, each
+        # key the seq of a kept entry: one that is dropped drops the run
+        # keyed at its seq.
+        self._runs: dict[int, _Run] = {}
 
     # -- analysis -----------------------------------------------------------
 
@@ -324,18 +376,62 @@ class Mediator:
 
     def _verify(self, lineages, ops: OpCounters):
         """Check both records of the current version of each lineage, in
-        order, a run at a time: returns its VerificationEntry per lineage,
-        per lineage the preferences to evaluate (None where none is
-        published or verified), and whether any is a mismatch, and counts
-        the ledger records read and the hashes verified in ops.  Nothing
+        order: returns its VerificationEntry per lineage, per lineage the
+        preferences to evaluate (None where none is published or
+        verified), and whether any is a mismatch, and counts the ledger
+        records read and the hashes verified in ops.  A kept run stands
+        whole where the query's seqs there are its seqs, each lineage
+        still holds the entry it held when the run was kept, and its
+        bytes, read with one os.pread per file, give its digest; the
+        lineages between such runs are checked by _check_runs.  Nothing
         it read outlives it."""
-        store, ledger = self._store, self._ledger
         kept, runs = self._kept, self._runs
+        held = list(map(kept.get, lineages))
+        seqs = self._ledger.latest_seqs(lineages, held)
         entries: list[VerificationEntry] = []
         preferences: list[PreferenceSet | None] = []  # None: no published policy to evaluate
         aborted = False
         stood = 0  # lineages of runs that stood whole
-        seqs = ledger.latest_seqs(lineages)
+        start = at = 0  # lineages[start:at] wait for _check_runs
+        while at < len(seqs):
+            first = seqs[at]
+            run = runs.get(first)
+            if run is not None:
+                count = run.last - first + 1
+                stop = at + count
+                if (
+                    held[at:stop] == run.kept
+                    and seqs[at:stop] == list(range(first, run.last + 1))
+                    and _digest(
+                        self._store.read_lines(run.row, count),
+                        self._ledger.read_records(first, count),
+                    )
+                    == run.digest
+                ):
+                    if start < at:
+                        aborted |= self._check_runs(
+                            lineages[start:at], seqs[start:at], entries, preferences, ops
+                        )
+                    entries += map(_ENTRY, run.kept)
+                    preferences += map(_PREFERENCES, run.kept)
+                    stood += count
+                    start = at = stop
+                    continue
+            at += 1
+        if start < at:
+            aborted |= self._check_runs(lineages[start:], seqs[start:], entries, preferences, ops)
+        ops.ledger_reads += stood
+        ops.hash_verifications += stood
+        return entries, preferences, aborted
+
+    def _check_runs(self, lineages, seqs, entries, preferences, ops: OpCounters) -> bool:
+        """Check each lineage, with its latest seq in seqs, on its slices
+        of one read per file per run of store.policy_runs, appending its
+        entry and preferences; returns whether any is a mismatch.  A run
+        of several whose lineages all passed is kept, by its first seq;
+        any other run drops what was kept at its first seq."""
+        store, ledger, runs = self._store, self._ledger, self._runs
+        aborted = False
         for start, stop, row, policy in store.policy_runs(seqs):
             first = seqs[start]
             if first is None:
@@ -343,90 +439,56 @@ class Mediator:
                 preferences.append(None)
                 continue
             count = stop - start
+            run = lineages[start:stop]
             records = ledger.read_records(first, count)
             if count == 1:  # policy and records are its two records, as read
-                prefs = self._check(lineages[start], first, policy, records, ops)
-                ok = prefs is not None
-                note = VERIFIED_OK if ok else VERIFIED_MISMATCH
-                entries.append(VerificationEntry(lineages[start], first, ok, note))
-                preferences.append(prefs)
-                aborted = aborted or not ok
-                continue
-            run = lineages[start:stop]
-            key = (first, first + count - 1)
-            digest = None
-            if not isinstance(policy, OSError) and not isinstance(records, OSError):
-                hasher = sha256(policy)
-                hasher.update(records)
-                digest = hasher.digest()
-                if runs.get(key) == digest:
-                    held = list(map(kept.get, run))
-                    at = first  # the seq the next lineage's entry must be at
-                    for entry in held:
-                        if entry is None or entry[0] != at:
-                            break
-                        at += 1
-                    else:
-                        entries += [
-                            VerificationEntry(lineage, seq, True, VERIFIED_OK)
-                            for lineage, seq in zip(run, range(first, at))
-                        ]
-                        preferences += [entry[2] for entry in held]
-                        stood += count
-                        continue
-            lines = store.lines(row, count, policy)
-            records = ledger.records(first, count, records)
-            passed = True
-            for lineage, seq, line, record in zip(run, range(first, first + count), lines, records):
-                prefs = self._check(lineage, seq, line, record, ops)
-                ok = prefs is not None
-                passed = passed and ok
-                note = VERIFIED_OK if ok else VERIFIED_MISMATCH
-                entries.append(VerificationEntry(lineage, seq, ok, note))
-                preferences.append(prefs)
-            if not passed:
-                aborted = True
-                runs.pop(key, None)
-            elif digest is not None:
-                if len(runs) >= len(kept):
-                    runs.clear()  # never more digests than kept lineages
-                runs[key] = digest
-        ops.ledger_reads += stood
-        ops.hash_verifications += stood
-        return entries, preferences, aborted
+                digest, checked = None, [self._check(run[0], first, policy, records, ops)]
+            else:
+                digest = _digest(policy, records)
+                lines = store.lines(row, count, policy)
+                records = ledger.records(first, count, records)
+                checked = [
+                    self._check(lineage, seq, line, record, ops)
+                    for lineage, seq, line, record in zip(run, seqs[start:stop], lines, records)
+                ]
+            if digest is not None and None not in checked:
+                runs[first] = _Run(first + count - 1, row, digest, checked)
+            else:
+                runs.pop(first, None)
+            for lineage, seq, passed in zip(run, seqs[start:stop], checked):
+                if passed is None:
+                    aborted = True
+                    entries.append(VerificationEntry(lineage, seq, False, VERIFIED_MISMATCH))
+                    preferences.append(None)
+                else:
+                    entries.append(passed.entry)
+                    preferences.append(passed.preferences)
+        return aborted
 
-    def _check(self, lineage, seq: int, line, record, ops: OpCounters) -> PreferenceSet | None:
-        """The preferences of the lineage's version at seq if its two
-        records pass, as read back (line None where policy.db holds none;
-        either an OSError where its read was refused), else None; counts
-        in ops.  Where their fingerprint is the one kept for the lineage at
-        seq, its verdict stands; otherwise they are decoded and verified,
-        and kept only if they pass."""
+    def _check(self, lineage, seq: int, line, record, ops: OpCounters) -> _Kept | None:
+        """What is kept of the lineage's version at seq if its two records
+        pass, as read back (line None where policy.db holds none; either an
+        OSError where its read was refused), else None; counts in ops.
+        Where their fingerprint is the one kept for the lineage at seq,
+        its verdict stands; otherwise they are decoded and verified, and
+        kept only if they pass."""
         kept = self._kept
-        if isinstance(line, OSError):
-            line = None
-        if isinstance(record, OSError):
-            record = None
-        fingerprint = None
-        if line is not None and record is not None:
-            # No read returns more than the length the index gives its
-            # record, so the digest of the two fed in turn is a kept one
-            # only for the very bytes it was taken of.
-            hasher = sha256(line)
-            hasher.update(record)
-            fingerprint = hasher.digest()
-        entry = kept.get(lineage)
-        if entry is not None and entry[1] == fingerprint and entry[0] == seq:
-            ops.ledger_reads += 1
-            ops.hash_verifications += 1
-            return entry[2]
-        kept.pop(lineage, None)
-        if record is None:
+        fingerprint = _digest(line, record)
+        held = kept.get(lineage)
+        if held is not None:
+            if held.fingerprint == fingerprint and held.entry.seq == seq:
+                ops.ledger_reads += 1
+                ops.hash_verifications += 1
+                return held
+            del kept[lineage]
+            self._runs.pop(held.entry.seq, None)
+        if record is None or isinstance(record, OSError):
             return None
+        name = LINEAGE_STREAM.format(*lineage)
         try:
-            payload = self._ledger.latest_item(LINEAGE_STREAM.format(*lineage), record).payload
+            payload = self._ledger.latest_item(name, record).payload
             ops.ledger_reads += 1
-            if line is None:
+            if line is None or isinstance(line, OSError):
                 return None
             t = self._store.latest_tuple_instance(lineage, seq, line).privacy_tuple
             published = HashRecord.from_string(payload)
@@ -436,8 +498,9 @@ class Mediator:
             return None
         if not ok:
             return None
-        kept[lineage] = (seq, fingerprint, t.prefs)
-        return t.prefs
+        entry = VerificationEntry(lineage, seq, True, VERIFIED_OK)
+        held = kept[lineage] = _Kept(self._ledger.stream_row(name), entry, fingerprint, t.prefs)
+        return held
 
     # -- native baseline ----------------------------------------------------
 

@@ -21,13 +21,14 @@ open.  The store does not say which version of a lineage is current: the
 ledger does, through its stream's latest seq, and the store finds the
 line at that seq by bisection.  The read and the decode are apart:
 policy_runs(seqs) splits a query's seqs into runs of lines with only an
-LF between one and the next and reads each run with one os.pread, lines
-cuts a run's read into each line's bytes, and policy_line(seq) reads one
-line; latest_tuple_instance decodes those bytes, or bytes it reads
-itself, on every call; the instance must be of the lineage asked for, at
-the indexed version and seq.  A record that fails either, say because it
-changed on disk since open, or a read the system refuses, raises
-CorruptRecord.  The store keeps no decoded tuple: the mediator keeps,
+LF between one and the next and reads each run with one os.pread through
+read_lines(row, count), which also reads a run again by its first row;
+lines cuts a run's read into each line's bytes, and policy_line(seq)
+reads one line; latest_tuple_instance decodes those bytes, or bytes it
+reads itself, on every call; the instance must be of the lineage asked
+for, at the indexed version and seq.  A record that fails either, say
+because it changed on disk since open, or a read the system refuses,
+raises CorruptRecord.  The store keeps no decoded tuple: the mediator keeps,
 per verified version, a fingerprint of the bytes it verified and the
 preferences, and decodes a line only when its bytes are not those.
 Older versions, and a line no ledger item names, stay on disk and are
@@ -500,7 +501,6 @@ class Store:
         policy.db holds no line at, is a run alone with row and data None.
         The row after the last one found is tried before a bisection."""
         column, _, offsets, lengths, _ = self._columns
-        read = self._policy.read
         count = len(column)
         start = None  # the open run's place in seqs
         row = expect = follows = limit = -1  # what the run's next line must meet
@@ -518,16 +518,24 @@ class Store:
                         expect, follows = seq + 1, end + 1
                         continue
             if start is not None:
-                yield start, at, first, read(begins, follows - 1 - begins)
+                yield start, at, first, self.read_lines(first, at - start)
             if seq is None:
                 start = None
                 expect = -1
                 yield at, at + 1, None, None
             else:
-                start, first, begins = at, row, offset
+                start, first = at, row
                 expect, follows, limit = seq + 1, end + 1, offset + RUN_BYTES
         if start is not None:
-            yield start, len(seqs), first, read(begins, follows - 1 - begins)
+            yield start, len(seqs), first, self.read_lines(first, len(seqs) - start)
+
+    def read_lines(self, row: int, count: int):
+        """The bytes of the count lines from row on, from the first's start
+        to the last's end, read with one os.pread: what
+        files.IndexedFile.read gives."""
+        _, _, offsets, lengths, _ = self._columns
+        end = row + count - 1
+        return self._policy.read(offsets[row], offsets[end] + lengths[end] - offsets[row])
 
     def lines(self, row: int, count: int, data) -> list:
         """Each line's bytes out of data, what policy_runs gave for the

@@ -134,6 +134,19 @@ def policy_index(store) -> list[tuple[int, int, int, int, int]]:
     return list(zip(*store._columns))
 
 
+def kept_seq(engine: Engine, lineage) -> int | None:
+    """The seq of the lineage's version whose passed check the engine's
+    mediator keeps, or None where it keeps none."""
+    held = engine.mediator._kept.get(lineage)
+    return None if held is None else held.entry.seq
+
+
+def run_keys(engine: Engine) -> dict[tuple[int, int], bytes]:
+    """(first seq, last seq) of each run of lineages whose digest the
+    engine's mediator keeps, to that digest."""
+    return {(first, run.last): run.digest for first, run in engine.mediator._runs.items()}
+
+
 def record_spans(data_dir, name: str, seqs) -> list[tuple[int, int]]:
     """Start and end, read from the file itself, of the record at each
     ledger seq in the file name (ledger.db or policy.db) under data_dir: a

@@ -34,11 +34,12 @@ from hypothesis import strategies as st
 
 from helpers import WORDS, make_accessor, make_engine, random_prefs
 from mediation_reference import ReferenceMediator
+from privledger.config import LEDGER_FILE
 from privledger.engine import Engine, EngineConfig
 from privledger.ledger import LINEAGE_STREAM, LedgerError
 from privledger.mediator import INTEGRITY_ABORT, NO_PUBLISHED_POLICY, QueryRequest
 from privledger.policy import AccessorRole, DenialReason, Sensitivity
-from privledger.store import StoreError
+from privledger.store import POLICY_FILE, StoreError
 
 PROVIDERS = (1, 2, 3, 4)
 ACCESSORS = {
@@ -194,6 +195,144 @@ def test_one_pass_mediation_equals_the_reference(population, request, now, damag
                 assert _outcome(engine.mediate, request, now) == _outcome(
                     reference.mediate, request, now
                 )
+
+
+def _latest_record_byte(engine: Engine, lineage, name: str) -> tuple[Path, int]:
+    """The file and offset of one byte of the lineage's latest record in
+    file name that _flip changes in place: the first of the declared
+    purpose in its policy.db line, or the last of the payload in its
+    ledger record."""
+    stream = LINEAGE_STREAM.format(*lineage)
+    if name == POLICY_FILE:
+        path = engine.config.data_dir / POLICY_FILE
+        start, end = _latest_line_span(path, stream)
+        field = b'"declared_purpose": "'
+        return path, path.read_bytes().index(field, start, end) + len(field)
+    seq = engine.ledger.latest_seq(stream)
+    at = 0
+    for line in engine.ledger.path.read_bytes().splitlines(keepends=True):
+        if line.startswith(f"{seq}\t".encode()):
+            return engine.ledger.path, at + len(b"\t".join(line.split(b"\t")[:6])) - 1
+        at += len(line)
+    raise AssertionError(f"no ledger record at seq {seq}")
+
+
+def _flip(path: Path, at: int) -> bytes:
+    """Change the byte at offset at in place; returns the byte it replaced."""
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        old = fh.read(1)
+        fh.seek(at)
+        fh.write(b"1" if old == b"0" else b"0")
+    return old
+
+
+def _put_back(path: Path, at: int, old: bytes):
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        fh.write(old)
+
+
+# Policies for one accessor on some attributes of some providers, in
+# analysis order: their records lie back to back, so a query of those
+# lineages forms runs.
+publish_steps = st.tuples(
+    st.just("publish"),
+    st.lists(st.sampled_from(PROVIDERS), min_size=1, unique=True),
+    st.sampled_from(sorted(ACCESSORS)),
+    st.lists(st.sampled_from(ATTRIBUTES), min_size=1, max_size=4, unique=True),
+)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("query"), requests()),
+        publish_steps,
+        # The steps below pick, by index, the lineages of a publish step
+        # and one of them.
+        st.tuples(st.just("query-published"), st.sampled_from(PURPOSES), st.integers(0, 15)),
+        st.tuples(st.just("republish"), st.integers(0, 15), st.integers(0, 15)),
+        st.tuples(
+            st.just("edit"),
+            st.integers(0, 15),
+            st.integers(0, 15),
+            st.sampled_from([POLICY_FILE, LEDGER_FILE]),
+        ),
+        st.just(("restore",)),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=publish_steps, steps=steps)
+def test_a_warm_engine_answers_as_a_fresh_one(population, first, steps):
+    """Publishes, republishes, same-length edits of either record of a
+    lineage's latest version, and their restores, between queries: each
+    query, and its repeat, on an engine kept open answers as an engine
+    opened afresh on the same directory, at the latest seq of each
+    lineage."""
+    config, published = population
+    now = DATES[1]
+    rng = random.Random(0)
+    with tempfile.TemporaryDirectory() as scratch:
+        data_dir = Path(scratch) / "data"
+        shutil.copytree(config.data_dir, data_dir)
+        fresh_config = EngineConfig(data_dir, config.hash_cost)
+        edits = []  # (path, offset, byte replaced), last first to restore
+        publishes = []  # per publish step (providers, accessor, names, lineages)
+        with contextlib.closing(Engine.open(fresh_config)) as engine:
+            catalog = engine.store.catalog
+
+            def publish(lineage):
+                engine.set_policy(lineage[0], lineage[2], random_prefs(rng, lineage[1]))
+
+            def lineages_of(index):
+                return publishes[index % len(publishes)][3]
+
+            def request_of(index, purpose):
+                """A query of the lineages of a publish step."""
+                provider_ids, accessor_id, names, _ = publishes[index % len(publishes)]
+                provider_id = provider_ids[0] if len(provider_ids) == 1 else None
+                return QueryRequest(accessor_id, purpose, names, provider_id=provider_id)
+
+            def answers(request):
+                with contextlib.closing(Engine.open(fresh_config)) as fresh:
+                    expected = fresh.mediate(request, now=now)._replace(timing=None)
+                for _ in range(2):
+                    warm = engine.mediate(request, now=now)._replace(timing=None)
+                    assert warm == expected
+                lineages = engine.mediator.analyze(request)
+                assert [e.seq for e in warm.verification] == engine.ledger.latest_seqs(lineages)
+
+            # A publication first: it reads the ledger's last record, which
+            # an edit may change.
+            publish(published[0])
+            for step in [first, *steps]:
+                if step[0] == "publish":
+                    _, provider_ids, accessor_id, names = step
+                    attribute_ids = sorted(catalog.by_name(name).attribute_id for name in names)
+                    lineages = [(p, a, accessor_id) for p in sorted(provider_ids) for a in attribute_ids]
+                    for lineage in lineages:
+                        publish(lineage)
+                    publishes.append((provider_ids, accessor_id, names, lineages))
+                elif step[0] == "query":
+                    answers(step[1])
+                elif step[0] == "query-published":
+                    answers(request_of(step[2], step[1]))
+                elif step[0] == "republish":
+                    # Between two queries of the lineages it is one of.
+                    _, index, which = step
+                    request = request_of(index, PURPOSES[0])
+                    answers(request)
+                    lineages = lineages_of(index)
+                    publish(lineages[which % len(lineages)])
+                    answers(request)
+                elif step[0] == "edit":
+                    lineages = lineages_of(step[1])
+                    path, at = _latest_record_byte(engine, lineages[step[2] % len(lineages)], step[3])
+                    edits.append((path, at, _flip(path, at)))
+                elif edits:
+                    _put_back(*edits.pop())
 
 
 def test_the_population_meets_every_outcome(population, tmp_path):

@@ -452,17 +452,19 @@ def test_open_keeps_no_file_text(tmp_path):
         assert kept / lineages <= MAX_KEPT_PER_LINEAGE, f"{kept / lineages:.0f} B per lineage"
 
 
-# A query adds, per lineage it touches, the mediator's one entry: the seq,
-# a 32-byte fingerprint of the two records' bytes and the preferences,
-# and the digest of each run of several lineages, about 670 B per lineage
-# here (Python 3.11; 660 B without run digests, 645 B with a 16-byte
-# fingerprint).
-# The bound leaves about a fifth of that as headroom.  While the entry
-# also kept the canonical encoding and the parse of the latest hash
-# record, this was about 1.44 KB; while the store also kept the decoded
-# tuple instance, about 1.73 KB; an engine that kept every ledger item it
-# read, and a copy of the catalog's attribute and the accessor's profile
-# in every tuple, kept about 3.35 KB.
+# A query adds, per lineage it touches, the mediator's one entry: its
+# VerificationEntry, its stream's ledger row, a 32-byte fingerprint of
+# the two records' bytes and the preferences, and per run of several
+# lineages its digest and each lineage's entry, about 780 B per lineage
+# here (Python 3.11.7; 772 B on 3.12.1 and 3.13.0), which leaves the bound
+# about 20 B of headroom.  While the entry held the bare seq in place of
+# a VerificationEntry and a run was keyed by its first and last seq, this
+# was about 670 B; with no run digests, 660 B; with a 16-byte fingerprint,
+# 645 B.  While the entry also kept the canonical encoding and the parse
+# of the latest hash record, about 1.44 KB; while the store also kept the
+# decoded tuple instance, about 1.73 KB; an engine that kept every ledger
+# item it read, and a copy of the catalog's attribute and the accessor's
+# profile in every tuple, kept about 3.35 KB.
 MAX_WARM_PER_LINEAGE = 800
 
 
@@ -493,13 +495,15 @@ def test_a_query_keeps_each_lineage_once(tmp_path):
 
 
 # What a warm all-provider query holds at its peak beyond what was held
-# before it, per lineage: about 359 B here (Python 3.11), mostly the result
-# it returns; one provider's 18 policy.db lines, about 14 KB, fit one run,
-# and a run stands whole on its digest.  Slicing every run into records,
-# about 402 B; reading each record with a pread of its own, about 365 B.
-# A query that read every record of both files before checking any would
-# hold about 1.5 KB more.  The bound leaves a quarter of 365 B as headroom.
-MAX_PEAK_PER_LINEAGE = 456
+# before it, per lineage: about 270 B here (Python 3.11.7; 267 B on 3.12.1
+# and 3.13.0), mostly the result it returns; one provider's 18 policy.db
+# lines, about 14 KB, fit one run, which stands whole on its digest and
+# hands out the entries it kept.  Building a fresh entry per lineage of a
+# run that stood, about 359 B; slicing every run into records, about
+# 402 B; reading each record with a pread of its own, about 365 B.  A
+# query that read every record of both files before checking any would
+# hold about 1.5 KB more.  The bound leaves a quarter of 270 B as headroom.
+MAX_PEAK_PER_LINEAGE = 338
 
 
 def test_a_warm_query_holds_one_run_at_a_time(tmp_path):

@@ -13,7 +13,6 @@ paths: from the checkpoints the last close wrote, and the full pass."""
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import json
 import os
 from collections import Counter
@@ -28,9 +27,11 @@ from helpers import (
     BENCH_PURPOSE,
     both_open_paths,
     install_archetype_fixture,
+    kept_seq,
     make_engine,
     make_prefs,
     record_spans,
+    run_keys,
 )
 from privledger import mediator, store, tuples
 from privledger.config import LEDGER_FILE
@@ -113,12 +114,6 @@ def stored_encodings(engine, entries):
         canonical_encode(engine.store.latest_tuple_instance(e.lineage, e.seq).privacy_tuple)
         for e in entries
     ]
-
-
-def fingerprint(engine, seq):
-    """The fingerprint of both records at seq as they are on disk."""
-    line = engine.store.policy_line(seq)
-    return hashlib.sha256(line + engine.ledger.record(seq)).digest()
 
 
 def disclosed(result):
@@ -280,15 +275,17 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, p
             instance = engine.store.latest_tuple_instance(old.lineage, publication.seq)
             assert instance.version == publication.version
             assert hashed == stored_encodings(engine, [new])
-            assert engine.mediator._kept[old.lineage] == (
-                publication.seq,
-                fingerprint(engine, publication.seq),
-                instance.privacy_tuple.prefs,
-            )
+            assert kept_seq(engine, old.lineage) == publication.seq
             assert second.rows[0].cells[1] == WITHHELD
             assert [row.cells[1] for row in second.rows[1:]] == [
                 row.cells[1] for row in first.rows[1:]
             ]
+            # What was kept is the new version's bytes as on disk: a repeat
+            # hashes nothing and answers the same.
+            hashed.clear()
+            repeat = engine.mediate(REQUEST, now=NOW)
+            assert hashed == []
+            assert (repeat.rows, repeat.verification) == (second.rows, second.verification)
 
 
 def test_a_tampered_record_aborts_every_query_touching_it(configs, hashed):
@@ -441,7 +438,7 @@ def test_ledger_reads_counts_the_ledger_records_a_warm_query_reads(configs, monk
                 )
 
 
-def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
+def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs, hashed):
     for config in configs:
         with closing(Engine.open(config)) as engine:
             lineage = (1, CITY, BENCH_ACCESSOR_ID)
@@ -452,14 +449,19 @@ def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs):
                 publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
                 result = engine.mediate(REQUEST, now=NOW)
                 assert result.status is MediationStatus.COMPLETED
-                kept = engine.mediator._kept
-                assert len(kept) == 6
-                # One entry per lineage: its seq, the fingerprint of both
-                # records' bytes there, and its preferences.
-                seq = publication.seq
-                assert kept[lineage] == (seq, fingerprint(engine, seq), prefs)
+                assert len(engine.mediator._kept) == 6
+                # One entry per lineage, at its latest seq; the new version's
+                # preferences decide its cell.
+                assert kept_seq(engine, lineage) == publication.seq
                 for e in published(result):
-                    assert kept[e.lineage][:2] == (e.seq, fingerprint(engine, e.seq))
+                    assert kept_seq(engine, e.lineage) == e.seq
+                assert (result.rows[0].cells[1] != WITHHELD) == (declared == BENCH_PURPOSE)
+                # Each entry is of both records' bytes as on disk: a repeat
+                # hashes nothing and answers the same.
+                hashed.clear()
+                repeat = engine.mediate(REQUEST, now=NOW)
+                assert hashed == []
+                assert (repeat.rows, repeat.verification) == (result.rows, result.verification)
 
 
 def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed):
@@ -524,7 +526,7 @@ def test_a_warm_run_of_back_to_back_lineages_is_hashed_once(configs, hashed, dig
             # The cold query checks each lineage and keeps the run's digest.
             assert len(hashed) == 6
             assert len(digests) == 1 + 6
-            assert list(engine.mediator._runs) == [run_key(entries)]
+            assert list(run_keys(engine)) == [run_key(entries)]
 
             hashed.clear()
             digests.clear()
@@ -566,10 +568,9 @@ def test_republishing_a_lineage_inside_a_run_rehashes_it_alone(configs, hashed, 
             assert second.verification == tuple(
                 new if e.lineage == middle.lineage else e for e in first.verification
             )
-            # The old run's digest stays until the bound clears it; no query
-            # forms that run again, as the middle lineage's old seq is no
-            # stream's latest.
-            assert {run_key(entries[:3]), run_key(entries[4:])} < set(engine.mediator._runs)
+            # The first part's digest replaced the old run's, kept at the
+            # same first seq; the lone version keeps none.
+            assert set(run_keys(engine)) == {run_key(entries[:3]), run_key(entries[4:])}
 
             # Both parts of the run now stand whole, and the lone version on
             # its fingerprint.
@@ -590,7 +591,7 @@ def test_a_run_digest_stands_only_while_each_lineage_keeps_its_entry(configs, ha
             first = engine.mediate(BACK_TO_BACK, now=NOW)
             entries = published(first)
             middle = entries[3]
-            kept_digest = engine.mediator._runs[run_key(entries)]
+            kept_digest = run_keys(engine)[run_key(entries)]
             alone = QueryRequest(
                 accessor_id=BACK_TO_BACK.accessor_id,
                 requested_purpose=BACK_TO_BACK.requested_purpose,
@@ -611,7 +612,7 @@ def test_a_run_digest_stands_only_while_each_lineage_keeps_its_entry(configs, ha
             ]
             assert len(hashed) == 1
             assert middle.lineage not in engine.mediator._kept
-            assert engine.mediator._runs[run_key(entries)] == kept_digest
+            assert run_keys(engine)[run_key(entries)] == kept_digest
 
             # The bytes restored: the run's digest matches again, but the
             # middle lineage holds no entry, so the run does not stand
@@ -626,17 +627,17 @@ def test_a_run_digest_stands_only_while_each_lineage_keeps_its_entry(configs, ha
                 first.verification,
                 first.ops,
             )
-            assert engine.mediator._runs[run_key(entries)] == kept_digest
+            assert run_keys(engine)[run_key(entries)] == kept_digest
 
 
 def test_run_digests_never_outnumber_the_kept_lineages(configs, hashed):
     for config in configs:
         with closing(Engine.open(config)) as engine:
             first = engine.mediate(BACK_TO_BACK, now=NOW)
-            runs, kept = engine.mediator._runs, engine.mediator._kept
-            for entry in published(first):
-                # Each republish splits the runs again and leaves the digest
-                # of a run no query forms again.
+            entries = published(first)
+            for entry in entries:
+                # Each republish splits the runs again; the digest of a run
+                # no query forms again goes with the entry it began at.
                 prefs = engine.store.latest_tuple_instance(entry.lineage, entry.seq).privacy_tuple.prefs
                 engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
                 for _ in range(2):
@@ -644,7 +645,11 @@ def test_run_digests_never_outnumber_the_kept_lineages(configs, hashed):
                     result = engine.mediate(BACK_TO_BACK, now=NOW)
                     assert result.status is MediationStatus.COMPLETED
                     assert result.rows == first.rows
-                    assert 0 < len(runs) <= len(kept) == 6
+                    kept = {kept_seq(engine, e.lineage) for e in entries} - {None}
+                    assert len(kept) == 6 == len(engine.mediator._kept)
+                    # Every run is keyed at the seq of a kept entry.
+                    assert 0 < len(run_keys(engine))
+                    assert {key[0] for key in run_keys(engine)} <= kept
                 assert hashed == []  # the repeat ran no KDF
 
 
@@ -666,7 +671,7 @@ def test_a_same_length_edit_to_any_record_of_a_warm_run_aborts_only_its_lineage(
                 assert [e.lineage for e in result.verification if e.note != "ok"] == [
                     entry.lineage
                 ]
-                assert run_key(entries) not in engine.mediator._runs
+                assert run_key(entries) not in run_keys(engine)
                 _restore_byte(path, at, old)
                 restored = engine.mediate(BACK_TO_BACK, now=NOW)
                 assert (restored.rows, restored.verification) == (first.rows, first.verification)
