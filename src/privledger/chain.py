@@ -1,4 +1,4 @@
-"""The ledger file's record format and chain verification, in data format 3.
+"""The ledger file's record format and chain verification, in data format 4.
 
 One chain of items crosses every stream: each item's digest covers its
 fields and the previous item's digest.  The genesis, chained to 32 zero

@@ -1,10 +1,12 @@
 """Configuration, data format and the engine's errors, on the stdlib alone.
 
-A configuration names a data directory and the hash cost, nothing else.
-A data directory in data format 3 has a ``format`` file, written first,
-that reads ``privledger 3``.  One without it is in format 1, and one
-that reads ``privledger 2`` is in format 2, whose hash records differ:
-both are refused and left as they are.
+A configuration names a data directory and the hash cost of login
+hashes, nothing else.  A data directory in data format 4 has a
+``format`` file, written first, that reads ``privledger 4``.  One without
+it is in format 1; one that reads ``privledger 2`` is in format 2, whose
+hash records differ; one that reads ``privledger 3`` is in format 3,
+which published each policy version as a PBKDF2 hash record, not as a
+commitment: all three are refused and left as they are.
 
 Only the directory's owner may read it: it holds the plaintext and the
 login hashes that mediation guards.  The directory is made with mode 0700
@@ -184,7 +186,8 @@ def is_id(value) -> bool:
     return isinstance(value, int) and 0 < value < ID_LIMIT
 
 
-# The hash cost's bounds, in SHA-256 compressions (see tuples.hash_tuple).
+# The bounds of the login hash cost, in SHA-256 compressions (see
+# tuples.hash_tuple).
 MIN_COST = 1
 MAX_COST = 1 << 20
 DEFAULT_COST = 1024
@@ -192,9 +195,9 @@ DEFAULT_COST = 1024
 DATA_DIR_ENV = "PRIVLEDGER_DATA_DIR"
 LEDGER_FILE = "ledger.db"
 FORMAT_FILE = "format"
-FORMAT = "privledger 3\n"
+FORMAT = "privledger 4\n"
 # The format file text of each earlier format, None for no file.
-_EARLIER_FORMATS = {None: 1, "privledger 2\n": 2}
+_EARLIER_FORMATS = {None: 1, "privledger 2\n": 2, "privledger 3\n": 3}
 
 _CONFIG_KEYS = {"data_dir", "hash_cost"}
 
@@ -246,7 +249,7 @@ class EngineConfig(Record):
 
 
 def require_format(data_dir: Path):
-    """Raise UnsupportedFormat unless the directory is in format 3."""
+    """Raise UnsupportedFormat unless the directory is in format 4."""
     path = data_dir / FORMAT_FILE
     text = path.read_text() if path.exists() else None
     if text == FORMAT:

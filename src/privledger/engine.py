@@ -3,11 +3,13 @@
 The engine owns one store, one ledger (``ledger.db`` inside the data
 directory, so the directory's lock covers it) and one mediator.
 Publishing a policy binds the tuple at the version after its stream's
-item count, hashes the canonical encoding, appends the hash to the
-lineage's stream and only then records the plaintext instance in the
-store at that item's seq, so the ledger is never behind the store and
-the store's seqs rise.  A failed store append leaves its lineage
-aborting as a mismatch until the next publish.  Nothing of a published
+item count, commits to its canonical encoding under a fresh nonce
+(tuples.commit: one SHA-256, no key stretching), appends the commitment
+to the lineage's stream and only then records the plaintext instance,
+the nonce and the encoding verbatim, in the store at that item's seq, so
+the ledger is never behind the store and the store's seqs rise.  A
+failed store append leaves its lineage aborting as a mismatch until the
+next publish.  Nothing of a published
 version stays in memory: the next query on its lineage reads it back
 from policy.db, as a fresh process does.
 
@@ -22,6 +24,7 @@ config.py, which imports nothing of the engine.
 from __future__ import annotations
 
 import datetime as dt
+import secrets
 from typing import NamedTuple
 
 from .config import (
@@ -39,7 +42,7 @@ from .ledger import LINEAGE_STREAM, Ledger
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
 from .policy import AccessorProfile, PreferenceSet
 from .store import CONTENT_FILE, ProviderRecord, Store, TupleInstance
-from .tuples import bind_tuple, canonical_encode, hash_tuple
+from .tuples import NONCE_BYTES, bind_tuple, canonical_encode, commit
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +115,7 @@ class Engine:
     @staticmethod
     def require_state(config: EngineConfig):
         """Raise NotInitialized unless the data directory holds engine state,
-        and UnsupportedFormat unless that state is in format 3."""
+        and UnsupportedFormat unless that state is in format 4."""
         if not (config.data_dir / CONTENT_FILE).exists() or not config.ledger_file.exists():
             raise NotInitialized(f"no engine state in {config.data_dir}")
         require_format(config.data_dir)
@@ -146,7 +149,7 @@ class Engine:
         prefs: PreferenceSet,
         attribute_id: int | None = None,
     ) -> PolicyPublication:
-        """Bind, hash, publish and store one policy version.
+        """Bind, commit to, publish and store one policy version.
 
         The target attribute defaults to the one the preference record
         names; passing attribute_id pins it, and binding rejects a
@@ -161,20 +164,17 @@ class Engine:
         published = self.ledger.has_stream(stream)
         prior = self.ledger.stream(stream).item_count if published else 0
         bound = bind_tuple(provider_id, attribute, prefs, profile, prior)
-        # One dict gives both the hashed bytes and the policy.db line.
-        data = bound.to_dict()
-        encoded = canonical_encode(bound, data)
-        payload = hash_tuple(encoded, self.config.hash_cost).to_string().encode("ascii")
+        # One encoding is both the committed bytes and the policy.db line's.
+        encoded = canonical_encode(bound)
+        nonce = secrets.token_bytes(NONCE_BYTES)
+        payload = commit(nonce, encoded)
         key = publish_key(bound.version)
         # A stream begins with its lineage's first published version.
         if published:
             item = self.ledger.publish(stream, key, payload)
         else:
             item = self.ledger.create_stream(stream, key, payload)
-        self.store.put_tuple_instance(
-            TupleInstance(bound, stream, item.seq),
-            {"seq": item.seq, "stream": stream, "tuple": data},
-        )
+        self.store.put_tuple_instance(TupleInstance(bound, stream, item.seq, nonce), encoded)
         return PolicyPublication(
             stream=stream, seq=item.seq, version=bound.version, key=key
         )

@@ -1,4 +1,4 @@
-"""Append-only hash-chained ledger with named streams, in data format 3.
+"""Append-only hash-chained ledger with named streams, in data format 4.
 
 The record format, its field check and chain verification are in
 chain.py, which imports nothing of the engine.

@@ -35,23 +35,27 @@ they form runs: stretches whose latest seqs are consecutive and whose
 policy.db lines are consecutive rows one LF apart, at most
 store.RUN_BYTES of them, each file's bytes of a run read with one
 os.pread.  Each lineage is checked on its slices of the two reads, which
-SHA-256 fingerprints in turn: the canonical encoding of the stored tuple
-is re-hashed and checked against the hash published in the ledger
-record, unless the fingerprint is the one kept for the lineage at that
-seq.  A run of several is then kept if all its lineages passed, and any
-other run drops what was kept at its first seq.  So the KDF runs once
-per lineage version per engine, and again after any change on disk to
-either record; a fresh process runs it on every published lineage it
-touches.  A lineage without a stream has no policy and reads nothing
-from the store; a single mismatch, including a published item with no
-readable instance at its seq, aborts the whole request with zero
+SHA-256 fingerprints in turn, unless the fingerprint is the one kept for
+the lineage at that seq: the commitment published in the ledger record
+must equal SHA-256 of the nonce and the tuple bytes of the policy.db
+line, a slice of the bytes read, with nothing decoded or re-encoded
+first (tuples.commit).  Only then are the tuple's preferences decoded,
+and its provider, attribute, accessor and version cross-checked against
+the lineage and the index.  A run of several is then kept if all its
+lineages passed, and any other run drops what was kept at its first seq.
+So a check costs one SHA-256 over bytes already read and no key
+stretching; a warm engine repeats it only after a change on disk to
+either record.  A lineage without a stream has no policy and reads
+nothing from the store; a single mismatch, including a published item
+with no readable instance at its seq, aborts the whole request with zero
 disclosed cells.  Verified lineages then pass through policy evaluation,
 the query is rewritten to the allowed attribute set, executed once, and
 each disclosed cell is transformed to its granted granularity.  A stored
-policy record that fails its read back or its decode, or a ledger record
-that fails its read back (changed on disk since open, cut short, or not
-matching its digest), is a mismatch too, never a pass; a read the system
-refuses fails only the lineages whose records it covers.
+policy record that fails its read back, its pattern or its decode, a
+payload that is not the commitment (whatever its form), or a ledger
+record that fails its read back (changed on disk since open, cut short,
+or not matching its digest), is a mismatch too, never a pass; a read the
+system refuses fails only the lineages whose records it covers.
 
 Filtered attributes are lineages like requested ones.  A conjunct sees a
 stored value only where its lineage grants Specific; elsewhere the cell
@@ -72,7 +76,7 @@ from .ledger import LINEAGE_STREAM, Ledger, LedgerError
 from .config import Record
 from .policy import GranularityMode, PreferenceSet, apply_granularity, evaluate_access
 from .store import CorruptRecord, Store, UnknownProvider
-from .tuples import HashRecord, MalformedRecord, canonical_encode, verify_hash
+from .tuples import commit
 
 
 class MediationStatus(str, Enum):
@@ -470,8 +474,10 @@ class Mediator:
         pass, as read back (line None where policy.db holds none; either an
         OSError where its read was refused), else None; counts in ops.
         Where their fingerprint is the one kept for the lineage at seq,
-        its verdict stands; otherwise they are decoded and verified, and
-        kept only if they pass."""
+        its verdict stands; otherwise the commitment in the ledger record
+        is checked against the nonce and tuple bytes of the policy.db line,
+        as read, and only if it holds are the preferences decoded and the
+        tuple cross-checked; the version is kept only if all pass."""
         kept = self._kept
         fingerprint = _digest(line, record)
         held = kept.get(lineage)
@@ -490,16 +496,15 @@ class Mediator:
             ops.ledger_reads += 1
             if line is None or isinstance(line, OSError):
                 return None
-            t = self._store.latest_tuple_instance(lineage, seq, line).privacy_tuple
-            published = HashRecord.from_string(payload)
-            ok = verify_hash(canonical_encode(t), published)
+            stored = self._store.latest_tuple_instance(lineage, seq, line)
             ops.hash_verifications += 1
-        except (LedgerError, CorruptRecord, MalformedRecord):
-            return None
-        if not ok:
+            if commit(stored.nonce, stored.encoded) != payload:
+                return None
+            prefs = self._store.preferences(lineage, seq, stored.encoded)
+        except (LedgerError, CorruptRecord):
             return None
         entry = VerificationEntry(lineage, seq, True, VERIFIED_OK)
-        held = kept[lineage] = _Kept(self._ledger.stream_row(name), entry, fingerprint, t.prefs)
+        held = kept[lineage] = _Kept(self._ledger.stream_row(name), entry, fingerprint, prefs)
         return held
 
     # -- native baseline ----------------------------------------------------

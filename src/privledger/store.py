@@ -2,7 +2,8 @@
 
 Three line-delimited families live under the data directory as
 credentials.db, policy.db and content.db.  Plaintext tuple instances
-stay here while only their hashes go to the ledger.  Each family file
+stay here, each with the nonce of its commitment, while only the
+commitments go to the ledger.  Each family file
 is a files.IndexedFile, which makes every write: an append, or, for a
 provider's update, an atomic replace of content.db, so the replaced
 values leave the disk.  The files are the source of truth.
@@ -24,13 +25,18 @@ policy_runs(seqs) splits a query's seqs into runs of lines with only an
 LF between one and the next and reads each run with one os.pread through
 read_lines(row, count), which also reads a run again by its first row;
 lines cuts a run's read into each line's bytes, and policy_line(seq)
-reads one line; latest_tuple_instance decodes those bytes, or bytes it
-reads itself, on every call; the instance must be of the lineage asked
-for, at the indexed version and seq.  A record that fails either, say
-because it changed on disk since open, or a read the system refuses,
-raises CorruptRecord.  The store keeps no decoded tuple: the mediator keeps,
-per verified version, a fingerprint of the bytes it verified and the
-preferences, and decodes a line only when its bytes are not those.
+reads one line.  latest_tuple_instance reads those bytes, or bytes it
+reads itself, with the same anchored pattern open uses, on every call,
+and decodes nothing: it gives the nonce and the tuple's canonical
+encoding as slices of the line, for the commitment check, after checking
+that the line's seq, stream and version are the lineage's and the
+index's.  preferences decodes a tuple's bytes, once its commitment
+holds, and cross-checks its provider, attribute, accessor and version.
+A record that fails either, say because it changed on disk since open,
+or a read the system refuses, raises CorruptRecord.  The store keeps no
+decoded tuple: the mediator keeps, per verified version, a fingerprint
+of the bytes it verified and the preferences, and checks a line again
+only when its bytes are not those.
 Older versions, and a line no ledger item names, stay on disk and are
 never read: policy.db is append-only.  Every write goes to the file
 before memory takes it.
@@ -47,21 +53,23 @@ from array import array
 from bisect import bisect_left
 from operator import add, lt
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import ID_LIMIT, ID_RULE, Record, is_id
 from .files import IndexedFile, int_array
-from .ledger import LINEAGE_STREAM
-from .policy import AccessorProfile
+from .policy import AccessorProfile, PreferenceSet
 from .tuples import (
     DEFAULT_COST,
     DIGEST_BYTES,
     HASH_ALGORITHM,
+    NONCE_BYTES,
     SALT_BYTES,
     AttributeCategory,
     AttributeMeta,
     HashRecord,
     PrivacyTuple,
     Sensitivity,
+    canonical_encode,
     hash_tuple,
     verify_hash,
 )
@@ -203,16 +211,19 @@ class ProviderRecord(Record):
 
 
 class TupleInstance(Record):
-    """One stored tuple version and where its hash is on the ledger."""
+    """One stored tuple version, where its commitment is on the ledger, and
+    the nonce the commitment is under."""
 
-    __slots__ = _fields = ("privacy_tuple", "stream", "seq")
-    _keys = ("tuple", "stream", "seq")
-    _decoders = {"privacy_tuple": PrivacyTuple.from_dict}
+    __slots__ = _fields = ("privacy_tuple", "stream", "seq", "nonce")
+    _keys = ("tuple", "stream", "seq", "nonce")
+    _decoders = {"privacy_tuple": PrivacyTuple.from_dict, "nonce": bytes.fromhex}
 
-    def __init__(self, privacy_tuple: PrivacyTuple, stream: str, seq: int):
+    def __init__(self, privacy_tuple: PrivacyTuple, stream: str, seq: int, nonce: bytes):
         if not (isinstance(seq, int) and 0 <= seq < ID_LIMIT):
             raise ValueError("seq must be an integer in [0, 2**63)")
-        self._set(privacy_tuple, stream, seq)
+        if not (isinstance(nonce, bytes) and len(nonce) == NONCE_BYTES):
+            raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
+        self._set(privacy_tuple, stream, seq, nonce)
 
     @property
     def lineage(self) -> tuple[int, int, int]:
@@ -223,7 +234,21 @@ class TupleInstance(Record):
         return self.privacy_tuple.version
 
     def to_dict(self) -> dict:
-        return {"seq": self.seq, "stream": self.stream, "tuple": self.privacy_tuple.to_dict()}
+        return {
+            "nonce": self.nonce.hex(),
+            "seq": self.seq,
+            "stream": self.stream,
+            "tuple": self.privacy_tuple.to_dict(),
+        }
+
+
+class StoredTuple(NamedTuple):
+    """A policy.db line as read, not decoded: the tuple's version, and the
+    nonce and canonical encoding its commitment is over."""
+
+    version: int
+    nonce: bytes
+    encoded: bytes
 
 
 class Credential(Record):
@@ -251,13 +276,17 @@ CONTENT_FILE = "content.db"
 FAMILY_FILES = (CREDENTIALS_FILE, POLICY_FILE, CONTENT_FILE)
 
 # A policy.db line is json.dumps(TupleInstance.to_dict(), sort_keys=True), so
-# it reads {"seq": N, "stream": "stream-P-A-X", "tuple": {...}} and the
-# tuple's last key is its version.  The ledger holds the tuple's hash.
+# it reads {"nonce": "<hex>", "seq": N, "stream": "stream-P-A-X", "tuple": T}
+# where T, the tuple's canonical encoding, ends with its version.  The
+# ledger holds SHA-256(nonce || T).  Groups: nonce, seq, P, A, X, T, version.
 _POLICY_LINE_RE = re.compile(
-    r'\{"seq": (0|[1-9][0-9]*), '
+    rf'\{{"nonce": "([0-9a-f]{{{2 * NONCE_BYTES}}})", '
+    r'"seq": (0|[1-9][0-9]*), '
     r'"stream": "stream-([1-9][0-9]*)-([1-9][0-9]*)-([1-9][0-9]*)", '
-    r'"tuple": \{.*"version": (0|[1-9][0-9]*)\}\}'
+    r'"tuple": (\{.*"version": (0|[1-9][0-9]*)\})\}'
 )
+# The same pattern over a line's bytes, as a query reads them.
+_POLICY_BYTES_RE = re.compile(_POLICY_LINE_RE.pattern.encode("ascii"))
 
 
 # A run of policy.db lines (Store.policy_runs) spans at most this many
@@ -272,7 +301,7 @@ def _index_policy_line(line: str) -> tuple[int, int]:
     match = _POLICY_LINE_RE.fullmatch(line)
     if match is None:
         raise ValueError("not a policy record")
-    fields = tuple(map(int, match.groups()))
+    fields = tuple(map(int, match.group(2, 3, 4, 5, 7)))
     if max(fields) >= ID_LIMIT:
         raise ValueError("a seq, id or version is 2**63 or more")
     return fields[0], fields[4]
@@ -460,21 +489,29 @@ class Store:
 
     # -- tuple instances ----------------------------------------------------
 
-    def put_tuple_instance(self, instance: TupleInstance, record=None) -> tuple[int, int, int]:
-        """Record a new tuple version, with its to_dict() if the caller has
-        built it; its ledger seq must be above every stored line's.  Old
-        versions are retained."""
+    def put_tuple_instance(
+        self, instance: TupleInstance, encoded: bytes | None = None
+    ) -> tuple[int, int, int]:
+        """Record a new tuple version, with its canonical encoding if the
+        caller has made it; its ledger seq must be above every stored
+        line's.  The line is json.dumps(instance.to_dict(), sort_keys=True),
+        built around the encoding, so it holds it verbatim.  Old versions
+        are retained."""
         lineage = instance.lineage
         if lineage[0] not in self._providers:
             raise UnknownProvider(f"no provider with id {lineage[0]}")
         seqs = self._columns[0]
         if seqs and instance.seq <= seqs[-1]:
             raise StaleVersion(f"policy.db already holds seq {seqs[-1]}, got {instance.seq}")
-        offset, length = self._policy.append(
-            json.dumps(instance.to_dict() if record is None else record, sort_keys=True)
+        if encoded is None:
+            encoded = canonical_encode(instance.privacy_tuple)
+        line = '{"nonce": "%s", "seq": %d, "stream": "%s", "tuple": %s}' % (
+            instance.nonce.hex(), instance.seq, instance.stream, encoded.decode("ascii")
         )
+        seq, version = _index_policy_line(line)  # a line the next open reads
+        offset, length = self._policy.append(line)
         self._policy_lines += 1
-        self._index_line(instance.seq, instance.version, offset, length, self._policy_lines)
+        self._index_line(seq, version, offset, length, self._policy_lines)
         return lineage
 
     def policy_line(self, seq: int) -> bytes | None:
@@ -546,34 +583,58 @@ class Store:
 
     def latest_tuple_instance(
         self, lineage: tuple[int, int, int], seq: int, line=None
-    ) -> TupleInstance | None:
+    ) -> StoredTuple | None:
         """The lineage's version stored at the ledger seq that is its
-        stream's latest, decoded from line, the bytes policy_line(seq)
-        returns (or lines gives), if the caller has read them, or else
-        read back; None when policy.db holds no line at that seq.
-        Raises CorruptRecord when the read fails or the line fails to
-        decode or disagrees with the lineage or its index.  The lineage is
-        a (provider_id, attribute_id, accessor_id) tuple."""
+        stream's latest, as the anchored pattern reads it from line, the
+        bytes policy_line(seq) returns (or lines gives), if the caller has
+        read them, or else read back; None when policy.db holds no line at
+        that seq.  Nothing is decoded: the tuple's bytes are a slice of the
+        line.  Raises CorruptRecord when the read fails, the pattern
+        rejects the line, or its seq, stream or version disagrees with the
+        lineage or its index.  The lineage is a (provider_id,
+        attribute_id, accessor_id) tuple."""
         if line is None:
             line = self.policy_line(seq)
             if line is None:
                 return None
         seqs, versions = self._columns[:2]
         row = bisect_left(seqs, seq)
-        try:
-            instance = TupleInstance.from_dict(json.loads(str(line, "utf-8").strip()))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CorruptRecord(f"{self._where(row)}: undecodable policy record ({exc})") from None
-        if (instance.lineage, instance.stream, instance.version, instance.seq) != (
-            lineage,
-            LINEAGE_STREAM.format(*lineage),
-            versions[row],
-            seqs[row],
-        ):
+        match = _POLICY_BYTES_RE.fullmatch(line.strip())
+        if match is None:
+            raise CorruptRecord(
+                f"{self._where(row)}: undecodable policy record (not a policy record)"
+            )
+        if tuple(map(int, match.group(2, 3, 4, 5, 7))) != (seqs[row], *lineage, versions[row]):
             raise CorruptRecord(
                 f"{self._where(row)}: tuple disagrees with its stream, seq or version"
             )
-        return instance
+        return StoredTuple(versions[row], bytes.fromhex(match[1].decode("ascii")), match[6])
+
+    def preferences(
+        self, lineage: tuple[int, int, int], seq: int, encoded: bytes
+    ) -> PreferenceSet:
+        """The preferences in encoded, the tuple latest_tuple_instance(lineage,
+        seq) gave, once its commitment holds.  Raises CorruptRecord when
+        they fail to decode, or the tuple's provider, attribute, accessor or
+        version disagrees with the lineage or its index."""
+        seqs, versions = self._columns[:2]
+        row = bisect_left(seqs, seq)
+        try:
+            data = json.loads(encoded)
+            parts = (
+                data["provider_id"],
+                data["attribute"]["attribute_id"],
+                data["accessor"]["accessor_id"],
+                data["version"],
+            )
+            prefs = PreferenceSet.from_dict(data["prefs"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptRecord(f"{self._where(row)}: undecodable policy record ({exc})") from None
+        if parts != (*lineage, versions[row]) or prefs.attribute_id != lineage[1]:
+            raise CorruptRecord(
+                f"{self._where(row)}: tuple disagrees with its stream, seq or version"
+            )
+        return prefs
 
     def _where(self, row: int) -> str:
         return f"{self._policy.path} line {self._columns[4][row]}"

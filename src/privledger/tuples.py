@@ -1,9 +1,15 @@
-"""Privacy tuple binding, canonical encoding and salted PBKDF2 hashing.
+"""Privacy tuple binding, canonical encoding, commitments and login hashing.
 
 A privacy tuple binds one provider attribute to the provider's
 preference set and one accessor profile, under a version that increases
 per (provider, attribute, accessor) lineage.  The canonical byte
-encoding is deterministic so that equal tuples always hash equally; the
+encoding is deterministic, and it is what policy.db stores of a tuple.
+A published version is the hash commitment SHA-256(nonce || encoding)
+under a fresh random nonce (Halevi and Micali, CRYPTO 1996): one hash to
+make and one to check, binding through SHA-256's collision resistance
+and hiding through the nonce, which only policy.db holds.
+
+Login passwords are hashed with salted PBKDF2 at the configured cost; a
 hash record is self-describing in the crypt-style form
 ``$algorithm$cost$salt$digest``.
 """
@@ -13,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-import operator
 import re
 import secrets
 from typing import NamedTuple
@@ -163,22 +168,32 @@ def bind_tuple(
 # Canonical encoding
 # ---------------------------------------------------------------------------
 
-# Top-level field order is fixed; keys inside each nested record are sorted
-# lexicographically.  Integers render in decimal, dates in ISO-8601, and no
-# insignificant whitespace appears, so equal tuples encode identically.
-_PARTS = operator.itemgetter("provider_id", "attribute", "prefs", "accessor", "version")
+# Keys at every level are sorted, with json.dumps's default separators and
+# ASCII escapes, so equal tuples encode identically; it is the text
+# json.dumps(record, sort_keys=True) writes for the tuple inside a
+# policy.db line, so the stored line holds the encoding verbatim.
 
 
-def canonical_encode(t: PrivacyTuple, data: dict | None = None) -> bytes:
-    """The encoding of the parts of t.to_dict(), or of data, that dict when
-    the caller has already built it."""
-    parts = _PARTS(t.to_dict() if data is None else data)
-    text = json.dumps(parts, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    return text.encode("ascii")
+def canonical_encode(t: PrivacyTuple) -> bytes:
+    """The encoding of t.to_dict()."""
+    return json.dumps(t.to_dict(), sort_keys=True).encode("ascii")
 
 
 # ---------------------------------------------------------------------------
-# Hashing
+# Commitments
+# ---------------------------------------------------------------------------
+
+NONCE_BYTES = 16  # 128 bits hide the tuple; policy.db holds them as 32 hex
+
+
+def commit(nonce: bytes, encoded: bytes) -> bytes:
+    """The commitment to a canonical encoding under nonce, as a ledger
+    payload: SHA-256(nonce || encoded) in 64 lowercase hex."""
+    return hashlib.sha256(nonce + encoded).hexdigest().encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# Login hashing
 # ---------------------------------------------------------------------------
 
 HASH_ALGORITHM = "pbkdf2"  # PBKDF2-HMAC-SHA256, RFC 8018
@@ -244,7 +259,7 @@ def _pbkdf2(salt: bytes, data: bytes, cost: int) -> bytes:
 
 
 def hash_tuple(encoded: bytes, cost: int = DEFAULT_COST) -> HashRecord:
-    """Hash a canonical encoding under a fresh random salt.
+    """Hash a password's bytes under a fresh random salt.
 
     Two calls over the same encoding differ in salt and digest yet both
     verify.  Raises CostOutOfRange outside [1, 2**20].

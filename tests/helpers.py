@@ -35,7 +35,8 @@ from privledger.policy import (
     VisibilityPolicy,
     VisibilityScope,
 )
-from privledger.tuples import AttributeCategory, AttributeMeta, PrivacyTuple
+from privledger.store import StoredTuple, TupleInstance
+from privledger.tuples import AttributeCategory, AttributeMeta, PrivacyTuple, canonical_encode
 
 HOUSE_SAFE_ROLES = [
     role for role in AccessorRole.TOKENS if role != AccessorRole.THIRD_PARTY_ALLIED
@@ -132,6 +133,17 @@ def policy_index(store) -> list[tuple[int, int, int, int, int]]:
     """(seq, version, offset, length, line number) of every policy.db line
     the store indexed, in file order."""
     return list(zip(*store._columns))
+
+
+def stored_instance(store, seq: int) -> TupleInstance:
+    """The whole tuple instance the policy.db line at the ledger seq decodes
+    to, read back."""
+    return TupleInstance.from_dict(json.loads(store.policy_line(seq)))
+
+
+def as_stored(instance: TupleInstance) -> StoredTuple:
+    """What Store.latest_tuple_instance reads from the line of instance."""
+    return StoredTuple(instance.version, instance.nonce, canonical_encode(instance.privacy_tuple))
 
 
 def kept_seq(engine: Engine, lineage) -> int | None:

@@ -3,12 +3,14 @@ lineages in one pass, kept as the reference for that pass.
 
 ReferenceMediator.mediate is the mediation as it was then: each lineage
 is verified by its own method, which asks the ledger for the stream's
-latest seq, the store for the instance stored at that seq and the ledger
-for the item at it, and parses the item's hash record through a method
-that keeps the parse per stream in the reference's own dict (the
-package's mediator keeps a fingerprint per lineage instead, and hashes
-only records whose bytes it has not verified), then hashes the
-instance's canonical encoding on every call.  Its ledger_reads counts
+latest seq, the store for the line stored at that seq and the ledger for
+the item at it, decodes the whole line into a tuple instance and checks
+it against the lineage and the store's index, then re-encodes the tuple
+canonically and checks the commitment in the item on every call (the
+package's mediator hashes the tuple's bytes as stored, before any
+decode, and only records whose bytes it has not verified).  A line that
+does not decode is a mismatch with no commitment checked, as is one the
+package's pattern rejects.  Its ledger_reads counts
 each ledger item read back whole and intact, one per lineage with a
 stream whose latest record passes its read back; the package's mediator
 reads that record once per query as well, and counts the same reads.
@@ -28,10 +30,12 @@ raise OverflowError instead.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import time
+from bisect import bisect_left
 from typing import NamedTuple
 
-from privledger.ledger import LINEAGE_STREAM, LedgerError, StreamItem, UnknownStream
+from privledger.ledger import LINEAGE_STREAM, LedgerError, UnknownStream
 from privledger.mediator import (
     INTEGRITY_ABORT,
     NO_PUBLISHED_POLICY,
@@ -62,7 +66,7 @@ from privledger.policy import (
     apply_granularity,
 )
 from privledger.store import CorruptRecord, TupleInstance
-from privledger.tuples import HashRecord, MalformedRecord, canonical_encode, verify_hash
+from privledger.tuples import canonical_encode, commit
 
 
 class Lineage(NamedTuple):
@@ -112,18 +116,23 @@ class ReferenceMediator(Mediator):
     """A mediator whose mediate is the two-pass reference; analysis and the
     native baseline are the package's."""
 
-    def __init__(self, store, ledger):
-        super().__init__(store, ledger)
-        # Stream name -> (seq, parsed payload) of the latest item read on it.
-        self._records: dict[str, tuple[int, HashRecord]] = {}
-
-    def _hash_record(self, item: StreamItem) -> HashRecord:
-        kept = self._records.get(item.stream)
-        if kept is not None and kept[0] == item.seq:
-            return kept[1]
-        record = HashRecord.from_string(item.payload)
-        self._records[item.stream] = (item.seq, record)
-        return record
+    def _instance(self, lineage: Lineage, seq: int) -> TupleInstance | None:
+        """The whole instance stored at seq, if it decodes and agrees with
+        the lineage and the store's index."""
+        line = self._store.policy_line(seq)
+        if line is None:
+            return None
+        try:
+            instance = TupleInstance.from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return None
+        seqs, versions = self._store._columns[:2]
+        indexed = versions[bisect_left(seqs, seq)]
+        if (instance.lineage, instance.stream, instance.seq, instance.version) != (
+            tuple(lineage), lineage.stream, seq, indexed
+        ):
+            return None
+        return instance
 
     def _verify_lineage(
         self, lineage: Lineage, ops: OpCounters
@@ -133,7 +142,7 @@ class ReferenceMediator(Mediator):
         except UnknownStream:
             return (VerificationEntry(lineage, None, False, VERIFIED_NO_POLICY), None)
         try:
-            instance = self._store.latest_tuple_instance(tuple(lineage), seq)
+            instance = self._instance(lineage, seq)
         except CorruptRecord:
             instance = None
         try:
@@ -146,13 +155,8 @@ class ReferenceMediator(Mediator):
                 VerificationEntry(lineage, item.seq, False, VERIFIED_MISMATCH),
                 None,
             )
-        try:
-            record = self._hash_record(item)
-        except MalformedRecord:
-            ok = False
-        else:
-            ok = verify_hash(canonical_encode(instance.privacy_tuple), record)
-            ops.hash_verifications += 1
+        ok = commit(instance.nonce, canonical_encode(instance.privacy_tuple)) == item.payload
+        ops.hash_verifications += 1
         note = VERIFIED_OK if ok else VERIFIED_MISMATCH
         return (VerificationEntry(lineage, item.seq, ok, note), instance)
 

@@ -1,11 +1,13 @@
-"""Data format 3 and the directories formats 1 and 2 left behind.
+"""Data format 4 and the directories formats 1, 2 and 3 left behind.
 
 A data directory carries a format file that init writes before anything
-else; format 3 reads "privledger 3".  A directory without one, as every
-directory written before format 2 is, and one whose file reads
-"privledger 2", whose hash records are iterated SHA-256 rather than
-PBKDF2, must be refused by the engine and by every command with one
-message naming its format, and left byte for byte as it was.
+else; format 4 reads "privledger 4".  A directory without one, as every
+directory written before format 2 is, one whose file reads "privledger
+2", whose hash records are iterated SHA-256 rather than PBKDF2, and one
+whose file reads "privledger 3", which published each policy version as
+a PBKDF2 hash record rather than a commitment, must be refused by the
+engine and by every command with one message naming its format, and left
+byte for byte as it was.
 """
 
 from __future__ import annotations
@@ -115,6 +117,35 @@ FORMAT_2_FILES = {
 }
 
 
+# A data directory as format 3 wrote it (init, one provider, one accessor
+# and one policy), without the checkpoints that close writes: the ledger
+# payload is a $pbkdf2$ hash record of the tuple, and the policy.db line
+# holds no nonce.
+FORMAT_3_FILES = {
+    "format": "privledger 3\n",
+    "ledger.db": (
+        "0\troot\t\tnode-d6fe833211d24d29\t2026-10-22T07:32:12.733Z\t\t"
+        "0000000000000000000000000000000000000000000000000000000000000000\t"
+        "7bfdb9d1824fba8d857cc6d5f836a19c3dcacbeec64b7c5462676bd8ad603a84\n"
+        "1\tstream-4-5-3\tkey17\tnode-d6fe833211d24d29\t2026-10-22T07:32:13.151Z\t"
+        "$pbkdf2$1024$5a8de9564ae843c1718641c5b755d57e$c4bcb231c865a22e36796501f4297f13"
+        "ae4cc939794d47e2396c302397b0e309\t"
+        "7bfdb9d1824fba8d857cc6d5f836a19c3dcacbeec64b7c5462676bd8ad603a84\t"
+        "71dfe17b21b2bcbc73c4cb7e3e217aa66e5dcbd72f4104b890a09a7e1eae1f43\n"
+    ),
+    "policy.db": FORMAT_2_FILES["policy.db"],
+    "content.db": FORMAT_1_FILES["content.db"],
+    "credentials.db": (
+        '{"login": "physician3", '
+        '"password_hash": "$pbkdf2$1024$686174cdae254759cb11e8238838054b$c22c55ea'
+        '7275a3a8d18de355f49e5611cdd11066eed1e10bb26e4cd173e7da4e", '
+        '"profile": {"accessor_id": 3, "permission_level": "Level4Restricted", '
+        '"role": "ClinicalPhysician"}}\n'
+    ),
+    ".lock": "",
+}
+
+
 def format_message(data_dir, number: int) -> str:
     return (
         f"{data_dir} holds data format {number}, which this privledger does not read; "
@@ -139,6 +170,11 @@ def format_2_dir(tmp_path):
     return write_dir(tmp_path / "v2", FORMAT_2_FILES)
 
 
+@pytest.fixture
+def format_3_dir(tmp_path):
+    return write_dir(tmp_path / "v3", FORMAT_3_FILES)
+
+
 def snapshot(data_dir) -> dict:
     return {path.name: path.read_bytes() for path in data_dir.iterdir()}
 
@@ -146,7 +182,7 @@ def snapshot(data_dir) -> dict:
 def test_init_writes_the_format_file(tmp_path):
     data_dir = tmp_path / "fresh"
     assert main(["--data-dir", str(data_dir), "init"]) == 0
-    assert (data_dir / FORMAT_FILE).read_text() == FORMAT == "privledger 3\n"
+    assert (data_dir / FORMAT_FILE).read_text() == FORMAT == "privledger 4\n"
 
 
 def test_format_1_directory_is_refused_by_open(format_1_dir):
@@ -201,11 +237,29 @@ def test_format_2_directory_is_refused_by_every_command(format_2_dir, capsys, ar
     assert snapshot(format_2_dir) == before
 
 
+def test_format_3_directory_is_refused_by_open(format_3_dir):
+    before = snapshot(format_3_dir)
+    with pytest.raises(UnsupportedFormat, match=re.escape(format_message(format_3_dir, 3))):
+        Engine.open(EngineConfig(format_3_dir))
+    assert snapshot(format_3_dir) == before
+
+
+@EVERY_COMMAND
+def test_format_3_directory_is_refused_by_every_command(format_3_dir, capsys, argv):
+    before = snapshot(format_3_dir)
+    code = main(["--data-dir", str(format_3_dir), *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", f"error: {format_message(format_3_dir, 3)}\n"
+    )
+    assert snapshot(format_3_dir) == before
+
+
 def test_unknown_format_is_refused(format_1_dir, capsys):
-    (format_1_dir / FORMAT_FILE).write_text("privledger 4\n")
+    (format_1_dir / FORMAT_FILE).write_text("privledger 5\n")
     before = snapshot(format_1_dir)
     assert main(["--data-dir", str(format_1_dir), "ledger", "list-streams"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {format_1_dir / FORMAT_FILE}: unknown data format 'privledger 4\\n'\n"
+        f"error: {format_1_dir / FORMAT_FILE}: unknown data format 'privledger 5\\n'\n"
     )
     assert snapshot(format_1_dir) == before

@@ -15,6 +15,7 @@ from helpers import (
     BENCH_ACCESSOR_ID,
     DEMO_ACCESSOR_ID,
     DEMO_PROVIDER_ID,
+    as_stored,
     both_open_paths,
     install_archetype_fixture,
     install_demo_fixture,
@@ -26,6 +27,7 @@ from privledger import tuples
 from privledger.engine import Engine
 from privledger.ledger import LINEAGE_STREAM
 from privledger.mediator import INTEGRITY_ABORT, MediationStatus, QueryRequest
+from privledger.tuples import commit
 from privledger.store import (
     AuthenticationFailed,
     CorruptRecord,
@@ -39,15 +41,15 @@ NOW = dt.date(2021, 7, 1)
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """Streams of every tuple instance decoded from its stored record."""
+    """Streams of every stored tuple whose preferences were decoded."""
     streams = []
-    original = TupleInstance.from_dict.__func__
+    original = Store.preferences
 
-    def counting(cls, data):
-        streams.append(data["stream"])
-        return original(cls, data)
+    def counting(self, lineage, seq, encoded):
+        streams.append(LINEAGE_STREAM.format(*lineage))
+        return original(self, lineage, seq, encoded)
 
-    monkeypatch.setattr(TupleInstance, "from_dict", classmethod(counting))
+    monkeypatch.setattr(Store, "preferences", counting)
     return streams
 
 
@@ -107,10 +109,11 @@ def test_publish_on_untouched_lineage_decodes_nothing(population_configs, decode
             assert decodes == []
             latest = engine.store.latest_tuple_instance(lineage, publication.seq)
             assert latest.version == prior + 1
-            # Nothing of the published version was kept: it is read back
-            # from disk, and the next query reads it back once more.
+            assert decodes == []  # reading a line decodes nothing
+            # Nothing of the published version was kept: the next query
+            # reads it back from disk and decodes it, and the one after
+            # keeps what that one checked.
             stream = LINEAGE_STREAM.format(*lineage)
-            assert decodes == [stream]
             for expected in ([stream], []):
                 decodes.clear()
                 result = engine.mediate(point_request(2, "city"), now=NOW)
@@ -135,7 +138,7 @@ def test_history_is_read_from_disk(population_configs):
         with closing(Engine.open(config)) as engine:
             seq = engine.ledger.latest_seq(LINEAGE_STREAM.format(*lineage))
             latest = engine.store.latest_tuple_instance(lineage, seq)
-            assert latest == TupleInstance.from_dict(history[-1])
+            assert latest == as_stored(TupleInstance.from_dict(history[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +203,13 @@ def test_undecodable_latest_record_aborts_only_queries_touching_it(tmp_path, edi
             assert mismatch.seq == engine.ledger.latest_item("stream-4-5-3").seq
             assert result.ops.selects == 0
 
-            # A failed decode is not cached as a pass: the next touch fails again.
-            with pytest.raises(CorruptRecord, match=r"policy\.db line 3"):
-                engine.store.latest_tuple_instance((4, 5, 3), mismatch.seq)
+            # The edit fails the commitment, before any decode, and a
+            # failed check is not cached as a pass: the next touch fails
+            # again.
+            stored = engine.store.latest_tuple_instance((4, 5, 3), mismatch.seq)
+            published = engine.ledger.latest_item("stream-4-5-3").payload
+            assert commit(stored.nonce, stored.encoded) != published
+            assert engine.mediate(request, now=NOW).verification == result.verification
             clean = engine.mediate(
                 QueryRequest(
                     accessor_id=DEMO_ACCESSOR_ID,

@@ -36,7 +36,7 @@ def _canonical_chain(last_payload=b"x"):
         clock = TickingClock(dt.datetime(2024, 2, 28, 23, 59, 59, 998000, tzinfo=dt.timezone.utc))
         led = named_ledger(path, "node-0123abcd", clock)
         for stream in ("stream-4-5-3", "stream-120-18-7"):
-            led.create_stream(stream, "key17", b"$pbkdf2$1024$" + b"ab" * 16 + b"$" + b"cd" * 32)
+            led.create_stream(stream, "key17", b"ab" * 16 + b"cd" * 16)
             led.publish(stream, "key18", b"!~'\"\\{}")
         led.publish("stream-4-5-3", "", b"")
         led.publish("stream-4-5-3", "k" * 256, last_payload)

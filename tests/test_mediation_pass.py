@@ -9,8 +9,8 @@ hashes both records of every lineage on every call, where the mediator
 hashes only records whose bytes differ from those it verified.  For
 random point, all-provider and filtered requests over a population that
 meets every denial reason, with unpublished lineages and with damage
-drawn per lineage (a tampered stored tuple, a ledger payload that does
-not parse, a stored record that does not decode, a ledger record that
+drawn per lineage (a tampered stored tuple, a ledger payload that is
+no commitment, a stored record that does not decode, a ledger record that
 fails its read back), both give equal results in every field but
 timing, their operation counts included, on a first query and on its
 repeat.  Between the two, the stored tuple of an undamaged lineage the

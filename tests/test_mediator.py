@@ -15,6 +15,7 @@ from helpers import (
     install_archetype_fixture,
     install_demo_fixture,
     make_engine,
+    stored_instance,
 )
 from privledger.engine import Engine
 from privledger.ledger import LINEAGE_STREAM
@@ -332,7 +333,7 @@ def test_store_version_ahead_of_ledger_is_ignored(demo):
     # Craft a next-version instance that was never published, stored past
     # every ledger seq: the ledger names the published version, which answers.
     lineage = (4, 5, 3)
-    latest = demo.store.latest_tuple_instance(lineage, demo.ledger.latest_seq("stream-4-5-3"))
+    latest = stored_instance(demo.store, demo.ledger.latest_seq("stream-4-5-3"))
     ahead = bind_tuple(
         4,
         demo.store.catalog.by_id(5),
@@ -345,6 +346,7 @@ def test_store_version_ahead_of_ledger_is_ignored(demo):
             privacy_tuple=ahead,
             stream=latest.stream,
             seq=latest.seq + 100,
+            nonce=latest.nonce,
         )
     )
     result = demo.mediate(demo_request("street_name"), now=NOW)
@@ -354,7 +356,7 @@ def test_store_version_ahead_of_ledger_is_ignored(demo):
 
 def test_published_hash_without_stored_plaintext_aborts(demo):
     # Ledger knows a lineage the store has never seen.
-    demo.ledger.create_stream("stream-4-2-3", "key17", b"$pbkdf2$1$" + b"0" * 32 + b"$" + b"0" * 64)
+    demo.ledger.create_stream("stream-4-2-3", "key17", b"0" * 64)
     result = demo.mediate(demo_request("last_name"), now=NOW)
     assert result.status is MediationStatus.ABORTED
     assert result.denials == (("last_name", INTEGRITY_ABORT),)

@@ -1,14 +1,16 @@
 """Publishing a policy version: the bytes it writes, and what a write that
 fails leaves behind.
 
-A publication derives the tuple dict, the canonical encoding, the hash
-record text and the ledger line once each; the files must hold data
-format 3: one ledger record per publication after the genesis, each as
-the reference renders it, and policy.db lines with no copy of the hash.
-The digests below are of the files this module's build writes under a
-fixed salt source and clock; content.db and policy.db read as they did
-in format 2, and ledger.db and credentials.db differ from format 2 only
-in their $pbkdf2$ hash records.  A store write that fails
+A publication derives the canonical encoding, the commitment and the
+ledger line once each; the files must hold data format 4: one ledger
+record per publication after the genesis, each as the reference renders
+it, its payload SHA-256 of the nonce and the encoding, and policy.db
+lines that hold the nonce and the encoding verbatim, with no copy of the
+commitment.  The digests below are of the files this module's build
+writes under a fixed salt and nonce source and clock; content.db and
+credentials.db read as they did in format 3, policy.db differs from
+format 3 only in each line's nonce, and ledger.db in its payloads (and
+so its digests).  A store write that fails
 must leave memory as the file is, and an open or create that fails must
 leave no file open.  Once closed, the ledger and the store refuse every
 read and write of their files.
@@ -33,6 +35,7 @@ from helpers import (
     DEMO_LINEAGE_B,
     DEMO_PROVIDER_ID,
     TickingClock,
+    as_stored,
     chain_length,
     demo_preferences,
     install_demo_fixture,
@@ -40,6 +43,7 @@ from helpers import (
     make_engine,
     named_ledger,
     policy_index,
+    stored_instance,
 )
 from ledger_reference import reference_render_line
 from privledger import files as files_module
@@ -64,14 +68,14 @@ PUBLISHER = "node-0123abcd"
 FILE_DIGESTS = {
     "content.db": "2163086a404e3de4634aaf6e7be790bb6bf0519d03d267398aceb8042a53fec2",
     "credentials.db": "f042b89735b345606023f3e17f8bb0757e179cacdd2c118fc580eafff33404c1",
-    "ledger.db": "72b98329f733b52f229199e2d9bb91cef498a5772daa0151f08cbf810c52f807",
-    "policy.db": "2e00703cfae01efb657143755b7a9411e8e7f410589b2b8443eef23de4eff40b",
+    "ledger.db": "6ced4693d5078dafcc27ee2b31023de0c9fdeb44296a7337e1fa2561116eca0e",
+    "policy.db": "b8c76687c9df8ff7928296413c8d867310f474d738f77346621072446701db4e",
 }
 
 
 @pytest.fixture
 def fixed_salts(monkeypatch):
-    """Salts 00..00, 01..01, ... in the order they are drawn."""
+    """Salts and nonces 00..00, 01..01, ... in the order they are drawn."""
     drawn = []
 
     def token_bytes(n):
@@ -110,14 +114,14 @@ def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
             publication = engine.set_policy(
                 DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(9, note=f"r{revision}")
             )
-            instance = engine.store.latest_tuple_instance(
-                (DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID), publication.seq
-            )
+            instance = stored_instance(engine.store, publication.seq)
             assert (instance.seq, instance.version) == (publication.seq, publication.version)
+            assert engine.store.latest_tuple_instance(
+                (DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID), publication.seq
+            ) == as_stored(instance)
             lines = (engine.config.data_dir / "policy.db").read_text().splitlines()
             assert lines[:-1] == policy_lines
             assert lines[-1] == json.dumps(instance.to_dict(), sort_keys=True)
-            assert TupleInstance.from_dict(json.loads(lines[-1])) == instance
             policy_lines = lines
         # The genesis, then one record per publication: 7 in the demo, 2 here.
         ledger_lines = engine.config.ledger_file.read_text().splitlines()
@@ -127,12 +131,12 @@ def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
             assert line == reference_render_line(engine.ledger.item(seq))
         for line in policy_lines:
             record = json.loads(line)
-            assert sorted(record) == ["seq", "stream", "tuple"]
+            assert sorted(record) == ["nonce", "seq", "stream", "tuple"]
             instance = TupleInstance.from_dict(record)
             item = engine.ledger.item(instance.seq)
             assert item.stream == instance.stream
-            hashed = tuples.HashRecord.from_string(item.payload.decode("ascii"))
-            assert tuples.verify_hash(canonical_encode(instance.privacy_tuple), hashed)
+            encoded = canonical_encode(instance.privacy_tuple)
+            assert item.payload == tuples.commit(instance.nonce, encoded)
         assert engine.ledger.item(0).timestamp == dt.datetime(
             2024, 2, 29, 6, 59, 59, 998000, tzinfo=dt.timezone.utc
         )
@@ -189,7 +193,7 @@ def sample_instance(store, version=1, seq=1) -> TupleInstance:
         make_accessor(DEMO_ACCESSOR_ID),
         version - 1,
     )
-    return TupleInstance(bound, "stream-4-5-3", seq)
+    return TupleInstance(bound, "stream-4-5-3", seq, bytes(tuples.NONCE_BYTES))
 
 
 @pytest.fixture
@@ -227,7 +231,7 @@ def test_failed_flush_reaches_no_later_append(tmp_path, store):
     store.put_tuple_instance(second)
     assert path.read_text() == json.dumps(second.to_dict(), sort_keys=True) + "\n"
     with contextlib.closing(Store(tmp_path, hash_cost=4)) as fresh:
-        assert fresh.latest_tuple_instance(DEMO_LINEAGE_A, 2) == second
+        assert fresh.latest_tuple_instance(DEMO_LINEAGE_A, 2) == as_stored(second)
 
 
 def test_failed_provider_write_keeps_the_held_record(tmp_path, store):
@@ -457,7 +461,7 @@ def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, disk, store, f
     store.close()
     reopened = Store(tmp_path, hash_cost=4)
     assert reopened.latest_tuple_instance(DEMO_LINEAGE_A, 2) == (
-        sample_instance(reopened, seq=2) if family == "policy.db" else None
+        as_stored(sample_instance(reopened, seq=2)) if family == "policy.db" else None
     )
     assert reopened.has_provider(5) == (family == "content.db")
     if family == "credentials.db":

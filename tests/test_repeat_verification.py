@@ -1,11 +1,12 @@
 """Repeat verification: every query reads both records of each published
 lineage it touches back from disk, the policy.db line and the ledger
 record at the stream's latest seq, and compares their bytes with the
-fingerprint the mediator keeps of the bytes a check passed on.  The KDF
-runs only where they differ: once per lineage version per engine, and
-again after any change on disk, so a new version, a record tampered
-between two queries, or one restored, decides the very next query, and a
-mismatch is checked again by every query.  A run of back-to-back
+fingerprint the mediator keeps of the bytes a check passed on.  The
+commitment is checked, and the preferences decoded, only where they
+differ: once per lineage version per engine, and again after any change
+on disk, so a new version, a record tampered between two queries, or one
+restored, decides the very next query, and a mismatch is checked again
+by every query.  A run of back-to-back
 lineages stands whole on one digest of its bytes in both files while
 each of its lineages keeps its entry.  Each test runs on both open
 paths: from the checkpoints the last close wrote, and the full pass."""
@@ -15,6 +16,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
+import re
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
@@ -32,10 +34,12 @@ from helpers import (
     make_prefs,
     record_spans,
     run_keys,
+    stored_instance,
 )
 from privledger import mediator, store, tuples
 from privledger.config import LEDGER_FILE
 from privledger.engine import Engine
+from privledger.ledger import Ledger
 from privledger.mediator import INTEGRITY_ABORT, WITHHELD, MediationStatus, QueryRequest
 from privledger.policy import PurposeMode
 from privledger.store import POLICY_FILE
@@ -62,42 +66,43 @@ def configs(tmp_path):
 
 @pytest.fixture
 def hashed(monkeypatch):
-    """The data of every salted PBKDF2 digest computed."""
+    """The tuple bytes of every commitment the mediator checks."""
     inputs = []
-    original = tuples._pbkdf2
 
-    def counting(salt, data, cost):
-        inputs.append(data)
-        return original(salt, data, cost)
+    def counting(nonce, encoded):
+        inputs.append(encoded)
+        return tuples.commit(nonce, encoded)
 
-    monkeypatch.setattr(tuples, "_pbkdf2", counting)
+    monkeypatch.setattr(mediator, "commit", counting)
     return inputs
 
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """The text of every hash record parsed."""
-    texts = []
-    original = tuples.HashRecord.from_string
+    """The payload of every ledger item the mediator builds to check it."""
+    payloads = []
+    original = Ledger.latest_item
 
-    def counting(cls, text):
-        texts.append(text)
-        return original(text)
+    def counting(self, name, record=None):
+        item = original(self, name, record)
+        payloads.append(item.payload)
+        return item
 
-    monkeypatch.setattr(tuples.HashRecord, "from_string", classmethod(counting))
-    return texts
+    monkeypatch.setattr(Ledger, "latest_item", counting)
+    return payloads
 
 
 @pytest.fixture
-def encodes(monkeypatch):
-    """Lineages of every tuple the mediator encodes canonically."""
+def decodes(monkeypatch):
+    """Lineages of every stored tuple whose preferences are decoded."""
     lineages = []
+    original = store.Store.preferences
 
-    def counting(t):
-        lineages.append(t.lineage)
-        return canonical_encode(t)
+    def counting(self, lineage, seq, encoded):
+        lineages.append(lineage)
+        return original(self, lineage, seq, encoded)
 
-    monkeypatch.setattr(mediator, "canonical_encode", counting)
+    monkeypatch.setattr(store.Store, "preferences", counting)
     return lineages
 
 
@@ -110,9 +115,9 @@ def payloads(engine, entries):
 
 
 def stored_encodings(engine, entries):
+    """The canonical encoding of each entry's whole stored tuple."""
     return [
-        canonical_encode(engine.store.latest_tuple_instance(e.lineage, e.seq).privacy_tuple)
-        for e in entries
+        canonical_encode(stored_instance(engine.store, e.seq).privacy_tuple) for e in entries
     ]
 
 
@@ -152,7 +157,7 @@ def declared_purpose_byte(engine, seq) -> int:
     field = b'"declared_purpose": "'
     at = 0
     for line in path.read_bytes().splitlines(keepends=True):
-        if line.startswith(f'{{"seq": {seq}, '.encode()):
+        if f'"seq": {seq}, '.encode() in line:
             return at + line.index(field) + len(field)
         at += len(line)
     raise AssertionError(f"no policy.db line at seq {seq}")
@@ -165,19 +170,19 @@ def payload_digit(engine, seq) -> int:
     for line in engine.ledger.path.read_bytes().splitlines(keepends=True):
         fields = line.split(b"\t")
         if fields[0] == str(seq).encode():
-            assert fields[5].startswith(b"$pbkdf2$")
+            assert re.fullmatch(rb"[0-9a-f]{64}", fields[5])
             return at + len(b"\t".join(fields[:6])) - 1
         at += len(line)
     raise AssertionError(f"no ledger record at seq {seq}")
 
 
 def test_a_repeat_rehashes_no_lineage_whose_records_are_unchanged(
-    configs, hashed, encodes, parsed
+    configs, hashed, decodes, parsed
 ):
     for config in configs:
         with closing(Engine.open(config)) as engine:
             hashed.clear()
-            encodes.clear()
+            decodes.clear()
             parsed.clear()
             first = engine.mediate(REQUEST, now=NOW)
             assert first.status is MediationStatus.COMPLETED
@@ -186,18 +191,18 @@ def test_a_repeat_rehashes_no_lineage_whose_records_are_unchanged(
             assert first.ops.hash_verifications == len(hashed) == len(entries)
             # The bytes verified are the decoded instance's canonical encoding.
             assert hashed == stored_encodings(engine, entries)
-            assert sorted(encodes) == sorted(e.lineage for e in entries)
+            assert sorted(decodes) == sorted(e.lineage for e in entries)
             assert parsed == payloads(engine, entries)
 
             hashed.clear()
-            encodes.clear()
+            decodes.clear()
             parsed.clear()
             second = engine.mediate(REQUEST, now=NOW)
             # Both records of every lineage are read again and are the bytes
             # verified, so nothing is decoded, parsed or hashed.
             assert second.ops == first.ops
             assert hashed == []
-            assert encodes == []
+            assert decodes == []
             assert parsed == []
             assert second.verification == first.verification
             assert second.rows == first.rows
@@ -233,7 +238,8 @@ def test_every_repeat_of_a_filtered_scan_checks_and_evaluates_each_lineage(
                 verified = [e for e in result.verification if e.verified]
                 assert len(entries) == len(verified) == 9 and len(result.verification) == 12
                 assert result.ops.hash_verifications == len(entries)
-                # Only the first query runs the KDF; repeats match fingerprints.
+                # Only the first query checks commitments; repeats match
+                # fingerprints.
                 assert hashed == (stored_encodings(engine, entries) if repeat == 0 else [])
                 assert len(evaluated) == result.ops.policy_evaluations == len(verified)
                 assert evaluated == [e.lineage[1] for e in verified]  # attribute ids
@@ -242,10 +248,10 @@ def test_every_repeat_of_a_filtered_scan_checks_and_evaluates_each_lineage(
             assert all(result.ops == results[0].ops for result in results)
 
 
-def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, parsed):
+def test_a_new_version_is_verified_by_the_next_query(configs, hashed, decodes, parsed):
     for config in configs:
         hashed.clear()
-        encodes.clear()
+        decodes.clear()
         with closing(Engine.open(config)) as engine:
             first = engine.mediate(REQUEST, now=NOW)
             [old] = [e for e in first.verification if e.lineage == (1, CITY, BENCH_ACCESSOR_ID)]
@@ -260,13 +266,13 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, encodes, p
             publication = engine.set_policy(1, BENCH_ACCESSOR_ID, prefs)
             assert publication.seq > old.seq
             hashed.clear()
-            encodes.clear()
+            decodes.clear()
             parsed.clear()
             second = engine.mediate(REQUEST, now=NOW)
             # The new version is read back from disk, decoded and hashed, as a
             # fresh process would; every other lineage's records are the
             # bytes verified before, and nothing of them is decoded.
-            assert encodes == [old.lineage]
+            assert decodes == [old.lineage]
             assert parsed == [engine.ledger.item(publication.seq).payload]
             [new] = [e for e in second.verification if e.lineage == old.lineage]
             assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
@@ -340,7 +346,7 @@ def test_a_record_changed_between_two_warm_queries_aborts_the_second(configs, ha
                 # One byte of the declared purpose: the line still decodes.
                 path, at = config.data_dir / "policy.db", declared_purpose_byte(engine, entry.seq)
             else:
-                # One hex digit of the $pbkdf2$ payload: the record no longer
+                # One hex digit of the commitment payload: the record no longer
                 # gives its digest.
                 path, at = engine.ledger.path, payload_digit(engine, entry.seq)
             old = _change_byte(path, at)
@@ -467,12 +473,13 @@ def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs, hashed):
 def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed):
     engine = make_engine(tmp_path, hash_cost=8)
     install_archetype_fixture(engine, 3, seed=7)
-    latest = engine.store.latest_tuple_instance(LINEAGE, engine.ledger.latest_seq(STREAM))
+    latest = stored_instance(engine.store, engine.ledger.latest_seq(STREAM))
+    # A payload that is no commitment: not 64 lowercase hex digits.
     bad = engine.ledger.publish(STREAM, "key-bad", b"$pbkdf2$8$not-a-salt")
     # A next version stored at its seq, so that verification reaches the payload.
     t = latest.privacy_tuple
     bound = tuples.bind_tuple(2, t.attribute, t.prefs, t.accessor, t.version)
-    engine.store.put_tuple_instance(store.TupleInstance(bound, STREAM, bad.seq))
+    engine.store.put_tuple_instance(store.TupleInstance(bound, STREAM, bad.seq, latest.nonce))
     for config in both_open_paths(engine):
         with closing(Engine.open(config)) as engine:
             for repeat in range(3):
@@ -482,11 +489,12 @@ def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed)
                 assert_aborts_on(result, LINEAGE)
                 mismatches = [e for e in result.verification if e.note == "mismatch"]
                 assert [e.seq for e in mismatches] == [bad.seq]
-                assert parsed.count(bad.payload) == 1  # parsed again by every query
-                # The lineages whose records parse are each counted once, and
-                # hashed by the first query only.
-                assert result.ops.hash_verifications == 5
-                assert len(hashed) == (5 if repeat == 0 else 0)
+                assert parsed.count(bad.payload) == 1  # read again by every query
+                # Every lineage's commitment is checked once; the five that
+                # pass by the first query only, the malformed one, which
+                # fails as any other mismatch, by every query.
+                assert result.ops.hash_verifications == 6
+                assert len(hashed) == (6 if repeat == 0 else 1)
             assert LINEAGE not in engine.mediator._kept
 
 
@@ -542,24 +550,24 @@ def test_a_warm_run_of_back_to_back_lineages_is_hashed_once(configs, hashed, dig
             )
 
 
-def test_republishing_a_lineage_inside_a_run_rehashes_it_alone(configs, hashed, encodes, digests):
+def test_republishing_a_lineage_inside_a_run_rehashes_it_alone(configs, hashed, decodes, digests):
     for config in configs:
         with closing(Engine.open(config)) as engine:
             first = engine.mediate(BACK_TO_BACK, now=NOW)
             entries = published(first)
             middle = entries[3]
-            prefs = engine.store.latest_tuple_instance(middle.lineage, middle.seq).privacy_tuple.prefs
+            prefs = stored_instance(engine.store, middle.seq).privacy_tuple.prefs
             publication = engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
 
             hashed.clear()
-            encodes.clear()
+            decodes.clear()
             digests.clear()
             second = engine.mediate(BACK_TO_BACK, now=NOW)
             # The new version lies alone at the end of both files, so the
             # run splits in three, none of them kept: each other lineage
-            # passes on its own fingerprint, and only the new version runs
-            # the KDF.
-            assert encodes == [middle.lineage]
+            # passes on its own fingerprint, and only the new version has
+            # its commitment checked.
+            assert decodes == [middle.lineage]
             [new] = [e for e in second.verification if e.lineage == middle.lineage]
             assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
             assert hashed == stored_encodings(engine, [new])
@@ -616,7 +624,7 @@ def test_a_run_digest_stands_only_while_each_lineage_keeps_its_entry(configs, ha
 
             # The bytes restored: the run's digest matches again, but the
             # middle lineage holds no entry, so the run does not stand
-            # whole; that lineage alone runs the KDF.
+            # whole; that lineage alone has its commitment checked.
             _restore_byte(path, at, old)
             hashed.clear()
             restored = engine.mediate(BACK_TO_BACK, now=NOW)
@@ -638,7 +646,7 @@ def test_run_digests_never_outnumber_the_kept_lineages(configs, hashed):
             for entry in entries:
                 # Each republish splits the runs again; the digest of a run
                 # no query forms again goes with the entry it began at.
-                prefs = engine.store.latest_tuple_instance(entry.lineage, entry.seq).privacy_tuple.prefs
+                prefs = stored_instance(engine.store, entry.seq).privacy_tuple.prefs
                 engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
                 for _ in range(2):
                     hashed.clear()
@@ -650,7 +658,7 @@ def test_run_digests_never_outnumber_the_kept_lineages(configs, hashed):
                     # Every run is keyed at the seq of a kept entry.
                     assert 0 < len(run_keys(engine))
                     assert {key[0] for key in run_keys(engine)} <= kept
-                assert hashed == []  # the repeat ran no KDF
+                assert hashed == []  # the repeat checked no commitment
 
 
 @pytest.mark.parametrize("name", [POLICY_FILE, LEDGER_FILE])

@@ -26,9 +26,11 @@ from privledger.store import (
     default_catalog,
 )
 from privledger.tuples import (
+    NONCE_BYTES,
     AttributeCategory,
     AttributeMeta,
     bind_tuple,
+    canonical_encode,
 )
 
 
@@ -52,6 +54,7 @@ def sample_instance(catalog, version=1, provider_id=4, attribute_id=5, seq=1):
         privacy_tuple=bound,
         stream=f"stream-{provider_id}-{attribute_id}-3",
         seq=seq,
+        nonce=bytes(NONCE_BYTES),
     )
 
 
@@ -340,14 +343,15 @@ def test_reopen_restores_everything(tmp_path):
     store = Store(tmp_path, hash_cost=4, create=True)
     store.put_provider_record(ProviderRecord(4, {"street_name": "5202 50 Ave"}))
     store.put_tuple_instance(sample_instance(store.catalog, version=1))
-    store.put_tuple_instance(sample_instance(store.catalog, version=2, seq=2))
+    second = sample_instance(store.catalog, version=2, seq=2)
+    store.put_tuple_instance(second)
     store.add_accessor("physician3", "pw", make_accessor())
     store.close()
 
     again = Store(tmp_path, hash_cost=4)
     assert again.get_provider_record(4).attributes["street_name"] == "5202 50 Ave"
     latest = again.latest_tuple_instance((4, 5, 3), 2)
-    assert (latest.version, latest.stream) == (2, "stream-4-5-3")
+    assert latest == (2, second.nonce, canonical_encode(second.privacy_tuple))
     assert again.authenticate("physician3", "pw") == make_accessor()
     again.close()
 

@@ -20,6 +20,7 @@ from privledger.tuples import (
     DEFAULT_COST,
     HASH_ALGORITHM,
     MAX_COST,
+    NONCE_BYTES,
     AttributeCategory,
     AttributeMeta,
     CostOutOfRange,
@@ -30,6 +31,7 @@ from privledger.tuples import (
     TupleError,
     bind_tuple,
     canonical_encode,
+    commit,
     hash_tuple,
     verify_hash,
 )
@@ -108,21 +110,24 @@ def test_equal_tuples_encode_identically():
 
 
 def test_encoding_is_compact_ascii():
-    encoded = canonical_encode(make_tuple())
+    # One ASCII line, with no whitespace but json.dumps's separators: the
+    # text a policy.db line holds of the tuple.
+    t = make_tuple()
+    encoded = canonical_encode(t)
     encoded.decode("ascii")
-    assert b", " not in encoded
-    assert b": " not in encoded
     assert b"\n" not in encoded
+    assert encoded == json.dumps(t.to_dict(), sort_keys=True).encode("ascii")
 
 
 def test_encoding_field_order_and_sorted_keys():
     t = make_tuple(version=7)
-    parts = json.loads(canonical_encode(t))
-    assert isinstance(parts, list) and len(parts) == 5
-    assert parts[0] == 4
-    assert parts[4] == 7
-    for record in (parts[1], parts[2], parts[3]):
+    data = json.loads(canonical_encode(t))
+    assert list(data) == ["accessor", "attribute", "prefs", "provider_id", "version"]
+    assert (data["provider_id"], data["version"]) == (4, 7)
+    assert canonical_encode(t).endswith(b'"version": 7}')
+    for record in (data["attribute"], data["prefs"], data["accessor"]):
         assert list(record) == sorted(record)
+
 
 
 def test_round_trip_decode():
@@ -154,6 +159,32 @@ def test_decode_rejects_wrong_shapes_inside():
     data["attribute"] = "postal_code"
     with pytest.raises(TupleError):
         PrivacyTuple.from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# commitments
+# ---------------------------------------------------------------------------
+
+
+def test_a_commitment_is_sha256_of_the_nonce_and_the_encoding_in_hex():
+    nonce, encoded = bytes(range(NONCE_BYTES)), canonical_encode(make_tuple())
+    payload = commit(nonce, encoded)
+    assert re.fullmatch(rb"[0-9a-f]{64}", payload)
+    assert payload == hashlib.sha256(nonce + encoded).hexdigest().encode("ascii")
+    assert commit(b"0" * 16, b"{}") == (
+        b"2be1c2a888bf913a54dc1ccdae9edbe1435e4315a8a0ef42f590d8829265f583"
+    )
+
+
+def test_a_commitment_changes_with_any_byte_of_nonce_or_encoding():
+    nonce, encoded = bytes(NONCE_BYTES), canonical_encode(make_tuple())
+    payload = commit(nonce, encoded)
+    data = nonce + encoded
+    for index in range(len(data)):
+        changed = bytearray(data)
+        changed[index] ^= 0x01
+        changed = bytes(changed)
+        assert commit(changed[:NONCE_BYTES], changed[NONCE_BYTES:]) != payload
 
 
 # ---------------------------------------------------------------------------
