@@ -63,27 +63,27 @@ class Record:
     __init__ through _set, in that order, after its checks.
 
     from_dict is the one decoder of a stored record: the dict must hold
-    exactly the keys _keys (where they differ from _fields), each value
-    goes through its field's function in _decoders, if any, and then the
-    constructor's checks; a dict of other keys, or no dict, raises _error.
+    exactly the keys _fields, each value goes through its field's function
+    in _decoders, if any, and then the constructor's checks; a dict of
+    other keys, or no dict, raises _error.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _keys: tuple[str, ...] = ()
     _decoders: dict = {}
     _error: type[Exception] = ValueError
 
     @classmethod
     def from_dict(cls, data: dict):
-        keys = cls._keys or cls._fields
         try:
             # As many keys as the record's, each of them: the same key set.
-            if not isinstance(data, dict) or len(data) != len(keys):
+            if not isinstance(data, dict) or len(data) != len(cls._fields):
                 raise KeyError
-            values = [data[key] for key in keys]
+            values = [data[key] for key in cls._fields]
         except KeyError:
-            raise cls._error(f"{cls.__name__} record must hold exactly the keys {keys}") from None
+            raise cls._error(
+                f"{cls.__name__} record must hold exactly the keys {cls._fields}"
+            ) from None
         for name, decode in cls._decoders.items():
             index = cls._fields.index(name)
             values[index] = decode(values[index])

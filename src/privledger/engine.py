@@ -5,13 +5,13 @@ directory, so the directory's lock covers it) and one mediator.
 Publishing a policy binds the tuple at the version after its stream's
 item count, commits to its canonical encoding under a fresh nonce
 (tuples.commit: one SHA-256, no key stretching), appends the commitment
-to the lineage's stream and only then records the plaintext instance,
-the nonce and the encoding verbatim, in the store at that item's seq, so
-the ledger is never behind the store and the store's seqs rise.  A
-failed store append leaves its lineage aborting as a mismatch until the
-next publish.  Nothing of a published
-version stays in memory: the next query on its lineage reads it back
-from policy.db, as a fresh process does.
+to the lineage's stream and only then hands the store those very bytes,
+the nonce and the encoding, to write verbatim in the plaintext instance
+at that item's seq, so the ledger is never behind the store and the
+store's seqs rise.  A failed store append leaves its lineage aborting as
+a mismatch until the next publish.  Nothing of a published version stays
+in memory: the next query on its lineage reads it back from policy.db,
+as a fresh process does.
 
 Closing writes the checkpoints that let the next open skip the checks of
 what this one checked or wrote (see files.IndexedFile); nothing else
@@ -41,7 +41,7 @@ from .config import (
 from .ledger import LINEAGE_STREAM, Ledger
 from .mediator import MediationResult, Mediator, NativeResult, QueryRequest
 from .policy import AccessorProfile, PreferenceSet
-from .store import CONTENT_FILE, ProviderRecord, Store, TupleInstance
+from .store import CONTENT_FILE, ProviderRecord, Store
 from .tuples import NONCE_BYTES, bind_tuple, canonical_encode, commit
 
 
@@ -174,7 +174,7 @@ class Engine:
             item = self.ledger.publish(stream, key, payload)
         else:
             item = self.ledger.create_stream(stream, key, payload)
-        self.store.put_tuple_instance(TupleInstance(bound, stream, item.seq, nonce), encoded)
+        self.store.put_tuple_instance(stream, item.seq, nonce, encoded)
         return PolicyPublication(
             stream=stream, seq=item.seq, version=bound.version, key=key
         )

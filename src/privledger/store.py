@@ -20,20 +20,24 @@ does not, one the pattern rejects, one with a number of 2**63 or more,
 or one that is not UTF-8, fails the open, which then leaves no file
 open.  The store does not say which version of a lineage is current: the
 ledger does, through its stream's latest seq, and the store finds the
-line at that seq by bisection.  The read and the decode are apart:
-policy_runs(seqs) splits a query's seqs into runs of lines with only an
-LF between one and the next and reads each run with one os.pread through
-read_lines(row, count), which also reads a run again by its first row;
-lines cuts a run's read into each line's bytes, and policy_line(seq)
-reads one line.  latest_tuple_instance reads those bytes, or bytes it
-reads itself, with the same anchored pattern open uses, on every call,
-and decodes nothing: it gives the nonce and the tuple's canonical
-encoding as slices of the line, for the commitment check, after checking
-that the line's seq, stream and version are the lineage's and the
-index's.  preferences decodes a tuple's bytes, once its commitment
-holds, and cross-checks its provider, attribute, accessor and version.
-A record that fails either, say because it changed on disk since open,
-or a read the system refuses, raises CorruptRecord.  The store keeps no
+line at that seq by bisection.  The store encodes no tuple:
+put_tuple_instance writes a version's line around the bytes its
+commitment is over, the nonce and the canonical encoding the engine
+committed to, once the pattern open uses reads the line, its provider is
+known and its seq is above every stored line's.  The read and the decode
+are apart: policy_runs(seqs) splits a query's seqs into runs of lines
+with only an LF between one and the next and reads each run with one
+os.pread through read_lines(row, count), which also reads a run again by
+its first row; lines cuts a run's read into each line's bytes.
+latest_tuple_instance reads the bytes its caller read with the same
+anchored pattern, on every call, and decodes nothing: it gives the nonce
+and the tuple's canonical encoding as slices of the line, for the
+commitment check, after checking that the line's seq, stream and version
+are the lineage's and the index's.  preferences decodes a tuple's bytes,
+once its commitment holds, and cross-checks its provider, attribute,
+accessor and version.  A record that fails either, say because it
+changed on disk since open, raises CorruptRecord; a read the system
+refuses gives its OSError in place of the bytes.  The store keeps no
 decoded tuple: the mediator keeps, per verified version, a fingerprint
 of the bytes it verified and the preferences, and checks a line again
 only when its bytes are not those.
@@ -67,9 +71,7 @@ from .tuples import (
     AttributeCategory,
     AttributeMeta,
     HashRecord,
-    PrivacyTuple,
     Sensitivity,
-    canonical_encode,
     hash_tuple,
     verify_hash,
 )
@@ -210,38 +212,6 @@ class ProviderRecord(Record):
         return {"provider_id": self.provider_id, "attributes": dict(self.attributes)}
 
 
-class TupleInstance(Record):
-    """One stored tuple version, where its commitment is on the ledger, and
-    the nonce the commitment is under."""
-
-    __slots__ = _fields = ("privacy_tuple", "stream", "seq", "nonce")
-    _keys = ("tuple", "stream", "seq", "nonce")
-    _decoders = {"privacy_tuple": PrivacyTuple.from_dict, "nonce": bytes.fromhex}
-
-    def __init__(self, privacy_tuple: PrivacyTuple, stream: str, seq: int, nonce: bytes):
-        if not (isinstance(seq, int) and 0 <= seq < ID_LIMIT):
-            raise ValueError("seq must be an integer in [0, 2**63)")
-        if not (isinstance(nonce, bytes) and len(nonce) == NONCE_BYTES):
-            raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-        self._set(privacy_tuple, stream, seq, nonce)
-
-    @property
-    def lineage(self) -> tuple[int, int, int]:
-        return self.privacy_tuple.lineage
-
-    @property
-    def version(self) -> int:
-        return self.privacy_tuple.version
-
-    def to_dict(self) -> dict:
-        return {
-            "nonce": self.nonce.hex(),
-            "seq": self.seq,
-            "stream": self.stream,
-            "tuple": self.privacy_tuple.to_dict(),
-        }
-
-
 class StoredTuple(NamedTuple):
     """A policy.db line as read, not decoded: the tuple's version, and the
     nonce and canonical encoding its commitment is over."""
@@ -275,8 +245,8 @@ POLICY_FILE = "policy.db"
 CONTENT_FILE = "content.db"
 FAMILY_FILES = (CREDENTIALS_FILE, POLICY_FILE, CONTENT_FILE)
 
-# A policy.db line is json.dumps(TupleInstance.to_dict(), sort_keys=True), so
-# it reads {"nonce": "<hex>", "seq": N, "stream": "stream-P-A-X", "tuple": T}
+# A policy.db line is its record as json.dumps(record, sort_keys=True) writes
+# it, {"nonce": "<hex>", "seq": N, "stream": "stream-P-A-X", "tuple": T},
 # where T, the tuple's canonical encoding, ends with its version.  The
 # ledger holds SHA-256(nonce || T).  Groups: nonce, seq, P, A, X, T, version.
 _POLICY_LINE_RE = re.compile(
@@ -296,15 +266,16 @@ _POLICY_BYTES_RE = re.compile(_POLICY_LINE_RE.pattern.encode("ascii"))
 RUN_BYTES = 16 * 1024
 
 
-def _index_policy_line(line: str) -> tuple[int, int]:
-    """Ledger seq and tuple version of one policy.db line."""
+def _index_policy_line(line: str) -> tuple[int, ...]:
+    """Ledger seq, provider, attribute and accessor ids, and tuple version
+    of one policy.db line."""
     match = _POLICY_LINE_RE.fullmatch(line)
     if match is None:
         raise ValueError("not a policy record")
     fields = tuple(map(int, match.group(2, 3, 4, 5, 7)))
     if max(fields) >= ID_LIMIT:
         raise ValueError("a seq, id or version is 2**63 or more")
-    return fields[0], fields[4]
+    return fields
 
 
 def _line(record: Record) -> str:
@@ -425,7 +396,7 @@ class Store:
                         f"{self._policy.path} line {lineno}: unreadable record "
                         f"(seq {indexed[0]} is not above the previous line's {seqs[-1]})"
                     )
-                self._index_line(*indexed, offset, length, lineno)
+                self._index_line(indexed[0], indexed[4], offset, length, lineno)
         self._policy_lines = lineno
 
     def _take(self, parts) -> bool:
@@ -489,43 +460,24 @@ class Store:
 
     # -- tuple instances ----------------------------------------------------
 
-    def put_tuple_instance(
-        self, instance: TupleInstance, encoded: bytes | None = None
-    ) -> tuple[int, int, int]:
-        """Record a new tuple version, with its canonical encoding if the
-        caller has made it; its ledger seq must be above every stored
-        line's.  The line is json.dumps(instance.to_dict(), sort_keys=True),
-        built around the encoding, so it holds it verbatim.  Old versions
-        are retained."""
-        lineage = instance.lineage
-        if lineage[0] not in self._providers:
-            raise UnknownProvider(f"no provider with id {lineage[0]}")
-        seqs = self._columns[0]
-        if seqs and instance.seq <= seqs[-1]:
-            raise StaleVersion(f"policy.db already holds seq {seqs[-1]}, got {instance.seq}")
-        if encoded is None:
-            encoded = canonical_encode(instance.privacy_tuple)
+    def put_tuple_instance(self, stream: str, seq: int, nonce: bytes, encoded: bytes):
+        """Record a new tuple version: its line is built around encoded,
+        the tuple's canonical encoding, and nonce, the bytes the commitment
+        at the ledger seq on stream is over, so it holds them verbatim.
+        The line must be one the next open reads, of a known provider, and
+        its seq above every stored line's.  Old versions are retained."""
         line = '{"nonce": "%s", "seq": %d, "stream": "%s", "tuple": %s}' % (
-            instance.nonce.hex(), instance.seq, instance.stream, encoded.decode("ascii")
+            nonce.hex(), seq, stream, encoded.decode("ascii")
         )
-        seq, version = _index_policy_line(line)  # a line the next open reads
+        seq, provider_id, _, _, version = _index_policy_line(line)
+        if provider_id not in self._providers:
+            raise UnknownProvider(f"no provider with id {provider_id}")
+        seqs = self._columns[0]
+        if seqs and seq <= seqs[-1]:
+            raise StaleVersion(f"policy.db already holds seq {seqs[-1]}, got {seq}")
         offset, length = self._policy.append(line)
         self._policy_lines += 1
         self._index_line(seq, version, offset, length, self._policy_lines)
-        return lineage
-
-    def policy_line(self, seq: int) -> bytes | None:
-        """The bytes of the policy.db line at the ledger seq, read back
-        without its line end, or None when policy.db holds no line at that
-        seq; a read the system refuses raises CorruptRecord."""
-        column, _, offsets, lengths, _ = self._columns
-        row = bisect_left(column, seq)
-        if row == len(column) or column[row] != seq:
-            return None
-        line = self._policy.read(offsets[row], lengths[row])
-        if isinstance(line, OSError):
-            raise CorruptRecord(f"{self._where(row)}: unreadable policy record ({line})")
-        return line
 
     def policy_runs(self, seqs):
         """An iterator that splits seqs, ledger seqs in a query's order
@@ -582,21 +534,16 @@ class Store:
         return self._policy.pieces(data, [(offsets[r], lengths[r]) for r in rows])
 
     def latest_tuple_instance(
-        self, lineage: tuple[int, int, int], seq: int, line=None
-    ) -> StoredTuple | None:
+        self, lineage: tuple[int, int, int], seq: int, line: bytes
+    ) -> StoredTuple:
         """The lineage's version stored at the ledger seq that is its
         stream's latest, as the anchored pattern reads it from line, the
-        bytes policy_line(seq) returns (or lines gives), if the caller has
-        read them, or else read back; None when policy.db holds no line at
-        that seq.  Nothing is decoded: the tuple's bytes are a slice of the
-        line.  Raises CorruptRecord when the read fails, the pattern
-        rejects the line, or its seq, stream or version disagrees with the
-        lineage or its index.  The lineage is a (provider_id,
-        attribute_id, accessor_id) tuple."""
-        if line is None:
-            line = self.policy_line(seq)
-            if line is None:
-                return None
+        bytes of its policy.db line as policy_runs or lines gave them.
+        Nothing is
+        decoded: the tuple's bytes are a slice of the line.  Raises
+        CorruptRecord when the pattern rejects the line, or its seq, stream
+        or version disagrees with the lineage or its index.  The lineage is
+        a (provider_id, attribute_id, accessor_id) tuple."""
         seqs, versions = self._columns[:2]
         row = bisect_left(seqs, seq)
         match = _POLICY_BYTES_RE.fullmatch(line.strip())

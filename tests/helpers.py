@@ -14,6 +14,8 @@ import datetime as dt
 import json
 import random
 import shutil
+from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 from privledger import ledger as ledger_module
@@ -35,7 +37,7 @@ from privledger.policy import (
     VisibilityPolicy,
     VisibilityScope,
 )
-from privledger.store import StoredTuple, TupleInstance
+from privledger.store import POLICY_FILE, StoredTuple
 from privledger.tuples import AttributeCategory, AttributeMeta, PrivacyTuple, canonical_encode
 
 HOUSE_SAFE_ROLES = [
@@ -135,13 +137,82 @@ def policy_index(store) -> list[tuple[int, int, int, int, int]]:
     return list(zip(*store._columns))
 
 
-def stored_instance(store, seq: int) -> TupleInstance:
-    """The whole tuple instance the policy.db line at the ledger seq decodes
-    to, read back."""
-    return TupleInstance.from_dict(json.loads(store.policy_line(seq)))
+def policy_line(data_dir, seq: int) -> bytes | None:
+    """The bytes, without the line end, of the policy.db line under
+    data_dir that holds the ledger seq, found by scanning the file, apart
+    from any store's index; None where no line that decodes holds it."""
+    field = b'"seq": %d, ' % seq
+    for line in (Path(data_dir) / POLICY_FILE).read_bytes().splitlines():
+        if field in line:
+            try:
+                if json.loads(line)["seq"] == seq:
+                    return line
+            except (ValueError, KeyError, TypeError):
+                pass
+    return None
 
 
-def as_stored(instance: TupleInstance) -> StoredTuple:
+def indexed_line(store, seq: int):
+    """The bytes of the policy.db line at the ledger seq as a query reads
+    them, at the offset and length the store's index holds
+    (Store.policy_runs): None where the index holds no line at seq, the
+    OSError of a read the system refuses."""
+    [(_, _, _, line)] = store.policy_runs([seq])
+    return line
+
+
+class Instance(NamedTuple):
+    """A policy.db record decoded whole: the tuple, the stream and seq of
+    its commitment on the ledger, and the nonce the commitment is under."""
+
+    privacy_tuple: PrivacyTuple
+    stream: str
+    seq: int
+    nonce: bytes
+
+    @property
+    def version(self) -> int:
+        return self.privacy_tuple.version
+
+    def line(self) -> str:
+        """The record's sorted JSON, as policy.db holds it."""
+        record = {
+            "nonce": self.nonce.hex(),
+            "seq": self.seq,
+            "stream": self.stream,
+            "tuple": self.privacy_tuple.to_dict(),
+        }
+        return json.dumps(record, sort_keys=True)
+
+
+def decode_instance(line) -> Instance:
+    """The record of a policy.db line, decoded whole; a line of other keys,
+    or one that does not decode, raises ValueError, KeyError or TypeError."""
+    record = json.loads(line)
+    if sorted(record) != ["nonce", "seq", "stream", "tuple"]:
+        raise KeyError("a policy record holds nonce, seq, stream and tuple")
+    return Instance(
+        PrivacyTuple.from_dict(record["tuple"]),
+        record["stream"],
+        record["seq"],
+        bytes.fromhex(record["nonce"]),
+    )
+
+
+def stored_instance(data_dir, seq: int) -> Instance:
+    """The record of the policy.db line under data_dir at the ledger seq,
+    read back from the file."""
+    return decode_instance(policy_line(data_dir, seq))
+
+
+def put_instance(store, instance: Instance):
+    """Store instance as Engine.set_policy does: the nonce and the tuple's
+    canonical encoding at its stream and seq."""
+    encoded = canonical_encode(instance.privacy_tuple)
+    store.put_tuple_instance(instance.stream, instance.seq, instance.nonce, encoded)
+
+
+def as_stored(instance: Instance) -> StoredTuple:
     """What Store.latest_tuple_instance reads from the line of instance."""
     return StoredTuple(instance.version, instance.nonce, canonical_encode(instance.privacy_tuple))
 

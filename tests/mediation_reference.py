@@ -3,10 +3,12 @@ lineages in one pass, kept as the reference for that pass.
 
 ReferenceMediator.mediate is the mediation as it was then: each lineage
 is verified by its own method, which asks the ledger for the stream's
-latest seq, the store for the line stored at that seq and the ledger for
-the item at it, decodes the whole line into a tuple instance and checks
-it against the lineage and the store's index, then re-encodes the tuple
-canonically and checks the commitment in the item on every call (the
+latest seq and the item at it, finds the policy.db line of that seq by
+scanning the file (tests/helpers.policy_line), apart from the store's
+index, decodes the whole line into a tuple instance and checks it
+against the lineage, then re-encodes the tuple canonically and checks
+the commitment in the item on every call, which also fails for a line
+whose version is not the one committed to (the
 package's mediator hashes the tuple's bytes as stored, before any
 decode, and only records whose bytes it has not verified).  A line that
 does not decode is a mismatch with no commitment checked, as is one the
@@ -30,11 +32,10 @@ raise OverflowError instead.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import time
-from bisect import bisect_left
 from typing import NamedTuple
 
+from helpers import Instance, decode_instance, policy_line
 from privledger.ledger import LINEAGE_STREAM, LedgerError, UnknownStream
 from privledger.mediator import (
     INTEGRITY_ABORT,
@@ -65,7 +66,6 @@ from privledger.policy import (
     RetentionPolicy,
     apply_granularity,
 )
-from privledger.store import CorruptRecord, TupleInstance
 from privledger.tuples import canonical_encode, commit
 
 
@@ -116,35 +116,30 @@ class ReferenceMediator(Mediator):
     """A mediator whose mediate is the two-pass reference; analysis and the
     native baseline are the package's."""
 
-    def _instance(self, lineage: Lineage, seq: int) -> TupleInstance | None:
-        """The whole instance stored at seq, if it decodes and agrees with
-        the lineage and the store's index."""
-        line = self._store.policy_line(seq)
+    def _instance(self, lineage: Lineage, seq: int) -> Instance | None:
+        """The whole instance in the policy.db line at seq, found by
+        scanning the file, if it decodes and agrees with the lineage."""
+        line = policy_line(self._ledger.path.parent, seq)
         if line is None:
             return None
         try:
-            instance = TupleInstance.from_dict(json.loads(line))
+            instance = decode_instance(line)
         except (ValueError, KeyError, TypeError, AttributeError):
             return None
-        seqs, versions = self._store._columns[:2]
-        indexed = versions[bisect_left(seqs, seq)]
-        if (instance.lineage, instance.stream, instance.seq, instance.version) != (
-            tuple(lineage), lineage.stream, seq, indexed
+        if (instance.privacy_tuple.lineage, instance.stream, instance.seq) != (
+            tuple(lineage), lineage.stream, seq
         ):
             return None
         return instance
 
     def _verify_lineage(
         self, lineage: Lineage, ops: OpCounters
-    ) -> tuple[VerificationEntry, TupleInstance | None]:
+    ) -> tuple[VerificationEntry, Instance | None]:
         try:
             seq = self._ledger.latest_seq(lineage.stream)
         except UnknownStream:
             return (VerificationEntry(lineage, None, False, VERIFIED_NO_POLICY), None)
-        try:
-            instance = self._instance(lineage, seq)
-        except CorruptRecord:
-            instance = None
+        instance = self._instance(lineage, seq)
         try:
             item = self._ledger.item(seq)
         except LedgerError:
@@ -168,7 +163,7 @@ class ReferenceMediator(Mediator):
         lineages = [Lineage(*lineage) for lineage in self.analyze(request)]
 
         entries: list[VerificationEntry] = []
-        instances: dict[Lineage, TupleInstance | None] = {}
+        instances: dict[Lineage, Instance | None] = {}
         for lineage in lineages:
             entry, instance = self._verify_lineage(lineage, ops)
             entries.append(entry)

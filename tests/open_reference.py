@@ -89,7 +89,7 @@ def reference_index_policy(path) -> list[tuple[int, int, str, int]]:
     policy.db file, in file order; raises StoreError as open does, also
     where a record's seq is not above the one before it."""
     index = []
-    for lineno, line, (seq, version) in reference_read_records(path, _index_policy_line):
+    for lineno, line, (seq, *_, version) in reference_read_records(path, _index_policy_line):
         if index and seq <= index[-1][0]:
             raise StoreError(
                 f"{path} line {lineno}: unreadable record "

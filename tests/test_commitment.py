@@ -43,13 +43,14 @@ from helpers import (
     install_demo_fixture,
     make_engine,
     make_prefs,
+    policy_line,
     stored_instance,
 )
 from privledger.cli import main
 from privledger.engine import Engine, EngineConfig
 from privledger.ledger import LINEAGE_STREAM, LedgerError
 from privledger.mediator import MediationStatus, QueryRequest
-from privledger.store import StoreError, TupleInstance
+from privledger.store import StoreError
 from privledger.tuples import bind_tuple, canonical_encode, commit
 
 NOW = dt.date(2021, 7, 1)
@@ -166,7 +167,7 @@ PAYLOAD_TEXT = st.text(alphabet=string.printable[:94], max_size=80)  # the ledge
 def test_a_payload_other_than_the_commitment_is_a_mismatch(demo_dir, payload, upper):
     with copy_of(demo_dir) as config:
         with contextlib.closing(Engine.open(config)) as engine:
-            latest = stored_instance(engine.store, engine.ledger.latest_seq(STREAM))
+            latest = stored_instance(config.data_dir, engine.ledger.latest_seq(STREAM))
             t = latest.privacy_tuple
             bound = bind_tuple(DEMO_PROVIDER_ID, t.attribute, t.prefs, t.accessor, t.version)
             true = commit(latest.nonce, canonical_encode(bound))
@@ -174,7 +175,7 @@ def test_a_payload_other_than_the_commitment_is_a_mismatch(demo_dir, payload, up
             payload = true.upper() if upper else payload.encode("ascii")
             assume(payload != true)
             bad = engine.ledger.publish(STREAM, "key18", payload)
-            engine.store.put_tuple_instance(TupleInstance(bound, STREAM, bad.seq, latest.nonce))
+            engine.store.put_tuple_instance(STREAM, bad.seq, latest.nonce, canonical_encode(bound))
             result = engine.mediate(REQUEST, now=NOW)
             assert_nothing_disclosed(result)
             assert [e.seq for e in result.verification if e.note == "mismatch"] == [bad.seq]
@@ -187,12 +188,12 @@ def test_a_committed_tuple_of_another_lineage_is_a_mismatch(demo_dir):
     # stream, at street_name's next version, with a commitment that holds:
     # the tuple's own ids disagree with the lineage.
     with copy_of(demo_dir) as config, contextlib.closing(Engine.open(config)) as engine:
-        street = stored_instance(engine.store, engine.ledger.latest_seq(STREAM))
-        first_name = stored_instance(engine.store, engine.ledger.latest_seq("stream-4-1-3"))
+        street = stored_instance(config.data_dir, engine.ledger.latest_seq(STREAM))
+        first_name = stored_instance(config.data_dir, engine.ledger.latest_seq("stream-4-1-3"))
         t = first_name.privacy_tuple
         other = bind_tuple(DEMO_PROVIDER_ID, t.attribute, t.prefs, t.accessor, street.version)
         item = engine.ledger.publish(STREAM, "key18", commit(street.nonce, canonical_encode(other)))
-        engine.store.put_tuple_instance(TupleInstance(other, STREAM, item.seq, street.nonce))
+        engine.store.put_tuple_instance(STREAM, item.seq, street.nonce, canonical_encode(other))
         assert_nothing_disclosed(engine.mediate(REQUEST, now=NOW))
 
 
@@ -216,8 +217,9 @@ def test_the_bytes_a_check_hashes_are_the_canonical_encoding_of_the_tuple(demo_d
     with copy_of(demo_dir) as config, contextlib.closing(Engine.open(config)) as engine:
         for lineage in engine.mediator.analyze(REQUEST):
             seq = engine.ledger.latest_seq(LINEAGE_STREAM.format(*lineage))
-            read = engine.store.latest_tuple_instance(lineage, seq)
-            instance = stored_instance(engine.store, seq)
+            line = policy_line(config.data_dir, seq)
+            read = engine.store.latest_tuple_instance(lineage, seq, line)
+            instance = stored_instance(config.data_dir, seq)
             assert read.encoded == canonical_encode(instance.privacy_tuple)
             assert read.nonce == instance.nonce
             assert engine.ledger.item(seq).payload == commit(read.nonce, read.encoded)

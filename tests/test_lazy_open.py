@@ -17,11 +17,13 @@ from helpers import (
     DEMO_PROVIDER_ID,
     as_stored,
     both_open_paths,
+    decode_instance,
     install_archetype_fixture,
     install_demo_fixture,
     make_accessor,
     make_engine,
     make_prefs,
+    policy_line,
 )
 from privledger import tuples
 from privledger.engine import Engine
@@ -33,7 +35,6 @@ from privledger.store import (
     CorruptRecord,
     Store,
     StoreError,
-    TupleInstance,
 )
 
 NOW = dt.date(2021, 7, 1)
@@ -107,7 +108,8 @@ def test_publish_on_untouched_lineage_decodes_nothing(population_configs, decode
             )
             assert publication.version == prior + 1
             assert decodes == []
-            latest = engine.store.latest_tuple_instance(lineage, publication.seq)
+            line = policy_line(config.data_dir, publication.seq)
+            latest = engine.store.latest_tuple_instance(lineage, publication.seq, line)
             assert latest.version == prior + 1
             assert decodes == []  # reading a line decodes nothing
             # Nothing of the published version was kept: the next query
@@ -137,8 +139,9 @@ def test_history_is_read_from_disk(population_configs):
         assert [record["tuple"]["version"] for record in history] == [1, 2, 3]
         with closing(Engine.open(config)) as engine:
             seq = engine.ledger.latest_seq(LINEAGE_STREAM.format(*lineage))
-            latest = engine.store.latest_tuple_instance(lineage, seq)
-            assert latest == as_stored(TupleInstance.from_dict(history[-1]))
+            line = policy_line(config.data_dir, seq)
+            latest = engine.store.latest_tuple_instance(lineage, seq, line)
+            assert latest == as_stored(decode_instance(json.dumps(history[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +209,8 @@ def test_undecodable_latest_record_aborts_only_queries_touching_it(tmp_path, edi
             # The edit fails the commitment, before any decode, and a
             # failed check is not cached as a pass: the next touch fails
             # again.
-            stored = engine.store.latest_tuple_instance((4, 5, 3), mismatch.seq)
+            line = policy_line(engine.config.data_dir, mismatch.seq)
+            stored = engine.store.latest_tuple_instance((4, 5, 3), mismatch.seq, line)
             published = engine.ledger.latest_item("stream-4-5-3").payload
             assert commit(stored.nonce, stored.encoded) != published
             assert engine.mediate(request, now=NOW).verification == result.verification
@@ -245,8 +249,9 @@ def test_record_filed_under_another_stream_is_corrupt(tmp_path):
         with closing(Engine.open(config)) as engine:
             # It is caught on the lineage whose ledger seq names its line.
             seq = engine.ledger.latest_seq("stream-4-1-3")
+            line = policy_line(config.data_dir, seq)
             with pytest.raises(CorruptRecord, match="disagrees"):
-                engine.store.latest_tuple_instance((4, 1, 3), seq)
+                engine.store.latest_tuple_instance((4, 1, 3), seq, line)
             result = _demo_query(engine, "first_name")
             assert result.status is MediationStatus.ABORTED
             assert [(e.seq, e.note) for e in result.verification] == [(seq, "mismatch")]

@@ -27,8 +27,8 @@ from privledger.mediator import (
     QueryRequest,
     ResultRow,
 )
-from privledger.store import TupleInstance, UnknownAccessor, UnknownAttribute, UnknownProvider
-from privledger.tuples import bind_tuple
+from privledger.store import UnknownAccessor, UnknownAttribute, UnknownProvider
+from privledger.tuples import bind_tuple, canonical_encode
 
 NOW = dt.date(2021, 7, 1)
 
@@ -333,7 +333,7 @@ def test_store_version_ahead_of_ledger_is_ignored(demo):
     # Craft a next-version instance that was never published, stored past
     # every ledger seq: the ledger names the published version, which answers.
     lineage = (4, 5, 3)
-    latest = stored_instance(demo.store, demo.ledger.latest_seq("stream-4-5-3"))
+    latest = stored_instance(demo.config.data_dir, demo.ledger.latest_seq("stream-4-5-3"))
     ahead = bind_tuple(
         4,
         demo.store.catalog.by_id(5),
@@ -342,12 +342,7 @@ def test_store_version_ahead_of_ledger_is_ignored(demo):
         prior_version=latest.version,
     )
     demo.store.put_tuple_instance(
-        TupleInstance(
-            privacy_tuple=ahead,
-            stream=latest.stream,
-            seq=latest.seq + 100,
-            nonce=latest.nonce,
-        )
+        latest.stream, latest.seq + 100, latest.nonce, canonical_encode(ahead)
     )
     result = demo.mediate(demo_request("street_name"), now=NOW)
     assert result.status is MediationStatus.COMPLETED

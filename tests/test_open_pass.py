@@ -48,8 +48,10 @@ from helpers import (
     chain_length,
     demo_preferences,
     install_demo_fixture,
+    indexed_line,
     make_engine,
     policy_index,
+    policy_line,
 )
 from ledger_reference import reference_item_digest, reference_verify_records
 from open_reference import reference_index_policy, reference_load_ledger
@@ -482,13 +484,20 @@ def _opened_state(config):
         streams = [(s.name, s.created_by, s.seqs) for s in ledger.streams()]
         # Each lineage's version at its stream's latest seq.
         latest = [
-            _outcome(lambda: store.latest_tuple_instance(_lineage(name), seqs[-1]))
+            _outcome(lambda: _latest(store, _lineage(name), seqs[-1]))
             for name, _, seqs in streams[1:]
         ]
         return "opened", report, items, streams, policy_index(store), latest
     finally:
         store.close()
         ledger.close()
+
+
+def _latest(store, lineage, seq: int):
+    """The lineage's version at seq as a query reads it, through the
+    store's index; None where the index holds no line at seq."""
+    line = indexed_line(store, seq)
+    return None if line is None else store.latest_tuple_instance(lineage, seq, line)
 
 
 def _lineage(stream: str) -> tuple[int, int, int]:
@@ -682,7 +691,9 @@ def test_open_from_a_valid_checkpoint_checks_no_record_of_its_prefix(demo_config
         size = (demo_config.data_dir / "ledger.db").stat().st_size
         assert (starts, lines) == ([size], [])
         seq = engine.ledger.latest_seq("stream-4-5-3")
-        assert engine.store.latest_tuple_instance((DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID), seq).version == 3
+        lineage = (DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)
+        line = policy_line(demo_config.data_dir, seq)
+        assert engine.store.latest_tuple_instance(lineage, seq, line).version == 3
         before = _checkpoints(demo_config)
     # Nothing appended, no full pass, no tail: the close wrote nothing.
     assert _checkpoints(demo_config) == before
@@ -703,7 +714,8 @@ def test_set_policy_writes_no_checkpoint_and_close_does(demo_config):
         assert starts == [(demo_config.data_dir / "ledger.db").stat().st_size]
         assert engine.ledger.latest_item("stream-4-5-3").seq == publication.seq
         lineage = (DEMO_PROVIDER_ID, 5, DEMO_ACCESSOR_ID)
-        assert engine.store.latest_tuple_instance(lineage, publication.seq).version == 4
+        line = policy_line(demo_config.data_dir, publication.seq)
+        assert engine.store.latest_tuple_instance(lineage, publication.seq, line).version == 4
 
 
 def test_a_tail_past_the_checkpoint_is_checked_and_checkpointed_when_long(demo_config, monkeypatch):

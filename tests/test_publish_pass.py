@@ -34,16 +34,19 @@ from helpers import (
     DEMO_LINEAGE_A,
     DEMO_LINEAGE_B,
     DEMO_PROVIDER_ID,
+    Instance,
     TickingClock,
     as_stored,
     chain_length,
+    decode_instance,
     demo_preferences,
     install_demo_fixture,
     make_accessor,
     make_engine,
     named_ledger,
     policy_index,
-    stored_instance,
+    policy_line,
+    put_instance,
 )
 from ledger_reference import reference_render_line
 from privledger import files as files_module
@@ -57,7 +60,6 @@ from privledger.store import (
     ProviderRecord,
     Store,
     StoreError,
-    TupleInstance,
     UnknownAccessor,
 )
 from privledger.tuples import canonical_encode
@@ -114,14 +116,15 @@ def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
             publication = engine.set_policy(
                 DEMO_PROVIDER_ID, DEMO_ACCESSOR_ID, demo_preferences(9, note=f"r{revision}")
             )
-            instance = stored_instance(engine.store, publication.seq)
+            line = policy_line(engine.config.data_dir, publication.seq)
+            instance = decode_instance(line)
             assert (instance.seq, instance.version) == (publication.seq, publication.version)
             assert engine.store.latest_tuple_instance(
-                (DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID), publication.seq
+                (DEMO_PROVIDER_ID, 9, DEMO_ACCESSOR_ID), publication.seq, line
             ) == as_stored(instance)
             lines = (engine.config.data_dir / "policy.db").read_text().splitlines()
             assert lines[:-1] == policy_lines
-            assert lines[-1] == json.dumps(instance.to_dict(), sort_keys=True)
+            assert lines[-1] == instance.line() == line.decode()
             policy_lines = lines
         # The genesis, then one record per publication: 7 in the demo, 2 here.
         ledger_lines = engine.config.ledger_file.read_text().splitlines()
@@ -132,7 +135,7 @@ def test_publish_writes_the_bytes_it_always_wrote(tmp_path, fixed_salts):
         for line in policy_lines:
             record = json.loads(line)
             assert sorted(record) == ["nonce", "seq", "stream", "tuple"]
-            instance = TupleInstance.from_dict(record)
+            instance = decode_instance(line)
             item = engine.ledger.item(instance.seq)
             assert item.stream == instance.stream
             encoded = canonical_encode(instance.privacy_tuple)
@@ -185,7 +188,7 @@ def unwritable(path):
     path.mkdir()
 
 
-def sample_instance(store, version=1, seq=1) -> TupleInstance:
+def sample_instance(store, version=1, seq=1) -> Instance:
     bound = tuples.bind_tuple(
         DEMO_PROVIDER_ID,
         store.catalog.by_id(5),
@@ -193,7 +196,7 @@ def sample_instance(store, version=1, seq=1) -> TupleInstance:
         make_accessor(DEMO_ACCESSOR_ID),
         version - 1,
     )
-    return TupleInstance(bound, "stream-4-5-3", seq, bytes(tuples.NONCE_BYTES))
+    return Instance(bound, "stream-4-5-3", seq, bytes(tuples.NONCE_BYTES))
 
 
 @pytest.fixture
@@ -207,15 +210,16 @@ def store(tmp_path):
 def test_failed_tuple_append_keeps_the_held_version(tmp_path, store):
     unwritable(tmp_path / "policy.db")
     with pytest.raises(IsADirectoryError):
-        store.put_tuple_instance(sample_instance(store))
+        put_instance(store, sample_instance(store))
     assert policy_index(store) == []
-    assert store.latest_tuple_instance(DEMO_LINEAGE_A, 1) is None
+    assert list(store.policy_runs([1])) == [(0, 1, None, None)]
     (tmp_path / "policy.db").rmdir()
-    store.put_tuple_instance(sample_instance(store))
+    put_instance(store, sample_instance(store))
     # The open store reads the file it opened, now gone; a fresh one finds
     # the line on disk.
     with contextlib.closing(Store(tmp_path, hash_cost=4)) as fresh:
-        assert fresh.latest_tuple_instance(DEMO_LINEAGE_A, 1).version == 1
+        line = policy_line(tmp_path, 1)
+        assert fresh.latest_tuple_instance(DEMO_LINEAGE_A, 1, line).version == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
@@ -224,14 +228,15 @@ def test_failed_flush_reaches_no_later_append(tmp_path, store):
     path.unlink()
     path.symlink_to("/dev/full")
     with pytest.raises(OSError):
-        store.put_tuple_instance(sample_instance(store))
+        put_instance(store, sample_instance(store))
     path.unlink()
     path.touch()
     second = sample_instance(store, seq=2)
-    store.put_tuple_instance(second)
-    assert path.read_text() == json.dumps(second.to_dict(), sort_keys=True) + "\n"
+    put_instance(store, second)
+    assert path.read_text() == second.line() + "\n"
     with contextlib.closing(Store(tmp_path, hash_cost=4)) as fresh:
-        assert fresh.latest_tuple_instance(DEMO_LINEAGE_A, 2) == as_stored(second)
+        line = policy_line(tmp_path, 2)
+        assert fresh.latest_tuple_instance(DEMO_LINEAGE_A, 2, line) == as_stored(second)
 
 
 def test_failed_provider_write_keeps_the_held_record(tmp_path, store):
@@ -424,7 +429,7 @@ def test_failed_ledger_append_leaves_no_part_of_its_record(tmp_path, disk):
 
 
 def _policy_append(store):
-    store.put_tuple_instance(sample_instance(store, seq=2))
+    put_instance(store, sample_instance(store, seq=2))
 
 
 def _content_append(store):
@@ -460,9 +465,13 @@ def test_failed_store_append_leaves_no_part_of_its_line(tmp_path, disk, store, f
     assert lines[:-1] == before.splitlines() and all(json.loads(line) for line in lines)
     store.close()
     reopened = Store(tmp_path, hash_cost=4)
-    assert reopened.latest_tuple_instance(DEMO_LINEAGE_A, 2) == (
-        as_stored(sample_instance(reopened, seq=2)) if family == "policy.db" else None
-    )
+    if family == "policy.db":
+        line = policy_line(tmp_path, 2)
+        assert reopened.latest_tuple_instance(DEMO_LINEAGE_A, 2, line) == as_stored(
+            sample_instance(reopened, seq=2)
+        )
+    else:
+        assert list(reopened.policy_runs([2])) == [(0, 1, None, None)]
     assert reopened.has_provider(5) == (family == "content.db")
     if family == "credentials.db":
         assert reopened.authenticate("physician3", "pw") == make_accessor()
@@ -591,11 +600,9 @@ def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
     path = engine.config.data_dir / "policy.db"
     before = path.read_bytes()
     with pytest.raises(ValueError, match=closed_file(path)):
-        store.latest_tuple_instance(DEMO_LINEAGE_A, 3)  # not a CorruptRecord
+        store.read_lines(0, 1)  # not a CorruptRecord
     with pytest.raises(ValueError, match=closed_file(path)):
-        store.policy_line(3)
-    with pytest.raises(ValueError, match=closed_file(path)):
-        store.put_tuple_instance(sample_instance(store, version=9, seq=99))
+        put_instance(store, sample_instance(store, version=9, seq=99))
     assert path.read_bytes() == before
     assert opened and all(handle.closed for handle in opened)
 

@@ -33,10 +33,12 @@ from helpers import (
     DEMO_PROVIDER_ID,
     both_open_paths,
     demo_preferences,
+    indexed_line,
     install_archetype_fixture,
     install_demo_fixture,
     make_engine,
     policy_index,
+    policy_line,
     record_spans,
 )
 from privledger.config import LEDGER_FILE
@@ -210,11 +212,8 @@ def test_a_policy_read_the_system_refuses_aborts_its_lineage(engines, monkeypatc
         span = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
         with monkeypatch.context() as patch:
             patch.setattr(os, "pread", _refusing(path, span))
-            where = re.escape(f"{path} line ")
-            with pytest.raises(
-                CorruptRecord, match=rf"^{where}\d+: unreadable policy record \(\[Errno 5\] .+\)$"
-            ):
-                opened.store.latest_tuple_instance(LINEAGE, seq)
+            refused = indexed_line(opened.store, seq)
+            assert isinstance(refused, OSError) and refused.errno == errno.EIO
             _assert_query_aborts(opened, seq)
             _first_name_only(opened)
 
@@ -258,7 +257,7 @@ def test_policy_record_changed_after_open_fails_its_first_read(engines, how):
         }[how]
         where = re.escape(f"{path} line ")
         with pytest.raises(CorruptRecord, match=rf"^{where}\d+: {expected}$"):
-            opened.store.latest_tuple_instance(LINEAGE, seq)
+            opened.store.latest_tuple_instance(LINEAGE, seq, indexed_line(opened.store, seq))
         _assert_query_aborts(opened, seq)
 
 
@@ -296,7 +295,7 @@ def test_a_stored_attribute_unlike_the_catalogs_is_kept_and_aborts(
         span = _line_span(path, lambda line: f'"seq": {seq},'.encode() in line)
         before, after = stored.encode(), rewritten.encode()
         _change(path, span, "rewrite", lambda line: line.replace(before, after))
-        read = opened.store.latest_tuple_instance(lineage, seq)
+        read = opened.store.latest_tuple_instance(lineage, seq, policy_line(path.parent, seq))
         attribute = _stored_tuple(path, span).attribute
         if lineage == LINEAGE:
             assert attribute.sensitivity_hint is Sensitivity.LEVEL4_RESTRICTED

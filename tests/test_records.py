@@ -20,7 +20,7 @@ from privledger.policy import (
     Sensitivity,
     VisibilityPolicy,
 )
-from privledger.store import Credential, ProviderRecord, TupleInstance
+from privledger.store import Credential, ProviderRecord
 from privledger.tuples import (
     AttributeCategory,
     AttributeMeta,
@@ -38,7 +38,6 @@ TUPLE = PrivacyTuple(4, POSTAL, PREFS, make_accessor(), 2)
 RECORDS = [
     (ProviderRecord, ProviderRecord(4, {"city": "Red Deer", "province": "AB"}), ValueError),
     (Credential, Credential("physician3", hash_tuple(b"secret", 4), make_accessor()), ValueError),
-    (TupleInstance, TupleInstance(TUPLE, "stream-4-8-3", 7, bytes(range(16))), ValueError),
     (PrivacyTuple, TUPLE, TupleError),
     (AttributeMeta, POSTAL, TupleError),
     (PreferenceSet, PREFS, PolicyError),

@@ -32,6 +32,7 @@ from helpers import (
     kept_seq,
     make_engine,
     make_prefs,
+    policy_line,
     record_spans,
     run_keys,
     stored_instance,
@@ -116,9 +117,8 @@ def payloads(engine, entries):
 
 def stored_encodings(engine, entries):
     """The canonical encoding of each entry's whole stored tuple."""
-    return [
-        canonical_encode(stored_instance(engine.store, e.seq).privacy_tuple) for e in entries
-    ]
+    data_dir = engine.config.data_dir
+    return [canonical_encode(stored_instance(data_dir, e.seq).privacy_tuple) for e in entries]
 
 
 def disclosed(result):
@@ -278,7 +278,8 @@ def test_a_new_version_is_verified_by_the_next_query(configs, hashed, decodes, p
             assert (new.seq, new.verified, new.note) == (publication.seq, True, "ok")
             assert second.ops.hash_verifications == first.ops.hash_verifications == 6
             # The bytes verified are the freshly published instance's encoding.
-            instance = engine.store.latest_tuple_instance(old.lineage, publication.seq)
+            line = policy_line(config.data_dir, publication.seq)
+            instance = engine.store.latest_tuple_instance(old.lineage, publication.seq, line)
             assert instance.version == publication.version
             assert hashed == stored_encodings(engine, [new])
             assert kept_seq(engine, old.lineage) == publication.seq
@@ -473,13 +474,13 @@ def test_republishing_a_lineage_keeps_one_parsed_record_for_it(configs, hashed):
 def test_a_malformed_ledger_payload_aborts_every_query(tmp_path, hashed, parsed):
     engine = make_engine(tmp_path, hash_cost=8)
     install_archetype_fixture(engine, 3, seed=7)
-    latest = stored_instance(engine.store, engine.ledger.latest_seq(STREAM))
+    latest = stored_instance(engine.config.data_dir, engine.ledger.latest_seq(STREAM))
     # A payload that is no commitment: not 64 lowercase hex digits.
     bad = engine.ledger.publish(STREAM, "key-bad", b"$pbkdf2$8$not-a-salt")
     # A next version stored at its seq, so that verification reaches the payload.
     t = latest.privacy_tuple
     bound = tuples.bind_tuple(2, t.attribute, t.prefs, t.accessor, t.version)
-    engine.store.put_tuple_instance(store.TupleInstance(bound, STREAM, bad.seq, latest.nonce))
+    engine.store.put_tuple_instance(STREAM, bad.seq, latest.nonce, canonical_encode(bound))
     for config in both_open_paths(engine):
         with closing(Engine.open(config)) as engine:
             for repeat in range(3):
@@ -556,7 +557,7 @@ def test_republishing_a_lineage_inside_a_run_rehashes_it_alone(configs, hashed, 
             first = engine.mediate(BACK_TO_BACK, now=NOW)
             entries = published(first)
             middle = entries[3]
-            prefs = stored_instance(engine.store, middle.seq).privacy_tuple.prefs
+            prefs = stored_instance(engine.config.data_dir, middle.seq).privacy_tuple.prefs
             publication = engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
 
             hashed.clear()
@@ -638,6 +639,47 @@ def test_a_run_digest_stands_only_while_each_lineage_keeps_its_entry(configs, ha
             assert run_keys(engine)[run_key(entries)] == kept_digest
 
 
+def test_alternating_scan_shapes_read_no_line_once_each_ran_twice(configs, monkeypatch):
+    """The two shapes perfbench's scan-where alternates, over every provider
+    and filtered on a city: once each has run twice, a query reads no
+    policy.db line through the pattern and decodes no preferences, and the
+    runs kept stay as they are."""
+    calls = []
+    for name in ("latest_tuple_instance", "preferences"):
+
+        def counting(self, *args, _name=name, _original=getattr(store.Store, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(store.Store, name, counting)
+    demographic = ARCHETYPE_ATTRIBUTES["Demographic"]
+    shapes = [
+        QueryRequest(
+            BENCH_ACCESSOR_ID,
+            BENCH_PURPOSE,
+            demographic + ARCHETYPE_ATTRIBUTES[extra],
+            predicate={"city": "Red Deer"},
+        )
+        for extra in ("Healthcare", "ConsentWitness")
+    ]
+
+    def answer(engine, request):
+        result = engine.mediate(request, now=NOW)
+        return result.status, result.rows, result.denials, result.verification
+
+    for config in configs:
+        with closing(Engine.open(config)) as engine:
+            first = [answer(engine, request) for request in shapes * 2]
+            assert calls and all(status is MediationStatus.COMPLETED for status, *_ in first)
+            kept = run_keys(engine)
+            assert kept
+            calls.clear()
+            for request, expected in zip(shapes * 2, first * 2):
+                assert answer(engine, request) == expected
+                assert calls == []
+                assert run_keys(engine) == kept
+
+
 def test_run_digests_never_outnumber_the_kept_lineages(configs, hashed):
     for config in configs:
         with closing(Engine.open(config)) as engine:
@@ -646,7 +688,7 @@ def test_run_digests_never_outnumber_the_kept_lineages(configs, hashed):
             for entry in entries:
                 # Each republish splits the runs again; the digest of a run
                 # no query forms again goes with the entry it began at.
-                prefs = stored_instance(engine.store, entry.seq).privacy_tuple.prefs
+                prefs = stored_instance(engine.config.data_dir, entry.seq).privacy_tuple.prefs
                 engine.set_policy(2, BENCH_ACCESSOR_ID, prefs)
                 for _ in range(2):
                     hashed.clear()

@@ -2,13 +2,32 @@
 
 from __future__ import annotations
 
+import contextlib
+import datetime as dt
 import hashlib
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import make_accessor, make_prefs, policy_index
+from helpers import (
+    DEMO_ACCESSOR_ID,
+    DEMO_LINEAGE_A,
+    DEMO_PROVIDER_ID,
+    DEMO_PURPOSE,
+    Instance,
+    as_stored,
+    install_demo_fixture,
+    make_accessor,
+    make_engine,
+    make_prefs,
+    policy_index,
+    policy_line,
+    put_instance,
+    stored_instance,
+)
+from privledger.ledger import LINEAGE_STREAM
+from privledger.mediator import VERIFIED_MISMATCH, MediationStatus, QueryRequest
 from privledger import files
 from privledger.policy import AccessorRole, Sensitivity
 from privledger.store import (
@@ -19,7 +38,6 @@ from privledger.store import (
     StaleVersion,
     Store,
     StoreError,
-    TupleInstance,
     UnknownAccessor,
     UnknownAttribute,
     UnknownProvider,
@@ -31,6 +49,7 @@ from privledger.tuples import (
     AttributeMeta,
     bind_tuple,
     canonical_encode,
+    commit,
 )
 
 
@@ -50,7 +69,7 @@ def sample_instance(catalog, version=1, provider_id=4, attribute_id=5, seq=1):
         make_accessor(),
         prior_version=version - 1,
     )
-    return TupleInstance(
+    return Instance(
         privacy_tuple=bound,
         stream=f"stream-{provider_id}-{attribute_id}-3",
         seq=seq,
@@ -186,7 +205,7 @@ def test_only_policy_db_feeds_a_hasher(tmp_path, monkeypatch):
         store.put_provider_record(ProviderRecord(4, {"city": "Edmonton"}))  # a replace
         store.add_accessor("physician3", "pw", make_accessor())
         assert b"".join(fed) == b""
-        store.put_tuple_instance(sample_instance(store.catalog))
+        put_instance(store, sample_instance(store.catalog))
         assert b"".join(fed) == (tmp_path / "policy.db").read_bytes()
     finally:
         store.close()
@@ -228,9 +247,7 @@ def test_select_unknown_attribute_rejected(store):
 def test_tuple_versions_accumulate(store, tmp_path):
     store.put_provider_record(ProviderRecord(4, {"street_name": "5202 50 Ave"}))
     for version in (1, 2, 3):
-        store.put_tuple_instance(
-            sample_instance(store.catalog, version=version, seq=version)
-        )
+        put_instance(store, sample_instance(store.catalog, version=version, seq=version))
     lineage = (4, 5, 3)
     history = [
         json.loads(line)
@@ -239,34 +256,35 @@ def test_tuple_versions_accumulate(store, tmp_path):
     assert [(r["stream"], r["tuple"]["version"]) for r in history] == [
         ("stream-4-5-3", version) for version in (1, 2, 3)
     ]
-    assert store.latest_tuple_instance(lineage, 3).version == 3
-    # Another seq decodes its own line.
-    assert store.latest_tuple_instance(lineage, 2).version == 2
-    assert store.latest_tuple_instance(lineage, 4) is None
+    assert store.latest_tuple_instance(lineage, 3, policy_line(tmp_path, 3)).version == 3
+    # Another seq reads its own line.
+    assert store.latest_tuple_instance(lineage, 2, policy_line(tmp_path, 2)).version == 2
+    # No line holds seq 4: a run of its own, with no row and no read.
+    assert list(store.policy_runs([4])) == [(0, 1, None, None)]
 
 
 def test_stale_version_rejected(store):
     store.put_provider_record(ProviderRecord(4, {}))
-    store.put_tuple_instance(sample_instance(store.catalog, version=2))
+    put_instance(store, sample_instance(store.catalog, version=2))
     for stale in (1, 2):
         with pytest.raises(StaleVersion):
-            store.put_tuple_instance(sample_instance(store.catalog, version=stale))
+            put_instance(store, sample_instance(store.catalog, version=stale))
 
 
 @pytest.mark.parametrize("seq", [1, 2])
 def test_a_policy_seq_that_does_not_rise_is_refused(tmp_path, seq):
     store = Store(tmp_path, hash_cost=4, create=True)
     store.put_provider_record(ProviderRecord(4, {}))
-    store.put_tuple_instance(sample_instance(store.catalog, version=1, seq=2))
+    put_instance(store, sample_instance(store.catalog, version=1, seq=2))
     # A later version at a seq not above the last line's is refused ...
     later = sample_instance(store.catalog, version=2, seq=seq)
     with pytest.raises(StaleVersion, match=rf"^policy\.db already holds seq 2, got {seq}$"):
-        store.put_tuple_instance(later)
+        put_instance(store, later)
     store.close()
     # ... and so is a file that holds one, naming the file and line.
     path = tmp_path / "policy.db"
     with open(path, "a") as fh:
-        fh.write(json.dumps(later.to_dict(), sort_keys=True) + "\n")
+        fh.write(later.line() + "\n")
     with pytest.raises(StoreError) as raised:
         Store(tmp_path, hash_cost=4)
     assert str(raised.value) == (
@@ -276,19 +294,35 @@ def test_a_policy_seq_that_does_not_rise_is_refused(tmp_path, seq):
 
 def test_tuple_requires_known_provider(store):
     with pytest.raises(UnknownProvider):
-        store.put_tuple_instance(sample_instance(store.catalog))
+        put_instance(store, sample_instance(store.catalog))
 
 
 def test_a_value_beyond_64_bits_is_refused_before_any_write(store, tmp_path):
     store.put_provider_record(ProviderRecord(4, {}))
-    with pytest.raises(ValueError, match=r"seq must be an integer in \[0, 2\*\*63\)"):
-        store.put_tuple_instance(sample_instance(store.catalog, seq=2**63))
+    with pytest.raises(ValueError, match=r"^a seq, id or version is 2\*\*63 or more$"):
+        put_instance(store, sample_instance(store.catalog, seq=2**63))
     assert (tmp_path / "policy.db").read_bytes() == b""
     assert policy_index(store) == []
 
 
-def test_missing_lineage_reads(store):
-    assert store.latest_tuple_instance((9, 9, 9), 1) is None
+def test_missing_lineage_reads(tmp_path):
+    # A published item with no policy.db line at its seq, as a failed store
+    # append leaves it, reads as none and aborts every query touching it.
+    with contextlib.closing(make_engine(tmp_path)) as engine:
+        install_demo_fixture(engine)
+        stream = LINEAGE_STREAM.format(*DEMO_LINEAGE_A)
+        latest = stored_instance(engine.config.data_dir, engine.ledger.latest_seq(stream))
+        t = latest.privacy_tuple
+        bound = bind_tuple(DEMO_PROVIDER_ID, t.attribute, t.prefs, t.accessor, t.version)
+        item = engine.ledger.publish(stream, "key18", commit(latest.nonce, canonical_encode(bound)))
+        assert policy_line(engine.config.data_dir, item.seq) is None
+        assert list(engine.store.policy_runs([item.seq])) == [(0, 1, None, None)]
+        request = QueryRequest(
+            DEMO_ACCESSOR_ID, DEMO_PURPOSE, ("street_name",), provider_id=DEMO_PROVIDER_ID
+        )
+        result = engine.mediate(request, now=dt.date(2021, 7, 1))
+        assert result.status == MediationStatus.ABORTED and result.rows == ()
+        assert [(e.seq, e.note) for e in result.verification] == [(item.seq, VERIFIED_MISMATCH)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +376,16 @@ def test_get_accessor(store):
 def test_reopen_restores_everything(tmp_path):
     store = Store(tmp_path, hash_cost=4, create=True)
     store.put_provider_record(ProviderRecord(4, {"street_name": "5202 50 Ave"}))
-    store.put_tuple_instance(sample_instance(store.catalog, version=1))
+    put_instance(store, sample_instance(store.catalog, version=1))
     second = sample_instance(store.catalog, version=2, seq=2)
-    store.put_tuple_instance(second)
+    put_instance(store, second)
     store.add_accessor("physician3", "pw", make_accessor())
     store.close()
 
     again = Store(tmp_path, hash_cost=4)
     assert again.get_provider_record(4).attributes["street_name"] == "5202 50 Ave"
-    latest = again.latest_tuple_instance((4, 5, 3), 2)
-    assert latest == (2, second.nonce, canonical_encode(second.privacy_tuple))
+    latest = again.latest_tuple_instance((4, 5, 3), 2, policy_line(tmp_path, 2))
+    assert latest == as_stored(second)
     assert again.authenticate("physician3", "pw") == make_accessor()
     again.close()
 
@@ -372,7 +406,7 @@ def test_open_requires_all_family_files(tmp_path):
 def test_files_are_line_delimited_json(tmp_path):
     store = Store(tmp_path, hash_cost=4, create=True)
     store.put_provider_record(ProviderRecord(4, {"city": "Calgary"}))
-    store.put_tuple_instance(sample_instance(store.catalog))
+    put_instance(store, sample_instance(store.catalog))
     store.add_accessor("a", "b", make_accessor())
     store.close()
     for name in ("content.db", "policy.db", "credentials.db"):
