@@ -4,28 +4,29 @@ The record format, its field check and chain verification are in
 chain.py, which imports nothing of the engine.
 
 Open runs chain.py's pass over the file's bytes, CHUNK_BYTES at a time,
-and also checks seq continuity and the genesis rule.  It keeps no text:
-per record its offset, its item digest and the seq before it on its
-stream; per stream, in the order of first items, its creator and its
-latest seq.  These packed columns are the whole index, as a checkpoint
-holds it: a Stream is a snapshot with its seqs walked back from the
-latest.  A StreamItem is built on every read and not kept, from the
-record read back at its offset, which must pass the field check again and
-re-derive the digest open kept or the append wrote, so a record that
-changed on disk since fails that read.  The read and the build are apart:
-read_records(first, count) reads the records at consecutive seqs, which
-lie back to back, with one os.pread, records cuts that read into each
-record's bytes, and record(seq) reads one; latest_item builds the item
-from bytes a caller already read, so a caller that only needs to know
-whether a record is still the one it checked reads it once and decodes
-nothing.  latest_seqs(lineages, known) looks up the latest seq of every
-lineage of a query in one call, at the row a caller kept of a stream
-(stream_row; a stream keeps its row while the ledger is open) or else
-by its name.  An append links to the digest kept and, after the first
-append since open, to the kept timestamp of the last record, so it
-reads nothing.  Chain verification re-derives every
-digest and link.  The file, with its handles and checkpoint, is a
-files.IndexedFile.
+whose pattern is the line rule every data file has (see files.py), and
+also checks seq continuity and the genesis rule.  It keeps no text: per
+record its item digest and the seq before it on its stream; per stream,
+in the order of first items, its creator and its latest seq.  The file,
+with its handles and checkpoint, is a files.IndexedFile, which keeps
+each record's offset.  These packed columns are the whole index, as a
+checkpoint holds it: a Stream is a snapshot with its seqs walked back
+from the latest.  A StreamItem is built on every read and not kept, from
+the record read back at its offset, which must pass the field check
+again and re-derive the digest open kept or the append wrote, so a
+record that changed on disk since fails that read.  The read and the
+build are apart: file.read(first, count) reads the records at
+consecutive seqs, which lie back to back, with one os.pread,
+file.pieces cuts that read into each record's bytes, and record(seq)
+reads one; latest_item builds the item from bytes a caller already read,
+so a caller that only needs to know whether a record is still the one it
+checked reads it once and decodes nothing.  latest_seqs(lineages, known)
+looks up the latest seq of every lineage of a query in one call, at the
+row a caller kept of a stream (stream_row; a stream keeps its row while
+the ledger is open) or else by its name.  An append links to the digest
+kept and, after the first append since open, to the kept timestamp of
+the last record, so it reads nothing.  Chain verification re-derives
+every digest and link.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import re
 import secrets
 from array import array
 from binascii import unhexlify
-from itertools import islice, repeat
-from operator import lt
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -176,9 +176,6 @@ class Ledger:
     def __init__(self, path, clock=None, create: bool = False):
         self._path = Path(path)
         self._clock = clock or system_clock
-        # Each record's offset, then the end of the last; every read of a
-        # record reads it back from the file's reader.
-        self._offsets = array("q")
         self._digests = bytearray()  # every record's item digest, in seq order
         # The stream index, as a checkpoint holds it: each stream's row by
         # name, in the order of first items; the creators' names; per row
@@ -193,15 +190,16 @@ class Ledger:
             raise LedgerError(f"no ledger at {self._path}")
         # The last record's time once an append has needed it.
         self._last_time: dt.datetime | None = None
-        self._file = IndexedFile(self._path, self._take)
+        # Its offsets are the record index: every read of a record reads it
+        # back from the file's reader.
+        self.file = IndexedFile(self._path, self._take)
         try:
             if create:
-                self._file.create()
+                self.file.create()
                 self._publisher = f"node-{secrets.token_hex(8)}"
-                self._offsets.append(0)
                 self._append(ROOT_STREAM, "", b"")
             else:
-                self._file.open(self._index)
+                self.file.open(self._index)
                 self._publisher = self.stream(ROOT_STREAM).created_by
         except BaseException:
             self.close()  # a failed open or create leaves no file open
@@ -210,32 +208,29 @@ class Ledger:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self):
-        self._file.close()
+        self.file.close()
 
-    def _take(self, parts) -> bool:
-        """Take the index of the checkpoint's prefix, if its values are in
-        range."""
+    def _take(self, count: int, parts) -> bool:
+        """Take the index of the checkpoint's count records, if its values
+        are in range."""
         try:
-            offsets, digests, names, creators, created_by, last, prev = parts
-            offsets, created_by, last, prev = map(int_array, (offsets, created_by, last, prev))
+            digests, names, creators, created_by, last, prev = parts
+            created_by, last, prev = map(int_array, (created_by, last, prev))
             names = str(names, "ascii").split("\n")
             creators = str(creators, "ascii").split("\n")
         except ValueError:
             return False
         rows = dict(zip(names, range(len(names))))
         if not (
-            len(digests) == len(offsets) * DIGEST_BYTES == len(prev) * DIGEST_BYTES
+            len(digests) == count * DIGEST_BYTES == len(prev) * DIGEST_BYTES
             and names[0] == ROOT_STREAM
             and len(rows) == len(names) == len(created_by) == len(last)
-            and min(min(column, default=0) for column in (offsets, created_by, last, prev)) >= 0
+            and min(min(column, default=0) for column in (created_by, last, prev)) >= 0
             and max(created_by) < len(creators)
             and max(last) < len(prev)
             and max(prev) < len(prev)
-            and all(map(lt, offsets, islice(offsets, 1, None)))  # record offsets rise
-            and offsets[-1] < self._file.reader.tell()  # to below the prefix's end
         ):
             return False
-        self._offsets = offsets
         self._digests = bytearray(digests)
         self._rows = rows
         self._creators = creators
@@ -245,17 +240,16 @@ class Ledger:
     def _index(self):
         """Run open's pass from the reader's position to the end of the
         file, carrying on from the records indexed before it."""
-        reader = self._file.reader
-        offsets = self._offsets
+        offsets = self.file.offsets
         digests = self._digests
         last, prev = self._last, self._prev
         rows: dict[bytes, int] = {}  # by name, as the pass reads it
         try:
-            for base, matches in _records(reader, self._file.hasher):
+            for base, matches in _records(self.file.reader, self.file.hasher):
                 digest_hex = []
                 for match in matches:
                     seq, stream, digest = match.group(1, 2, 8)
-                    index = len(offsets)
+                    index = len(offsets) - 1
                     if int(seq) != index:
                         raise LedgerError(
                             f"ledger sequence discontinuity at position {index}; "
@@ -266,7 +260,7 @@ class Ledger:
                             f"ledger record at position {index} breaks the genesis "
                             f"rule: {_genesis_rule(index)}; run chain verification"
                         )
-                    offsets.append(base + match.start())
+                    offsets.append(base + match.end())
                     digest_hex.append(digest)
                     row = rows.get(stream)
                     if row is None:
@@ -277,16 +271,14 @@ class Ledger:
                 digests += unhexlify(b"".join(digest_hex))
         except ValueError as exc:
             raise LedgerError(
-                f"corrupt ledger record at position {len(offsets)}: {exc}; "
+                f"corrupt ledger record at position {len(offsets) - 1}: {exc}; "
                 "run chain verification"
             ) from None
-        offsets.append(reader.tell())
 
     def save_checkpoint(self):
         """Write the checkpoint when one is due (see files.IndexedFile)."""
-        self._file.save(
+        self.file.save(
             lambda: (
-                self._offsets[:-1].tobytes(),
                 self._digests,
                 "\n".join(self._rows).encode("ascii"),
                 "\n".join(self._creators).encode("ascii"),
@@ -299,7 +291,7 @@ class Ledger:
     # -- writing ------------------------------------------------------------
 
     def _append(self, stream: str, key: str, payload: bytes) -> StreamItem:
-        seq = len(self._offsets) - 1
+        seq = len(self._prev)
         prev = bytes(self._digests[-DIGEST_BYTES:]) if seq else ZERO_DIGEST
         if seq and self._last_time is None:  # read once, with the read's checks
             self._last_time = self.item(seq - 1).timestamp
@@ -318,12 +310,10 @@ class Ledger:
         publisher = self._publisher
         digest = _item_digest(seq, stream, key, publisher, ts_text, payload, prev)
         item = StreamItem(seq, stream, key, publisher, moment, payload, prev, digest)
-        # A newline written first moves the record's start past it.
-        self._offsets[-1], _ = self._file.append(
+        self.file.append(
             f"{seq}\t{stream}\t{key}\t{publisher}\t{ts_text}\t{payload.decode('ascii')}"
-            f"\t{prev.hex()}\t{digest.hex()}"
+            f"\t{prev.hex()}\t{digest.hex()}".encode()
         )
-        self._offsets.append(self._file.size)
         self._last_time = moment
         self._digests += digest
         row = self._stream_row(stream, publisher)
@@ -434,7 +424,8 @@ class Ledger:
 
     def latest_item(self, name: str, record=None) -> StreamItem:
         """The stream's latest item, built from record, the bytes that
-        records gives for latest_seq(name), if the caller has read them;
+        file.read or file.pieces gave for latest_seq(name), if the caller
+        has read them;
         raises what latest_seq, record and item raise."""
         # Open and the checkpoint checks keep seq in range.
         seq = self.latest_seq(name)
@@ -442,7 +433,7 @@ class Ledger:
 
     def item(self, seq: int) -> StreamItem:
         """The item at seq, read back; a negative seq counts from the end."""
-        count = len(self._offsets) - 1
+        count = len(self._prev)
         if not -count <= seq < count:
             raise LedgerError(f"no item at seq {seq}")
         seq %= count
@@ -452,29 +443,15 @@ class Ledger:
         """The bytes of the record at seq (0 <= seq < the record count),
         read back from the file whole; a read the system refuses, or one
         the file ends inside, raises LedgerError."""
-        return self._whole(seq, self.read_records(seq, 1))
-
-    def read_records(self, first: int, count: int):
-        """The bytes of the count records from seq first on (all below the
-        record count), back to back in the file, read with one os.pread:
-        short where the file ends inside them; the OSError of a read the
-        system refuses."""
-        offsets = self._offsets
-        return self._file.read(offsets[first], offsets[first + count] - offsets[first])
-
-    def records(self, first: int, count: int, data) -> list:
-        """Each record's bytes out of data, what read_records gave for
-        them (see files.IndexedFile.pieces)."""
-        offsets = self._offsets
-        seqs = range(first, first + count)
-        return self._file.pieces(data, [(offsets[s], offsets[s + 1] - offsets[s]) for s in seqs])
+        return self._whole(seq, self.file.read(seq, 1))
 
     def _whole(self, seq: int, record):
-        """record, what records gave for seq, if it is the whole record;
-        else raises LedgerError."""
+        """record, what file.read or file.pieces gave for seq, if it is the
+        whole record; else raises LedgerError."""
         if isinstance(record, OSError):
             raise _corrupt(seq, record)
-        if len(record) != self._offsets[seq + 1] - self._offsets[seq]:
+        offsets = self.file.offsets
+        if len(record) != offsets[seq + 1] - offsets[seq]:
             raise _corrupt(seq, "the file ends inside the record")
         return record
 

@@ -31,11 +31,11 @@ record is seen.
 
 The other lineages, and those of a run whose digest differs or whose
 read is refused or short, are checked one by one.  In analysis order
-they form runs: stretches whose latest seqs are consecutive and whose
-policy.db lines are consecutive rows one LF apart, at most
-store.RUN_BYTES of them, each file's bytes of a run read with one
-os.pread.  Each lineage is checked on its slices of the two reads, which
-SHA-256 fingerprints in turn, unless the fingerprint is the one kept for
+they form runs: stretches whose latest seqs are consecutive, and so
+are their policy.db lines' rows, at most store.RUN_BYTES of them, each
+file's bytes of a run read with one os.pread (files.IndexedFile.read).
+Each lineage is checked on its slices of the two reads, which SHA-256
+fingerprints in turn, unless the fingerprint is the one kept for
 the lineage at that seq: the commitment published in the ledger record
 must equal SHA-256 of the nonce and the tuple bytes of the policy.db
 line, a slice of the bytes read, with nothing decoded or re-encoded
@@ -407,8 +407,8 @@ class Mediator:
                     held[at:stop] == run.kept
                     and seqs[at:stop] == list(range(first, run.last + 1))
                     and _digest(
-                        self._store.read_lines(run.row, count),
-                        self._ledger.read_records(first, count),
+                        self._store.policy_file.read(run.row, count),
+                        self._ledger.file.read(first, count),
                     )
                     == run.digest
                 ):
@@ -444,13 +444,13 @@ class Mediator:
                 continue
             count = stop - start
             run = lineages[start:stop]
-            records = ledger.read_records(first, count)
+            records = ledger.file.read(first, count)
             if count == 1:  # policy and records are its two records, as read
                 digest, checked = None, [self._check(run[0], first, policy, records, ops)]
             else:
                 digest = _digest(policy, records)
-                lines = store.lines(row, count, policy)
-                records = ledger.records(first, count, records)
+                lines = store.policy_file.pieces(row, count, policy)
+                records = ledger.file.pieces(first, count, records)
                 checked = [
                     self._check(lineage, seq, line, record, ops)
                     for lineage, seq, line, record in zip(run, seqs[start:stop], lines, records)

@@ -8,45 +8,46 @@ is a files.IndexedFile, which makes every write: an append, or, for a
 provider's update, an atomic replace of content.db, so the replaced
 values leave the disk.  The files are the source of truth.
 
-Opening reads each family file in one streaming pass over its bytes and
-decodes every content and credential record; only policy.db's bytes are
-hashed, at open and on append, for its checkpoint: content.db and
-credentials.db have none.  Of policy.db it reads each line's ledger seq
-and tuple version (and checks its stream name) with one anchored
-pattern, and keeps per line, in file order, only those fields and where
-the line is (offset, length and line number), not the line, in packed
-64-bit columns.  The seqs must rise from line to line; a line whose seq
-does not, one the pattern rejects, one with a number of 2**63 or more,
-or one that is not UTF-8, fails the open, which then leaves no file
-open.  The store does not say which version of a lineage is current: the
-ledger does, through its stream's latest seq, and the store finds the
-line at that seq by bisection.  The store encodes no tuple:
-put_tuple_instance writes a version's line around the bytes its
-commitment is over, the nonce and the canonical encoding the engine
-committed to, once the pattern open uses reads the line, its provider is
-known and its seq is above every stored line's.  The read and the decode
-are apart: policy_runs(seqs) splits a query's seqs into runs of lines
-with only an LF between one and the next and reads each run with one
-os.pread through read_lines(row, count), which also reads a run again by
-its first row; lines cuts a run's read into each line's bytes.
-latest_tuple_instance reads the bytes its caller read with the same
-anchored pattern, on every call, and decodes nothing: it gives the nonce
-and the tuple's canonical encoding as slices of the line, for the
-commitment check, after checking that the line's seq, stream and version
-are the lineage's and the index's.  preferences decodes a tuple's bytes,
-once its commitment holds, and cross-checks its provider, attribute,
-accessor and version.  A record that fails either, say because it
-changed on disk since open, raises CorruptRecord; a read the system
-refuses gives its OSError in place of the bytes.  The store keeps no
-decoded tuple: the mediator keeps, per verified version, a fingerprint
-of the bytes it verified and the preferences, and checks a line again
-only when its bytes are not those.
-Older versions, and a line no ledger item names, stay on disk and are
-never read: policy.db is append-only.  Every write goes to the file
-before memory takes it.
+Opening reads each family file in one streaming pass over its bytes,
+under the line rule every data file has (see files.py): content.db's and
+credentials.db's lines each hold one JSON object from the first byte to
+the last, and every content and credential record is decoded.  Only
+policy.db's bytes are hashed, at open and on append, for its checkpoint.
+Of policy.db it reads each line, its LF included, with the one anchored
+bytes pattern a query reads it with, and keeps per line, in file order,
+only its ledger seq and tuple version in packed 64-bit columns; the
+IndexedFile keeps where each line is, and the line at row r is line
+r + 1.  The seqs must rise from line to line; a line whose seq does not,
+one the pattern rejects (a blank or padded line, a CR, a byte that is
+not printable ASCII), or one with a number of 2**63 or more, fails the
+open, which then leaves no file open.  The store does not say which
+version of a lineage is current: the ledger does, through its stream's
+latest seq, and the store finds the line at that seq by bisection.  The
+store encodes no tuple: put_tuple_instance writes a version's line
+around the bytes its commitment is over, the nonce and the canonical
+encoding the engine committed to, once the pattern reads the line, its
+provider is known and its seq is above every stored line's.  The read
+and the decode are apart: policy_runs(seqs) splits a query's seqs into
+runs of consecutive seqs, which are adjacent rows, and reads each run
+with one os.pread through policy_file.read(row, count), which also reads
+a run again by its first row; policy_file.pieces cuts a run's read into
+each line's bytes.  latest_tuple_instance reads the bytes its caller
+read with the same pattern, on every call, strips nothing and decodes
+nothing: it gives the nonce and the tuple's canonical encoding as slices
+of the line, for the commitment check, after checking that the line's
+seq, stream and version are the lineage's and the index's.  preferences
+decodes a tuple's bytes, once its commitment holds, and cross-checks its
+provider, attribute, accessor and version.  A record that fails either,
+say because it changed on disk since open, raises CorruptRecord; a read
+the system refuses gives its OSError in place of the bytes.  The store
+keeps no decoded tuple: the mediator keeps, per verified version, a
+fingerprint of the bytes it verified and the preferences, and checks a
+line again only when its bytes are not those.  Older versions, and a
+line no ledger item names, stay on disk and are never read: policy.db is
+append-only.  Every write goes to the file before memory takes it.
 
 policy.db is checkpointed as ledger.db is (see files.IndexedFile); its
-checkpoint holds the line count and those columns.
+checkpoint holds the line offsets and then the seq and version columns.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ import json
 import re
 from array import array
 from bisect import bisect_left
-from operator import add, lt
+from itertools import islice
+from operator import lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -247,16 +249,15 @@ FAMILY_FILES = (CREDENTIALS_FILE, POLICY_FILE, CONTENT_FILE)
 
 # A policy.db line is its record as json.dumps(record, sort_keys=True) writes
 # it, {"nonce": "<hex>", "seq": N, "stream": "stream-P-A-X", "tuple": T},
-# where T, the tuple's canonical encoding, ends with its version.  The
+# and then its LF, which the file's last line may lack.  T, the tuple's
+# canonical encoding, is printable ASCII and ends with its version.  The
 # ledger holds SHA-256(nonce || T).  Groups: nonce, seq, P, A, X, T, version.
-_POLICY_LINE_RE = re.compile(
-    rf'\{{"nonce": "([0-9a-f]{{{2 * NONCE_BYTES}}})", '
-    r'"seq": (0|[1-9][0-9]*), '
-    r'"stream": "stream-([1-9][0-9]*)-([1-9][0-9]*)-([1-9][0-9]*)", '
-    r'"tuple": (\{.*"version": (0|[1-9][0-9]*)\})\}'
+_POLICY_RE = re.compile(
+    rb'\{"nonce": "([0-9a-f]{%d})", ' % (2 * NONCE_BYTES)
+    + rb'"seq": (0|[1-9][0-9]*), '
+    rb'"stream": "stream-([1-9][0-9]*)-([1-9][0-9]*)-([1-9][0-9]*)", '
+    rb'"tuple": (\{[ -~]*"version": (0|[1-9][0-9]*)\})\}\n?'
 )
-# The same pattern over a line's bytes, as a query reads them.
-_POLICY_BYTES_RE = re.compile(_POLICY_LINE_RE.pattern.encode("ascii"))
 
 
 # A run of policy.db lines (Store.policy_runs) spans at most this many
@@ -266,10 +267,10 @@ _POLICY_BYTES_RE = re.compile(_POLICY_LINE_RE.pattern.encode("ascii"))
 RUN_BYTES = 16 * 1024
 
 
-def _index_policy_line(line: str) -> tuple[int, ...]:
+def _index_policy_line(line: bytes) -> tuple[int, ...]:
     """Ledger seq, provider, attribute and accessor ids, and tuple version
     of one policy.db line."""
-    match = _POLICY_LINE_RE.fullmatch(line)
+    match = _POLICY_RE.fullmatch(line)
     if match is None:
         raise ValueError("not a policy record")
     fields = tuple(map(int, match.group(2, 3, 4, 5, 7)))
@@ -278,51 +279,38 @@ def _index_policy_line(line: str) -> tuple[int, ...]:
     return fields
 
 
-def _line(record: Record) -> str:
+def _line(record: Record) -> bytes:
     """The line of a content or credential record."""
-    return json.dumps(record.to_dict(), sort_keys=True)
+    return json.dumps(record.to_dict(), sort_keys=True).encode("utf-8")
 
 
 def _open_records(file: IndexedFile, kind: type[Record]) -> list:
-    """Open a content or credential file, which has no checkpoint and no
-    hasher, and decode its records."""
-    lines = []
+    """Open a content or credential file, which has no checkpoint, and
+    decode its records: each line holds one JSON object from its first
+    byte to its last, as _line writes it, and no CR."""
+
     def decode(line):
-        return kind.from_dict(json.loads(line))
-    file.open(lambda: lines.extend(_decode_lines(file, file.reader, decode)))
-    return [record for *_, record in lines if record is not None]
+        line = line.removesuffix(b"\n")
+        if line[:1] != b"{" or line[-1:] != b"}" or b"\r" in line:
+            raise ValueError("a blank or padded line, or one with a CR")
+        return kind.from_dict(json.loads(line.decode("utf-8")))
+
+    records = []
+    file.open(lambda: records.extend(_decode_lines(file, decode)))
+    return records
 
 
-def _hashed(file: IndexedFile):
-    """The lines of the file's reader from its position on, each fed to
-    its hasher."""
-    update = file.hasher.update
-    for raw in file.reader:
-        update(raw)
-        yield raw
-
-
-def _decode_lines(file: IndexedFile, raws, decode, lineno: int = 0):
-    """(line number, offset, length, decoded) per line of a family file
-    in raws, the lines of its reader (up to and with each LF) from its
-    position on, in one pass over their bytes, decoded None for a blank
-    line; line numbers carry on from lineno.  Lines end at LF, CRLF or a
-    lone CR, as a text read ends them; offset and length are the line's
-    bytes without its end.  Each line is decoded as UTF-8 on its own and
-    stripped, so a line that is not UTF-8 or fails to decode raises
-    StoreError naming the file and line."""
-    offset = file.reader.tell()
-    for raw in raws:
-        for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
-            lineno += 1
-            content = piece.rstrip(b"\r\n")
-            try:
-                line = content.decode("utf-8").strip()
-                record = decode(line) if line else None
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StoreError(f"{file.path} line {lineno}: unreadable record ({exc})") from None
-            yield lineno, offset, len(content), record
-            offset += len(piece)
+def _decode_lines(file: IndexedFile, decode) -> list:
+    """decode(line) per line of a family file from its reader's position
+    on (files.IndexedFile.lines), in order; a line that fails to decode
+    raises StoreError naming the file and line."""
+    decoded = []
+    for number, line in file.lines():
+        try:
+            decoded.append(decode(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreError(f"{file.path} line {number}: unreadable record ({exc})") from None
+    return decoded
 
 
 class Store:
@@ -332,19 +320,17 @@ class Store:
         self._catalog = default_catalog()
         self._hash_cost = hash_cost
         self._providers: dict[int, ProviderRecord] = {}
-        # Every policy.db line, as a checkpoint holds it: one row per line
-        # in file order, seqs rising, and per row its ledger seq, tuple
-        # version, offset, length in bytes without the line end, and line
-        # number.
-        self._columns = [array("q") for _ in range(5)]
-        self._policy_lines = 0
+        # Per policy.db line, in file order, as a checkpoint holds them: its
+        # ledger seq, rising, and its tuple version.  The line at row r is
+        # line r + 1, and policy_file.offsets says where it is.
+        self._seqs, self._versions = array("q"), array("q")
         self._credentials: dict[str, Credential] = {}
         self._accessors: dict[int, Credential] = {}
         self._files = [
             IndexedFile(Path(data_dir) / name, self._take if name == POLICY_FILE else None)
             for name in FAMILY_FILES
         ]
-        self._credential_file, self._policy, self._content = self._files
+        self._credential_file, self.policy_file, self._content = self._files
         for file in self._files:
             if create and file.path.exists():
                 raise StoreError(f"store file already exists: {file.path}")
@@ -379,57 +365,44 @@ class Store:
     def _load(self):
         for record in _open_records(self._content, ProviderRecord):
             self._providers[record.provider_id] = record
-        self._policy.open(self._index_policy)
+        self.policy_file.open(self._index_policy)
         for cred in _open_records(self._credential_file, Credential):
             self._credentials[cred.login] = cred
             self._accessors[cred.profile.accessor_id] = cred
 
     def _index_policy(self):
         """Run open's pass over policy.db from the reader's position on."""
-        lineno = self._policy_lines
-        lines = _decode_lines(self._policy, _hashed(self._policy), _index_policy_line, lineno)
-        for lineno, offset, length, indexed in lines:
-            if indexed is not None:
-                seqs = self._columns[0]
-                if seqs and indexed[0] <= seqs[-1]:
-                    raise StoreError(
-                        f"{self._policy.path} line {lineno}: unreadable record "
-                        f"(seq {indexed[0]} is not above the previous line's {seqs[-1]})"
-                    )
-                self._index_line(indexed[0], indexed[4], offset, length, lineno)
-        self._policy_lines = lineno
+        seqs, versions = self._seqs, self._versions
 
-    def _take(self, parts) -> bool:
-        """Take the index of the checkpoint's prefix, if its values are in
-        range."""
-        if len(parts) != 6:
-            return False
+        def index(line):
+            seq, _, _, _, version = _index_policy_line(line)
+            if seqs and seq <= seqs[-1]:
+                raise ValueError(f"seq {seq} is not above the previous line's {seqs[-1]}")
+            seqs.append(seq)
+            versions.append(version)
+
+        _decode_lines(self.policy_file, index)
+
+    def _take(self, count: int, parts) -> bool:
+        """Take the seqs and versions of the checkpoint's count lines, if
+        their values are in range."""
         try:
-            lines, *columns = (int_array(part) for part in parts)
+            seqs, versions = map(int_array, parts)
         except ValueError:
             return False
-        seqs, _, offsets, lengths, _ = columns
         if not (
-            len(lines) == 1
-            and len(set(map(len, columns))) == 1
-            and min(min(column, default=0) for column in (lines, *columns)) >= 0
-            and all(map(lt, seqs, seqs[1:]))
-            and max(map(add, offsets, lengths), default=0) <= self._policy.reader.tell()
+            len(seqs) == len(versions) == count
+            and min(seqs, default=0) >= 0
+            and min(versions, default=0) >= 0
+            and all(map(lt, seqs, islice(seqs, 1, None)))
         ):
             return False
-        self._policy_lines = lines[0]
-        self._columns = columns
+        self._seqs, self._versions = seqs, versions
         return True
-
-    def _index_line(self, *fields: int):
-        """Add a row of the columns' fields for the next line."""
-        for column, value in zip(self._columns, fields):
-            column.append(value)
 
     def save_checkpoint(self):
         """Write policy.db's checkpoint when one is due (see files.IndexedFile)."""
-        lines = array("q", [self._policy_lines])
-        self._policy.save(lambda: [part.tobytes() for part in (lines, *self._columns)])
+        self.policy_file.save(lambda: (self._seqs.tobytes(), self._versions.tobytes()))
 
     # -- content ------------------------------------------------------------
 
@@ -466,33 +439,33 @@ class Store:
         at the ledger seq on stream is over, so it holds them verbatim.
         The line must be one the next open reads, of a known provider, and
         its seq above every stored line's.  Old versions are retained."""
-        line = '{"nonce": "%s", "seq": %d, "stream": "%s", "tuple": %s}' % (
-            nonce.hex(), seq, stream, encoded.decode("ascii")
+        line = b'{"nonce": "%s", "seq": %d, "stream": "%s", "tuple": %s}' % (
+            nonce.hex().encode(), seq, stream.encode(), encoded
         )
         seq, provider_id, _, _, version = _index_policy_line(line)
         if provider_id not in self._providers:
             raise UnknownProvider(f"no provider with id {provider_id}")
-        seqs = self._columns[0]
+        seqs = self._seqs
         if seqs and seq <= seqs[-1]:
             raise StaleVersion(f"policy.db already holds seq {seqs[-1]}, got {seq}")
-        offset, length = self._policy.append(line)
-        self._policy_lines += 1
-        self._index_line(seq, version, offset, length, self._policy_lines)
+        self.policy_file.append(line)
+        seqs.append(seq)
+        self._versions.append(version)
 
     def policy_runs(self, seqs):
         """An iterator that splits seqs, ledger seqs in a query's order
-        (None for a lineage with no stream), into runs of consecutive seqs
-        whose lines are consecutive rows one LF apart, at most RUN_BYTES
-        from the first's start to the last's end, and reads each run's
-        lines with one os.pread when the caller asks for the run: per run
-        (start, stop, row, data), seqs[start:stop], the row of its first
-        line and what files.IndexedFile.read gave.  A None seq, or one
-        policy.db holds no line at, is a run alone with row and data None.
-        The row after the last one found is tried before a bisection."""
-        column, _, offsets, lengths, _ = self._columns
+        (None for a lineage with no stream), into runs of consecutive seqs,
+        whose lines are adjacent rows, at most RUN_BYTES from the first's
+        start to the last's end, and reads each run's lines with one
+        os.pread when the caller asks for the run: per run (start, stop,
+        row, data), seqs[start:stop], the row of its first line and what
+        policy_file.read gave.  A None seq, or one policy.db holds no line
+        at, is a run alone with row and data None.  The row after the last
+        one found is tried before a bisection."""
+        column, offsets, read = self._seqs, self.policy_file.offsets, self.policy_file.read
         count = len(column)
         start = None  # the open run's place in seqs
-        row = expect = follows = limit = -1  # what the run's next line must meet
+        row = expect = limit = -1  # what the run's next line must meet
         for at, seq in enumerate(seqs):
             if seq is not None:
                 row += 1
@@ -500,53 +473,36 @@ class Store:
                     row = bisect_left(column, seq)
                     if row == count or column[row] != seq:
                         seq = None
-                if seq is not None:
-                    offset = offsets[row]
-                    end = offset + lengths[row]
-                    if seq == expect and offset == follows and end <= limit:
-                        expect, follows = seq + 1, end + 1
-                        continue
+                # Seqs rise from row to row, so a consecutive seq is on the next row.
+                if seq == expect and offsets[row + 1] <= limit:
+                    expect += 1
+                    continue
             if start is not None:
-                yield start, at, first, self.read_lines(first, at - start)
+                yield start, at, first, read(first, at - start)
             if seq is None:
                 start = None
                 expect = -1
                 yield at, at + 1, None, None
             else:
                 start, first = at, row
-                expect, follows, limit = seq + 1, end + 1, offset + RUN_BYTES
+                expect, limit = seq + 1, offsets[row] + RUN_BYTES
         if start is not None:
-            yield start, len(seqs), first, self.read_lines(first, len(seqs) - start)
-
-    def read_lines(self, row: int, count: int):
-        """The bytes of the count lines from row on, from the first's start
-        to the last's end, read with one os.pread: what
-        files.IndexedFile.read gives."""
-        _, _, offsets, lengths, _ = self._columns
-        end = row + count - 1
-        return self._policy.read(offsets[row], offsets[end] + lengths[end] - offsets[row])
-
-    def lines(self, row: int, count: int, data) -> list:
-        """Each line's bytes out of data, what policy_runs gave for the
-        run of count lines from row on (see files.IndexedFile.pieces)."""
-        _, _, offsets, lengths, _ = self._columns
-        rows = range(row, row + count)
-        return self._policy.pieces(data, [(offsets[r], lengths[r]) for r in rows])
+            yield start, len(seqs), first, read(first, len(seqs) - start)
 
     def latest_tuple_instance(
         self, lineage: tuple[int, int, int], seq: int, line: bytes
     ) -> StoredTuple:
         """The lineage's version stored at the ledger seq that is its
-        stream's latest, as the anchored pattern reads it from line, the
-        bytes of its policy.db line as policy_runs or lines gave them.
-        Nothing is
-        decoded: the tuple's bytes are a slice of the line.  Raises
-        CorruptRecord when the pattern rejects the line, or its seq, stream
-        or version disagrees with the lineage or its index.  The lineage is
-        a (provider_id, attribute_id, accessor_id) tuple."""
-        seqs, versions = self._columns[:2]
+        stream's latest, as the pattern open uses reads it from line, the
+        bytes of its policy.db line as policy_runs or policy_file.pieces
+        gave them.  Nothing is decoded: the tuple's bytes are a slice of
+        the line.  Raises CorruptRecord when the pattern rejects the line,
+        or its seq, stream or version disagrees with the lineage or its
+        index.  The lineage is a (provider_id, attribute_id, accessor_id)
+        tuple."""
+        seqs, versions = self._seqs, self._versions
         row = bisect_left(seqs, seq)
-        match = _POLICY_BYTES_RE.fullmatch(line.strip())
+        match = _POLICY_RE.fullmatch(line)
         if match is None:
             raise CorruptRecord(
                 f"{self._where(row)}: undecodable policy record (not a policy record)"
@@ -564,7 +520,7 @@ class Store:
         seq) gave, once its commitment holds.  Raises CorruptRecord when
         they fail to decode, or the tuple's provider, attribute, accessor or
         version disagrees with the lineage or its index."""
-        seqs, versions = self._columns[:2]
+        seqs, versions = self._seqs, self._versions
         row = bisect_left(seqs, seq)
         try:
             data = json.loads(encoded)
@@ -584,7 +540,7 @@ class Store:
         return prefs
 
     def _where(self, row: int) -> str:
-        return f"{self._policy.path} line {self._columns[4][row]}"
+        return f"{self.policy_file.path} line {row + 1}"
 
     # -- selection ----------------------------------------------------------
 

@@ -131,10 +131,10 @@ def reopen_engine(engine: Engine) -> Engine:
     return Engine.open(engine.config)
 
 
-def policy_index(store) -> list[tuple[int, int, int, int, int]]:
-    """(seq, version, offset, length, line number) of every policy.db line
-    the store indexed, in file order."""
-    return list(zip(*store._columns))
+def policy_index(store) -> list[tuple[int, int, int]]:
+    """(seq, version, offset) of every policy.db line the store indexed,
+    in file order; the line at row r is line r + 1."""
+    return list(zip(store._seqs, store._versions, store.policy_file.offsets))
 
 
 def policy_line(data_dir, seq: int) -> bytes | None:

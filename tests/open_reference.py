@@ -5,14 +5,16 @@ privledger.store.Store._load builds in one pass over the file's bytes.
 reference_load_ledger is Ledger._load as it was before open ran one
 pattern over the whole file, moved to data format 2: it splits the text
 at newlines, checks each line on its own, holds the chain to the genesis
-rule and indexes each stream from its first record.  reference_index_policy is the policy.db indexing
-as it was before the store read text a block at a time with a fallback
-that decodes line by line, moved to one entry per line with seqs that
-must rise, with one fix: each line is decoded on its own
-inside the check, so a byte that is not UTF-8 fails as an unreadable
-record naming its file and line, as any other bad line does, instead of
-escaping as a bare UnicodeDecodeError.  Its line splitting is a
-text-mode read's: at \\n, \\r\\n or a lone \\r.
+rule and indexes each stream from its first record.
+reference_index_policy is the policy.db indexing as it was before the
+store read the file a block at a time with a fallback that decodes line
+by line, moved to one entry per line with seqs that must rise and to the
+line rule every data file has: lines end at \\n only, and each line, its
+\\n included, is matched as it is by the store's bytes pattern, with
+nothing stripped and no blank line skipped.  So a blank or padded line,
+one ending at \\r\\n or holding a lone \\r, and one with a byte that is
+not UTF-8, fails as an unreadable record naming its file and line, as
+any other bad line does.
 """
 
 from __future__ import annotations
@@ -68,26 +70,26 @@ def reference_load_ledger(path) -> tuple[list[str], dict[str, tuple[str, list[in
 
 
 def reference_read_records(path, decode):
-    """(line number, stripped line, decoded) per non-blank line; a line
-    that is not UTF-8 or fails to decode raises StoreError naming the file
-    and line."""
+    """(line number, line, decoded) per line, the line's bytes with its
+    \\n (the file's last line may lack it); a line that fails to decode
+    raises StoreError naming the file and line."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+        lines = [raw + b"\n" for raw in fh.read().split(b"\n")]
+    lines[-1] = lines[-1].removesuffix(b"\n")  # the bytes after the last \n
+    if not lines[-1]:
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
         try:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
             record = decode(line)
         except (ValueError, KeyError, TypeError) as exc:
             raise StoreError(f"{path} line {lineno}: unreadable record ({exc})") from None
         yield lineno, line, record
 
 
-def reference_index_policy(path) -> list[tuple[int, int, str, int]]:
-    """(seq, version, stripped line, line number) of every record in a
-    policy.db file, in file order; raises StoreError as open does, also
-    where a record's seq is not above the one before it."""
+def reference_index_policy(path) -> list[tuple[int, int, bytes, int]]:
+    """(seq, version, line, line number) of every record in a policy.db
+    file, in file order; raises StoreError as open does, also where a
+    record's seq is not above the one before it."""
     index = []
     for lineno, line, (seq, *_, version) in reference_read_records(path, _index_policy_line):
         if index and seq <= index[-1][0]:

@@ -2,12 +2,14 @@
 ledger.db pass, and the policy.db index, one pass over the file's bytes.
 On mutated records and on layouts with blank lines, surrounding
 whitespace, CRLF or lone CR line ends, no final newline and bytes that
-are not UTF-8, open must accept exactly the files the reference accepts,
-build the same indexes (read back at the offsets open kept) and refuse
-with the same error text; the ledger pass and chain verification must
-agree with their references also when records straddle chunks.  Also: a
-byte that is not UTF-8 in any store file fails open naming its file and
-line.
+are not UTF-8, open must accept exactly the files the reference accepts
+(of these layouts, only the missing final newline), build the same
+indexes (read back at the offsets open kept) and refuse with the same
+error text; the ledger pass and chain verification must agree with their
+references also when records straddle chunks.  Also: a byte that is not
+UTF-8 in any store file, and a line of a store file that breaks the line
+rule (a blank or padded line, or one ending at CRLF), fails open naming
+its file and line.
 
 Checkpoints: every generated file is opened twice, from a checkpoint of
 a canonical prefix taken before the change and without one, and both
@@ -30,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import hashlib
+import re
 import shutil
 import tempfile
 from array import array
@@ -281,11 +284,14 @@ def _opened_index(directory: Path):
     except StoreError as exc:
         return "refused", str(exc)
     try:
-        # Open keeps where each line is; read the line back from there.
+        # Open keeps where each line starts, and the file ends after the
+        # last; read each line back from there.
         data = (directory / POLICY_FILE).read_bytes()
+        index = policy_index(store)
+        ends = [offset for _, _, offset in index[1:]] + [len(data)]
         return "opened", [
-            (seq, version, data[offset : offset + length].decode("utf-8").strip(), lineno)
-            for seq, version, offset, length, lineno in policy_index(store)
+            (seq, version, data[offset:end], row + 1)
+            for row, ((seq, version, offset), end) in enumerate(zip(index, ends))
         ]
     finally:
         store.close()
@@ -331,11 +337,56 @@ def test_non_utf8_byte_fails_open_naming_file_and_line(tmp_path, capsys, family,
     lines = path.read_bytes().splitlines(keepends=True)
     lines[lineno - 1] = lines[lineno - 1].replace(b'"', b'"\xff', 1)
     path.write_bytes(b"".join(lines))
-    message = rf"{family} line {lineno}: unreadable record \('utf-8' codec can't decode byte 0xff"
+    # policy.db's pattern admits printable ASCII alone.
+    cause = "not a policy record" if family == POLICY_FILE else "'utf-8' codec can't decode byte 0xff"
+    message = rf"{family} line {lineno}: unreadable record \({re.escape(cause)}"
     with pytest.raises(StoreError, match=message):
         Engine.open(engine.config)
     assert main(["--data-dir", str(engine.config.data_dir), "ledger", "list-streams"]) == 1
     assert f"{family} line {lineno}: unreadable record" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the line rule
+# ---------------------------------------------------------------------------
+
+# Edits of a line (its bytes without the LF) that break the line rule.
+BROKEN_LINES = {
+    "blank": lambda line: b"",
+    "padded-with-a-space": lambda line: b" " + line,
+    "padded-with-u3000": lambda line: line + "\u3000".encode(),
+    "crlf": lambda line: line + b"\r",
+}
+
+
+@pytest.mark.parametrize("layout", ["padded-with-u3000", "padded-with-a-space", "crlf"])
+def test_a_policy_line_the_query_check_would_refuse_never_opens(demo_config, capsys, layout):
+    """Open reads a policy.db line with the pattern a query checks it with,
+    so a line open accepts is one the query reads as it is."""
+    path = demo_config.data_dir / POLICY_FILE
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[-1] = BROKEN_LINES[layout](lines[-1].removesuffix(b"\n")) + b"\n"  # a lineage's latest
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(StoreError) as raised:
+        Engine.open(demo_config)
+    where = f"{path} line {len(lines)}: unreadable record"
+    assert str(raised.value) == f"{where} (not a policy record)"
+    assert main(["--data-dir", str(demo_config.data_dir), "ledger", "list-streams"]) == 1
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["credentials.db", "content.db"])
+@pytest.mark.parametrize("layout", BROKEN_LINES)
+def test_a_store_line_that_breaks_the_line_rule_fails_open(demo_config, family, layout):
+    path = demo_config.data_dir / family
+    line = path.read_bytes().removesuffix(b"\n")  # the demo's one record
+    assert b"\n" not in line
+    path.write_bytes(line + b"\n" + BROKEN_LINES[layout](line) + b"\n")
+    with pytest.raises(StoreError) as raised:
+        Engine.open(demo_config)
+    assert str(raised.value) == (
+        f"{path} line 2: unreadable record (a blank or padded line, or one with a CR)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +587,7 @@ def _other_checker_version(data: bytes) -> bytes:
 PARTS = {
     "ledger.db": ("length", "sha256", "offsets", "digests", "names", "creators",
                   "created_by", "last", "prev"),
-    POLICY_FILE: ("length", "sha256", "lines", "seq", "version", "offset", "line_length",
-                  "lineno"),
+    POLICY_FILE: ("length", "sha256", "offsets", "seq", "version"),
 }
 BYTE_PARTS = ("length", "sha256", "digests", "names", "creators")
 
@@ -554,6 +604,7 @@ def _resealed(name, edit):
             value = data[at + 8 : at + 8 + size]
             parts[part] = value if part in BYTE_PARTS else array("q", value)
             at += 8 + size
+        assert at == len(data) - 32, f"the checkpoint's parts are not {PARTS[name]}"
         edit(parts)
         values = [v if p in BYTE_PARTS else v.tobytes() for p, v in parts.items()]
         body = data[:head] + b"".join(len(v).to_bytes(8, "big") + v for v in values)
@@ -592,8 +643,8 @@ def _swap_first_seqs(parts):
     seqs[0], seqs[1] = seqs[1], seqs[0]
 
 
-def _cut_last_line_number(parts):
-    parts["lineno"] = parts["lineno"][:-1]
+def _cut_last_version(parts):
+    parts["version"] = parts["version"][:-1]
 
 
 DAMAGES = {
@@ -615,13 +666,13 @@ DAMAGES = {
     ("ledger.db", "negative-record-offset"): _resealed("ledger.db", _set("offsets", -1, -1)),
     ("ledger.db", "duplicate-stream-name"): _resealed("ledger.db", _duplicate_last_stream_name),
     ("ledger.db", "swapped-record-offsets"): _resealed("ledger.db", _swap_offsets(-2, -1)),
-    (POLICY_FILE, "negative-line-offset"): _resealed(POLICY_FILE, _set("offset", -1, -1)),
+    (POLICY_FILE, "negative-line-offset"): _resealed(POLICY_FILE, _set("offsets", -2, -1)),
     (POLICY_FILE, "negative-version"): _resealed(POLICY_FILE, _set("version", -1, -1)),
     (POLICY_FILE, "line-past-the-prefix"): _resealed(
-        POLICY_FILE, _set("offset", -1, lambda parts: int.from_bytes(parts["length"], "big"))
+        POLICY_FILE, _set("offsets", -1, lambda parts: int.from_bytes(parts["length"], "big") + 1)
     ),
     (POLICY_FILE, "falling-seqs"): _resealed(POLICY_FILE, _swap_first_seqs),
-    (POLICY_FILE, "short-column"): _resealed(POLICY_FILE, _cut_last_line_number),
+    (POLICY_FILE, "short-column"): _resealed(POLICY_FILE, _cut_last_version),
 }
 
 
@@ -815,7 +866,7 @@ def test_a_checker_version_1_directory_is_ignored_once_and_rewritten(tmp_path):
     # version, and the next open takes them.
     Engine.open(config).close()
     rewritten = _checkpoints(config)
-    assert {_checker_version(data) for data in rewritten.values()} == {CHECKER_VERSION} == {2}
+    assert {_checker_version(data) for data in rewritten.values()} == {CHECKER_VERSION} == {3}
     assert all(_usable(config, name) for name in CHECKPOINTED)
     assert _opened_state(config) == ignored
     Engine.open(bare).close()

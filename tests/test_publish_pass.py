@@ -600,7 +600,7 @@ def test_a_closed_store_refuses_to_read_or_append_a_tuple(tmp_path, opened):
     path = engine.config.data_dir / "policy.db"
     before = path.read_bytes()
     with pytest.raises(ValueError, match=closed_file(path)):
-        store.read_lines(0, 1)  # not a CorruptRecord
+        store.policy_file.read(0, 1)  # not a CorruptRecord
     with pytest.raises(ValueError, match=closed_file(path)):
         put_instance(store, sample_instance(store, version=9, seq=99))
     assert path.read_bytes() == before

@@ -423,11 +423,12 @@ def test_a_file_cut_inside_the_last_record_of_a_run_aborts_only_its_lineage(warm
 # memory open keeps
 # ---------------------------------------------------------------------------
 
-# Open holds, per policy.db line, its seq, version and where it is and, per
+# Open holds, per policy.db line, its seq, version and offset and, per
 # ledger record, an offset and a 32-byte digest: no line of either file.
-# Both open paths keep the same packed columns, about 0.46 KB per lineage
-# here, one line each (Python 3.11; 0.61 KB while the store also kept a
-# dict entry per lineage); the bound leaves a quarter of that as headroom.
+# Both open paths keep the same packed columns, about 0.47 KB per lineage
+# here, one line each (Python 3.11.7; 0.49 KB while the store also kept a
+# length and a line number per line, 0.61 KB while it also kept a dict
+# entry per lineage); the bound leaves about a fifth of that as headroom.
 MAX_KEPT_PER_LINEAGE = 576
 
 
